@@ -184,9 +184,9 @@ func BenchmarkLiveCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cluster, err := NewCluster(dir, ClusterOptions{
-		Proto: PSAA, Clients: 1, NumPages: 256, ObjsPerPage: 8, PageSize: 512,
-	})
+	cluster, err := NewCluster(dir, ClusterOptions{Clients: 1, ServerOptions: ServerOptions{
+		Proto: PSAA, NumPages: 256, ObjsPerPage: 8, PageSize: 512,
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}

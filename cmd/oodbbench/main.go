@@ -27,6 +27,7 @@ import (
 	"repro"
 	"repro/internal/benchjson"
 	"repro/internal/core"
+	"repro/internal/live"
 )
 
 func main() {
@@ -88,10 +89,11 @@ func main() {
 		if *interleave && *transport != "" {
 			fatal(fmt.Errorf("-interleave is a deterministic in-memory scenario; drop -transport"))
 		}
-		copts := repro.ClusterOptions{
-			Proto: p, Clients: 0, NumPages: *pages, Shards: *shards, Metrics: reg,
+		copts := repro.ClusterOptions{ServerOptions: repro.ServerOptions{
+			Proto: p, NumPages: *pages, Shards: *shards, Metrics: reg,
 			Heat: *heat, Recluster: *recluster, Transport: *transport,
-		}
+		}}
+		live.ApplyEnv(&copts.ServerOptions)
 		if *interleave && *recluster {
 			// The scenario triggers its migration rounds explicitly between
 			// the two phases; keep the background planner out of the timing.

@@ -15,12 +15,11 @@
 //	-nosync            do not fsync the WAL per commit (faster, unsafe:
 //	                   acknowledged commits may be lost on a crash)
 //	-transport         connection transport: goroutine (default; one
-//	                   serve+writer goroutine pair per session) or
+//	                   reader+pump goroutine pair per session) or
 //	                   reactor (epoll event loops, O(loops) goroutines
 //	                   for any session count; Linux only, falls back to
 //	                   goroutine elsewhere); honors OODB_TRANSPORT
-//	-reactor-loops     reactor event loops (0 = min(8, GOMAXPROCS),
-//	                   honoring OODB_REACTOR_LOOPS)
+//	-reactor-loops     reactor event loops (0 = min(8, GOMAXPROCS))
 //	-reactor-drain-cap depose a session whose pending outbound bytes
 //	                   exceed this cap — a reader too slow to drain its
 //	                   socket (0 = default 8 MiB)
@@ -30,9 +29,6 @@
 //	-recovery-jobs     parallel WAL replay workers during startup recovery
 //	                   (0 = min(shards, GOMAXPROCS), honoring
 //	                   OODB_RECOVERY_JOBS; 1 = serial replay)
-//	-group-commit-window
-//	                   linger before each WAL fsync so concurrent commits
-//	                   share it (0 = sync immediately)
 //	-callback-timeout  depose clients that leave a cache-consistency
 //	                   callback unanswered for this long (0 disables);
 //	                   bounds how long one silent client can stall writers
@@ -41,8 +37,7 @@
 //	                   /debug/pprof/*)
 //	-trace             start with protocol event tracing enabled (the
 //	                   admin endpoint can toggle it at runtime)
-//	-trace-size        trace ring capacity in events (0 = default,
-//	                   honoring OODB_TRACE_SIZE)
+//	-trace-size        trace ring capacity in events (0 = default)
 //	-heat              start with heat/contention collection enabled
 //	                   (honoring OODB_HEAT; /heatz can toggle at runtime)
 //	-heat-epoch        heat sketch decay interval
@@ -52,6 +47,10 @@
 //	-blackbox-max      retain at most this many blackbox dumps
 //	-stats-every       print a one-line stats summary at this interval
 //	                   (0 = off)
+//
+// A flag left at its zero value falls back to the matching environment
+// variable (live.ApplyEnv): OODB_SHARDS, OODB_RECOVERY_JOBS, OODB_HEAT,
+// OODB_RECLUSTER, OODB_TRANSPORT.
 //
 // Clients connect with repro.Dial (or cmd/oodbbench).
 //
@@ -86,7 +85,7 @@ func main() {
 		"connection transport: goroutine | reactor "+
 			"(empty = goroutine, honoring OODB_TRANSPORT)")
 	reactorLoops := flag.Int("reactor-loops", 0,
-		"reactor event loops (0 = min(8, GOMAXPROCS), honoring OODB_REACTOR_LOOPS)")
+		"reactor event loops (0 = min(8, GOMAXPROCS))")
 	reactorDrainCap := flag.Int("reactor-drain-cap", 0,
 		"depose sessions whose pending outbound bytes exceed this (0 = 8 MiB)")
 	shards := flag.Int("shards", 0,
@@ -95,16 +94,13 @@ func main() {
 	recoveryJobs := flag.Int("recovery-jobs", 0,
 		"parallel WAL replay workers during startup recovery "+
 			"(0 = min(shards, GOMAXPROCS), honoring OODB_RECOVERY_JOBS; 1 = serial)")
-	gcWindow := flag.Duration("group-commit-window", 0,
-		"linger this long before each WAL fsync so concurrent commits share it "+
-			"(0 = sync immediately; batching still happens under load)")
 	cbTimeout := flag.Duration("callback-timeout", 0,
 		"depose clients with callbacks unanswered this long (0 = wait forever)")
 	admin := flag.String("admin", "",
 		"observability HTTP address, e.g. :6060 (empty = disabled)")
 	trace := flag.Bool("trace", false, "start with protocol event tracing enabled")
 	traceSize := flag.Int("trace-size", 0,
-		"trace ring capacity in events (0 = default, honoring OODB_TRACE_SIZE)")
+		"trace ring capacity in events (0 = default)")
 	recluster := flag.Bool("recluster", false,
 		"enable online reclustering (or OODB_RECLUSTER=1): reserve spare pages at "+
 			"creation and migrate objects off false-sharing suspect pages in the "+
@@ -127,15 +123,17 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown protocol %q", *proto))
 	}
-	srv, err := live.OpenServer(*dir, live.ServerOptions{
+	opts := live.ServerOptions{
 		Proto: p, PageSize: *pageSize, ObjsPerPage: *objsPerPage, NumPages: *pages,
-		SyncWAL: !*noSync, GroupCommitWindow: *gcWindow, CallbackTimeout: *cbTimeout,
+		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout,
 		Shards: *shards, RecoveryJobs: *recoveryJobs,
 		Transport: *transport, ReactorLoops: *reactorLoops, ReactorDrainCap: *reactorDrainCap,
 		TraceBuf: *traceSize, Heat: *heat, HeatEpoch: *heatEpoch,
 		Recluster: *recluster, ReclusterEvery: *reclusterEvery,
 		BlackboxDir: *blackboxDir, BlackboxMax: *blackboxMax,
-	})
+	}
+	live.ApplyEnv(&opts)
+	srv, err := live.OpenServer(*dir, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -85,9 +85,9 @@ func run(args []string) error {
 			return fmt.Errorf("unknown protocol %q", proto)
 		}
 		metrics = repro.NewMetricsRegistry()
-		cluster, err := repro.NewCluster(dir, repro.ClusterOptions{
-			Proto: p, Clients: 1, NumPages: pages, Metrics: metrics,
-		})
+		cluster, err := repro.NewCluster(dir, repro.ClusterOptions{Clients: 1, ServerOptions: repro.ServerOptions{
+			Proto: p, NumPages: pages, Metrics: metrics,
+		}})
 		if err != nil {
 			return err
 		}

@@ -39,9 +39,11 @@ func main() {
 
 	numPages := engineers*partPages + libraryPages
 	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{
-		Proto:    repro.PSAA,
-		Clients:  engineers,
-		NumPages: numPages, ObjsPerPage: 16, PageSize: 1024,
+		Clients: engineers,
+		ServerOptions: repro.ServerOptions{
+			Proto:    repro.PSAA,
+			NumPages: numPages, ObjsPerPage: 16, PageSize: 1024,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

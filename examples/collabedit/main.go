@@ -57,9 +57,9 @@ func run(proto repro.Protocol) (core.ServerStats, int64) {
 	}
 	defer os.RemoveAll(dir)
 
-	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{
-		Proto: proto, Clients: 2, NumPages: 16, ObjsPerPage: 8, PageSize: 512,
-	})
+	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{Clients: 2, ServerOptions: repro.ServerOptions{
+		Proto: proto, NumPages: 16, ObjsPerPage: 8, PageSize: 512,
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

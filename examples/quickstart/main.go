@@ -21,10 +21,12 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{
-		Proto:   repro.PSAA,
 		Clients: 2,
-		// A small database is plenty for a demo.
-		NumPages: 64, ObjsPerPage: 8, PageSize: 512,
+		ServerOptions: repro.ServerOptions{
+			Proto: repro.PSAA,
+			// A small database is plenty for a demo.
+			NumPages: 64, ObjsPerPage: 8, PageSize: 512,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -23,11 +23,11 @@ func main() {
 
 	// Variable-size objects require the OS protocol (objects ship by
 	// value; page images stay server-internal).
-	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{
-		Proto: repro.OS, Clients: 2,
+	cluster, err := repro.NewCluster(dir, repro.ClusterOptions{Clients: 2, ServerOptions: repro.ServerOptions{
+		Proto:    repro.OS,
 		NumPages: 64, ObjsPerPage: 8, PageSize: 1024,
 		VariableObjects: true,
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -905,12 +905,26 @@ func (se *ServerEngine) abortVictim(v *stxn) {
 
 // ---- Cross-shard deadlock support (sharded hosts) ----
 
+// waitingReq returns the id of the request t is parked on — queued
+// behind a lock or driving a callback round — or 0 if it is not waiting.
+// abortVictim answers exactly this request.
+func waitingReq(t *stxn) int64 {
+	if t.round != nil {
+		return t.round.req.Req
+	}
+	if t.blocked != nil {
+		return t.blocked.msg.Req
+	}
+	return 0
+}
+
 // WaitGraph visits this engine's local waits-for edges: for each
-// non-aborting transaction with outstanding dependencies, its direct
-// waits in deterministic order. A sharded host merges the per-shard
-// graphs (a transaction may wait here while holding locks on another
-// shard) and hunts cycles the per-shard detector cannot see.
-func (se *ServerEngine) WaitGraph(visit func(t TxnID, deps []TxnID)) {
+// non-aborting transaction with outstanding dependencies, the request it
+// is parked on and its direct waits in deterministic order. A sharded
+// host merges the per-shard graphs (a transaction may wait here while
+// holding locks on another shard) and hunts cycles the per-shard detector
+// cannot see.
+func (se *ServerEngine) WaitGraph(visit func(t TxnID, req int64, deps []TxnID)) {
 	ids := make([]TxnID, 0, len(se.txns))
 	for id := range se.txns {
 		ids = append(ids, id)
@@ -926,20 +940,23 @@ func (se *ServerEngine) WaitGraph(visit func(t TxnID, deps []TxnID)) {
 			continue
 		}
 		if deps := se.waitsFor(t); len(deps) > 0 {
-			visit(id, deps)
+			visit(id, waitingReq(t), deps)
 		}
 	}
 }
 
 // AbortDeadlockVictim aborts transaction t as the victim of a cycle a
-// cross-shard detector found in the merged wait graph. It reports false
-// (no messages, no counter) if t no longer exists here or is already
-// aborting — merged-graph cycles are detected without locks held across
-// shards, so a victim may have resolved in the meantime. The returned
-// messages must be dispatched, like Handle's.
-func (se *ServerEngine) AbortDeadlockVictim(t TxnID) ([]Msg, bool) {
+// cross-shard detector found in the merged wait graph, through an edge t
+// had while parked on request req. It reports false (no messages, no
+// counter) unless t is still parked on that very request: merged-graph
+// cycles are detected without locks held across shards, so the victim
+// may have been granted, aborted or moved on to a later request in the
+// meantime — and a transaction that is not waiting has no in-flight
+// request for MAbortYou to answer. The returned messages must be
+// dispatched, like Handle's.
+func (se *ServerEngine) AbortDeadlockVictim(t TxnID, req int64) ([]Msg, bool) {
 	v := se.txns[t]
-	if v == nil || v.aborting {
+	if v == nil || v.aborting || req == 0 || waitingReq(v) != req {
 		return nil, false
 	}
 	se.out = se.out[:0]

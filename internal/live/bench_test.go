@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -56,7 +55,7 @@ func BenchmarkHeatEnabled(b *testing.B) {
 func startTCPServer(b *testing.B, opts ServerOptions) (*Server, string) {
 	b.Helper()
 	dir := b.TempDir()
-	srv, err := OpenServer(dir, opts)
+	srv, err := openServer(dir, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -309,77 +308,37 @@ func tcpPair(b *testing.B) (net.Conn, net.Conn) {
 	return c1, r.c
 }
 
-// gobConn is the pre-binary-codec transport (a gob stream straight over
-// the socket), kept here as a reference implementation so every wire
-// benchmark publishes the old/new comparison on the same harness.
-type gobConn struct {
-	c   net.Conn
-	dec *gob.Decoder
-
-	mu  sync.Mutex
-	enc *gob.Encoder
-}
-
-func newGobConn(c net.Conn) Conn {
-	return &gobConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-}
-
-func (g *gobConn) Send(m *core.Msg) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.enc.Encode(m)
-}
-
-func (g *gobConn) Recv() (*core.Msg, error) {
-	m := new(core.Msg)
-	if err := g.dec.Decode(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (g *gobConn) Close() error { return g.c.Close() }
-
-// benchWireRoundTrip pumps b.N copies of m through a transport over a
-// loopback TCP connection, measuring the full encode+frame+decode path
-// (allocs/op is the wire-path allocation cost the binary codec cuts).
-// Each benchmark runs twice: codec=binary (the live transport) and
-// codec=gob (the replaced one, for the recorded before/after).
+// benchWireRoundTrip pumps b.N copies of m through the binary transport
+// over a loopback TCP connection, measuring the full encode+frame+decode
+// path (allocs/op is the wire-path allocation cost). The sub-benchmark
+// name is what CI's guard and BENCH_live.json key on.
 func benchWireRoundTrip(b *testing.B, m *core.Msg) {
-	for _, tc := range []struct {
-		name string
-		mk   func(net.Conn) Conn
-	}{
-		{"codec=binary", NewTCPConn},
-		{"codec=gob", newGobConn},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			c1, c2 := tcpPair(b)
-			t1, t2 := tc.mk(c1), tc.mk(c2)
-			defer t1.Close()
-			defer t2.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			errCh := make(chan error, 1)
-			go func() {
-				for i := 0; i < b.N; i++ {
-					if err := t1.Send(m); err != nil {
-						errCh <- err
-						return
-					}
-				}
-				errCh <- nil
-			}()
+	b.Run("codec=binary", func(b *testing.B) {
+		c1, c2 := tcpPair(b)
+		t1, t2 := NewTCPConn(c1), NewTCPConn(c2)
+		defer t1.Close()
+		defer t2.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		errCh := make(chan error, 1)
+		go func() {
 			for i := 0; i < b.N; i++ {
-				if _, err := t2.Recv(); err != nil {
-					b.Fatal(err)
+				if err := t1.Send(m); err != nil {
+					errCh <- err
+					return
 				}
 			}
-			if err := <-errCh; err != nil {
+			errCh <- nil
+		}()
+		for i := 0; i < b.N; i++ {
+			if _, err := t2.Recv(); err != nil {
 				b.Fatal(err)
 			}
-		})
-	}
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkWirePageData is the server->client data path: a full 4KiB page
@@ -533,11 +492,11 @@ func BenchmarkReclusterRecovery(b *testing.B) {
 		nWriters    = 2
 	)
 	dir := b.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PS, PageSize: 4096, ObjsPerPage: objsPP,
 		NumPages: 32, SyncWAL: false,
 		Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
-		ReclusterSpare: 8, ReclusterMaxMoves: sharedPages * half * nWriters,
+		ReclusterSpare: 8, // one round moves all sharedPages*half*nWriters = 64 = reclusterMaxMoves slots
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -685,7 +644,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.StartTimer()
 
 		start := time.Now()
-		srv, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
+		srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -248,7 +248,7 @@ func TestClientReconnectAfterKill(t *testing.T) {
 // after CallbackTimeout.
 func TestCallbackDeadlineUnsticksCluster(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		CallbackTimeout: 100 * time.Millisecond,
 	})
@@ -314,7 +314,7 @@ func TestCallbackDeadlineUnsticksCluster(t *testing.T) {
 // finishing the transaction, the lease runs out and the writer proceeds.
 func TestCallbackBusyLeaseExpires(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		CallbackTimeout: 150 * time.Millisecond,
 	})
@@ -379,7 +379,7 @@ func TestChaosSoakLive(t *testing.T) {
 		hotSlots = 2
 	)
 	dir := t.TempDir()
-	srv, err := OpenServer(filepath.Join(dir, "db"), ServerOptions{
+	srv, err := openServer(filepath.Join(dir, "db"), ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		CallbackTimeout: 200 * time.Millisecond,
 		Heat:            true, // races heat recording against real chaos traffic

@@ -252,9 +252,17 @@ func (c *Client) recvLoop() {
 			c.send(c.cs.HandleDeescReq(m))
 			c.mu.Unlock()
 		case core.MAbortYou:
+			if m.Txn != c.cs.Txn {
+				c.mu.Unlock() // verdict on a transaction that already ended
+				continue
+			}
 			c.met.abort()
-			pr := c.pending[m.Req]
-			delete(c.pending, m.Req)
+			// The verdict ends the transaction, so it resolves whatever
+			// request the transaction has in flight — not just the one the
+			// server named in Req: a reply to an unresolved request would
+			// otherwise be applied to a finished transaction.
+			aborted := c.pending
+			c.pending = map[int64]*pendingReq{}
 			// Roll the transaction back right here so subsequent messages
 			// see consistent state; the waiter just learns the outcome.
 			for _, am := range c.cs.Abort() {
@@ -264,7 +272,7 @@ func (c *Client) recvLoop() {
 			}
 			c.txn = nil
 			c.mu.Unlock()
-			if pr != nil {
+			for _, pr := range aborted {
 				pr.done <- reqAborted
 			}
 		default:

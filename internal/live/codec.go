@@ -10,8 +10,8 @@ import (
 
 // Binary wire codec for core.Msg (and WAL records): every field is
 // encoded explicitly — no reflection — so the live data plane pays a few
-// varint appends per message instead of encoding/gob's type negotiation
-// and allocation churn.
+// varint appends per message instead of a reflective encoder's type
+// negotiation and allocation churn.
 //
 // Frame layout (TCP transport):
 //
@@ -347,9 +347,6 @@ func decodeMsg(b []byte) (*core.Msg, error) {
 // ---- WAL record codec ----
 
 // walFormatBinary is the first body byte of a binary-encoded WAL record.
-// Pre-binary logs framed gob bodies, which begin with a gob message
-// length — scanWAL uses this byte to pick the decoder (see the migration
-// path there).
 const walFormatBinary = 0xB1
 
 // walFormatBinary2 marks a record that additionally carries relocation
@@ -418,8 +415,8 @@ func decodeCheckpointBody(b []byte) (delta int64, ok bool) {
 	return int64(v), true
 }
 
-// decodeWALRecord decodes a binary WAL body; it returns an error for
-// non-binary (e.g. legacy gob) bodies so the caller can fall back.
+// decodeWALRecord decodes a binary WAL body; anything else is an error
+// (scanWAL treats it as the log's torn tail).
 func decodeWALRecord(b []byte) (*walRecord, error) {
 	if len(b) == 0 || (b[0] != walFormatBinary && b[0] != walFormatBinary2) {
 		return nil, fmt.Errorf("live: not a binary WAL record")

@@ -2,11 +2,6 @@ package live
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -128,73 +123,6 @@ func TestWALRecordCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeWALRecord([]byte{0x00, 0x01}); err == nil {
 		t.Fatal("non-binary body accepted")
-	}
-}
-
-// TestWALGobMigration writes a log in the pre-binary format (gob bodies
-// inside the same CRC frames) and checks that scanWAL still reads it, and
-// that binary records appended after the old ones coexist in one scan —
-// the one-shot migration read path.
-func TestWALGobMigration(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	old := []*walRecord{
-		{Txn: 1, Client: 1, Commit: true, Objs: []core.ObjID{o(0, 0)},
-			Images: [][]byte{[]byte("legacy-1")}},
-		{Txn: 2, Client: 2, Commit: true, Objs: []core.ObjID{o(1, 3)},
-			Images: [][]byte{[]byte("legacy-2")}},
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range old {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(body.Len()))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body.Bytes()))
-		f.Write(hdr[:])
-		f.Write(body.Bytes())
-	}
-	f.Close()
-
-	w, scan, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.recs) != len(old) {
-		t.Fatalf("scanned %d legacy records, want %d", len(scan.recs), len(old))
-	}
-	for i := range old {
-		if !reflect.DeepEqual(scan.recs[i], old[i]) {
-			t.Fatalf("legacy rec %d mismatch: got %+v want %+v", i, scan.recs[i], old[i])
-		}
-	}
-	// Append a binary record after the gob tail; a rescan sees both eras.
-	newRec := &walRecord{Txn: 3, Client: 3, Commit: true,
-		Objs: []core.ObjID{o(2, 2)}, Images: [][]byte{[]byte("binary-3")}}
-	if err := w.Append(newRec); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	f2, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	scan2, err := scanWAL(f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan2.recs) != 3 {
-		t.Fatalf("rescan found %d records, want 3", len(scan2.recs))
-	}
-	if !reflect.DeepEqual(scan2.recs[2], newRec) {
-		t.Fatalf("binary rec mismatch: got %+v want %+v", scan2.recs[2], newRec)
 	}
 }
 

@@ -1,0 +1,540 @@
+package live
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"sort"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
+)
+
+// cpReclusterMidMove crashes a migration commit after its WAL append
+// but before the installs and the relocation-table publish: the log
+// holds a relocation record (durable or not, depending on the sync
+// race) that relocs.db does not — recovery must reconstruct the table
+// from base + log either way.
+var cpReclusterMidMove = fault.Register("recluster.mid-move")
+
+// lockShard acquires one shard's lock, recording how long the caller
+// waited for it, and returns the acquisition time for unlockShard's
+// hold observation. Together the two histograms make the critical
+// section's width observable: hold should cover only the engine step and
+// staging, never store I/O or fsyncs.
+func (s *Server) lockShard(sh *engineShard) time.Time {
+	t0 := time.Now()
+	sh.mu.Lock()
+	t1 := time.Now()
+	w := t1.Sub(t0).Nanoseconds()
+	s.metrics.engineLockWaitNs.Observe(w)
+	sh.lockWaitNs.Observe(w)
+	return t1
+}
+
+// unlockShard records the hold time since lockShard and releases.
+func (s *Server) unlockShard(sh *engineShard, acquired time.Time) {
+	h := time.Since(acquired).Nanoseconds()
+	s.metrics.engineLockHoldNs.Observe(h)
+	sh.lockHoldNs.Observe(h)
+	sh.mu.Unlock()
+}
+
+// handle runs one message through the engine shard(s) that own it and
+// dispatches the responses. Everything that does not need engine state —
+// WAL body encoding, the commit fsync wait, store payload reads —
+// happens outside the shard locks. recvAt is when the session's driver
+// delivered the message (the commit-stage queue span starts there).
+func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
+	kind := int(m.Kind)
+	if kind < len(msgKindLabels) {
+		s.metrics.reqs[kind].Inc()
+	}
+	start := time.Now()
+	var syncWait time.Duration
+	defer func() {
+		if kind < len(msgKindLabels) {
+			// The group-commit durability wait is fsync scheduling, not
+			// processing; it is recorded separately (commitSyncWaitNs) so
+			// handle latency stays honest.
+			s.metrics.handleNs[kind].Observe((time.Since(start) - syncWait).Nanoseconds())
+		}
+	}()
+
+	nsh := len(s.shards)
+
+	// Piggybacked cache evictions touch arbitrary pages; with several
+	// shards, strip them off the message and apply each to its owning
+	// shard first (the single engine applies them inside Handle).
+	if nsh > 1 && (len(m.DroppedPages) > 0 || len(m.DroppedObjs) > 0) {
+		s.applyDroppedSharded(m)
+	}
+
+	// Encode the commit's WAL frame before taking any lock: the record
+	// body is a pure function of the request, and encoding is the
+	// expensive half of an append.
+	// Relocations on a commit are the planner's privilege: they arrive
+	// only over the in-process internal session (the wire codec does not
+	// carry them), and anything else claiming some is stripped.
+	if len(m.Relocs) > 0 && int64(m.From) != s.internalID.Load() {
+		m.Relocs = nil
+	}
+
+	var rec *walRecord
+	var frame []byte
+	var queueDur, encodeDur time.Duration
+	if m.Kind == core.MCommitReq && len(m.Updates) > 0 {
+		encStart := time.Now()
+		queueDur = encStart.Sub(recvAt)
+		rec = &walRecord{Txn: m.Txn, Client: m.From, Commit: true, Relocs: m.Relocs}
+		view := s.relocs.view()
+		for _, o := range sortedUpdateKeys(m.Updates) {
+			img := m.Updates[o]
+			if to, ok := view.lookup(o); ok {
+				// A blind write to a retired address (a PS page grant taken
+				// before the move allows writes with no further request):
+				// install at the object's current placement, where readers
+				// are redirected. The engine's finish step still sees the
+				// original address — that is where the locks live.
+				o = to
+			}
+			rec.Objs = append(rec.Objs, o)
+			rec.Images = append(rec.Images, img)
+		}
+		frame = encodeWALFrame(rec)
+		encodeDur = time.Since(encStart)
+	}
+
+	if m.Kind == core.MCommitReq || m.Kind == core.MAbortReq {
+		syncWait = s.finishTxnMsg(sess, m, rec, frame, queueDur, encodeDur)
+		return
+	}
+
+	var sh *engineShard
+	switch m.Kind {
+	case core.MReadReq, core.MWriteReq:
+		sh = s.shardOf(m.Obj.Page)
+		if nsh > 1 {
+			// Record the routing so the transaction's commit/abort visits
+			// exactly the shards holding its state: write grants pin their
+			// shard for good; the last request marks where a cancelled
+			// request's residue (an aborted victim's record) may live.
+			if m.Kind == core.MWriteReq {
+				if sess.txnShards == nil {
+					sess.txnShards = make(map[core.TxnID]uint64)
+				}
+				sess.txnShards[m.Txn] |= 1 << uint(sh.idx)
+			}
+			if sess.txnLastReq == nil {
+				sess.txnLastReq = make(map[core.TxnID]uint64)
+			}
+			sess.txnLastReq[m.Txn] = 1 << uint(sh.idx)
+		}
+	case core.MCallbackAck, core.MDeescReply:
+		sh = s.shardOf(m.Page)
+	default:
+		sh = s.shards[0]
+	}
+	s.engineStep(sess, sh, m)
+}
+
+// engineStep runs one message through a single shard's engine under its
+// lock: alive check, engine dispatch, staging, callback-deadline
+// bookkeeping; then payload attachment and overflow deposes off-lock.
+func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
+	held := s.lockShard(sh)
+	if s.sessionOf(sess.id) != sess {
+		// The session was detached (watchdog, overflow, close) and its
+		// shard sweep serializes on this lock: processing a straggler
+		// message now would recreate engine state nothing will ever
+		// clean up.
+		s.unlockShard(sh, held)
+		return
+	}
+
+	// Relocation front door. A user read/write of a fenced (mid-migration)
+	// object bounces with an empty MRelocated (retry shortly) so a
+	// migration's lock request never chases a growing FIFO queue; a
+	// request for a retired address answers with a redirect to its current
+	// placement. Both checks run under the object's shard lock — the same
+	// lock a migration commit holds while installing its relocations and
+	// lifting its fences — so a request observes either the complete
+	// pre-move state or the complete post-move state. The planner's own
+	// session bypasses the door (it addresses spare slots directly), and
+	// disabled reclustering costs one nil check.
+	if s.relocs != nil && (m.Kind == core.MReadReq || m.Kind == core.MWriteReq) &&
+		int64(m.From) != s.internalID.Load() {
+		if s.fences.blocked(m.Obj) {
+			s.unlockShard(sh, held)
+			s.metrics.reclusterFenceBounces.Inc()
+			sess.enqueue(core.Msg{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn, Obj: m.Obj})
+			return
+		}
+		if to, ok := s.relocs.view().lookup(m.Obj); ok {
+			s.unlockShard(sh, held)
+			s.metrics.reclusterRedirects.Inc()
+			sess.enqueue(core.Msg{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn,
+				Obj: m.Obj, Objs: []core.ObjID{to}})
+			return
+		}
+	}
+
+	staged, overflow := s.stage(sh.eng.Handle(m))
+
+	// Callback-deadline bookkeeping, after the engine step: any ack
+	// proves the client is alive, and a busy reply defers the real
+	// answer to the transaction's end — but only while its round is
+	// still live. A busy ack racing a round cancellation (victim
+	// aborted, requester disconnected) must not arm a lease the client
+	// can never discharge.
+	if m.Kind == core.MCallbackAck && s.opts.CallbackTimeout > 0 {
+		sess.clearCB(m.Req)
+		if m.Busy && sh.eng.RoundLive(m.Req) {
+			sess.armCB(m.Req, time.Now().Add(s.opts.CallbackTimeout))
+		}
+	}
+
+	s.unlockShard(sh, held)
+	s.attachPayloads(staged)
+	for _, id := range overflow {
+		s.detach(id)
+	}
+}
+
+// finishTxnMsg handles MCommitReq/MAbortReq: compute which shards hold
+// the transaction's state, make the commit durable, then run the finish
+// step on each shard.
+//
+// Durability and ordering (the invariants the old single-lock commit
+// path guaranteed, restated for shards):
+//
+//   - acked => durable: the owner shard only produces MCommitAck after
+//     WaitDurable returns, and a fail-stop during the sync kills the
+//     server before any ack escapes. A failed or torn append poisons
+//     the WAL (see appendFrame), so no later append can pave over a
+//     tear and get acknowledged ahead of recovery's stopping point.
+//   - the append + installs happen under ALL the write set's shard
+//     locks (ascending order — canonical, so two multi-shard commits
+//     cannot deadlock), with the transaction's engine write locks still
+//     held. Two commits racing on the same object are therefore
+//     serialized: the second cannot append/install until the first's
+//     engine release — which happens after the first's install — so
+//     WAL order matches install order per object.
+//   - messages processed during our fsync window see the new store
+//     bytes but the OLD lock state — our updated objects stay
+//     write-locked (so unreadable/unwritable) until each shard
+//     processes its slice of the commit after the sync.
+//   - a reader that does observe committed-but-unacked bytes (other
+//     objects on an updated page) can never commit "ahead" of us: the
+//     WAL is sequential and synced is a prefix offset, so its record
+//     durable implies ours durable.
+//   - installs happen under installMu (shared) so Checkpoint's
+//     flush-then-truncate (exclusive) cannot interleave with an
+//     append/install pair: a WAL record is only ever truncated after a
+//     store flush that covers its installs.
+//
+// It returns the group-commit durability wait so handle can keep the
+// commit's handleNs honest (processing time, not fsync scheduling).
+func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame []byte, queueDur, encodeDur time.Duration) (syncWait time.Duration) {
+	mask := s.txnMask(sess, m)
+	if rec != nil && len(s.shards) > 1 {
+		// Relocation-aware installs may land on pages the request never
+		// named (a translated blind write, or a migration's destination):
+		// their shards' locks must be part of the append+install's
+		// canonical set too.
+		for _, o := range rec.Objs {
+			mask |= 1 << uint(s.shardIdx(o.Page))
+		}
+	}
+
+	if frame != nil {
+		s.observeStage(obs.StageQueue, m.Txn, m.From, queueDur)
+		s.observeStage(obs.StageEncode, m.Txn, m.From, encodeDur)
+		ticket, gen, ok := s.appendAndInstall(sess, mask, rec, frame)
+		if !ok {
+			return
+		}
+		syncStart := time.Now()
+		err := s.wal.WaitDurable(ticket, gen)
+		syncWait = time.Since(syncStart)
+		s.metrics.commitSyncWaitNs.Observe(syncWait.Nanoseconds())
+		s.observeStage(obs.StageSyncWait, m.Txn, m.From, syncWait)
+		if err != nil {
+			if fault.IsCrash(err) || errors.Is(err, errWALCrashed) {
+				// Injected fail-stop: die before acking the undurable
+				// commit; the client sees its connection drop instead.
+				s.crash(err)
+				return
+			}
+			panic(fmt.Sprintf("live: WAL sync failed: %v", err))
+		}
+		if s.closedFlag.Load() {
+			// A concurrent crash (or shutdown) won the race: the sessions
+			// are gone and no ack may escape.
+			return
+		}
+	}
+
+	ackStart := time.Now()
+	if bits.OnesCount64(mask) == 1 {
+		// Single-shard finish (the overwhelming common case, and the
+		// only case with one shard): the full engine dispatch on the
+		// owning shard — identical to the unsharded path.
+		s.engineStep(sess, s.shards[bits.TrailingZeros64(mask)], m)
+	} else {
+		s.multiShardFinish(sess, m, mask)
+	}
+	if frame != nil {
+		s.observeStage(obs.StageAck, m.Txn, m.From, time.Since(ackStart))
+	}
+	return
+}
+
+// txnMask computes the set of shards a commit/abort must visit, as a
+// bitmask: the recorded write-grant footprint, the shard of the last
+// outstanding request (aborts: a cancelled victim's record lives
+// there), and the shards of every page the message itself names. Zero
+// (read-only finish with nothing recorded) falls back to shard 0.
+func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
+	if len(s.shards) == 1 {
+		return 1
+	}
+	var mask uint64
+	if sess.txnShards != nil {
+		mask = sess.txnShards[m.Txn]
+		delete(sess.txnShards, m.Txn)
+	}
+	if sess.txnLastReq != nil {
+		if m.Kind == core.MAbortReq {
+			mask |= sess.txnLastReq[m.Txn]
+		}
+		delete(sess.txnLastReq, m.Txn)
+	}
+	for _, p := range m.Pages {
+		mask |= 1 << uint(s.shardIdx(p))
+	}
+	for o := range m.Updates {
+		mask |= 1 << uint(s.shardIdx(o.Page))
+	}
+	for _, o := range m.Objs {
+		mask |= 1 << uint(s.shardIdx(o.Page))
+	}
+	for _, p := range m.PurgedPages {
+		mask |= 1 << uint(s.shardIdx(p))
+	}
+	for _, o := range m.PurgedObjs {
+		mask |= 1 << uint(s.shardIdx(o.Page))
+	}
+	if mask == 0 {
+		mask = 1
+	}
+	return mask
+}
+
+// appendAndInstall makes one commit's WAL append and store installs
+// atomic with respect to the write set's shards: all of mask's shard
+// locks are taken in ascending (canonical) order, the session's
+// liveness is checked, and the frame write + object installs happen
+// under them plus installMu (shared). ok=false means the commit was
+// dropped (session detached — nothing was logged or installed) or the
+// server crashed underneath it.
+func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket, gen int64, ok bool) {
+	type heldShard struct {
+		sh *engineShard
+		at time.Time
+	}
+	lockStart := time.Now()
+	var held []heldShard
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		sh := s.shards[bits.TrailingZeros64(rest)]
+		held = append(held, heldShard{sh, s.lockShard(sh)})
+	}
+	unlockAll := func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			s.unlockShard(held[i].sh, held[i].at)
+		}
+	}
+
+	if s.sessionOf(sess.id) != sess {
+		// Detached while the request was in flight. Drop before logging
+		// anything: the disconnect sweep has (or will have) released the
+		// transaction's locks, and a stale install racing a successor
+		// writer would reorder committed bytes.
+		unlockAll()
+		return 0, 0, false
+	}
+
+	s.installMu.RLock()
+	locked := time.Now()
+	s.observeStage(obs.StageLockWait, rec.Txn, rec.Client, locked.Sub(lockStart))
+	ticket, gen, err := s.wal.appendFrame(frame)
+	if err != nil {
+		s.installMu.RUnlock()
+		unlockAll()
+		if fault.IsCrash(err) || errors.Is(err, errWALCrashed) {
+			s.crash(err)
+			return 0, 0, false
+		}
+		panic(fmt.Sprintf("live: WAL append failed: %v", err))
+	}
+	appended := time.Now()
+	s.observeStage(obs.StageAppend, rec.Txn, rec.Client, appended.Sub(locked))
+	if len(rec.Relocs) > 0 {
+		if err := cpReclusterMidMove.Check(); err != nil {
+			s.installMu.RUnlock()
+			unlockAll()
+			s.crash(err)
+			return 0, 0, false
+		}
+	}
+	for i, o := range rec.Objs {
+		if err := s.store.WriteObj(o, rec.Images[i]); err != nil {
+			if s.closedFlag.Load() {
+				// A concurrent commit's injected crash closed the store
+				// under us; the server is already fail-stopped.
+				s.installMu.RUnlock()
+				unlockAll()
+				return 0, 0, false
+			}
+			panic(fmt.Sprintf("live: commit install failed: %v", err))
+		}
+	}
+	if len(rec.Relocs) > 0 {
+		// Publish the relocations and lift the fences while the write
+		// set's shard locks (and installMu) are still held: a front-door
+		// check for any moved object serializes on its shard lock, and a
+		// checkpoint's relocs.db snapshot serializes on installMu, so
+		// redirects become visible atomically with the installed bytes
+		// and the table never runs ahead of the log.
+		s.relocs.applyAll(rec.Relocs)
+		froms := make([]core.ObjID, len(rec.Relocs))
+		for i, r := range rec.Relocs {
+			froms[i] = r.From
+		}
+		s.fences.remove(froms)
+		s.metrics.reclusterMoves.Add(int64(len(rec.Relocs)))
+	}
+	s.observeStage(obs.StageInstall, rec.Txn, rec.Client, time.Since(appended))
+	s.installMu.RUnlock()
+	unlockAll()
+	return ticket, gen, true
+}
+
+// multiShardFinish runs a commit/abort's engine step on every shard in
+// mask, ascending, one lock at a time. The highest shard is the owner:
+// it counts the transaction's outcome, emits the trace event, and (for
+// commits) sends the MCommitAck — last, so every other shard has
+// already released the transaction's locks when the client learns the
+// outcome. Per-shard message slices are subset to that shard's pages.
+func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
+	isCommit := m.Kind == core.MCommitReq
+	if isCommit {
+		s.metrics.multiShardCommits.Inc()
+	}
+	owner := 63 - bits.LeadingZeros64(mask)
+	var staged []stagedPayload
+	var overflow []core.ClientID
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		i := bits.TrailingZeros64(rest)
+		sh := s.shards[i]
+		sub := s.subsetFinishMsg(m, i, isCommit)
+		held := s.lockShard(sh)
+		var outs []core.Msg
+		if isCommit {
+			outs = sh.eng.HandleCommitShard(sub, i == owner)
+		} else {
+			outs = sh.eng.HandleAbortShard(sub, i == owner)
+		}
+		st, ov := s.stage(outs)
+		s.unlockShard(sh, held)
+		staged = append(staged, st...)
+		overflow = append(overflow, ov...)
+	}
+	s.bsMu.Lock()
+	delete(s.blockStart, m.Txn)
+	s.bsMu.Unlock()
+	s.attachPayloads(staged)
+	for _, id := range overflow {
+		s.detach(id)
+	}
+}
+
+// subsetFinishMsg copies m with its page-keyed slices filtered to shard
+// idx. Pages is passed whole for commits (a foreign page holds no locks
+// on this shard and contributes nothing to merge accounting); Objs and
+// the Purged lists must be subset because their lengths feed counters
+// and their pages feed copy-table dereg.
+func (s *Server) subsetFinishMsg(m *core.Msg, idx int, isCommit bool) *core.Msg {
+	sub := *m
+	if isCommit {
+		if len(m.Objs) > 0 {
+			sub.Objs = nil
+			for _, o := range m.Objs {
+				if s.shardIdx(o.Page) == idx {
+					sub.Objs = append(sub.Objs, o)
+				}
+			}
+		}
+		return &sub
+	}
+	if len(m.PurgedPages) > 0 {
+		sub.PurgedPages = nil
+		for _, p := range m.PurgedPages {
+			if s.shardIdx(p) == idx {
+				sub.PurgedPages = append(sub.PurgedPages, p)
+			}
+		}
+	}
+	if len(m.PurgedObjs) > 0 {
+		sub.PurgedObjs = nil
+		for _, o := range m.PurgedObjs {
+			if s.shardIdx(o.Page) == idx {
+				sub.PurgedObjs = append(sub.PurgedObjs, o)
+			}
+		}
+	}
+	return &sub
+}
+
+// applyDroppedSharded strips m's piggybacked cache evictions and applies
+// each to the shard owning its page.
+func (s *Server) applyDroppedSharded(m *core.Msg) {
+	type group struct {
+		pages []core.PageID
+		objs  []core.ObjID
+	}
+	groups := make([]group, len(s.shards))
+	for _, p := range m.DroppedPages {
+		i := s.shardIdx(p)
+		groups[i].pages = append(groups[i].pages, p)
+	}
+	for _, o := range m.DroppedObjs {
+		i := s.shardIdx(o.Page)
+		groups[i].objs = append(groups[i].objs, o)
+	}
+	for i := range groups {
+		g := &groups[i]
+		if len(g.pages) == 0 && len(g.objs) == 0 {
+			continue
+		}
+		sh := s.shards[i]
+		held := s.lockShard(sh)
+		sh.eng.ApplyDropped(m.From, g.pages, g.objs)
+		s.unlockShard(sh, held)
+	}
+	m.DroppedPages, m.DroppedObjs = nil, nil
+}
+
+func sortedUpdateKeys(m map[core.ObjID][]byte) []core.ObjID {
+	keys := make([]core.ObjID, 0, len(m))
+	for o := range m {
+		keys = append(keys, o)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		return a.Page < b.Page || (a.Page == b.Page && a.Slot < b.Slot)
+	})
+	return keys
+}

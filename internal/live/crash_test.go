@@ -81,7 +81,7 @@ func runCrashScript(t *testing.T, point string, hit int64) {
 		nClients = 2
 	)
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: objsPP, NumPages: dbPages,
 		SyncWAL: true,
 	})
@@ -165,7 +165,7 @@ func runCrashScript(t *testing.T, point string, hit int64) {
 	}
 
 	// (a)+(b): reopen for real and audit every touched object.
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {
 		t.Fatalf("recovery reopen: %v", err)
 	}
@@ -239,7 +239,7 @@ func recoverOnce(t *testing.T, dir string) []byte {
 // replaying the redundant log is idempotent.
 func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16, SyncWAL: true,
 	})
 	if err != nil {
@@ -283,7 +283,7 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("mid-checkpoint recovery not idempotent")
 	}
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 	const pairs = 8
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 2 * pairs,
 		Shards:  4, // 16 dirty pages over 4 shards: some shard flushes >= 2, so the partial-flush point must fire
 		SyncWAL: false,
@@ -350,7 +350,7 @@ func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 	srv.Crash()
 	fault.DisarmAll()
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
 	if err != nil {
 		t.Fatalf("recovery reopen: %v", err)
 	}

@@ -9,57 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
-
-// TestOutboxOverflowDeposesSlowConsumer wedges a session's reader: the
-// raw client floods read requests but never drains replies, so the
-// session writer blocks on the transport and the staged outbox grows.
-// The server must depose the session at the configured bound instead of
-// buffering grants without limit.
-func TestOutboxOverflowDeposesSlowConsumer(t *testing.T) {
-	const limit = 32
-	reg := obs.NewRegistry()
-	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
-		Proto: core.PSAA, PageSize: 64, ObjsPerPage: 4, NumPages: 4096,
-		OutboxLimit: limit, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cEnd, sEnd := Pipe()
-	id, err := srv.Attach(sEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flood: distinct pages so every request produces a fresh data grant.
-	// The in-process transport buffers 1024 messages; past that the
-	// session writer blocks mid-send and the outbox accumulates until the
-	// server cuts the session loose.
-	txn := core.TxnID(0x424200) | core.TxnID(id)
-	for i := 0; i < 4000; i++ {
-		m := &core.Msg{Kind: core.MReadReq, From: id, Txn: txn, Req: int64(i + 1),
-			Obj: o(core.PageID(i%4096), 0), Page: core.PageID(i % 4096)}
-		if err := cEnd.Send(m); err != nil {
-			break // deposed: the server closed the pipe under us
-		}
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Sessions() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("wedged session never deposed: %d sessions, outbox deposes=%d",
-				srv.Sessions(), reg.CounterValue("oodb_live_outbox_deposes_total"))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := reg.CounterValue("oodb_live_outbox_deposes_total"); got < 1 {
-		t.Fatalf("oodb_live_outbox_deposes_total = %d, want >= 1", got)
-	}
-}
 
 // TestBusyLeaseClearedOnRoundCancel pins the callback-lease lifecycle: a
 // busy reply arms a deadline that is only discharged at transaction end —
@@ -68,7 +18,7 @@ func TestOutboxOverflowDeposesSlowConsumer(t *testing.T) {
 // A lingering lease would depose the blameless holder at expiry.
 func TestBusyLeaseClearedOnRoundCancel(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		CallbackTimeout: 250 * time.Millisecond,
 	})

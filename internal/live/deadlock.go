@@ -22,14 +22,19 @@ import (
 // it can be stale: an edge may have dissolved (grant, abort) by the time
 // the cycle is found. Genuine deadlock edges, however, are stable — no
 // one dissolves them but us — so the detector confirms each candidate
-// with a second snapshot and only aborts victims found by both. That
-// keeps detection deterministic for a quiesced cycle (same victim rule
-// as the engines: highest transaction id on the cycle dies) and makes a
-// false abort impossible for any cycle that is actually a deadlock.
+// with a second snapshot and only aborts a victim both found parked on
+// the SAME request, and then only if, under its home shard's lock, it is
+// still parked on that request. Request ids grow per client, so "same
+// request three times" means the victim never moved in between; a
+// transaction id alone does not (a victim that was granted and blocked
+// again elsewhere looks identical by id, and aborting it would answer a
+// request it no longer has). That keeps detection deterministic for a
+// quiesced cycle (same victim rule as the engines: highest transaction id
+// on the cycle dies) and makes a false abort impossible for any cycle
+// that is actually a deadlock.
 
-// dlInterval is the background sweep period. Pokes from EvBlock and
-// busy callback acks make real cycles resolve much faster; the ticker
-// is the backstop for pokes lost to a full channel.
+// dlInterval is the background sweep period (see OpenServer for the
+// loop; pokes make real cycles resolve much faster).
 const dlInterval = 50 * time.Millisecond
 
 // pokeDetector nudges the cross-shard detector (non-blocking; a full
@@ -44,31 +49,14 @@ func (s *Server) pokeDetector() {
 	}
 }
 
-// deadlockLoop runs the cross-shard sweeps until the server stops.
-func (s *Server) deadlockLoop() {
-	defer close(s.dlDone)
-	tick := time.NewTicker(dlInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.dlStop:
-			return
-		case <-s.dlPoke:
-		case <-tick.C:
-		}
-		if s.closedFlag.Load() {
-			return
-		}
-		s.CheckDeadlocks()
-	}
-}
-
 // dlSnapshot is one merged waits-for graph: edges unions every shard's
 // local graph; home records which shard each blocked transaction is
-// parked on (where its queued request — and therefore its abort — lives).
+// parked on (where its queued request — and therefore its abort — lives)
+// and req which request it is parked on there.
 type dlSnapshot struct {
 	edges map[core.TxnID][]core.TxnID
 	home  map[core.TxnID]*engineShard
+	req   map[core.TxnID]int64
 }
 
 // collectWaitGraph merges the shards' waits-for graphs, one lock at a
@@ -78,15 +66,17 @@ func (s *Server) collectWaitGraph() dlSnapshot {
 	snap := dlSnapshot{
 		edges: make(map[core.TxnID][]core.TxnID),
 		home:  make(map[core.TxnID]*engineShard),
+		req:   make(map[core.TxnID]int64),
 	}
 	for _, sh := range s.shards {
 		held := s.lockShard(sh)
-		sh.eng.WaitGraph(func(t core.TxnID, deps []core.TxnID) {
+		sh.eng.WaitGraph(func(t core.TxnID, req int64, deps []core.TxnID) {
 			snap.edges[t] = append(snap.edges[t], deps...)
 			// A transaction has at most one queued request system-wide
 			// (clients are synchronous), so at most one shard reports it
 			// blocked.
 			snap.home[t] = sh
+			snap.req[t] = req
 		})
 		s.unlockShard(sh, held)
 	}
@@ -175,28 +165,25 @@ func (s *Server) CheckDeadlocks() int {
 	}
 
 	// Confirmation pass: re-snapshot and keep only victims both passes
-	// agree on. A transaction on a real deadlock cycle is still blocked
-	// on the same edges; one that was merely slow has moved on.
+	// found parked on the same request. A transaction on a real deadlock
+	// cycle has not moved; one that was merely slow has.
 	second := s.collectWaitGraph()
 	confirmed := findVictims(second.edges)
-	inFirst := make(map[core.TxnID]bool, len(candidates))
+	firstReq := make(map[core.TxnID]int64, len(candidates))
 	for _, t := range candidates {
-		inFirst[t] = true
+		firstReq[t] = first.req[t]
 	}
 
 	aborted := 0
 	var staged []stagedPayload
 	var overflow []core.ClientID
 	for _, t := range confirmed {
-		if !inFirst[t] {
-			continue
-		}
-		sh := second.home[t]
-		if sh == nil {
+		req, sh := second.req[t], second.home[t]
+		if sh == nil || firstReq[t] != req {
 			continue
 		}
 		held := s.lockShard(sh)
-		outs, ok := sh.eng.AbortDeadlockVictim(t)
+		outs, ok := sh.eng.AbortDeadlockVictim(t, req)
 		var st []stagedPayload
 		var ov []core.ClientID
 		if ok {

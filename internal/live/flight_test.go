@@ -21,7 +21,7 @@ import (
 func TestBlackboxOnInjectedFailStop(t *testing.T) {
 	dir := t.TempDir()
 	bbDir := filepath.Join(dir, "blackbox")
-	srv, err := OpenServer(filepath.Join(dir, "db"), ServerOptions{
+	srv, err := openServer(filepath.Join(dir, "db"), ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
 		SyncWAL: true, Heat: true, BlackboxDir: bbDir,
 	})
@@ -100,7 +100,7 @@ func TestBlackboxOnInjectedFailStop(t *testing.T) {
 // flight dump (the chaos-audit hook).
 func TestHeatLiveEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(filepath.Join(dir, "db"), ServerOptions{
+	srv, err := openServer(filepath.Join(dir, "db"), ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: true, Heat: true, BlackboxDir: filepath.Join(dir, "blackbox"),
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -18,9 +17,9 @@ import (
 func TestGroupCommitBatching(t *testing.T) {
 	const nClients, perClient = 4, 10
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
-		SyncWAL: true, GroupCommitWindow: 2 * time.Millisecond,
+		SyncWAL: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +76,9 @@ func TestGroupCommitBatching(t *testing.T) {
 // pay for group commit's machinery).
 func TestGroupCommitSyncDisabled(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
-		SyncWAL: false, GroupCommitWindow: time.Millisecond,
+		SyncWAL: false,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +133,9 @@ func TestGroupCommitAckedDurableUnderConcurrency(t *testing.T) {
 func runConcurrentCrash(t *testing.T, point string, hit int64) {
 	const nClients, maxCommits = 3, 40
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
-		SyncWAL: true, GroupCommitWindow: time.Millisecond,
+		SyncWAL: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +177,7 @@ func runConcurrentCrash(t *testing.T, point string, hit int64) {
 	srv.Crash()
 	fault.DisarmAll()
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {
 		t.Fatalf("recovery reopen: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 func testServer(t *testing.T, proto core.Protocol) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: false,
 	})
 	if err != nil {
@@ -240,7 +240,7 @@ func TestVoluntaryAbortRollsBack(t *testing.T) {
 
 func TestRecoveryReplaysCommitted(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16, SyncWAL: false})
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16, SyncWAL: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 	srv.closed = true
 	srv.mu.Unlock()
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -448,51 +448,6 @@ func TestConcurrentDistinctObjectsOnePage(t *testing.T) {
 			tx.Commit()
 		})
 	}
-}
-
-func TestTCPTransport(t *testing.T) {
-	srv, _ := testServer(t, core.PSAA)
-	defer srv.Close()
-	go srv.ListenAndServe("127.0.0.1:0")
-	// Wait for the listener.
-	var addr string
-	for i := 0; i < 1000; i++ {
-		if addr = srv.Addr(); addr != "" {
-			break
-		}
-		sleepMs(5)
-	}
-	if addr == "" {
-		t.Fatal("server never listened")
-	}
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Connect(conn, ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tx, err := cl.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Write(o(0, 0), []byte("over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx2, _ := cl.Begin()
-	got, err := tx2.Read(o(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, []byte("over tcp")) {
-		t.Fatalf("got %q", got[:10])
-	}
-	tx2.Commit()
 }
 
 func TestClientDisconnectReleasesState(t *testing.T) {

@@ -54,7 +54,7 @@ func contendServer(t *testing.T, srv *Server) {
 
 func TestServerMetricsUnderContention(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: true,
 	})
 	if err != nil {
@@ -164,7 +164,7 @@ func TestClientMetrics(t *testing.T) {
 
 func TestAdminEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: true,
 	})
 	if err != nil {

@@ -1,0 +1,220 @@
+package live
+
+import (
+	"os"
+	"runtime"
+	"strconv"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// ServerOptions configures a live server.
+type ServerOptions struct {
+	Proto       core.Protocol
+	PageSize    int // default 4096
+	ObjsPerPage int // default 20
+	NumPages    int // default 1250
+	// Shards is the number of page-hash engine shards (rounded down to a
+	// power of two, max 64). Commits whose write sets land on different
+	// shards run the engine step concurrently on separate cores; the WAL
+	// stays a single sequencer. 0 selects the default, min(8, GOMAXPROCS).
+	// 1 disables sharding (the pre-shard single-engine behavior).
+	Shards int
+	// RecoveryJobs is the number of parallel WAL replay workers used when
+	// opening the database (fixed-slot stores only; the variable store
+	// replays serially — see replayRecords). 0 selects the default,
+	// min(Shards, GOMAXPROCS).
+	RecoveryJobs int
+	// SyncWAL forces commits to wait for a WAL fsync before acking
+	// (default true; tests disable it).
+	SyncWAL bool
+	// VariableObjects enables size-changing updates (Section 6.1): the
+	// database uses slotted pages with overflow forwarding instead of
+	// fixed slots. Requires the OS protocol (object transfer), since
+	// clients no longer interpret raw page images.
+	VariableObjects bool
+	// OutboxLimit caps a session's staged outbound messages. A client
+	// that stops draining its connection while callbacks and grants keep
+	// arriving would otherwise grow server memory without bound; at the
+	// cap the server deposes the session (disconnects it through the
+	// normal departure path). 0 means the default (4096); negative
+	// disables the cap.
+	OutboxLimit int
+	// CallbackTimeout bounds how long a client may sit on an outstanding
+	// callback (including the deferred ack after a busy reply) before the
+	// server declares it dead and disconnects it, so one silent client
+	// cannot stall every writer of a page. 0 disables the deadline.
+	CallbackTimeout time.Duration
+	// Metrics, when set, is the registry the server publishes on; pass a
+	// shared registry to aggregate several processes (e.g. oodbbench runs
+	// server and clients in one registry). Nil: the server makes its own,
+	// reachable via Server.Metrics().
+	Metrics *obs.Registry
+	// TraceBuf sizes the event-trace ring (obs.DefaultTraceBuf if 0).
+	// Tracing starts disabled; switch it on via Server.Tracer().
+	TraceBuf int
+	// Heat starts the access-heat/contention collector enabled (it can
+	// also be switched at runtime via Server.Heat() or the admin
+	// /heatz/on|/heatz/off endpoints). Disabled, the collector costs one
+	// atomic load per engine event.
+	Heat bool
+	// HeatEpoch is the heat collector's rotation period (sketch decay +
+	// false-sharing score fold); default 10s.
+	HeatEpoch time.Duration
+	// BlackboxDir, when set, enables the flight recorder: on a serve-path
+	// panic or an injected fail-stop the server dumps its trace ring, heat
+	// snapshot, commit-stage spans, and metrics to a timestamped JSONL
+	// file in this directory (see obs.FlightRecorder).
+	BlackboxDir string
+	// BlackboxMax bounds retained blackbox dumps (default 8).
+	BlackboxMax int
+	// Recluster enables online reclustering: the store is created with a
+	// spare-page region past the user-visible geometry, and a background
+	// planner consumes heat snapshots and migrates objects off
+	// false-sharing pages into (near-)private spare pages via system
+	// transactions. Implies Heat. Fixed-slot stores only (the variable
+	// store relocates on its own terms). On a
+	// pre-existing store created without reclustering there is no spare
+	// region, so the planner stays inert.
+	Recluster bool
+	// ReclusterEvery is the planner's polling period (default 2s).
+	ReclusterEvery time.Duration
+	// ReclusterSpare overrides the spare-page count reserved at store
+	// creation (default NumPages/8, clamped to [4, 256]).
+	ReclusterSpare int
+	// Transport selects what drives the session machine behind each
+	// accepted TCP socket: TransportGoroutine (the default) parks two
+	// goroutines per session on the blocking connection (reader + pump,
+	// plus the connection's flusher); TransportReactor multiplexes every
+	// session onto a small set of epoll event loops — O(loops) goroutines
+	// regardless of the session count, which is what lets one server hold
+	// 10k-100k sessions, at roughly twice the per-request latency when
+	// few clients are connected (DESIGN.md §17; why it is not the
+	// default). On platforms without epoll the reactor falls back to the
+	// goroutine transport at listen time. In-process (Pipe) sessions use
+	// the goroutine driver either way.
+	Transport string
+	// ReactorLoops is the reactor's event-loop worker count
+	// (0: min(8, GOMAXPROCS)).
+	ReactorLoops int
+	// ReactorDrainCap caps one reactor connection's pending outbound
+	// bytes. A client that stops reading while grants and callbacks keep
+	// coalescing into its queue is deposed at the cap instead of growing
+	// server memory without bound — the byte-level analogue of
+	// OutboxLimit. 0 means the default (8 MiB); negative disables the
+	// cap.
+	ReactorDrainCap int
+}
+
+// Transport values for ServerOptions.Transport.
+const (
+	TransportGoroutine = "goroutine"
+	TransportReactor   = "reactor"
+)
+
+func (o *ServerOptions) defaults() {
+	if o.PageSize == 0 {
+		o.PageSize = 4096
+	}
+	if o.ObjsPerPage == 0 {
+		o.ObjsPerPage = 20
+	}
+	if o.NumPages == 0 {
+		o.NumPages = 1250
+	}
+	if o.OutboxLimit == 0 {
+		o.OutboxLimit = 4096
+	}
+	if o.Shards == 0 {
+		o.Shards = runtime.GOMAXPROCS(0)
+		if o.Shards > 8 {
+			o.Shards = 8
+		}
+	}
+	if o.Shards < 1 {
+		o.Shards = 1
+	}
+	if o.Shards > 64 {
+		o.Shards = 64
+	}
+	// Round down to a power of two so shardOf is a mask, not a modulo.
+	for o.Shards&(o.Shards-1) != 0 {
+		o.Shards &= o.Shards - 1
+	}
+	if o.RecoveryJobs == 0 {
+		o.RecoveryJobs = runtime.GOMAXPROCS(0)
+		if o.RecoveryJobs > o.Shards {
+			o.RecoveryJobs = o.Shards
+		}
+	}
+	if o.RecoveryJobs < 1 {
+		o.RecoveryJobs = 1
+	}
+	if o.HeatEpoch <= 0 {
+		o.HeatEpoch = 10 * time.Second
+	}
+	if o.Transport == "" {
+		o.Transport = TransportGoroutine
+	}
+	if o.ReactorLoops <= 0 {
+		o.ReactorLoops = runtime.GOMAXPROCS(0)
+		if o.ReactorLoops > 8 {
+			o.ReactorLoops = 8
+		}
+	}
+	if o.ReactorDrainCap == 0 {
+		o.ReactorDrainCap = 8 << 20
+	}
+	if o.Recluster {
+		o.Heat = true // the planner is blind without the collector
+		if o.ReclusterEvery <= 0 {
+			o.ReclusterEvery = 2 * time.Second
+		}
+		if o.ReclusterSpare <= 0 {
+			o.ReclusterSpare = o.NumPages / 8
+			if o.ReclusterSpare < 4 {
+				o.ReclusterSpare = 4
+			}
+			if o.ReclusterSpare > 256 {
+				o.ReclusterSpare = 256
+			}
+		}
+	}
+}
+
+// ApplyEnv fills the fields of o that are still unset from the
+// deployment environment — the five variables the CI matrix selects its
+// configurations with. It is the only place the process environment is
+// consulted, and no library path calls it: the oodbserver and oodbbench
+// commands do (after flag parsing, so a flag wins), as does this
+// package's test set-up. A server opened through OpenServer alone behaves
+// the same under any environment. Unparsable numbers are ignored.
+func ApplyEnv(o *ServerOptions) {
+	for _, e := range []struct {
+		name string
+		num  *int
+		flag *bool
+		str  *string
+	}{
+		{name: "OODB_SHARDS", num: &o.Shards},
+		{name: "OODB_RECOVERY_JOBS", num: &o.RecoveryJobs},
+		{name: "OODB_HEAT", flag: &o.Heat},
+		{name: "OODB_RECLUSTER", flag: &o.Recluster},
+		{name: "OODB_TRANSPORT", str: &o.Transport},
+	} {
+		v := os.Getenv(e.name)
+		switch {
+		case v == "":
+		case e.num != nil && *e.num == 0:
+			if n, err := strconv.Atoi(v); err == nil {
+				*e.num = n
+			}
+		case e.flag != nil:
+			*e.flag = *e.flag || v == "1" || v == "true"
+		case e.str != nil && *e.str == "":
+			*e.str = v
+		}
+	}
+}

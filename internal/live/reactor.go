@@ -4,10 +4,11 @@ package live
 
 // The reactor transport: every TCP session multiplexed onto a small set
 // of epoll event loops, so the server's steady-state goroutine count is
-// O(loops), not O(sessions). The goroutine-per-connection transport costs
-// three goroutines per session (serve + writer + flusher) — fine at the
-// paper's 32 clients, dead at the 10k-100k sessions a page server is
-// supposed to hold (ROADMAP item 1).
+// O(loops), not O(sessions). The goroutine transport costs three
+// goroutines per session (blockingConn's reader + pump, plus the
+// connection's flusher) — fine at the paper's 32 clients, dead at the
+// 10k-100k sessions a page server is supposed to hold. Both drive the
+// same session machine (session.go) through asyncConn.
 //
 // Topology: one epoll instance per loop, connections assigned round-robin
 // at accept. Sockets are registered EPOLLIN|EPOLLET; each loop does
@@ -46,7 +47,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -99,7 +99,6 @@ type reactor struct {
 	next     atomic.Uint32 // round-robin accept assignment
 	drainCap int
 	m        *serverMetrics
-	onPanic  func(any)
 
 	fds     atomic.Int64 // sockets registered across loops (gauge)
 	stopped atomic.Bool
@@ -112,20 +111,12 @@ type reactor struct {
 // the platform shim does (non-Linux stub) or fd creation fails; the
 // caller then falls back to the goroutine transport.
 func newReactor(s *Server) (*reactor, error) {
-	n := s.opts.ReactorLoops
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-	}
 	r := &reactor{
 		drainCap: s.opts.ReactorDrainCap,
 		m:        s.metrics,
-		onPanic:  s.panicDump,
 		stopCh:   make(chan struct{}),
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < s.opts.ReactorLoops; i++ { // defaults() made it positive
 		l, err := newRloop(r)
 		if err != nil {
 			r.stop()
@@ -154,8 +145,9 @@ func (r *reactor) stop() {
 
 // wait joins the loops and then releases their epoll and wake-pipe fds.
 // The fds close strictly after every producer of wakeups is gone (loops
-// joined here; serve goroutines, the watchdog, and the planner joined by
-// the caller), so no write can land on a recycled fd.
+// joined here; session drivers, the watchdog, and the planner joined by
+// Server.join before it calls this), so no write can land on a recycled
+// fd.
 func (r *reactor) wait() {
 	r.wg.Wait()
 	r.downOne.Do(func() {
@@ -176,9 +168,8 @@ func (r *reactor) shutdown() {
 // takeover moves an accepted net.Conn's socket under reactor ownership:
 // dup the fd out of the runtime netpoller, close the original, restore
 // non-blocking mode (File() flips it off), and assign a loop. The socket
-// is NOT yet registered with epoll — the caller attaches the session
-// (installing the receiver) first, then calls register, so no event can
-// beat the handlers.
+// is NOT yet registered with epoll — attach installs the receiver first
+// and registers through Start, so no event can beat the handlers.
 func (r *reactor) takeover(c net.Conn) (*rconn, error) {
 	tc, ok := c.(*net.TCPConn)
 	if !ok {
@@ -278,16 +269,6 @@ func (l *rloop) wakeup() {
 
 func (l *rloop) run() {
 	defer l.r.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			// A handle-path panic on a loop is the same server bug it
-			// would be on a serve goroutine: blackbox, then die.
-			if l.r.onPanic != nil {
-				l.r.onPanic(r)
-			}
-			panic(r)
-		}
-	}()
 	for {
 		n, err := epollWait(l.ep, l.events)
 		if l.r.stopped.Load() {
@@ -438,28 +419,26 @@ func (l *rloop) teardown(rc *rconn) {
 		rc.rbuf = nil
 	}
 	if rc.recv != nil {
-		err := rc.termErr
-		if err == nil {
-			err = io.EOF
-		}
-		rc.recv(nil, err)
+		// The receiver only needs to know the connection ended; which
+		// failure ended it is not carried across goroutines.
+		rc.recv(nil, io.EOF)
 	}
 }
 
 // ---- connection ----
 
-// rconn is one reactor-owned connection. It implements Conn (and
-// asyncConn): Send appends a frame to the pending queue, Flush attempts a
-// non-blocking drain, Recv reports that the connection is receiver-driven
-// (the server never calls it on an async session).
+// rconn is one reactor-owned connection. It implements asyncConn: Send
+// appends a frame to the pending queue, Flush attempts a non-blocking
+// drain, Recv reports that the connection is receiver-driven (nothing
+// calls it).
 type rconn struct {
 	loop     *rloop
 	fd       int
 	f        *os.File // owns the dup'd fd; closed exactly once by teardown
 	drainCap int
 
-	// Handlers, installed by attach before epoll registration publishes
-	// the connection to its loop.
+	// Handlers, installed by attach before Start's epoll registration
+	// publishes the connection to its loop.
 	recv func(*core.Msg, error)
 	pump func()
 
@@ -477,9 +456,8 @@ type rconn struct {
 	registered bool
 	werr       error
 
-	kicked  atomic.Bool
-	closed  atomic.Bool
-	termErr error // written before the close op is enqueued
+	kicked atomic.Bool
+	closed atomic.Bool
 }
 
 func (rc *rconn) SetHandlers(recv func(*core.Msg, error), pump func()) {
@@ -498,9 +476,17 @@ func (rc *rconn) Kick() {
 	}
 }
 
-// register adds the socket to its loop's epoll set. Called after the
-// session attached; any output already pumped (the hello) keeps EPOLLOUT
-// armed from the start if its flush came up short.
+// Start registers the socket with its loop's epoll set; a failure fails
+// the connection, and the loop's terminal callback detaches the session.
+func (rc *rconn) Start() {
+	if err := rc.register(); err != nil {
+		rc.fail()
+	}
+}
+
+// register adds the socket to its loop's epoll set. Any output already
+// pumped (the hello) keeps EPOLLOUT armed from the start if its flush
+// came up short.
 func (rc *rconn) register() error {
 	l := rc.loop
 	l.mu.Lock()
@@ -555,7 +541,7 @@ func (rc *rconn) Send(m *core.Msg) error {
 	rc.wmu.Unlock()
 	if over {
 		rc.loop.r.m.reactorDeposes.Inc()
-		rc.fail(errSlowReader)
+		rc.fail()
 		return errSlowReader
 	}
 	return nil
@@ -591,7 +577,7 @@ func (rc *rconn) flushLocked() error {
 			// retry
 		default:
 			rc.werr = err
-			rc.scheduleFail(err)
+			rc.fail()
 			return err
 		}
 	}
@@ -649,8 +635,8 @@ func (rc *rconn) readPass(l *rloop) {
 				rc.rbuf = getRbuf()
 			}
 			rc.rbuf = append(rc.rbuf, l.scratch[:n]...)
-			if derr := rc.deliver(); derr != nil {
-				rc.fail(derr)
+			if rc.deliver() != nil {
+				rc.fail()
 				return
 			}
 		}
@@ -659,11 +645,8 @@ func (rc *rconn) readPass(l *rloop) {
 			return
 		case err == syscall.EINTR:
 			continue
-		case err != nil:
-			rc.fail(err)
-			return
-		case n == 0:
-			rc.fail(io.EOF)
+		case err != nil || n == 0: // socket error, or EOF
+			rc.fail()
 			return
 		}
 		if reads >= reactorMaxReads {
@@ -715,35 +698,24 @@ func (rc *rconn) deliver() error {
 	return nil
 }
 
-// Recv is never used on the server's async path; it exists to satisfy
-// Conn.
+// Recv is never used; it exists to satisfy Conn.
 func (rc *rconn) Recv() (*core.Msg, error) {
 	return nil, fmt.Errorf("live: reactor conns are receiver-driven")
 }
 
 // Close schedules the connection's teardown on its owning loop.
 func (rc *rconn) Close() error {
-	rc.fail(fmt.Errorf("live: connection closed"))
+	rc.fail()
 	return nil
 }
 
-// fail records the terminal error and queues the close op. First caller
-// wins; the loop delivers exactly one terminal receiver callback.
-func (rc *rconn) fail(err error) {
-	if !rc.closed.CompareAndSwap(false, true) {
-		return
+// fail marks the connection dead and queues the close op. First caller
+// wins; the loop delivers exactly one terminal receiver callback. Safe
+// with or without wmu held.
+func (rc *rconn) fail() {
+	if rc.closed.CompareAndSwap(false, true) {
+		rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
 	}
-	rc.termErr = err // published by the op-queue mutex
-	rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
-}
-
-// scheduleFail is fail for callers already holding wmu (werr set there).
-func (rc *rconn) scheduleFail(err error) {
-	if !rc.closed.CompareAndSwap(false, true) {
-		return
-	}
-	rc.termErr = err
-	rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
 }
 
 // destroy releases an rconn that was never attached nor registered (the
@@ -754,10 +726,10 @@ func (rc *rconn) destroy() {
 }
 
 // attachReactor runs a handshaken connection on the reactor: take the fd
-// over, attach the session (handlers installed inside), then register
-// with epoll. Registration last means no event can arrive before the
-// session exists; output staged in between (the hello) rides the initial
-// event mask.
+// over and attach the session, which installs the handlers, stages the
+// hello and only then registers with epoll (Start) — so no event can
+// arrive before the session exists, and the hello rides the initial event
+// mask.
 func (s *Server) attachReactor(r *reactor, c net.Conn) {
 	rc, err := r.takeover(c)
 	if err != nil {
@@ -768,9 +740,5 @@ func (s *Server) attachReactor(r *reactor, c net.Conn) {
 	}
 	if _, err := s.Attach(rc); err != nil {
 		rc.destroy()
-		return
-	}
-	if err := rc.register(); err != nil {
-		rc.fail(err) // loop delivers the terminal callback -> detach
 	}
 }

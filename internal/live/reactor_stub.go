@@ -23,7 +23,6 @@ func newReactor(s *Server) (*reactor, error) {
 }
 
 func (r *reactor) stop()     {}
-func (r *reactor) wait()     {}
 func (r *reactor) shutdown() {}
 
 // attachReactor is unreachable on this platform (newReactor never

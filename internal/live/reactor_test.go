@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -20,7 +19,7 @@ import (
 func startTransportServer(t *testing.T, opts ServerOptions) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, opts)
+	srv, err := openServer(dir, opts)
 	if err != nil {
 		t.Fatalf("OpenServer: %v", err)
 	}
@@ -35,60 +34,6 @@ func startTransportServer(t *testing.T, opts ServerOptions) (*Server, string) {
 		time.Sleep(time.Millisecond)
 	}
 	return srv, addr
-}
-
-// TestReactorTransportCommit: the reactor transport must be semantically
-// invisible — the same commit/read-back flow as TestTCPTransport, with
-// visibility across two clients, just with sessions owned by event loops
-// instead of serve goroutines.
-func TestReactorTransportCommit(t *testing.T) {
-	srv, addr := startTransportServer(t, ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
-		SyncWAL: false, Transport: TransportReactor,
-	})
-	defer srv.Close()
-
-	dial := func() *Client {
-		conn, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := Connect(conn, ClientOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl
-	}
-	c1 := dial()
-	defer c1.Close()
-	c2 := dial()
-	defer c2.Close()
-
-	tx, err := c1.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Write(o(1, 2), []byte("via reactor")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	tx2, err := c2.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tx2.Read(o(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, []byte("via reactor")) {
-		t.Fatalf("read back %q", got)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestReactorManyClients: concurrent commits from many clients, each in a
@@ -176,116 +121,133 @@ func countGoroutines() int {
 }
 
 // TestReactorGoroutineCountIdleSessions: the whole point of the reactor
-// — N idle sessions must cost O(loops) server goroutines, not O(N).
-// Each raw Dial conn costs exactly one CLIENT-side goroutine (its
-// flushLoop), so with the reactor the total process delta stays near N;
-// the goroutine transport would add 3 more per session (serve, writer,
-// server-side flushLoop).
+// — N idle sessions must cost O(loops) server goroutines, not O(N) — and
+// the price the goroutine transport pays instead: at most 3 per session
+// (blockingConn's reader and pump, plus the tcpConn's flusher). Each raw
+// Dial conn also costs exactly one CLIENT-side goroutine (its flushLoop),
+// which is subtracted out.
 func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 	const nConns = 200
-	srv, addr := startTransportServer(t, ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 8,
-		SyncWAL: false, Transport: TransportReactor,
-	})
-	defer srv.Close()
-	if srv.Transport() != TransportReactor {
-		t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
-	}
+	for _, tc := range []struct {
+		transport string
+		max       int // server-side goroutines allowed for nConns idle sessions
+	}{
+		// Generous slack for loops, accept machinery, and runtime noise —
+		// but nowhere near the 3 per session of the goroutine transport.
+		{TransportReactor, nConns / 2},
+		{TransportGoroutine, 3*nConns + 8},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			srv, addr := startTransportServer(t, ServerOptions{
+				Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 8,
+				SyncWAL: false, Transport: tc.transport,
+			})
+			defer srv.Close()
+			if srv.Transport() != tc.transport {
+				t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
+			}
 
-	before := countGoroutines()
-	conns := make([]Conn, 0, nConns)
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	for i := 0; i < nConns; i++ {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatalf("dial %d: %v", i, err)
-		}
-		conns = append(conns, c)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sessions() != nConns {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d, want %d", srv.Sessions(), nConns)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+			before := countGoroutines()
+			conns := make([]Conn, 0, nConns)
+			defer func() {
+				for _, c := range conns {
+					c.Close()
+				}
+			}()
+			for i := 0; i < nConns; i++ {
+				c, err := Dial(addr)
+				if err != nil {
+					t.Fatalf("dial %d: %v", i, err)
+				}
+				conns = append(conns, c)
+			}
+			waitFor(t, "every dialed session to attach", func() bool { return srv.Sessions() == nConns })
 
-	after := countGoroutines()
-	// Allow the client-side flushLoops (one per conn) plus generous slack
-	// for loops, accept machinery, and runtime noise — but nowhere near
-	// the 3-per-session the goroutine transport would add.
-	serverSide := after - before - nConns
-	if serverSide > nConns/2 {
-		t.Fatalf("goroutines grew by %d for %d sessions (%d beyond client cost); server side is not O(loops)",
-			after-before, nConns, serverSide)
+			after := countGoroutines()
+			serverSide := after - before - nConns
+			if serverSide > tc.max {
+				t.Fatalf("goroutines grew by %d for %d sessions (%d beyond client cost, limit %d)",
+					after-before, nConns, serverSide, tc.max)
+			}
+			t.Logf("goroutines: %d -> %d for %d idle sessions", before, after, nConns)
+		})
 	}
-	t.Logf("goroutines: %d -> %d for %d idle sessions", before, after, nConns)
 }
 
-// TestReactorSlowReaderDeposed: a session that requests pages but never
-// drains its socket must be deposed once its pending-write queue passes
-// ReactorDrainCap — not allowed to pin queue memory forever.
-func TestReactorSlowReaderDeposed(t *testing.T) {
-	const nPages = 2048 // 8 MiB of page data, well past kernel buffering
-	srv, addr := startTransportServer(t, ServerOptions{
-		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: nPages,
-		SyncWAL: false, Transport: TransportReactor,
-		ReactorDrainCap: 32 << 10,
-		OutboxLimit:     -1, // the reactor's byte cap must be the depose path under test
-	})
-	defer srv.Close()
-	if srv.Transport() != TransportReactor {
-		t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
-	}
-
-	// Raw dial so the client's receive buffer can be pinned small — the
-	// kernel must not absorb the whole reply stream on our behalf.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc.(*net.TCPConn).SetReadBuffer(4096)
-	if _, err := nc.Write([]byte{wireVersion}); err != nil {
-		t.Fatal(err)
-	}
-	conn := NewTCPConn(nc)
-	defer conn.Close()
-	// Read the hello, then go silent on the receive side while requesting
-	// page after page. Each first read of a page ships ~4 KiB of data;
-	// once the kernel socket buffers fill, replies land in the reactor's
-	// pending queue and blow past the 32 KiB cap.
-	if _, err := conn.Recv(); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	deposed := func() bool {
-		return srv.Sessions() == 0 &&
-			srv.Metrics().CounterValue("oodb_live_reactor_deposes_total") >= 1
-	}
-	fl := conn.(flusher)
-	for i := 0; i < nPages && !deposed(); i++ {
-		m := &core.Msg{Kind: core.MReadReq, Txn: 999,
-			Obj: o(core.PageID(i), 0), Page: core.PageID(i)}
-		if err := conn.Send(m); err != nil {
-			break // server already cut us off
-		}
-		if i%64 == 63 {
-			if err := fl.Flush(); err != nil {
-				break
+// TestTCPSlowReaderDeposed: a session that requests pages but never
+// drains its socket must be deposed — by the outbox cap once the blocking
+// transport's pump stalls on the full socket, by ReactorDrainCap once the
+// reactor's pending-write queue passes it — and deposed means the server
+// lets go of the socket: Close must not wait on the silent peer. (On the
+// blocking transport the depose used to wedge forever in tcpConn.Close,
+// behind the send lock the stalled write holds.)
+func TestTCPSlowReaderDeposed(t *testing.T) {
+	const nPages = 8192 // 32 MiB of page data, well past kernel buffering
+	for _, tc := range []struct {
+		transport, counter string
+		opts               ServerOptions
+	}{
+		{TransportGoroutine, "oodb_live_outbox_deposes_total", ServerOptions{OutboxLimit: 2048}},
+		// OutboxLimit -1: the reactor's byte cap must be the depose path
+		// under test.
+		{TransportReactor, "oodb_live_reactor_deposes_total", ServerOptions{OutboxLimit: -1, ReactorDrainCap: 32 << 10}},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			opts := tc.opts
+			opts.Proto, opts.PageSize, opts.ObjsPerPage, opts.NumPages = core.PSAA, 4096, 4, nPages
+			opts.Transport = tc.transport
+			srv, addr := startTransportServer(t, opts)
+			defer srv.Close()
+			if srv.Transport() != tc.transport {
+				t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
 			}
-		}
-	}
-	fl.Flush()
-	deadline := time.Now().Add(15 * time.Second)
-	for !deposed() {
-		if time.Now().After(deadline) {
-			t.Fatalf("slow reader never deposed: sessions=%d deposes=%d",
-				srv.Sessions(), srv.Metrics().CounterValue("oodb_live_reactor_deposes_total"))
-		}
-		time.Sleep(10 * time.Millisecond)
+
+			// Raw dial so the client's receive buffer can be pinned small —
+			// the kernel must not absorb the whole reply stream on our behalf.
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nc.(*net.TCPConn).SetReadBuffer(4096)
+			if _, err := nc.Write([]byte{wireVersion}); err != nil {
+				t.Fatal(err)
+			}
+			conn := NewTCPConn(nc)
+			defer conn.Close()
+			// Read the hello, then go silent on the receive side while
+			// requesting page after page. Each first read of a page ships
+			// ~4 KiB of data; once the kernel socket buffers fill, replies
+			// back up on the server side and blow past the cap.
+			if _, err := conn.Recv(); err != nil {
+				t.Fatalf("hello: %v", err)
+			}
+			deposed := func() bool {
+				return srv.Sessions() == 0 && srv.Metrics().CounterValue(tc.counter) >= 1
+			}
+			fl := conn.(flusher)
+			for i := 0; i < nPages && !deposed(); i++ {
+				if err := conn.Send(readReq(i, int64(i+1))); err != nil {
+					break // server already cut us off
+				}
+				if i%64 == 63 {
+					if err := fl.Flush(); err != nil {
+						break
+					}
+				}
+			}
+			fl.Flush()
+			waitFor(t, "the slow reader to be deposed", deposed)
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung behind the deposed session's unread socket")
+			}
+		})
 	}
 }
 

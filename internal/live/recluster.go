@@ -23,14 +23,15 @@ type recluster struct {
 	s   *Server
 	cli *Client
 
-	stopCh chan struct{}
-	done   chan struct{}
-
 	// mu serializes rounds: the ticker loop and ReclusterNow (tests, the
 	// /reclusterz admin trigger) must not interleave migrations.
 	mu  sync.Mutex
 	cur spareCursor
 }
+
+// reclusterMaxMoves caps object migrations per planner round — the
+// pacing that keeps migration a background trickle.
+const reclusterMaxMoves = 64
 
 // spareCursor allocates destination slots in the spare region. Each
 // writer gets its own open page (near-private placement: the point of the
@@ -81,10 +82,8 @@ func (s *Server) startRecluster() error {
 		return err
 	}
 	r := &recluster{
-		s:      s,
-		cli:    cli,
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
+		s:   s,
+		cli: cli,
 		cur: spareCursor{
 			next: core.PageID(s.userPages),
 			phys: core.PageID(s.store.NumPages()),
@@ -100,42 +99,16 @@ func (s *Server) startRecluster() error {
 		r.cur.next = top.Page + 1
 	}
 	s.recl = r
-	go r.loop()
+	// Transient failures (deadlock victim, a fenced straggler, spare
+	// exhaustion) just wait for the next tick — the backoff IS the pacing
+	// period. A terminal one means the session is already gone (the server
+	// closed the pipe, or a timed-out request tore it down), so there is
+	// nothing left to close.
+	s.background(s.opts.ReclusterEvery, nil, func() bool {
+		_, err := r.runRound()
+		return terminal(err)
+	})
 	return nil
-}
-
-// stopReclusterLocked signals the planner loop; the caller holds s.mu.
-func (s *Server) stopReclusterLocked() {
-	if s.recl != nil {
-		select {
-		case <-s.recl.stopCh:
-		default:
-			close(s.recl.stopCh)
-		}
-	}
-}
-
-func (r *recluster) loop() {
-	defer close(r.done)
-	defer r.cli.Close()
-	tick := time.NewTicker(r.s.opts.ReclusterEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stopCh:
-			return
-		case <-tick.C:
-		}
-		if r.s.closedFlag.Load() {
-			return
-		}
-		if _, err := r.runRound(); terminal(err) {
-			return
-		}
-		// Transient failures (deadlock victim, a fenced straggler, spare
-		// exhaustion) just wait for the next tick — the backoff IS the
-		// pacing period.
-	}
 }
 
 // terminal reports whether the planner's session is unusable for good.
@@ -174,7 +147,7 @@ func (r *recluster) runRound() (int, error) {
 	sn := s.heat.Snapshot()
 	view := s.relocs.view()
 	groups := obs.PlanMoves(sn, obs.PlanOptions{
-		MaxMoves:    s.opts.ReclusterMaxMoves,
+		MaxMoves:    reclusterMaxMoves,
 		UserPages:   int32(s.userPages),
 		ObjsPerPage: s.store.ObjsPerPage(),
 		// Already-migrated slots must not eat the round's budget: their heat

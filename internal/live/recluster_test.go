@@ -18,7 +18,7 @@ import (
 // hour-long periods, so tests drive rounds (and epochs) explicitly.
 func reclusterServer(t *testing.T, dir string, shards int) *Server {
 	t.Helper()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		Shards: shards, SyncWAL: true,
 		Recluster: true, ReclusterEvery: time.Hour, ReclusterSpare: 4,
@@ -248,7 +248,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 	if err := os.Remove(filepath.Join(broken, relocFile)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenServer(broken, ServerOptions{Proto: core.PSAA, SyncWAL: true, Recluster: true}); err == nil {
+	if _, err := openServer(broken, ServerOptions{Proto: core.PSAA, SyncWAL: true, Recluster: true}); err == nil {
 		t.Fatal("OpenServer succeeded with relocation records but no relocs.db")
 	}
 
@@ -286,7 +286,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/hit%d/jobs%d", pt.name, pt.hit, jobs), func(t *testing.T) {
 				cp := reclusterCopyDir(t, dir)
 				fault.Get(pt.name).Arm(pt.hit)
-				_, err := OpenServer(cp, ServerOptions{
+				_, err := openServer(cp, ServerOptions{
 					Proto: core.PSAA, SyncWAL: true, Recluster: true, RecoveryJobs: jobs,
 					ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 				})
@@ -485,7 +485,7 @@ func TestReclusterSpareExhaustion(t *testing.T) {
 // the fixed-slot store; combining it with variable-size objects must be a
 // refused configuration, not a corrupted one.
 func TestReclusterVariableObjectsRejected(t *testing.T) {
-	_, err := OpenServer(t.TempDir(), ServerOptions{
+	_, err := openServer(t.TempDir(), ServerOptions{
 		Proto: core.OS, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
 		VariableObjects: true, Recluster: true,
 	})

@@ -122,7 +122,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 	// End to end: a server opened with parallel recovery serves exactly the
 	// last committed image of every object.
 	dir := copyDBDir(t, tpl)
-	srv, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, RecoveryJobs: 4})
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, RecoveryJobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 	// server dies without checkpointing — the store is still empty and the
 	// log holds everything.
 	tpl := t.TempDir()
-	srv, err := OpenServer(tpl, ServerOptions{
+	srv, err := openServer(tpl, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: objsPP, NumPages: numPages,
 		SyncWAL: true,
 	})
@@ -217,7 +217,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/hit%d/jobs%d", pt.name, pt.hit, jobs), func(t *testing.T) {
 				dir := copyDBDir(t, tpl)
 				fault.Get(pt.name).Arm(pt.hit)
-				_, err := OpenServer(dir, ServerOptions{
+				_, err := openServer(dir, ServerOptions{
 					Proto: core.PSAA, SyncWAL: true, RecoveryJobs: jobs,
 				})
 				fault.DisarmAll()
@@ -238,7 +238,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 				}
 
 				// And a real reopen must serve every acked write.
-				srv2, err := OpenServer(dir, ServerOptions{
+				srv2, err := openServer(dir, ServerOptions{
 					Proto: core.PSAA, SyncWAL: true, RecoveryJobs: jobs,
 				})
 				if err != nil {
@@ -278,7 +278,7 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 		objsPP         = 4
 	)
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: objsPP,
 		NumPages: nClients * pagesPerClient, SyncWAL: true,
 	})
@@ -359,7 +359,7 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 		cl.Close()
 	}
 	srv.Crash()
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 func TestRecoverySkipsCheckpointCoveredPrefix(t *testing.T) {
 	const prefixCommits = 5
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16, SyncWAL: true,
 	})
 	if err != nil {
@@ -442,7 +442,7 @@ func TestRecoverySkipsCheckpointCoveredPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,384 @@
+package live
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// sessionTransports are the three ways a session is driven. The contract
+// below must hold identically over each: they share one session machine
+// (session.go) and differ only in the asyncConn driver underneath.
+var sessionTransports = []struct {
+	name      string
+	transport string // "" = in-process pipe, no listener
+}{
+	{"pipe", ""},
+	{"tcp", TransportGoroutine},
+	{"reactor", TransportReactor},
+}
+
+// sessionHarness opens a server for one transport and hands out raw
+// client-side connections to fresh sessions on it.
+type sessionHarness struct {
+	srv  *Server
+	addr string
+}
+
+func newSessionHarness(t *testing.T, transport string, opts ServerOptions) *sessionHarness {
+	t.Helper()
+	opts.Proto, opts.SyncWAL = core.PSAA, false
+	if opts.PageSize == 0 {
+		opts.PageSize, opts.ObjsPerPage, opts.NumPages = 256, 4, 64
+	}
+	if transport == "" {
+		srv, err := openServer(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sessionHarness{srv: srv}
+	}
+	opts.Transport = transport
+	srv, addr := startTransportServer(t, opts)
+	if srv.Transport() != transport {
+		srv.Close()
+		t.Skipf("%s transport unavailable on this platform (fell back to %q)", transport, srv.Transport())
+	}
+	return &sessionHarness{srv: srv, addr: addr}
+}
+
+// dial opens a new session and returns the raw client end, before its
+// hello has been read.
+func (h *sessionHarness) dial(t *testing.T) Conn {
+	t.Helper()
+	if h.addr == "" {
+		cEnd, sEnd := Pipe()
+		if _, err := h.srv.Attach(sEnd); err != nil {
+			t.Fatal(err)
+		}
+		return cEnd
+	}
+	conn, err := Dial(h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+func (h *sessionHarness) client(t *testing.T) *Client {
+	t.Helper()
+	cl, err := Connect(h.dial(t), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// rawSession dials, consumes the hello, and returns the client end with
+// the server-side session it is attached to.
+func (h *sessionHarness) rawSession(t *testing.T) (Conn, *session) {
+	t.Helper()
+	conn := h.dial(t)
+	hello := recvWithin(t, conn, 5*time.Second)
+	if hello.Kind != core.MHello {
+		t.Fatalf("first frame is %v, want hello", hello.Kind)
+	}
+	sess := h.srv.sessionOf(hello.HelloID)
+	if sess == nil {
+		t.Fatalf("no session for hello id %d", hello.HelloID)
+	}
+	return conn, sess
+}
+
+// recvResult carries one Recv outcome across a goroutine.
+type recvResult struct {
+	m   *core.Msg
+	err error
+}
+
+func recvAsync(conn Conn) <-chan recvResult {
+	ch := make(chan recvResult, 1)
+	go func() {
+		m, err := conn.Recv()
+		ch <- recvResult{m, err}
+	}()
+	return ch
+}
+
+func recvWithin(t *testing.T, conn Conn, d time.Duration) *core.Msg {
+	t.Helper()
+	select {
+	case r := <-recvAsync(conn):
+		if r.err != nil {
+			t.Fatalf("recv: %v", r.err)
+		}
+		return r.m
+	case <-time.After(d):
+		t.Fatalf("no message within %v", d)
+		return nil
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// quiesced reports whether no shard engine holds any transaction, lock,
+// queue or callback round.
+func quiesced(srv *Server) bool {
+	for _, sh := range srv.shards {
+		sh.mu.Lock()
+		q := sh.eng.Quiesced()
+		sh.mu.Unlock()
+		if !q {
+			return false
+		}
+	}
+	return true
+}
+
+func readReq(page int, req int64) *core.Msg {
+	return &core.Msg{Kind: core.MReadReq, Txn: 0x515100, Req: req,
+		Obj: o(core.PageID(page), 0), Page: core.PageID(page)}
+}
+
+// TestSessionContract runs the session contract over every transport.
+func TestSessionContract(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, transport string)
+	}{
+		{"HelloFirst", sessionHelloFirst},
+		{"CommitVisibleAcrossSessions", sessionCommitVisible},
+		{"ReadyPrefixFIFO", sessionReadyPrefixFIFO},
+		{"OutboxOverflowDeposes", sessionOutboxOverflow},
+		{"DetachRacingCommit", sessionDetachRacingCommit},
+		{"CloseJoinsDrivers", sessionCloseJoinsDrivers},
+	}
+	for _, tr := range sessionTransports {
+		for _, c := range cases {
+			tr, c := tr, c
+			t.Run(tr.name+"/"+c.name, func(t *testing.T) { c.run(t, tr.transport) })
+		}
+	}
+}
+
+// The hello is the first frame on a session, even when the client's first
+// request is already on the wire before the server attached it.
+func sessionHelloFirst(t *testing.T, transport string) {
+	h := newSessionHarness(t, transport, ServerOptions{})
+	defer h.srv.Close()
+	var conn Conn
+	if h.addr == "" {
+		cEnd, sEnd := Pipe()
+		if err := cEnd.Send(readReq(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.srv.Attach(sEnd); err != nil {
+			t.Fatal(err)
+		}
+		conn = cEnd
+	} else {
+		conn = h.dial(t)
+		if err := conn.Send(readReq(3, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer conn.Close()
+	if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MHello {
+		t.Fatalf("first frame is %v, want hello", m.Kind)
+	}
+	if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MPageData || m.Req != 1 {
+		t.Fatalf("second frame is %v req %d, want the page grant for req 1", m.Kind, m.Req)
+	}
+}
+
+// The transport is semantically invisible: a commit on one session is
+// read back on another.
+func sessionCommitVisible(t *testing.T, transport string) {
+	h := newSessionHarness(t, transport, ServerOptions{})
+	defer h.srv.Close()
+	c1, c2 := h.client(t), h.client(t)
+	defer c1.Close()
+	defer c2.Close()
+
+	tx, err := c1.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(o(1, 2), []byte("one machine")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := c2.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tx2.Read(o(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, []byte("one machine")) {
+		t.Fatalf("read back %q", got)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// While a data grant at the head of the outbox awaits its payload,
+// nothing staged behind it ships; once it is ready both go, in order.
+func sessionReadyPrefixFIFO(t *testing.T, transport string) {
+	h := newSessionHarness(t, transport, ServerOptions{})
+	defer h.srv.Close()
+	conn, sess := h.rawSession(t)
+	defer conn.Close()
+
+	grant := &outEntry{msg: core.Msg{Kind: core.MPageData, To: sess.id, Req: 1, Page: 7}}
+	sess.push(grant, 0)
+	sess.enqueue(core.Msg{Kind: core.MGrant, To: sess.id, Req: 2})
+
+	got := recvAsync(conn)
+	select {
+	case r := <-got:
+		t.Fatalf("frame %+v (err %v) overtook an unready head entry", r.m, r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	grant.msg.Data = []byte("payload")
+	sess.markReady(grant)
+	select {
+	case r := <-got:
+		if r.err != nil || r.m.Kind != core.MPageData || r.m.Req != 1 || string(r.m.Data) != "payload" {
+			t.Fatalf("first frame after ready: %+v (err %v), want the page grant", r.m, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ready head entry never shipped")
+	}
+	if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MGrant || m.Req != 2 {
+		t.Fatalf("second frame %v req %d, want the grant staged behind the data", m.Kind, m.Req)
+	}
+}
+
+// A session whose outbox passes OutboxLimit is deposed through the normal
+// departure path instead of buffering without bound. The head entry is
+// held unready so the backlog is the same on every transport (a reactor
+// connection would otherwise absorb it into its byte queue, which has its
+// own cap — TestTCPSlowReaderDeposed).
+func sessionOutboxOverflow(t *testing.T, transport string) {
+	const limit = 32
+	h := newSessionHarness(t, transport, ServerOptions{
+		PageSize: 64, ObjsPerPage: 4, NumPages: 256, OutboxLimit: limit,
+	})
+	defer h.srv.Close()
+	conn, sess := h.rawSession(t)
+	defer conn.Close()
+
+	sess.push(&outEntry{msg: core.Msg{Kind: core.MPageData, To: sess.id, Page: 255}}, limit)
+	for i := 0; i < 2*limit; i++ {
+		if err := conn.Send(readReq(i, int64(i+1))); err != nil {
+			break // deposed: the server closed the connection under us
+		}
+	}
+	waitFor(t, "the overflowing session to be deposed", func() bool { return h.srv.Sessions() == 0 })
+	if got := h.srv.Metrics().CounterValue("oodb_live_outbox_deposes_total"); got != 1 {
+		t.Fatalf("oodb_live_outbox_deposes_total = %d, want 1", got)
+	}
+	select {
+	case r := <-recvAsync(conn):
+		if r.err == nil {
+			t.Fatalf("deposed session delivered %+v, want a closed connection", r.m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("deposed session's connection never closed")
+	}
+	waitFor(t, "the deposed session's engine state to be swept", func() bool { return quiesced(h.srv) })
+}
+
+// A detach racing an in-flight multi-page commit leaves no engine state
+// behind on any shard, whichever side wins, and an acknowledged commit is
+// there for the next session to read.
+func sessionDetachRacingCommit(t *testing.T, transport string) {
+	h := newSessionHarness(t, transport, ServerOptions{Shards: 4})
+	defer h.srv.Close()
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	for round := 0; round < rounds; round++ {
+		cl := h.client(t)
+		val := []byte{byte(round + 1)}
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 8; p++ { // spread over the shards
+			if err := tx.Write(o(core.PageID(p), 0), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		var commitErr error
+		wg.Add(2)
+		go func() { defer wg.Done(); commitErr = tx.Commit() }()
+		go func() { defer wg.Done(); h.srv.detach(cl.ID()) }()
+		wg.Wait()
+		cl.Close()
+
+		waitFor(t, "every shard to quiesce after the detach", func() bool {
+			return h.srv.Sessions() == 0 && quiesced(h.srv)
+		})
+		if commitErr != nil {
+			continue // the detach won; nothing was promised
+		}
+		check := h.client(t)
+		tx2, err := check.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 8; p++ {
+			got, err := tx2.Read(o(core.PageID(p), 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != val[0] {
+				t.Fatalf("round %d: acked commit lost on page %d: read %d, want %d", round, p, got[0], val[0])
+			}
+		}
+		tx2.Commit()
+		check.Close()
+		waitFor(t, "the checking session to leave", func() bool { return h.srv.Sessions() == 0 })
+	}
+}
+
+// Close returns only after every goroutine the server started for its
+// sessions (and its background loops) has exited.
+func sessionCloseJoinsDrivers(t *testing.T, transport string) {
+	before := countGoroutines()
+	h := newSessionHarness(t, transport, ServerOptions{CallbackTimeout: time.Minute, Shards: 2})
+	const n = 16
+	conns := make([]Conn, n)
+	for i := range conns {
+		conns[i], _ = h.rawSession(t)
+	}
+	if err := h.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range conns {
+		c.Close() // client-side flushers are not the server's to join
+	}
+	if after := countGoroutines(); after > before {
+		t.Fatalf("goroutines: %d before OpenServer, %d after Close", before, after)
+	}
+}

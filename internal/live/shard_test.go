@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // twoShardPages returns two pages < numPages that hash to different
@@ -39,11 +41,32 @@ func TestShardDefaultsNormalization(t *testing.T) {
 			t.Errorf("Shards %d normalized to %d, want %d", c.in, o.Shards, c.want)
 		}
 	}
+}
+
+// TestApplyEnv: the environment fills unset fields only, through ApplyEnv
+// only — defaults() (and so OpenServer) never looks at it.
+func TestApplyEnv(t *testing.T) {
 	t.Setenv("OODB_SHARDS", "4")
+	t.Setenv("OODB_RECOVERY_JOBS", "x") // unparsable: ignored
+	t.Setenv("OODB_HEAT", "1")
+	t.Setenv("OODB_RECLUSTER", "0")
+	t.Setenv("OODB_TRANSPORT", TransportReactor)
+
+	lib := ServerOptions{}
+	lib.defaults()
+	if lib.Shards == 4 || lib.Heat || lib.Transport != TransportGoroutine {
+		t.Errorf("defaults() read the environment: %+v", lib)
+	}
+
 	o := ServerOptions{}
-	o.defaults()
-	if o.Shards != 4 {
-		t.Errorf("OODB_SHARDS=4 with Shards=0 gave %d shards, want 4", o.Shards)
+	ApplyEnv(&o)
+	if o.Shards != 4 || o.RecoveryJobs != 0 || !o.Heat || o.Recluster || o.Transport != TransportReactor {
+		t.Errorf("ApplyEnv on zero options gave %+v", o)
+	}
+	set := ServerOptions{Shards: 2, Transport: TransportGoroutine}
+	ApplyEnv(&set)
+	if set.Shards != 2 || set.Transport != TransportGoroutine {
+		t.Errorf("ApplyEnv overrode explicit fields: %+v", set)
 	}
 }
 
@@ -53,7 +76,7 @@ func TestShardDefaultsNormalization(t *testing.T) {
 func runShardWorkload(t *testing.T, shards int) ([]byte, core.ServerStats) {
 	t.Helper()
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: false, Shards: shards,
 	})
@@ -92,6 +115,9 @@ func runShardWorkload(t *testing.T, shards int) ([]byte, core.ServerStats) {
 		}
 	}
 
+	// Abort is fire-and-forget: the last transaction's abort is counted
+	// only once the server has processed it.
+	waitFor(t, "the engine to finish the last abort", func() bool { return quiesced(srv) })
 	st := srv.Stats()
 	c.Close()
 	if err := srv.Close(); err != nil {
@@ -128,7 +154,7 @@ func TestShardsEquivalence(t *testing.T) {
 func TestMultiShardCommit(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
-		srv, err := OpenServer(dir, ServerOptions{
+		srv, err := openServer(dir, ServerOptions{
 			Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 			SyncWAL: true, Shards: 8,
 		})
@@ -197,7 +223,7 @@ func TestMultiShardCommit(t *testing.T) {
 // shards must drop the transaction's state (locks released, no residue).
 func TestMultiShardAbort(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: false, Shards: 8,
 	})
@@ -262,7 +288,7 @@ func TestMultiShardAbort(t *testing.T) {
 // requires the merged waits-for pass to abort exactly one victim.
 func TestCrossShardDeadlock(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PS, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: false, Shards: 8,
 	})
@@ -329,7 +355,7 @@ func TestCrossShardDeadlock(t *testing.T) {
 // second pass must find nothing.
 func TestCheckDeadlocksDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PS, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: false, Shards: 8,
 	})
@@ -423,7 +449,7 @@ func lastTxnID(c *Client) core.TxnID {
 // shard locks one at a time, so nothing ever wedges the whole engine.
 func TestScrapeDoesNotSerializeEngine(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		SyncWAL: false, Shards: 8,
 	})
@@ -468,4 +494,87 @@ func TestScrapeDoesNotSerializeEngine(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty metrics exposition")
 	}
+}
+
+// TestCrossShardDeadlockFreeRunningWriters is the regression for the
+// detector aborting a victim that had moved on: free-running
+// Interleaved-PRIVATE writers (every page shared by a client pair, no
+// object shared) on two engine shards. The detector used to confirm a
+// victim by transaction id across two skewed snapshots; a transaction
+// that was granted and blocked again in between got MAbortYou{Req:0}, its
+// real request stayed pending, and the late grant was applied to a
+// finished transaction (panic in core.(*ClientState).applyGrant).
+func TestCrossShardDeadlockFreeRunningWriters(t *testing.T) {
+	for _, nClients := range []int{2, 4} {
+		t.Run(fmt.Sprintf("clients=%d", nClients), func(t *testing.T) {
+			spec := workload.InterleavedPrivateSpec(0.30)
+			spec.NumClients = nClients
+			srv, err := openServer(t.TempDir(), ServerOptions{
+				Proto: core.PSAA, PageSize: 1024, ObjsPerPage: spec.ObjsPerPage,
+				NumPages: spec.DBPages, SyncWAL: false, Shards: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			txns := 3000 / nClients
+			if testing.Short() {
+				txns /= 4
+			}
+			inc := func(old []byte) []byte {
+				out := append([]byte(nil), old...)
+				out[0]++
+				return out
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < nClients; i++ {
+				cl := attachClient(t, srv)
+				defer cl.Close()
+				gen := workload.NewGenerator(spec, spec.Layout(), i+1, rand.New(rand.NewSource(int64(i+1))))
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for n := 0; n < txns; n++ {
+						refs := gen.NextTxn()
+						for try := 0; ; try++ {
+							err := runRefs(cl, refs, inc)
+							if err == nil {
+								break
+							}
+							if !errors.Is(err, ErrAborted) || try == 20 {
+								t.Errorf("client %d txn %d: %v", i, n, err)
+								return
+							}
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			t.Logf("deadlock victims: %d", srv.Stats().Deadlocks)
+		})
+	}
+}
+
+// runRefs runs one generated transaction; a deadlock victim gets
+// ErrAborted back and replays the same references.
+func runRefs(cl *Client, refs []workload.Ref, inc func([]byte) []byte) error {
+	tx, err := cl.Begin()
+	if err != nil {
+		return err
+	}
+	for _, r := range refs {
+		if r.Write {
+			err = tx.Update(r.Obj, inc)
+		} else {
+			_, err = tx.Read(r.Obj)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrAborted) {
+				tx.Abort()
+			}
+			return err
+		}
+	}
+	return tx.Commit()
 }

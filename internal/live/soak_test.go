@@ -133,7 +133,7 @@ func TestRandomizedSoak(t *testing.T) {
 // survives recovery.
 func TestRecoveryUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: false})
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRecoveryUnderLoad(t *testing.T) {
 	srv.closed = true
 	srv.mu.Unlock()
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: false})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -2,7 +2,7 @@
 // protocol core as the simulator: a goroutine-concurrent server with a
 // file-backed page store and write-ahead log, clients with page caches and
 // callback handling, and pluggable transports (in-process channels or
-// TCP/gob). It implements all five granularity protocols; PS-AA (adaptive
+// binary-framed TCP). It implements all five granularity protocols; PS-AA (adaptive
 // locking with adaptive callbacks) is the recommended default, as in the
 // paper's conclusions.
 package live

@@ -10,6 +10,14 @@ func readFile(path string) ([]byte, error)   { return os.ReadFile(path) }
 func writeFile(path string, b []byte) error  { return os.WriteFile(path, b, 0o644) }
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
+// openServer is OpenServer the way every test in this package opens one:
+// with the CI matrix's OODB_* selection (shards, recovery jobs, heat,
+// recluster, transport) filling whatever the test left unset.
+func openServer(dir string, opts ServerOptions) (*Server, error) {
+	ApplyEnv(&opts)
+	return OpenServer(dir, opts)
+}
+
 func sleepMs(ms int) { time.Sleep(time.Duration(ms) * time.Millisecond) }
 
 // timeoutChan returns a channel that fires after a generous deadline.

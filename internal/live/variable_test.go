@@ -12,7 +12,7 @@ import (
 
 func variableServer(t *testing.T) *Server {
 	t.Helper()
-	srv, err := OpenServer(t.TempDir(), ServerOptions{
+	srv, err := openServer(t.TempDir(), ServerOptions{
 		Proto: core.OS, PageSize: 512, ObjsPerPage: 8, NumPages: 16,
 		SyncWAL: false, VariableObjects: true,
 	})
@@ -24,7 +24,7 @@ func variableServer(t *testing.T) *Server {
 }
 
 func TestVariableObjectsRequireOS(t *testing.T) {
-	_, err := OpenServer(t.TempDir(), ServerOptions{
+	_, err := openServer(t.TempDir(), ServerOptions{
 		Proto: core.PSAA, VariableObjects: true,
 	})
 	if err == nil || !strings.Contains(err.Error(), "OS protocol") {
@@ -131,7 +131,7 @@ func TestVariableObjectsForwardingUnderLoad(t *testing.T) {
 
 func TestVariableObjectsRecovery(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := OpenServer(dir, ServerOptions{
+	srv, err := openServer(dir, ServerOptions{
 		Proto: core.OS, PageSize: 512, ObjsPerPage: 8, NumPages: 16,
 		SyncWAL: false, VariableObjects: true,
 	})
@@ -161,7 +161,7 @@ func TestVariableObjectsRecovery(t *testing.T) {
 	srv.closed = true
 	srv.mu.Unlock()
 
-	srv2, err := OpenServer(dir, ServerOptions{Proto: core.OS, VariableObjects: true, SyncWAL: false})
+	srv2, err := openServer(dir, ServerOptions{Proto: core.OS, VariableObjects: true, SyncWAL: false})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -1,9 +1,7 @@
 package live
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -87,13 +85,6 @@ type WAL struct {
 	// SyncOnCommit forces commits to wait for an fsync (durable but slow;
 	// tests turn it off). Set before serving; not data-race guarded.
 	SyncOnCommit bool
-	// GroupCommitWindow, when > 0, makes the sync leader linger that long
-	// before fsyncing so more followers can join the batch. 0 selects the
-	// adaptive policy: linger adaptiveLinger when the demand hint says
-	// other sessions could commit concurrently, sync immediately
-	// otherwise — so a lone committer keeps one-fsync latency.
-	GroupCommitWindow time.Duration
-
 	// demand is the host's concurrency hint (the live server keeps it at
 	// its session count). Group commit without a linger is bistable: a
 	// solo fsync is fast, which shrinks the window in which other commits
@@ -303,14 +294,10 @@ func (w *WAL) shouldLinger() bool {
 
 func (w *WAL) leadSync() {
 	w.syncing = true
-	linger := w.GroupCommitWindow
-	if linger == 0 && w.shouldLinger() {
-		linger = adaptiveLinger
-	}
-	if linger > 0 {
+	if w.shouldLinger() {
 		// Linger so concurrent committers can append into this batch.
 		w.mu.Unlock()
-		time.Sleep(linger)
+		time.Sleep(adaptiveLinger)
 		w.mu.Lock()
 	}
 	target, batch, tgen := w.off, w.recsSinceSync, w.gen
@@ -607,11 +594,9 @@ type walScan struct {
 // the first torn/invalid one (crash tail): a bad length, a short body, or
 // a CRC mismatch all end the scan without poisoning the valid prefix —
 // a flipped bit in frame k yields exactly frames 0..k-1. Record bodies
-// are binary (walFormatBinary, codec.go); bodies from logs written before
-// the binary codec fall back to gob — the one-shot migration read path:
-// recovery replays them, and the post-recovery truncation retires the old
-// format. Checkpoint watermark frames (walFormatCheckpoint) advance
-// covered instead of yielding a record.
+// are binary (walFormatBinary, codec.go); a body that does not decode
+// ends the scan like any other invalid frame. Checkpoint watermark frames
+// (walFormatCheckpoint) advance covered instead of yielding a record.
 func scanWAL(f *os.File) (*walScan, error) {
 	scan := &walScan{}
 	hdr := make([]byte, 8)
@@ -647,12 +632,7 @@ func scanWAL(f *os.File) (*walScan, error) {
 		}
 		rec, err := decodeWALRecord(body)
 		if err != nil {
-			// Legacy gob body (pre-binary-codec log): migrate on read.
-			var grec walRecord
-			if gob.NewDecoder(bytes.NewReader(body)).Decode(&grec) != nil {
-				return scan, nil
-			}
-			rec = &grec
+			return scan, nil
 		}
 		scan.recs = append(scan.recs, rec)
 		scan.off += int64(8 + n)

@@ -28,31 +28,96 @@ type Conn interface {
 }
 
 // flusher is the optional fast-path a buffered transport exposes: callers
-// that know a batch boundary (e.g. the server's session writer after
+// that know a batch boundary (e.g. the server's session pump after
 // draining its outbox) can force the coalesced bytes out immediately
 // instead of waiting for the idle flush.
 type flusher interface {
 	Flush() error
 }
 
-// flushConn flushes c if its transport buffers writes.
-func flushConn(c Conn) {
-	if f, ok := c.(flusher); ok {
-		f.Flush()
+// asyncConn is the push-mode transport contract every server session
+// runs on. Instead of the owner parking in Recv, it installs a receiver
+// callback (invoked once per inbound message in wire order, never
+// concurrently, then once with a terminal error) and a pump callback that
+// drains the owner's outbox into Send/Flush. Start begins delivery; no
+// receiver call precedes it. Kick schedules the pump on the transport's
+// driver; it is non-blocking and safe to call under any lock, so the
+// server can request output from inside the engine without doing wire
+// work there. Two drivers implement it: the reactor's rconn (event
+// loops) and blockingConn (two goroutines over any blocking Conn).
+type asyncConn interface {
+	Conn
+	flusher
+	SetHandlers(recv func(m *core.Msg, err error), pump func())
+	Start()
+	Kick()
+}
+
+// blockingConn drives a session over a blocking Conn (an in-process pipe
+// or a tcpConn): one goroutine parks in Recv and feeds the receiver, a
+// second turns kicks into pump calls. Both are counted on wg and exit
+// once the connection is closed.
+type blockingConn struct {
+	Conn
+	wg   *sync.WaitGroup
+	recv func(*core.Msg, error)
+	pump func()
+
+	kick     chan struct{} // cap 1: a pending kick covers every later one
+	done     chan struct{}
+	doneOnce sync.Once
+}
+
+func newBlockingConn(c Conn, wg *sync.WaitGroup) *blockingConn {
+	return &blockingConn{Conn: c, wg: wg, kick: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+func (b *blockingConn) SetHandlers(recv func(*core.Msg, error), pump func()) {
+	b.recv, b.pump = recv, pump
+}
+
+func (b *blockingConn) Start() {
+	b.wg.Add(2)
+	go func() {
+		defer b.wg.Done()
+		for {
+			m, err := b.Recv()
+			b.recv(m, err)
+			if err != nil {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer b.wg.Done()
+		for {
+			select {
+			case <-b.kick:
+				b.pump()
+			case <-b.done:
+				return
+			}
+		}
+	}()
+}
+
+func (b *blockingConn) Kick() {
+	select {
+	case b.kick <- struct{}{}:
+	default:
 	}
 }
 
-// asyncConn is the push-mode transport contract the reactor conns
-// implement. Instead of a goroutine parked in Recv, the owner installs a
-// receiver callback (invoked once per inbound message, or once with a
-// terminal error) and a pump callback that drains the owner's outbox into
-// Send/Flush. Kick schedules the pump on the transport's event loop; it is
-// non-blocking and safe to call under any lock, so the server can request
-// output from inside the engine without doing wire work there.
-type asyncConn interface {
-	Conn
-	SetHandlers(recv func(m *core.Msg, err error), pump func())
-	Kick()
+func (b *blockingConn) Flush() error {
+	if f, ok := b.Conn.(flusher); ok {
+		return f.Flush()
+	}
+	return nil
+}
+
+func (b *blockingConn) Close() error {
+	b.doneOnce.Do(func() { close(b.done) })
+	return b.Conn.Close()
 }
 
 // ---- In-process transport ----
@@ -138,6 +203,10 @@ const wireVersion byte = 1
 // variable (not a const) so tests can shorten it.
 var handshakeTimeout = 5 * time.Second
 
+// closeFlushTimeout bounds how long Close waits to flush buffered frames
+// to a peer that is not reading.
+const closeFlushTimeout = time.Second
+
 // tcpConn frames messages with the binary codec (codec.go) over a
 // net.Conn. Writes coalesce in a bufio.Writer and are flushed by a
 // dedicated goroutine when the sender goes idle, so back-to-back sends
@@ -197,9 +266,10 @@ func Dial(addr string) (Conn, error) {
 	return NewTCPConn(c), nil
 }
 
-// acceptHandshake validates a freshly accepted connection's version byte.
-func acceptHandshake(c net.Conn) error {
-	c.SetReadDeadline(time.Now().Add(handshakeTimeout))
+// acceptHandshake validates a freshly accepted connection's version byte,
+// which must arrive within timeout.
+func acceptHandshake(c net.Conn, timeout time.Duration) error {
+	c.SetReadDeadline(time.Now().Add(timeout))
 	defer c.SetReadDeadline(time.Time{})
 	var v [1]byte
 	if _, err := io.ReadFull(c, v[:]); err != nil {
@@ -311,7 +381,10 @@ func (t *tcpConn) Recv() (*core.Msg, error) {
 func (t *tcpConn) Close() error {
 	t.closeOnce.Do(func() { close(t.done) })
 	// Push out anything still buffered (e.g. a final abort notice) before
-	// tearing the socket down.
+	// tearing the socket down — but not forever: if the peer stopped
+	// reading, a sender may be parked in a socket write holding sendMu, and
+	// our own flush would park the same way. The deadline fails both.
+	t.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
 	t.sendMu.Lock()
 	if t.sendErr == nil {
 		t.bw.Flush()

@@ -24,7 +24,6 @@ package repro
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/live"
@@ -146,53 +145,12 @@ func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 	return live.Connect(conn, opts)
 }
 
-// ClusterOptions configures NewCluster.
+// ClusterOptions configures NewCluster: the server's options plus how
+// many in-process clients to attach. (ServerOptions.Transport matters only
+// if the cluster's server also listens; attached clients use pipes.)
 type ClusterOptions struct {
-	Proto       Protocol
-	Clients     int // number of attached clients (default 1)
-	PageSize    int // default 4096
-	ObjsPerPage int // default 20
-	NumPages    int // default 1250
-	SyncWAL     bool
-	// Shards is the number of page-hash engine shards (0: the default of
-	// min(8, GOMAXPROCS), honoring OODB_SHARDS; 1 disables sharding). See
-	// ServerOptions.Shards.
-	Shards int
-	// RecoveryJobs is the number of parallel WAL replay workers used during
-	// startup recovery (0: min(shards, GOMAXPROCS), honoring
-	// OODB_RECOVERY_JOBS; 1: serial replay). See ServerOptions.RecoveryJobs.
-	RecoveryJobs int
-	// VariableObjects enables size-changing updates (slotted pages with
-	// overflow forwarding); requires Proto == OS.
-	VariableObjects bool
-	// CallbackTimeout deposes clients that leave a consistency callback
-	// unanswered this long (0: wait forever). See ServerOptions.
-	CallbackTimeout time.Duration
-	// Metrics, when set, aggregates server and client metrics in one
-	// registry (the server creates its own otherwise).
-	Metrics *MetricsRegistry
-	// Heat starts the server with the heat/contention collector enabled
-	// (top-K hot pages and objects, false-sharing suspects; see
-	// Server.Heat and the /heatz admin endpoint).
-	Heat bool
-	// Recluster enables online reclustering: spare pages are reserved at
-	// store creation and a background planner migrates objects off
-	// false-sharing suspect pages (implies Heat; see ServerOptions and
-	// the /reclusterz admin endpoint).
-	Recluster bool
-	// ReclusterEvery is the recluster planner's polling period
-	// (0: the server default). See ServerOptions.ReclusterEvery.
-	ReclusterEvery time.Duration
-	// BlackboxDir, when set, writes crash blackboxes (trace ring + heat
-	// snapshot + commit spans + metrics as JSONL) into this directory on
-	// a server panic or fail-stop. See ServerOptions.BlackboxDir.
-	BlackboxDir string
-	// Transport selects how Server.ListenAndServe owns TCP connections:
-	// "goroutine" (default) or "reactor" (epoll event loops; Linux).
-	// In-process clients attached via AttachClient use pipes either way;
-	// the transport matters only when the cluster's server also listens.
-	// See ServerOptions.Transport.
-	Transport string
+	ServerOptions
+	Clients int // number of attached clients (default 1)
 }
 
 // Cluster is an in-process server with a set of attached clients —
@@ -211,19 +169,7 @@ func NewCluster(dir string, opts ClusterOptions) (*Cluster, error) {
 	if n <= 0 {
 		n = 1
 	}
-	srv, err := live.OpenServer(dir, live.ServerOptions{
-		Proto: opts.Proto, PageSize: opts.PageSize, ObjsPerPage: opts.ObjsPerPage,
-		NumPages: opts.NumPages, SyncWAL: opts.SyncWAL, Shards: opts.Shards,
-		RecoveryJobs:    opts.RecoveryJobs,
-		VariableObjects: opts.VariableObjects,
-		CallbackTimeout: opts.CallbackTimeout,
-		Metrics:         opts.Metrics,
-		Heat:            opts.Heat,
-		Recluster:       opts.Recluster,
-		ReclusterEvery:  opts.ReclusterEvery,
-		BlackboxDir:     opts.BlackboxDir,
-		Transport:       opts.Transport,
-	})
+	srv, err := live.OpenServer(dir, opts.ServerOptions)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,9 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func testCluster(t *testing.T, proto Protocol, clients int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(t.TempDir(), ClusterOptions{
-		Proto: proto, Clients: clients, NumPages: 64, ObjsPerPage: 8, PageSize: 512,
-	})
+	c, err := NewCluster(t.TempDir(), ClusterOptions{Clients: clients, ServerOptions: ServerOptions{
+		Proto: proto, NumPages: 64, ObjsPerPage: 8, PageSize: 512,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
