@@ -4,7 +4,7 @@
 // allocation-free growth honest, and the live data plane's throughput
 // guarded:
 //
-//	go test -bench Fig03 -benchmem -run '^$' . | benchguard -baseline BENCH_figures.json -max-regress 5
+//	go test -bench 'Fig03|ClientTxnFootprint' -benchmem -run '^$' . ./internal/core/ | benchguard -baseline BENCH_figures.json -max-regress 5
 //	go test -bench Wire -benchmem -run '^$' ./internal/live/ | benchguard -baseline BENCH_live.json -max-regress 5 -max-slower 40
 //
 // -max-regress bounds the allocs/op increase (allocation counts are

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // ClientCache is the client buffer pool state machine. In page mode
@@ -13,13 +14,30 @@ import (
 // Pages/objects touched by the active transaction are pinned and never
 // evicted; evictions accumulate as drop notices that the driver piggybacks
 // on the next message to the server so the copy table stays accurate.
+//
+// Every step costs O(what the transaction touched), never O(cache): the
+// LRU is intrusive, per-slot marks are bitsets on the entry, and the
+// pinned and dirty entries are kept on lists so that commit and abort
+// visit only them (DESIGN.md §18).
 type ClientCache struct {
 	ObjMode  bool
 	Capacity int // pages (page mode) or objects (object mode)
 
 	pages map[PageID]*CachedPage
-	objs  map[ObjID]*cachedObj
-	lru   *list.List // front = most recent; elements hold PageID or ObjID
+	objs  map[ObjID]*CachedObj
+
+	// lastPage/lastObj remember the latest lookup: one reference asks
+	// "readable?", "touch" and "payload" of the same entry back to back.
+	lastPage *CachedPage
+	lastObj  *CachedObj
+
+	mru, lru *entry // LRU list ends; nil when empty
+	n        int    // resident entries
+
+	// The active transaction's footprint; only the pair matching ObjMode
+	// is used. dirty ⊆ pinned.
+	pinnedPages, dirtyPages []*CachedPage
+	pinnedObjs, dirtyObjs   []*CachedObj
 
 	droppedPages []PageID
 	droppedObjs  []ObjID
@@ -28,18 +46,83 @@ type ClientCache struct {
 	Evictions int64
 }
 
-// CachedPage is the client-side state of one cached page.
-type CachedPage struct {
-	elem    *list.Element
-	Unavail map[uint16]bool // objects called back / marked unavailable
-	Dirty   map[uint16]bool // uncommitted local updates
-	Pinned  bool            // touched by the active transaction
+// entry is what a cached page and a cached object have in common: LRU
+// links, identity, the two facts eviction asks about, and the driver's
+// payload.
+type entry struct {
+	newer, older *entry
+	id           ObjID // page mode: id.Page, Slot unused
+	pinned       bool  // touched by the active transaction
+	dirty        bool  // has uncommitted local updates
+
+	// Payload belongs to the driver (the live client hangs the page or
+	// object bytes here); the cache never looks at it and drops it with
+	// the entry.
+	Payload any
 }
 
-type cachedObj struct {
-	elem   *list.Element
-	Dirty  bool
-	Pinned bool
+// CachedPage is the client-side state of one cached page.
+type CachedPage struct {
+	entry
+	unavail    slotSet // objects called back / marked unavailable
+	dirtySlots slotSet // uncommitted local updates
+	read       slotSet // objects the active transaction has referenced
+	words      [3]uint64
+}
+
+// CachedObj is the client-side state of one cached object (OS).
+type CachedObj struct {
+	entry
+	read bool // referenced by the active transaction
+}
+
+// Unavail reports whether the slot is marked unavailable.
+func (cp *CachedPage) Unavail(slot uint16) bool { return cp.unavail.has(slot) }
+
+// Dirty reports whether the slot holds an uncommitted local update.
+func (cp *CachedPage) Dirty(slot uint16) bool { return cp.dirtySlots.has(slot) }
+
+// DirtySlots appends the slots with uncommitted updates to dst, ascending.
+func (cp *CachedPage) DirtySlots(dst []uint16) []uint16 { return cp.dirtySlots.appendTo(dst) }
+
+// slotSet is a set of a page's object slots, one word per 64 slots. It
+// grows on demand, so the cache needs no page geometry.
+type slotSet []uint64
+
+func (b slotSet) has(s uint16) bool {
+	w := int(s >> 6)
+	return w < len(b) && b[w]&(1<<(s&63)) != 0
+}
+
+func (b *slotSet) add(s uint16) {
+	w := int(s >> 6)
+	for len(*b) <= w {
+		*b = append(*b, 0)
+	}
+	(*b)[w] |= 1 << (s & 63)
+}
+
+func (b slotSet) remove(s uint16) {
+	if w := int(s >> 6); w < len(b) {
+		b[w] &^= 1 << (s & 63)
+	}
+}
+
+func (b slotSet) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func (b slotSet) appendTo(dst []uint16) []uint16 {
+	for i, w := range b {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, uint16(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
 // NewClientCache creates a cache. objMode selects the OS object cache.
@@ -47,9 +130,9 @@ func NewClientCache(objMode bool, capacity int) *ClientCache {
 	if capacity <= 0 {
 		panic("core: cache capacity must be positive")
 	}
-	c := &ClientCache{ObjMode: objMode, Capacity: capacity, lru: list.New()}
+	c := &ClientCache{ObjMode: objMode, Capacity: capacity}
 	if objMode {
-		c.objs = make(map[ObjID]*cachedObj)
+		c.objs = make(map[ObjID]*CachedObj)
 	} else {
 		c.pages = make(map[PageID]*CachedPage)
 	}
@@ -59,16 +142,25 @@ func NewClientCache(objMode bool, capacity int) *ClientCache {
 // ---- Page mode ----
 
 // HasPage reports whether page p is resident.
-func (c *ClientCache) HasPage(p PageID) bool { return c.pages[p] != nil }
+func (c *ClientCache) HasPage(p PageID) bool { return c.Page(p) != nil }
 
 // Page returns the cached page state, or nil.
-func (c *ClientCache) Page(p PageID) *CachedPage { return c.pages[p] }
+func (c *ClientCache) Page(p PageID) *CachedPage {
+	if cp := c.lastPage; cp != nil && cp.id.Page == p {
+		return cp
+	}
+	cp := c.pages[p]
+	if cp != nil {
+		c.lastPage = cp
+	}
+	return cp
+}
 
 // Readable reports whether object o can be read locally: its page is
 // resident and the object is not marked unavailable.
 func (c *ClientCache) Readable(o ObjID) bool {
-	cp := c.pages[o.Page]
-	return cp != nil && !cp.Unavail[o.Slot]
+	cp := c.Page(o.Page)
+	return cp != nil && !cp.unavail.has(o.Slot)
 }
 
 // InstallPage installs (or refreshes) page p with the server's current
@@ -77,83 +169,113 @@ func (c *ClientCache) Readable(o ObjID) bool {
 // return value is the number of dirty objects merged, for CopyMergeInst
 // costing. Installing may evict the LRU unpinned page.
 func (c *ClientCache) InstallPage(p PageID, unavail []uint16) (merged int) {
-	cp := c.pages[p]
+	cp := c.Page(p)
 	if cp == nil {
 		c.evictFor(1)
-		cp = &CachedPage{Unavail: make(map[uint16]bool), Dirty: make(map[uint16]bool)}
-		cp.elem = c.lru.PushFront(p)
+		cp = &CachedPage{}
+		cp.id.Page = p
+		// One inline word each: pages of up to 64 objects never allocate
+		// a bitset; larger ones grow off the inline storage on first use.
+		cp.unavail, cp.dirtySlots, cp.read = cp.words[0:1:1], cp.words[1:2:2], cp.words[2:3:3]
 		c.pages[p] = cp
+		c.pushFront(&cp.entry)
 	} else {
-		c.lru.MoveToFront(cp.elem)
-		merged = len(cp.Dirty)
+		c.moveToFront(&cp.entry)
+		merged = cp.dirtySlots.count()
 		// The incoming copy reflects the server's current lock state;
 		// its unavailable set replaces ours entirely (committed writers
 		// have released; new writers appear in the new list).
-		for s := range cp.Unavail {
-			delete(cp.Unavail, s)
-		}
+		clear(cp.unavail)
 	}
 	for _, s := range unavail {
-		if cp.Dirty[s] {
+		if cp.dirtySlots.has(s) {
 			panic(fmt.Sprintf("core: server marked our own dirty slot %d.%d unavailable", p, s))
 		}
-		cp.Unavail[s] = true
+		cp.unavail.add(s)
 	}
 	return merged
 }
 
 // TouchPage bumps page p in the LRU and pins it for the active txn.
-func (c *ClientCache) TouchPage(p PageID) {
-	cp := c.pages[p]
+func (c *ClientCache) TouchPage(p PageID) *CachedPage {
+	cp := c.Page(p)
 	if cp == nil {
 		panic(fmt.Sprintf("core: touch of non-resident page %d", p))
 	}
-	c.lru.MoveToFront(cp.elem)
-	cp.Pinned = true
+	c.moveToFront(&cp.entry)
+	c.pinPage(cp)
+	return cp
+}
+
+func (c *ClientCache) pinPage(cp *CachedPage) {
+	if !cp.pinned {
+		cp.pinned = true
+		c.pinnedPages = append(c.pinnedPages, cp)
+	}
 }
 
 // MarkUnavailable marks object o unavailable (object-level callback).
 func (c *ClientCache) MarkUnavailable(o ObjID) {
-	cp := c.pages[o.Page]
+	cp := c.Page(o.Page)
 	if cp == nil {
 		return // already evicted: nothing to do
 	}
-	if cp.Dirty[o.Slot] {
+	if cp.dirtySlots.has(o.Slot) {
 		panic(fmt.Sprintf("core: callback for our own dirty object %v", o))
 	}
-	cp.Unavail[o.Slot] = true
+	cp.unavail.add(o.Slot)
 }
 
 // MarkDirty records an uncommitted local update to object o.
 func (c *ClientCache) MarkDirty(o ObjID) {
-	cp := c.pages[o.Page]
+	cp := c.Page(o.Page)
 	if cp == nil {
 		panic(fmt.Sprintf("core: dirty mark on non-resident page %d", o.Page))
 	}
-	delete(cp.Unavail, o.Slot)
-	cp.Dirty[o.Slot] = true
-	cp.Pinned = true
+	c.pinPage(cp)
+	cp.unavail.remove(o.Slot)
+	cp.dirtySlots.add(o.Slot)
+	if !cp.dirty {
+		cp.dirty = true
+		c.dirtyPages = append(c.dirtyPages, cp)
+	}
 }
 
 // PurgePage removes page p (callback purge or abort). Pending drop notice
 // is NOT queued: the server learns via the ack/abort message itself.
 func (c *ClientCache) PurgePage(p PageID) {
-	cp := c.pages[p]
+	cp := c.Page(p)
 	if cp == nil {
 		return
 	}
-	c.lru.Remove(cp.elem)
-	delete(c.pages, p)
+	// Protocol purges only ever hit pages the transaction has not touched;
+	// a direct caller purging a pinned page pays for the list search.
+	if cp.pinned {
+		c.pinnedPages = without(c.pinnedPages, cp)
+	}
+	if cp.dirty {
+		c.dirtyPages = without(c.dirtyPages, cp)
+	}
+	c.dropPage(cp)
+}
+
+func (c *ClientCache) dropPage(cp *CachedPage) {
+	c.unlink(&cp.entry)
+	delete(c.pages, cp.id.Page)
+	if c.lastPage == cp {
+		c.lastPage = nil
+	}
 }
 
 // DirtyPages returns the resident pages with uncommitted updates
 // (ascending), for building commit/abort messages.
 func (c *ClientCache) DirtyPages() []PageID {
-	var out []PageID
-	for p, cp := range c.pages {
-		if len(cp.Dirty) > 0 {
-			out = append(out, p)
-		}
+	if len(c.dirtyPages) == 0 {
+		return nil
+	}
+	out := make([]PageID, len(c.dirtyPages))
+	for i, cp := range c.dirtyPages {
+		out[i] = cp.id.Page
 	}
 	sortPages(out)
 	return out
@@ -161,29 +283,32 @@ func (c *ClientCache) DirtyPages() []PageID {
 
 // DirtyObjCount returns the number of dirty objects on page p.
 func (c *ClientCache) DirtyObjCount(p PageID) int {
-	cp := c.pages[p]
+	cp := c.Page(p)
 	if cp == nil {
 		return 0
 	}
-	return len(cp.Dirty)
+	return cp.dirtySlots.count()
 }
 
-// CleanAll clears dirty marks after a successful commit (pages stay
-// cached and readable) and unpins everything.
+// CleanAll ends the transaction's hold on the cache, as after a commit:
+// dirty marks are cleared (pages stay cached and readable), read marks
+// are cleared, and everything is unpinned.
 func (c *ClientCache) CleanAll() {
-	if c.ObjMode {
-		for _, co := range c.objs {
-			co.Dirty = false
-			co.Pinned = false
-		}
-		return
+	for _, co := range c.pinnedObjs {
+		co.pinned, co.dirty, co.read = false, false, false
 	}
-	for _, cp := range c.pages {
-		for s := range cp.Dirty {
-			delete(cp.Dirty, s)
-		}
-		cp.Pinned = false
+	for _, cp := range c.pinnedPages {
+		cp.pinned, cp.dirty = false, false
+		clear(cp.dirtySlots)
+		clear(cp.read)
 	}
+	// Empty the lists, keeping their capacity for the next transaction.
+	clear(c.pinnedPages)
+	clear(c.dirtyPages)
+	clear(c.pinnedObjs)
+	clear(c.dirtyObjs)
+	c.pinnedPages, c.dirtyPages = c.pinnedPages[:0], c.dirtyPages[:0]
+	c.pinnedObjs, c.dirtyObjs = c.pinnedObjs[:0], c.dirtyObjs[:0]
 }
 
 // PurgeUpdatesForAbort purges all dirty state for an abort: in page mode,
@@ -192,139 +317,173 @@ func (c *ClientCache) CleanAll() {
 // purged. It unpins everything and returns what was purged so the abort
 // message can tell the server to deregister the copies.
 func (c *ClientCache) PurgeUpdatesForAbort() (pages []PageID, objs []ObjID) {
-	if c.ObjMode {
-		for o, co := range c.objs {
-			co.Pinned = false
-			if co.Dirty {
-				objs = append(objs, o)
-			}
-		}
-		for i := 1; i < len(objs); i++ {
-			for j := i; j > 0 && objLess(objs[j], objs[j-1]); j-- {
-				objs[j], objs[j-1] = objs[j-1], objs[j]
-			}
-		}
-		for _, o := range objs {
-			c.PurgeObj(o)
-		}
-		return nil, objs
+	pages, objs = c.DirtyPages(), c.DirtyObjs()
+	for _, cp := range c.dirtyPages {
+		c.dropPage(cp)
 	}
-	pages = c.DirtyPages()
-	for _, p := range pages {
-		c.PurgePage(p)
+	for _, co := range c.dirtyObjs {
+		c.dropObj(co)
 	}
-	for _, cp := range c.pages {
-		cp.Pinned = false
-	}
-	return pages, nil
+	c.CleanAll() // the survivors; the departed entries on the lists are garbage
+	return pages, objs
 }
 
 // ---- Object mode (OS) ----
 
 // HasObj reports whether object o is resident.
-func (c *ClientCache) HasObj(o ObjID) bool { return c.objs[o] != nil }
+func (c *ClientCache) HasObj(o ObjID) bool { return c.Obj(o) != nil }
+
+// Obj returns the cached object state, or nil.
+func (c *ClientCache) Obj(o ObjID) *CachedObj {
+	if co := c.lastObj; co != nil && co.id == o {
+		return co
+	}
+	co := c.objs[o]
+	if co != nil {
+		c.lastObj = co
+	}
+	return co
+}
 
 // InstallObj installs object o, evicting if necessary.
 func (c *ClientCache) InstallObj(o ObjID) {
-	co := c.objs[o]
+	co := c.Obj(o)
 	if co == nil {
 		c.evictFor(1)
-		co = &cachedObj{}
-		co.elem = c.lru.PushFront(o)
+		co = &CachedObj{}
+		co.id = o
 		c.objs[o] = co
+		c.pushFront(&co.entry)
 	} else {
-		c.lru.MoveToFront(co.elem)
+		c.moveToFront(&co.entry)
 	}
 }
 
 // TouchObj bumps and pins object o.
-func (c *ClientCache) TouchObj(o ObjID) {
-	co := c.objs[o]
+func (c *ClientCache) TouchObj(o ObjID) *CachedObj {
+	co := c.Obj(o)
 	if co == nil {
 		panic(fmt.Sprintf("core: touch of non-resident object %v", o))
 	}
-	c.lru.MoveToFront(co.elem)
-	co.Pinned = true
+	c.moveToFront(&co.entry)
+	c.pinObj(co)
+	return co
+}
+
+func (c *ClientCache) pinObj(co *CachedObj) {
+	if !co.pinned {
+		co.pinned = true
+		c.pinnedObjs = append(c.pinnedObjs, co)
+	}
 }
 
 // MarkObjDirty records an uncommitted update to object o.
 func (c *ClientCache) MarkObjDirty(o ObjID) {
-	co := c.objs[o]
+	co := c.Obj(o)
 	if co == nil {
 		panic(fmt.Sprintf("core: dirty mark on non-resident object %v", o))
 	}
-	co.Dirty = true
-	co.Pinned = true
+	c.pinObj(co)
+	if !co.dirty {
+		co.dirty = true
+		c.dirtyObjs = append(c.dirtyObjs, co)
+	}
 }
 
 // PurgeObj removes object o.
 func (c *ClientCache) PurgeObj(o ObjID) {
-	co := c.objs[o]
+	co := c.Obj(o)
 	if co == nil {
 		return
 	}
-	c.lru.Remove(co.elem)
-	delete(c.objs, o)
+	if co.pinned {
+		c.pinnedObjs = without(c.pinnedObjs, co)
+	}
+	if co.dirty {
+		c.dirtyObjs = without(c.dirtyObjs, co)
+	}
+	c.dropObj(co)
+}
+
+func (c *ClientCache) dropObj(co *CachedObj) {
+	c.unlink(&co.entry)
+	delete(c.objs, co.id)
+	if c.lastObj == co {
+		c.lastObj = nil
+	}
 }
 
 // DirtyObjs returns the resident dirty objects (deterministic order).
 func (c *ClientCache) DirtyObjs() []ObjID {
-	var out []ObjID
-	for o, co := range c.objs {
-		if co.Dirty {
-			out = append(out, o)
-		}
+	if len(c.dirtyObjs) == 0 {
+		return nil
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	out := make([]ObjID, len(c.dirtyObjs))
+	for i, co := range c.dirtyObjs {
+		out[i] = co.id
 	}
+	sortObjs(out)
 	return out
 }
 
 // ---- Shared ----
 
+func (c *ClientCache) pushFront(e *entry) {
+	e.newer, e.older = nil, c.mru
+	if c.mru != nil {
+		c.mru.newer = e
+	} else {
+		c.lru = e
+	}
+	c.mru = e
+	c.n++
+}
+
+func (c *ClientCache) unlink(e *entry) {
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.mru = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.lru = e.newer
+	}
+	e.newer, e.older = nil, nil
+	c.n--
+}
+
+func (c *ClientCache) moveToFront(e *entry) {
+	if c.mru != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+}
+
 // evictFor makes room for n new entries by evicting LRU unpinned, clean
 // entries. If everything is pinned the cache is allowed to exceed
 // capacity (transaction footprints are assumed to fit, as in the paper).
 func (c *ClientCache) evictFor(n int) {
-	size := c.lru.Len()
-	for size+n > c.Capacity {
-		victim := c.oldestEvictable()
+	for c.n+n > c.Capacity {
+		// A touch moves its entry to the front, so the pinned entries
+		// cluster there and the walk from the tail is short.
+		victim := c.lru
+		for victim != nil && (victim.pinned || victim.dirty) {
+			victim = victim.newer
+		}
 		if victim == nil {
 			return // all pinned: overflow rather than break the txn
 		}
-		switch id := victim.Value.(type) {
-		case PageID:
-			delete(c.pages, id)
-			c.droppedPages = append(c.droppedPages, id)
-		case ObjID:
-			delete(c.objs, id)
-			c.droppedObjs = append(c.droppedObjs, id)
+		if c.ObjMode {
+			c.droppedObjs = append(c.droppedObjs, victim.id)
+			c.dropObj(c.objs[victim.id])
+		} else {
+			c.droppedPages = append(c.droppedPages, victim.id.Page)
+			c.dropPage(c.pages[victim.id.Page])
 		}
-		c.lru.Remove(victim)
 		c.Evictions++
-		size--
 	}
-}
-
-func (c *ClientCache) oldestEvictable() *list.Element {
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		switch id := e.Value.(type) {
-		case PageID:
-			cp := c.pages[id]
-			if !cp.Pinned && len(cp.Dirty) == 0 {
-				return e
-			}
-		case ObjID:
-			co := c.objs[id]
-			if !co.Pinned && !co.Dirty {
-				return e
-			}
-		}
-	}
-	return nil
 }
 
 // TakeDropped returns and clears the pending eviction notices.
@@ -335,7 +494,7 @@ func (c *ClientCache) TakeDropped() (pages []PageID, objs []ObjID) {
 }
 
 // Len returns the number of resident entries.
-func (c *ClientCache) Len() int { return c.lru.Len() }
+func (c *ClientCache) Len() int { return c.n }
 
 // ResidentPages returns all resident page ids (ascending); diagnostics.
 func (c *ClientCache) ResidentPages() []PageID {
@@ -353,10 +512,14 @@ func (c *ClientCache) ResidentObjs() []ObjID {
 	for o := range c.objs {
 		out = append(out, o)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sortObjs(out)
 	return out
+}
+
+// without removes the first occurrence of v from s, keeping order.
+func without[T comparable](s []T, v T) []T {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }

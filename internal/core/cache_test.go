@@ -216,7 +216,7 @@ func TestCacheConsistencyProperty(t *testing.T) {
 					c.TouchPage(p)
 				}
 			case 2:
-				if c.HasPage(p) && len(c.Page(p).Dirty) == 0 {
+				if c.HasPage(p) && c.DirtyObjCount(p) == 0 {
 					// Only mark slots on non-dirty pages to keep this
 					// simple sequence valid.
 					c.MarkUnavailable(ObjID{Page: p, Slot: uint16(op % 20)})

@@ -11,13 +11,15 @@ type ClientState struct {
 	Proto Protocol
 	Cache *ClientCache
 
-	// Active transaction state (zeroed between transactions).
-	Txn          TxnID
-	readSet      map[ObjID]bool
-	writeSet     map[ObjID]bool
-	pagesTouched map[PageID]bool
-	pageX        map[PageID]bool
-	objX         map[ObjID]bool
+	// Active transaction state (emptied between transactions). What the
+	// transaction has read, written and touched lives on the cache entries
+	// themselves (read marks, dirty marks, the pin); only the write
+	// permissions are sets of their own, because a grant can be held on a
+	// page the cache does not hold — it arrives before the refetch of a
+	// stale copy does. They are grant-sized and reused across Begins.
+	Txn   TxnID
+	pageX map[PageID]bool
+	objX  map[ObjID]bool
 
 	// committing is set once the commit request has been built/sent and
 	// cleared when the transaction ends. In this window the server may
@@ -45,6 +47,8 @@ func NewClientState(id ClientID, proto Protocol, cacheCapacity int) *ClientState
 		ID:    id,
 		Proto: proto,
 		Cache: NewClientCache(proto == OS, cacheCapacity),
+		pageX: make(map[PageID]bool),
+		objX:  make(map[ObjID]bool),
 	}
 }
 
@@ -54,11 +58,6 @@ func (cs *ClientState) Begin(t TxnID) {
 		panic("core: Begin with transaction already active")
 	}
 	cs.Txn = t
-	cs.readSet = make(map[ObjID]bool)
-	cs.writeSet = make(map[ObjID]bool)
-	cs.pagesTouched = make(map[PageID]bool)
-	cs.pageX = make(map[PageID]bool)
-	cs.objX = make(map[ObjID]bool)
 }
 
 // Active reports whether a transaction is in progress.
@@ -87,12 +86,10 @@ func (cs *ClientState) RecordRead(o ObjID) {
 	if cs.Txn == NoTxn {
 		panic("core: RecordRead with no transaction")
 	}
-	cs.readSet[o] = true
 	if cs.Proto == OS {
-		cs.Cache.TouchObj(o)
+		cs.Cache.TouchObj(o).read = true
 	} else {
-		cs.pagesTouched[o.Page] = true
-		cs.Cache.TouchPage(o.Page)
+		cs.Cache.TouchPage(o.Page).read.add(o.Slot)
 	}
 }
 
@@ -151,14 +148,11 @@ func (cs *ClientState) RecordWrite(o ObjID) {
 	if cs.hasPendingWrite && cs.pendingWrite == o {
 		cs.hasPendingWrite = false
 	}
-	cs.readSet[o] = true
-	cs.writeSet[o] = true
 	if cs.Proto == OS {
-		cs.Cache.TouchObj(o)
+		cs.Cache.TouchObj(o).read = true
 		cs.Cache.MarkObjDirty(o)
 	} else {
-		cs.pagesTouched[o.Page] = true
-		cs.Cache.TouchPage(o.Page)
+		cs.Cache.TouchPage(o.Page).read.add(o.Slot)
 		cs.Cache.MarkDirty(o)
 	}
 }
@@ -226,20 +220,46 @@ func (cs *ClientState) applyGrant(m *Msg) {
 	}
 }
 
+// The transaction's write set is the cache's dirty marks: RecordWrite is
+// the only thing that sets them, and commit and abort clear both at once.
+
 // Wrote reports whether the active transaction has updated o.
-func (cs *ClientState) Wrote(o ObjID) bool { return cs.writeSet[o] }
+func (cs *ClientState) Wrote(o ObjID) bool {
+	if cs.Proto == OS {
+		co := cs.Cache.Obj(o)
+		return co != nil && co.dirty
+	}
+	cp := cs.Cache.Page(o.Page)
+	return cp != nil && cp.dirtySlots.has(o.Slot)
+}
+
+// read reports whether the active transaction has referenced o (an update
+// is a reference too).
+func (cs *ClientState) read(o ObjID) bool {
+	if cs.Proto == OS {
+		co := cs.Cache.Obj(o)
+		return co != nil && co.read
+	}
+	cp := cs.Cache.Page(o.Page)
+	return cp != nil && cp.read.has(o.Slot)
+}
+
+// touched reports whether the active transaction has referenced any
+// object of page p (page modes).
+func (cs *ClientState) touched(p PageID) bool {
+	cp := cs.Cache.Page(p)
+	return cp != nil && cp.pinned
+}
 
 // WriteSetObjs returns the active transaction's updated objects
 // (deterministic order).
 func (cs *ClientState) WriteSetObjs() []ObjID {
-	out := make([]ObjID, 0, len(cs.writeSet))
-	for o := range cs.writeSet {
-		out = append(out, o)
+	if cs.Proto == OS {
+		return cs.Cache.DirtyObjs()
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	var out []ObjID
+	for _, p := range cs.Cache.DirtyPages() {
+		out = append(out, cs.WroteOn(p)...)
 	}
 	return out
 }
@@ -259,18 +279,16 @@ func (cs *ClientState) HoldsPageX(p PageID) bool { return cs.pageX[p] }
 func (cs *ClientState) HoldsObjX(o ObjID) bool { return cs.objX[o] }
 
 // WroteOn returns the objects of page p updated so far by the active
-// transaction (deterministic order).
+// transaction, ascending (page modes).
 func (cs *ClientState) WroteOn(p PageID) []ObjID {
-	var out []ObjID
-	for o := range cs.writeSet {
-		if o.Page == p {
-			out = append(out, o)
-		}
+	cp := cs.Cache.Page(p)
+	if cp == nil || !cp.dirty {
+		return nil
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && objLess(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	var scratch [64]uint16 // on the stack; wider pages spill to the heap
+	var out []ObjID
+	for _, s := range cp.dirtySlots.appendTo(scratch[:0]) {
+		out = append(out, ObjID{Page: p, Slot: s})
 	}
 	return out
 }
@@ -297,13 +315,13 @@ func (cs *ClientState) HandleCallback(m *Msg) (reply *Msg, deferred bool) {
 	// truthful deferred ack at transaction end.
 	switch m.CB {
 	case CBPage:
-		if cs.Active() && cs.pagesTouched[m.Page] {
+		if cs.Active() && cs.touched(m.Page) {
 			return busy(), true
 		}
 		cs.Cache.PurgePage(m.Page)
 		return ack(true), false
 	case CBObject:
-		if cs.Active() && (cs.readSet[m.Obj] || cs.writeSet[m.Obj]) {
+		if cs.Active() && cs.read(m.Obj) {
 			return busy(), true
 		}
 		if cs.Proto == OS {
@@ -313,8 +331,8 @@ func (cs *ClientState) HandleCallback(m *Msg) (reply *Msg, deferred bool) {
 		}
 		return ack(true), false
 	case CBAdaptive:
-		if cs.Active() && cs.pagesTouched[m.Page] {
-			if cs.readSet[m.Obj] || cs.writeSet[m.Obj] {
+		if cs.Active() && cs.touched(m.Page) {
+			if cs.read(m.Obj) {
 				return busy(), true
 			}
 			cs.Cache.MarkUnavailable(m.Obj)
@@ -408,11 +426,8 @@ func (cs *ClientState) endTxn() {
 	cs.Txn = NoTxn
 	cs.committing = false
 	cs.hasPendingWrite = false
-	cs.readSet = nil
-	cs.writeSet = nil
-	cs.pagesTouched = nil
-	cs.pageX = nil
-	cs.objX = nil
+	clear(cs.pageX)
+	clear(cs.objX)
 }
 
 // resolvePending discharges deferred callbacks now that no transaction is

@@ -243,13 +243,17 @@ func (lt *LockTab) ObjXObjs(t TxnID) []ObjID {
 	for o := range tl.ObjX {
 		objs = append(objs, o)
 	}
-	// Deterministic sort by (page, slot).
+	sortObjs(objs)
+	return objs
+}
+
+// sortObjs sorts by (page, slot); the inputs are transaction-sized.
+func sortObjs(objs []ObjID) {
 	for i := 1; i < len(objs); i++ {
 		for j := i; j > 0 && objLess(objs[j], objs[j-1]); j-- {
 			objs[j], objs[j-1] = objs[j-1], objs[j]
 		}
 	}
-	return objs
 }
 
 func objLess(a, b ObjID) bool {

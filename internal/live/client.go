@@ -50,10 +50,9 @@ type Client struct {
 	variable    bool // variable-size objects (OS protocol + VStore server)
 
 	mu           sync.Mutex
-	cond         *sync.Cond // signals reconnect completion / closure
-	cs           *core.ClientState
-	pageData     map[core.PageID][]byte
-	objData      map[core.ObjID][]byte
+	cond         *sync.Cond        // signals reconnect completion / closure
+	cs           *core.ClientState // cached bytes ride its cache entries' Payload
+	slots        []uint16          // scratch for walking a page's dirty slots
 	pending      map[int64]*pendingReq
 	nextReq      int64
 	lastTxn      core.TxnID
@@ -133,8 +132,6 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 		objsPerPage: int(hello.HelloObjsPP),
 		objSize:     int(hello.HelloObjSize),
 		variable:    hello.HelloVariable,
-		pageData:    make(map[core.PageID][]byte),
-		objData:     make(map[core.ObjID][]byte),
 		pending:     make(map[int64]*pendingReq),
 		closeCh:     make(chan struct{}),
 	}
@@ -245,7 +242,6 @@ func (c *Client) recvLoop() {
 		switch m.Kind {
 		case core.MCallback:
 			reply, _ := c.cs.HandleCallback(m)
-			c.cleanupPage(m.Page)
 			c.send(reply)
 			c.mu.Unlock()
 		case core.MDeescReq:
@@ -268,7 +264,6 @@ func (c *Client) recvLoop() {
 			for _, am := range c.cs.Abort() {
 				am := am
 				c.send(&am)
-				c.cleanupPage(am.Page)
 			}
 			c.txn = nil
 			c.mu.Unlock()
@@ -353,8 +348,6 @@ func (c *Client) reconnect(cause error) Conn {
 		c.conn = conn
 		c.id = hello.HelloID
 		c.cs = core.NewClientState(c.id, c.proto, c.cacheCap)
-		c.pageData = make(map[core.PageID][]byte)
-		c.objData = make(map[core.ObjID][]byte)
 		c.aliases = nil
 		c.reconnecting = false
 		c.cond.Broadcast()
@@ -374,23 +367,8 @@ func (c *Client) reconnect(cause error) Conn {
 // complete purely locally (read-only commit) can still notice a dead
 // connection; most callers rely on the receive loop for that instead.
 func (c *Client) send(m *core.Msg) error {
-	pages, objs := c.cs.Cache.TakeDropped()
-	m.DroppedPages, m.DroppedObjs = pages, objs
-	for _, p := range pages {
-		delete(c.pageData, p)
-	}
-	for _, o := range objs {
-		delete(c.objData, o)
-	}
+	m.DroppedPages, m.DroppedObjs = c.cs.Cache.TakeDropped()
 	return c.conn.Send(m)
-}
-
-// cleanupPage frees page bytes if the protocol state no longer caches the
-// page.
-func (c *Client) cleanupPage(p core.PageID) {
-	if !c.cs.Cache.HasPage(p) {
-		delete(c.pageData, p)
-	}
 }
 
 // Begin starts a transaction. It blocks until any previous transaction on
@@ -407,18 +385,27 @@ func (c *Client) Begin() (*Txn, error) {
 	if c.txn != nil {
 		return nil, errors.New("live: transaction already active on this client")
 	}
-	// Transaction ids must be unique across clients and roughly
-	// start-ordered (the deadlock victim policy aborts the youngest):
-	// nanosecond timestamp with the low byte replaced by the client id.
-	// Unique for up to 255 clients per server.
-	id := core.TxnID(time.Now().UnixNano())&^0xff | core.TxnID(c.id&0xff)
-	if id <= c.lastTxn {
-		id = c.lastTxn + 0x100
-	}
+	id := nextTxnID(time.Now().UnixNano(), c.id, c.lastTxn)
 	c.lastTxn = id
 	c.cs.Begin(id)
 	c.txn = &Txn{c: c}
 	return c.txn, nil
+}
+
+// nextTxnID builds a transaction id that is unique across the server's
+// sessions and roughly start-ordered (the deadlock victim policy aborts
+// the youngest): the nanosecond timestamp with its low 16 bits replaced
+// by the session id, bumped past the session's previous id. Session ids
+// only ever grow (reconnects take fresh ones), so 8 bits were not enough:
+// sessions 1 and 257 collided. Ids stay start-ordered to 65 µs, and unique
+// while fewer than 65536 session ids separate two live sessions.
+func nextTxnID(nowNanos int64, session core.ClientID, last core.TxnID) core.TxnID {
+	const sessionMask = 0xffff
+	id := core.TxnID(nowNanos)&^sessionMask | core.TxnID(session)&sessionMask
+	if id <= last {
+		id = last + sessionMask + 1
+	}
+	return id
 }
 
 // Txn is one transaction's handle. Its methods must be called from a
@@ -739,7 +726,6 @@ func (t *Txn) Commit() error {
 			for _, ack := range c.cs.OnCommitAck() {
 				ack := ack
 				c.send(&ack)
-				c.cleanupPage(ack.Page)
 			}
 		})
 		if err != nil {
@@ -763,7 +749,6 @@ func (t *Txn) Commit() error {
 		if err := c.send(&ack); err != nil {
 			sendErr = err
 		}
-		c.cleanupPage(ack.Page)
 	}
 	if sendErr != nil && c.opts.Redial == nil && !c.closed {
 		c.recvErr = sendErr
@@ -792,7 +777,6 @@ func (t *Txn) Abort() error {
 	for _, am := range c.cs.Abort() {
 		am := am
 		c.send(&am)
-		c.cleanupPage(am.Page)
 	}
 	c.met.abort()
 	t.done = true
@@ -800,47 +784,63 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// collectUpdates builds the afterimage map for the commit message.
+// collectUpdates builds the afterimage map for the commit message. The
+// images are copies (the message owns them once sent; the cached bytes
+// keep changing), carved out of one buffer per commit.
 func (c *Client) collectUpdates() map[core.ObjID][]byte {
-	updates := make(map[core.ObjID][]byte)
+	cache := c.cs.Cache
 	if c.proto == core.OS {
-		for _, o := range c.cs.Cache.DirtyObjs() {
-			updates[o] = append([]byte(nil), c.objData[o]...)
+		objs := cache.DirtyObjs()
+		updates := make(map[core.ObjID][]byte, len(objs))
+		for _, o := range objs {
+			updates[o] = append([]byte(nil), c.objValue(o)...)
 		}
 		return updates
 	}
-	for _, p := range c.cs.Cache.DirtyPages() {
-		cp := c.cs.Cache.Page(p)
-		for slot := range cp.Dirty {
-			o := core.ObjID{Page: p, Slot: slot}
-			updates[o] = append([]byte(nil), c.objSlice(p, slot)...)
+	pages := cache.DirtyPages()
+	n := 0
+	for _, p := range pages {
+		n += cache.DirtyObjCount(p)
+	}
+	updates := make(map[core.ObjID][]byte, n)
+	images := make([]byte, 0, n*c.objSize)
+	for _, p := range pages {
+		cp := cache.Page(p)
+		buf := pageBytes(cp)
+		c.slots = cp.DirtySlots(c.slots[:0])
+		for _, slot := range c.slots {
+			at := len(images)
+			images = append(images, buf[int(slot)*c.objSize:][:c.objSize]...)
+			updates[core.ObjID{Page: p, Slot: slot}] = images[at:len(images):len(images)]
 		}
 	}
 	return updates
 }
 
 // applyReply installs a data/grant reply, merging the incoming page with
-// local uncommitted updates.
+// local uncommitted updates. The reply's Data is adopted, not copied: a
+// received message belongs to the receiver (see Conn).
 func (c *Client) applyReply(m *core.Msg) {
 	switch m.Kind {
 	case core.MPageData:
-		// Preserve locally dirty object bytes across the install.
-		var saved map[uint16][]byte
-		if cp := c.cs.Cache.Page(m.Page); cp != nil && len(cp.Dirty) > 0 {
-			saved = make(map[uint16][]byte, len(cp.Dirty))
-			for slot := range cp.Dirty {
-				saved[slot] = append([]byte(nil), c.objSlice(m.Page, slot)...)
+		var old []byte
+		if cp := c.cs.Cache.Page(m.Page); cp != nil {
+			old = pageBytes(cp)
+		}
+		c.cs.OnReply(m)
+		cp := c.cs.Cache.Page(m.Page)
+		if old != nil {
+			// Carry the locally dirty objects over into the fresh copy.
+			c.slots = cp.DirtySlots(c.slots[:0])
+			for _, slot := range c.slots {
+				off := int(slot) * c.objSize
+				copy(m.Data[off:off+c.objSize], old[off:])
 			}
 		}
-		c.cs.OnReply(m)
-		buf := append([]byte(nil), m.Data...)
-		c.pageData[m.Page] = buf
-		for slot, bytes := range saved {
-			copy(buf[int(slot)*c.objSize:], bytes)
-		}
+		cp.Payload = m.Data
 	case core.MObjData:
 		c.cs.OnReply(m)
-		c.objData[m.Obj] = append([]byte(nil), m.Data...)
+		c.cs.Cache.Obj(m.Obj).Payload = m.Data
 	case core.MGrant:
 		c.cs.OnReply(m)
 	default:
@@ -848,41 +848,47 @@ func (c *Client) applyReply(m *core.Msg) {
 	}
 }
 
-// objSlice returns the in-place byte slice of an object within its cached
-// page buffer.
-func (c *Client) objSlice(p core.PageID, slot uint16) []byte {
-	buf := c.pageData[p]
+// pageBytes returns a cached page's buffer.
+func pageBytes(cp *core.CachedPage) []byte {
+	buf, _ := cp.Payload.([]byte)
 	if buf == nil {
-		panic(fmt.Sprintf("live: page %d bytes missing", p))
+		panic("live: cached page has no bytes")
 	}
-	off := int(slot) * c.objSize
-	return buf[off : off+c.objSize]
+	return buf
+}
+
+// objSlice returns the in-place byte slice of a page-cached object.
+func (c *Client) objSlice(o core.ObjID) []byte {
+	off := int(o.Slot) * c.objSize
+	return pageBytes(c.cs.Cache.Page(o.Page))[off : off+c.objSize]
+}
+
+// objValue returns an OS-cached object's bytes, in place.
+func (c *Client) objValue(o core.ObjID) []byte {
+	buf, _ := c.cs.Cache.Obj(o).Payload.([]byte)
+	return buf
 }
 
 // objBytes returns a copy of object o's current bytes from the cache.
 func (c *Client) objBytes(o core.ObjID) []byte {
 	if c.proto == core.OS {
-		return append([]byte(nil), c.objData[o]...)
+		return append([]byte(nil), c.objValue(o)...)
 	}
-	return append([]byte(nil), c.objSlice(o.Page, o.Slot)...)
+	return append([]byte(nil), c.objSlice(o)...)
 }
 
 // setObjBytes installs new object bytes in the cache (zero-padded).
 func (c *Client) setObjBytes(o core.ObjID, data []byte) {
 	if c.proto == core.OS {
+		n := c.objSize
 		if c.variable {
-			// Size-changing updates: store the exact value.
-			c.objData[o] = append([]byte(nil), data...)
-			return
+			n = len(data) // size-changing updates: store the exact value
 		}
-		buf := make([]byte, c.objSize)
+		buf := make([]byte, n)
 		copy(buf, data)
-		c.objData[o] = buf
+		c.cs.Cache.Obj(o).Payload = buf
 		return
 	}
-	slot := c.objSlice(o.Page, o.Slot)
-	n := copy(slot, data)
-	for i := n; i < len(slot); i++ {
-		slot[i] = 0
-	}
+	slot := c.objSlice(o)
+	clear(slot[copy(slot, data):])
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -530,5 +531,46 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 	if len(scan.recs) != 1 || scan.recs[0].Txn != 1 {
 		t.Fatalf("recovered %d records", len(scan.recs))
+	}
+}
+
+// TestSessionTxnIDsSurvive257Sessions: session ids only grow, and the
+// engine keys transactions by TxnID alone, so two sessions whose ids
+// differ by a multiple of 256 must not be able to mint the same id — which
+// they could while only the low byte named the session.
+func TestSessionTxnIDsSurvive257Sessions(t *testing.T) {
+	srv, _ := testServer(t, core.PSAA)
+	defer srv.Close()
+	clients := make([]*Client, 257)
+	for i := range clients {
+		clients[i] = attachClient(t, srv)
+		defer clients[i].Close()
+	}
+	first, last := clients[0], clients[256]
+	if first.ID() != 1 || last.ID() != 257 {
+		t.Fatalf("session ids %d and %d, want 1 and 257", first.ID(), last.ID())
+	}
+	// The same instant and the same history: only the session part of the
+	// id can tell the two apart.
+	for _, now := range []int64{0, 255, 256, 1<<16 - 1, 1 << 16, 1<<40 + 12345, time.Now().UnixNano()} {
+		if a, b := nextTxnID(now, first.ID(), 0), nextTxnID(now, last.ID(), 0); a == b {
+			t.Fatalf("sessions 1 and 257 both mint txn id %#x at t=%d", a, now)
+		}
+	}
+	// And Begin is what mints them.
+	for _, c := range []*Client{first, last} {
+		tx, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Lock()
+		id := c.cs.Txn
+		c.mu.Unlock()
+		if core.ClientID(id&0xffff) != c.ID() {
+			t.Fatalf("session %d began txn %#x: low 16 bits do not name the session", c.ID(), id)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

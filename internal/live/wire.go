@@ -16,6 +16,15 @@ import (
 
 // Conn is a bidirectional, ordered message channel between one client and
 // the server. Both in-process and TCP transports implement it.
+//
+// Ownership: a message and everything it points at (Data, Updates, the
+// id slices) pass to the transport on Send and to the caller on Recv.
+// The sender must not touch them afterwards — the in-process pipe hands
+// the very same Msg to the peer — and the receiver may keep or modify
+// them without copying: the client adopts a page reply's Data as its
+// cached page. Whoever fills a message therefore puts in bytes nobody
+// else holds (Store.ReadPage and decodeMsg return fresh copies; the
+// client copies afterimages out of its cache into Updates).
 type Conn interface {
 	// Send transmits one message. Safe for concurrent use. Sends may be
 	// buffered; the transport guarantees timely delivery without an

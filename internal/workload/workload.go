@@ -115,6 +115,11 @@ type Generator struct {
 	rng    *rand.Rand
 
 	hotStart, hotEnd int // logical page range [start, end)
+
+	// NextTxn's scratch.
+	pages []pageRefs
+	slots []int // the drawn pages' slots, page after page
+	perm  []int // one page's slot permutation
 }
 
 // NewGenerator creates the generator for client c (1-based).
@@ -123,7 +128,8 @@ func NewGenerator(spec Spec, layout *core.Layout, client int, rng *rand.Rand) *G
 	if client < 1 || client > spec.NumClients {
 		panic("workload: client out of range")
 	}
-	g := &Generator{spec: spec, layout: layout, client: client, rng: rng}
+	g := &Generator{spec: spec, layout: layout, client: client, rng: rng,
+		perm: make([]int, spec.ObjsPerPage)}
 	switch spec.Kind {
 	case HotCold, Private, InterleavedPrivate:
 		g.hotStart = (client - 1) * spec.HotPages
@@ -162,16 +168,22 @@ func (g *Generator) coldPage() int {
 	}
 }
 
-// NextTxn generates one transaction reference string.
+// pageRefs is one drawn page of the transaction being generated; its
+// slots are the next n entries of Generator.slots.
+type pageRefs struct {
+	page int
+	hot  bool
+	n    int
+}
+
+// NextTxn generates one transaction reference string. The returned slice
+// is freshly allocated (callers keep it across retries); everything else
+// is scratch reused from call to call. The RNG draw order is pinned by
+// TestGoldenReferenceStrings.
 func (g *Generator) NextTxn() []Ref {
 	s := &g.spec
-	type pageRefs struct {
-		page int
-		hot  bool
-		objs []int // slots
-	}
-	chosen := make(map[int]bool, s.TransPages)
-	pages := make([]pageRefs, 0, s.TransPages)
+	pages, slots := g.pages[:0], g.slots[:0]
+draw:
 	for len(pages) < s.TransPages {
 		var p int
 		var isHot bool
@@ -182,28 +194,39 @@ func (g *Generator) NextTxn() []Ref {
 			p = g.coldPage()
 			isHot = g.hot(p)
 		}
-		if chosen[p] {
-			continue // without replacement
+		for i := range pages {
+			if pages[i].page == p {
+				continue draw // without replacement
+			}
 		}
-		chosen[p] = true
 		n := s.LocMin + g.rng.Intn(s.LocMax-s.LocMin+1)
-		slots := g.rng.Perm(s.ObjsPerPage)[:n]
-		pages = append(pages, pageRefs{page: p, hot: isHot, objs: slots})
+		// rand.Perm(ObjsPerPage)[:n], draw for draw, without its allocation
+		// (Perm never reads an element before writing it, so the scratch
+		// needs no clearing).
+		for i := range g.perm {
+			j := g.rng.Intn(i + 1)
+			g.perm[i] = g.perm[j]
+			g.perm[j] = i
+		}
+		slots = append(slots, g.perm[:n]...)
+		pages = append(pages, pageRefs{page: p, hot: isHot, n: n})
 	}
+	g.pages, g.slots = pages, slots
 
-	var refs []Ref
+	refs := make([]Ref, 0, len(slots))
 	for _, pr := range pages {
 		wp := s.WriteProbCold
 		if pr.hot {
 			wp = s.WriteProbHot
 		}
-		for _, slot := range pr.objs {
+		for _, slot := range slots[:pr.n] {
 			logical := pr.page*s.ObjsPerPage + slot
 			refs = append(refs, Ref{
 				Obj:   g.layout.Obj(logical),
 				Write: g.rng.Float64() < wp,
 			})
 		}
+		slots = slots[pr.n:]
 	}
 	if !s.Clustered {
 		g.rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
