@@ -44,6 +44,11 @@ type ClientCache struct {
 
 	// Evictions counts total LRU evictions (stats).
 	Evictions int64
+
+	// OnDrop, when set, receives the Payload of every entry that leaves
+	// the cache (eviction, purge, abort), once the cache no longer refers
+	// to it: the driver may reuse what the payload holds.
+	OnDrop func(payload any)
 }
 
 // entry is what a cached page and a cached object have in common: LRU
@@ -265,6 +270,9 @@ func (c *ClientCache) dropPage(cp *CachedPage) {
 	if c.lastPage == cp {
 		c.lastPage = nil
 	}
+	if c.OnDrop != nil {
+		c.OnDrop(cp.Payload)
+	}
 }
 
 // DirtyPages returns the resident pages with uncommitted updates
@@ -410,6 +418,9 @@ func (c *ClientCache) dropObj(co *CachedObj) {
 	delete(c.objs, co.id)
 	if c.lastObj == co {
 		c.lastObj = nil
+	}
+	if c.OnDrop != nil {
+		c.OnDrop(co.Payload)
 	}
 }
 

@@ -376,6 +376,54 @@ func BenchmarkWireControl(b *testing.B) {
 	})
 }
 
+// BenchmarkReadMissTCP is the fetch path end to end: one client over
+// loopback TCP whose 16-page cache is cycled over a 64-page database, so
+// every read misses, fetches a page and evicts one. One op is one
+// transaction of 16 such reads (a transaction pins what it touches, so 16
+// is the most a 16-page cache turns over); allocs/op ÷ 16 is what a fetch
+// allocates on both ends. CI's alloc-regression step guards it.
+func BenchmarkReadMissTCP(b *testing.B) {
+	const pages, cache = 64, 16
+	srv, addr := startTCPServer(b, ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 20, NumPages: pages, SyncWAL: false,
+	})
+	defer srv.Close()
+	conn, err := Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := Connect(conn, ClientOptions{CachePages: cache})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	next := 0
+	txn := func() {
+		tx, err := cl.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < cache; i++ {
+			if _, err := tx.Read(o(core.PageID(next%pages), uint16(next%20))); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*pages/cache; i++ {
+		txn() // warm up: fill the cache, then reach one eviction per install
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		txn()
+	}
+	b.StopTimer() // before the deferred Closes
+}
+
 // BenchmarkVStoreWriteParallel measures the variable-object store's
 // install path under multi-core load: each goroutine rewrites same-size
 // objects on its own page, so every write fits in place and never touches

@@ -53,7 +53,7 @@ type Client struct {
 	cond         *sync.Cond        // signals reconnect completion / closure
 	cs           *core.ClientState // cached bytes ride its cache entries' Payload
 	slots        []uint16          // scratch for walking a page's dirty slots
-	pending      map[int64]*pendingReq
+	req          request           // the one outstanding request
 	nextReq      int64
 	lastTxn      core.TxnID
 	txn          *Txn
@@ -69,15 +69,36 @@ type Client struct {
 	aliases map[core.ObjID]core.ObjID
 }
 
-// pendingReq is one outstanding request. The receive loop runs apply under
-// the client lock the moment the reply arrives — atomically with respect
-// to callbacks and de-escalation requests, which may only be answered
-// after the reply's effects (grants, recorded writes) are installed — and
-// then signals done.
-type pendingReq struct {
-	apply func(rep *core.Msg)
-	done  chan reqOutcome
+// request is the client's one outstanding request: a transaction handle is
+// used from one goroutine and a client runs one transaction at a time, so
+// there is never a second. The receive loop applies the reply under the
+// client lock the moment it arrives — atomically with respect to
+// callbacks and de-escalation requests, which may only be answered after
+// the reply's effects (grants, recorded writes) are installed — and then
+// signals done.
+type request struct {
+	id   int64 // Req of the request in flight; 0 when there is none
+	kind reqKind
+	obj  core.ObjID // reqRead/reqWrite: the object asked for
+	data []byte     // reqWrite: the value to install once granted
+
+	// What the reply said: the value read, or the relocation front door's
+	// answer — a redirect (retry at moved) or a fence bounce (back off and
+	// retry in place).
+	val               []byte
+	moved             core.ObjID
+	redirected, fence bool
+
+	done chan reqOutcome // cap 1: at most one outcome per request
 }
+
+type reqKind uint8
+
+const (
+	reqRead reqKind = iota
+	reqWrite
+	reqCommit
+)
 
 type reqOutcome int
 
@@ -132,7 +153,7 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 		objsPerPage: int(hello.HelloObjsPP),
 		objSize:     int(hello.HelloObjSize),
 		variable:    hello.HelloVariable,
-		pending:     make(map[int64]*pendingReq),
+		req:         request{done: make(chan reqOutcome, 1)},
 		closeCh:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -144,7 +165,7 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 		cap *= c.objsPerPage
 	}
 	c.cacheCap = cap
-	c.cs = core.NewClientState(c.id, c.proto, cap)
+	c.cs = c.newState()
 	c.met = newClientMetrics(opts.Metrics, c.proto)
 	go c.recvLoop()
 	return c, nil
@@ -209,13 +230,47 @@ func (c *Client) Close() error {
 	return conn.Close()
 }
 
-// failPending marks the client closed and releases all waiters (mu held).
+// newState makes the protocol state of a fresh session (cold cache).
+func (c *Client) newState() *core.ClientState {
+	cs := core.NewClientState(c.id, c.proto, c.cacheCap)
+	cs.Cache.OnDrop = c.recycle
+	return cs
+}
+
+// recycle returns the buffer of a page (or object) the cache let go of to
+// the transport, which lands the next fetched payload in it (see Conn).
+// Nothing else may refer to the buffer: cached bytes only ever leave the
+// cache as copies (objBytes, collectUpdates). mu held.
+func (c *Client) recycle(payload any) {
+	if buf, ok := payload.([]byte); ok {
+		if t, ok := c.conn.(*tcpConn); ok {
+			t.recycle(buf)
+		}
+	}
+}
+
+// take ends the outstanding request, if there is one, and returns where
+// its outcome goes (mu held). The send may follow the unlock, so that the
+// waiter does not wake into a held lock: done has room (see request).
+func (c *Client) take() chan<- reqOutcome {
+	if c.req.id == 0 {
+		return nil
+	}
+	c.req.id = 0
+	return c.req.done
+}
+
+// resolve ends the outstanding request, if any, with out (mu held).
+func (c *Client) resolve(out reqOutcome) {
+	if done := c.take(); done != nil {
+		done <- out
+	}
+}
+
+// failPending marks the client closed and releases the waiter (mu held).
 func (c *Client) failPending() {
 	c.closed = true
-	for _, pr := range c.pending {
-		pr.done <- reqClosed
-	}
-	c.pending = map[int64]*pendingReq{}
+	c.resolve(reqClosed)
 	c.cond.Broadcast()
 }
 
@@ -253,12 +308,6 @@ func (c *Client) recvLoop() {
 				continue
 			}
 			c.met.abort()
-			// The verdict ends the transaction, so it resolves whatever
-			// request the transaction has in flight — not just the one the
-			// server named in Req: a reply to an unresolved request would
-			// otherwise be applied to a finished transaction.
-			aborted := c.pending
-			c.pending = map[int64]*pendingReq{}
 			// Roll the transaction back right here so subsequent messages
 			// see consistent state; the waiter just learns the outcome.
 			for _, am := range c.cs.Abort() {
@@ -266,19 +315,24 @@ func (c *Client) recvLoop() {
 				c.send(&am)
 			}
 			c.txn = nil
+			// The verdict ends the transaction, so it resolves whatever
+			// request the transaction has in flight — not just the one the
+			// server named in Req: a reply to an unresolved request would
+			// otherwise be applied to a finished transaction.
+			done := c.take()
 			c.mu.Unlock()
-			for _, pr := range aborted {
-				pr.done <- reqAborted
+			if done != nil {
+				done <- reqAborted
 			}
 		default:
-			pr := c.pending[m.Req]
-			delete(c.pending, m.Req)
-			if pr != nil && pr.apply != nil {
-				pr.apply(m)
+			var done chan<- reqOutcome
+			if c.req.id != 0 && c.req.id == m.Req {
+				c.applyPending(m)
+				done = c.take()
 			}
 			c.mu.Unlock()
-			if pr != nil {
-				pr.done <- reqOK
+			if done != nil {
+				done <- reqOK
 			}
 		}
 	}
@@ -306,10 +360,7 @@ func (c *Client) reconnect(cause error) Conn {
 		c.txn.failed = ErrDisconnected
 		c.txn = nil
 	}
-	for _, pr := range c.pending {
-		pr.done <- reqDisconnected
-	}
-	c.pending = map[int64]*pendingReq{}
+	c.resolve(reqDisconnected)
 	old := c.conn
 	c.mu.Unlock()
 	old.Close()
@@ -347,7 +398,7 @@ func (c *Client) reconnect(cause error) Conn {
 		// Fresh session: new id, cold cache, clean protocol state.
 		c.conn = conn
 		c.id = hello.HelloID
-		c.cs = core.NewClientState(c.id, c.proto, c.cacheCap)
+		c.cs = c.newState()
 		c.aliases = nil
 		c.reconnecting = false
 		c.cond.Broadcast()
@@ -363,9 +414,10 @@ func (c *Client) reconnect(cause error) Conn {
 
 // send transmits a message with drop notices attached. Callers hold c.mu,
 // which also serializes the wire order with the state mutations that
-// produced the message. The transport error is returned so paths that
-// complete purely locally (read-only commit) can still notice a dead
-// connection; most callers rely on the receive loop for that instead.
+// produced the message. The transport error is returned for the paths
+// that wait on the message's effect (roundTrip) or complete purely
+// locally (read-only commit); answers sent from the receive loop leave a
+// dead connection to its next Recv.
 func (c *Client) send(m *core.Msg) error {
 	m.DroppedPages, m.DroppedObjs = c.cs.Cache.TakeDropped()
 	return c.conn.Send(m)
@@ -421,14 +473,15 @@ type Txn struct {
 	relocs []core.RelocEntry
 }
 
-// roundTrip sends m and waits for its reply; apply runs under c.mu in the
-// receive loop the moment the reply arrives. The caller must hold c.mu;
-// the lock is released while waiting and reacquired before returning.
+// roundTrip sends m and waits for its reply, which the receive loop
+// applies under c.mu the moment it arrives (applyPending; what the reply
+// said is left in c.req). The caller must hold c.mu; the lock is released
+// while waiting and reacquired before returning.
 //
 // With a RequestTimeout configured the wait is bounded: on expiry the
 // connection is torn down (triggering reconnect, if configured) and the
 // caller gets ErrTimeout once the teardown has released the waiter.
-func (c *Client) roundTrip(m *core.Msg, apply func(rep *core.Msg)) error {
+func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byte) error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -436,28 +489,42 @@ func (c *Client) roundTrip(m *core.Msg, apply func(rep *core.Msg)) error {
 	m.Req = c.nextReq
 	m.Txn = c.cs.Txn
 	m.From = c.id
-	pr := &pendingReq{apply: apply, done: make(chan reqOutcome, 1)}
-	c.pending[m.Req] = pr
+	r := &c.req
+	r.id, r.kind, r.obj, r.data = m.Req, kind, obj, data
+	r.val, r.redirected, r.fence = nil, false, false
 	conn := c.conn
 	start := time.Now()
-	c.send(m)
+	if err := c.send(m); err != nil {
+		// Sends write through, so a dead connection says so here: end the
+		// session now instead of parking on a reply that cannot come and
+		// leaving the receive loop to notice a half-dead socket.
+		r.id = 0
+		conn.Close()
+		if c.opts.Redial == nil {
+			c.recvErr = err
+			c.failPending()
+			return ErrClosed
+		}
+		c.abandonSession(conn, ErrDisconnected)
+		return ErrDisconnected
+	}
 	c.mu.Unlock()
 	var out reqOutcome
 	timedOut := false
 	if c.opts.RequestTimeout > 0 {
 		t := time.NewTimer(c.opts.RequestTimeout)
 		select {
-		case out = <-pr.done:
+		case out = <-r.done:
 			t.Stop()
 		case <-t.C:
 			// Kill the (stalled) connection; the recv loop notices and
-			// fails or replaces the session, releasing every waiter.
+			// fails or replaces the session, releasing the waiter.
 			timedOut = true
 			conn.Close()
-			out = <-pr.done
+			out = <-r.done
 		}
 	} else {
-		out = <-pr.done
+		out = <-r.done
 	}
 	c.met.rtt(time.Since(start))
 	c.mu.Lock()
@@ -467,18 +534,8 @@ func (c *Client) roundTrip(m *core.Msg, apply func(rep *core.Msg)) error {
 		// first (transports drain buffered messages on close), in which
 		// case the waiter was released with reqOK and the recv loop has
 		// not yet seen the transport error. The session is doomed either
-		// way: park new Begins behind the reconnect and finish the active
-		// transaction now, so the client is reusable the moment the recv
-		// loop replaces (or permanently fails) the session. Skip if the
-		// recv loop already swapped in a fresh connection.
-		if c.conn == conn && !c.closed {
-			c.reconnecting = true
-			if c.txn != nil {
-				c.txn.done = true
-				c.txn.failed = ErrTimeout
-				c.txn = nil
-			}
-		}
+		// way.
+		c.abandonSession(conn, ErrTimeout)
 		return ErrTimeout
 	case out == reqAborted:
 		return ErrAborted
@@ -488,6 +545,66 @@ func (c *Client) roundTrip(m *core.Msg, apply func(rep *core.Msg)) error {
 		return ErrDisconnected
 	}
 	return nil
+}
+
+// abandonSession gives up on the session over conn ahead of the receive
+// loop: park new Begins behind the reconnect and finish the active
+// transaction now with cause, so the client is reusable the moment the
+// receive loop replaces (or permanently fails) the session. A no-op if
+// the receive loop already swapped in a fresh connection. mu held.
+func (c *Client) abandonSession(conn Conn, cause error) {
+	if c.conn == conn && !c.closed {
+		c.reconnecting = true
+		if c.txn != nil {
+			c.txn.done = true
+			c.txn.failed = cause
+			c.txn = nil
+		}
+	}
+}
+
+// applyPending applies the reply to the outstanding request. It runs in
+// the receive loop under c.mu.
+func (c *Client) applyPending(rep *core.Msg) {
+	r := &c.req
+	switch {
+	case r.kind == reqCommit:
+		if rep.Kind != core.MCommitAck {
+			panic(fmt.Sprintf("live: unexpected commit reply %v", rep.Kind))
+		}
+		// Discharge deferred callbacks on the receive path so the acks
+		// stay ordered with the transaction's end.
+		for _, ack := range c.cs.OnCommitAck() {
+			ack := ack
+			c.send(&ack)
+		}
+	case rep.Kind == core.MRelocated:
+		// The relocation front door, before applyReply would reject the
+		// unexpected kind.
+		if len(rep.Objs) > 0 {
+			r.moved, r.redirected = rep.Objs[0], true
+		} else {
+			r.fence = true
+		}
+	default:
+		// Install the data and complete the access before any later
+		// callback can touch the object.
+		c.applyReply(rep)
+		r.val = c.complete(r.kind, r.obj, r.data)
+	}
+}
+
+// complete performs a read or write that the protocol state now allows
+// locally: it records the access and returns a copy of the value read, or
+// installs data in the cache.
+func (c *Client) complete(kind reqKind, o core.ObjID, data []byte) []byte {
+	if kind == reqWrite {
+		c.cs.RecordWrite(o)
+		c.setObjBytes(o, data)
+		return nil
+	}
+	c.cs.RecordRead(o)
+	return c.objBytes(o)
 }
 
 func (t *Txn) check() error {
@@ -567,74 +684,11 @@ func (t *Txn) fenceWait(attempt int) error {
 	return t.check()
 }
 
-// relocReply inspects a roundTrip reply for the relocation front door's
-// answers: a redirect (retry at the returned address) or a fence bounce
-// (empty Objs: back off and retry in place). Runs in the receive loop
-// under c.mu, before applyReply would reject the unexpected kind.
-func relocReply(rep *core.Msg, redirect *core.ObjID, isRedirect, fenced *bool) bool {
-	if rep.Kind != core.MRelocated {
-		return false
-	}
-	if len(rep.Objs) > 0 {
-		*redirect = rep.Objs[0]
-		*isRedirect = true
-	} else {
-		*fenced = true
-	}
-	return true
-}
-
 // Read returns the current value of object o under this transaction. If o
 // was migrated by the reclusterer the server answers with a redirect; the
 // client follows it (caching the alias) transparently.
 func (t *Txn) Read(o core.ObjID) ([]byte, error) {
-	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := t.check(); err != nil {
-		return nil, err
-	}
-	if err := c.checkObjID(o); err != nil {
-		return nil, err
-	}
-	target := c.resolveAlias(o)
-	for attempt := 0; ; attempt++ {
-		if m := c.cs.NeedForRead(target); m != nil {
-			c.met.miss()
-			var val []byte
-			var redirect core.ObjID
-			var isRedirect, fenced bool
-			cur := target
-			err := c.roundTrip(m, func(rep *core.Msg) {
-				if relocReply(rep, &redirect, &isRedirect, &fenced) {
-					return
-				}
-				// Runs in the receive loop: install the data, record the read,
-				// and snapshot the value before any later callback can touch it.
-				c.applyReply(rep)
-				c.cs.RecordRead(cur)
-				val = c.objBytes(cur)
-			})
-			if err != nil {
-				return nil, t.finishIfAborted(err)
-			}
-			if fenced {
-				if err := t.fenceWait(attempt); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if isRedirect {
-				c.learnAlias(o, redirect)
-				target = redirect
-				continue
-			}
-			return val, nil
-		}
-		c.met.hit()
-		c.cs.RecordRead(target)
-		return c.objBytes(target), nil
-	}
+	return t.access(reqRead, o, nil)
 }
 
 // Write installs a new value for object o (at most ObjSize bytes; shorter
@@ -643,54 +697,54 @@ func (t *Txn) Read(o core.ObjID) ([]byte, error) {
 // serializable even if the local copy was stale. Redirects are followed
 // like Read's.
 func (t *Txn) Write(o core.ObjID, data []byte) error {
+	_, err := t.access(reqWrite, o, data)
+	return err
+}
+
+// access is Read and Write: complete the access locally if the protocol
+// state allows it, otherwise ask the server and follow the relocation
+// front door's answers until it does.
+func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 	c := t.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := t.check(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := c.checkObjID(o); err != nil {
-		return err
+		return nil, err
 	}
 	if len(data) > c.objSize {
-		return fmt.Errorf("live: value %d bytes exceeds object size %d", len(data), c.objSize)
+		return nil, fmt.Errorf("live: value %d bytes exceeds object size %d", len(data), c.objSize)
 	}
 	target := c.resolveAlias(o)
 	for attempt := 0; ; attempt++ {
-		c.cs.StartWrite(target)
-		if m := c.cs.NeedForWrite(target); m != nil {
-			c.met.miss()
-			var redirect core.ObjID
-			var isRedirect, fenced bool
-			cur := target
-			err := c.roundTrip(m, func(rep *core.Msg) {
-				if relocReply(rep, &redirect, &isRedirect, &fenced) {
-					return
-				}
-				c.applyReply(rep)
-				c.cs.RecordWrite(cur)
-				c.setObjBytes(cur, data)
-			})
-			if err != nil {
-				return t.finishIfAborted(err)
-			}
-			if fenced {
-				if err := t.fenceWait(attempt); err != nil {
-					return err
-				}
-				continue
-			}
-			if isRedirect {
-				c.learnAlias(o, redirect)
-				target = redirect
-				continue
-			}
-			return nil
+		var m *core.Msg
+		if kind == reqWrite {
+			c.cs.StartWrite(target)
+			m = c.cs.NeedForWrite(target)
+		} else {
+			m = c.cs.NeedForRead(target)
 		}
-		c.met.hit()
-		c.cs.RecordWrite(target)
-		c.setObjBytes(target, data)
-		return nil
+		if m == nil {
+			c.met.hit()
+			return c.complete(kind, target, data), nil
+		}
+		c.met.miss()
+		if err := c.roundTrip(m, kind, target, data); err != nil {
+			return nil, t.finishIfAborted(err)
+		}
+		switch r := &c.req; {
+		case r.fence:
+			if err := t.fenceWait(attempt); err != nil {
+				return nil, err
+			}
+		case r.redirected:
+			c.learnAlias(o, r.moved)
+			target = r.moved
+		default:
+			return r.val, nil
+		}
 	}
 }
 
@@ -717,18 +771,7 @@ func (t *Txn) Commit() error {
 		m := c.cs.BuildCommit()
 		m.Updates = updates
 		m.Relocs = t.relocs
-		err := c.roundTrip(m, func(rep *core.Msg) {
-			if rep.Kind != core.MCommitAck {
-				panic(fmt.Sprintf("live: unexpected commit reply %v", rep.Kind))
-			}
-			// Discharge deferred callbacks on the receive path so the acks
-			// stay ordered with the transaction's end.
-			for _, ack := range c.cs.OnCommitAck() {
-				ack := ack
-				c.send(&ack)
-			}
-		})
-		if err != nil {
+		if err := c.roundTrip(m, reqCommit, core.ObjID{}, nil); err != nil {
 			return t.finishIfAborted(err)
 		}
 		c.met.commit()
@@ -793,7 +836,7 @@ func (c *Client) collectUpdates() map[core.ObjID][]byte {
 		objs := cache.DirtyObjs()
 		updates := make(map[core.ObjID][]byte, len(objs))
 		for _, o := range objs {
-			updates[o] = append([]byte(nil), c.objValue(o)...)
+			updates[o] = cloneBytes(c.objValue(o))
 		}
 		return updates
 	}
@@ -836,6 +879,7 @@ func (c *Client) applyReply(m *core.Msg) {
 				off := int(slot) * c.objSize
 				copy(m.Data[off:off+c.objSize], old[off:])
 			}
+			c.recycle(old) // replaced below, and nothing else holds it
 		}
 		cp.Payload = m.Data
 	case core.MObjData:
@@ -872,9 +916,18 @@ func (c *Client) objValue(o core.ObjID) []byte {
 // objBytes returns a copy of object o's current bytes from the cache.
 func (c *Client) objBytes(o core.ObjID) []byte {
 	if c.proto == core.OS {
-		return append([]byte(nil), c.objValue(o)...)
+		return cloneBytes(c.objValue(o))
 	}
-	return append([]byte(nil), c.objSlice(o)...)
+	return cloneBytes(c.objSlice(o))
+}
+
+// cloneBytes is copyOf with append([]byte(nil), b...)'s result for an
+// empty b: nil.
+func cloneBytes(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return copyOf(b)
 }
 
 // setObjBytes installs new object bytes in the cache (zero-padded).

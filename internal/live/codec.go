@@ -32,10 +32,22 @@ import (
 // message (the largest legitimate message is one page + control fields).
 const maxFrame = 1 << 28
 
-// encBufPool recycles encode buffers across Send calls; buffers grow to
-// the largest message seen (typically one page + overhead) and stay
-// there.
+// encBufPool recycles encode buffers across sends; buffers grow to the
+// largest message or pump batch seen (putEncBuf drops the outliers).
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// encBufKeep is how many bytes a session pump gathers before it writes
+// (sixteen page replies), and with that the size of the encode buffers
+// the pool keeps: a batch overshoots it by at most its last frame, and
+// append rounds the capacity up.
+const encBufKeep = 64 << 10
+
+func putEncBuf(bp *[]byte, b []byte) {
+	if cap(b) <= 2*encBufKeep {
+		*bp = b[:0]
+		encBufPool.Put(bp)
+	}
+}
 
 func appendInt(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 func appendUint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -101,6 +113,45 @@ func appendUpdates(b []byte, m map[core.ObjID][]byte) []byte {
 
 // appendMsg encodes m onto b and returns the extended buffer.
 func appendMsg(b []byte, m *core.Msg) []byte {
+	b = appendMsgHead(b, m)
+	b = appendBytes(b, m.Data)
+	return appendMsgTail(b, m)
+}
+
+// appendMsgFrame appends m's frame (length header, then body) to dst. With a
+// store, m is a data grant staged without its payload (Server.stage): the
+// Data field is copied straight out of the store's frame under the page
+// latch, and the frame is byte for byte what m with Data filled in would
+// encode to.
+func appendMsgFrame(dst []byte, m *core.Msg, store objectStore) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	if store == nil {
+		dst = appendMsg(dst, m)
+	} else {
+		dst = appendMsgHead(dst, m)
+		var err error
+		if m.Kind == core.MPageData {
+			dst, err = store.appendPage(dst, m.Page)
+		} else {
+			dst, err = store.appendObj(dst, m.Obj)
+		}
+		if err != nil {
+			return dst[:at], err
+		}
+		dst = appendMsgTail(dst, m)
+	}
+	body := len(dst) - at - 4
+	if body > maxFrame {
+		return dst[:at], fmt.Errorf("live: message exceeds frame limit (%d bytes)", body)
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(body))
+	return dst, nil
+}
+
+// appendMsgHead encodes the fields ahead of Data, appendMsgTail the ones
+// behind it.
+func appendMsgHead(b []byte, m *core.Msg) []byte {
 	b = appendInt(b, int64(m.Kind))
 	b = appendInt(b, int64(m.From))
 	b = appendInt(b, int64(m.To))
@@ -136,8 +187,10 @@ func appendMsg(b []byte, m *core.Msg) []byte {
 	b = appendObjIDs(b, m.PurgedObjs)
 	b = appendObjIDs(b, m.DeescObjs)
 	b = appendPageIDs(b, m.DroppedPages)
-	b = appendObjIDs(b, m.DroppedObjs)
-	b = appendBytes(b, m.Data)
+	return appendObjIDs(b, m.DroppedObjs)
+}
+
+func appendMsgTail(b []byte, m *core.Msg) []byte {
 	b = appendUpdates(b, m.Updates)
 
 	b = appendInt(b, int64(m.HelloID))
@@ -149,8 +202,8 @@ func appendMsg(b []byte, m *core.Msg) []byte {
 }
 
 // wireDecoder consumes an encoded body with sticky error tracking; the
-// caller checks err once at the end. Decoded slices never alias the
-// input, so frame read buffers can be reused.
+// caller checks err once at the end. Apart from view, decoded slices
+// never alias the input, so frame read buffers can be reused.
 type wireDecoder struct {
 	b   []byte
 	off int
@@ -219,14 +272,28 @@ func (d *wireDecoder) length() (n int, isNil bool) {
 	return n, false
 }
 
-func (d *wireDecoder) bytes() []byte {
+// view returns a byte field in place: the result aliases the input.
+func (d *wireDecoder) view() []byte {
 	n, isNil := d.length()
 	if isNil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:])
+	out := d.b[d.off : d.off+n : d.off+n]
 	d.off += n
+	return out
+}
+
+func (d *wireDecoder) bytes() []byte { return copyOf(d.view()) }
+
+// copyOf copies b — nil stays nil and empty stays empty, which the codec
+// tells apart — as one unzeroed allocation and a memmove
+// (append([]byte(nil), b...) goes through growslice instead).
+func copyOf(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
 	return out
 }
 
@@ -293,10 +360,21 @@ func (d *wireDecoder) updates() map[core.ObjID][]byte {
 	return out
 }
 
-// decodeMsg decodes one frame body. It rejects truncated input and
-// trailing garbage, so a framing bug surfaces as a decode error rather
-// than silent field skew.
+// decodeMsg decodes one frame body into a message that shares nothing
+// with b.
 func decodeMsg(b []byte) (*core.Msg, error) {
+	m, err := decodeFrame(b)
+	if err == nil {
+		m.Data = copyOf(m.Data)
+	}
+	return m, err
+}
+
+// decodeFrame decodes one frame body, leaving Data a view into b for the
+// caller to copy wherever it wants the payload to live. It rejects
+// truncated input and trailing garbage, so a framing bug surfaces as a
+// decode error rather than silent field skew.
+func decodeFrame(b []byte) (*core.Msg, error) {
 	d := wireDecoder{b: b}
 	m := &core.Msg{}
 	m.Kind = core.MsgKind(d.int())
@@ -326,7 +404,7 @@ func decodeMsg(b []byte) (*core.Msg, error) {
 	m.DeescObjs = d.objIDs()
 	m.DroppedPages = d.pageIDs()
 	m.DroppedObjs = d.objIDs()
-	m.Data = d.bytes()
+	m.Data = d.view()
 	m.Updates = d.updates()
 
 	m.HelloID = core.ClientID(d.int())

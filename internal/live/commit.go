@@ -181,7 +181,7 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 		}
 	}
 
-	staged, overflow := s.stage(sh.eng.Handle(m))
+	staged, overflow := s.stage(sess, sh.eng.Handle(m))
 
 	// Callback-deadline bookkeeping, after the engine step: any ack
 	// proves the client is alive, and a busy reply defers the real
@@ -447,7 +447,7 @@ func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
 		} else {
 			outs = sh.eng.HandleAbortShard(sub, i == owner)
 		}
-		st, ov := s.stage(outs)
+		st, ov := s.stage(sess, outs)
 		s.unlockShard(sh, held)
 		staged = append(staged, st...)
 		overflow = append(overflow, ov...)

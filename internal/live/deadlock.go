@@ -187,7 +187,7 @@ func (s *Server) CheckDeadlocks() int {
 		var st []stagedPayload
 		var ov []core.ClientID
 		if ok {
-			st, ov = s.stage(outs)
+			st, ov = s.stage(nil, outs)
 		}
 		s.unlockShard(sh, held)
 		if !ok {

@@ -1,0 +1,421 @@
+package live
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// TestFrameDirectEncodingMatchesAppendMsg: a data grant encoded straight
+// from the store is, byte for byte, the frame of the same message with
+// Data filled in — so a client built before the frame-direct encoder still
+// talks to this server.
+func TestFrameDirectEncodingMatchesAppendMsg(t *testing.T) {
+	st, err := CreateStore(filepath.Join(t.TempDir(), "data.db"), 256, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for slot := uint16(0); slot < 4; slot++ {
+		if err := st.WriteObj(o(3, slot), bytes.Repeat([]byte{byte(0xA0 + slot)}, 40+int(slot))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vs, err := CreateVStore(filepath.Join(t.TempDir(), "vdata.db"), 256, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	if err := vs.WriteVObj(2, 1, []byte("a variable-size value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.WriteVObj(2, 2, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name  string
+		store objectStore
+		m     core.Msg
+	}{
+		{"page", st, core.Msg{Kind: core.MPageData, To: 3, Txn: 77, Req: 12, Page: 3, Obj: o(3, 1),
+			Grant: core.GrantPage, Unavail: []uint16{1, 3}, Epoch: 9}},
+		{"untouched page", st, core.Msg{Kind: core.MPageData, To: 1, Req: 1, Page: 7}},
+		{"object", st, core.Msg{Kind: core.MObjData, To: 2, Txn: 5, Req: 8, Page: 3, Obj: o(3, 2), Grant: core.GrantObject}},
+		{"variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 9, Page: 2, Obj: o(2, 1)}},
+		{"empty variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 10, Page: 2, Obj: o(2, 2)}},
+		{"unwritten variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 11, Page: 2, Obj: o(2, 3)}},
+	}
+	for _, tc := range cases {
+		direct, err := appendMsgFrame(nil, &tc.m, tc.store)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		filled := tc.m
+		if tc.m.Kind == core.MPageData {
+			filled.Data, err = tc.store.ReadPage(tc.m.Page)
+		} else {
+			filled.Data, err = tc.store.ReadObj(tc.m.Obj)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body := appendMsg(nil, &filled)
+		want := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+		if !bytes.Equal(direct, want) {
+			t.Errorf("%s: frame-direct encoding differs from appendMsg's:\n got %x\nwant %x", tc.name, direct, want)
+		}
+		// A second frame lands behind the first without disturbing it.
+		two, err := appendMsgFrame(direct, &tc.m, tc.store)
+		if err != nil || !bytes.Equal(two[:len(want)], want) || !bytes.Equal(two[len(want):], want) {
+			t.Errorf("%s: appending a second frame: err %v", tc.name, err)
+		}
+	}
+	if _, err := appendMsgFrame(nil, &core.Msg{Kind: core.MPageData, Page: 99}, st); err == nil {
+		t.Error("a grant for a page outside the store encoded without error")
+	}
+}
+
+// sendFailConn delivers a hello and then fails every Send, like a socket
+// whose peer is gone; Recv parks until Close.
+type sendFailConn struct {
+	hello  chan *core.Msg
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newSendFailConn() *sendFailConn {
+	c := &sendFailConn{hello: make(chan *core.Msg, 1), closed: make(chan struct{})}
+	c.hello <- &core.Msg{Kind: core.MHello, HelloID: 1, HelloPages: 8, HelloObjsPP: 4, HelloObjSize: 16, HelloProto: core.PSAA}
+	return c
+}
+
+func (c *sendFailConn) Send(*core.Msg) error { return errors.New("write: broken pipe") }
+
+func (c *sendFailConn) Recv() (*core.Msg, error) {
+	select {
+	case m := <-c.hello:
+		return m, nil
+	case <-c.closed:
+		return nil, io.EOF
+	}
+}
+
+func (c *sendFailConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestSendFailureFailsRequest: sends write through, so a request that
+// could not be written fails there and then — with no RequestTimeout to
+// rescue it — and takes the session with it: the client closes, or, with a
+// Redial policy, reconnects.
+func TestSendFailureFailsRequest(t *testing.T) {
+	read := func(t *testing.T, cl *Client) error {
+		t.Helper()
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		errCh := make(chan error, 1)
+		go func() {
+			_, err := tx.Read(o(1, 0))
+			errCh <- err
+		}()
+		select {
+		case err := <-errCh:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("Read parked on a request whose Send failed")
+			return nil
+		}
+	}
+
+	t.Run("closes", func(t *testing.T) {
+		cl, err := Connect(newSendFailConn(), ClientOptions{RequestTimeout: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := read(t, cl); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Read = %v, want ErrClosed", err)
+		}
+		if _, err := cl.Begin(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Begin after the failed send = %v, want ErrClosed", err)
+		}
+	})
+
+	t.Run("reconnects", func(t *testing.T) {
+		srv, _ := testServer(t, core.PSAA)
+		defer srv.Close()
+		cl, err := Connect(newSendFailConn(), ClientOptions{
+			Retry: RetryPolicy{BaseDelay: time.Millisecond},
+			Redial: func() (Conn, error) {
+				cEnd, sEnd := Pipe()
+				_, err := srv.Attach(sEnd)
+				return cEnd, err
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := read(t, cl); !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("Read = %v, want ErrDisconnected", err)
+		}
+		if err := read(t, cl); err != nil { // Begin waits out the reconnect
+			t.Fatalf("Read on the re-dialed session: %v", err)
+		}
+	})
+}
+
+// genValue is an object holding generation g in every 8-byte word, so a
+// torn or half-installed object cannot pass for any generation.
+func genValue(size int, g uint64) []byte {
+	v := make([]byte, size)
+	for i := 0; i+8 <= size; i += 8 {
+		binary.LittleEndian.PutUint64(v[i:], g)
+	}
+	return v
+}
+
+// wholeGen returns the generation v holds, or false if its words disagree.
+func wholeGen(v []byte) (uint64, bool) {
+	g := binary.LittleEndian.Uint64(v)
+	for i := 8; i+8 <= len(v); i += 8 {
+		if binary.LittleEndian.Uint64(v[i:]) != g {
+			return 0, false
+		}
+	}
+	return g, true
+}
+
+// TestFetchNeverTorn: one session rewrites slots 1-3 of a page with the
+// next generation, over and over, while two TCP sessions keep fetching the
+// page cold (a one-page cache they evict it from between reads) through
+// slot 0, which nobody writes — so the grant waits for no lock and the
+// server copies the page out of the store's frame, while it writes the
+// socket, concurrently with the writer's installs. Every object a reader
+// sees must be whole, slots 1-3 of one transaction's view the same
+// generation, and that generation no older than the last commit that had
+// been acknowledged before the reader asked. Run under -race.
+func TestFetchNeverTorn(t *testing.T) {
+	const page, other = 5, 6
+	srv, addr := startTransportServer(t, ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: 16, SyncWAL: false,
+		Transport: TransportGoroutine,
+	})
+	defer srv.Close()
+	dial := func(cache int) *Client {
+		conn, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Connect(conn, ClientOptions{CachePages: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	writer := dial(4)
+	defer writer.Close()
+	size := writer.ObjSize()
+
+	commits := 400
+	if testing.Short() {
+		commits = 100
+	}
+	var acked atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reader := dial(1)
+		defer reader.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// view reads the page's four slots in one transaction.
+			view := func(floor uint64) error {
+				tx, err := reader.Begin()
+				if err != nil {
+					return err
+				}
+				var gen uint64
+				for slot := uint16(0); slot < 4; slot++ {
+					v, err := tx.Read(o(page, slot))
+					if err != nil {
+						return err
+					}
+					g, whole := wholeGen(v)
+					switch {
+					case !whole:
+						t.Errorf("slot %d: torn object %x…", slot, v[:24])
+					case slot == 0 && g != 0:
+						t.Errorf("slot 0 holds %d, but nobody writes it", g)
+					case slot > 1 && g != gen:
+						t.Errorf("slot %d at generation %d, slot 1 at %d in one transaction", slot, g, gen)
+					case slot > 0 && g < floor:
+						t.Errorf("slot %d at generation %d, but %d was acknowledged before the request", slot, g, floor)
+					}
+					gen = g
+				}
+				return tx.Commit()
+			}
+			// evict reads another page, so the next view fetches cold.
+			evict := func() error {
+				tx, err := reader.Begin()
+				if err != nil {
+					return err
+				}
+				if _, err := tx.Read(o(other, 0)); err != nil {
+					return err
+				}
+				return tx.Commit()
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				err := view(acked.Load())
+				if err == nil {
+					err = evict()
+				}
+				if err != nil && !errors.Is(err, ErrAborted) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := uint64(1); g <= uint64(commits) && !t.Failed(); g++ {
+		tx, err := writer.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := genValue(size, g)
+		for slot := uint16(1); slot < 4 && err == nil; slot++ {
+			err = tx.Write(o(page, slot), val)
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		switch {
+		case errors.Is(err, ErrAborted):
+			g-- // deadlock victim: same generation again
+		case err != nil:
+			t.Fatal(err)
+		default:
+			acked.Store(g)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestReadResultSurvivesBufferRecycle: a client over TCP recycles the
+// buffer of every page its cache drops into the next fetch. Nothing the
+// client handed out may live in such a buffer: values returned by Read and
+// afterimages collected for a commit still hold what they held when they
+// were made after their page was evicted and its buffer reused, many times
+// over.
+func TestReadResultSurvivesBufferRecycle(t *testing.T) {
+	const pages, cache = 8, 2
+	srv, addr := startTransportServer(t, ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: pages, SyncWAL: false,
+		Transport: TransportGoroutine,
+	})
+	defer srv.Close()
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Connect(conn, ClientOptions{CachePages: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	size := cl.ObjSize()
+
+	// Every object gets a value of its own, committed two pages at a time.
+	value := func(p, slot int) []byte { return genValue(size, uint64(p)<<8|uint64(slot)) }
+	for p := 0; p < pages; p += cache {
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := p; q < p+cache; q++ {
+			for slot := 0; slot < 4; slot++ {
+				if err := tx.Write(o(core.PageID(q), uint16(slot)), value(q, slot)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if p == 0 {
+			// Afterimages as Commit collects them, kept past the commit.
+			cl.mu.Lock()
+			images := cl.collectUpdates()
+			cl.mu.Unlock()
+			defer func() {
+				for ob, img := range images {
+					if want := value(int(ob.Page), int(ob.Slot)); !bytes.Equal(img, want) {
+						t.Errorf("afterimage of %v changed after its page's buffer was recycled", ob)
+					}
+				}
+			}()
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type kept struct {
+		got  []byte // what Read returned, held on to
+		want []byte
+	}
+	var held []kept
+	buffers := make(map[*byte]bool) // distinct page buffers the cache ever held
+	installs := 0
+	for round := 0; round < 4; round++ {
+		for p := 0; p < pages; p += cache {
+			tx, err := cl.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q := p; q < p+cache; q++ {
+				slot := (q + round) % 4
+				got, err := tx.Read(o(core.PageID(q), uint16(slot)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, kept{got, value(q, slot)})
+				cl.mu.Lock()
+				buffers[&pageBytes(cl.cs.Cache.Page(core.PageID(q)))[0]] = true
+				cl.mu.Unlock()
+				installs++
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, k := range held {
+		if !bytes.Equal(k.got, k.want) {
+			t.Fatalf("read %d: the returned slice changed underneath its holder", i)
+		}
+	}
+	// The cycle really did reuse buffers: far fewer distinct ones than
+	// installs (without recycling every install allocates its own).
+	if len(buffers) > installs/4 {
+		t.Errorf("%d installs went through %d distinct buffers; recycling is not happening", installs, len(buffers))
+	}
+}

@@ -86,8 +86,8 @@ type ServerOptions struct {
 	ReclusterSpare int
 	// Transport selects what drives the session machine behind each
 	// accepted TCP socket: TransportGoroutine (the default) parks two
-	// goroutines per session on the blocking connection (reader + pump,
-	// plus the connection's flusher); TransportReactor multiplexes every
+	// goroutines per session on the blocking connection (reader + pump);
+	// TransportReactor multiplexes every
 	// session onto a small set of epoll event loops — O(loops) goroutines
 	// regardless of the session count, which is what lets one server hold
 	// 10k-100k sessions, at roughly twice the per-request latency when

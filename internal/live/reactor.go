@@ -4,11 +4,11 @@ package live
 
 // The reactor transport: every TCP session multiplexed onto a small set
 // of epoll event loops, so the server's steady-state goroutine count is
-// O(loops), not O(sessions). The goroutine transport costs three
-// goroutines per session (blockingConn's reader + pump, plus the
-// connection's flusher) — fine at the paper's 32 clients, dead at the
-// 10k-100k sessions a page server is supposed to hold. Both drive the
-// same session machine (session.go) through asyncConn.
+// O(loops), not O(sessions). The goroutine transport costs two
+// goroutines per session (blockingConn's reader + pump) — fine at the
+// paper's 32 clients, dead at the 10k-100k sessions a page server is
+// supposed to hold. Both drive the same session machine (session.go)
+// through asyncConn.
 //
 // Topology: one epoll instance per loop, connections assigned round-robin
 // at accept. Sockets are registered EPOLLIN|EPOLLET; each loop does
@@ -512,11 +512,10 @@ func (rc *rconn) register() error {
 	return nil
 }
 
-// Send encodes m straight into the pending queue (single copy; the frame
-// header is patched after the body lands). The actual syscall happens in
-// Flush or on EPOLLOUT. Exceeding the drain cap deposes the connection:
-// the error is returned AND the close is scheduled, so the pump stops and
-// the session detaches.
+// Send encodes m straight into the pending queue (single copy). The
+// actual syscall happens in Flush or on EPOLLOUT. Exceeding the drain cap
+// deposes the connection: the error is returned AND the close is
+// scheduled, so the pump stops and the session detaches.
 func (rc *rconn) Send(m *core.Msg) error {
 	rc.wmu.Lock()
 	if rc.werr != nil {
@@ -524,16 +523,11 @@ func (rc *rconn) Send(m *core.Msg) error {
 		rc.wmu.Unlock()
 		return err
 	}
-	old := len(rc.pending)
-	rc.pending = append(rc.pending, 0, 0, 0, 0)
-	rc.pending = appendMsg(rc.pending, m)
-	body := len(rc.pending) - old - 4
-	if body > maxFrame {
-		rc.pending = rc.pending[:old]
+	var err error
+	if rc.pending, err = appendMsgFrame(rc.pending, m, nil); err != nil {
 		rc.wmu.Unlock()
-		return fmt.Errorf("live: message exceeds frame limit (%d bytes)", body)
+		return err
 	}
-	binary.LittleEndian.PutUint32(rc.pending[old:], uint32(body))
 	over := rc.drainCap > 0 && len(rc.pending)-rc.woff > rc.drainCap
 	if over {
 		rc.werr = errSlowReader

@@ -122,10 +122,9 @@ func countGoroutines() int {
 
 // TestReactorGoroutineCountIdleSessions: the whole point of the reactor
 // — N idle sessions must cost O(loops) server goroutines, not O(N) — and
-// the price the goroutine transport pays instead: at most 3 per session
-// (blockingConn's reader and pump, plus the tcpConn's flusher). Each raw
-// Dial conn also costs exactly one CLIENT-side goroutine (its flushLoop),
-// which is subtracted out.
+// the price the goroutine transport pays instead: at most 2 per session
+// (blockingConn's reader and pump). A raw Dial conn costs no goroutine on
+// the client side.
 func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 	const nConns = 200
 	for _, tc := range []struct {
@@ -133,9 +132,9 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 		max       int // server-side goroutines allowed for nConns idle sessions
 	}{
 		// Generous slack for loops, accept machinery, and runtime noise —
-		// but nowhere near the 3 per session of the goroutine transport.
+		// but nowhere near the 2 per session of the goroutine transport.
 		{TransportReactor, nConns / 2},
-		{TransportGoroutine, 3*nConns + 8},
+		{TransportGoroutine, 2*nConns + 8},
 	} {
 		t.Run(tc.transport, func(t *testing.T) {
 			srv, addr := startTransportServer(t, ServerOptions{
@@ -164,10 +163,8 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 			waitFor(t, "every dialed session to attach", func() bool { return srv.Sessions() == nConns })
 
 			after := countGoroutines()
-			serverSide := after - before - nConns
-			if serverSide > tc.max {
-				t.Fatalf("goroutines grew by %d for %d sessions (%d beyond client cost, limit %d)",
-					after-before, nConns, serverSide, tc.max)
+			if after-before > tc.max {
+				t.Fatalf("goroutines grew by %d for %d sessions (limit %d)", after-before, nConns, tc.max)
 			}
 			t.Logf("goroutines: %d -> %d for %d idle sessions", before, after, nConns)
 		})
@@ -224,18 +221,11 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 			deposed := func() bool {
 				return srv.Sessions() == 0 && srv.Metrics().CounterValue(tc.counter) >= 1
 			}
-			fl := conn.(flusher)
 			for i := 0; i < nPages && !deposed(); i++ {
 				if err := conn.Send(readReq(i, int64(i+1))); err != nil {
 					break // server already cut us off
 				}
-				if i%64 == 63 {
-					if err := fl.Flush(); err != nil {
-						break
-					}
-				}
 			}
-			fl.Flush()
 			waitFor(t, "the slow reader to be deposed", deposed)
 			closed := make(chan error, 1)
 			go func() { closed <- srv.Close() }()

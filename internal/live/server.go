@@ -20,6 +20,10 @@ import (
 type objectStore interface {
 	ReadPage(p core.PageID) ([]byte, error)
 	ReadObj(o core.ObjID) ([]byte, error)
+	// appendPage and appendObj encode what ReadPage and ReadObj return as
+	// a wire byte field, straight from the store's frame.
+	appendPage(dst []byte, p core.PageID) ([]byte, error)
+	appendObj(dst []byte, o core.ObjID) ([]byte, error)
 	WriteObj(o core.ObjID, data []byte) error
 	Flush() error
 	Close() error
@@ -545,7 +549,7 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) attachGoroutine(c net.Conn) {
 	conn := NewTCPConn(c)
 	if _, err := s.Attach(conn); err != nil {
-		conn.Close() // not c.Close(): the tcpConn's flusher must stop too
+		conn.Close()
 	}
 }
 

@@ -24,10 +24,26 @@ import (
 // attached — and the entry marked ready — after the lock is released
 // (see Server.stage / Server.attachPayloads). pump ships only the
 // maximal ready prefix, so reserved slots preserve FIFO order without
-// holding the engine lock across store reads.
+// holding the engine lock across store reads. On a connection that
+// serialises its messages (wire) a data grant needs no reservation: it is
+// staged ready and pump copies its payload out of the store as it encodes
+// the frame.
 type session struct {
 	id   core.ClientID
 	conn asyncConn
+
+	// wire is the blocking TCP connection under conn, which serialises
+	// what it is given, and store the payload source for the frames pump
+	// encodes for it; both nil when messages are passed by reference
+	// (pipes) or the transport queues frames itself (the reactor).
+	wire  *tcpConn
+	store objectStore
+
+	// idle is set under a blocking driver (over a connection that can
+	// tell): its receiver ships the output of the request it just handled
+	// itself (flushOwn), and idle is its probe for "no further request is
+	// waiting".
+	idle func() bool
 
 	// cbDue maps an outstanding callback round id to its answer deadline.
 	// cbMu guards the map itself (rounds from different shards share it,
@@ -45,6 +61,7 @@ type session struct {
 
 	mu      sync.Mutex
 	outbox  []*outEntry
+	own     int  // quiet entries pushed since the last flushOwn
 	pumping bool // a pump is mid-batch; keeps drains FIFO
 	closed  bool
 	dropped bool // outbox overflowed; the server is deposing this session
@@ -56,7 +73,18 @@ type session struct {
 type outEntry struct {
 	msg   core.Msg
 	ready bool
+	// fromStore marks a data grant whose Data pump reads out of the store
+	// while encoding (wire sessions only).
+	fromStore bool
+	// quiet marks output of the request the session's own receiver is
+	// handling: nobody is kicked for it, the receiver ships it when the
+	// handler returns (flushOwn).
+	quiet bool
 }
+
+// outEntryPool recycles entries of wire sessions, whose messages are
+// encoded and done with; a pipe hands &e.msg to its peer for good.
+var outEntryPool = sync.Pool{New: func() any { return new(outEntry) }}
 
 func newSession(id core.ClientID, conn asyncConn) *session {
 	return &session{id: id, conn: conn, cbDue: make(map[int64]time.Time)}
@@ -99,12 +127,16 @@ func (s *session) push(e *outEntry, limit int) (overflow bool) {
 		return false
 	}
 	s.outbox = append(s.outbox, e)
+	if e.quiet {
+		s.own++
+	}
 	if limit > 0 && len(s.outbox) > limit && !s.dropped {
 		s.dropped = true
 		overflow = true
 	}
+	kick := e.ready && !e.quiet
 	s.mu.Unlock()
-	if e.ready {
+	if kick {
 		s.conn.Kick() // non-blocking, so callers may hold shard locks
 	}
 	return overflow
@@ -112,15 +144,41 @@ func (s *session) push(e *outEntry, limit int) (overflow bool) {
 
 // enqueue appends one ready (payload-complete) message.
 func (s *session) enqueue(m core.Msg) {
-	s.push(&outEntry{msg: m, ready: true}, 0)
+	e := outEntryPool.Get().(*outEntry)
+	*e = outEntry{msg: m, ready: true}
+	s.push(e, 0)
 }
 
 // markReady publishes e's payload to pump and schedules it.
 func (s *session) markReady(e *outEntry) {
 	s.mu.Lock()
 	e.ready = true
+	kick := !e.quiet
 	s.mu.Unlock()
-	s.conn.Kick()
+	if kick {
+		s.conn.Kick()
+	}
+}
+
+// flushOwn ships what the request just handled staged for its own session
+// (quiet entries). It runs on a blocking driver's receiver, which pumps
+// in person — sparing the reply a goroutine hand-off — only when it is
+// certain to be back in Recv promptly: nothing else is queued or being
+// pumped, and no further request is waiting (idle). Otherwise the pump
+// goroutine takes it, and a receiver that keeps receiving is what lets a
+// session whose peer stopped reading run into its outbox limit.
+func (s *session) flushOwn() {
+	s.mu.Lock()
+	own := s.own
+	s.own = 0
+	inline := own > 0 && own == len(s.outbox) && !s.pumping
+	s.mu.Unlock()
+	switch {
+	case inline && s.idle():
+		s.pump()
+	case own > 0:
+		s.conn.Kick()
+	}
 }
 
 // close retires the outbox and tears the connection down, which makes
@@ -155,31 +213,72 @@ func (s *session) pump() {
 			s.mu.Unlock()
 			return
 		}
-		batch := s.outbox[:n:n]
-		s.outbox = s.outbox[n:]
+		whole := s.outbox
+		batch := whole[:n:n]
+		s.outbox = whole[n:]
 		s.pumping = true
 		s.mu.Unlock()
-		ok := true
-		for _, e := range batch {
-			if err := s.conn.Send(&e.msg); err != nil {
-				ok = false // conn deposed/failed; its close path detaches us
-				break
-			}
-		}
-		if ok {
-			// Batch boundary: push the coalesced frames out in one write
-			// instead of waiting for the transport's idle flush. A failed
-			// flush poisons the connection; the next Send or the receiver
-			// reports it.
-			s.conn.Flush()
-		}
+		err := s.ship(batch)
 		s.mu.Lock()
 		s.pumping = false
-		if !ok {
+		if len(s.outbox) == 0 {
+			// Drained, so nothing was appended behind the batch and this is
+			// still whole's array: rewind to its front instead of sliding
+			// off its end and regrowing it every few messages.
+			s.outbox = whole[:0]
+		}
+		if err != nil {
 			s.mu.Unlock()
+			// Deposed or failed, or a frame that cannot be encoded: either
+			// way the stream ends here and the close path detaches us.
+			s.conn.Close()
 			return
 		}
 	}
+}
+
+// ship sends one batch in order. A wire session's batch is encoded into
+// one pooled buffer — data grants straight from the store — and written
+// in as few socket writes as encBufKeep allows.
+func (s *session) ship(batch []*outEntry) error {
+	if s.wire == nil {
+		for _, e := range batch {
+			if err := s.conn.Send(&e.msg); err != nil {
+				return err
+			}
+		}
+		if f, ok := s.conn.(flusher); ok {
+			// Batch boundary: push the queued frames out in one write. A
+			// failed flush poisons the connection; the next Send or the
+			// receiver reports it.
+			f.Flush()
+		}
+		return nil
+	}
+	bp := encBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	var err error
+	for _, e := range batch {
+		var payload objectStore
+		if e.fromStore {
+			payload = s.store
+		}
+		if buf, err = appendMsgFrame(buf, &e.msg, payload); err != nil {
+			break
+		}
+		outEntryPool.Put(e)
+		if len(buf) >= encBufKeep {
+			if err = s.wire.writeFrames(buf); err != nil {
+				break
+			}
+			buf = buf[:0]
+		}
+	}
+	if err == nil && len(buf) > 0 {
+		err = s.wire.writeFrames(buf)
+	}
+	putEncBuf(bp, buf)
+	return err
 }
 
 // Attach registers a new client session over conn and starts serving it.
@@ -210,6 +309,12 @@ func (s *Server) attach(conn Conn, internal bool) (core.ClientID, error) {
 		ac = newBlockingConn(conn, &s.wg)
 	}
 	sess := newSession(id, ac)
+	if c, canTell := conn.(interface{ idle() bool }); canTell && !ok {
+		sess.idle = c.idle
+	}
+	if t, ok := conn.(*tcpConn); ok {
+		sess.wire, sess.store = t, s.store
+	}
 	// Handlers are installed before the session is published and before
 	// the driver starts, so no callback can beat them.
 	ac.SetHandlers(func(m *core.Msg, err error) { s.deliver(sess, m, err) }, sess.pump)
@@ -284,7 +389,7 @@ func (s *Server) detach(id core.ClientID) {
 	var overflow []core.ClientID
 	for _, sh := range s.shards {
 		held := s.lockShard(sh)
-		st, ov := s.stage(sh.eng.DisconnectDedup(id, seen))
+		st, ov := s.stage(nil, sh.eng.DisconnectDedup(id, seen))
 		s.unlockShard(sh, held)
 		staged = append(staged, st...)
 		overflow = append(overflow, ov...)
@@ -320,6 +425,9 @@ func (s *Server) deliver(sess *session, m *core.Msg, err error) {
 	}
 	m.From = sess.id
 	s.handle(sess, m, time.Now())
+	if sess.idle != nil {
+		sess.flushOwn()
+	}
 }
 
 // stagedPayload is a reserved outbox slot awaiting its payload.
@@ -330,18 +438,24 @@ type stagedPayload struct {
 
 // stage reserves outbox slots for the engine's outputs, in engine order
 // (the wire order), under the emitting shard's lock. Messages that need
-// no store payload are ready immediately; data grants are staged unready
-// and returned for attachPayloads to fill outside the lock. It also arms
-// callback deadlines and reports sessions whose outbox overflowed (the
-// caller must detach those after releasing the lock).
-func (s *Server) stage(outs []core.Msg) (staged []stagedPayload, overflow []core.ClientID) {
+// no store payload are ready immediately, and so are data grants to wire
+// sessions, whose payload pump reads as it encodes them; other data grants
+// are staged unready and returned for attachPayloads to fill outside the
+// lock. self is the session whose request produced outs, when its own
+// receiver is the caller: a blocking driver's receiver ships its own
+// output itself (flushOwn). stage also arms callback deadlines and reports
+// sessions whose outbox overflowed (the caller must detach those after
+// releasing the lock).
+func (s *Server) stage(self *session, outs []core.Msg) (staged []stagedPayload, overflow []core.ClientID) {
 	sessions := s.sessionMap()
-	for _, om := range outs {
+	for i := range outs {
+		om := &outs[i]
 		sess := sessions[om.To]
 		if sess == nil {
 			continue // client departed; detach cleans its state up
 		}
-		e := &outEntry{msg: om}
+		e := outEntryPool.Get().(*outEntry)
+		*e = outEntry{msg: *om, ready: true, quiet: sess == self && sess.idle != nil}
 		switch om.Kind {
 		case core.MPageData, core.MObjData:
 			if om.Kind == core.MPageData && s.relocs != nil {
@@ -354,14 +468,16 @@ func (s *Server) stage(outs []core.Msg) (staged []stagedPayload, overflow []core
 					e.msg.Unavail = append(append([]uint16(nil), e.msg.Unavail...), ret...)
 				}
 			}
-			staged = append(staged, stagedPayload{sess, e})
+			if sess.wire != nil {
+				e.fromStore = true
+			} else {
+				e.ready = false
+				staged = append(staged, stagedPayload{sess, e})
+			}
 		case core.MCallback:
 			if s.opts.CallbackTimeout > 0 {
 				sess.armCB(om.Req, time.Now().Add(s.opts.CallbackTimeout))
 			}
-			e.ready = true
-		default:
-			e.ready = true
 		}
 		if sess.push(e, s.opts.OutboxLimit) {
 			s.metrics.outboxDeposes.Inc()
@@ -374,7 +490,9 @@ func (s *Server) stage(outs []core.Msg) (staged []stagedPayload, overflow []core
 // attachPayloads reads the store payloads for slots stage reserved and
 // publishes them to the session pumps. It runs WITHOUT any shard
 // lock; the store's page latches (shared here, exclusive in commit
-// installs) keep each copy untorn.
+// installs) keep each copy untorn. A wire session's pump reads its
+// payloads under the same latches and the same argument, only later
+// still: as it writes the frame.
 //
 // The payload still matches the lock state at grant time: a conflicting
 // writer can install new bytes for a granted object only after calling

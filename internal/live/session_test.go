@@ -376,7 +376,7 @@ func sessionCloseJoinsDrivers(t *testing.T, transport string) {
 		t.Fatal(err)
 	}
 	for _, c := range conns {
-		c.Close() // client-side flushers are not the server's to join
+		c.Close()
 	}
 	if after := countGoroutines(); after > before {
 		t.Fatalf("goroutines: %d before OpenServer, %d after Close", before, after)

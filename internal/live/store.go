@@ -186,9 +186,10 @@ func (s *Store) ReadPage(p core.PageID) ([]byte, error) {
 	if err := s.checkPage(p); err != nil {
 		return nil, err
 	}
+	out := make([]byte, s.payload())
 	l := s.latches.shard(p)
 	l.RLock()
-	out := append([]byte(nil), s.frames[p]...)
+	copy(out, s.frames[p])
 	l.RUnlock()
 	return out, nil
 }
@@ -201,11 +202,40 @@ func (s *Store) ReadObj(o core.ObjID) ([]byte, error) {
 	}
 	sz := s.ObjSize()
 	off := int(o.Slot) * sz
+	out := make([]byte, sz)
 	l := s.latches.shard(o.Page)
 	l.RLock()
-	out := append([]byte(nil), s.frames[o.Page][off:off+sz]...)
+	copy(out, s.frames[o.Page][off:])
 	l.RUnlock()
 	return out, nil
+}
+
+// appendPage appends page p's payload to dst as a wire byte field
+// (appendBytes), copied straight out of the frame under the shared page
+// latch: what ReadPage returns, without the intermediate copy.
+func (s *Store) appendPage(dst []byte, p core.PageID) ([]byte, error) {
+	if err := s.checkPage(p); err != nil {
+		return dst, err
+	}
+	l := s.latches.shard(p)
+	l.RLock()
+	dst = appendBytes(dst, s.frames[p])
+	l.RUnlock()
+	return dst, nil
+}
+
+// appendObj is appendPage for one object (see ReadObj).
+func (s *Store) appendObj(dst []byte, o core.ObjID) ([]byte, error) {
+	if err := s.checkObj(o); err != nil {
+		return dst, err
+	}
+	sz := s.ObjSize()
+	off := int(o.Slot) * sz
+	l := s.latches.shard(o.Page)
+	l.RLock()
+	dst = appendBytes(dst, s.frames[o.Page][off:off+sz])
+	l.RUnlock()
+	return dst, nil
 }
 
 // WriteObj installs an object afterimage (data must be at most ObjSize;

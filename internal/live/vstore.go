@@ -334,13 +334,23 @@ func (s *VStore) writeFwd(frame []byte, off int, a objAddr) {
 // excludes same-page installs, and the multi-page writers (which are the
 // only ones that can touch an overflow target) hold every latch shard.
 func (s *VStore) ReadVObj(page, slot int) ([]byte, error) {
+	l := s.latch(page)
+	l.RLock()
+	defer l.RUnlock()
+	b, err := s.viewVObj(page, slot)
+	if len(b) == 0 || err != nil {
+		return nil, err
+	}
+	return copyOf(b), nil
+}
+
+// viewVObj resolves the object through its home slot and returns its bytes
+// in place (nil if never written). The caller holds the home page's latch.
+func (s *VStore) viewVObj(page, slot int) ([]byte, error) {
 	home := objAddr{page, slot}
 	if err := s.checkHome(home); err != nil {
 		return nil, err
 	}
-	l := s.latch(home.page)
-	l.RLock()
-	defer l.RUnlock()
 	frame := s.frames[home.page]
 	off, ln := s.slotAt(frame, home.slot)
 	if off == slotEmpty {
@@ -353,9 +363,9 @@ func (s *VStore) ReadVObj(page, slot int) ([]byte, error) {
 		if tOff == slotEmpty || tLn == fwdLen {
 			return nil, fmt.Errorf("live: dangling forward pointer %d.%d -> %d.%d", page, slot, tgt.page, tgt.slot)
 		}
-		return append([]byte(nil), tFrame[tOff:tOff+tLn]...), nil
+		return tFrame[tOff : tOff+tLn], nil
 	}
-	return append([]byte(nil), frame[off:off+ln]...), nil
+	return frame[off : off+ln], nil
 }
 
 // IsForwarded reports whether the object currently lives in the overflow
@@ -597,6 +607,27 @@ func (s *VStore) ReadObj(o core.ObjID) ([]byte, error) {
 		b = []byte{}
 	}
 	return b, nil
+}
+
+func (s *VStore) appendPage(dst []byte, p core.PageID) ([]byte, error) {
+	_, err := s.ReadPage(p)
+	return dst, err
+}
+
+// appendObj appends what ReadObj returns to dst as a wire byte field,
+// copied in place under the home latch.
+func (s *VStore) appendObj(dst []byte, o core.ObjID) ([]byte, error) {
+	l := s.latch(int(o.Page))
+	l.RLock()
+	defer l.RUnlock()
+	b, err := s.viewVObj(int(o.Page), int(o.Slot))
+	if err != nil {
+		return dst, err
+	}
+	if b == nil {
+		b = []byte{}
+	}
+	return appendBytes(dst, b), nil
 }
 
 // WriteObj installs an afterimage, relocating the object as needed.

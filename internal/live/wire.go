@@ -23,12 +23,19 @@ import (
 // the very same Msg to the peer — and the receiver may keep or modify
 // them without copying: the client adopts a page reply's Data as its
 // cached page. Whoever fills a message therefore puts in bytes nobody
-// else holds (Store.ReadPage and decodeMsg return fresh copies; the
-// client copies afterimages out of its cache into Updates).
+// else holds (Store.ReadPage and Recv hand out buffers nothing else
+// refers to; the client copies afterimages out of its cache into
+// Updates).
+//
+// Recycling: a transport may offer to take a Data buffer back
+// (tcpConn.recycle) and land a later payload in it. Whoever returns one guarantees that no
+// reference to it survives. The client returns a page's buffer when its
+// cache drops the page and keeps that promise by never letting a cached
+// byte escape: Txn.Read copies values out, Commit copies afterimages.
 type Conn interface {
-	// Send transmits one message. Safe for concurrent use. Sends may be
-	// buffered; the transport guarantees timely delivery without an
-	// explicit flush.
+	// Send transmits one message. Safe for concurrent use. When it
+	// returns nil the message is on its way: queued for the in-process
+	// peer, or written through to the socket.
 	Send(m *core.Msg) error
 	// Recv blocks for the next message. Single consumer.
 	Recv() (*core.Msg, error)
@@ -36,10 +43,9 @@ type Conn interface {
 	Close() error
 }
 
-// flusher is the optional fast-path a buffered transport exposes: callers
-// that know a batch boundary (e.g. the server's session pump after
-// draining its outbox) can force the coalesced bytes out immediately
-// instead of waiting for the idle flush.
+// flusher is the batch-boundary hint of a transport that queues what Send
+// encodes (the reactor's rconn): the session pump calls it after draining
+// its outbox.
 type flusher interface {
 	Flush() error
 }
@@ -48,7 +54,7 @@ type flusher interface {
 // runs on. Instead of the owner parking in Recv, it installs a receiver
 // callback (invoked once per inbound message in wire order, never
 // concurrently, then once with a terminal error) and a pump callback that
-// drains the owner's outbox into Send/Flush. Start begins delivery; no
+// drains the owner's outbox into the connection. Start begins delivery; no
 // receiver call precedes it. Kick schedules the pump on the transport's
 // driver; it is non-blocking and safe to call under any lock, so the
 // server can request output from inside the engine without doing wire
@@ -56,7 +62,6 @@ type flusher interface {
 // loops) and blockingConn (two goroutines over any blocking Conn).
 type asyncConn interface {
 	Conn
-	flusher
 	SetHandlers(recv func(m *core.Msg, err error), pump func())
 	Start()
 	Kick()
@@ -115,13 +120,6 @@ func (b *blockingConn) Kick() {
 	case b.kick <- struct{}{}:
 	default:
 	}
-}
-
-func (b *blockingConn) Flush() error {
-	if f, ok := b.Conn.(flusher); ok {
-		return f.Flush()
-	}
-	return nil
 }
 
 func (b *blockingConn) Close() error {
@@ -193,6 +191,12 @@ func (c *chanConn) Recv() (*core.Msg, error) {
 	}
 }
 
+// idle reports whether no further inbound message is waiting. Only the
+// receiver may ask (it is the single consumer), and only when the answer
+// is yes may a server session's receiver spend its own time on output:
+// see session.flushOwn.
+func (c *chanConn) idle() bool { return len(c.in) == 0 }
+
 func (c *chanConn) Close() error {
 	c.once.Do(func() { close(c.done) })
 	return nil
@@ -212,48 +216,33 @@ const wireVersion byte = 1
 // variable (not a const) so tests can shorten it.
 var handshakeTimeout = 5 * time.Second
 
-// closeFlushTimeout bounds how long Close waits to flush buffered frames
-// to a peer that is not reading.
-const closeFlushTimeout = time.Second
+// readBufKeep caps how much frame buffer a connection keeps pinned
+// between messages: the size of a tcpConn's read buffer, and of the
+// reassembly buffer a reactor connection returns to its pool. Frames
+// above the cap (a large VStore fetch) use a transient buffer the GC
+// reclaims, so one big message does not bloat an otherwise idle session
+// forever — at 100k sessions a pinned megabyte each is the whole machine.
+const readBufKeep = 64 << 10
 
 // tcpConn frames messages with the binary codec (codec.go) over a
-// net.Conn. Writes coalesce in a bufio.Writer and are flushed by a
-// dedicated goroutine when the sender goes idle, so back-to-back sends
-// (callback fan-outs, grant bursts) share syscalls.
+// net.Conn. Sends write through: one frame (Send) or one batch of frames
+// (writeFrames) per socket write, no buffering and no flusher behind it.
+// Frames are decoded in place out of the read buffer.
 type tcpConn struct {
 	c  net.Conn
-	br *bufio.Reader
+	br *bufio.Reader // single consumer (Recv contract), so unguarded
 
-	// readBuf is the reusable frame buffer and hdrIn the reusable header
-	// scratch (a local array would escape through io.ReadFull and cost an
-	// allocation per message); decodeMsg copies everything it keeps, so
-	// neither buffer escapes. Single consumer (Recv contract), so both are
-	// unguarded.
-	readBuf []byte
-	hdrIn   [4]byte
+	sendMu  sync.Mutex // keeps concurrent senders' frames whole
+	sendErr error      // sticky: a failed write may have torn a frame
 
-	sendMu  sync.Mutex
-	bw      *bufio.Writer
-	hdrOut  [4]byte
-	sendErr error // sticky: first write/flush failure poisons the conn
-
-	flushWake chan struct{} // cap 1: signal "bytes are buffered"
-	closeOnce sync.Once
-	done      chan struct{}
+	spareMu sync.Mutex
+	spare   []byte // recycled buffer awaiting the next payload that fits
 }
 
 // NewTCPConn wraps an established net.Conn (version handshake already
 // done, if any).
 func NewTCPConn(c net.Conn) Conn {
-	t := &tcpConn{
-		c:         c,
-		br:        bufio.NewReaderSize(c, 64<<10),
-		bw:        bufio.NewWriterSize(c, 64<<10),
-		flushWake: make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	go t.flushLoop()
-	return t
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, readBufKeep)}
 }
 
 // Dial connects to a live server at addr and presents the wire version.
@@ -292,115 +281,91 @@ func acceptHandshake(c net.Conn, timeout time.Duration) error {
 
 func (t *tcpConn) Send(m *core.Msg) error {
 	bp := encBufPool.Get().(*[]byte)
-	body := appendMsg((*bp)[:0], m)
-	var err error
-	if len(body) > maxFrame {
-		err = fmt.Errorf("live: message exceeds frame limit (%d bytes)", len(body))
-	} else {
-		t.sendMu.Lock()
-		if err = t.sendErr; err == nil {
-			binary.LittleEndian.PutUint32(t.hdrOut[:], uint32(len(body)))
-			if _, err = t.bw.Write(t.hdrOut[:]); err == nil {
-				_, err = t.bw.Write(body)
-			}
-			if err != nil {
-				t.sendErr = err
-			}
-		}
-		t.sendMu.Unlock()
+	buf, err := appendMsgFrame((*bp)[:0], m, nil)
+	if err == nil {
+		err = t.writeFrames(buf)
 	}
-	*bp = body
-	encBufPool.Put(bp)
-	if err != nil {
-		return err
-	}
-	// Wake the idle flusher; a pending wake already covers us.
-	select {
-	case t.flushWake <- struct{}{}:
-	default:
-	}
-	return nil
+	putEncBuf(bp, buf)
+	return err
 }
 
-// Flush forces buffered frames out now (batch boundary hint).
-func (t *tcpConn) Flush() error {
+// writeFrames writes whole encoded frames through to the socket. The
+// server's session pump calls it in place of Send with a batch it encoded
+// itself, data grants straight out of the store (session.ship).
+func (t *tcpConn) writeFrames(b []byte) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
-	if t.sendErr != nil {
-		return t.sendErr
+	if t.sendErr == nil {
+		_, t.sendErr = t.c.Write(b)
 	}
-	if err := t.bw.Flush(); err != nil {
-		t.sendErr = err
-		return err
-	}
-	return nil
+	return t.sendErr
 }
-
-// flushLoop writes buffered frames whenever the senders go idle. While a
-// flush's syscall is in flight, further Sends append to the buffer behind
-// sendMu; the next wake flushes them all at once — that lag is the write
-// coalescing.
-func (t *tcpConn) flushLoop() {
-	for {
-		select {
-		case <-t.flushWake:
-		case <-t.done:
-			return
-		}
-		t.sendMu.Lock()
-		if t.sendErr == nil {
-			if err := t.bw.Flush(); err != nil {
-				t.sendErr = err
-			}
-		}
-		t.sendMu.Unlock()
-	}
-}
-
-// readBufKeep caps how much frame buffer a connection keeps pinned
-// between messages. Frames above the cap (a large VStore fetch, a page
-// burst) use a transient buffer the GC reclaims, so one big message does
-// not bloat an otherwise idle session forever — at 100k sessions a pinned
-// megabyte each is the whole machine.
-const readBufKeep = 64 << 10
 
 func (t *tcpConn) Recv() (*core.Msg, error) {
-	if _, err := io.ReadFull(t.br, t.hdrIn[:]); err != nil {
+	hdr, err := t.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(t.hdrIn[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("live: frame length %d exceeds limit", n)
 	}
-	var buf []byte
-	if n > readBufKeep {
-		buf = make([]byte, n) // transient: decodeMsg copies what it keeps
-	} else {
-		if cap(t.readBuf) < int(n) {
-			t.readBuf = make([]byte, n)
+	t.br.Discard(4)
+	if int(n) > t.br.Size() {
+		// Transient: nothing else refers to it, so Data may stay a view.
+		body := make([]byte, n)
+		if _, err := io.ReadFull(t.br, body); err != nil {
+			return nil, err
 		}
-		buf = t.readBuf[:n]
+		return decodeFrame(body)
 	}
-	if _, err := io.ReadFull(t.br, buf); err != nil {
+	body, err := t.br.Peek(int(n))
+	if err != nil {
 		return nil, err
 	}
-	return decodeMsg(buf)
+	m, err := decodeFrame(body)
+	if err == nil && m.Data != nil {
+		m.Data = t.own(m.Data)
+	}
+	t.br.Discard(int(n))
+	return m, err
 }
 
-func (t *tcpConn) Close() error {
-	t.closeOnce.Do(func() { close(t.done) })
-	// Push out anything still buffered (e.g. a final abort notice) before
-	// tearing the socket down — but not forever: if the peer stopped
-	// reading, a sender may be parked in a socket write holding sendMu, and
-	// our own flush would park the same way. The deadline fails both.
-	t.c.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
-	t.sendMu.Lock()
-	if t.sendErr == nil {
-		t.bw.Flush()
+// own copies a payload out of the read buffer, into the recycled buffer
+// when that fits without wasting more than half of it.
+func (t *tcpConn) own(view []byte) []byte {
+	n := len(view)
+	t.spareMu.Lock()
+	buf := t.spare
+	if cap(buf) >= n && cap(buf)/2 <= n {
+		t.spare = nil
+	} else {
+		buf = nil
 	}
-	t.sendMu.Unlock()
-	return t.c.Close()
+	t.spareMu.Unlock()
+	if buf == nil {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	copy(buf, view)
+	return buf
 }
+
+// recycle takes back a buffer Recv handed out as some message's Data, now
+// that nothing refers to it (see Conn).
+func (t *tcpConn) recycle(buf []byte) {
+	t.spareMu.Lock()
+	t.spare = buf
+	t.spareMu.Unlock()
+}
+
+// idle: see chanConn.idle.
+func (t *tcpConn) idle() bool { return t.br.Buffered() == 0 }
+
+// Close closes the socket, which also fails a sender parked in a write to
+// a peer that stopped reading. Everything sent before is already with the
+// kernel, so there is nothing to flush.
+func (t *tcpConn) Close() error { return t.c.Close() }
 
 // RetryPolicy shapes connection retries: capped exponential backoff with
 // uniform jitter. The zero value selects the defaults below.

@@ -80,7 +80,7 @@ func TestChanConnCloseDrain(t *testing.T) {
 }
 
 // TestTCPConnFraming round-trips representative messages through the real
-// framing (header, coalesced writes, idle flush) over a socket pair.
+// framing (header, write-through sends) over a socket pair.
 func TestTCPConnFraming(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -108,8 +108,7 @@ func TestTCPConnFraming(t *testing.T) {
 		{Kind: core.MGrant, Txn: 2, Obj: o(1, 1)},
 		{Kind: core.MCommitReq, Txn: 3, Updates: map[core.ObjID][]byte{o(0, 0): []byte("v")}},
 	}
-	// Send a burst without explicit flushes: the idle flusher must push
-	// them out, in order.
+	// A burst of sends arrives whole and in order.
 	for _, m := range msgs {
 		if err := t1.Send(m); err != nil {
 			t.Fatal(err)
@@ -165,24 +164,21 @@ func TestDialNeverReadsServer(t *testing.T) {
 	}
 
 	// Let the handshake deadline expire, then write. If Dial forgot to
-	// clear the deadline this Send/Flush fails with a timeout even though
-	// the peer is now draining.
+	// clear the deadline this Send fails with a timeout even though the
+	// peer is now draining.
 	time.Sleep(handshakeTimeout + 50*time.Millisecond)
 	srvEnd := <-accepted
 	defer srvEnd.Close()
 	go io.Copy(io.Discard, srvEnd)
 	if err := conn.Send(&core.Msg{Kind: core.MPageData, Data: make([]byte, 8192)}); err != nil {
-		t.Fatalf("Send after handshake deadline elapsed: %v", err)
-	}
-	if err := conn.(flusher).Flush(); err != nil {
-		t.Fatalf("Flush after handshake deadline elapsed: %v (stale write deadline?)", err)
+		t.Fatalf("Send after handshake deadline elapsed: %v (stale write deadline?)", err)
 	}
 }
 
 // TestRecvReleasesLargeReadBuf: one huge frame must not pin a
 // frame-sized buffer on the connection for its whole lifetime; Recv
-// reads oversized frames through a transient buffer and keeps readBuf
-// capped at readBufKeep.
+// reads frames larger than its read buffer through a transient one, and
+// the read buffer never grows past readBufKeep.
 func TestRecvReleasesLargeReadBuf(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -217,9 +213,9 @@ func TestRecvReleasesLargeReadBuf(t *testing.T) {
 		t.Fatalf("round-tripped %d bytes, want %d", len(got.Data), len(big.Data))
 	}
 	tc := receiver.(*tcpConn)
-	if cap(tc.readBuf) > readBufKeep {
-		t.Fatalf("readBuf pinned at %d bytes after a %d-byte frame; must stay <= %d",
-			cap(tc.readBuf), len(big.Data), readBufKeep)
+	if tc.br.Size() > readBufKeep {
+		t.Fatalf("read buffer at %d bytes after a %d-byte frame; must stay <= %d",
+			tc.br.Size(), len(big.Data), readBufKeep)
 	}
 
 	// Small frames after the big one still work (the transient path must
