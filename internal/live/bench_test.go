@@ -376,18 +376,29 @@ func BenchmarkWireControl(b *testing.B) {
 	})
 }
 
-// BenchmarkReadMissTCP is the fetch path end to end: one client over
-// loopback TCP whose 16-page cache is cycled over a 64-page database, so
-// every read misses, fetches a page and evicts one. One op is one
-// transaction of 16 such reads (a transaction pins what it touches, so 16
-// is the most a 16-page cache turns over); allocs/op ÷ 16 is what a fetch
-// allocates on both ends. CI's alloc-regression step guards it.
+// BenchmarkReadMissTCP is the fetch path end to end, under each TCP
+// session driver: one client over loopback TCP whose 16-page cache is cycled
+// over a 64-page database, so every read misses, fetches a page and evicts
+// one. One op is one transaction of 16 such reads (a transaction pins what
+// it touches, so 16 is the most a 16-page cache turns over); allocs/op ÷ 16
+// is what a fetch allocates on both ends. CI's alloc-regression step guards
+// it.
 func BenchmarkReadMissTCP(b *testing.B) {
+	for _, transport := range []string{TransportGoroutine, TransportReactor} {
+		b.Run("transport="+transport, func(b *testing.B) { benchReadMissTCP(b, transport) })
+	}
+}
+
+func benchReadMissTCP(b *testing.B, transport string) {
 	const pages, cache = 64, 16
 	srv, addr := startTCPServer(b, ServerOptions{
 		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 20, NumPages: pages, SyncWAL: false,
+		Transport: transport,
 	})
 	defer srv.Close()
+	if srv.Transport() != transport {
+		b.Skipf("%s transport unavailable on this platform", transport)
+	}
 	conn, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)

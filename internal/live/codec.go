@@ -119,14 +119,14 @@ func appendMsg(b []byte, m *core.Msg) []byte {
 }
 
 // appendMsgFrame appends m's frame (length header, then body) to dst. With a
-// store, m is a data grant staged without its payload (Server.stage): the
-// Data field is copied straight out of the store's frame under the page
-// latch, and the frame is byte for byte what m with Data filled in would
-// encode to.
+// store, a data grant is taken to be staged without its payload
+// (Server.stage): the Data field is copied straight out of the store's frame
+// under the page latch, and the frame is byte for byte what m with Data
+// filled in would encode to.
 func appendMsgFrame(dst []byte, m *core.Msg, store objectStore) ([]byte, error) {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	if store == nil {
+	if store == nil || (m.Kind != core.MPageData && m.Kind != core.MObjData) {
 		dst = appendMsg(dst, m)
 	} else {
 		dst = appendMsgHead(dst, m)

@@ -142,7 +142,7 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 
 // engineStep runs one message through a single shard's engine under its
 // lock: alive check, engine dispatch, staging, callback-deadline
-// bookkeeping; then payload attachment and overflow deposes off-lock.
+// bookkeeping; then overflow deposes off-lock.
 func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	held := s.lockShard(sh)
 	if s.sessionOf(sess.id) != sess {
@@ -164,24 +164,22 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	// pre-move state or the complete post-move state. The planner's own
 	// session bypasses the door (it addresses spare slots directly), and
 	// disabled reclustering costs one nil check.
+	var outs []core.Msg
 	if s.relocs != nil && (m.Kind == core.MReadReq || m.Kind == core.MWriteReq) &&
 		int64(m.From) != s.internalID.Load() {
 		if s.fences.blocked(m.Obj) {
-			s.unlockShard(sh, held)
 			s.metrics.reclusterFenceBounces.Inc()
-			sess.enqueue(core.Msg{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn, Obj: m.Obj})
-			return
-		}
-		if to, ok := s.relocs.view().lookup(m.Obj); ok {
-			s.unlockShard(sh, held)
+			outs = []core.Msg{{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn, Obj: m.Obj}}
+		} else if to, ok := s.relocs.view().lookup(m.Obj); ok {
 			s.metrics.reclusterRedirects.Inc()
-			sess.enqueue(core.Msg{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn,
-				Obj: m.Obj, Objs: []core.ObjID{to}})
-			return
+			outs = []core.Msg{{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn,
+				Obj: m.Obj, Objs: []core.ObjID{to}}}
 		}
 	}
-
-	staged, overflow := s.stage(sess, sh.eng.Handle(m))
+	if outs == nil {
+		outs = sh.eng.Handle(m)
+	}
+	overflow := s.stage(sess, outs)
 
 	// Callback-deadline bookkeeping, after the engine step: any ack
 	// proves the client is alive, and a busy reply defers the real
@@ -197,10 +195,7 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	}
 
 	s.unlockShard(sh, held)
-	s.attachPayloads(staged)
-	for _, id := range overflow {
-		s.detach(id)
-	}
+	s.detachAll(overflow)
 }
 
 // finishTxnMsg handles MCommitReq/MAbortReq: compute which shards hold
@@ -434,7 +429,6 @@ func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
 		s.metrics.multiShardCommits.Inc()
 	}
 	owner := 63 - bits.LeadingZeros64(mask)
-	var staged []stagedPayload
 	var overflow []core.ClientID
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
@@ -447,18 +441,13 @@ func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
 		} else {
 			outs = sh.eng.HandleAbortShard(sub, i == owner)
 		}
-		st, ov := s.stage(sess, outs)
+		overflow = append(overflow, s.stage(sess, outs)...)
 		s.unlockShard(sh, held)
-		staged = append(staged, st...)
-		overflow = append(overflow, ov...)
 	}
 	s.bsMu.Lock()
 	delete(s.blockStart, m.Txn)
 	s.bsMu.Unlock()
-	s.attachPayloads(staged)
-	for _, id := range overflow {
-		s.detach(id)
-	}
+	s.detachAll(overflow)
 }
 
 // subsetFinishMsg copies m with its page-keyed slices filtered to shard

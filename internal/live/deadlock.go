@@ -175,7 +175,6 @@ func (s *Server) CheckDeadlocks() int {
 	}
 
 	aborted := 0
-	var staged []stagedPayload
 	var overflow []core.ClientID
 	for _, t := range confirmed {
 		req, sh := second.req[t], second.home[t]
@@ -184,10 +183,8 @@ func (s *Server) CheckDeadlocks() int {
 		}
 		held := s.lockShard(sh)
 		outs, ok := sh.eng.AbortDeadlockVictim(t, req)
-		var st []stagedPayload
-		var ov []core.ClientID
 		if ok {
-			st, ov = s.stage(nil, outs)
+			overflow = append(overflow, s.stage(nil, outs)...)
 		}
 		s.unlockShard(sh, held)
 		if !ok {
@@ -198,12 +195,7 @@ func (s *Server) CheckDeadlocks() int {
 		s.bsMu.Lock()
 		delete(s.blockStart, t)
 		s.bsMu.Unlock()
-		staged = append(staged, st...)
-		overflow = append(overflow, ov...)
 	}
-	s.attachPayloads(staged)
-	for _, id := range overflow {
-		s.detach(id)
-	}
+	s.detachAll(overflow)
 	return aborted
 }

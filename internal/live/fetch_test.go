@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -81,6 +82,66 @@ func TestFrameDirectEncodingMatchesAppendMsg(t *testing.T) {
 	}
 	if _, err := appendMsgFrame(nil, &core.Msg{Kind: core.MPageData, Page: 99}, st); err == nil {
 		t.Error("a grant for a page outside the store encoded without error")
+	}
+
+	// The same holds for what a session actually puts on its connection,
+	// whichever way it ships: the grant a client receives re-encodes, Data
+	// and all, to the very bytes that arrived (a pipe hands the message
+	// over unencoded, so there it is the payload that is checked).
+	for _, tr := range sessionTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			h := newSessionHarness(t, tr.transport, ServerOptions{})
+			defer h.srv.Close()
+			for slot := uint16(0); slot < 4; slot++ {
+				if err := h.srv.store.WriteObj(o(3, slot), bytes.Repeat([]byte{byte(0xB0 + slot)}, 30+int(slot))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := h.srv.store.ReadPage(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m *core.Msg
+			if h.addr == "" {
+				conn, _ := h.rawSession(t)
+				defer conn.Close()
+				if err := conn.Send(readReq(3, 1)); err != nil {
+					t.Fatal(err)
+				}
+				m = recvWithin(t, conn, 5*time.Second)
+			} else {
+				nc, err := net.Dial("tcp", h.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nc.Close()
+				nc.SetDeadline(time.Now().Add(5 * time.Second))
+				req, _ := appendMsgFrame([]byte{wireVersion}, readReq(3, 1), nil)
+				if _, err := nc.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				var body []byte
+				for i := 0; i < 2; i++ { // the hello, then the grant
+					var hdr [4]byte
+					if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+						t.Fatal(err)
+					}
+					body = make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+					if _, err := io.ReadFull(nc, body); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m, err = decodeMsg(body); err != nil {
+					t.Fatal(err)
+				}
+				if again := appendMsg(nil, m); !bytes.Equal(again, body) {
+					t.Errorf("the grant's frame is not appendMsg's encoding of it:\n got %x\nwant %x", body, again)
+				}
+			}
+			if m.Kind != core.MPageData || m.Req != 1 || !bytes.Equal(m.Data, want) {
+				t.Errorf("got %v req %d with %d payload bytes, want page 3's grant carrying the store's page", m.Kind, m.Req, len(m.Data))
+			}
+		})
 	}
 }
 
@@ -199,27 +260,26 @@ func wholeGen(v []byte) (uint64, bool) {
 }
 
 // TestFetchNeverTorn: one session rewrites slots 1-3 of a page with the
-// next generation, over and over, while two TCP sessions keep fetching the
+// next generation, over and over, while two other sessions keep fetching the
 // page cold (a one-page cache they evict it from between reads) through
 // slot 0, which nobody writes — so the grant waits for no lock and the
-// server copies the page out of the store's frame, while it writes the
-// socket, concurrently with the writer's installs. Every object a reader
-// sees must be whole, slots 1-3 of one transaction's view the same
+// server copies the page out of the store's frame as the grant ships,
+// concurrently with the writer's installs, on every transport. Every object
+// a reader sees must be whole, slots 1-3 of one transaction's view the same
 // generation, and that generation no older than the last commit that had
 // been acknowledged before the reader asked. Run under -race.
 func TestFetchNeverTorn(t *testing.T) {
+	for _, tr := range sessionTransports {
+		t.Run(tr.name, func(t *testing.T) { fetchNeverTorn(t, tr.transport) })
+	}
+}
+
+func fetchNeverTorn(t *testing.T, transport string) {
 	const page, other = 5, 6
-	srv, addr := startTransportServer(t, ServerOptions{
-		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: 16, SyncWAL: false,
-		Transport: TransportGoroutine,
-	})
-	defer srv.Close()
+	h := newSessionHarness(t, transport, ServerOptions{PageSize: 4096, ObjsPerPage: 4, NumPages: 16})
+	defer h.srv.Close()
 	dial := func(cache int) *Client {
-		conn, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := Connect(conn, ClientOptions{CachePages: cache})
+		cl, err := Connect(h.dial(t), ClientOptions{CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

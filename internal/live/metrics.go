@@ -124,7 +124,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	m.callbackFanout = reg.Histogram("oodb_server_callback_fanout",
 		"clients called back per callback round")
 	m.leaseExpiries = reg.Counter("oodb_server_lease_expiries_total",
-		"sessions disconnected for exceeding the callback deadline")
+		"sessions disconnected for exceeding the callback deadline (an unanswered callback, or a write to them parked that long)")
 	m.outboxDeposes = reg.Counter("oodb_live_outbox_deposes_total",
 		"sessions deposed for an overflowing outbox (client stopped reading)")
 	m.walAppendNs = reg.Histogram("oodb_wal_append_ns",

@@ -43,9 +43,10 @@ type ServerOptions struct {
 	// disables the cap.
 	OutboxLimit int
 	// CallbackTimeout bounds how long a client may sit on an outstanding
-	// callback (including the deferred ack after a busy reply) before the
-	// server declares it dead and disconnects it, so one silent client
-	// cannot stall every writer of a page. 0 disables the deadline.
+	// callback (including the deferred ack after a busy reply), or leave
+	// the server parked in one write to it, before the server declares it
+	// dead and disconnects it, so one silent client cannot stall every
+	// writer of a page. 0 disables the deadline.
 	CallbackTimeout time.Duration
 	// Metrics, when set, is the registry the server publishes on; pass a
 	// shared registry to aggregate several processes (e.g. oodbbench runs

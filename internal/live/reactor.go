@@ -15,9 +15,10 @@ package live
 // non-blocking reads into a loop-owned scratch buffer, reassembles the
 // 4-byte length-prefixed frames in a pooled per-connection buffer, and
 // delivers messages straight into the server's handler (the receiver
-// callback attach installed). Writes coalesce in a per-connection pending
-// byte queue: session.pump encodes frames into it and tries one
-// non-blocking drain; a short write arms EPOLLOUT and the loop finishes
+// callback attach installed), whose reply the same loop ships before it
+// reads on (session.flushOwn). Writes go straight to the socket,
+// non-blocking; what a full socket refuses waits in a per-connection
+// pending byte queue, a short write arms EPOLLOUT, and the loop finishes
 // the drain when the socket opens up. A connection whose pending queue
 // exceeds the drain cap is deposed — a reader this slow makes every
 // queued byte dead weight, exactly the outbox-limit argument at the byte
@@ -65,9 +66,6 @@ const (
 	// must not starve the loop's other connections — past the bound the
 	// connection requeues itself as an op and the loop round-robins.
 	reactorMaxReads = 16
-	// reactorPendingKeep caps the pending-queue capacity a connection
-	// keeps pinned once drained (burst queues go back to the GC).
-	reactorPendingKeep = 256 << 10
 )
 
 var errSlowReader = fmt.Errorf("live: reactor pending queue over drain cap (slow reader)")
@@ -427,10 +425,8 @@ func (l *rloop) teardown(rc *rconn) {
 
 // ---- connection ----
 
-// rconn is one reactor-owned connection. It implements asyncConn: Send
-// appends a frame to the pending queue, Flush attempts a non-blocking
-// drain, Recv reports that the connection is receiver-driven (nothing
-// calls it).
+// rconn is one reactor-owned connection: the session's driver (asyncConn)
+// and the sink of the frames it ships (frameSink).
 type rconn struct {
 	loop     *rloop
 	fd       int
@@ -512,28 +508,34 @@ func (rc *rconn) register() error {
 	return nil
 }
 
-// Send encodes m straight into the pending queue (single copy). The
-// actual syscall happens in Flush or on EPOLLOUT. Exceeding the drain cap
-// deposes the connection: the error is returned AND the close is
-// scheduled, so the pump stops and the session detaches.
-func (rc *rconn) Send(m *core.Msg) error {
+// idle: the loop's writes never block, so it can always afford to ship the
+// reply to the request it just read.
+func (rc *rconn) idle() bool { return true }
+
+// writeFrames puts whole encoded frames on the socket without blocking;
+// what the socket does not take now is queued behind what it refused
+// earlier, for the loop to drain on the next writability edge. Exceeding
+// the drain cap deposes the connection: the error is returned AND the
+// close is scheduled, so the pump stops and the session detaches.
+func (rc *rconn) writeFrames(b []byte) error {
 	rc.wmu.Lock()
+	defer rc.wmu.Unlock()
 	if rc.werr != nil {
-		err := rc.werr
-		rc.wmu.Unlock()
-		return err
+		return rc.werr
 	}
-	var err error
-	if rc.pending, err = appendMsgFrame(rc.pending, m, nil); err != nil {
-		rc.wmu.Unlock()
-		return err
+	if !rc.wantW { // else bytes are queued and the loop owns the drain
+		n, err := rc.writeLocked(b)
+		if err != nil {
+			return err
+		}
+		b = b[n:]
 	}
-	over := rc.drainCap > 0 && len(rc.pending)-rc.woff > rc.drainCap
-	if over {
+	if len(b) == 0 {
+		return nil
+	}
+	rc.pending = append(rc.pending, b...)
+	if rc.drainCap > 0 && len(rc.pending)-rc.woff > rc.drainCap {
 		rc.werr = errSlowReader
-	}
-	rc.wmu.Unlock()
-	if over {
 		rc.loop.r.m.reactorDeposes.Inc()
 		rc.fail()
 		return errSlowReader
@@ -541,49 +543,29 @@ func (rc *rconn) Send(m *core.Msg) error {
 	return nil
 }
 
-// Flush drains the pending queue with non-blocking writes; a short write
-// arms EPOLLOUT and the loop finishes the job on the next writability
-// edge.
-func (rc *rconn) Flush() error {
-	rc.wmu.Lock()
-	defer rc.wmu.Unlock()
-	return rc.flushLocked()
-}
-
-func (rc *rconn) flushLocked() error {
-	if rc.werr != nil {
-		return rc.werr
-	}
-	if rc.wantW {
-		return nil // EPOLLOUT armed: the loop owns the drain
-	}
-	for rc.woff < len(rc.pending) {
-		n, err := syscall.Write(rc.fd, rc.pending[rc.woff:])
+// writeLocked writes b until the socket stops taking it and reports how
+// far it got; a write that would block arms EPOLLOUT.
+func (rc *rconn) writeLocked(b []byte) (int, error) {
+	off := 0
+	for off < len(b) {
+		n, err := syscall.Write(rc.fd, b[off:])
 		if n > 0 {
-			rc.woff += n
+			off += n
 		}
 		switch err {
 		case nil:
 		case syscall.EAGAIN:
 			rc.armWriteLocked()
-			return nil
+			return off, nil
 		case syscall.EINTR:
 			// retry
 		default:
 			rc.werr = err
 			rc.fail()
-			return err
+			return off, err
 		}
 	}
-	// Fully drained: reset, and drop a burst-grown queue so an idle
-	// session pins at most reactorPendingKeep.
-	if cap(rc.pending) > reactorPendingKeep {
-		rc.pending = nil
-	} else {
-		rc.pending = rc.pending[:0]
-	}
-	rc.woff = 0
-	return nil
+	return off, nil
 }
 
 // armWriteLocked arms EPOLLOUT (edge-triggered) after a write actually
@@ -600,20 +582,25 @@ func (rc *rconn) armWriteLocked() {
 	}
 }
 
-// writable finishes the drain on a writability edge and disarms EPOLLOUT
-// once the queue empties.
+// writable drains the pending queue on a writability edge and disarms
+// EPOLLOUT once it empties.
 func (rc *rconn) writable() {
 	rc.wmu.Lock()
+	defer rc.wmu.Unlock()
 	if rc.werr != nil || rc.closed.Load() {
-		rc.wmu.Unlock()
 		return
 	}
 	rc.wantW = false
-	err := rc.flushLocked() // re-arms on another short write
-	if err == nil && !rc.wantW && rc.registered {
+	n, err := rc.writeLocked(rc.pending[rc.woff:]) // re-arms on another short write
+	rc.woff += n
+	if err != nil || rc.wantW {
+		return
+	}
+	// Fully drained: drop the queue, so an idle session pins nothing.
+	rc.pending, rc.woff = nil, 0
+	if rc.registered {
 		epollMod(rc.loop.ep, rc.fd, epIn|epET)
 	}
-	rc.wmu.Unlock()
 }
 
 // readPass reads to EAGAIN (or the fairness bound), reassembling and
@@ -692,11 +679,6 @@ func (rc *rconn) deliver() error {
 	return nil
 }
 
-// Recv is never used; it exists to satisfy Conn.
-func (rc *rconn) Recv() (*core.Msg, error) {
-	return nil, fmt.Errorf("live: reactor conns are receiver-driven")
-}
-
 // Close schedules the connection's teardown on its owning loop.
 func (rc *rconn) Close() error {
 	rc.fail()
@@ -732,7 +714,9 @@ func (s *Server) attachReactor(r *reactor, c net.Conn) {
 		s.attachGoroutine(c)
 		return
 	}
-	if _, err := s.Attach(rc); err != nil {
+	sess := newSession(rc, s.store)
+	sess.wire = rc
+	if _, err := s.attach(sess, false); err != nil {
 		rc.destroy()
 	}
 }

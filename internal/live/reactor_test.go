@@ -171,6 +171,42 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 	}
 }
 
+// dialNarrow opens a session on a raw socket whose receive buffer is pinned
+// small — the kernel must not absorb a whole reply stream on the client's
+// behalf — and consumes the hello.
+func dialNarrow(t *testing.T, addr string) Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.(*net.TCPConn).SetReadBuffer(4096)
+	if _, err := nc.Write([]byte{wireVersion}); err != nil {
+		t.Fatal(err)
+	}
+	conn := NewTCPConn(nc)
+	if _, err := conn.Recv(); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	return conn
+}
+
+// closePromptly fails the test if Close waits on a deposed session's
+// silent peer.
+func closePromptly(t *testing.T, srv *Server) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung behind the deposed session's unread socket")
+	}
+}
+
 // TestTCPSlowReaderDeposed: a session that requests pages but never
 // drains its socket must be deposed — by the outbox cap once the blocking
 // transport's pump stalls on the full socket, by ReactorDrainCap once the
@@ -199,25 +235,12 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 				t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
 			}
 
-			// Raw dial so the client's receive buffer can be pinned small —
-			// the kernel must not absorb the whole reply stream on our behalf.
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nc.(*net.TCPConn).SetReadBuffer(4096)
-			if _, err := nc.Write([]byte{wireVersion}); err != nil {
-				t.Fatal(err)
-			}
-			conn := NewTCPConn(nc)
+			conn := dialNarrow(t, addr)
 			defer conn.Close()
-			// Read the hello, then go silent on the receive side while
+			// The hello read, go silent on the receive side while
 			// requesting page after page. Each first read of a page ships
 			// ~4 KiB of data; once the kernel socket buffers fill, replies
 			// back up on the server side and blow past the cap.
-			if _, err := conn.Recv(); err != nil {
-				t.Fatalf("hello: %v", err)
-			}
 			deposed := func() bool {
 				return srv.Sessions() == 0 && srv.Metrics().CounterValue(tc.counter) >= 1
 			}
@@ -227,18 +250,52 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 				}
 			}
 			waitFor(t, "the slow reader to be deposed", deposed)
-			closed := make(chan error, 1)
-			go func() { closed <- srv.Close() }()
-			select {
-			case err := <-closed:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Close hung behind the deposed session's unread socket")
-			}
+			closePromptly(t, srv)
 		})
 	}
+}
+
+// TestTCPLoneRequesterNeverReadsDeposed: a peer that asks for one page at
+// a time and never reads a reply keeps no second request waiting, so the
+// blocking session's reader ships every reply itself and ends up parked in
+// a write to the full socket. From then on the session takes nothing in: no
+// outbox limit is ever reached on its behalf and no callback is outstanding
+// against it. The lease sweep must find it all the same — CallbackTimeout is
+// how long a client may keep the server waiting — and deposed means the
+// server lets go of the socket.
+func TestTCPLoneRequesterNeverReadsDeposed(t *testing.T) {
+	const nPages = 8192 // 32 MiB of page data, well past kernel buffering
+	const timeout = 300 * time.Millisecond
+	srv, addr := startTransportServer(t, ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: nPages, SyncWAL: false,
+		Transport: TransportGoroutine, CallbackTimeout: timeout, OutboxLimit: -1,
+	})
+	defer srv.Close()
+	conn := dialNarrow(t, addr)
+	defer conn.Close()
+
+	reg := srv.Metrics()
+	deposed := func() bool { return srv.Sessions() == 0 }
+	for i := 0; i < nPages && !deposed(); i++ {
+		if err := conn.Send(readReq(i, int64(i+1))); err != nil {
+			break // server already cut us off
+		}
+		// One at a time: the next request leaves once the server has taken
+		// this one in — or never does, because its reader is parked.
+		for sent := time.Now(); reg.CounterValue(`oodb_server_requests_total{kind="read"}`) <= int64(i) && !deposed(); {
+			if time.Since(sent) > 20*timeout {
+				t.Fatalf("request %d not taken in after %v and the session is still attached", i, 20*timeout)
+			}
+			runtime.Gosched()
+		}
+	}
+	if !deposed() {
+		t.Fatalf("%d replies sent unread and the server's writes never parked", nPages)
+	}
+	if got := reg.CounterValue("oodb_server_lease_expiries_total"); got != 1 {
+		t.Errorf("oodb_server_lease_expiries_total = %d, want 1", got)
+	}
+	closePromptly(t, srv)
 }
 
 // TestSlowlorisAccept: connections that never send their version byte

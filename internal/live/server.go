@@ -407,14 +407,16 @@ func (s *Server) background(period time.Duration, poke <-chan struct{}, fn func(
 	}()
 }
 
-// sweepLeases disconnects every session with an overdue callback answer
-// through the normal departure path (their callbacks are self-answered,
-// copies dropped, transactions aborted). The watchdog's tick.
+// sweepLeases disconnects every session that has overstayed
+// CallbackTimeout — sitting on a callback answer, or leaving its pump parked
+// in one write (closing the socket unparks it) — through the normal
+// departure path (their callbacks are self-answered, copies dropped,
+// transactions aborted). The watchdog's tick.
 func (s *Server) sweepLeases() (done bool) {
 	now := time.Now()
 	var dead []core.ClientID
 	for id, sess := range s.sessionMap() {
-		if sess.overdue(now) {
+		if sess.overdue(now) || sess.stalled(now, s.opts.CallbackTimeout) {
 			dead = append(dead, id)
 		}
 	}

@@ -19,31 +19,20 @@ import (
 // concerns). All messages about one page are produced under that page's
 // shard lock, so per-page wire order still matches engine order.
 //
-// A staged entry may be reserved before its payload exists: data grants
-// are pushed under the shard lock with ready=false, and the payload is
-// attached — and the entry marked ready — after the lock is released
-// (see Server.stage / Server.attachPayloads). pump ships only the
-// maximal ready prefix, so reserved slots preserve FIFO order without
-// holding the engine lock across store reads. On a connection that
-// serialises its messages (wire) a data grant needs no reservation: it is
-// staged ready and pump copies its payload out of the store as it encodes
-// the frame.
+// Every staged entry is complete as staged. A data grant carries only its
+// page or object id; ship reads the payload out of the store as the grant
+// leaves, so the engine lock is never held across a store read.
 type session struct {
 	id   core.ClientID
 	conn asyncConn
 
-	// wire is the blocking TCP connection under conn, which serialises
-	// what it is given, and store the payload source for the frames pump
-	// encodes for it; both nil when messages are passed by reference
-	// (pipes) or the transport queues frames itself (the reactor).
-	wire  *tcpConn
+	// How a batch leaves is decided by what the connection is (attach):
+	// wire is a connection that serialises its messages (tcpConn, rconn),
+	// peer one that hands the very Msg to the other end (a pipe). Exactly
+	// one is set. store is where ship reads grant payloads from.
+	wire  frameSink
+	peer  Conn
 	store objectStore
-
-	// idle is set under a blocking driver (over a connection that can
-	// tell): its receiver ships the output of the request it just handled
-	// itself (flushOwn), and idle is its probe for "no further request is
-	// waiting".
-	idle func() bool
 
 	// cbDue maps an outstanding callback round id to its answer deadline.
 	// cbMu guards the map itself (rounds from different shards share it,
@@ -60,34 +49,25 @@ type session struct {
 	txnLastReq map[core.TxnID]uint64
 
 	mu      sync.Mutex
-	outbox  []*outEntry
-	own     int  // quiet entries pushed since the last flushOwn
-	pumping bool // a pump is mid-batch; keeps drains FIFO
+	outbox  []*core.Msg
+	own     int    // quiet entries pushed since the last flushOwn
+	pumping bool   // a pump is inside ship; keeps drains FIFO
+	ships   uint64 // which one: counts entries into ship
 	closed  bool
 	dropped bool // outbox overflowed; the server is deposing this session
+
+	// The lease sweep's last look at ships, and when (stalled).
+	sweptShips uint64
+	sweptAt    time.Time
 }
 
-// outEntry is one staged outbound message. msg.Data and ready are written
-// under session.mu (attachPayloads) before pump reads them (also under
-// session.mu), so the hand-off is properly fenced.
-type outEntry struct {
-	msg   core.Msg
-	ready bool
-	// fromStore marks a data grant whose Data pump reads out of the store
-	// while encoding (wire sessions only).
-	fromStore bool
-	// quiet marks output of the request the session's own receiver is
-	// handling: nobody is kicked for it, the receiver ships it when the
-	// handler returns (flushOwn).
-	quiet bool
-}
+// outMsgPool recycles the staged copies of wire sessions, whose messages
+// are encoded and done with; a pipe hands the staged Msg to its peer for
+// good.
+var outMsgPool = sync.Pool{New: func() any { return new(core.Msg) }}
 
-// outEntryPool recycles entries of wire sessions, whose messages are
-// encoded and done with; a pipe hands &e.msg to its peer for good.
-var outEntryPool = sync.Pool{New: func() any { return new(outEntry) }}
-
-func newSession(id core.ClientID, conn asyncConn) *session {
-	return &session{id: id, conn: conn, cbDue: make(map[int64]time.Time)}
+func newSession(conn asyncConn, store objectStore) *session {
+	return &session{conn: conn, store: store, cbDue: make(map[int64]time.Time)}
 }
 
 // armCB sets the answer deadline for callback round id.
@@ -116,57 +96,61 @@ func (s *session) overdue(now time.Time) bool {
 	return false
 }
 
-// push stages one entry. It reports overflow the first time the outbox
+// stalled reports whether a pump has been inside one ship for longer than
+// limit: parked in a write to a peer that stopped reading. When that pump
+// is the session's own receiver (flushOwn) the session takes in nothing
+// either, so no outbox limit will ever be reached on its behalf. The pump
+// only numbers its ships; the clock is read here, by the lease sweep, which
+// finds a ship stalled when it is still the one an earlier sweep saw, more
+// than limit ago.
+func (s *session) stalled(now time.Time, limit time.Duration) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pumping && s.ships == s.sweptShips {
+		return now.Sub(s.sweptAt) > limit
+	}
+	s.sweptShips, s.sweptAt = s.ships, now
+	return false
+}
+
+// push stages one message. It reports overflow the first time the outbox
 // exceeds limit (limit <= 0: unbounded) — the caller must then depose
 // the session, because an outbox this deep means the client stopped
-// draining its connection and every staged byte is dead weight.
-func (s *session) push(e *outEntry, limit int) (overflow bool) {
+// draining its connection and every staged byte is dead weight. A quiet
+// message is output of the request the session's own receiver is handling:
+// nobody is kicked for it, the receiver ships it when the handler returns
+// (flushOwn).
+func (s *session) push(m *core.Msg, quiet bool, limit int) (overflow bool) {
+	staged := outMsgPool.Get().(*core.Msg)
+	*staged = *m
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		outMsgPool.Put(staged)
 		return false
 	}
-	s.outbox = append(s.outbox, e)
-	if e.quiet {
+	s.outbox = append(s.outbox, staged)
+	if quiet {
 		s.own++
 	}
 	if limit > 0 && len(s.outbox) > limit && !s.dropped {
 		s.dropped = true
 		overflow = true
 	}
-	kick := e.ready && !e.quiet
 	s.mu.Unlock()
-	if kick {
+	if !quiet {
 		s.conn.Kick() // non-blocking, so callers may hold shard locks
 	}
 	return overflow
 }
 
-// enqueue appends one ready (payload-complete) message.
-func (s *session) enqueue(m core.Msg) {
-	e := outEntryPool.Get().(*outEntry)
-	*e = outEntry{msg: m, ready: true}
-	s.push(e, 0)
-}
-
-// markReady publishes e's payload to pump and schedules it.
-func (s *session) markReady(e *outEntry) {
-	s.mu.Lock()
-	e.ready = true
-	kick := !e.quiet
-	s.mu.Unlock()
-	if kick {
-		s.conn.Kick()
-	}
-}
-
 // flushOwn ships what the request just handled staged for its own session
-// (quiet entries). It runs on a blocking driver's receiver, which pumps
-// in person — sparing the reply a goroutine hand-off — only when it is
-// certain to be back in Recv promptly: nothing else is queued or being
-// pumped, and no further request is waiting (idle). Otherwise the pump
-// goroutine takes it, and a receiver that keeps receiving is what lets a
-// session whose peer stopped reading run into its outbox limit.
+// (quiet entries). It runs on the driver's receiver, which pumps in person
+// — sparing the reply a hand-off to the pump — only when it is certain to
+// be back receiving promptly: nothing else is queued or being pumped, and
+// no further request is waiting (idle). Otherwise the pump takes it, and a
+// receiver that keeps receiving is what lets a session whose peer stopped
+// reading run into its outbox limit.
 func (s *session) flushOwn() {
 	s.mu.Lock()
 	own := s.own
@@ -174,7 +158,7 @@ func (s *session) flushOwn() {
 	inline := own > 0 && own == len(s.outbox) && !s.pumping
 	s.mu.Unlock()
 	switch {
-	case inline && s.idle():
+	case inline && s.conn.idle():
 		s.pump()
 	case own > 0:
 		s.conn.Kick()
@@ -190,35 +174,23 @@ func (s *session) close() {
 	s.conn.Close()
 }
 
-// pump is the one function that drains a session outbox: it ships the
-// maximal ready prefix, in order, and returns. It stops at a head entry
-// still awaiting its payload — later ready entries must not overtake it
-// (FIFO). The connection's driver calls it whenever Kick signaled staged
-// output. The pumping flag admits one drainer at a time, so FIFO holds
-// even if a stray kick ever raced the driver; entries that become ready
-// mid-batch are picked up by the re-check (their Kick may find pumping
-// set, but this drainer clears the flag only after looking again).
+// pump is the one function that drains a session outbox: it ships what is
+// staged, in order, and returns. The connection's driver calls it whenever
+// Kick signaled staged output, and the receiver for its own request's
+// (flushOwn). The pumping flag admits one drainer at a time, so FIFO holds
+// when the two meet; entries staged mid-batch are picked up by the re-check
+// (their Kick may find pumping set, but this drainer clears the flag only
+// after looking again).
 func (s *session) pump() {
 	s.mu.Lock()
-	for {
-		if s.pumping || s.closed {
-			s.mu.Unlock()
-			return
-		}
-		n := 0
-		for n < len(s.outbox) && s.outbox[n].ready {
-			n++
-		}
-		if n == 0 {
-			s.mu.Unlock()
-			return
-		}
+	for !s.pumping && !s.closed && len(s.outbox) > 0 {
 		whole := s.outbox
-		batch := whole[:n:n]
-		s.outbox = whole[n:]
+		n := len(whole)
+		s.outbox = whole[n:] // what is staged meanwhile lands behind the batch
 		s.pumping = true
+		s.ships++
 		s.mu.Unlock()
-		err := s.ship(batch)
+		err := s.ship(whole[:n:n])
 		s.mu.Lock()
 		s.pumping = false
 		if len(s.outbox) == 0 {
@@ -235,38 +207,57 @@ func (s *session) pump() {
 			return
 		}
 	}
+	s.mu.Unlock()
 }
 
-// ship sends one batch in order. A wire session's batch is encoded into
-// one pooled buffer — data grants straight from the store — and written
-// in as few socket writes as encBufKeep allows.
-func (s *session) ship(batch []*outEntry) error {
+// ship sends one batch in order, reading each data grant's payload out of
+// the store as the grant leaves. It runs WITHOUT any shard lock; the
+// store's page latches (shared here, exclusive in commit installs) keep
+// each copy untorn.
+//
+// The payload still matches the lock state at grant time: a conflicting
+// writer can install new bytes for a granted object only after calling
+// back every registered copy — and the copy was registered under the
+// page's shard lock when this grant was staged. The recipient answers
+// that callback only after its client-side receive loop has consumed
+// this very message, which the FIFO outbox orders behind nothing that
+// hasn't been sent — so the install strictly follows this read, whenever
+// before the send it happens. Slots the grant marked Unavail are the one
+// exception: their bytes may move underneath us, but clients never read
+// Unavail slots from a granted page.
+//
+// There are two ways out, chosen by what the connection is. By frame
+// (wire): the batch is encoded into one pooled buffer, payloads copied
+// straight from the store's frames, and handed over in as few writes as
+// encBufKeep allows. By reference (peer): the payload is a copy of its own
+// (ReadPage/ReadObj), because the other end of a pipe adopts the very Msg.
+func (s *session) ship(batch []*core.Msg) error {
 	if s.wire == nil {
-		for _, e := range batch {
-			if err := s.conn.Send(&e.msg); err != nil {
+		for _, m := range batch {
+			var err error
+			switch m.Kind {
+			case core.MPageData:
+				m.Data, err = s.store.ReadPage(m.Page)
+			case core.MObjData:
+				m.Data, err = s.store.ReadObj(m.Obj)
+			}
+			if err == nil {
+				err = s.peer.Send(m)
+			}
+			if err != nil {
 				return err
 			}
-		}
-		if f, ok := s.conn.(flusher); ok {
-			// Batch boundary: push the queued frames out in one write. A
-			// failed flush poisons the connection; the next Send or the
-			// receiver reports it.
-			f.Flush()
 		}
 		return nil
 	}
 	bp := encBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	var err error
-	for _, e := range batch {
-		var payload objectStore
-		if e.fromStore {
-			payload = s.store
-		}
-		if buf, err = appendMsgFrame(buf, &e.msg, payload); err != nil {
+	for _, m := range batch {
+		if buf, err = appendMsgFrame(buf, m, s.store); err != nil {
 			break
 		}
-		outEntryPool.Put(e)
+		outMsgPool.Put(m)
 		if len(buf) >= encBufKeep {
 			if err = s.wire.writeFrames(buf); err != nil {
 				break
@@ -284,7 +275,7 @@ func (s *session) ship(batch []*outEntry) error {
 // Attach registers a new client session over conn and starts serving it.
 // It returns the client id assigned to the session.
 func (s *Server) Attach(conn Conn) (core.ClientID, error) {
-	return s.attach(conn, false)
+	return s.attachBlocking(conn, false)
 }
 
 // attachInternal registers the reclustering planner's session: its hello
@@ -293,10 +284,23 @@ func (s *Server) Attach(conn Conn) (core.ClientID, error) {
 // door, and every shard engine marks it a system client so its commits
 // and aborts stay out of user-facing stats. One at a time.
 func (s *Server) attachInternal(conn Conn) (core.ClientID, error) {
-	return s.attach(conn, true)
+	return s.attachBlocking(conn, true)
 }
 
-func (s *Server) attach(conn Conn, internal bool) (core.ClientID, error) {
+// attachBlocking attaches a session driven by a goroutine pair over a
+// blocking Conn: a tcpConn serialises (by frame), anything else is handed
+// its messages by reference.
+func (s *Server) attachBlocking(conn Conn, internal bool) (core.ClientID, error) {
+	sess := newSession(newBlockingConn(conn, &s.wg), s.store)
+	if t, ok := conn.(*tcpConn); ok {
+		sess.wire = t
+	} else {
+		sess.peer = conn
+	}
+	return s.attach(sess, internal)
+}
+
+func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -304,20 +308,10 @@ func (s *Server) attach(conn Conn, internal bool) (core.ClientID, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	ac, ok := conn.(asyncConn)
-	if !ok {
-		ac = newBlockingConn(conn, &s.wg)
-	}
-	sess := newSession(id, ac)
-	if c, canTell := conn.(interface{ idle() bool }); canTell && !ok {
-		sess.idle = c.idle
-	}
-	if t, ok := conn.(*tcpConn); ok {
-		sess.wire, sess.store = t, s.store
-	}
+	sess.id = id
 	// Handlers are installed before the session is published and before
 	// the driver starts, so no callback can beat them.
-	ac.SetHandlers(func(m *core.Msg, err error) { s.deliver(sess, m, err) }, sess.pump)
+	sess.conn.SetHandlers(func(m *core.Msg, err error) { s.deliver(sess, m, err) }, sess.pump)
 	// Held across Start: a driver's own wg.Add then never races the
 	// Wait of a Close that slipped in after this unlock.
 	s.wg.Add(1)
@@ -347,8 +341,8 @@ func (s *Server) attach(conn Conn, internal bool) (core.ClientID, error) {
 	hello := &core.Msg{Kind: core.MHello, To: id, HelloID: id,
 		HelloPages: int32(pages), HelloObjsPP: int32(opp), HelloObjSize: int32(objSize),
 		HelloProto: s.opts.Proto, HelloVariable: s.opts.VariableObjects}
-	sess.enqueue(*hello) // first message on the session, ahead of any grant
-	ac.Start()
+	sess.push(hello, false, 0) // first message on the session, ahead of any grant
+	sess.conn.Start()
 	return id, nil
 }
 
@@ -385,23 +379,25 @@ func (s *Server) detach(id core.ClientID) {
 	// grants this unblocks. The shared seen set counts a transaction
 	// holding locks on several shards as ONE abort.
 	seen := make(map[core.TxnID]bool)
-	var staged []stagedPayload
 	var overflow []core.ClientID
 	for _, sh := range s.shards {
 		held := s.lockShard(sh)
-		st, ov := s.stage(nil, sh.eng.DisconnectDedup(id, seen))
+		overflow = append(overflow, s.stage(nil, sh.eng.DisconnectDedup(id, seen))...)
 		s.unlockShard(sh, held)
-		staged = append(staged, st...)
-		overflow = append(overflow, ov...)
 	}
 	s.bsMu.Lock()
 	for t := range seen {
 		delete(s.blockStart, t)
 	}
 	s.bsMu.Unlock()
-	s.attachPayloads(staged)
-	for _, oid := range overflow {
-		s.detach(oid) // bounded: each recursion removes a session
+	s.detachAll(overflow) // bounded: each recursion removes a session
+}
+
+// detachAll deposes the sessions stage reported as overflowed, once the
+// shard lock it ran under is released.
+func (s *Server) detachAll(overflow []core.ClientID) {
+	for _, id := range overflow {
+		s.detach(id)
 	}
 }
 
@@ -425,28 +421,18 @@ func (s *Server) deliver(sess *session, m *core.Msg, err error) {
 	}
 	m.From = sess.id
 	s.handle(sess, m, time.Now())
-	if sess.idle != nil {
-		sess.flushOwn()
-	}
+	sess.flushOwn()
 }
 
-// stagedPayload is a reserved outbox slot awaiting its payload.
-type stagedPayload struct {
-	sess *session
-	e    *outEntry
-}
-
-// stage reserves outbox slots for the engine's outputs, in engine order
-// (the wire order), under the emitting shard's lock. Messages that need
-// no store payload are ready immediately, and so are data grants to wire
-// sessions, whose payload pump reads as it encodes them; other data grants
-// are staged unready and returned for attachPayloads to fill outside the
-// lock. self is the session whose request produced outs, when its own
-// receiver is the caller: a blocking driver's receiver ships its own
-// output itself (flushOwn). stage also arms callback deadlines and reports
+// stage pushes the engine's outputs onto their sessions' outboxes, in
+// engine order (the wire order), under the emitting shard's lock. A data
+// grant is staged as the engine made it, without its payload: ship reads
+// that as the grant leaves. self is the session whose request produced
+// outs, when its own receiver is the caller, which ships its own output
+// itself (flushOwn). stage also arms callback deadlines and reports
 // sessions whose outbox overflowed (the caller must detach those after
 // releasing the lock).
-func (s *Server) stage(self *session, outs []core.Msg) (staged []stagedPayload, overflow []core.ClientID) {
+func (s *Server) stage(self *session, outs []core.Msg) (overflow []core.ClientID) {
 	sessions := s.sessionMap()
 	for i := range outs {
 		om := &outs[i]
@@ -454,72 +440,27 @@ func (s *Server) stage(self *session, outs []core.Msg) (staged []stagedPayload, 
 		if sess == nil {
 			continue // client departed; detach cleans its state up
 		}
-		e := outEntryPool.Get().(*outEntry)
-		*e = outEntry{msg: *om, ready: true, quiet: sess == self && sess.idle != nil}
 		switch om.Kind {
-		case core.MPageData, core.MObjData:
-			if om.Kind == core.MPageData && s.relocs != nil {
+		case core.MPageData:
+			if s.relocs != nil {
 				// A granted page may carry retired (moved-away-from) slots:
 				// mark them unavailable so the client's cached copy routes
 				// their reads back to the server, which redirects. Staged
 				// under the emitting shard's lock, so the marks match the
 				// relocation state the grant was decided under.
 				if ret := s.relocs.view().retiredSlots(om.Page); len(ret) > 0 {
-					e.msg.Unavail = append(append([]uint16(nil), e.msg.Unavail...), ret...)
+					om.Unavail = append(append([]uint16(nil), om.Unavail...), ret...)
 				}
-			}
-			if sess.wire != nil {
-				e.fromStore = true
-			} else {
-				e.ready = false
-				staged = append(staged, stagedPayload{sess, e})
 			}
 		case core.MCallback:
 			if s.opts.CallbackTimeout > 0 {
 				sess.armCB(om.Req, time.Now().Add(s.opts.CallbackTimeout))
 			}
 		}
-		if sess.push(e, s.opts.OutboxLimit) {
+		if sess.push(om, sess == self, s.opts.OutboxLimit) {
 			s.metrics.outboxDeposes.Inc()
 			overflow = append(overflow, om.To)
 		}
 	}
-	return staged, overflow
-}
-
-// attachPayloads reads the store payloads for slots stage reserved and
-// publishes them to the session pumps. It runs WITHOUT any shard
-// lock; the store's page latches (shared here, exclusive in commit
-// installs) keep each copy untorn. A wire session's pump reads its
-// payloads under the same latches and the same argument, only later
-// still: as it writes the frame.
-//
-// The payload still matches the lock state at grant time: a conflicting
-// writer can install new bytes for a granted object only after calling
-// back every registered copy — and the copy was registered under the
-// page's shard lock when this grant was staged. The recipient answers
-// that callback only after its client-side receive loop has consumed
-// this very message, which the FIFO outbox orders behind nothing that
-// hasn't been sent — so the install strictly follows this read. Slots
-// the grant marked Unavail are the one exception: their bytes may move
-// underneath us, but clients never read Unavail slots from a granted
-// page.
-func (s *Server) attachPayloads(staged []stagedPayload) {
-	for _, sp := range staged {
-		var data []byte
-		var err error
-		if sp.e.msg.Kind == core.MPageData {
-			data, err = s.store.ReadPage(sp.e.msg.Page)
-		} else {
-			data, err = s.store.ReadObj(sp.e.msg.Obj)
-		}
-		if err != nil {
-			if s.closedFlag.Load() {
-				return // crashed underneath us; sessions are gone anyway
-			}
-			panic(fmt.Sprintf("live: payload read failed: %v", err))
-		}
-		sp.e.msg.Data = data
-		sp.sess.markReady(sp.e)
-	}
+	return overflow
 }

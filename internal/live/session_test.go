@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -160,7 +161,7 @@ func TestSessionContract(t *testing.T) {
 	}{
 		{"HelloFirst", sessionHelloFirst},
 		{"CommitVisibleAcrossSessions", sessionCommitVisible},
-		{"ReadyPrefixFIFO", sessionReadyPrefixFIFO},
+		{"GrantFIFO", sessionGrantFIFO},
 		{"OutboxOverflowDeposes", sessionOutboxOverflow},
 		{"DetachRacingCommit", sessionDetachRacingCommit},
 		{"CloseJoinsDrivers", sessionCloseJoinsDrivers},
@@ -238,69 +239,101 @@ func sessionCommitVisible(t *testing.T, transport string) {
 	}
 }
 
-// While a data grant at the head of the outbox awaits its payload,
-// nothing staged behind it ships; once it is ready both go, in order.
-func sessionReadyPrefixFIFO(t *testing.T, transport string) {
+// A page grant staged ahead of a control message arrives ahead of it, and
+// carries what the store holds when it ships: bytes installed after the
+// grant was staged (and before it left) are the ones the client gets.
+func sessionGrantFIFO(t *testing.T, transport string) {
 	h := newSessionHarness(t, transport, ServerOptions{})
 	defer h.srv.Close()
 	conn, sess := h.rawSession(t)
 	defer conn.Close()
 
-	grant := &outEntry{msg: core.Msg{Kind: core.MPageData, To: sess.id, Req: 1, Page: 7}}
-	sess.push(grant, 0)
-	sess.enqueue(core.Msg{Kind: core.MGrant, To: sess.id, Req: 2})
-
-	got := recvAsync(conn)
-	select {
-	case r := <-got:
-		t.Fatalf("frame %+v (err %v) overtook an unready head entry", r.m, r.err)
-	case <-time.After(100 * time.Millisecond):
+	// Staged the way a receiver stages its own request's output: nobody is
+	// kicked, so nothing leaves before the install below.
+	sess.push(&core.Msg{Kind: core.MPageData, To: sess.id, Req: 1, Page: 7}, true, 0)
+	sess.push(&core.Msg{Kind: core.MGrant, To: sess.id, Req: 2}, true, 0)
+	if err := h.srv.store.WriteObj(o(7, 1), []byte("installed after staging")); err != nil {
+		t.Fatal(err)
 	}
-	grant.msg.Data = []byte("payload")
-	sess.markReady(grant)
-	select {
-	case r := <-got:
-		if r.err != nil || r.m.Kind != core.MPageData || r.m.Req != 1 || string(r.m.Data) != "payload" {
-			t.Fatalf("first frame after ready: %+v (err %v), want the page grant", r.m, r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ready head entry never shipped")
+	want, err := h.srv.store.ReadPage(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.conn.Kick()
+
+	if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MPageData || m.Req != 1 || !bytes.Equal(m.Data, want) {
+		t.Fatalf("first frame %v req %d with %d payload bytes, want the page grant with the store's current page", m.Kind, m.Req, len(m.Data))
 	}
 	if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MGrant || m.Req != 2 {
 		t.Fatalf("second frame %v req %d, want the grant staged behind the data", m.Kind, m.Req)
 	}
 }
 
-// A session whose outbox passes OutboxLimit is deposed through the normal
-// departure path instead of buffering without bound. The head entry is
-// held unready so the backlog is the same on every transport (a reactor
-// connection would otherwise absorb it into its byte queue, which has its
-// own cap — TestTCPSlowReaderDeposed).
+// A session whose peer stopped reading is deposed through the normal
+// departure path instead of buffering without bound: by the outbox limit
+// once its pump is parked on the full connection, or — the reactor never
+// parks — by the drain cap on the bytes its socket refused. Exactly one of
+// the two fires, once. The backlog is output other sessions' requests
+// produce for it (staged here the way the engine stages a callback), one
+// message at a time, so that each bound is approached from below.
 func sessionOutboxOverflow(t *testing.T, transport string) {
 	const limit = 32
 	h := newSessionHarness(t, transport, ServerOptions{
-		PageSize: 64, ObjsPerPage: 4, NumPages: 256, OutboxLimit: limit,
+		PageSize: 4096, ObjsPerPage: 4, NumPages: 64, OutboxLimit: limit, ReactorDrainCap: 64 << 10,
 	})
 	defer h.srv.Close()
 	conn, sess := h.rawSession(t)
 	defer conn.Close()
 
-	sess.push(&outEntry{msg: core.Msg{Kind: core.MPageData, To: sess.id, Page: 255}}, limit)
-	for i := 0; i < 2*limit; i++ {
+	// Engine state for the departure to sweep: cached copies and an open
+	// transaction's read locks.
+	for i := 0; i < 4; i++ {
 		if err := conn.Send(readReq(i, int64(i+1))); err != nil {
-			break // deposed: the server closed the connection under us
+			t.Fatal(err)
+		}
+		if m := recvWithin(t, conn, 5*time.Second); m.Kind != core.MPageData {
+			t.Fatalf("reply %d is %v, want a page grant", i, m.Kind)
 		}
 	}
-	waitFor(t, "the overflowing session to be deposed", func() bool { return h.srv.Sessions() == 0 })
-	if got := h.srv.Metrics().CounterValue("oodb_live_outbox_deposes_total"); got != 1 {
-		t.Fatalf("oodb_live_outbox_deposes_total = %d, want 1", got)
+
+	// From here on the peer reads nothing.
+	sh := h.srv.shards[0]
+	outboxLen := func() int {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return len(sess.outbox)
 	}
+	for i := 0; h.srv.Sessions() > 0; i++ {
+		if i > 1<<16 {
+			t.Fatal("64k unread page grants and the session is still attached")
+		}
+		held := h.srv.lockShard(sh)
+		overflow := h.srv.stage(nil, []core.Msg{{Kind: core.MPageData, To: sess.id, Page: core.PageID(i % 64)}})
+		h.srv.unlockShard(sh, held)
+		h.srv.detachAll(overflow)
+		for wait := time.Now(); outboxLen() > 0 && time.Since(wait) < 20*time.Millisecond; {
+			runtime.Gosched()
+		}
+	}
+	reg := h.srv.Metrics()
+	byOutbox, byDrainCap := reg.CounterValue("oodb_live_outbox_deposes_total"), reg.CounterValue("oodb_live_reactor_deposes_total")
+	if byOutbox+byDrainCap != 1 {
+		t.Fatalf("outbox deposes = %d, drain-cap deposes = %d, want exactly one depose", byOutbox, byDrainCap)
+	}
+	// What was sent before the depose may still arrive; then the
+	// connection is closed.
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
 	select {
-	case r := <-recvAsync(conn):
-		if r.err == nil {
-			t.Fatalf("deposed session delivered %+v, want a closed connection", r.m)
-		}
-	case <-time.After(5 * time.Second):
+	case <-closed:
+	case <-time.After(10 * time.Second):
 		t.Fatal("deposed session's connection never closed")
 	}
 	waitFor(t, "the deposed session's engine state to be swept", func() bool { return quiesced(h.srv) })

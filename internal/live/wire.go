@@ -43,28 +43,32 @@ type Conn interface {
 	Close() error
 }
 
-// flusher is the batch-boundary hint of a transport that queues what Send
-// encodes (the reactor's rconn): the session pump calls it after draining
-// its outbox.
-type flusher interface {
-	Flush() error
-}
-
-// asyncConn is the push-mode transport contract every server session
-// runs on. Instead of the owner parking in Recv, it installs a receiver
-// callback (invoked once per inbound message in wire order, never
-// concurrently, then once with a terminal error) and a pump callback that
-// drains the owner's outbox into the connection. Start begins delivery; no
-// receiver call precedes it. Kick schedules the pump on the transport's
-// driver; it is non-blocking and safe to call under any lock, so the
-// server can request output from inside the engine without doing wire
-// work there. Two drivers implement it: the reactor's rconn (event
-// loops) and blockingConn (two goroutines over any blocking Conn).
+// asyncConn is the push-mode driver every server session runs on. Instead
+// of the owner parking in Recv, it installs a receiver callback (invoked
+// once per inbound message in wire order, never concurrently, then once
+// with a terminal error) and a pump callback that drains the owner's outbox
+// into the connection. Start begins delivery; no receiver call precedes it.
+// Kick schedules the pump on the driver; it is non-blocking and safe to call
+// under any lock, so the server can request output from inside the engine
+// without doing wire work there. idle is the receiver's question, asked
+// from inside its callback, whether it may spend its own time on output: no
+// further inbound message is waiting, so it will be back receiving promptly
+// (session.flushOwn). Close tears the connection down, which ends in the
+// terminal receiver call. Two drivers implement it: the reactor's rconn
+// (event loops) and blockingConn (two goroutines over any blocking Conn).
 type asyncConn interface {
-	Conn
 	SetHandlers(recv func(m *core.Msg, err error), pump func())
 	Start()
 	Kick()
+	idle() bool
+	Close() error
+}
+
+// frameSink is a connection that serialises its messages (tcpConn, rconn):
+// session.ship encodes a batch itself, data grants straight out of the
+// store, and hands over whole frames.
+type frameSink interface {
+	writeFrames(b []byte) error
 }
 
 // blockingConn drives a session over a blocking Conn (an in-process pipe
@@ -72,10 +76,11 @@ type asyncConn interface {
 // second turns kicks into pump calls. Both are counted on wg and exit
 // once the connection is closed.
 type blockingConn struct {
-	Conn
-	wg   *sync.WaitGroup
-	recv func(*core.Msg, error)
-	pump func()
+	c     Conn
+	probe func() bool // c's idle, if it can tell
+	wg    *sync.WaitGroup
+	recv  func(*core.Msg, error)
+	pump  func()
 
 	kick     chan struct{} // cap 1: a pending kick covers every later one
 	done     chan struct{}
@@ -83,7 +88,11 @@ type blockingConn struct {
 }
 
 func newBlockingConn(c Conn, wg *sync.WaitGroup) *blockingConn {
-	return &blockingConn{Conn: c, wg: wg, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	b := &blockingConn{c: c, wg: wg, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	if p, ok := c.(interface{ idle() bool }); ok {
+		b.probe = p.idle
+	}
+	return b
 }
 
 func (b *blockingConn) SetHandlers(recv func(*core.Msg, error), pump func()) {
@@ -95,7 +104,7 @@ func (b *blockingConn) Start() {
 	go func() {
 		defer b.wg.Done()
 		for {
-			m, err := b.Recv()
+			m, err := b.c.Recv()
 			b.recv(m, err)
 			if err != nil {
 				return
@@ -122,9 +131,13 @@ func (b *blockingConn) Kick() {
 	}
 }
 
+// idle: a Conn that cannot tell is never idle, so its receiver leaves all
+// output to the pump goroutine.
+func (b *blockingConn) idle() bool { return b.probe != nil && b.probe() }
+
 func (b *blockingConn) Close() error {
 	b.doneOnce.Do(func() { close(b.done) })
-	return b.Conn.Close()
+	return b.c.Close()
 }
 
 // ---- In-process transport ----
@@ -226,7 +239,7 @@ const readBufKeep = 64 << 10
 
 // tcpConn frames messages with the binary codec (codec.go) over a
 // net.Conn. Sends write through: one frame (Send) or one batch of frames
-// (writeFrames) per socket write, no buffering and no flusher behind it.
+// (writeFrames) per socket write, with no buffering behind it.
 // Frames are decoded in place out of the read buffer.
 type tcpConn struct {
 	c  net.Conn
@@ -289,9 +302,8 @@ func (t *tcpConn) Send(m *core.Msg) error {
 	return err
 }
 
-// writeFrames writes whole encoded frames through to the socket. The
-// server's session pump calls it in place of Send with a batch it encoded
-// itself, data grants straight out of the store (session.ship).
+// writeFrames writes whole encoded frames through to the socket
+// (frameSink).
 func (t *tcpConn) writeFrames(b []byte) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
