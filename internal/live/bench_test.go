@@ -281,7 +281,7 @@ func BenchmarkLiveCommitLargeWriteSet(b *testing.B) {
 
 // tcpPair returns both ends of one established loopback TCP connection,
 // so the wire benchmarks exercise the same socket path production uses.
-func tcpPair(b *testing.B) (net.Conn, net.Conn) {
+func tcpPair(b testing.TB) (net.Conn, net.Conn) {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -390,11 +390,7 @@ func BenchmarkReadMissTCP(b *testing.B) {
 }
 
 func benchReadMissTCP(b *testing.B, transport string) {
-	const pages, cache = 64, 16
-	srv, addr := startTCPServer(b, ServerOptions{
-		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 20, NumPages: pages, SyncWAL: false,
-		Transport: transport,
-	})
+	srv, addr := startTCPServer(b, readMissServer(transport))
 	defer srv.Close()
 	if srv.Transport() != transport {
 		b.Skipf("%s transport unavailable on this platform", transport)
@@ -403,6 +399,39 @@ func benchReadMissTCP(b *testing.B, transport string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchReadMiss(b, conn)
+}
+
+// BenchmarkReadMissPipe is BenchmarkReadMissTCP over an in-process pipe,
+// the connection repro.Cluster and the benchmark's pipe workloads use:
+// ns/op ÷ 16 is a fetch round trip with nothing but two goroutine wake-ups
+// between client and engine, allocs/op ÷ 16 what one leaves behind.
+func BenchmarkReadMissPipe(b *testing.B) {
+	srv, err := openServer(b.TempDir(), readMissServer(""))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cEnd, sEnd := Pipe()
+	if _, err := srv.Attach(sEnd); err != nil {
+		b.Fatal(err)
+	}
+	benchReadMiss(b, cEnd)
+}
+
+const readMissPages, readMissCache = 64, 16
+
+func readMissServer(transport string) ServerOptions {
+	return ServerOptions{
+		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 20, NumPages: readMissPages, SyncWAL: false,
+		Transport: transport,
+	}
+}
+
+// benchReadMiss times transactions of readMissCache uncached reads each by
+// a client connected over conn.
+func benchReadMiss(b *testing.B, conn Conn) {
+	const pages, cache = readMissPages, readMissCache
 	cl, err := Connect(conn, ClientOptions{CachePages: cache})
 	if err != nil {
 		b.Fatal(err)

@@ -232,6 +232,11 @@ func TestClientReconnectAfterKill(t *testing.T) {
 	if cl.ID() == firstID {
 		t.Fatal("reconnect kept the old session id; expected a fresh server-assigned id")
 	}
+	// The first connection was wrapped and polled; the re-dialed one is a
+	// bare pipe, which delivers by call.
+	if isPipe, installed := pipeReceiver(cl); !isPipe || !installed {
+		t.Fatalf("re-dialed connection: pipe %v, receiver installed %v; want both", isPipe, installed)
+	}
 	// The dead session is eventually swept server-side.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Sessions() != 1 {

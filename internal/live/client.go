@@ -71,8 +71,8 @@ type Client struct {
 
 // request is the client's one outstanding request: a transaction handle is
 // used from one goroutine and a client runs one transaction at a time, so
-// there is never a second. The receive loop applies the reply under the
-// client lock the moment it arrives — atomically with respect to
+// there is never a second. deliver applies the reply under the client lock
+// the moment it arrives — atomically with respect to
 // callbacks and de-escalation requests, which may only be answered after
 // the reply's effects (grants, recorded writes) are installed — and then
 // signals done.
@@ -167,7 +167,7 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 	c.cacheCap = cap
 	c.cs = c.newState()
 	c.met = newClientMetrics(opts.Metrics, c.proto)
-	go c.recvLoop()
+	receive(conn, c.deliver)
 	return c, nil
 }
 
@@ -243,8 +243,8 @@ func (c *Client) newState() *core.ClientState {
 // cache as copies (objBytes, collectUpdates). mu held.
 func (c *Client) recycle(payload any) {
 	if buf, ok := payload.([]byte); ok {
-		if t, ok := c.conn.(*tcpConn); ok {
-			t.recycle(buf)
+		if r, ok := c.conn.(recycler); ok {
+			r.recycle(buf)
 		}
 	}
 }
@@ -274,66 +274,72 @@ func (c *Client) failPending() {
 	c.cond.Broadcast()
 }
 
-// recvLoop dispatches server messages: callbacks and de-escalations are
-// handled immediately (concurrently with the running transaction), and
-// replies are applied in arrival order under the client lock, so that a
-// later callback or de-escalation request always observes the effects of
-// the grants that preceded it on the wire.
+// deliver is the connection's receiver, the one place a server message is
+// applied: called once per message in wire order, never concurrently, then
+// once with the transport's terminal error (see receive for by whom).
+// Callbacks and de-escalations are handled immediately (concurrently with
+// the running transaction), and replies are applied in arrival order under
+// the client lock, so that a later callback or de-escalation request always
+// observes the effects of the grants that preceded it on the wire.
 //
-// On a transport error the loop either fails the client permanently or —
-// with a Redial policy — reconnects and carries on with the new session.
-func (c *Client) recvLoop() {
-	conn := c.conn
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			if nc := c.reconnect(err); nc != nil {
-				conn = nc
-				continue
-			}
+// It may be running on the sending goroutine of the very connection it
+// serves (a server session's reader or pump, inside ship), so it must never
+// wait for that goroutine: it takes the client lock, which callers hold
+// only for local work and for a Send into the client-to-server queue, and
+// its own Sends go into that queue too. m is lent (see Conn): only m.Data
+// is kept.
+//
+// On the terminal error it either fails the client permanently or — with a
+// Redial policy — reconnects and receives from the new session. That call
+// may sleep through a back-off, which is why a pipe makes it on a goroutine
+// of its own.
+func (c *Client) deliver(m *core.Msg, err error) {
+	if err != nil {
+		if nc := c.reconnect(err); nc != nil {
+			receive(nc, c.deliver)
+		}
+		return
+	}
+	c.mu.Lock()
+	switch m.Kind {
+	case core.MCallback:
+		reply, _ := c.cs.HandleCallback(m)
+		c.send(reply)
+		c.mu.Unlock()
+	case core.MDeescReq:
+		c.send(c.cs.HandleDeescReq(m))
+		c.mu.Unlock()
+	case core.MAbortYou:
+		if m.Txn != c.cs.Txn {
+			c.mu.Unlock() // verdict on a transaction that already ended
 			return
 		}
-		c.mu.Lock()
-		switch m.Kind {
-		case core.MCallback:
-			reply, _ := c.cs.HandleCallback(m)
-			c.send(reply)
-			c.mu.Unlock()
-		case core.MDeescReq:
-			c.send(c.cs.HandleDeescReq(m))
-			c.mu.Unlock()
-		case core.MAbortYou:
-			if m.Txn != c.cs.Txn {
-				c.mu.Unlock() // verdict on a transaction that already ended
-				continue
-			}
-			c.met.abort()
-			// Roll the transaction back right here so subsequent messages
-			// see consistent state; the waiter just learns the outcome.
-			for _, am := range c.cs.Abort() {
-				am := am
-				c.send(&am)
-			}
-			c.txn = nil
-			// The verdict ends the transaction, so it resolves whatever
-			// request the transaction has in flight — not just the one the
-			// server named in Req: a reply to an unresolved request would
-			// otherwise be applied to a finished transaction.
-			done := c.take()
-			c.mu.Unlock()
-			if done != nil {
-				done <- reqAborted
-			}
-		default:
-			var done chan<- reqOutcome
-			if c.req.id != 0 && c.req.id == m.Req {
-				c.applyPending(m)
-				done = c.take()
-			}
-			c.mu.Unlock()
-			if done != nil {
-				done <- reqOK
-			}
+		c.met.abort()
+		// Roll the transaction back right here so subsequent messages
+		// see consistent state; the waiter just learns the outcome.
+		for _, am := range c.cs.Abort() {
+			am := am
+			c.send(&am)
+		}
+		c.txn = nil
+		// The verdict ends the transaction, so it resolves whatever
+		// request the transaction has in flight — not just the one the
+		// server named in Req: a reply to an unresolved request would
+		// otherwise be applied to a finished transaction.
+		done := c.take()
+		c.mu.Unlock()
+		if done != nil {
+			done <- reqAborted
+		}
+	default:
+		var done chan<- reqOutcome
+		if c.req.id != 0 && c.req.id == m.Req {
+			c.applyPending(m)
+			done = c.take()
+		}
+		c.mu.Unlock()
+		if done != nil {
+			done <- reqOK
 		}
 	}
 }
@@ -416,8 +422,8 @@ func (c *Client) reconnect(cause error) Conn {
 // which also serializes the wire order with the state mutations that
 // produced the message. The transport error is returned for the paths
 // that wait on the message's effect (roundTrip) or complete purely
-// locally (read-only commit); answers sent from the receive loop leave a
-// dead connection to its next Recv.
+// locally (read-only commit); answers sent from deliver leave a dead
+// connection to its terminal call.
 func (c *Client) send(m *core.Msg) error {
 	m.DroppedPages, m.DroppedObjs = c.cs.Cache.TakeDropped()
 	return c.conn.Send(m)
@@ -473,9 +479,9 @@ type Txn struct {
 	relocs []core.RelocEntry
 }
 
-// roundTrip sends m and waits for its reply, which the receive loop
-// applies under c.mu the moment it arrives (applyPending; what the reply
-// said is left in c.req). The caller must hold c.mu; the lock is released
+// roundTrip sends m and waits for its reply, which deliver applies under
+// c.mu the moment it arrives (applyPending; what the reply said is left in
+// c.req). The caller must hold c.mu; the lock is released
 // while waiting and reacquired before returning.
 //
 // With a RequestTimeout configured the wait is bounded: on expiry the
@@ -493,11 +499,14 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 	r.id, r.kind, r.obj, r.data = m.Req, kind, obj, data
 	r.val, r.redirected, r.fence = nil, false, false
 	conn := c.conn
-	start := time.Now()
+	var start time.Time
+	if c.met != nil {
+		start = time.Now()
+	}
 	if err := c.send(m); err != nil {
 		// Sends write through, so a dead connection says so here: end the
 		// session now instead of parking on a reply that cannot come and
-		// leaving the receive loop to notice a half-dead socket.
+		// leaving the reader to notice a half-dead socket.
 		r.id = 0
 		conn.Close()
 		if c.opts.Redial == nil {
@@ -517,8 +526,8 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 		case out = <-r.done:
 			t.Stop()
 		case <-t.C:
-			// Kill the (stalled) connection; the recv loop notices and
-			// fails or replaces the session, releasing the waiter.
+			// Kill the (stalled) connection; its terminal call fails or
+			// replaces the session, releasing the waiter.
 			timedOut = true
 			conn.Close()
 			out = <-r.done
@@ -526,14 +535,16 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 	} else {
 		out = <-r.done
 	}
-	c.met.rtt(time.Since(start))
+	if c.met != nil {
+		c.met.rtt(time.Since(start))
+	}
 	c.mu.Lock()
 	switch {
 	case timedOut:
 		// We tore the connection down, but the reply may have raced in
 		// first (transports drain buffered messages on close), in which
-		// case the waiter was released with reqOK and the recv loop has
-		// not yet seen the transport error. The session is doomed either
+		// case the waiter was released with reqOK and the terminal call
+		// has not happened yet. The session is doomed either
 		// way.
 		c.abandonSession(conn, ErrTimeout)
 		return ErrTimeout
@@ -547,11 +558,11 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 	return nil
 }
 
-// abandonSession gives up on the session over conn ahead of the receive
-// loop: park new Begins behind the reconnect and finish the active
+// abandonSession gives up on the session over conn ahead of its terminal
+// call: park new Begins behind the reconnect and finish the active
 // transaction now with cause, so the client is reusable the moment the
-// receive loop replaces (or permanently fails) the session. A no-op if
-// the receive loop already swapped in a fresh connection. mu held.
+// terminal call replaces (or permanently fails) the session. A no-op if
+// that already swapped in a fresh connection. mu held.
 func (c *Client) abandonSession(conn Conn, cause error) {
 	if c.conn == conn && !c.closed {
 		c.reconnecting = true
@@ -564,7 +575,7 @@ func (c *Client) abandonSession(conn Conn, cause error) {
 }
 
 // applyPending applies the reply to the outstanding request. It runs in
-// the receive loop under c.mu.
+// deliver under c.mu.
 func (c *Client) applyPending(rep *core.Msg) {
 	r := &c.req
 	switch {
@@ -671,8 +682,8 @@ func relocBackoff(attempt int) time.Duration {
 	return d
 }
 
-// fenceWait sleeps off a fence bounce without holding the client lock (the
-// receive loop needs it for callbacks), then revalidates the transaction.
+// fenceWait sleeps off a fence bounce without holding the client lock
+// (deliver needs it for callbacks), then revalidates the transaction.
 func (t *Txn) fenceWait(attempt int) error {
 	c := t.c
 	if attempt >= relocRetryLimit {
@@ -784,8 +795,8 @@ func (t *Txn) Commit() error {
 	// server already tore this session down (e.g. deposed us for a stale
 	// callback), our read permissions were revoked mid-transaction and
 	// the commit must not report success. Without this check the outcome
-	// would depend on whether the receive loop noticed the dead
-	// connection first.
+	// would depend on whether the connection's terminal call came
+	// first.
 	var sendErr error
 	for _, ack := range c.cs.OnCommitAck() {
 		ack := ack

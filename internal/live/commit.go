@@ -46,20 +46,20 @@ func (s *Server) unlockShard(sh *engineShard, acquired time.Time) {
 // dispatches the responses. Everything that does not need engine state —
 // WAL body encoding, the commit fsync wait, store payload reads —
 // happens outside the shard locks. recvAt is when the session's driver
-// delivered the message (the commit-stage queue span starts there).
+// delivered the message: the handle span and the commit-stage queue span
+// start there.
 func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 	kind := int(m.Kind)
 	if kind < len(msgKindLabels) {
 		s.metrics.reqs[kind].Inc()
 	}
-	start := time.Now()
 	var syncWait time.Duration
 	defer func() {
 		if kind < len(msgKindLabels) {
 			// The group-commit durability wait is fsync scheduling, not
 			// processing; it is recorded separately (commitSyncWaitNs) so
 			// handle latency stays honest.
-			s.metrics.handleNs[kind].Observe((time.Since(start) - syncWait).Nanoseconds())
+			s.metrics.handleNs[kind].Observe((time.Since(recvAt) - syncWait).Nanoseconds())
 		}
 	}()
 

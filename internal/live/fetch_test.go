@@ -267,7 +267,10 @@ func wholeGen(v []byte) (uint64, bool) {
 // concurrently with the writer's installs, on every transport. Every object
 // a reader sees must be whole, slots 1-3 of one transaction's view the same
 // generation, and that generation no older than the last commit that had
-// been acknowledged before the reader asked. Run under -race.
+// been acknowledged before the reader asked. The readers' one cached page
+// gives its buffer back on every eviction (on a pipe the server's next copy
+// of the page lands in it), so they also hold on to what Read returned and
+// check at the end that none of it changed. Run under -race.
 func TestFetchNeverTorn(t *testing.T) {
 	for _, tr := range sessionTransports {
 		t.Run(tr.name, func(t *testing.T) { fetchNeverTorn(t, tr.transport) })
@@ -302,6 +305,15 @@ func fetchNeverTorn(t *testing.T, transport string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var held []keptRead
+			defer func() {
+				for i, k := range held {
+					if !bytes.Equal(k.got, k.want) {
+						t.Errorf("held read %d changed underneath its holder", i)
+						return
+					}
+				}
+			}()
 			// view reads the page's four slots in one transaction.
 			view := func(floor uint64) error {
 				tx, err := reader.Begin()
@@ -313,6 +325,9 @@ func fetchNeverTorn(t *testing.T, transport string) {
 					v, err := tx.Read(o(page, slot))
 					if err != nil {
 						return err
+					}
+					if len(held) < 2000 {
+						held = append(held, keptRead{v, copyOf(v)})
 					}
 					g, whole := wholeGen(v)
 					switch {
@@ -382,24 +397,27 @@ func fetchNeverTorn(t *testing.T, transport string) {
 	wg.Wait()
 }
 
-// TestReadResultSurvivesBufferRecycle: a client over TCP recycles the
-// buffer of every page its cache drops into the next fetch. Nothing the
-// client handed out may live in such a buffer: values returned by Read and
-// afterimages collected for a commit still hold what they held when they
-// were made after their page was evicted and its buffer reused, many times
-// over.
+// keptRead is a slice Read returned, held on to, and what it held then.
+type keptRead struct{ got, want []byte }
+
+// TestReadResultSurvivesBufferRecycle: a client gives the buffer of every
+// page its cache drops back to its connection — a socket lands the next
+// fetched payload in it, a pipe has the server copy the next page into it.
+// Nothing the client handed out may live in such a buffer: values returned
+// by Read and afterimages collected for a commit still hold what they held
+// when they were made after their page was evicted and its buffer reused,
+// many times over.
 func TestReadResultSurvivesBufferRecycle(t *testing.T) {
-	const pages, cache = 8, 2
-	srv, addr := startTransportServer(t, ServerOptions{
-		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: pages, SyncWAL: false,
-		Transport: TransportGoroutine,
-	})
-	defer srv.Close()
-	conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, tr := range sessionTransports {
+		t.Run(tr.name, func(t *testing.T) { readResultSurvivesBufferRecycle(t, tr.transport) })
 	}
-	cl, err := Connect(conn, ClientOptions{CachePages: cache})
+}
+
+func readResultSurvivesBufferRecycle(t *testing.T, transport string) {
+	const pages, cache = 8, 2
+	h := newSessionHarness(t, transport, ServerOptions{PageSize: 4096, ObjsPerPage: 4, NumPages: pages})
+	defer h.srv.Close()
+	cl, err := Connect(h.dial(t), ClientOptions{CachePages: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +456,21 @@ func TestReadResultSurvivesBufferRecycle(t *testing.T) {
 		}
 	}
 
-	type kept struct {
-		got  []byte // what Read returned, held on to
-		want []byte
+	// dropped is the buffer the cache let go of during the latest fetch: the
+	// reply was already made when its install evicted that page, so it is the
+	// NEXT fetch that must land there.
+	var dropped *byte
+	cl.mu.Lock()
+	recycle := cl.cs.Cache.OnDrop
+	cl.cs.Cache.OnDrop = func(payload any) {
+		if buf, ok := payload.([]byte); ok {
+			dropped = &buf[0]
+		}
+		recycle(payload)
 	}
-	var held []kept
+	cl.mu.Unlock()
+
+	var held []keptRead
 	buffers := make(map[*byte]bool) // distinct page buffers the cache ever held
 	installs := 0
 	for round := 0; round < 4; round++ {
@@ -453,14 +481,21 @@ func TestReadResultSurvivesBufferRecycle(t *testing.T) {
 			}
 			for q := p; q < p+cache; q++ {
 				slot := (q + round) % 4
+				cl.mu.Lock()
+				spare := dropped // by the previous fetch's install
+				cl.mu.Unlock()
 				got, err := tx.Read(o(core.PageID(q), uint16(slot)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				held = append(held, kept{got, value(q, slot)})
+				held = append(held, keptRead{got, value(q, slot)})
 				cl.mu.Lock()
-				buffers[&pageBytes(cl.cs.Cache.Page(core.PageID(q)))[0]] = true
+				buf := &pageBytes(cl.cs.Cache.Page(core.PageID(q)))[0]
 				cl.mu.Unlock()
+				if installs > 0 && buf != spare {
+					t.Fatalf("install %d went into a buffer other than the one the cache had just dropped", installs)
+				}
+				buffers[buf] = true
 				installs++
 			}
 			if err := tx.Commit(); err != nil {
@@ -477,5 +512,75 @@ func TestReadResultSurvivesBufferRecycle(t *testing.T) {
 	// installs (without recycling every install allocates its own).
 	if len(buffers) > installs/4 {
 		t.Errorf("%d installs went through %d distinct buffers; recycling is not happening", installs, len(buffers))
+	}
+}
+
+// TestObjectSizedSpareNeverHoldsAPage: under OS the buffers a client gives
+// back are object-sized. A page that ships down the same pipe is not cut to
+// fit one — it gets a buffer of its own and the spare stays for the next
+// object, which does land in it.
+func TestObjectSizedSpareNeverHoldsAPage(t *testing.T) {
+	srv, err := openServer(t.TempDir(), ServerOptions{
+		Proto: core.OS, PageSize: 4096, ObjsPerPage: 4, NumPages: 16, SyncWAL: false,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cEnd, sEnd := Pipe()
+	if _, err := srv.Attach(sEnd); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Connect(cEnd, ClientOptions{CachePages: 1}) // four objects
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	read := func(ob core.ObjID) {
+		t.Helper()
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read(ob); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < 5; p++ { // one more than the cache holds
+		read(o(core.PageID(p), 0))
+	}
+	pipe := cEnd.(*chanConn)
+	spare := func() []byte {
+		pipe.spareBuf.mu.Lock()
+		defer pipe.spareBuf.mu.Unlock()
+		return pipe.spareBuf.buf
+	}
+	before := spare()
+	if cap(before) != cl.ObjSize() {
+		t.Fatalf("spare of %d bytes after an eviction, want an object's %d", cap(before), cl.ObjSize())
+	}
+
+	// A page grant nobody asked for: the client ignores it, but the session
+	// reads the page to ship it.
+	sess := srv.sessionOf(cl.ID())
+	sess.push(&core.Msg{Kind: core.MPageData, To: sess.id, Page: 9}, false, 0)
+	waitFor(t, "the page to ship", func() bool {
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		return len(sess.outbox) == 0 && !sess.pumping
+	})
+	if after := spare(); len(after) == 0 || &after[:1][0] != &before[:1][0] {
+		t.Fatal("a page-sized payload took the object-sized spare")
+	}
+
+	read(o(5, 0))
+	cl.mu.Lock()
+	landed := cl.objValue(o(5, 0))
+	cl.mu.Unlock()
+	if &landed[0] != &before[:1][0] {
+		t.Fatal("the next object did not land in the spare")
 	}
 }

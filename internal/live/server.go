@@ -20,6 +20,10 @@ import (
 type objectStore interface {
 	ReadPage(p core.PageID) ([]byte, error)
 	ReadObj(o core.ObjID) ([]byte, error)
+	// readPage and readObj are ReadPage and ReadObj into alloc(n): n bytes
+	// of the caller's choosing that nobody else holds.
+	readPage(p core.PageID, alloc func(n int) []byte) ([]byte, error)
+	readObj(o core.ObjID, alloc func(n int) []byte) ([]byte, error)
 	// appendPage and appendObj encode what ReadPage and ReadObj return as
 	// a wire byte field, straight from the store's frame.
 	appendPage(dst []byte, p core.PageID) ([]byte, error)

@@ -28,11 +28,15 @@ type session struct {
 
 	// How a batch leaves is decided by what the connection is (attach):
 	// wire is a connection that serialises its messages (tcpConn, rconn),
-	// peer one that hands the very Msg to the other end (a pipe). Exactly
-	// one is set. store is where ship reads grant payloads from.
-	wire  frameSink
-	peer  Conn
-	store objectStore
+	// send the Send of one that hands the very Msg to the other end, lent
+	// when that end gives it back on return (chanConn.send). Exactly one is
+	// set. store is where ship reads grant payloads from, payloadBuf where a
+	// by-reference payload goes: into a buffer the other end of a pipe
+	// recycled, or a fresh one.
+	wire       frameSink
+	send       func(m *core.Msg) (lent bool, err error)
+	store      objectStore
+	payloadBuf func(n int) []byte
 
 	// cbDue maps an outstanding callback round id to its answer deadline.
 	// cbMu guards the map itself (rounds from different shards share it,
@@ -61,9 +65,9 @@ type session struct {
 	sweptAt    time.Time
 }
 
-// outMsgPool recycles the staged copies of wire sessions, whose messages
-// are encoded and done with; a pipe hands the staged Msg to its peer for
-// good.
+// outMsgPool recycles staged copies the session is done with once they
+// have shipped: encoded (wire sessions), or applied by the receiver a pipe
+// lent them to. One queued for a peer's Recv is that peer's for good.
 var outMsgPool = sync.Pool{New: func() any { return new(core.Msg) }}
 
 func newSession(conn asyncConn, store objectStore) *session {
@@ -219,7 +223,7 @@ func (s *session) pump() {
 // writer can install new bytes for a granted object only after calling
 // back every registered copy — and the copy was registered under the
 // page's shard lock when this grant was staged. The recipient answers
-// that callback only after its client-side receive loop has consumed
+// that callback only after its client-side receiver has consumed
 // this very message, which the FIFO outbox orders behind nothing that
 // hasn't been sent — so the install strictly follows this read, whenever
 // before the send it happens. Slots the grant marked Unavail are the one
@@ -229,23 +233,30 @@ func (s *session) pump() {
 // There are two ways out, chosen by what the connection is. By frame
 // (wire): the batch is encoded into one pooled buffer, payloads copied
 // straight from the store's frames, and handed over in as few writes as
-// encBufKeep allows. By reference (peer): the payload is a copy of its own
-// (ReadPage/ReadObj), because the other end of a pipe adopts the very Msg.
+// encBufKeep allows. By reference (send): the payload is a copy of its own
+// (readPage/readObj into payloadBuf), because the other end adopts it as
+// its cached page. On a pipe whose other end installed a receiver the Send
+// IS the receiver's call — the client applies the message on this
+// goroutine — and the Msg comes back with it.
 func (s *session) ship(batch []*core.Msg) error {
 	if s.wire == nil {
 		for _, m := range batch {
 			var err error
 			switch m.Kind {
 			case core.MPageData:
-				m.Data, err = s.store.ReadPage(m.Page)
+				m.Data, err = s.store.readPage(m.Page, s.payloadBuf)
 			case core.MObjData:
-				m.Data, err = s.store.ReadObj(m.Obj)
+				m.Data, err = s.store.readObj(m.Obj, s.payloadBuf)
 			}
+			lent := false
 			if err == nil {
-				err = s.peer.Send(m)
+				lent, err = s.send(m)
 			}
 			if err != nil {
 				return err
+			}
+			if lent {
+				outMsgPool.Put(m)
 			}
 		}
 		return nil
@@ -289,13 +300,18 @@ func (s *Server) attachInternal(conn Conn) (core.ClientID, error) {
 
 // attachBlocking attaches a session driven by a goroutine pair over a
 // blocking Conn: a tcpConn serialises (by frame), anything else is handed
-// its messages by reference.
+// its messages by reference, a pipe's payloads in the buffers its other end
+// gave back.
 func (s *Server) attachBlocking(conn Conn, internal bool) (core.ClientID, error) {
 	sess := newSession(newBlockingConn(conn, &s.wg), s.store)
-	if t, ok := conn.(*tcpConn); ok {
-		sess.wire = t
-	} else {
-		sess.peer = conn
+	switch c := conn.(type) {
+	case *tcpConn:
+		sess.wire = c
+	case *chanConn:
+		sess.send, sess.payloadBuf = c.send, c.peer.take
+	default:
+		sess.send = func(m *core.Msg) (bool, error) { return false, conn.Send(m) }
+		sess.payloadBuf = newBuf
 	}
 	return s.attach(sess, internal)
 }

@@ -182,11 +182,18 @@ func (s *Store) checkObj(o core.ObjID) error {
 
 // ReadPage returns a copy of page p's payload. Safe to call without the
 // server lock: the page latch (shared) excludes concurrent installs.
-func (s *Store) ReadPage(p core.PageID) ([]byte, error) {
+func (s *Store) ReadPage(p core.PageID) ([]byte, error) { return s.readPage(p, newBuf) }
+
+// newBuf is the alloc of a read that has no buffer to reuse.
+func newBuf(n int) []byte { return make([]byte, n) }
+
+// readPage is ReadPage into a buffer of the caller's: alloc(n) returns n
+// bytes nobody else holds, and every one of them is overwritten.
+func (s *Store) readPage(p core.PageID, alloc func(n int) []byte) ([]byte, error) {
 	if err := s.checkPage(p); err != nil {
 		return nil, err
 	}
-	out := make([]byte, s.payload())
+	out := alloc(s.payload())
 	l := s.latches.shard(p)
 	l.RLock()
 	copy(out, s.frames[p])
@@ -196,13 +203,16 @@ func (s *Store) ReadPage(p core.PageID) ([]byte, error) {
 
 // ReadObj returns a copy of object o's bytes. Safe to call without the
 // server lock (see ReadPage).
-func (s *Store) ReadObj(o core.ObjID) ([]byte, error) {
+func (s *Store) ReadObj(o core.ObjID) ([]byte, error) { return s.readObj(o, newBuf) }
+
+// readObj is ReadObj into a buffer of the caller's (see readPage).
+func (s *Store) readObj(o core.ObjID, alloc func(n int) []byte) ([]byte, error) {
 	if err := s.checkObj(o); err != nil {
 		return nil, err
 	}
 	sz := s.ObjSize()
 	off := int(o.Slot) * sz
-	out := make([]byte, sz)
+	out := alloc(sz)
 	l := s.latches.shard(o.Page)
 	l.RLock()
 	copy(out, s.frames[o.Page][off:])

@@ -596,17 +596,30 @@ func (s *VStore) ReadPage(p core.PageID) ([]byte, error) {
 	return nil, fmt.Errorf("live: page shipping unsupported with variable-size objects")
 }
 
+func (s *VStore) readPage(p core.PageID, alloc func(n int) []byte) ([]byte, error) {
+	return s.ReadPage(p)
+}
+
 // ReadObj resolves the object through its home slot. Objects never
 // written return a zero-length value.
-func (s *VStore) ReadObj(o core.ObjID) ([]byte, error) {
-	b, err := s.ReadVObj(int(o.Page), int(o.Slot))
+func (s *VStore) ReadObj(o core.ObjID) ([]byte, error) { return s.readObj(o, newBuf) }
+
+// readObj is ReadObj into a buffer of the caller's (see Store.readPage),
+// copied in place under the home latch.
+func (s *VStore) readObj(o core.ObjID, alloc func(n int) []byte) ([]byte, error) {
+	l := s.latch(int(o.Page))
+	l.RLock()
+	defer l.RUnlock()
+	b, err := s.viewVObj(int(o.Page), int(o.Slot))
 	if err != nil {
 		return nil, err
 	}
-	if b == nil {
-		b = []byte{}
+	if len(b) == 0 {
+		return []byte{}, nil
 	}
-	return b, nil
+	out := alloc(len(b))
+	copy(out, b)
+	return out, nil
 }
 
 func (s *VStore) appendPage(dst []byte, p core.PageID) ([]byte, error) {

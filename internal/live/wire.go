@@ -3,6 +3,7 @@ package live
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,26 +19,30 @@ import (
 // the server. Both in-process and TCP transports implement it.
 //
 // Ownership: a message and everything it points at (Data, Updates, the
-// id slices) pass to the transport on Send and to the caller on Recv.
-// The sender must not touch them afterwards — the in-process pipe hands
-// the very same Msg to the peer — and the receiver may keep or modify
-// them without copying: the client adopts a page reply's Data as its
-// cached page. Whoever fills a message therefore puts in bytes nobody
-// else holds (Store.ReadPage and Recv hand out buffers nothing else
-// refers to; the client copies afterimages out of its cache into
-// Updates).
+// id slices) pass to the transport on Send. What the other side gets
+// depends on how the message reaches it. Recv hands the message over: the
+// caller may keep or modify all of it without copying. A receiver the
+// in-process pipe calls instead (chanConn.setReceiver; the client installs
+// one) is LENT the Msg for the length of the call: it keeps Data — the
+// client adopts a page reply's Data as its cached page — and nothing else,
+// neither the *Msg nor a pointer into it, because the sender takes the Msg
+// back when the call returns (session.ship pools it). Either way whoever
+// fills a message puts in bytes nobody else holds (the store reads into a
+// buffer of the message's own, Recv copies out of its read buffer; the
+// client copies afterimages out of its cache into Updates).
 //
-// Recycling: a transport may offer to take a Data buffer back
-// (tcpConn.recycle) and land a later payload in it. Whoever returns one guarantees that no
+// Recycling: a transport may offer to take a Data buffer back (recycler)
+// and land a later payload in it. Whoever returns one guarantees that no
 // reference to it survives. The client returns a page's buffer when its
 // cache drops the page and keeps that promise by never letting a cached
 // byte escape: Txn.Read copies values out, Commit copies afterimages.
 type Conn interface {
 	// Send transmits one message. Safe for concurrent use. When it
-	// returns nil the message is on its way: queued for the in-process
-	// peer, or written through to the socket.
+	// returns nil the message is on its way: applied by or queued for the
+	// in-process peer, or written through to the socket.
 	Send(m *core.Msg) error
-	// Recv blocks for the next message. Single consumer.
+	// Recv blocks for the next message. Single consumer; an end with a
+	// receiver installed has nothing to Recv.
 	Recv() (*core.Msg, error)
 	// Close tears the connection down; pending Recv returns an error.
 	Close() error
@@ -103,13 +108,7 @@ func (b *blockingConn) Start() {
 	b.wg.Add(2)
 	go func() {
 		defer b.wg.Done()
-		for {
-			m, err := b.c.Recv()
-			b.recv(m, err)
-			if err != nil {
-				return
-			}
-		}
+		poll(b.c, b.recv)
 	}()
 	go func() {
 		defer b.wg.Done()
@@ -140,14 +139,92 @@ func (b *blockingConn) Close() error {
 	return b.c.Close()
 }
 
+// receive makes recv the receiver of a client's end of a connection, the
+// client-side counterpart of asyncConn with the same contract: one call per
+// inbound message in wire order, never concurrently, then one with the
+// terminal error. An in-process pipe makes the calls itself, from whichever
+// goroutine is sending (chanConn.setReceiver), so a client over one owns no
+// goroutine; any other Conn has to be polled, by a reader that exits with
+// the terminal error. What a pipe had queued is delivered before receive
+// returns, so the caller must hold no lock recv takes.
+func receive(conn Conn, recv func(*core.Msg, error)) {
+	if p, ok := conn.(*chanConn); ok {
+		p.setReceiver(recv)
+		return
+	}
+	go poll(conn, recv)
+}
+
+// poll feeds recv from c.Recv until that fails, the failure included.
+func poll(c Conn, recv func(*core.Msg, error)) {
+	for {
+		m, err := c.Recv()
+		recv(m, err)
+		if err != nil {
+			return
+		}
+	}
+}
+
 // ---- In-process transport ----
 
-// chanConn is one endpoint of an in-process connection.
+var errConnClosed = errors.New("live: connection closed")
+
+// recycler is a connection that takes payload buffers back (see Conn).
+type recycler interface {
+	recycle(buf []byte)
+}
+
+// spareBuf holds one recycled payload buffer until a payload fits it.
+type spareBuf struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// recycle takes back a buffer the connection handed out as some message's
+// Data, now that nothing refers to it (see Conn).
+func (s *spareBuf) recycle(buf []byte) {
+	s.mu.Lock()
+	s.buf = buf
+	s.mu.Unlock()
+}
+
+// take returns n bytes nobody else holds: the recycled buffer when that
+// fits without wasting more than half of it, fresh ones otherwise.
+func (s *spareBuf) take(n int) []byte {
+	s.mu.Lock()
+	buf := s.buf
+	if cap(buf) >= n && cap(buf)/2 <= n {
+		s.buf = nil
+	} else {
+		buf = nil
+	}
+	s.mu.Unlock()
+	if buf == nil {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// chanConn is one endpoint of an in-process connection. Its owner either
+// polls it (Recv: what the peer sends is queued) or installs a receiver
+// (setReceiver: the peer's Send calls it, on the sending goroutine, and
+// nothing is queued or woken for the message).
 type chanConn struct {
 	in   chan *core.Msg
 	out  chan *core.Msg
+	peer *chanConn
 	once *sync.Once // shared: either side's Close tears down both
 	done chan struct{}
+
+	// rmu orders everything that reaches this end: each Send of the peer's
+	// holds it across the queueing or the receiver call, so messages arrive
+	// in Send order, one at a time, whichever way they arrive, and the
+	// switch from one way to the other loses and reorders nothing.
+	rmu  sync.Mutex
+	recv func(*core.Msg, error) // nil: queue for Recv
+
+	spareBuf // what this end's owner gave back; the peer's payloads land in it
 }
 
 // Pipe creates a connected in-process transport pair (client end, server
@@ -158,24 +235,79 @@ func Pipe() (Conn, Conn) {
 	done := make(chan struct{})
 	once := new(sync.Once)
 	a := &chanConn{in: b2a, out: a2b, done: done, once: once}
-	b := &chanConn{in: a2b, out: b2a, done: done, once: once}
+	b := &chanConn{in: a2b, out: b2a, done: done, once: once, peer: a}
+	a.peer = b
 	return a, b
 }
 
 func (c *chanConn) Send(m *core.Msg) error {
+	_, err := c.send(m)
+	return err
+}
+
+// send is Send, and reports whether the message was lent to the peer's
+// receiver (and is the caller's again) rather than queued (and the peer's
+// for good).
+func (c *chanConn) send(m *core.Msg) (lent bool, err error) {
+	p := c.peer
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
 	// Check done first: a two-way select picks randomly when the buffer
 	// has room AND the pipe is closed, which would make Send on a dead
 	// connection succeed nondeterministically.
 	select {
 	case <-c.done:
-		return fmt.Errorf("live: connection closed")
+		return false, errConnClosed
 	default:
+	}
+	if p.recv != nil {
+		p.recv(m, nil)
+		return true, nil
 	}
 	select {
 	case c.out <- m:
-		return nil
+		return false, nil
 	case <-c.done:
-		return fmt.Errorf("live: connection closed")
+		return false, errConnClosed
+	}
+}
+
+// setReceiver switches this end to delivery by call: recv gets what is
+// already queued, then every message the peer Sends, in order and never
+// concurrently, on whichever goroutine is sending — so it must not wait for
+// anything that goroutine does next — and, once the pipe is closed, one
+// terminal call with an error, on a goroutine of its own (it may take its
+// time). recv must not be called from a goroutine that is inside recv.
+func (c *chanConn) setReceiver(recv func(*core.Msg, error)) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	for queued := true; queued; {
+		select {
+		case m := <-c.in:
+			recv(m, nil)
+		default:
+			queued = false
+		}
+	}
+	c.recv = recv
+	select {
+	case <-c.done:
+		go c.end() // Close came first and found no receiver to tell
+	default:
+	}
+}
+
+// end makes the receiver's terminal call, if there is a receiver, and
+// retires it, so the call is made once. Close has happened, so no Send
+// delivers any more; one that was delivering has returned by the time rmu is
+// ours.
+func (c *chanConn) end() {
+	c.rmu.Lock()
+	recv := c.recv
+	c.recv = nil
+	c.rmu.Unlock()
+	if recv != nil {
+		recv(nil, errConnClosed)
 	}
 }
 
@@ -199,7 +331,7 @@ func (c *chanConn) Recv() (*core.Msg, error) {
 		case m := <-c.in:
 			return m, nil
 		default:
-			return nil, fmt.Errorf("live: connection closed")
+			return nil, errConnClosed
 		}
 	}
 }
@@ -210,8 +342,14 @@ func (c *chanConn) Recv() (*core.Msg, error) {
 // see session.flushOwn.
 func (c *chanConn) idle() bool { return len(c.in) == 0 }
 
+// Close never runs a receiver itself: the closer may be inside one, or hold
+// a lock one needs.
 func (c *chanConn) Close() error {
-	c.once.Do(func() { close(c.done) })
+	c.once.Do(func() {
+		close(c.done)
+		go c.end()
+		go c.peer.end()
+	})
 	return nil
 }
 
@@ -248,8 +386,7 @@ type tcpConn struct {
 	sendMu  sync.Mutex // keeps concurrent senders' frames whole
 	sendErr error      // sticky: a failed write may have torn a frame
 
-	spareMu sync.Mutex
-	spare   []byte // recycled buffer awaiting the next payload that fits
+	spareBuf // what Recv's caller gave back; the next payload that fits lands in it
 }
 
 // NewTCPConn wraps an established net.Conn (version handshake already
@@ -337,38 +474,13 @@ func (t *tcpConn) Recv() (*core.Msg, error) {
 	}
 	m, err := decodeFrame(body)
 	if err == nil && m.Data != nil {
-		m.Data = t.own(m.Data)
+		// Out of the read buffer, which the next frame overwrites.
+		view := m.Data
+		m.Data = t.take(len(view))
+		copy(m.Data, view)
 	}
 	t.br.Discard(int(n))
 	return m, err
-}
-
-// own copies a payload out of the read buffer, into the recycled buffer
-// when that fits without wasting more than half of it.
-func (t *tcpConn) own(view []byte) []byte {
-	n := len(view)
-	t.spareMu.Lock()
-	buf := t.spare
-	if cap(buf) >= n && cap(buf)/2 <= n {
-		t.spare = nil
-	} else {
-		buf = nil
-	}
-	t.spareMu.Unlock()
-	if buf == nil {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	copy(buf, view)
-	return buf
-}
-
-// recycle takes back a buffer Recv handed out as some message's Data, now
-// that nothing refers to it (see Conn).
-func (t *tcpConn) recycle(buf []byte) {
-	t.spareMu.Lock()
-	t.spare = buf
-	t.spareMu.Unlock()
 }
 
 // idle: see chanConn.idle.

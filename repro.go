@@ -199,12 +199,20 @@ func (c *Cluster) NumClients() int { return len(c.clients) }
 
 // AttachClient connects one more in-process client.
 func (c *Cluster) AttachClient() (*Client, error) {
-	cEnd, sEnd := live.Pipe()
+	return c.attachOver(live.Pipe())
+}
+
+// attachOver attaches a session to sEnd and connects a client over cEnd,
+// the two ends of one connection.
+func (c *Cluster) attachOver(cEnd, sEnd Conn) (*Client, error) {
 	if _, err := c.srv.Attach(sEnd); err != nil {
 		return nil, err
 	}
 	cli, err := live.Connect(cEnd, live.ClientOptions{Metrics: c.metrics})
 	if err != nil {
+		// The session is attached and nobody will ever talk to it: closing
+		// the connection is what detaches it and stops its goroutines.
+		cEnd.Close()
 		return nil, err
 	}
 	c.clients = append(c.clients, cli)

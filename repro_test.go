@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/live"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -65,6 +69,30 @@ func TestClusterAttachClient(t *testing.T) {
 	}
 	if c.NumClients() != 2 {
 		t.Fatalf("NumClients = %d", c.NumClients())
+	}
+}
+
+// deafConn is a client end that never hears the hello.
+type deafConn struct{ Conn }
+
+func (deafConn) Recv() (*core.Msg, error) { return nil, errors.New("hello lost") }
+
+// A client that fails to connect after its session was attached must not
+// leave that session (and its two goroutines) behind on the server.
+func TestClusterAttachClientFailureDetachesSession(t *testing.T) {
+	c := testCluster(t, PS, 1)
+	cEnd, sEnd := live.Pipe()
+	if _, err := c.attachOver(deafConn{cEnd}, sEnd); err == nil {
+		t.Fatal("attach over a connection that loses the hello succeeded")
+	}
+	if c.NumClients() != 1 {
+		t.Fatalf("NumClients = %d after a failed attach, want 1", c.NumClients())
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.Server().Sessions() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions attached after a failed attach, want 1", c.Server().Sessions())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
