@@ -103,10 +103,8 @@ const (
 	MDeescReq  // de-escalate your page-level write lock (PS-AA)
 	MHello     // live-system handshake: assigned client id + geometry
 	// MRelocated: the requested object has been migrated by the online
-	// reclusterer. Obj echoes the requested (old) address; Objs[0], when
-	// present, is the new address the client should retry against. An empty
-	// Objs means the object is mid-migration (fenced) — retry the original
-	// address shortly.
+	// reclusterer. Obj echoes the requested (old) address; Objs[0] is the
+	// new address the client should retry against.
 	MRelocated
 )
 

@@ -357,6 +357,45 @@ func TestPSDeadlockAbortsYoungest(t *testing.T) {
 	}
 }
 
+// TestSystemClientLosesDeadlock: a system client's transaction (the live
+// server's reclustering migrations) is the victim of any cycle it is on,
+// even the older one — housekeeping yields to the workload.
+func TestSystemClientLosesDeadlock(t *testing.T) {
+	h := newHarness(t, PS, 2, 10, 20, 8)
+	h.se.SetSystemClient(1, true)
+	h.begin(1)
+	h.begin(2)
+	h.mustDone(1, h.read(1, o(0, 0)))
+	h.mustDone(2, h.read(2, o(1, 0)))
+	if st := h.write(1, o(1, 5)); st != opBlocked {
+		t.Fatalf("c1 write: %d", st)
+	}
+	if st := h.write(2, o(0, 5)); st != opBlocked { // completes the cycle
+		t.Fatalf("c2 (younger, user) should wait for the system victim, got %d", st)
+	}
+	if h.se.Stats.Deadlocks.Load() != 1 {
+		t.Fatalf("deadlocks = %d", h.se.Stats.Deadlocks.Load())
+	}
+	if !h.hasReply(1) {
+		t.Fatal("system transaction not chosen as the victim")
+	}
+	if st := h.resume(1); st != opAborted {
+		t.Fatalf("c1 (system) should abort, got %d", st)
+	}
+	// c2's write proceeds once the victim's abort releases its busy hold.
+	if !h.hasReply(2) {
+		t.Fatal("victim abort did not unblock c2")
+	}
+	h.mustDone(2, h.resume(2))
+	h.commit(2)
+	if got := h.se.Stats.Aborts.Load(); got != 0 {
+		t.Fatalf("aborts = %d, want the system abort uncounted", got)
+	}
+	if !h.se.Quiesced() {
+		t.Fatal("server not quiesced")
+	}
+}
+
 // ---- OS (basic object server) ----
 
 func TestOSObjectAtATimeTransfer(t *testing.T) {

@@ -43,8 +43,9 @@ type ServerEngine struct {
 	// system marks clients whose transactions are infrastructure, not
 	// workload — the live server's reclustering migrations. Their commits
 	// and aborts are excluded from Stats (user-facing throughput must not
-	// be inflated by the system's own housekeeping); locking, callbacks,
-	// and traces are unaffected.
+	// be inflated by the system's own housekeeping), and they are the
+	// victim of any deadlock they are on; locking, callbacks, and traces
+	// are unaffected.
 	system map[ClientID]bool
 
 	Stats ServerCounters
@@ -192,7 +193,8 @@ func NewServerEngine(proto Protocol, layout *Layout) *ServerEngine {
 }
 
 // SetSystemClient marks (or unmarks) c as a system client: its commits
-// and aborts stop counting in Stats. The host must call this on every
+// and aborts stop counting in Stats, and its transactions lose every
+// deadlock they are on. The host must call this on every
 // engine shard the client can reach, before the client issues requests.
 func (se *ServerEngine) SetSystemClient(c ClientID, on bool) {
 	if se.system == nil {

@@ -610,6 +610,33 @@ func (se *ServerEngine) removeFromQueue(r *blockedReq) {
 	}
 }
 
+// TakeQueued removes every request queued for object o and returns them:
+// their transactions are no longer blocked, and one left holding nothing is
+// forgotten. The live server calls it when a migration's commit moves o, so
+// that no request for the retired address is granted after the move (it
+// answers each with a redirect instead); the simulator never moves objects.
+func (se *ServerEngine) TakeQueued(o ObjID) []Msg {
+	q := se.queues[o.Page]
+	var taken []Msg
+	keep := q[:0]
+	for _, r := range q {
+		if r.msg.Obj != o {
+			keep = append(keep, r)
+			continue
+		}
+		r.txn.blocked = nil
+		se.maybeForget(r.txn)
+		taken = append(taken, r.msg)
+	}
+	clear(q[len(keep):])
+	if len(keep) == 0 {
+		delete(se.queues, o.Page)
+	} else {
+		se.queues[o.Page] = keep
+	}
+	return taken
+}
+
 // retryQueue re-evaluates the blocked requests of page p in FIFO order.
 // Requests that now succeed leave the queue; the rest stay blocked. A
 // request that stays blocked may now be waiting on *different*
@@ -758,11 +785,11 @@ func (se *ServerEngine) DisconnectDedup(c ClientID, seen map[TxnID]bool) []Msg {
 // ---- Deadlock detection ----
 
 // deadlockCheck searches the waits-for graph for cycles through t,
-// aborting the youngest member of each cycle found. A single trigger can
-// close several distinct cycles at once (e.g. a busy reply from one client
-// completing two alternative paths), so the search repeats until no cycle
-// through t remains; aborting victims leave the graph for subsequent
-// passes.
+// aborting one member of each cycle found (see findCycle). A single
+// trigger can close several distinct cycles at once (e.g. a busy reply
+// from one client completing two alternative paths), so the search repeats
+// until no cycle through t remains; aborting victims leave the graph for
+// subsequent passes.
 func (se *ServerEngine) deadlockCheck(t *stxn) {
 	for !t.aborting {
 		path := []*stxn{t}
@@ -784,7 +811,8 @@ func (se *ServerEngine) deadlockCheck(t *stxn) {
 }
 
 // findCycle DFSes from cur looking for start; on finding a cycle it
-// returns the youngest (highest-id) non-aborting member.
+// returns its victim: a system client's transaction if one is on it
+// (housekeeping yields to workload), else the youngest (highest-id) member.
 func (se *ServerEngine) findCycle(start, cur *stxn, path []*stxn, onPath map[TxnID]bool) *stxn {
 	for _, next := range se.waitsFor(cur) {
 		nt := se.txns[next]
@@ -792,10 +820,13 @@ func (se *ServerEngine) findCycle(start, cur *stxn, path []*stxn, onPath map[Txn
 			continue
 		}
 		if nt == start {
-			// Cycle: pick the youngest on the path.
 			victim := path[0]
 			for _, s := range path[1:] {
-				if s.id > victim.id {
+				if sys, vsys := se.system[s.client], se.system[victim.client]; sys != vsys {
+					if sys {
+						victim = s
+					}
+				} else if s.id > victim.id {
 					victim = s
 				}
 			}
@@ -919,12 +950,12 @@ func waitingReq(t *stxn) int64 {
 }
 
 // WaitGraph visits this engine's local waits-for edges: for each
-// non-aborting transaction with outstanding dependencies, the request it
-// is parked on and its direct waits in deterministic order. A sharded
-// host merges the per-shard graphs (a transaction may wait here while
-// holding locks on another shard) and hunts cycles the per-shard detector
-// cannot see.
-func (se *ServerEngine) WaitGraph(visit func(t TxnID, req int64, deps []TxnID)) {
+// non-aborting transaction with outstanding dependencies, its client, the
+// request it is parked on and its direct waits in deterministic order. A
+// sharded host merges the per-shard graphs (a transaction may wait here
+// while holding locks on another shard) and hunts cycles the per-shard
+// detector cannot see, picking victims by findCycle's rule.
+func (se *ServerEngine) WaitGraph(visit func(t TxnID, c ClientID, req int64, deps []TxnID)) {
 	ids := make([]TxnID, 0, len(se.txns))
 	for id := range se.txns {
 		ids = append(ids, id)
@@ -940,7 +971,7 @@ func (se *ServerEngine) WaitGraph(visit func(t TxnID, req int64, deps []TxnID)) 
 			continue
 		}
 		if deps := se.waitsFor(t); len(deps) > 0 {
-			visit(id, waitingReq(t), deps)
+			visit(id, t.client, waitingReq(t), deps)
 		}
 	}
 }

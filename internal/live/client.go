@@ -82,12 +82,10 @@ type request struct {
 	obj  core.ObjID // reqRead/reqWrite: the object asked for
 	data []byte     // reqWrite: the value to install once granted
 
-	// What the reply said: the value read, or the relocation front door's
-	// answer — a redirect (retry at moved) or a fence bounce (back off and
-	// retry in place).
-	val               []byte
-	moved             core.ObjID
-	redirected, fence bool
+	// What the reply said: the value read, or a redirect (retry at moved).
+	val        []byte
+	moved      core.ObjID
+	redirected bool
 
 	done chan reqOutcome // cap 1: at most one outcome per request
 }
@@ -497,7 +495,7 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 	m.From = c.id
 	r := &c.req
 	r.id, r.kind, r.obj, r.data = m.Req, kind, obj, data
-	r.val, r.redirected, r.fence = nil, false, false
+	r.val, r.redirected = nil, false
 	conn := c.conn
 	var start time.Time
 	if c.met != nil {
@@ -590,13 +588,8 @@ func (c *Client) applyPending(rep *core.Msg) {
 			c.send(&ack)
 		}
 	case rep.Kind == core.MRelocated:
-		// The relocation front door, before applyReply would reject the
-		// unexpected kind.
-		if len(rep.Objs) > 0 {
-			r.moved, r.redirected = rep.Objs[0], true
-		} else {
-			r.fence = true
-		}
+		// A redirect, before applyReply would reject the unexpected kind.
+		r.moved, r.redirected = rep.Objs[0], true
 	default:
 		// Install the data and complete the access before any later
 		// callback can touch the object.
@@ -668,33 +661,6 @@ func (c *Client) learnAlias(orig, to core.ObjID) {
 	c.aliases[orig] = to
 }
 
-// Fence-busy retry: a request bounced off a mid-migration fence backs off
-// briefly and retries. Migrations commit in milliseconds and orphaned
-// fences expire after fenceTTL at the server, so the window is bounded;
-// exceeding it means something is genuinely wedged.
-const relocRetryLimit = 500
-
-func relocBackoff(attempt int) time.Duration {
-	d := 100 * time.Microsecond * time.Duration(attempt+1)
-	if d > 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	return d
-}
-
-// fenceWait sleeps off a fence bounce without holding the client lock
-// (deliver needs it for callbacks), then revalidates the transaction.
-func (t *Txn) fenceWait(attempt int) error {
-	c := t.c
-	if attempt >= relocRetryLimit {
-		return fmt.Errorf("live: object fenced by a migration for too long")
-	}
-	c.mu.Unlock()
-	time.Sleep(relocBackoff(attempt))
-	c.mu.Lock()
-	return t.check()
-}
-
 // Read returns the current value of object o under this transaction. If o
 // was migrated by the reclusterer the server answers with a redirect; the
 // client follows it (caching the alias) transparently.
@@ -713,8 +679,8 @@ func (t *Txn) Write(o core.ObjID, data []byte) error {
 }
 
 // access is Read and Write: complete the access locally if the protocol
-// state allows it, otherwise ask the server and follow the relocation
-// front door's answers until it does.
+// state allows it, otherwise ask the server, following redirects until it
+// does.
 func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 	c := t.c
 	c.mu.Lock()
@@ -729,7 +695,7 @@ func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("live: value %d bytes exceeds object size %d", len(data), c.objSize)
 	}
 	target := c.resolveAlias(o)
-	for attempt := 0; ; attempt++ {
+	for {
 		var m *core.Msg
 		if kind == reqWrite {
 			c.cs.StartWrite(target)
@@ -745,17 +711,12 @@ func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 		if err := c.roundTrip(m, kind, target, data); err != nil {
 			return nil, t.finishIfAborted(err)
 		}
-		switch r := &c.req; {
-		case r.fence:
-			if err := t.fenceWait(attempt); err != nil {
-				return nil, err
-			}
-		case r.redirected:
-			c.learnAlias(o, r.moved)
-			target = r.moved
-		default:
+		r := &c.req
+		if !r.redirected {
 			return r.val, nil
 		}
+		c.learnAlias(o, r.moved)
+		target = r.moved
 	}
 }
 

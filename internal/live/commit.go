@@ -154,26 +154,18 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 		return
 	}
 
-	// Relocation front door. A user read/write of a fenced (mid-migration)
-	// object bounces with an empty MRelocated (retry shortly) so a
-	// migration's lock request never chases a growing FIFO queue; a
-	// request for a retired address answers with a redirect to its current
-	// placement. Both checks run under the object's shard lock — the same
-	// lock a migration commit holds while installing its relocations and
-	// lifting its fences — so a request observes either the complete
-	// pre-move state or the complete post-move state. The planner's own
+	// Relocation front door: a user read/write of a retired address
+	// answers with a redirect to its current placement. The check runs
+	// under the object's shard lock, which a migration commit holds while
+	// it publishes its relocations (see appendAndInstall). The planner's own
 	// session bypasses the door (it addresses spare slots directly), and
 	// disabled reclustering costs one nil check.
 	var outs []core.Msg
 	if s.relocs != nil && (m.Kind == core.MReadReq || m.Kind == core.MWriteReq) &&
 		int64(m.From) != s.internalID.Load() {
-		if s.fences.blocked(m.Obj) {
-			s.metrics.reclusterFenceBounces.Inc()
-			outs = []core.Msg{{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn, Obj: m.Obj}}
-		} else if to, ok := s.relocs.view().lookup(m.Obj); ok {
+		if to, ok := s.relocs.view().lookup(m.Obj); ok {
 			s.metrics.reclusterRedirects.Inc()
-			outs = []core.Msg{{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn,
-				Obj: m.Obj, Objs: []core.ObjID{to}}}
+			outs = []core.Msg{relocated(m, to)}
 		}
 	}
 	if outs == nil {
@@ -335,6 +327,17 @@ func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
 // under them plus installMu (shared). ok=false means the commit was
 // dropped (session detached — nothing was logged or installed) or the
 // server crashed underneath it.
+//
+// A migration's commit publishes its relocations here too, and this is
+// what fences the move. The migration has held the write lock on every
+// source since it rewrote the source in place, so a user request for a
+// source was either answered before that (its lock or cached copy was
+// waited for or called back), or is queued behind the migration's lock or
+// callback round now — in the engine, where the deadlock detector sees it
+// — or reaches the front door after this publish and is redirected there.
+// The queued ones are taken out of the engine and redirected here, under
+// the same shard locks and before the finish step releases the migration's
+// locks, so no user request for a moved address is granted after the move.
 func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket, gen int64, ok bool) {
 	type heldShard struct {
 		sh *engineShard
@@ -396,24 +399,26 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 			panic(fmt.Sprintf("live: commit install failed: %v", err))
 		}
 	}
+	var overflow []core.ClientID
 	if len(rec.Relocs) > 0 {
-		// Publish the relocations and lift the fences while the write
-		// set's shard locks (and installMu) are still held: a front-door
-		// check for any moved object serializes on its shard lock, and a
-		// checkpoint's relocs.db snapshot serializes on installMu, so
-		// redirects become visible atomically with the installed bytes
-		// and the table never runs ahead of the log.
+		// A checkpoint's relocs.db snapshot serializes on installMu, so the
+		// table never runs ahead of the log.
 		s.relocs.applyAll(rec.Relocs)
-		froms := make([]core.ObjID, len(rec.Relocs))
-		for i, r := range rec.Relocs {
-			froms[i] = r.From
+		for _, r := range rec.Relocs {
+			for _, q := range s.shardOf(r.From.Page).eng.TakeQueued(r.From) {
+				s.metrics.reclusterRedirects.Inc()
+				overflow = append(overflow, s.stage(nil, []core.Msg{relocated(&q, r.To)})...)
+				s.bsMu.Lock()
+				delete(s.blockStart, q.Txn)
+				s.bsMu.Unlock()
+			}
 		}
-		s.fences.remove(froms)
 		s.metrics.reclusterMoves.Add(int64(len(rec.Relocs)))
 	}
 	s.observeStage(obs.StageInstall, rec.Txn, rec.Client, time.Since(appended))
 	s.installMu.RUnlock()
 	unlockAll()
+	s.detachAll(overflow)
 	return ticket, gen, true
 }
 

@@ -29,9 +29,10 @@ import (
 // transaction id alone does not (a victim that was granted and blocked
 // again elsewhere looks identical by id, and aborting it would answer a
 // request it no longer has). That keeps detection deterministic for a
-// quiesced cycle (same victim rule as the engines: highest transaction id
-// on the cycle dies) and makes a false abort impossible for any cycle
-// that is actually a deadlock.
+// quiesced cycle (same victim rule as the engines: a system client's
+// transaction on the cycle dies, else the highest transaction id) and
+// makes a false abort impossible for any cycle that is actually a
+// deadlock.
 
 // dlInterval is the background sweep period (see OpenServer for the
 // loop; pokes make real cycles resolve much faster).
@@ -52,11 +53,13 @@ func (s *Server) pokeDetector() {
 // dlSnapshot is one merged waits-for graph: edges unions every shard's
 // local graph; home records which shard each blocked transaction is
 // parked on (where its queued request — and therefore its abort — lives)
-// and req which request it is parked on there.
+// and req which request it is parked on there; system marks the waiters
+// that belong to a system client (the reclustering planner).
 type dlSnapshot struct {
-	edges map[core.TxnID][]core.TxnID
-	home  map[core.TxnID]*engineShard
-	req   map[core.TxnID]int64
+	edges  map[core.TxnID][]core.TxnID
+	home   map[core.TxnID]*engineShard
+	req    map[core.TxnID]int64
+	system map[core.TxnID]bool
 }
 
 // collectWaitGraph merges the shards' waits-for graphs, one lock at a
@@ -64,19 +67,23 @@ type dlSnapshot struct {
 // is fine (see the confirmation pass), serializing the engine is not.
 func (s *Server) collectWaitGraph() dlSnapshot {
 	snap := dlSnapshot{
-		edges: make(map[core.TxnID][]core.TxnID),
-		home:  make(map[core.TxnID]*engineShard),
-		req:   make(map[core.TxnID]int64),
+		edges:  make(map[core.TxnID][]core.TxnID),
+		home:   make(map[core.TxnID]*engineShard),
+		req:    make(map[core.TxnID]int64),
+		system: make(map[core.TxnID]bool),
 	}
 	for _, sh := range s.shards {
 		held := s.lockShard(sh)
-		sh.eng.WaitGraph(func(t core.TxnID, req int64, deps []core.TxnID) {
+		sh.eng.WaitGraph(func(t core.TxnID, c core.ClientID, req int64, deps []core.TxnID) {
 			snap.edges[t] = append(snap.edges[t], deps...)
 			// A transaction has at most one queued request system-wide
 			// (clients are synchronous), so at most one shard reports it
 			// blocked.
 			snap.home[t] = sh
 			snap.req[t] = req
+			if int64(c) == s.internalID.Load() {
+				snap.system[t] = true
+			}
 		})
 		s.unlockShard(sh, held)
 	}
@@ -85,9 +92,10 @@ func (s *Server) collectWaitGraph() dlSnapshot {
 
 // findVictims returns the victims the engines' own rule would pick,
 // deterministically: walk transactions in ascending id order, and for
-// each cycle found abort the highest id on it; repeat on the graph minus
-// the dead until no cycle remains.
-func findVictims(edges map[core.TxnID][]core.TxnID) []core.TxnID {
+// each cycle found abort its system transaction if it has one, else the
+// highest id on it; repeat on the graph minus the dead until no cycle
+// remains.
+func findVictims(edges map[core.TxnID][]core.TxnID, system map[core.TxnID]bool) []core.TxnID {
 	starts := make([]core.TxnID, 0, len(edges))
 	for t := range edges {
 		starts = append(starts, t)
@@ -105,7 +113,11 @@ func findVictims(edges map[core.TxnID][]core.TxnID) []core.TxnID {
 			if cyc := findCycle(start, edges, dead); cyc != nil {
 				victim := cyc[0]
 				for _, t := range cyc {
-					if t > victim {
+					if system[t] != system[victim] {
+						if system[t] {
+							victim = t
+						}
+					} else if t > victim {
 						victim = t
 					}
 				}
@@ -159,7 +171,7 @@ func findCycle(start core.TxnID, edges map[core.TxnID][]core.TxnID, dead map[cor
 // the local detector didn't).
 func (s *Server) CheckDeadlocks() int {
 	first := s.collectWaitGraph()
-	candidates := findVictims(first.edges)
+	candidates := findVictims(first.edges, first.system)
 	if len(candidates) == 0 {
 		return 0
 	}
@@ -168,7 +180,7 @@ func (s *Server) CheckDeadlocks() int {
 	// found parked on the same request. A transaction on a real deadlock
 	// cycle has not moved; one that was merely slow has.
 	second := s.collectWaitGraph()
-	confirmed := findVictims(second.edges)
+	confirmed := findVictims(second.edges, second.system)
 	firstReq := make(map[core.TxnID]int64, len(candidates))
 	for _, t := range candidates {
 		firstReq[t] = first.req[t]

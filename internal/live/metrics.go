@@ -78,12 +78,11 @@ type serverMetrics struct {
 
 	// Online reclustering: objects migrated (relocation entries applied by
 	// committed migration txns), suspect pages the planner chose to split,
-	// front-door redirects served for retired addresses, and requests
-	// bounced off a mid-migration fence.
-	reclusterMoves        *obs.Counter
-	reclusterPagesSplit   *obs.Counter
-	reclusterRedirects    *obs.Counter
-	reclusterFenceBounces *obs.Counter
+	// and redirects served for retired addresses (at the front door, or to
+	// requests queued behind the move when it installed).
+	reclusterMoves      *obs.Counter
+	reclusterPagesSplit *obs.Counter
+	reclusterRedirects  *obs.Counter
 
 	// Reactor transport: epoll_wait returns that carried at least one
 	// event (batches), events delivered across those batches, latency from
@@ -156,8 +155,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"false-sharing suspect pages the reclusterer split writers off of")
 	m.reclusterRedirects = reg.Counter("oodb_recluster_redirects_total",
 		"requests for retired addresses answered with an MRelocated redirect")
-	m.reclusterFenceBounces = reg.Counter("oodb_recluster_fence_bounces_total",
-		"requests bounced off a mid-migration fence (client retries shortly)")
 	m.reactorBatches = reg.Counter("oodb_live_reactor_event_batches_total",
 		"epoll_wait returns that delivered at least one event")
 	m.reactorEvents = reg.Counter("oodb_live_reactor_events_total",

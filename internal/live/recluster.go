@@ -99,11 +99,10 @@ func (s *Server) startRecluster() error {
 		r.cur.next = top.Page + 1
 	}
 	s.recl = r
-	// Transient failures (deadlock victim, a fenced straggler, spare
-	// exhaustion) just wait for the next tick — the backoff IS the pacing
-	// period. A terminal one means the session is already gone (the server
-	// closed the pipe, or a timed-out request tore it down), so there is
-	// nothing left to close.
+	// Transient failures (deadlock victim, spare exhaustion) just wait for
+	// the next tick — the backoff IS the pacing period. A terminal one
+	// means the session is already gone (the server closed the pipe, or a
+	// timed-out request tore it down), so there is nothing left to close.
 	s.background(s.opts.ReclusterEvery, nil, func() bool {
 		_, err := r.runRound()
 		return terminal(err)
@@ -136,8 +135,8 @@ func (s *Server) ReclusterNow() (int, error) {
 }
 
 // runRound snapshots the heat evidence, plans a bounded batch of moves,
-// and migrates group by group. A group that aborts (deadlock victim —
-// migrations are the youngest transactions, so they lose every tie) is
+// and migrates group by group. A group that aborts (deadlock victim — a
+// migration is a system transaction, so it loses every cycle it is on) is
 // skipped this round; its page stays a suspect and is replanned later.
 func (r *recluster) runRound() (int, error) {
 	r.mu.Lock()
@@ -181,18 +180,17 @@ func (r *recluster) runRound() (int, error) {
 
 // migrateGroup moves one writer's exclusive slots off one suspect page:
 //
-//  1. fence the source addresses, so new user requests bounce-and-retry
-//     instead of queueing behind the migration's lock requests (FIFO
-//     grant order would otherwise let the queue grow under the fence),
-//  2. run one system transaction that rewrites each source object in
+//  1. run one system transaction that rewrites each source object in
 //     place (taking its write lock and driving the normal callback
-//     invalidation) and writes the value to its spare destination,
-//  3. commit with the relocation entries attached: the server installs
-//     the images, publishes the relocations, and lifts the fences — all
-//     under the write set's shard locks, atomically for the front door.
+//     invalidation) and writes the value to its spare destination — user
+//     requests for a source wait behind that lock like behind any writer's,
+//  2. commit with the relocation entries attached: the server installs
+//     the images, publishes the relocations, and redirects the requests
+//     queued for the sources — all under the write set's shard locks (see
+//     appendAndInstall).
 //
-// Any failure aborts the transaction and lifts the fences; the objects
-// stay where they were and the page is replanned from fresher heat.
+// Any failure aborts the transaction; the objects stay where they were and
+// the page is replanned from fresher heat.
 func (r *recluster) migrateGroup(g obs.MoveGroup) (int, error) {
 	s := r.s
 	view := s.relocs.view()
@@ -217,20 +215,6 @@ func (r *recluster) migrateGroup(g obs.MoveGroup) (int, error) {
 	if len(moves) == 0 {
 		return 0, nil
 	}
-
-	fenced := make([]core.ObjID, len(moves))
-	for i, mv := range moves {
-		fenced[i] = mv.from
-	}
-	s.fences.add(fenced)
-	committed := false
-	defer func() {
-		if !committed {
-			// The commit path lifts fences on success; every other exit
-			// must lift them here or users bounce until the TTL sweep.
-			s.fences.remove(fenced)
-		}
-	}()
 
 	tx, err := r.cli.Begin()
 	if err != nil {
@@ -262,7 +246,6 @@ func (r *recluster) migrateGroup(g obs.MoveGroup) (int, error) {
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
-	committed = true
 	return len(moves), nil
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,8 +19,13 @@ import (
 // hour-long periods, so tests drive rounds (and epochs) explicitly.
 func reclusterServer(t *testing.T, dir string, shards int) *Server {
 	t.Helper()
+	return reclusterServerProto(t, dir, core.PSAA, shards)
+}
+
+func reclusterServerProto(t *testing.T, dir string, proto core.Protocol, shards int) *Server {
+	t.Helper()
 	srv, err := openServer(dir, ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
+		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		Shards: shards, SyncWAL: true,
 		Recluster: true, ReclusterEvery: time.Hour, ReclusterSpare: 4,
 		HeatEpoch: time.Hour,
@@ -31,7 +37,7 @@ func reclusterServer(t *testing.T, dir string, shards int) *Server {
 }
 
 // migrate runs one fabricated move group through the planner's migration
-// path (fence, system txn, relocation commit), failing the test on error.
+// path (system txn, relocation commit), failing the test on error.
 func migrate(t *testing.T, srv *Server, g obs.MoveGroup) int {
 	t.Helper()
 	n, err := migrateErr(srv, g)
@@ -162,42 +168,178 @@ func TestReclusterMigrateRedirectsClients(t *testing.T) {
 	}
 }
 
-// TestReclusterFenceBounceAndRetry pins the fence protocol: a request for
-// a fenced object is bounced with an empty MRelocated, the client backs
-// off and retries, and once the fence lifts the request completes against
-// the current placement.
-func TestReclusterFenceBounceAndRetry(t *testing.T) {
-	srv := reclusterServer(t, t.TempDir(), 1)
-	defer srv.Close()
-	c1 := attachClient(t, srv)
-	defer c1.Close()
-	vals := seedPage(t, c1, 5)
+// blockedRequests counts the requests queued in the engine, all shards.
+func blockedRequests(srv *Server) int {
+	n := 0
+	for _, sh := range srv.shards {
+		sh.mu.Lock()
+		n += sh.eng.BlockedRequests()
+		sh.mu.Unlock()
+	}
+	return n
+}
 
-	srv.fences.add([]core.ObjID{o(5, 0)})
-	done := make(chan []byte, 1)
-	c2 := attachClient(t, srv)
-	defer c2.Close()
+// TestReclusterNoHiddenWait: a user transaction holds one object of a
+// group while a migration moves the group, then touches a second object
+// of it. The migration waits for the user in the engine, where the
+// deadlock detector can see the wait, and nothing makes the user wait for
+// the migration out of the detector's sight: the second access finishes,
+// or is aborted, at once.
+func TestReclusterNoHiddenWait(t *testing.T) {
+	srv := reclusterServer(t, t.TempDir(), 0)
+	defer srv.Close()
+	seeder := attachClient(t, srv)
+	defer seeder.Close()
+	seedPage(t, seeder, 3)
+
+	user := attachClient(t, srv)
+	defer user.Close()
+	tx, err := user.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(o(3, 0), []byte("user-3-0")); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(chan error, 1)
 	go func() {
-		done <- readOne(t, c2, o(5, 0))
+		_, err := migrateErr(srv, obs.MoveGroup{Page: 3, Writer: 1, Slots: []uint16{0, 1}})
+		moved <- err
 	}()
-	// Hold the fence long enough that the reader provably bounced.
-	time.Sleep(30 * time.Millisecond)
-	select {
-	case got := <-done:
-		t.Fatalf("read of fenced object completed while fenced: %q", got[:10])
-	default:
+	waitFor(t, "the migration to queue behind the user's lock", func() bool { return blockedRequests(srv) > 0 })
+
+	start := time.Now()
+	err = tx.Write(o(3, 1), []byte("user-3-1"))
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("second access of the group took %v (err %v), want < 250ms", d, err)
 	}
-	srv.fences.remove([]core.ObjID{o(5, 0)})
-	select {
-	case got := <-done:
-		if !bytes.HasPrefix(got, vals[0]) {
-			t.Fatalf("post-fence read = %q, want %q", got[:10], vals[0])
+	committed := false
+	switch {
+	case err == nil:
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("read never completed after fence lifted")
+		committed = true
+	case errors.Is(err, ErrAborted):
+	default:
+		t.Fatal(err)
 	}
-	if srv.metrics.reclusterFenceBounces.Value() == 0 {
-		t.Fatal("fence bounce counter never moved")
+	select {
+	case err := <-moved:
+		if err != nil && !errors.Is(err, ErrAborted) {
+			t.Fatalf("migrateGroup: %v", err)
+		}
+	case <-timeoutChan(t):
+		t.Fatal("migration never finished")
+	}
+	if committed {
+		fresh := attachClient(t, srv)
+		defer fresh.Close()
+		for s, want := range []string{"user-3-0", "user-3-1"} {
+			if got := readOne(t, fresh, o(3, uint16(s))); !bytes.HasPrefix(got, []byte(want)) {
+				t.Fatalf("slot %d = %q, want %q", s, got[:8], want)
+			}
+		}
+	}
+}
+
+// TestReclusterQueuedRequestRedirected: a user request queued behind a
+// migration (its callback round, answered busy by a reader, then its write
+// lock) on a source object is answered with a redirect when the move
+// installs — never granted at the retired address. The user reads the
+// migrated value, and a write in the same transaction lands at the
+// destination, as a fresh client confirms.
+func TestReclusterQueuedRequestRedirected(t *testing.T) {
+	for _, proto := range []core.Protocol{core.PS, core.PSAA, core.OS} {
+		t.Run(proto.String(), func(t *testing.T) {
+			srv := reclusterServerProto(t, t.TempDir(), proto, 0)
+			defer srv.Close()
+			seeder := attachClient(t, srv)
+			defer seeder.Close()
+			vals := seedPage(t, seeder, 3)
+
+			// The reader's open transaction has read the source, so it
+			// answers the migration's callback busy and holds the round open.
+			reader := attachClient(t, srv)
+			defer reader.Close()
+			rtx, err := reader.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rtx.Read(o(3, 0)); err != nil {
+				t.Fatal(err)
+			}
+			moved := make(chan error, 1)
+			go func() {
+				_, err := migrateErr(srv, obs.MoveGroup{Page: 3, Writer: 1, Slots: []uint16{0}})
+				moved <- err
+			}()
+			waitFor(t, "a busy callback reply", func() bool { return srv.Stats().BusyReplies > 0 })
+
+			user := attachClient(t, srv)
+			defer user.Close()
+			utx, err := user.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				val []byte
+				err error
+			}
+			read := make(chan result, 1)
+			go func() {
+				v, err := utx.Read(o(3, 0))
+				read <- result{v, err}
+			}()
+			waitFor(t, "the user's read to queue behind the migration", func() bool { return blockedRequests(srv) > 0 })
+			redirects := srv.metrics.reclusterRedirects.Value()
+
+			if err := rtx.Commit(); err != nil { // answers the deferred callback
+				t.Fatal(err)
+			}
+			select {
+			case err := <-moved:
+				if err != nil {
+					t.Fatalf("migrateGroup: %v", err)
+				}
+			case <-timeoutChan(t):
+				t.Fatal("migration never finished")
+			}
+			var res result
+			select {
+			case res = <-read:
+			case <-timeoutChan(t):
+				t.Fatal("queued read never answered")
+			}
+			if res.err != nil {
+				t.Fatalf("queued read: %v", res.err)
+			}
+			if !bytes.HasPrefix(res.val, vals[0]) {
+				t.Fatalf("queued read = %q, want the migrated %q", res.val[:10], vals[0])
+			}
+			if got := srv.metrics.reclusterRedirects.Value(); got != redirects+1 {
+				t.Fatalf("redirects %d -> %d, want the queued request redirected once", redirects, got)
+			}
+
+			if err := utx.Write(o(3, 0), []byte("after-move")); err != nil {
+				t.Fatal(err)
+			}
+			if err := utx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.ReclusterStatus(true)
+			if len(st.Entries) != 1 {
+				t.Fatalf("relocation table %+v, want one entry", st.Entries)
+			}
+			if got, err := srv.store.ReadObj(st.Entries[0].To); err != nil || !bytes.HasPrefix(got, []byte("after-move")) {
+				t.Fatalf("destination %v holds %q (%v), want the user's write", st.Entries[0].To, got, err)
+			}
+			fresh := attachClient(t, srv)
+			defer fresh.Close()
+			if got := readOne(t, fresh, o(3, 0)); !bytes.HasPrefix(got, []byte("after-move")) {
+				t.Fatalf("fresh client reads %q, want the user's write", got[:10])
+			}
+		})
 	}
 }
 

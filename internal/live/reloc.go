@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
@@ -100,6 +99,12 @@ func (v *relocView) retiredSlots(p core.PageID) []uint16 {
 		return nil
 	}
 	return v.retired[p]
+}
+
+// relocated is the redirect answering request m: its object lives at to.
+func relocated(m *core.Msg, to core.ObjID) core.Msg {
+	return core.Msg{Kind: core.MRelocated, To: m.From, Req: m.Req, Txn: m.Txn,
+		Obj: m.Obj, Objs: []core.ObjID{to}}
 }
 
 // apply records from -> to under mu WITHOUT publishing (the caller
@@ -306,65 +311,4 @@ func loadRelocTable(dir string) (*relocTable, error) {
 	}
 	t.publish()
 	return t, nil
-}
-
-// fenceSet tracks objects mid-migration. While an object is fenced, the
-// front door bounces new user reads/writes of it with an empty MRelocated
-// (retry shortly) so a migration's lock acquisition cannot chase an
-// ever-growing FIFO queue. Entries carry their install time: the front
-// door ignores (and sweeps) fences older than fenceTTL, so a planner that
-// dies between fence and commit cannot black-hole an object forever —
-// the migration txn itself would have timed out or aborted by then.
-type fenceSet struct {
-	n  atomic.Int64 // fast-path emptiness check
-	mu sync.Mutex
-	m  map[core.ObjID]time.Time
-}
-
-// fenceTTL bounds how long an orphaned fence can bounce requests.
-const fenceTTL = 2 * time.Second
-
-func newFenceSet() *fenceSet { return &fenceSet{m: make(map[core.ObjID]time.Time)} }
-
-func (f *fenceSet) add(objs []core.ObjID) {
-	f.mu.Lock()
-	now := time.Now()
-	for _, o := range objs {
-		if _, ok := f.m[o]; !ok {
-			f.n.Add(1)
-		}
-		f.m[o] = now
-	}
-	f.mu.Unlock()
-}
-
-func (f *fenceSet) remove(objs []core.ObjID) {
-	f.mu.Lock()
-	for _, o := range objs {
-		if _, ok := f.m[o]; ok {
-			delete(f.m, o)
-			f.n.Add(-1)
-		}
-	}
-	f.mu.Unlock()
-}
-
-// blocked reports whether o is actively fenced; stale fences are swept on
-// the way.
-func (f *fenceSet) blocked(o core.ObjID) bool {
-	if f == nil || f.n.Load() == 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	at, ok := f.m[o]
-	if !ok {
-		return false
-	}
-	if time.Since(at) > fenceTTL {
-		delete(f.m, o)
-		f.n.Add(-1)
-		return false
-	}
-	return true
 }

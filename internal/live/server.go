@@ -79,12 +79,11 @@ type Server struct {
 
 	// Online-reclustering state. relocs is the authoritative redirect
 	// table (nil when the store has no spare region and no relocations —
-	// reclustering inert); fences gates requests for mid-migration
-	// objects; userPages is the client-visible page count (physical minus
-	// the spare region); internalID is the planner's session (0: none),
-	// exempt from the front door and excluded from heat and user stats.
+	// reclustering inert); userPages is the client-visible page count
+	// (physical minus the spare region); internalID is the planner's
+	// session (0: none), exempt from the front door and excluded from heat
+	// and user stats.
 	relocs     *relocTable
-	fences     *fenceSet
 	userPages  int
 	internalID atomic.Int64
 	recl       *recluster // background planner; nil unless opts.Recluster
@@ -321,9 +320,6 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		recovery:   recov,
 		blockStart: make(map[core.TxnID]time.Time),
 		stop:       make(chan struct{}),
-	}
-	if relocs != nil {
-		s.fences = newFenceSet()
 	}
 	s.heat.SetEnabled(opts.Heat)
 	s.heat.RegisterMetrics(reg)
