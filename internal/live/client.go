@@ -53,6 +53,7 @@ type Client struct {
 	cond         *sync.Cond        // signals reconnect completion / closure
 	cs           *core.ClientState // cached bytes ride its cache entries' Payload
 	slots        []uint16          // scratch for walking a page's dirty slots
+	posted       *chanConn         // the pipe send queued to under mu; unlock delivers
 	req          request           // the one outstanding request
 	nextReq      int64
 	lastTxn      core.TxnID
@@ -82,10 +83,13 @@ type request struct {
 	obj  core.ObjID // reqRead/reqWrite: the object asked for
 	data []byte     // reqWrite: the value to install once granted
 
-	// What the reply said: the value read, or a redirect (retry at moved).
+	// What the reply said: the value read, or a redirect (retry at moved),
+	// or — to a reqUpdate — write permission for an object whose cached copy
+	// is stale, which access refetches before anyone reads it.
 	val        []byte
 	moved      core.ObjID
 	redirected bool
+	stale      bool
 
 	done chan reqOutcome // cap 1: at most one outcome per request
 }
@@ -95,6 +99,7 @@ type reqKind uint8
 const (
 	reqRead reqKind = iota
 	reqWrite
+	reqUpdate // write permission and the value, for a read-modify-write
 	reqCommit
 )
 
@@ -280,12 +285,13 @@ func (c *Client) failPending() {
 // the client lock, so that a later callback or de-escalation request always
 // observes the effects of the grants that preceded it on the wire.
 //
-// It may be running on the sending goroutine of the very connection it
-// serves (a server session's reader or pump, inside ship), so it must never
-// wait for that goroutine: it takes the client lock, which callers hold
-// only for local work and for a Send into the client-to-server queue, and
-// its own Sends go into that queue too. m is lent (see Conn): only m.Data
-// is kept.
+// Over a pipe it runs on whichever goroutine shipped the message (inside
+// session.ship: this client's own, deep in its request's delivery, or
+// another client's or a background loop's), so it must never wait for that
+// goroutine: it takes the client lock, which callers hold only for local
+// work and for queueing a message to the server (send), and it delivers its
+// own answers — callback acks, de-escalation replies — only once it has
+// released that lock (unlock). m is lent (see Conn): only m.Data is kept.
 //
 // On the terminal error it either fails the client permanently or — with a
 // Redial policy — reconnects and receives from the new session. That call
@@ -303,10 +309,10 @@ func (c *Client) deliver(m *core.Msg, err error) {
 	case core.MCallback:
 		reply, _ := c.cs.HandleCallback(m)
 		c.send(reply)
-		c.mu.Unlock()
+		c.unlock()
 	case core.MDeescReq:
 		c.send(c.cs.HandleDeescReq(m))
-		c.mu.Unlock()
+		c.unlock()
 	case core.MAbortYou:
 		if m.Txn != c.cs.Txn {
 			c.mu.Unlock() // verdict on a transaction that already ended
@@ -325,7 +331,7 @@ func (c *Client) deliver(m *core.Msg, err error) {
 		// server named in Req: a reply to an unresolved request would
 		// otherwise be applied to a finished transaction.
 		done := c.take()
-		c.mu.Unlock()
+		c.unlock()
 		if done != nil {
 			done <- reqAborted
 		}
@@ -335,7 +341,7 @@ func (c *Client) deliver(m *core.Msg, err error) {
 			c.applyPending(m)
 			done = c.take()
 		}
-		c.mu.Unlock()
+		c.unlock()
 		if done != nil {
 			done <- reqOK
 		}
@@ -418,13 +424,35 @@ func (c *Client) reconnect(cause error) Conn {
 
 // send transmits a message with drop notices attached. Callers hold c.mu,
 // which also serializes the wire order with the state mutations that
-// produced the message. The transport error is returned for the paths
-// that wait on the message's effect (roundTrip) or complete purely
-// locally (read-only commit); answers sent from deliver leave a dead
-// connection to its terminal call.
+// produced the message. Over a pipe it only queues the message (post): the
+// server's receiver runs wherever the message is delivered and may call
+// this client's receiver back, which takes c.mu — so the caller releases
+// c.mu with unlock, which delivers what was queued. The transport error is
+// returned for the paths that wait on the message's effect (roundTrip) or
+// complete purely locally (read-only commit); answers sent from deliver
+// leave a dead connection to its terminal call.
 func (c *Client) send(m *core.Msg) error {
 	m.DroppedPages, m.DroppedObjs = c.cs.Cache.TakeDropped()
-	return c.conn.Send(m)
+	p, ok := c.conn.(*chanConn)
+	if !ok {
+		return c.conn.Send(m)
+	}
+	if err := p.post(m); err != nil {
+		return err
+	}
+	c.posted = p
+	return nil
+}
+
+// unlock releases c.mu and then delivers what send queued under it — on a
+// pipe, very often the whole round trip, on this goroutine.
+func (c *Client) unlock() {
+	p := c.posted
+	c.posted = nil
+	c.mu.Unlock()
+	if p != nil {
+		p.flush()
+	}
 }
 
 // Begin starts a transaction. It blocks until any previous transaction on
@@ -479,8 +507,9 @@ type Txn struct {
 
 // roundTrip sends m and waits for its reply, which deliver applies under
 // c.mu the moment it arrives (applyPending; what the reply said is left in
-// c.req). The caller must hold c.mu; the lock is released
-// while waiting and reacquired before returning.
+// c.req). The caller must hold c.mu; the lock is released — which delivers
+// m, over a pipe on this goroutine, and often the reply with it — while
+// waiting, and reacquired before returning.
 //
 // With a RequestTimeout configured the wait is bounded: on expiry the
 // connection is torn down (triggering reconnect, if configured) and the
@@ -495,7 +524,7 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 	m.From = c.id
 	r := &c.req
 	r.id, r.kind, r.obj, r.data = m.Req, kind, obj, data
-	r.val, r.redirected = nil, false
+	r.val, r.redirected, r.stale = nil, false, false
 	conn := c.conn
 	var start time.Time
 	if c.met != nil {
@@ -515,7 +544,7 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 		c.abandonSession(conn, ErrDisconnected)
 		return ErrDisconnected
 	}
-	c.mu.Unlock()
+	c.unlock()
 	var out reqOutcome
 	timedOut := false
 	if c.opts.RequestTimeout > 0 {
@@ -594,13 +623,18 @@ func (c *Client) applyPending(rep *core.Msg) {
 		// Install the data and complete the access before any later
 		// callback can touch the object.
 		c.applyReply(rep)
+		if r.kind == reqUpdate && c.cs.NeedsRefetch(r.obj) {
+			r.stale = true
+			return
+		}
 		r.val = c.complete(r.kind, r.obj, r.data)
 	}
 }
 
-// complete performs a read or write that the protocol state now allows
-// locally: it records the access and returns a copy of the value read, or
-// installs data in the cache.
+// complete performs an access that the protocol state now allows locally:
+// it records the read and returns a copy of the value (reqRead, and
+// reqUpdate's read half, which so pins the page until the transaction
+// ends), or records the write and installs data in the cache.
 func (c *Client) complete(kind reqKind, o core.ObjID, data []byte) []byte {
 	if kind == reqWrite {
 		c.cs.RecordWrite(o)
@@ -678,13 +712,13 @@ func (t *Txn) Write(o core.ObjID, data []byte) error {
 	return err
 }
 
-// access is Read and Write: complete the access locally if the protocol
-// state allows it, otherwise ask the server, following redirects until it
-// does.
+// access is Read, Write and Update's read half: complete the access
+// locally if the protocol state allows it, otherwise ask the server,
+// following redirects until it does.
 func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 	c := t.c
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if err := t.check(); err != nil {
 		return nil, err
 	}
@@ -697,33 +731,46 @@ func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 	target := c.resolveAlias(o)
 	for {
 		var m *core.Msg
-		if kind == reqWrite {
+		ask := kind
+		if kind == reqRead {
+			m = c.cs.NeedForRead(target)
+		} else {
 			c.cs.StartWrite(target)
 			m = c.cs.NeedForWrite(target)
-		} else {
-			m = c.cs.NeedForRead(target)
+			if m == nil && kind == reqUpdate && c.cs.NeedsRefetch(target) {
+				// Write permission without a current copy (see
+				// core.ClientState.OnReply): fetch it before reading.
+				m, ask = c.cs.NeedForRead(target), reqRead
+			}
 		}
 		if m == nil {
 			c.met.hit()
 			return c.complete(kind, target, data), nil
 		}
 		c.met.miss()
-		if err := c.roundTrip(m, kind, target, data); err != nil {
+		if err := c.roundTrip(m, ask, target, data); err != nil {
 			return nil, t.finishIfAborted(err)
 		}
 		r := &c.req
-		if !r.redirected {
+		switch {
+		case r.redirected:
+			c.learnAlias(o, r.moved)
+			target = r.moved
+		case !r.stale:
 			return r.val, nil
 		}
-		c.learnAlias(o, r.moved)
-		target = r.moved
 	}
 }
 
-// Update is a read-modify-write convenience: it reads o, applies fn, and
-// writes the result.
+// Update is a read-modify-write: it reads o, applies fn, and writes the
+// result. An object the transaction may not yet write costs one request —
+// write permission with the value, as the simulator asks for it — not a
+// read and then a write; only a grant that finds the cached copy stale
+// (page-granularity copy tracking, PS-OA and PS-AA) adds a fetch. The read
+// is recorded before fn runs, so the page stays cached meanwhile, and the
+// write is then local.
 func (t *Txn) Update(o core.ObjID, fn func(old []byte) []byte) error {
-	old, err := t.Read(o)
+	old, err := t.access(reqUpdate, o, nil)
 	if err != nil {
 		return err
 	}
@@ -734,7 +781,7 @@ func (t *Txn) Update(o core.ObjID, fn func(old []byte) []byte) error {
 func (t *Txn) Commit() error {
 	c := t.c
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if err := t.check(); err != nil {
 		return err
 	}
@@ -785,7 +832,7 @@ func (t *Txn) Commit() error {
 func (t *Txn) Abort() error {
 	c := t.c
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if t.done {
 		return nil
 	}

@@ -1,7 +1,10 @@
 package live
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,6 +68,8 @@ func TestClientReceiveContract(t *testing.T) {
 		{"TerminalOnceOffTheClosersGoroutine", recvTerminalOnce},
 		{"IdleClientAnswersCallback", recvIdleClientAnswersCallback},
 		{"RedialReinstalls", recvRedialReinstalls},
+		{"SendsUpItsOwnStack", recvSendsUpItsOwnStack},
+		{"CallbackChain", recvCallbackChain},
 	}
 	for i, tr := range clientTransports {
 		for _, c := range cases {
@@ -239,6 +244,170 @@ func recvTerminalOnce(t *testing.T, tr int) {
 	}
 }
 
+// A receiver may send to the very end it is receiving on: over a pipe the
+// message waits in that end's run queue for the deliverer further up the
+// stack, and arrives in order behind the one being received, never as a
+// nested call.
+func recvSendsUpItsOwnStack(t *testing.T, tr int) {
+	client, server := clientTransports[tr].pair(t)
+	defer client.Close()
+	defer server.Close()
+	log := newRecvLog(t)
+	var inside atomic.Int32
+	receive(client, func(m *core.Msg, err error) {
+		if inside.Add(1) != 1 {
+			t.Error("receiver re-entered by its own send")
+		}
+		defer inside.Add(-1)
+		log.recv(m, err)
+		if err == nil && m.From == 1 {
+			if err := server.Send(numbered(2, m.Req)); err != nil {
+				t.Errorf("send from inside the receiver: %v", err)
+			}
+		}
+	})
+	const each = 100
+	for seq := int64(1); seq <= each; seq++ {
+		if err := server.Send(numbered(1, seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.await("every message and every echo", func() bool { return log.msgs == 2*each })
+}
+
+// A's write to an object idle B caches needs B's callback answered. Over a
+// pipe nothing in that chain waits for another goroutine, so A's own
+// goroutine runs all of it: B's receiver takes the callback, B's session
+// takes the ack, A's receiver takes the grant. Over any transport the write
+// completes, each receiver called in wire order and never concurrently.
+func recvCallbackChain(t *testing.T, tr int) {
+	srv := recvServer(t)
+	defer srv.Close()
+	callbackChain(t, srv, func() Conn {
+		conn, err := clientTransports[tr].dial(t, srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	})
+}
+
+// callbackChain runs the chain recvCallbackChain describes over connections
+// from dial, and requires it on the writer's goroutine when they are pipes.
+func callbackChain(t *testing.T, srv *Server, dial func() Conn) {
+	t.Helper()
+	holder, err := Connect(dial(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	tx, err := holder.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Read(o(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	writer, err := Connect(dial(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+
+	// Over pipes, note which goroutine every receiver call runs on.
+	spies := []*receiverSpy{
+		spyClient(t, holder), spyClient(t, writer), spySession(t, srv, holder.ID()),
+	}
+	me := goroutineID()
+	wtx, err := writer.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wtx.Write(o(5, 1), []byte("called back")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wtx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if spies[0] == nil {
+		return // not a pipe: nothing to note
+	}
+	for i, want := range []core.MsgKind{core.MCallback, core.MPageData, core.MCallbackAck} {
+		if got := spies[i].on(want); len(got) == 0 || got[0] != me {
+			t.Errorf("%v delivered on goroutines %v, want the writer's %d", want, got, me)
+		}
+	}
+}
+
+// receiverSpy wraps the receiver of one pipe end and notes, per message
+// kind, the goroutines it was called on; it fails the test on a concurrent
+// or nested call.
+type receiverSpy struct {
+	t      *testing.T
+	inside atomic.Int32
+	mu     sync.Mutex
+	calls  map[core.MsgKind][]uint64
+}
+
+func spyOn(t *testing.T, p *chanConn) *receiverSpy {
+	sp := &receiverSpy{t: t, calls: make(map[core.MsgKind][]uint64)}
+	p.rmu.Lock()
+	defer p.rmu.Unlock()
+	inner := p.recv
+	p.recv = func(m *core.Msg, err error) {
+		if sp.inside.Add(1) != 1 {
+			sp.t.Error("receiver called concurrently")
+		}
+		if err == nil {
+			sp.mu.Lock()
+			sp.calls[m.Kind] = append(sp.calls[m.Kind], goroutineID())
+			sp.mu.Unlock()
+		}
+		sp.inside.Add(-1)
+		inner(m, err)
+	}
+	return sp
+}
+
+// spyClient spies on a client's end of a pipe (nil for any other Conn).
+func spyClient(t *testing.T, cl *Client) *receiverSpy {
+	cl.mu.Lock()
+	p, ok := cl.conn.(*chanConn)
+	cl.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	return spyOn(t, p)
+}
+
+// spySession spies on the server's end of a session's pipe (nil for a
+// socket session).
+func spySession(t *testing.T, srv *Server, id core.ClientID) *receiverSpy {
+	p, ok := srv.sessionOf(id).conn.(*pipeSession)
+	if !ok {
+		return nil
+	}
+	return spyOn(t, p.chanConn)
+}
+
+func (sp *receiverSpy) on(kind core.MsgKind) []uint64 {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	return append([]uint64(nil), sp.calls[kind]...)
+}
+
+// goroutineID is the calling goroutine's number, from its stack header.
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
 // recvServer is a listening PS-AA server for the cases that need a real one.
 func recvServer(t *testing.T) *Server {
 	t.Helper()
@@ -410,9 +579,10 @@ func TestCallbackStormPipeClients(t *testing.T) {
 	}
 }
 
-// TestInProcessClientGoroutines: a client over a pipe owns no goroutine —
-// N attached clients cost the server's two per session and nothing more —
-// and none is left once clients and server are closed.
+// TestInProcessClientGoroutines: a client over a pipe owns no goroutine,
+// and neither does its session — N attached clients cost no goroutine at
+// all beyond the server's background loops — and none is left once clients
+// and server are closed.
 func TestInProcessClientGoroutines(t *testing.T) {
 	const n = 32
 	before := countGoroutines()
@@ -432,8 +602,8 @@ func TestInProcessClientGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if attached := countGoroutines(); attached-idle > 2*n {
-		t.Errorf("%d goroutines for %d attached in-process clients, want at most %d", attached-idle, n, 2*n)
+	if attached := countGoroutines(); attached > idle {
+		t.Errorf("%d goroutines for %d attached in-process clients, want none", attached-idle, n)
 	}
 	for _, cl := range clients {
 		cl.Close()

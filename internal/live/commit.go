@@ -142,7 +142,8 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 
 // engineStep runs one message through a single shard's engine under its
 // lock: alive check, engine dispatch, staging, callback-deadline
-// bookkeeping; then overflow deposes off-lock.
+// bookkeeping; then, off-lock, other pipe sessions' output ships and
+// overflowed sessions are deposed (settle).
 func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	held := s.lockShard(sh)
 	if s.sessionOf(sess.id) != sess {
@@ -171,7 +172,8 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	if outs == nil {
 		outs = sh.eng.Handle(m)
 	}
-	overflow := s.stage(sess, outs)
+	var buf [4]*session
+	after := s.stage(sess, outs, buf[:0])
 
 	// Callback-deadline bookkeeping, after the engine step: any ack
 	// proves the client is alive, and a busy reply defers the real
@@ -187,7 +189,7 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	}
 
 	s.unlockShard(sh, held)
-	s.detachAll(overflow)
+	s.settle(after)
 }
 
 // finishTxnMsg handles MCommitReq/MAbortReq: compute which shards hold
@@ -399,7 +401,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 			panic(fmt.Sprintf("live: commit install failed: %v", err))
 		}
 	}
-	var overflow []core.ClientID
+	var after []*session
 	if len(rec.Relocs) > 0 {
 		// A checkpoint's relocs.db snapshot serializes on installMu, so the
 		// table never runs ahead of the log.
@@ -407,7 +409,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 		for _, r := range rec.Relocs {
 			for _, q := range s.shardOf(r.From.Page).eng.TakeQueued(r.From) {
 				s.metrics.reclusterRedirects.Inc()
-				overflow = append(overflow, s.stage(nil, []core.Msg{relocated(&q, r.To)})...)
+				after = s.stage(nil, []core.Msg{relocated(&q, r.To)}, after)
 				s.bsMu.Lock()
 				delete(s.blockStart, q.Txn)
 				s.bsMu.Unlock()
@@ -418,7 +420,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 	s.observeStage(obs.StageInstall, rec.Txn, rec.Client, time.Since(appended))
 	s.installMu.RUnlock()
 	unlockAll()
-	s.detachAll(overflow)
+	s.settle(after)
 	return ticket, gen, true
 }
 
@@ -434,7 +436,7 @@ func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
 		s.metrics.multiShardCommits.Inc()
 	}
 	owner := 63 - bits.LeadingZeros64(mask)
-	var overflow []core.ClientID
+	var after []*session
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
 		sh := s.shards[i]
@@ -446,13 +448,13 @@ func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
 		} else {
 			outs = sh.eng.HandleAbortShard(sub, i == owner)
 		}
-		overflow = append(overflow, s.stage(sess, outs)...)
+		after = s.stage(sess, outs, after)
 		s.unlockShard(sh, held)
 	}
 	s.bsMu.Lock()
 	delete(s.blockStart, m.Txn)
 	s.bsMu.Unlock()
-	s.detachAll(overflow)
+	s.settle(after)
 }
 
 // subsetFinishMsg copies m with its page-keyed slices filtered to shard

@@ -187,7 +187,7 @@ func (s *Server) CheckDeadlocks() int {
 	}
 
 	aborted := 0
-	var overflow []core.ClientID
+	var after []*session
 	for _, t := range confirmed {
 		req, sh := second.req[t], second.home[t]
 		if sh == nil || firstReq[t] != req {
@@ -196,7 +196,7 @@ func (s *Server) CheckDeadlocks() int {
 		held := s.lockShard(sh)
 		outs, ok := sh.eng.AbortDeadlockVictim(t, req)
 		if ok {
-			overflow = append(overflow, s.stage(nil, outs)...)
+			after = s.stage(nil, outs, after)
 		}
 		s.unlockShard(sh, held)
 		if !ok {
@@ -208,6 +208,6 @@ func (s *Server) CheckDeadlocks() int {
 		delete(s.blockStart, t)
 		s.bsMu.Unlock()
 	}
-	s.detachAll(overflow)
+	s.settle(after)
 	return aborted
 }

@@ -574,3 +574,121 @@ func TestSessionTxnIDsSurvive257Sessions(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateIsOneRequest: a read-modify-write of an object the transaction
+// may not yet write costs one server request under every protocol — write
+// permission with the value, as the simulator asks — and, under
+// page-granularity copy tracking, a grant that finds the cached copy stale
+// still refetches it before fn sees the value.
+func TestUpdateIsOneRequest(t *testing.T) {
+	for _, proto := range core.Protocols {
+		t.Run(proto.String(), func(t *testing.T) {
+			srv, _ := testServer(t, proto)
+			defer srv.Close()
+			cl := attachClient(t, srv)
+			defer cl.Close()
+			requests := func() int64 {
+				st := srv.Stats()
+				return st.ReadReqs + st.WriteReqs
+			}
+			tx, err := cl.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := requests()
+			if err := tx.Update(o(3, 1), func(old []byte) []byte { return []byte("updated") }); err != nil {
+				t.Fatal(err)
+			}
+			if n := requests() - before; n != 1 {
+				t.Fatalf("a cold Update made %d server requests, want 1", n)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, proto := range []core.Protocol{core.PSOA, core.PSAA} {
+		t.Run(proto.String()+"/StaleGrantRefetches", func(t *testing.T) { updateStaleGrant(t, proto) })
+	}
+}
+
+// updateStaleGrant plays the server by hand for the one interleaving that
+// makes a write grant stale: the client asks for write permission on an
+// object it holds a readable copy of, an adaptive callback for that object
+// overtakes the grant (another writer got there first), and the server —
+// tracking copies by page — grants without the data.
+func updateStaleGrant(t *testing.T, proto core.Protocol) {
+	const opp, objSize = 4, 8
+	cEnd, sEnd := Pipe()
+	defer sEnd.Close()
+	if err := sEnd.Send(&core.Msg{Kind: core.MHello, HelloID: 1, HelloPages: 8,
+		HelloObjsPP: opp, HelloObjSize: objSize, HelloProto: proto}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Connect(cEnd, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	page := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, opp*objSize) }
+	expect := func(kind core.MsgKind) *core.Msg {
+		t.Helper()
+		m := recvWithin(t, sEnd, 5*time.Second)
+		if m.Kind != kind {
+			t.Fatalf("client sent %v, want %v", m.Kind, kind)
+		}
+		return m
+	}
+	reply := func(m *core.Msg) {
+		t.Helper()
+		if err := sEnd.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, err := tx.Read(o(2, 0))
+		read <- err
+	}()
+	req := expect(core.MReadReq)
+	reply(&core.Msg{Kind: core.MPageData, Req: req.Req, Page: 2, Obj: req.Obj, Data: page('a')})
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make(chan []byte, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- tx.Update(o(2, 1), func(old []byte) []byte {
+			seen <- old
+			return []byte("new")
+		})
+	}()
+	wr := expect(core.MWriteReq)
+	if wr.WantData {
+		t.Fatal("write request for a readable cached object asks for the data")
+	}
+	reply(&core.Msg{Kind: core.MCallback, Req: 77, CB: core.CBAdaptive, Page: 2, Obj: o(2, 1)})
+	if ack := expect(core.MCallbackAck); ack.Purged || ack.Busy {
+		t.Fatalf("callback answered purged=%v busy=%v, want the page kept and the object given up", ack.Purged, ack.Busy)
+	}
+	reply(&core.Msg{Kind: core.MGrant, Req: wr.Req, Grant: core.GrantObject, Page: 2, Obj: o(2, 1)})
+	rr := expect(core.MReadReq)
+	select {
+	case old := <-seen:
+		t.Fatalf("fn saw the stale copy %q before the refetch", old)
+	default:
+	}
+	reply(&core.Msg{Kind: core.MPageData, Req: rr.Req, Page: 2, Obj: o(2, 1), Data: page('b')})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if old := <-seen; !bytes.Equal(old, page('b')[:objSize]) {
+		t.Fatalf("fn saw %q, want the refetched value", old)
+	}
+}
