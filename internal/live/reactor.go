@@ -318,17 +318,21 @@ func (l *rloop) run() {
 }
 
 func (l *rloop) drainWake() {
-	// Clear the armed flag BEFORE draining ops (runOps follows): a
-	// wakeup that CASes false->true after this point writes a fresh byte
-	// and the next epoll_wait sees it; one that lost its CAS to us has
-	// already appended its op, which this pass collects.
-	l.wakeArmed.Store(false)
+	// Empty the pipe, THEN clear the armed flag, and only then drain ops
+	// (runOps follows). A wakeup whose CAS finds the flag still set has
+	// already appended its op, which this pass collects; one that CASes
+	// false->true after the clear writes a byte no drain here can swallow,
+	// so the next epoll_wait sees it. Clearing first lost wakeups: a byte
+	// written between the clear and the read was read away, leaving the
+	// flag armed over an empty pipe, and every later kick queued its op
+	// without a byte to wake the loop.
 	for {
 		n, err := syscall.Read(l.wakeR, l.wakeBuf[:])
 		if n < len(l.wakeBuf) || err != nil {
-			return
+			break
 		}
 	}
+	l.wakeArmed.Store(false)
 }
 
 func (l *rloop) runOps() {

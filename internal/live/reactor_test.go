@@ -375,3 +375,38 @@ func TestSlowlorisAccept(t *testing.T) {
 		})
 	}
 }
+
+// TestReactorKickNeverStranded: every kick runs its pump, however kicks
+// from other goroutines interleave with the loop draining its self-pipe. A
+// kick must never find the loop's wake flag armed while no wake byte is
+// left in the pipe, or its op waits in the queue while the loop sleeps.
+func TestReactorKickNeverStranded(t *testing.T) {
+	srv, _ := testServer(t, core.PSAA)
+	defer srv.Close()
+	srv.opts.ReactorLoops = 1
+	r, err := newReactor(srv)
+	if err != nil {
+		t.Skipf("no reactor on this platform: %v", err)
+	}
+	defer r.shutdown()
+	const kickers, kicks = 4, 3000
+	var wg sync.WaitGroup
+	for k := 0; k < kickers; k++ {
+		ran := make(chan struct{}, 1)
+		rc := &rconn{loop: r.loops[0], pump: func() { ran <- struct{}{} }}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < kicks; i++ {
+				rc.Kick()
+				select {
+				case <-ran:
+				case <-time.After(5 * time.Second):
+					t.Errorf("kick %d never ran its pump", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package live
 import (
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,6 +82,59 @@ func TestChanConnCloseDrain(t *testing.T) {
 
 // TestTCPConnFraming round-trips representative messages through the real
 // framing (header, write-through sends) over a socket pair.
+// A Send from an end its owner polls never runs the peer's receiver on the
+// sending goroutine: that owner may hold, across Send, a lock its own poller
+// needs (a Client over a wrapped pipe holds c.mu). The messages still reach
+// the receiver in order, one call at a time.
+func TestPolledEndSendDoesNotDeliver(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	const n = 4
+	release := make(chan struct{})
+	got := make(chan int64, n)
+	var inside atomic.Int32
+	b.(*chanConn).setReceiver(func(m *core.Msg, err error) {
+		if err != nil {
+			return
+		}
+		if inside.Add(1) != 1 {
+			t.Error("receiver called concurrently")
+		}
+		<-release
+		inside.Add(-1)
+		got <- m.Req
+	})
+	sent := make(chan error, 1)
+	go func() {
+		for i := int64(1); i <= n; i++ {
+			if err := a.Send(&core.Msg{Kind: core.MReadReq, Req: i}); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Send from a polled end waited for the peer's receiver")
+	}
+	close(release)
+	for want := int64(1); want <= n; want++ {
+		select {
+		case r := <-got:
+			if r != want {
+				t.Fatalf("message %d arrived where %d was due", r, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never delivered", want)
+		}
+	}
+}
+
 func TestTCPConnFraming(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
