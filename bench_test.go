@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -138,71 +136,5 @@ func BenchmarkTable2Workloads(b *testing.B) {
 			}
 			b.ReportMetric(float64(n)/float64(b.N), "objs/txn")
 		})
-	}
-}
-
-// ---- Component micro-benchmarks ----
-
-func BenchmarkLockTableGrantRelease(b *testing.B) {
-	lt := core.NewLockTab()
-	for i := 0; i < b.N; i++ {
-		t := core.TxnID(i + 1)
-		for s := uint16(0); s < 8; s++ {
-			lt.GrantObjX(t, 1, core.ObjID{Page: core.PageID(i % 64), Slot: s})
-		}
-		lt.ReleaseAll(t)
-	}
-}
-
-func BenchmarkClientCacheInstallEvict(b *testing.B) {
-	c := core.NewClientCache(false, 128)
-	for i := 0; i < b.N; i++ {
-		c.InstallPage(core.PageID(i%512), nil)
-		if i%64 == 0 {
-			c.TakeDropped()
-		}
-	}
-}
-
-// BenchmarkServerEngineReadPath measures the pure protocol engine's
-// request handling (no simulation costs attached).
-func BenchmarkServerEngineReadPath(b *testing.B) {
-	layout := core.NewLayout(1024, 20)
-	se := core.NewServerEngine(core.PSAA, layout)
-	for i := 0; i < b.N; i++ {
-		m := core.Msg{Kind: core.MReadReq, From: 1, Txn: core.TxnID(i + 1),
-			Obj: core.ObjID{Page: core.PageID(i % 1024)}, Req: int64(i)}
-		se.Handle(&m)
-	}
-}
-
-// BenchmarkLiveCommit measures end-to-end live-system transactions over
-// the in-process transport.
-func BenchmarkLiveCommit(b *testing.B) {
-	dir, err := os.MkdirTemp("", "oodb-bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	cluster, err := NewCluster(dir, ClusterOptions{Clients: 1, ServerOptions: ServerOptions{
-		Proto: PSAA, NumPages: 256, ObjsPerPage: 8, PageSize: 512,
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
-	cl := cluster.Client(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx, err := cl.Begin()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Write(Obj(PageID(i%256), uint16(i%8)), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

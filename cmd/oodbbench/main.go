@@ -9,7 +9,6 @@
 //	oodbbench -proto PS-AA -clients 8 -txns 500 -hot -heat      # + heat summary
 //	oodbbench -addr 127.0.0.1:7090 -clients 8 -txns 500         # remote
 //	oodbbench -transport reactor -clients 32 -txns 200          # loopback TCP, epoll reactor
-//	oodbbench -proto PS -interleave -recluster -txns 4000       # false-sharing recovery
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/benchjson"
 	"repro/internal/core"
 	"repro/internal/live"
 )
@@ -55,16 +53,7 @@ func main() {
 			"top-K hot/contended page summary")
 	metricsEvery := flag.Duration("metrics-every", 0,
 		"dump the metrics snapshot at this interval while running (0 = off)")
-	benchOut := flag.String("benchjson", "",
-		"append this run's throughput and p99 commit latency to the given benchjson file")
-	note := flag.String("note", "", "label recorded with -benchjson (what changed)")
-	interleave := flag.Bool("interleave", false,
-		"run the interleaved-PRIVATE false-sharing scenario instead of the random "+
-			"workload: two writers share every page but never an object, measured in "+
-			"two phases (in-process only; ignores -clients/-reads/-writes/-hot)")
-	recluster := flag.Bool("recluster", false,
-		"enable online reclustering on the in-process server; with -interleave, "+
-			"migration rounds run between the two timed phases")
+	recluster := flag.Bool("recluster", false, "enable online reclustering on the in-process server")
 	flag.Parse()
 
 	var connect func() (*repro.Client, error)
@@ -86,28 +75,16 @@ func main() {
 			fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		if *interleave && *transport != "" {
-			fatal(fmt.Errorf("-interleave is a deterministic in-memory scenario; drop -transport"))
-		}
 		copts := repro.ClusterOptions{ServerOptions: repro.ServerOptions{
 			Proto: p, NumPages: *pages, Shards: *shards, Metrics: reg,
 			Heat: *heat, Recluster: *recluster, Transport: *transport,
 		}}
 		live.ApplyEnv(&copts.ServerOptions)
-		if *interleave && *recluster {
-			// The scenario triggers its migration rounds explicitly between
-			// the two phases; keep the background planner out of the timing.
-			copts.ReclusterEvery = time.Hour
-		}
 		cluster, err := repro.NewCluster(dir, copts)
 		if err != nil {
 			fatal(err)
 		}
 		defer cluster.Close()
-		if *interleave {
-			runInterleaved(cluster, *txns, *recluster, *benchOut, *note)
-			return
-		}
 		connect = cluster.AttachClient
 		how := "in-memory pipes"
 		if *transport != "" {
@@ -133,9 +110,6 @@ func main() {
 		fmt.Printf("oodbbench: in-process server with %d engine shards over %s (GOMAXPROCS=%d, NumCPU=%d)\n",
 			cluster.Server().NumShards(), how, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	} else {
-		if *interleave {
-			fatal(fmt.Errorf("-interleave needs the in-process server (drop -addr)"))
-		}
 		opts := repro.ClientOptions{RequestTimeout: *rto, Metrics: reg}
 		if *reconnect {
 			a := *addr
@@ -227,21 +201,6 @@ func main() {
 	fmt.Printf("committed %d txns in %v — %.0f txn/s, p99 commit %v (%d deadlock retries)\n",
 		committed, elapsed.Round(time.Millisecond), txnPerSec,
 		time.Duration(p99).Round(time.Microsecond), aborted)
-	if *benchOut != "" {
-		run := benchjson.NewRun()
-		run.Note = *note
-		run.Benchmarks = map[string]benchjson.Benchmark{
-			fmt.Sprintf("oodbbench/clients=%d", *clients): {
-				NsPerOp:   meanNs(commitLats),
-				OpsPerSec: txnPerSec,
-				P99Ns:     float64(p99),
-			},
-		}
-		if err := benchjson.Append(*benchOut, run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded run in %s\n", *benchOut)
-	}
 	if statsFn != nil {
 		st := statsFn()
 		fmt.Printf("server: reads=%d writes=%d callbacks=%d busy=%d deesc=%d pageX=%d objX=%d deadlocks=%d\n",
@@ -274,133 +233,6 @@ func runTxn(tx *repro.Txn, rng *rand.Rand, pick func() repro.ObjID, reads, write
 	return nil
 }
 
-// runInterleaved measures the paper's worst case for page-grain protocols:
-// two writers share every page but never an object (the INTERLEAVED-PRIVATE
-// placement), so all conflicts are false sharing. A deterministic
-// single-goroutine driver alternates the two clients — modeling clients on
-// separate machines whose requests interleave at the server — because
-// free-running goroutines on a small CPU count are scheduled in long bursts
-// that let each client keep page ownership artificially long, hiding the
-// ping-pong this scenario exists to measure.
-//
-// With -recluster, heat-driven migration rounds run between the two timed
-// phases; the late/early ratio is then the throughput the reclusterer
-// recovered (CI floors the same ratio via benchguard -min-recovery-ratio).
-func runInterleaved(cluster *repro.Cluster, txns int, recluster bool, benchOut, note string) {
-	const (
-		sharedPages = 8
-		nWriters    = 2
-	)
-	numPages, objsPerPage, _ := cluster.Server().Geometry()
-	if numPages < sharedPages || objsPerPage < 2 {
-		fatal(fmt.Errorf("-interleave needs >= %d pages and >= 2 objects/page", sharedPages))
-	}
-	half := objsPerPage / 2
-	cls := make([]*repro.Client, nWriters)
-	for i := range cls {
-		cl, err := cluster.AttachClient()
-		if err != nil {
-			fatal(err)
-		}
-		cls[i] = cl
-	}
-	fmt.Printf("oodbbench: interleaved-PRIVATE — %d writers x %d txns over %d shared pages "+
-		"(%d objects/page, recluster=%v)\n", nWriters, txns, sharedPages, objsPerPage, recluster)
-
-	var lats []int64
-	phase := func(n int, record bool) float64 {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			w := i % nWriters
-			k := i / nWriters
-			// Writer w owns slot half `w` of every shared page; decorrelate
-			// slot from page so each writer cycles all of its slots.
-			obj := repro.Obj(repro.PageID(k%sharedPages), uint16(w*half+(k/sharedPages)%half))
-			tx, err := cls[w].Begin()
-			if err != nil {
-				fatal(err)
-			}
-			err = tx.Update(obj, func(old []byte) []byte { return []byte{old[0] + 1} })
-			var commitStart time.Time
-			if err == nil {
-				commitStart = time.Now()
-				err = tx.Commit()
-			}
-			if errors.Is(err, repro.ErrAborted) {
-				i-- // deadlock victim: retry the same transaction
-				continue
-			}
-			if err != nil {
-				fatal(err)
-			}
-			if record {
-				lats = append(lats, time.Since(commitStart).Nanoseconds())
-			}
-		}
-		return float64(n) / time.Since(start).Seconds()
-	}
-
-	phase(nWriters*sharedPages*half, false) // warm both caches
-	lats = lats[:0]
-	earlyTPS := phase(txns, true)
-	p99Early := percentileNs([][]int64{lats}, 99)
-
-	moved := 0
-	if recluster {
-		phase(8*sharedPages, false) // fresh writer evidence in the live heat epoch
-		cluster.Server().Heat().Rotate()
-		for {
-			// Each round migrates at most the per-round budget; drain until
-			// the planner finds nothing left to move.
-			n, err := cluster.Server().ReclusterNow()
-			if err != nil {
-				fatal(err)
-			}
-			moved += n
-			if n == 0 {
-				break
-			}
-		}
-		if moved == 0 {
-			fatal(fmt.Errorf("-interleave -recluster: no objects migrated " +
-				"(no false-sharing evidence accumulated?)"))
-		}
-		fmt.Printf("reclustered: %d objects migrated off the %d shared pages\n",
-			moved, sharedPages)
-		phase(8*sharedPages, false) // untimed: clients learn the redirect aliases
-	}
-
-	lats = lats[:0]
-	lateTPS := phase(txns, true)
-	p99Late := percentileNs([][]int64{lats}, 99)
-
-	fmt.Printf("early %.0f txn/s (p99 commit %v) -> late %.0f txn/s (p99 commit %v): %.2fx\n",
-		earlyTPS, time.Duration(p99Early).Round(time.Microsecond),
-		lateTPS, time.Duration(p99Late).Round(time.Microsecond), lateTPS/earlyTPS)
-	st := cluster.Server().Stats()
-	fmt.Printf("server: reads=%d writes=%d callbacks=%d busy=%d pageX=%d objX=%d deadlocks=%d\n",
-		st.ReadReqs, st.WriteReqs, st.Callbacks, st.BusyReplies,
-		st.PageGrants, st.ObjGrants, st.Deadlocks)
-	if recluster {
-		rs := cluster.Server().ReclusterStatus(false)
-		fmt.Printf("recluster: relocated=%d (user pages %d, spare pages %d)\n",
-			rs.Relocated, rs.UserPages, rs.SparePages)
-	}
-	if benchOut != "" {
-		run := benchjson.NewRun()
-		run.Note = note
-		run.Benchmarks = map[string]benchjson.Benchmark{
-			"oodbbench/interleaved/phase=early": {OpsPerSec: earlyTPS, P99Ns: float64(p99Early)},
-			"oodbbench/interleaved/phase=late":  {OpsPerSec: lateTPS, P99Ns: float64(p99Late)},
-			"oodbbench/interleaved":             {EarlyOpsPerSec: earlyTPS, LateOpsPerSec: lateTPS},
-		}
-		if err := benchjson.Append(benchOut, run); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded run in %s\n", benchOut)
-	}
-}
-
 // percentileNs merges the per-client latency slices and returns the p-th
 // percentile in nanoseconds (0 if nothing was recorded).
 func percentileNs(lats [][]int64, p int) int64 {
@@ -413,20 +245,6 @@ func percentileNs(lats [][]int64, p int) int64 {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	return all[(len(all)-1)*p/100]
-}
-
-func meanNs(lats [][]int64) float64 {
-	var sum, n int64
-	for _, l := range lats {
-		for _, v := range l {
-			sum += v
-		}
-		n += int64(len(l))
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
 }
 
 func fatal(err error) {

@@ -18,25 +18,13 @@ import (
 	"time"
 )
 
-// Benchmark records one `go test -bench` measurement attached to a run
-// (e.g. the allocation profile of a figure's cell grid, or the live
-// system's commit throughput).
+// Benchmark records one `go test -bench -benchmem` measurement attached
+// to a run (e.g. the allocation profile of a figure's cell grid);
+// cmd/benchguard gates allocs/op against it.
 type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	// OpsPerSec and P99Ns record throughput-style measurements (e.g. the
-	// live benchmark's committed txn/s and p99 commit latency).
-	OpsPerSec float64 `json:"ops_per_sec,omitempty"`
-	P99Ns     float64 `json:"p99_ns,omitempty"`
-	// TTFCNs is the recovery benchmark's time-to-first-commit: OpenServer
-	// over a crashed database through the first post-restart commit ack.
-	TTFCNs float64 `json:"ttfc_ns,omitempty"`
-	// EarlyOpsPerSec/LateOpsPerSec record the reclustering benchmark's
-	// interleaved false-sharing throughput before and after the recluster
-	// round (late/early is the recovery ratio CI floors).
-	EarlyOpsPerSec float64 `json:"early_ops_per_sec,omitempty"`
-	LateOpsPerSec  float64 `json:"late_ops_per_sec,omitempty"`
 }
 
 // SweepBench is one sweep's timing within a run.

@@ -311,7 +311,7 @@ func tcpPair(b testing.TB) (net.Conn, net.Conn) {
 // benchWireRoundTrip pumps b.N copies of m through the binary transport
 // over a loopback TCP connection, measuring the full encode+frame+decode
 // path (allocs/op is the wire-path allocation cost). The sub-benchmark
-// name is what CI's guard and BENCH_live.json key on.
+// name is what CI's alloc guard and BENCH_figures.json key on.
 func benchWireRoundTrip(b *testing.B, m *core.Msg) {
 	b.Run("codec=binary", func(b *testing.B) {
 		c1, c2 := tcpPair(b)
@@ -552,110 +552,6 @@ func BenchmarkVStoreMixedParallel(b *testing.B) {
 			slot = (slot + 1) % objsPP
 		}
 	})
-}
-
-// BenchmarkReclusterRecovery measures the throughput an interleaved-
-// PRIVATE workload recovers when online reclustering engages. Two
-// writers share every page but own disjoint slot halves — the classic
-// false-sharing shape. Under PS (pure page-level locking, the protocol
-// where the paper's problem bites hardest) each writer's commit revokes
-// the other's cached copy, so every transaction pays a page re-fetch
-// plus a callback round even though no object is ever shared. The
-// driver alternates transactions between the two clients from one
-// goroutine: clients on separate machines interleave at the server in
-// exactly this way, and a free-running 2-goroutine driver on a small
-// CPU count would instead quantize into scheduler bursts that hide the
-// ping-pong. The "early" phase measures steady state in the shared
-// regime; then one heat rotation and one recluster round split every
-// suspect page (each writer's slots migrate to writer-private spare
-// pages); the "late" phase measures the split layout, where pages stay
-// cached across transactions and callbacks vanish. Reported metrics:
-// early-txn/s, late-txn/s, and recovery-ratio (late/early — the number
-// CI's benchguard floors).
-func BenchmarkReclusterRecovery(b *testing.B) {
-	const (
-		sharedPages = 8
-		objsPP      = 8
-		half        = objsPP / 2
-		nWriters    = 2
-	)
-	dir := b.TempDir()
-	srv, err := openServer(dir, ServerOptions{
-		Proto: core.PS, PageSize: 4096, ObjsPerPage: objsPP,
-		NumPages: 32, SyncWAL: false,
-		Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
-		ReclusterSpare: 8, // one round moves all sharedPages*half*nWriters = 64 = reclusterMaxMoves slots
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	clients := make([]*Client, nWriters)
-	for i := range clients {
-		cEnd, sEnd := Pipe()
-		if _, err := srv.Attach(sEnd); err != nil {
-			b.Fatal(err)
-		}
-		cl, err := Connect(cEnd, ClientOptions{CachePages: sharedPages + 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clients[i] = cl
-		defer cl.Close()
-	}
-
-	val := make([]byte, 64)
-	// phase runs n committed read-modify-write transactions, alternating
-	// writers, and returns txn/s. k/sharedPages decorrelates slot from
-	// page so every writer sweeps its whole half of every page.
-	phase := func(n int) float64 {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			w := i % nWriters
-			k := i / nWriters
-			obj := o(core.PageID(k%sharedPages), uint16(w*half+(k/sharedPages)%half))
-			tx, err := clients[w].Begin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tx.Read(obj); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Write(obj, val); err != nil {
-				b.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return float64(n) / time.Since(start).Seconds()
-	}
-
-	phase(nWriters * sharedPages * half) // warm caches, populate every slot
-	b.ResetTimer()
-	early := phase(b.N)
-	b.StopTimer()
-
-	// Guarantee the heat sketch holds this epoch's evidence even at tiny
-	// b.N, then plan and migrate off the rotated snapshot.
-	phase(8 * sharedPages)
-	srv.heat.Rotate()
-	moved, err := srv.ReclusterNow()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if moved == 0 {
-		b.Fatal("recluster round moved nothing; recovery ratio would measure noise")
-	}
-	phase(8 * sharedPages) // untimed: clients learn their redirect aliases
-
-	b.StartTimer()
-	late := phase(b.N)
-	b.StopTimer()
-	b.ReportMetric(early, "early-txn/s")
-	b.ReportMetric(late, "late-txn/s")
-	b.ReportMetric(late/early, "recovery-ratio")
-	b.ReportMetric(float64(moved), "moved")
 }
 
 // BenchmarkRecovery measures instant restart on a crashed database: a

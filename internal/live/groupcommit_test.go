@@ -13,12 +13,34 @@ import (
 // TestGroupCommitBatching drives concurrent committers through a durable
 // WAL with a linger window and checks that fsyncs are actually shared:
 // fewer syncs than commit records, and the group-size histogram saw
-// batches.
+// batches. At 32 clients each fsync must carry at least 4 records (about
+// 10 is usual on two Ps, 9 on one): commits falling into lockstep with the
+// fsyncs, one record per sync, would read ~1.
 func TestGroupCommitBatching(t *testing.T) {
-	const nClients, perClient = 4, 10
-	dir := t.TempDir()
-	srv, err := openServer(dir, ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
+	for _, tc := range []struct{ clients, perClient, minPerSync int }{
+		{4, 10, 1},
+		{32, 20, 4},
+	} {
+		t.Run(fmt.Sprintf("clients=%d", tc.clients), func(t *testing.T) {
+			records, syncs := groupCommit(t, tc.clients, tc.perClient)
+			if syncs >= records {
+				t.Errorf("syncs=%d >= records=%d: group commit never batched", syncs, records)
+			}
+			if records < int64(tc.minPerSync)*syncs {
+				t.Errorf("%d records in %d fsyncs (%.1f per sync), want >= %d per sync",
+					records, syncs, float64(records)/float64(syncs), tc.minPerSync)
+			}
+		})
+	}
+}
+
+// groupCommit runs perClient durable commits on each of nClients clients,
+// each in a private page region so the measurement is the durability
+// path, not lock contention, and returns the WAL's record and sync counts.
+func groupCommit(t *testing.T, nClients, perClient int) (records, syncs int64) {
+	const pagesPerClient = 4
+	srv, err := openServer(t.TempDir(), ServerOptions{
+		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: nClients * pagesPerClient,
 		SyncWAL: true,
 	})
 	if err != nil {
@@ -39,9 +61,7 @@ func TestGroupCommitBatching(t *testing.T) {
 					t.Errorf("client %d begin: %v", i, err)
 					return
 				}
-				// Private page region: measure the durability path, not
-				// lock contention.
-				if err := tx.Write(o(core.PageID(i*4+n%4), 0), []byte{byte(n)}); err != nil {
+				if err := tx.Write(o(core.PageID(i*pagesPerClient+n%pagesPerClient), 0), []byte{byte(n)}); err != nil {
 					t.Errorf("client %d write: %v", i, err)
 					return
 				}
@@ -55,20 +75,18 @@ func TestGroupCommitBatching(t *testing.T) {
 	wg.Wait()
 
 	reg := srv.Metrics()
-	records := reg.CounterValue("oodb_wal_records_total")
-	syncs := reg.CounterValue("oodb_wal_syncs_total")
-	if records != nClients*perClient {
+	records = reg.CounterValue("oodb_wal_records_total")
+	syncs = reg.CounterValue("oodb_wal_syncs_total")
+	if records != int64(nClients*perClient) {
 		t.Errorf("wal records = %d, want %d", records, nClients*perClient)
 	}
 	if syncs == 0 {
-		t.Error("no WAL fsyncs despite SyncWAL")
-	}
-	if syncs >= records {
-		t.Errorf("syncs=%d >= records=%d: group commit never batched", syncs, records)
+		t.Fatal("no WAL fsyncs despite SyncWAL")
 	}
 	if snap := reg.HistogramSnapshot("oodb_live_wal_group_size"); snap.Count == 0 {
 		t.Error("oodb_live_wal_group_size never observed")
 	}
+	return records, syncs
 }
 
 // TestGroupCommitSyncDisabled pins the SyncWAL=false bypass: commits are

@@ -699,3 +699,88 @@ func TestReclusterEndToEndHeatPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestReclusterRemovesFalseSharingMessages prices reclustering in the
+// paper's currency, messages. Two writers alternate single-object
+// read-modify-write transactions over shared pages, each on its own half
+// of every page's slots: Interleaved-PRIVATE, false sharing only. One
+// goroutine drives both (clients on separate machines interleave at the
+// server this way), so the counts are exact. Under a page-grain protocol
+// each transaction re-fetches the page the other writer's commit called
+// back, and its write calls back the other's copy: one read request and
+// one callback per transaction. Once a heat rotation and ReclusterNow have
+// moved one writer's half of every page to spare pages, and a round of
+// transactions has taught the clients their aliases, both are zero; the
+// write request stays.
+func TestReclusterRemovesFalseSharingMessages(t *testing.T) {
+	const (
+		sharedPages = 8
+		objsPP      = 8
+		half        = objsPP / 2
+		txns        = 2000
+	)
+	for _, proto := range []core.Protocol{core.PS, core.PSOA, core.PSAA} {
+		t.Run(proto.String(), func(t *testing.T) {
+			srv, err := openServer(t.TempDir(), ServerOptions{
+				Proto: proto, PageSize: 4096, ObjsPerPage: objsPP, NumPages: 32,
+				Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour, ReclusterSpare: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			writers := [2]*Client{attachClient(t, srv), attachClient(t, srv)}
+			for _, cl := range writers {
+				defer cl.Close()
+			}
+
+			val := make([]byte, 64)
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					// k/sharedPages decorrelates slot from page, so each
+					// writer cycles through its whole half of every page.
+					w, k := i%2, i/2
+					obj := o(core.PageID(k%sharedPages), uint16(w*half+(k/sharedPages)%half))
+					tx, err := writers[w].Begin()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tx.Read(obj); err != nil {
+						t.Fatal(err)
+					}
+					if err := tx.Write(obj, val); err != nil {
+						t.Fatal(err)
+					}
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			expect := func(when string, reads, writes, callbacks int64) {
+				t.Helper()
+				before := srv.Stats()
+				run(txns)
+				after := srv.Stats()
+				got := [3]int64{after.ReadReqs - before.ReadReqs, after.WriteReqs - before.WriteReqs,
+					after.Callbacks - before.Callbacks}
+				if want := [3]int64{reads * txns, writes * txns, callbacks * txns}; got != want {
+					t.Fatalf("%s: %d transactions made %d read requests, %d write requests, %d callbacks; want %d, %d, %d",
+						when, txns, got[0], got[1], got[2], want[0], want[1], want[2])
+				}
+			}
+
+			run(2 * sharedPages * half) // warm both caches
+			expect("false sharing", 1, 1, 1)
+			srv.heat.Rotate()
+			moved, err := srv.ReclusterNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved != sharedPages*half {
+				t.Fatalf("ReclusterNow moved %d objects, want one writer's half of every page, %d", moved, sharedPages*half)
+			}
+			run(2 * sharedPages * half) // the clients learn their aliases
+			expect("after reclustering", 0, 1, 0)
+		})
+	}
+}

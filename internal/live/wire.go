@@ -292,15 +292,19 @@ func (c *chanConn) Send(m *core.Msg) error {
 // across Send, a lock its poller needs (a Client over a wrapped pipe holds
 // c.mu), and what the peer's receiver sends back could fill this end's
 // channel and park the sender against its own poller. Its message is
-// queued, and delivered on a goroutine of its own.
+// queued; one queued for the peer's receiver is delivered on a goroutine
+// of its own, one in the peer's Recv channel waits for the peer's poller.
 func (c *chanConn) send(m *core.Msg) (lent bool, err error) {
 	p := c.peer
 	if c.polled() {
-		if err := c.post(m); err != nil {
-			return false, err
+		p.rmu.Lock()
+		err := c.postLocked(m)
+		forReceiver := p.recv != nil
+		p.rmu.Unlock()
+		if err == nil && forReceiver {
+			go c.flush()
 		}
-		go c.flush()
-		return false, nil
+		return false, err
 	}
 	p.rmu.Lock()
 	if p.recv == nil || p.delivering || p.head < len(p.queue) {

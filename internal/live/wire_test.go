@@ -80,8 +80,6 @@ func TestChanConnCloseDrain(t *testing.T) {
 	}
 }
 
-// TestTCPConnFraming round-trips representative messages through the real
-// framing (header, write-through sends) over a socket pair.
 // A Send from an end its owner polls never runs the peer's receiver on the
 // sending goroutine: that owner may hold, across Send, a lock its own poller
 // needs (a Client over a wrapped pipe holds c.mu). The messages still reach
@@ -135,6 +133,27 @@ func TestPolledEndSendDoesNotDeliver(t *testing.T) {
 	}
 }
 
+// TestPipeSendRecvAllocatesNothing: a message between two polled pipe ends
+// waits in a channel for its poller, so sending it starts no goroutine to
+// deliver it, and the round trip allocates nothing.
+func TestPipeSendRecvAllocatesNothing(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	m := &core.Msg{Kind: core.MCallbackAck, Req: 7}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := a.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a pipe Send+Recv allocates %.2f times, want 0", n)
+	}
+}
+
+// TestTCPConnFraming round-trips representative messages through the real
+// framing (header, write-through sends) over a socket pair.
 func TestTCPConnFraming(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
