@@ -85,8 +85,10 @@ func main() {
 
 	check, _ := bob.Begin()
 	v3, _ := check.Read(repro.Obj(3, 5))
-	check.Commit()
+	// Read returns a view into Bob's cache, valid until his transaction
+	// ends: print it first.
 	fmt.Printf("final object 3.5: %q\n", trim(v3))
+	check.Commit()
 
 	st := cluster.Server().Stats()
 	fmt.Printf("server stats: reads=%d writes=%d commits=%d callbacks=%d pageGrants=%d objGrants=%d deescalations=%d\n",

@@ -62,9 +62,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		btx.Commit()
+		// got is a view into Bob's cache: use it before the commit.
 		fmt.Printf("revision %d: wrote %4d bytes, bob read %4d bytes (match=%v)\n",
 			i+1, len(text), len(got), string(got) == text)
+		btx.Commit()
 	}
 
 	// Fill the neighbours too, so the page has to juggle space.

@@ -47,8 +47,10 @@ type ClientCache struct {
 
 	// OnDrop, when set, receives the Payload of every entry that leaves
 	// the cache (eviction, purge, abort), once the cache no longer refers
-	// to it: the driver may reuse what the payload holds.
-	OnDrop func(payload any)
+	// to it, and whether the active transaction had it pinned: the driver
+	// may reuse what the payload holds, unless it lent the transaction a
+	// view into it.
+	OnDrop func(payload any, pinned bool)
 }
 
 // entry is what a cached page and a cached object have in common: LRU
@@ -83,6 +85,9 @@ type CachedObj struct {
 
 // Unavail reports whether the slot is marked unavailable.
 func (cp *CachedPage) Unavail(slot uint16) bool { return cp.unavail.has(slot) }
+
+// Pinned reports whether the active transaction has touched the page.
+func (cp *CachedPage) Pinned() bool { return cp.pinned }
 
 // Dirty reports whether the slot holds an uncommitted local update.
 func (cp *CachedPage) Dirty(slot uint16) bool { return cp.dirtySlots.has(slot) }
@@ -271,7 +276,7 @@ func (c *ClientCache) dropPage(cp *CachedPage) {
 		c.lastPage = nil
 	}
 	if c.OnDrop != nil {
-		c.OnDrop(cp.Payload)
+		c.OnDrop(cp.Payload, cp.pinned)
 	}
 }
 
@@ -420,7 +425,7 @@ func (c *ClientCache) dropObj(co *CachedObj) {
 		c.lastObj = nil
 	}
 	if c.OnDrop != nil {
-		c.OnDrop(co.Payload)
+		c.OnDrop(co.Payload, co.pinned)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // change nothing the naive model can see, and it must be told of every
 // entry that leaves the cache — eviction, purge or abort — exactly once,
 // with that entry's payload, after the cache stopped referring to it. The
-// live client hands the payload's buffer to its transport on that call.
+// live client hands the payload's buffer to its transport on that call, or
+// at the next Begin if the entry was pinned.
 func TestDropHookSeesEveryDeparture(t *testing.T) {
 	for _, proto := range AllProtocols {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -25,7 +26,7 @@ func TestDropHookSeesEveryDeparture(t *testing.T) {
 			c := d.cs.Cache
 			live := map[int]bool{} // tags of the entries the cache holds
 			next := 0
-			c.OnDrop = func(payload any) {
+			c.OnDrop = func(payload any, _ bool) {
 				tag, tagged := payload.(int)
 				if !tagged {
 					return // came and went within one step

@@ -53,6 +53,9 @@ type Client struct {
 	cond         *sync.Cond        // signals reconnect completion / closure
 	cs           *core.ClientState // cached bytes ride its cache entries' Payload
 	slots        []uint16          // scratch for walking a page's dirty slots
+	old          []byte            // Update's copy of the value, lent to fn
+	held         []byte            // a buffer a view may point into, recycled by Begin
+	aborting     bool              // an abort is dropping entries: hold them all
 	posted       *chanConn         // the pipe send queued to under mu; unlock delivers
 	req          request           // the one outstanding request
 	nextReq      int64
@@ -236,19 +239,35 @@ func (c *Client) Close() error {
 // newState makes the protocol state of a fresh session (cold cache).
 func (c *Client) newState() *core.ClientState {
 	cs := core.NewClientState(c.id, c.proto, c.cacheCap)
-	cs.Cache.OnDrop = c.recycle
+	cs.Cache.OnDrop = func(payload any, pinned bool) {
+		buf, _ := payload.([]byte)
+		c.release(buf, pinned)
+	}
 	return cs
 }
 
-// recycle returns the buffer of a page (or object) the cache let go of to
-// the transport, which lands the next fetched payload in it (see Conn).
-// Nothing else may refer to the buffer: cached bytes only ever leave the
-// cache as copies (objBytes, collectUpdates). mu held.
-func (c *Client) recycle(payload any) {
-	if buf, ok := payload.([]byte); ok {
-		if r, ok := c.conn.(recycler); ok {
-			r.recycle(buf)
-		}
+// release lets go of the buffer of a page (or object) the cache no longer
+// holds. One the transaction had pinned, or one an abort drops, may hold a
+// view Read handed out, so it waits for the next Begin (in place of the one
+// waiting before, left to the collector); any other goes back to the
+// transport at once. mu held.
+func (c *Client) release(buf []byte, pinned bool) {
+	switch {
+	case buf == nil:
+	case pinned || c.aborting:
+		c.held = buf
+	default:
+		c.recycle(buf)
+	}
+}
+
+// recycle returns a buffer to the transport, which lands a later fetched
+// payload in it (see Conn). No view may point into it: views only point
+// into pinned entries, and their buffers wait for the next Begin (release).
+// mu held.
+func (c *Client) recycle(buf []byte) {
+	if r, ok := c.conn.(recycler); ok {
+		r.recycle(buf)
 	}
 }
 
@@ -321,10 +340,7 @@ func (c *Client) deliver(m *core.Msg, err error) {
 		c.met.abort()
 		// Roll the transaction back right here so subsequent messages
 		// see consistent state; the waiter just learns the outcome.
-		for _, am := range c.cs.Abort() {
-			am := am
-			c.send(&am)
-		}
+		c.abort()
 		c.txn = nil
 		// The verdict ends the transaction, so it resolves whatever
 		// request the transaction has in flight — not just the one the
@@ -468,6 +484,10 @@ func (c *Client) Begin() (*Txn, error) {
 	}
 	if c.txn != nil {
 		return nil, errors.New("live: transaction already active on this client")
+	}
+	if c.held != nil { // the previous transaction's views are dead
+		c.recycle(c.held)
+		c.held = nil
 	}
 	id := nextTxnID(time.Now().UnixNano(), c.id, c.lastTxn)
 	c.lastTxn = id
@@ -632,9 +652,9 @@ func (c *Client) applyPending(rep *core.Msg) {
 }
 
 // complete performs an access that the protocol state now allows locally:
-// it records the read and returns a copy of the value (reqRead, and
-// reqUpdate's read half, which so pins the page until the transaction
-// ends), or records the write and installs data in the cache.
+// it records the read, which pins the page until the transaction ends, and
+// returns a view of the value (reqRead, and reqUpdate's read half); or it
+// records the write and installs data in the cache.
 func (c *Client) complete(kind reqKind, o core.ObjID, data []byte) []byte {
 	if kind == reqWrite {
 		c.cs.RecordWrite(o)
@@ -642,7 +662,7 @@ func (c *Client) complete(kind reqKind, o core.ObjID, data []byte) []byte {
 		return nil
 	}
 	c.cs.RecordRead(o)
-	return c.objBytes(o)
+	return c.objView(o)
 }
 
 func (t *Txn) check() error {
@@ -654,6 +674,11 @@ func (t *Txn) check() error {
 	}
 	if t.c.closed {
 		return ErrClosed
+	}
+	if t.c.txn != t {
+		// A deadlock verdict ended the transaction between two calls.
+		t.done = true
+		return ErrAborted
 	}
 	return nil
 }
@@ -695,9 +720,13 @@ func (c *Client) learnAlias(orig, to core.ObjID) {
 	c.aliases[orig] = to
 }
 
-// Read returns the current value of object o under this transaction. If o
-// was migrated by the reclusterer the server answers with a redirect; the
-// client follows it (caching the alias) transparently.
+// Read returns the current value of object o under this transaction. The
+// value is a view into the client's cache, not a copy: it holds its bytes
+// until the transaction ends (a Write of o by this transaction excepted),
+// its capacity is its length, and the caller must not modify it. Copy it
+// to keep it longer. If o was migrated by the reclusterer the server
+// answers with a redirect; the client follows it (caching the alias)
+// transparently.
 func (t *Txn) Read(o core.ObjID) ([]byte, error) {
 	return t.access(reqRead, o, nil)
 }
@@ -768,13 +797,16 @@ func (t *Txn) access(kind reqKind, o core.ObjID, data []byte) ([]byte, error) {
 // read and then a write; only a grant that finds the cached copy stale
 // (page-granularity copy tracking, PS-OA and PS-AA) adds a fetch. The read
 // is recorded before fn runs, so the page stays cached meanwhile, and the
-// write is then local.
+// write is then local. fn is lent a copy of the value, which it may modify
+// and return; the copy is valid only for the call.
 func (t *Txn) Update(o core.ObjID, fn func(old []byte) []byte) error {
-	old, err := t.access(reqUpdate, o, nil)
+	v, err := t.access(reqUpdate, o, nil)
 	if err != nil {
 		return err
 	}
-	return t.Write(o, fn(old))
+	c := t.c
+	c.old = append(c.old[:0], v...)
+	return t.Write(o, fn(c.old))
 }
 
 // Commit makes the transaction's updates durable and visible.
@@ -833,26 +865,41 @@ func (t *Txn) Abort() error {
 	c := t.c
 	c.mu.Lock()
 	defer c.unlock()
-	if t.done {
+	if t.done || c.txn != t {
 		return nil
 	}
-	for _, am := range c.cs.Abort() {
-		am := am
-		c.send(&am)
-	}
+	c.abort()
 	c.met.abort()
 	t.done = true
 	c.txn = nil
 	return nil
 }
 
-// collectUpdates builds the afterimage map for the commit message. The
-// images are copies (the message owns them once sent; the cached bytes
-// keep changing), carved out of one buffer per commit.
+// abort rolls the protocol state of the active transaction back and sends
+// the abort. Every buffer it drops waits for the next Begin, pinned or not:
+// core unpins the survivors before it discharges deferred callbacks, whose
+// purges reach pages the transaction read, and a reply still in flight
+// when a deadlock verdict lands may fill the connection's spare. mu held.
+func (c *Client) abort() {
+	c.aborting = true
+	msgs := c.cs.Abort()
+	c.aborting = false
+	for i := range msgs {
+		c.send(&msgs[i])
+	}
+}
+
+// collectUpdates builds the afterimage map for the commit message, nil for
+// a read-only transaction. The images are copies (the message owns them
+// once sent; the cached bytes keep changing), carved out of one buffer per
+// commit.
 func (c *Client) collectUpdates() map[core.ObjID][]byte {
 	cache := c.cs.Cache
 	if c.proto == core.OS {
 		objs := cache.DirtyObjs()
+		if len(objs) == 0 {
+			return nil
+		}
 		updates := make(map[core.ObjID][]byte, len(objs))
 		for _, o := range objs {
 			updates[o] = cloneBytes(c.objValue(o))
@@ -860,6 +907,9 @@ func (c *Client) collectUpdates() map[core.ObjID][]byte {
 		return updates
 	}
 	pages := cache.DirtyPages()
+	if len(pages) == 0 {
+		return nil
+	}
 	n := 0
 	for _, p := range pages {
 		n += cache.DirtyObjCount(p)
@@ -898,7 +948,9 @@ func (c *Client) applyReply(m *core.Msg) {
 				off := int(slot) * c.objSize
 				copy(m.Data[off:off+c.objSize], old[off:])
 			}
-			c.recycle(old) // replaced below, and nothing else holds it
+			// A view may point into the old copy of a page the
+			// transaction has touched.
+			c.release(old, cp.Pinned())
 		}
 		cp.Payload = m.Data
 	case core.MObjData:
@@ -920,24 +972,25 @@ func pageBytes(cp *core.CachedPage) []byte {
 	return buf
 }
 
-// objSlice returns the in-place byte slice of a page-cached object.
+// objSlice returns the in-place byte slice of a page-cached object, capped
+// so that an append cannot run into the next object.
 func (c *Client) objSlice(o core.ObjID) []byte {
 	off := int(o.Slot) * c.objSize
-	return pageBytes(c.cs.Cache.Page(o.Page))[off : off+c.objSize]
+	return pageBytes(c.cs.Cache.Page(o.Page))[off : off+c.objSize : off+c.objSize]
 }
 
-// objValue returns an OS-cached object's bytes, in place.
+// objValue returns an OS-cached object's bytes, in place and capped.
 func (c *Client) objValue(o core.ObjID) []byte {
 	buf, _ := c.cs.Cache.Obj(o).Payload.([]byte)
-	return buf
+	return buf[:len(buf):len(buf)]
 }
 
-// objBytes returns a copy of object o's current bytes from the cache.
-func (c *Client) objBytes(o core.ObjID) []byte {
+// objView returns object o's current bytes in place (see Txn.Read).
+func (c *Client) objView(o core.ObjID) []byte {
 	if c.proto == core.OS {
-		return cloneBytes(c.objValue(o))
+		return c.objValue(o)
 	}
-	return cloneBytes(c.objSlice(o))
+	return c.objSlice(o)
 }
 
 // cloneBytes is copyOf with append([]byte(nil), b...)'s result for an

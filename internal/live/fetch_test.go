@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -269,8 +271,8 @@ func wholeGen(v []byte) (uint64, bool) {
 // generation, and that generation no older than the last commit that had
 // been acknowledged before the reader asked. The readers' one cached page
 // gives its buffer back on every eviction (on a pipe the server's next copy
-// of the page lands in it), so they also hold on to what Read returned and
-// check at the end that none of it changed. Run under -race.
+// of the page lands in it), so they also check, as each transaction ends,
+// that none of the views Read returned in it changed. Run under -race.
 func TestFetchNeverTorn(t *testing.T) {
 	for _, tr := range sessionTransports {
 		t.Run(tr.name, func(t *testing.T) { fetchNeverTorn(t, tr.transport) })
@@ -305,30 +307,20 @@ func fetchNeverTorn(t *testing.T, transport string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var held []keptRead
-			defer func() {
-				for i, k := range held {
-					if !bytes.Equal(k.got, k.want) {
-						t.Errorf("held read %d changed underneath its holder", i)
-						return
-					}
-				}
-			}()
 			// view reads the page's four slots in one transaction.
 			view := func(floor uint64) error {
 				tx, err := reader.Begin()
 				if err != nil {
 					return err
 				}
+				var held [4]keptRead
 				var gen uint64
 				for slot := uint16(0); slot < 4; slot++ {
 					v, err := tx.Read(o(page, slot))
 					if err != nil {
 						return err
 					}
-					if len(held) < 2000 {
-						held = append(held, keptRead{v, copyOf(v)})
-					}
+					held[slot] = keptRead{v, copyOf(v)}
 					g, whole := wholeGen(v)
 					switch {
 					case !whole:
@@ -342,7 +334,15 @@ func fetchNeverTorn(t *testing.T, transport string) {
 					}
 					gen = g
 				}
-				return tx.Commit()
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+				for slot, k := range held {
+					if !bytes.Equal(k.got, k.want) {
+						t.Errorf("slot %d: the view Read returned changed before the next Begin", slot)
+					}
+				}
+				return nil
 			}
 			// evict reads another page, so the next view fetches cold.
 			evict := func() error {
@@ -397,16 +397,16 @@ func fetchNeverTorn(t *testing.T, transport string) {
 	wg.Wait()
 }
 
-// keptRead is a slice Read returned, held on to, and what it held then.
+// keptRead is a view Read returned, held on to, and what it held then.
 type keptRead struct{ got, want []byte }
 
 // TestReadResultSurvivesBufferRecycle: a client gives the buffer of every
-// page its cache drops back to its connection — a socket lands the next
+// page its cache evicts back to its connection — a socket lands the next
 // fetched payload in it, a pipe has the server copy the next page into it.
-// Nothing the client handed out may live in such a buffer: values returned
-// by Read and afterimages collected for a commit still hold what they held
-// when they were made after their page was evicted and its buffer reused,
-// many times over.
+// No live view may point into such a buffer: the views Read returned in a
+// transaction still hold what they held when it ends, and afterimages
+// collected for a commit still hold theirs after their page was evicted
+// and its buffer reused, many times over.
 func TestReadResultSurvivesBufferRecycle(t *testing.T) {
 	for _, tr := range sessionTransports {
 		t.Run(tr.name, func(t *testing.T) { readResultSurvivesBufferRecycle(t, tr.transport) })
@@ -462,15 +462,14 @@ func readResultSurvivesBufferRecycle(t *testing.T, transport string) {
 	var dropped *byte
 	cl.mu.Lock()
 	recycle := cl.cs.Cache.OnDrop
-	cl.cs.Cache.OnDrop = func(payload any) {
+	cl.cs.Cache.OnDrop = func(payload any, pinned bool) {
 		if buf, ok := payload.([]byte); ok {
 			dropped = &buf[0]
 		}
-		recycle(payload)
+		recycle(payload, pinned)
 	}
 	cl.mu.Unlock()
 
-	var held []keptRead
 	buffers := make(map[*byte]bool) // distinct page buffers the cache ever held
 	installs := 0
 	for round := 0; round < 4; round++ {
@@ -479,6 +478,7 @@ func readResultSurvivesBufferRecycle(t *testing.T, transport string) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var held []keptRead
 			for q := p; q < p+cache; q++ {
 				slot := (q + round) % 4
 				cl.mu.Lock()
@@ -501,11 +501,11 @@ func readResultSurvivesBufferRecycle(t *testing.T, transport string) {
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	for i, k := range held {
-		if !bytes.Equal(k.got, k.want) {
-			t.Fatalf("read %d: the returned slice changed underneath its holder", i)
+			for i, k := range held {
+				if !bytes.Equal(k.got, k.want) {
+					t.Fatalf("round %d page %d: view %d changed before the next Begin", round, p, i)
+				}
+			}
 		}
 	}
 	// The cycle really did reuse buffers: far fewer distinct ones than
@@ -513,6 +513,153 @@ func readResultSurvivesBufferRecycle(t *testing.T, transport string) {
 	if len(buffers) > installs/4 {
 		t.Errorf("%d installs went through %d distinct buffers; recycling is not happening", installs, len(buffers))
 	}
+}
+
+// TestReadViewStableUntilTxnEnd: Read returns a view into the cached page,
+// and while its transaction runs the page's buffer can leave the cache — a
+// read of an object an adaptive callback took back refetches the page into
+// a new buffer, a deadlock abort purges the pages the victim wrote and, as
+// it discharges the callbacks it deferred, those it only read. None may
+// reach a view before the next Begin: it keeps its bytes, and the buffer it
+// points into is not the connection's spare, where the next fetched
+// payload lands, until that Begin hands it back. Run under -race.
+func TestReadViewStableUntilTxnEnd(t *testing.T) {
+	for _, tr := range sessionTransports {
+		t.Run(tr.name, func(t *testing.T) { readViewStable(t, tr.transport) })
+	}
+}
+
+func readViewStable(t *testing.T, transport string) {
+	const p, q, r = 2, 3, 4
+	h := newSessionHarness(t, transport, ServerOptions{})
+	defer h.srv.Close()
+	a, b := h.client(t), h.client(t)
+	defer a.Close()
+	defer b.Close()
+	size := a.ObjSize()
+	begin := func(cl *Client) *Txn {
+		t.Helper()
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(tx *Txn, ob core.ObjID) keptRead {
+		t.Helper()
+		v, err := tx.Read(ob)
+		must(err)
+		if cap(v) != len(v) {
+			t.Fatalf("view of %v has capacity %d beyond its %d bytes", ob, cap(v), len(v))
+		}
+		return keptRead{v, copyOf(v)}
+	}
+	stable := func(when string, views ...keptRead) {
+		t.Helper()
+		spare := spareOf(a)
+		for i, k := range views {
+			if !bytes.Equal(k.got, k.want) {
+				t.Fatalf("%s: view %d changed", when, i)
+			}
+			if shares(spare, k.got) {
+				t.Fatalf("%s: view %d points into the connection's spare buffer", when, i)
+			}
+		}
+	}
+	handedBack := func(views ...keptRead) {
+		t.Helper()
+		spare := spareOf(a)
+		for _, k := range views {
+			if shares(spare, k.got) {
+				return
+			}
+		}
+		t.Fatal("Begin did not hand a held buffer back to the connection")
+	}
+
+	tx := begin(b)
+	for slot := uint16(0); slot < 4; slot++ {
+		must(tx.Write(o(p, slot), genValue(size, uint64(slot))))
+		must(tx.Write(o(q, slot), genValue(size, uint64(10+slot))))
+	}
+	must(tx.Commit())
+
+	// An adaptive callback, then a refetch, under a view of the page.
+	tx = begin(a)
+	v := read(tx, o(p, 0))
+	btx := begin(b)
+	must(btx.Write(o(p, 1), genValue(size, 99))) // calls back a's copy of o(p, 1)
+	must(btx.Commit())
+	stable("after the adaptive callback", v)
+	if w := read(tx, o(p, 1)); !bytes.Equal(w.got, genValue(size, 99)) {
+		t.Fatal("the refetch did not bring the committed value")
+	}
+	a.mu.Lock()
+	refetched := &pageBytes(a.cs.Cache.Page(p))[0] != &v.got[0]
+	a.mu.Unlock()
+	if !refetched {
+		t.Fatal("reading the called-back object did not refetch the page")
+	}
+	stable("after the refetch", v)
+	must(tx.Commit())
+	stable("after the commit", v)
+
+	// A deadlock abort under views: it purges q, which the victim wrote,
+	// and then p, which it only read, by discharging the callback it
+	// deferred on p. b begins first, so a, the younger, is the victim.
+	btx = begin(b)
+	time.Sleep(time.Millisecond) // transaction ids are start-ordered to 65 µs
+	tx = begin(a)
+	handedBack(v)
+	must(tx.Write(o(q, 0), genValue(size, 7)))
+	v = read(tx, o(q, 1))
+	vp := read(tx, o(p, 2))
+	must(btx.Write(o(r, 0), genValue(size, 8)))
+	bDone := make(chan error, 1)
+	go func() { bDone <- btx.Write(o(p, 2), genValue(size, 9)) }() // a answers busy
+	if err := tx.Write(o(r, 0), genValue(size, 10)); !errors.Is(err, ErrAborted) {
+		t.Fatalf("deadlock victim's write = %v, want ErrAborted", err)
+	}
+	stable("after the abort", v, vp)
+	must(<-bDone)
+	must(btx.Commit())
+	stable("after the survivor's commit", v, vp)
+	begin(a).Abort()
+	handedBack(v, vp)
+}
+
+// spareOf returns the buffer cl's connection holds for the next payload.
+func spareOf(cl *Client) []byte {
+	cl.mu.Lock()
+	conn := cl.conn
+	cl.mu.Unlock()
+	var s *spareBuf
+	switch c := conn.(type) {
+	case *chanConn:
+		s = &c.spareBuf
+	case *tcpConn:
+		s = &c.spareBuf
+	default:
+		panic(fmt.Sprintf("no spare buffer on a %T", conn))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf
+}
+
+// shares reports whether a and b overlap in memory, capacity included.
+func shares(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b)) && b0 < a0+uintptr(cap(a))
 }
 
 // TestObjectSizedSpareNeverHoldsAPage: under OS the buffers a client gives

@@ -612,83 +612,250 @@ func TestUpdateIsOneRequest(t *testing.T) {
 	}
 }
 
-// updateStaleGrant plays the server by hand for the one interleaving that
-// makes a write grant stale: the client asks for write permission on an
-// object it holds a readable copy of, an adaptive callback for that object
-// overtakes the grant (another writer got there first), and the server —
-// tracking copies by page — grants without the data.
-func updateStaleGrant(t *testing.T, proto core.Protocol) {
-	const opp, objSize = 4, 8
+// TestLiveHitAllocatesNothing is core's TestReadOnlyTxnAllocatesNothing
+// through a live pipe client. Over a warm cache a read-only transaction of
+// 120 reads allocates its Txn handle and nothing else: Read returns a view
+// and a read-only commit sends nothing. An Update under a page grant the
+// transaction holds allocates nothing at all: fn's copy of the value lives
+// in a buffer the client reuses.
+func TestLiveHitAllocatesNothing(t *testing.T) {
+	srv, err := openServer(t.TempDir(), ServerOptions{
+		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 128, SyncWAL: false,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := attachClient(t, srv) // caches 32 pages
+	defer cl.Close()
+
+	readOnly := func() {
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := core.PageID(0); p < 30; p++ {
+			for slot := uint16(0); slot < 4; slot++ {
+				if _, err := tx.Read(o(p, slot)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readOnly() // warms the cache
+	if n := testing.AllocsPerRun(100, readOnly); n > 1 {
+		t.Errorf("a warm read-only transaction allocates %v times, want 1 (its Txn)", n)
+	}
+
+	bump := func(old []byte) []byte {
+		old[0]++
+		return old
+	}
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update(o(1, 0), bump); err != nil { // takes page 1's write grant
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := tx.Update(o(1, 1), bump); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("an Update under a held page grant allocates %v times, want 0", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// handServer is the server end of a pipe that a test plays by hand, with a
+// client connected to it: 8 pages of four 8-byte objects.
+type handServer struct {
+	t   *testing.T
+	end Conn
+	cl  *Client
+}
+
+const handOPP, handObjSize = 4, 8
+
+func newHandServer(t *testing.T, proto core.Protocol) *handServer {
 	cEnd, sEnd := Pipe()
-	defer sEnd.Close()
+	t.Cleanup(func() { sEnd.Close() })
 	if err := sEnd.Send(&core.Msg{Kind: core.MHello, HelloID: 1, HelloPages: 8,
-		HelloObjsPP: opp, HelloObjSize: objSize, HelloProto: proto}); err != nil {
+		HelloObjsPP: handOPP, HelloObjSize: handObjSize, HelloProto: proto}); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := Connect(cEnd, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	page := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, opp*objSize) }
-	expect := func(kind core.MsgKind) *core.Msg {
-		t.Helper()
-		m := recvWithin(t, sEnd, 5*time.Second)
-		if m.Kind != kind {
-			t.Fatalf("client sent %v, want %v", m.Kind, kind)
-		}
-		return m
-	}
-	reply := func(m *core.Msg) {
-		t.Helper()
-		if err := sEnd.Send(m); err != nil {
-			t.Fatal(err)
-		}
-	}
+	t.Cleanup(func() { cl.Close() })
+	return &handServer{t, sEnd, cl}
+}
 
-	tx, err := cl.Begin()
+// page is a page's bytes, every one of them fill.
+func (h *handServer) page(fill byte) []byte {
+	return bytes.Repeat([]byte{fill}, handOPP*handObjSize)
+}
+
+// expect receives the client's next message, which must be of kind.
+func (h *handServer) expect(kind core.MsgKind) *core.Msg {
+	h.t.Helper()
+	m := recvWithin(h.t, h.end, 5*time.Second)
+	if m.Kind != kind {
+		h.t.Fatalf("client sent %v, want %v", m.Kind, kind)
+	}
+	return m
+}
+
+func (h *handServer) reply(m *core.Msg) {
+	h.t.Helper()
+	if err := h.end.Send(m); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// fetch has tx read o, answering its read request with a page of fill.
+func (h *handServer) fetch(tx *Txn, ob core.ObjID, fill byte) {
+	h.t.Helper()
+	read := make(chan error, 1)
+	go func() {
+		_, err := tx.Read(ob)
+		read <- err
+	}()
+	req := h.expect(core.MReadReq)
+	h.reply(&core.Msg{Kind: core.MPageData, Req: req.Req, Page: ob.Page, Obj: req.Obj, Data: h.page(fill)})
+	if err := <-read; err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// staleGrant answers the write request an Update of ob just sent the way
+// that makes the grant stale (see updateStaleGrant), and the refetch that
+// follows with a page of fill. seen is where fn reports what it was lent.
+func (h *handServer) staleGrant(ob core.ObjID, fill byte, seen <-chan []byte) {
+	h.t.Helper()
+	wr := h.expect(core.MWriteReq)
+	if wr.WantData {
+		h.t.Fatal("write request for a readable cached object asks for the data")
+	}
+	h.reply(&core.Msg{Kind: core.MCallback, Req: 77, CB: core.CBAdaptive, Page: ob.Page, Obj: ob})
+	if ack := h.expect(core.MCallbackAck); ack.Purged || ack.Busy {
+		h.t.Fatalf("callback answered purged=%v busy=%v, want the page kept and the object given up", ack.Purged, ack.Busy)
+	}
+	h.reply(&core.Msg{Kind: core.MGrant, Req: wr.Req, Grant: core.GrantObject, Page: ob.Page, Obj: ob})
+	rr := h.expect(core.MReadReq)
+	select {
+	case old := <-seen:
+		h.t.Fatalf("fn saw the stale copy %q before the refetch", old)
+	default:
+	}
+	h.reply(&core.Msg{Kind: core.MPageData, Req: rr.Req, Page: ob.Page, Obj: ob, Data: h.page(fill)})
+}
+
+// abortYou delivers a deadlock verdict on the client's active transaction
+// and waits for the client to roll it back.
+func (h *handServer) abortYou() {
+	h.t.Helper()
+	h.cl.mu.Lock()
+	txn := h.cl.cs.Txn
+	h.cl.mu.Unlock()
+	h.reply(&core.Msg{Kind: core.MAbortYou, Txn: txn})
+	h.expect(core.MAbortReq)
+}
+
+// cached returns a copy of what the client caches for page p.
+func (h *handServer) cached(p core.PageID) []byte {
+	h.cl.mu.Lock()
+	defer h.cl.mu.Unlock()
+	return copyOf(pageBytes(h.cl.cs.Cache.Page(p)))
+}
+
+// updateStaleGrant plays the server by hand for the one interleaving that
+// makes a write grant stale: the client asks for write permission on an
+// object it holds a readable copy of, an adaptive callback for that object
+// overtakes the grant (another writer got there first), and the server —
+// tracking copies by page — grants without the data. Then the same on
+// another page with an fn that edits old in place while a deadlock verdict
+// lands: the Write fails, and the edit must not have reached the cache.
+func updateStaleGrant(t *testing.T, proto core.Protocol) {
+	h := newHandServer(t, proto)
+	tx, err := h.cl.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := make(chan error, 1)
-	go func() {
-		_, err := tx.Read(o(2, 0))
-		read <- err
-	}()
-	req := expect(core.MReadReq)
-	reply(&core.Msg{Kind: core.MPageData, Req: req.Req, Page: 2, Obj: req.Obj, Data: page('a')})
-	if err := <-read; err != nil {
-		t.Fatal(err)
-	}
-
+	h.fetch(tx, o(2, 0), 'a')
 	seen := make(chan []byte, 1)
 	done := make(chan error, 1)
 	go func() {
 		done <- tx.Update(o(2, 1), func(old []byte) []byte {
-			seen <- old
+			seen <- copyOf(old) // lent for the call only
 			return []byte("new")
 		})
 	}()
-	wr := expect(core.MWriteReq)
-	if wr.WantData {
-		t.Fatal("write request for a readable cached object asks for the data")
-	}
-	reply(&core.Msg{Kind: core.MCallback, Req: 77, CB: core.CBAdaptive, Page: 2, Obj: o(2, 1)})
-	if ack := expect(core.MCallbackAck); ack.Purged || ack.Busy {
-		t.Fatalf("callback answered purged=%v busy=%v, want the page kept and the object given up", ack.Purged, ack.Busy)
-	}
-	reply(&core.Msg{Kind: core.MGrant, Req: wr.Req, Grant: core.GrantObject, Page: 2, Obj: o(2, 1)})
-	rr := expect(core.MReadReq)
-	select {
-	case old := <-seen:
-		t.Fatalf("fn saw the stale copy %q before the refetch", old)
-	default:
-	}
-	reply(&core.Msg{Kind: core.MPageData, Req: rr.Req, Page: 2, Obj: o(2, 1), Data: page('b')})
+	h.staleGrant(o(2, 1), 'b', seen)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if old := <-seen; !bytes.Equal(old, page('b')[:objSize]) {
+	if old := <-seen; !bytes.Equal(old, h.page('b')[:handObjSize]) {
 		t.Fatalf("fn saw %q, want the refetched value", old)
+	}
+
+	h.fetch(tx, o(3, 0), 'c')
+	resume := make(chan struct{})
+	go func() {
+		done <- tx.Update(o(3, 1), func(old []byte) []byte {
+			seen <- copyOf(old)
+			old[0] = '!'
+			<-resume
+			return old
+		})
+	}()
+	h.staleGrant(o(3, 1), 'd', seen)
+	<-seen // fn is running
+	h.abortYou()
+	close(resume)
+	if err := <-done; !errors.Is(err, ErrAborted) {
+		t.Fatalf("Update whose transaction was aborted inside fn = %v, want ErrAborted", err)
+	}
+	if got := h.cached(3); !bytes.Equal(got, h.page('d')) {
+		t.Fatalf("fn's edit of old reached the cache: page 3 holds %q", got)
+	}
+}
+
+// TestVerdictBetweenCalls: a deadlock verdict can land while the victim is
+// not waiting on the server, between two calls. The next call returns
+// ErrAborted — a Read even of a cached object, a Commit even of a read-only
+// transaction — and Abort is a no-op.
+func TestVerdictBetweenCalls(t *testing.T) {
+	h := newHandServer(t, core.PSAA)
+	tx, err := h.cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.fetch(tx, o(2, 0), 'a')
+	h.abortYou()
+	if _, err := tx.Read(o(2, 1)); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Read after the verdict = %v, want ErrAborted", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("Abort after the verdict = %v", err)
+	}
+
+	tx, err = h.cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Read(o(2, 0)); err != nil { // a hit
+		t.Fatal(err)
+	}
+	h.abortYou()
+	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Commit after the verdict = %v, want ErrAborted", err)
 	}
 }

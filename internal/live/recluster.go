@@ -234,6 +234,8 @@ func (r *recluster) migrateGroup(g obs.MoveGroup) (int, error) {
 		if err != nil {
 			return abort(err)
 		}
+		// val is a view of the source, safe to write from: the read lock
+		// keeps its bytes fixed, and writing it back is a self-copy.
 		if err := tx.Write(mv.from, val); err != nil {
 			return abort(err)
 		}

@@ -36,8 +36,11 @@ import (
 // Recycling: a transport may offer to take a Data buffer back (recycler)
 // and land a later payload in it. Whoever returns one guarantees that no
 // reference to it survives. The client returns a page's buffer when its
-// cache drops the page and keeps that promise by never letting a cached
-// byte escape: Txn.Read copies values out, Commit copies afterimages.
+// cache drops the page. Txn.Read hands out views into cached pages, but
+// only into pages the transaction has pinned, and a pinned page's buffer
+// replaced by a refetch, like any buffer an abort drops, goes back only at
+// the next Begin, when the transaction's views are dead. Commit copies
+// afterimages.
 type Conn interface {
 	// Send transmits one message. Safe for concurrent use. When it
 	// returns nil the message is on its way: applied by or queued for the
@@ -203,7 +206,8 @@ type spareBuf struct {
 }
 
 // recycle takes back a buffer the connection handed out as some message's
-// Data, now that nothing refers to it (see Conn).
+// Data, now that nothing refers to it (see Conn). It replaces the one
+// held before.
 func (s *spareBuf) recycle(buf []byte) {
 	s.mu.Lock()
 	s.buf = buf

@@ -20,7 +20,7 @@ func TestGoldenSimCountersWithDropHook(t *testing.T) {
 		sys := build(cfg)
 		drops, evictions := int64(0), int64(0)
 		for _, cl := range sys.client {
-			cl.cs.Cache.OnDrop = func(any) { drops++ }
+			cl.cs.Cache.OnDrop = func(any, bool) { drops++ }
 		}
 		sys.eng.Run(cfg.Warmup) // Run's own steps, around the hook
 		sys.startMeasurement()
