@@ -41,6 +41,11 @@
 //	-heat              start with heat/contention collection enabled
 //	                   (honoring OODB_HEAT; /heatz can toggle at runtime)
 //	-heat-epoch        heat sketch decay interval
+//	-recluster         enable online reclustering (honoring OODB_RECLUSTER):
+//	                   reserve spare pages at creation and migrate objects
+//	                   off false-sharing suspect pages in the background
+//	                   (implies -heat; see /reclusterz)
+//	-recluster-every   reclustering round period (0 = the 2s default)
 //	-blackbox-dir      write crash blackboxes (trace ring + heat snapshot
 //	                   + spans + metrics as JSONL) into this directory on
 //	                   panic or fail-stop (empty = disabled)
@@ -150,9 +155,8 @@ func main() {
 	}
 	fmt.Println()
 	rs := srv.RecoveryStats()
-	fmt.Printf("oodbserver: recovery replayed %d records (%d skipped under checkpoint watermark) across %d pages (%d skipped) with %d jobs in %.1fms\n",
-		rs.Records, rs.RecordsSkipped, rs.PagesReplayed, rs.PagesSkipped, rs.Jobs,
-		float64(rs.DurationNs)/1e6)
+	fmt.Printf("oodbserver: recovery replayed %d records across %d pages with %d jobs in %.1fms\n",
+		rs.Records, rs.PagesReplayed, rs.Jobs, float64(rs.DurationNs)/1e6)
 
 	srv.Tracer().SetEnabled(*trace)
 	if *admin != "" {

@@ -34,102 +34,6 @@ func (se *ServerEngine) DumpState() string {
 	return b.String()
 }
 
-// RecheckDeadlock runs the production incremental detector from the given
-// transaction (diagnostics only). It reports whether a victim was chosen.
-func (se *ServerEngine) RecheckDeadlock(t TxnID) bool {
-	st := se.txns[t]
-	if st == nil {
-		return false
-	}
-	before := se.Stats.Deadlocks.Load()
-	se.deadlockCheck(st)
-	return se.Stats.Deadlocks.Load() > before
-}
-
-// TraceDeadlock runs the incremental detector's exact logic from t,
-// logging every traversal step (diagnostics only).
-func (se *ServerEngine) TraceDeadlock(t TxnID, logf func(string, ...any)) {
-	st := se.txns[t]
-	if st == nil {
-		logf("txn %d unknown", t)
-		return
-	}
-	var dfs func(cur *stxn, path []*stxn, onPath map[TxnID]bool, depth int) *stxn
-	dfs = func(cur *stxn, path []*stxn, onPath map[TxnID]bool, depth int) *stxn {
-		deps := se.waitsFor(cur)
-		logf("%*sdfs cur=%d deps=%v", depth*2, "", cur.id, deps)
-		for _, next := range deps {
-			nt := se.txns[next]
-			if nt == nil {
-				logf("%*s next=%d: unknown", depth*2, "", next)
-				continue
-			}
-			if nt.aborting {
-				logf("%*s next=%d: aborting", depth*2, "", next)
-				continue
-			}
-			if nt == st {
-				logf("%*s next=%d == start: CYCLE", depth*2, "", next)
-				return nt
-			}
-			if onPath[nt.id] {
-				logf("%*s next=%d: on path", depth*2, "", next)
-				continue
-			}
-			onPath[nt.id] = true
-			if v := dfs(nt, append(path, nt), onPath, depth+1); v != nil {
-				return v
-			}
-			delete(onPath, nt.id)
-		}
-		return nil
-	}
-	dfs(st, []*stxn{st}, map[TxnID]bool{t: true}, 0)
-}
-
-// FindAnyCycle sweeps the whole waits-for graph and returns the ids of
-// one cycle containing no aborting transaction, or nil. Incremental
-// detection should prevent such cycles from persisting; this is a
-// validation/diagnostic tool.
-func (se *ServerEngine) FindAnyCycle() []TxnID {
-	var ids []TxnID
-	for t := range se.txns {
-		ids = append(ids, t)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t := se.txns[id]
-		if t.aborting {
-			continue
-		}
-		if cyc := se.sweepFrom(t, []TxnID{t.id}, map[TxnID]bool{t.id: true}); cyc != nil {
-			return cyc
-		}
-	}
-	return nil
-}
-
-func (se *ServerEngine) sweepFrom(cur *stxn, path []TxnID, onPath map[TxnID]bool) []TxnID {
-	for _, next := range se.waitsFor(cur) {
-		nt := se.txns[next]
-		if nt == nil || nt.aborting {
-			continue
-		}
-		if next == path[0] {
-			return append([]TxnID(nil), path...)
-		}
-		if onPath[next] {
-			continue
-		}
-		onPath[next] = true
-		if cyc := se.sweepFrom(nt, append(path, next), onPath); cyc != nil {
-			return cyc
-		}
-		delete(onPath, next)
-	}
-	return nil
-}
-
 func keysOf(m map[ClientID]bool) []ClientID {
 	var out []ClientID
 	for c := range m {

@@ -217,21 +217,6 @@ func sortPages(p []PageID) {
 	}
 }
 
-// PageXPages returns the pages on which txn t holds page-level X locks
-// (ascending).
-func (lt *LockTab) PageXPages(t TxnID) []PageID {
-	tl := lt.txns[t]
-	if tl == nil {
-		return nil
-	}
-	var pages []PageID
-	for p := range tl.PageX {
-		pages = append(pages, p)
-	}
-	sortPages(pages)
-	return pages
-}
-
 // ObjXObjs returns the objects on which txn t holds object-level X locks,
 // grouped in no particular page order but with deterministic total order.
 func (lt *LockTab) ObjXObjs(t TxnID) []ObjID {

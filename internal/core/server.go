@@ -207,9 +207,6 @@ func (se *ServerEngine) SetSystemClient(c ClientID, on bool) {
 	}
 }
 
-// IsSystemClient reports whether c is marked as a system client.
-func (se *ServerEngine) IsSystemClient(c ClientID) bool { return se.system[c] }
-
 // Handle processes one incoming client message and returns the outgoing
 // server messages. The returned slice is reused across calls; the caller
 // must consume it before the next Handle.
@@ -375,6 +372,3 @@ func (se *ServerEngine) roundOnObj(o ObjID) *round {
 	}
 	return nil
 }
-
-// roundsOnPage returns the open rounds for page p.
-func (se *ServerEngine) roundsOnPage(p PageID) []*round { return se.pageRound[p] }

@@ -6,7 +6,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -374,14 +373,4 @@ func Find(id string) *Sweep {
 		}
 	}
 	return nil
-}
-
-// IDs returns the catalogue ids in order.
-func IDs() []string {
-	var ids []string
-	for _, s := range Catalogue() {
-		ids = append(ids, s.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

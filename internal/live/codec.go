@@ -466,32 +466,10 @@ func appendWALRecord(b []byte, rec *walRecord) []byte {
 	return b
 }
 
-// walFormatCheckpoint is the first body byte of a checkpoint watermark
-// frame (WAL.appendCheckpoint): not a transaction record but a scan-time
-// marker saying every frame ending delta bytes before this frame's start
-// is already flushed to the store. Encoding the distance rather than an
-// absolute offset keeps the marker valid across prefix truncations — the
-// frame and the region it covers shift together.
+// walFormatCheckpoint marks the checkpoint watermark frame older servers
+// wrote at the head of a checkpointed log; scanWAL skips it so their logs
+// still recover.
 const walFormatCheckpoint = 0xC9
-
-// appendCheckpointBody encodes a watermark body onto b.
-func appendCheckpointBody(b []byte, delta int64) []byte {
-	b = append(b, walFormatCheckpoint)
-	return appendUint(b, uint64(delta))
-}
-
-// decodeCheckpointBody decodes a watermark body's delta; ok is false for
-// malformed bodies (the scan then treats the frame as tail corruption).
-func decodeCheckpointBody(b []byte) (delta int64, ok bool) {
-	if len(b) == 0 || b[0] != walFormatCheckpoint {
-		return 0, false
-	}
-	v, n := binary.Uvarint(b[1:])
-	if n <= 0 || 1+n != len(b) || v > 1<<62 {
-		return 0, false
-	}
-	return int64(v), true
-}
 
 // decodeWALRecord decodes a binary WAL body; anything else is an error
 // (scanWAL treats it as the log's torn tail).

@@ -241,12 +241,12 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 	if frame != nil {
 		s.observeStage(obs.StageQueue, m.Txn, m.From, queueDur)
 		s.observeStage(obs.StageEncode, m.Txn, m.From, encodeDur)
-		ticket, gen, ok := s.appendAndInstall(sess, mask, rec, frame)
+		ticket, ok := s.appendAndInstall(sess, mask, rec, frame)
 		if !ok {
 			return
 		}
 		syncStart := time.Now()
-		err := s.wal.WaitDurable(ticket, gen)
+		err := s.wal.WaitDurable(ticket)
 		syncWait = time.Since(syncStart)
 		s.metrics.commitSyncWaitNs.Observe(syncWait.Nanoseconds())
 		s.observeStage(obs.StageSyncWait, m.Txn, m.From, syncWait)
@@ -340,7 +340,7 @@ func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
 // The queued ones are taken out of the engine and redirected here, under
 // the same shard locks and before the finish step releases the migration's
 // locks, so no user request for a moved address is granted after the move.
-func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket, gen int64, ok bool) {
+func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket int64, ok bool) {
 	type heldShard struct {
 		sh *engineShard
 		at time.Time
@@ -363,19 +363,19 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 		// transaction's locks, and a stale install racing a successor
 		// writer would reorder committed bytes.
 		unlockAll()
-		return 0, 0, false
+		return 0, false
 	}
 
 	s.installMu.RLock()
 	locked := time.Now()
 	s.observeStage(obs.StageLockWait, rec.Txn, rec.Client, locked.Sub(lockStart))
-	ticket, gen, err := s.wal.appendFrame(frame)
+	ticket, err := s.wal.appendFrame(frame)
 	if err != nil {
 		s.installMu.RUnlock()
 		unlockAll()
 		if fault.IsCrash(err) || errors.Is(err, errWALCrashed) {
 			s.crash(err)
-			return 0, 0, false
+			return 0, false
 		}
 		panic(fmt.Sprintf("live: WAL append failed: %v", err))
 	}
@@ -386,7 +386,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 			s.installMu.RUnlock()
 			unlockAll()
 			s.crash(err)
-			return 0, 0, false
+			return 0, false
 		}
 	}
 	for i, o := range rec.Objs {
@@ -396,7 +396,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 				// under us; the server is already fail-stopped.
 				s.installMu.RUnlock()
 				unlockAll()
-				return 0, 0, false
+				return 0, false
 			}
 			panic(fmt.Sprintf("live: commit install failed: %v", err))
 		}
@@ -421,7 +421,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 	s.installMu.RUnlock()
 	unlockAll()
 	s.settle(after)
-	return ticket, gen, true
+	return ticket, true
 }
 
 // multiShardFinish runs a commit/abort's engine step on every shard in

@@ -24,12 +24,9 @@ var livePoints = []string{
 	"wal.append.torn-write",
 	"wal.append.pre-sync",
 	"wal.truncate.pre",
-	"wal.truncate.pre-dirsync",
 	"store.flush.partial",
 	"store.flush.pre-sync",
 	"checkpoint.mid",
-	"checkpoint.pre-watermark",
-	"checkpoint.post-watermark",
 }
 
 func TestCrashPointsRegistered(t *testing.T) {
@@ -273,9 +270,6 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 	if len(scan.recs) != 1 {
 		t.Fatalf("WAL has %d records after mid-checkpoint crash, want 1", len(scan.recs))
 	}
-	if scan.covered != 0 {
-		t.Fatalf("mid-checkpoint crash left a watermark covering %d bytes, want none", scan.covered)
-	}
 
 	// …and recovery (which replays it over the already-flushed store) must
 	// land on the committed value, idempotently.
@@ -308,15 +302,14 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 // checkpoint wrote pages without first forcing the WAL, a crash mid-flush
 // would durably keep SOME pages of a transaction while the crash discards
 // the log's unsynced tail: recovery then has no record to replay and the
-// store shows a torn transaction. The fix forces the log through the
-// watermark (and, per shard, through the post-copy tail) before any page
-// write, so recovery must always see every pair whole.
+// store shows a torn transaction. The checkpoint forces the log through
+// its tail before any page write, so recovery must always see every pair
+// whole.
 func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 	const pairs = 8
 	dir := t.TempDir()
 	srv, err := openServer(dir, ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 2 * pairs,
-		Shards:  4, // 16 dirty pages over 4 shards: some shard flushes >= 2, so the partial-flush point must fire
 		SyncWAL: false,
 	})
 	if err != nil {

@@ -73,7 +73,6 @@ type serverMetrics struct {
 	// replay's RecoveryStats (with a shared registry they accumulate
 	// across restarts, which is the point: restarts are countable events).
 	recoveryPagesReplayed *obs.Counter
-	recoveryPagesSkipped  *obs.Counter
 	recoveryDurationNs    *obs.Counter
 
 	// Online reclustering: objects migrated (relocation entries applied by
@@ -145,8 +144,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"dirty pages written by store flushes")
 	m.recoveryPagesReplayed = reg.Counter("oodb_live_recovery_pages_replayed_total",
 		"distinct pages receiving at least one replayed WAL image at recovery")
-	m.recoveryPagesSkipped = reg.Counter("oodb_live_recovery_pages_skipped_total",
-		"distinct pages whose logged images were all below the checkpoint watermark at recovery")
 	m.recoveryDurationNs = reg.Counter("oodb_live_recovery_duration_ns",
 		"total wall time spent replaying the WAL at recovery, ns")
 	m.reclusterMoves = reg.Counter("oodb_recluster_moves_total",

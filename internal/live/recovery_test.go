@@ -101,7 +101,7 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("jobs=%d: replay: %v", jobs, err)
 		}
-		if stats.Jobs != jobs || stats.Records != records || stats.RecordsSkipped != 0 {
+		if stats.Jobs != jobs || stats.Records != records {
 			t.Fatalf("jobs=%d: stats %+v", jobs, stats)
 		}
 		if err := st.Close(); err != nil {
@@ -266,11 +266,11 @@ func TestCrashDuringRecovery(t *testing.T) {
 	}
 }
 
-// TestFuzzyCheckpointConcurrentCommits checkpoints while committers are
-// running full tilt: the fuzzy checkpoint must neither block them out nor
-// lose any acked write, and once the writers drain, a final checkpoint
-// must shrink the log to just its watermark frame.
-func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
+// TestCheckpointConcurrentCommits checkpoints while committers are
+// running full tilt: commits wait on installMu while a checkpoint runs,
+// and none may fail or lose an acked write; once the writers drain, a
+// final checkpoint must leave the log empty.
+func TestCheckpointConcurrentCommits(t *testing.T) {
 	const (
 		nClients       = 3
 		commitsPerClnt = 20
@@ -321,8 +321,7 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 			}
 		}(c)
 	}
-	// Checkpoint repeatedly while the committers run: with the fuzzy
-	// per-shard flush this never stops the world, and must never fail.
+	// Checkpoint repeatedly while the committers run; it must never fail.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for running := true; running; {
@@ -344,17 +343,15 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 		}
 	}
 
-	// Quiesced: one more checkpoint retires every record, leaving only the
-	// watermark frame in the log.
+	// Quiesced: one more checkpoint retires every record.
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.wal.Len(); n > 32 {
-		t.Fatalf("log holds %d bytes after a quiesced checkpoint, want just the watermark frame", n)
+	if n := srv.wal.Len(); n != 0 {
+		t.Fatalf("log holds %d bytes after a quiesced checkpoint, want 0", n)
 	}
 
-	// Crash and recover: everything acked survives, through whatever mix of
-	// store flushes and log records the fuzzy checkpoints left behind.
+	// Crash and recover: everything acked survives.
 	for _, cl := range clients {
 		cl.Close()
 	}
@@ -377,113 +374,6 @@ func TestFuzzyCheckpointConcurrentCommits(t *testing.T) {
 		}
 		if !bytes.HasPrefix(got, val) {
 			t.Fatalf("object %v: got %x, want %x", obj, got[:4], val)
-		}
-	}
-	tx.Commit()
-}
-
-// TestRecoverySkipsCheckpointCoveredPrefix pins the watermark payoff: a
-// crash after the watermark is durable but before the log is truncated
-// leaves a log whose prefix is already in the store. Recovery must skip
-// that prefix (counted, and visible in the metrics) and replay only what
-// came after.
-func TestRecoverySkipsCheckpointCoveredPrefix(t *testing.T) {
-	const prefixCommits = 5
-	dir := t.TempDir()
-	srv, err := openServer(dir, ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16, SyncWAL: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := attachClient(t, srv)
-	for i := 0; i < prefixCommits; i++ {
-		tx, err := cl.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Write(o(core.PageID(i), 0), seqVal(uint32(i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Crash between the watermark append and the prefix truncation: the
-	// store is flushed and the watermark durable, but all 5 records remain.
-	defer fault.DisarmAll()
-	fault.Get("checkpoint.post-watermark").Arm(1)
-	if err := srv.Checkpoint(); !fault.IsCrash(err) {
-		t.Fatalf("checkpoint returned %v, want injected crash", err)
-	}
-	cl.Close()
-	srv.Crash()
-	fault.DisarmAll()
-
-	// More commits arrive after the (crashed) checkpoint — simulated by
-	// appending straight to the surviving log, past the watermark.
-	w, scan, err := OpenWAL(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.recs) != prefixCommits || scan.covered == 0 {
-		t.Fatalf("surviving log: %d records, covered=%d; want %d records under a watermark",
-			len(scan.recs), scan.covered, prefixCommits)
-	}
-	for i := 0; i < 2; i++ {
-		if err := w.Append(&walRecord{Txn: core.TxnID(1000 + i), Client: 1,
-			Objs:   []core.ObjID{o(core.PageID(8+i), 0)},
-			Images: [][]byte{seqVal(uint32(100 + i))}, Commit: true}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	stats := srv2.RecoveryStats()
-	if stats.RecordsSkipped != prefixCommits || stats.Records != 2 {
-		t.Fatalf("recovery stats %+v, want %d skipped / 2 replayed", stats, prefixCommits)
-	}
-	if stats.PagesSkipped != prefixCommits || stats.PagesReplayed != 2 {
-		t.Fatalf("recovery stats %+v, want %d pages skipped / 2 replayed", stats, prefixCommits)
-	}
-	if v := srv2.Metrics().CounterValue("oodb_live_recovery_pages_replayed_total"); v != 2 {
-		t.Fatalf("oodb_live_recovery_pages_replayed_total = %d, want 2", v)
-	}
-	if v := srv2.Metrics().CounterValue("oodb_live_recovery_pages_skipped_total"); v != prefixCommits {
-		t.Fatalf("oodb_live_recovery_pages_skipped_total = %d, want %d", v, prefixCommits)
-	}
-
-	// Both the skipped prefix and the replayed tail must be readable.
-	auditor := attachClient(t, srv2)
-	defer auditor.Close()
-	tx, err := auditor.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < prefixCommits; i++ {
-		got, err := tx.Read(o(core.PageID(i), 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(got, seqVal(uint32(i))) {
-			t.Fatalf("checkpointed object on page %d lost", i)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		got, err := tx.Read(o(core.PageID(8+i), 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(got, seqVal(uint32(100+i))) {
-			t.Fatalf("post-watermark object on page %d lost", 8+i)
 		}
 	}
 	tx.Commit()

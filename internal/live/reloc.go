@@ -23,8 +23,8 @@ import (
 // record (walFormatBinary2), so the table is always reconstructible from
 // relocs.db (the checkpoint-time base image) plus the WAL suffix. The
 // side file is written atomically (tmp + rename + dir fsync, CRC-framed)
-// at store creation, at every checkpoint BEFORE the watermark retires the
-// covered records, and at clean shutdown. It also records the spare-page
+// at store creation, at every checkpoint BEFORE the log truncation retires
+// the records it covers, and at clean shutdown. It also records the spare-page
 // count — the pages past the user-visible geometry that migrations
 // allocate destinations from.
 
@@ -182,10 +182,7 @@ func (t *relocTable) maxSpareSlot(userPages core.PageID) (core.ObjID, bool) {
 	return best, found
 }
 
-// encode serializes the table (CRC-framed) for writeRelocFile. Checkpoint
-// calls it at watermark capture (under installMu exclusive) so the saved
-// base covers exactly the records below the watermark; the file write
-// itself happens later, off the lock.
+// encode serializes the table (CRC-framed) for writeRelocFile.
 func (t *relocTable) encode() []byte {
 	t.mu.Lock()
 	buf := make([]byte, 0, 20+12*len(t.m))
@@ -223,7 +220,7 @@ func (t *relocTable) save(dir string) error {
 }
 
 // writeRelocFile atomically replaces dir/relocs.db with buf (tmp + rename
-// + directory fsync, the WAL truncation's discipline).
+// + directory fsync).
 func writeRelocFile(dir string, buf []byte) error {
 	path := filepath.Join(dir, relocFile)
 	tmp := path + ".tmp"
@@ -249,9 +246,8 @@ func writeRelocFile(dir string, buf []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Make the rename itself durable, same discipline as the WAL's
-	// truncation: without the directory fsync a crash can resurrect the
-	// old file.
+	// Make the rename itself durable: without the directory fsync a crash
+	// can resurrect the old file.
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

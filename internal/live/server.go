@@ -91,17 +91,12 @@ type Server struct {
 	// installMu orders commit installs against checkpoints, replacing
 	// what the single engine lock used to guarantee: a commit holds it
 	// shared around its WAL append + store installs; Checkpoint holds it
-	// exclusive across flush + truncate. So a WAL record is only ever
-	// truncated after a store flush that covers its installs, and a
-	// flush/truncate pair never splits an append/install pair.
+	// exclusive from its WAL force to its truncation, which also
+	// serializes checkpoints. So a WAL record is only ever truncated
+	// after a store flush that covers its installs, and a flush/truncate
+	// pair never splits an append/install pair.
 	// Lock order: shard locks -> installMu -> s.mu.
 	installMu sync.RWMutex
-
-	// ckptMu serializes checkpoints: the fuzzy checkpoint releases
-	// installMu between capturing its watermark and truncating the log,
-	// so without this two overlapping checkpoints could interleave their
-	// flush/watermark/truncate steps.
-	ckptMu sync.Mutex
 
 	// recovery is what the opening replay did (see RecoveryStats).
 	recovery RecoveryStats
@@ -259,12 +254,12 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		}
 	}
 
-	// Redo recovery: one scan finds the append offset, the checkpoint
-	// watermark, and the records to replay; the flushed store then makes
-	// the log redundant. A crash anywhere in here (the recover.mid-replay
-	// and store.flush.* crash points) leaves the log intact for the next
-	// attempt — replay is idempotent, so recovering a half-recovered
-	// store lands on the same bytes.
+	// Redo recovery: one scan finds the append offset and the records to
+	// replay; the flushed store then makes the log redundant. A crash
+	// anywhere in here (the recover.mid-replay and store.flush.* crash
+	// points) leaves the log intact for the next attempt — replay is
+	// idempotent, so recovering a half-recovered store lands on the same
+	// bytes.
 	wal, scan, err := OpenWAL(walPath)
 	if err != nil {
 		store.Close()
@@ -278,9 +273,9 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	}
 	// Relocation replay: fold every logged migration into the table, in
 	// log order, and make the result durable BEFORE the log is truncated.
-	// Records below a checkpoint watermark are already in the relocs.db
-	// base (the checkpoint snapshots the table at its watermark), so
-	// re-applying them is idempotent over that base.
+	// A log written by an older server may still hold records a
+	// checkpoint already saved into the relocs.db base; re-applying them
+	// is idempotent over that base.
 	for _, rec := range scan.recs {
 		if len(rec.Relocs) == 0 {
 			continue
@@ -333,7 +328,6 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	s.heat.SetEnabled(opts.Heat)
 	s.heat.RegisterMetrics(reg)
 	s.metrics.recoveryPagesReplayed.Add(int64(recov.PagesReplayed))
-	s.metrics.recoveryPagesSkipped.Add(int64(recov.PagesSkipped))
 	s.metrics.recoveryDurationNs.Add(recov.DurationNs)
 	empty := make(map[core.ClientID]*session)
 	s.sessions.Store(&empty)
@@ -588,8 +582,7 @@ func (s *Server) Addr() string {
 }
 
 // RecoveryStats reports what the opening replay did: records and pages
-// replayed vs skipped below the checkpoint watermark, worker count, and
-// wall time.
+// replayed, worker count, and wall time.
 func (s *Server) RecoveryStats() RecoveryStats { return s.recovery }
 
 // stopLocked is the one teardown Close and Crash share: mark the server

@@ -63,9 +63,10 @@ type Store struct {
 
 	// latches synchronizes off-lock payload reads with commit installs
 	// (see pageLatches). flushPages also takes each page's latch for the
-	// copy + dirty-clear pair, which is what lets the fuzzy checkpoint
-	// flush concurrently with installs; the open/create paths alone skip
-	// it (nothing else can hold the store yet).
+	// copy + dirty-clear pair, so recovery's partitioned replay can flush
+	// one partition while other workers install; a checkpoint needs no
+	// more, since it excludes installs (installMu). The open/create paths
+	// alone skip it (nothing else can hold the store yet).
 	latches pageLatches
 }
 
@@ -272,28 +273,11 @@ func (s *Store) WriteObj(o core.ObjID, data []byte) error {
 	return nil
 }
 
-// WritePage installs a full page payload.
-func (s *Store) WritePage(p core.PageID, data []byte) error {
-	if err := s.checkPage(p); err != nil {
-		return err
-	}
-	if len(data) != s.payload() {
-		return fmt.Errorf("live: page image %d bytes, want %d", len(data), s.payload())
-	}
-	l := s.latches.shard(p)
-	l.Lock()
-	copy(s.frames[p], data)
-	s.dirty[p] = true
-	l.Unlock()
-	return nil
-}
-
 // flushPages writes dirty pages selected by owned (nil = all) back to the
 // file with fresh checksums, without fsyncing. Each page's frame copy and
-// dirty-flag clear happen together under its exclusive latch, so flushing
-// runs concurrently with commit installs: an install that lands before
-// the copy is flushed now, one that lands after re-dirties the page for
-// the next flush. On a write error the page is re-marked dirty before
+// dirty-flag clear happen together under its exclusive latch, so an
+// install racing the flush either lands before the copy (flushed now) or
+// after it (re-dirtying the page for the next flush). On a write error the page is re-marked dirty before
 // returning — the flag may only go clean once the bytes are actually in
 // the file, or a later checkpoint would truncate the WAL record that
 // still covers them.
@@ -341,86 +325,6 @@ func (s *Store) Flush() error {
 		return err
 	}
 	return s.f.Sync()
-}
-
-// FlushOwned flushes the dirty pages selected by owned and syncs, and
-// returns how many pages it wrote. The fuzzy checkpoint calls it once per
-// engine shard, so no single flush ever stalls the whole store.
-//
-// force, when non-nil, is the write-ahead hook: it runs after every
-// selected page has been copied (and marked clean) under its latch but
-// before the first byte reaches the file. The checkpoint passes a closure
-// that forces the WAL durable through its current tail; any install
-// captured in a copied image appended its record before the copy (the
-// commit holds the page latch across install), so the force covers it —
-// no page image can hit the store file ahead of the log records covering
-// it, even with commits flowing during the flush. Pages are staged in
-// memory between copy and write so a record appended DURING the write
-// loop can never sneak into a written image uncovered. On any error every
-// staged-but-unwritten page is re-marked dirty — the flag may only stay
-// clean once the bytes are actually in the file, or a later checkpoint
-// would truncate the WAL records that still cover them. When nothing in
-// the selection was dirty, force and the fsync (and its crash point) are
-// skipped — there is no write to lose.
-func (s *Store) FlushOwned(owned func(core.PageID) bool, force func() error) (int, error) {
-	type stagedPage struct {
-		p   core.PageID
-		buf []byte
-	}
-	var staged []stagedPage
-	for p := 0; p < s.numPages; p++ {
-		pid := core.PageID(p)
-		if owned != nil && !owned(pid) {
-			continue
-		}
-		l := s.latches.shard(pid)
-		l.Lock()
-		if !s.dirty[p] {
-			l.Unlock()
-			continue
-		}
-		buf := make([]byte, s.pageSize)
-		copy(buf, s.frames[p])
-		s.dirty[p] = false
-		l.Unlock()
-		binary.LittleEndian.PutUint32(buf[s.payload():], crc32.ChecksumIEEE(buf[:s.payload()]))
-		staged = append(staged, stagedPage{pid, buf})
-	}
-	if len(staged) == 0 {
-		return 0, nil
-	}
-	redirty := func(from int) {
-		for _, sp := range staged[from:] {
-			l := s.latches.shard(sp.p)
-			l.Lock()
-			s.dirty[sp.p] = true
-			l.Unlock()
-		}
-	}
-	if force != nil {
-		if err := force(); err != nil {
-			redirty(0)
-			return 0, err
-		}
-	}
-	wrote := 0
-	for i, sp := range staged {
-		if wrote > 0 {
-			if err := cpFlushPartial.Check(); err != nil {
-				redirty(i)
-				return wrote, err
-			}
-		}
-		if _, err := s.f.WriteAt(sp.buf, int64(s.pageSize)*int64(sp.p+1)); err != nil {
-			redirty(i)
-			return wrote, err
-		}
-		wrote++
-	}
-	if err := cpFlushPreSync.Check(); err != nil {
-		return wrote, err
-	}
-	return wrote, s.f.Sync()
 }
 
 // syncFile fsyncs the store file (pairs with flushPages).

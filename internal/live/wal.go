@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +43,6 @@ var (
 	cpWALTornTail      = fault.Register("wal.append.torn-write")
 	cpWALPreSync       = fault.Register("wal.append.pre-sync")
 	cpWALTruncate      = fault.Register("wal.truncate.pre")
-	cpWALDirSync       = fault.Register("wal.truncate.pre-dirsync")
 	cpRecoverMidReplay = fault.Register("recover.mid-replay")
 )
 
@@ -79,8 +77,7 @@ type walRecord struct {
 // WAL is an append-only redo log with length+CRC framing and group
 // commit.
 type WAL struct {
-	f    *os.File
-	path string
+	f *os.File
 
 	// SyncOnCommit forces commits to wait for an fsync (durable but slow;
 	// tests turn it off). Set before serving; not data-race guarded.
@@ -94,25 +91,21 @@ type WAL struct {
 	// taxing single-session latency.
 	demand atomic.Int32
 
-	// mu guards the offsets and group-commit state below. Append and
-	// Truncate additionally run under the server lock; WaitDurable does
-	// not (that is the point of group commit).
+	// mu guards the offsets and group-commit state below. WaitDurable
+	// waits on cond without any server lock (that is the point of group
+	// commit).
 	mu   sync.Mutex
 	cond *sync.Cond
 	// Offsets are LOGICAL: monotonically increasing over the log's whole
-	// life, never reset by a prefix truncation. base is the logical offset
-	// of the current file's first byte — TruncatePrefix advances it instead
-	// of rebasing off/synced, so group-commit tickets (logical offsets)
-	// issued before a checkpoint's truncation stay valid through it.
+	// life, never reset by a truncation. base is the logical offset of the
+	// file's first byte; Truncate moves base and synced up to off instead
+	// of resetting them, so every ticket issued before it reads as durable
+	// (the truncation follows a store flush covering every install).
 	base int64
 	off  int64
 	// synced is the offset known to be durable (fsynced). A simulated
 	// crash discards everything past it, modeling lost page-cache writes.
 	synced int64
-	// gen counts truncations; a ticket from an older generation is
-	// durable by definition (truncation follows a store flush covering
-	// every installed update).
-	gen int64
 	// syncing marks an fsync in flight (its owner is the leader).
 	syncing bool
 	// syncErr is sticky: once an fsync fails (or a crash is injected) no
@@ -130,15 +123,15 @@ type WAL struct {
 }
 
 // Len returns the bytes currently in the log file (the physical length,
-// which a prefix truncation shrinks even though logical offsets march on).
+// which a truncation empties even though logical offsets march on).
 func (w *WAL) Len() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.off - w.base
 }
 
-// tail returns the logical append offset — the watermark candidate for a
-// checkpoint: every record appended so far ends at or below it.
+// tail returns the logical append offset: every record appended so far
+// ends at or below it.
 func (w *WAL) tail() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -146,17 +139,17 @@ func (w *WAL) tail() int64 {
 }
 
 // OpenWAL opens (or creates) the log at path, positioned for appending
-// after the last valid record. It returns the scan (records plus the
-// checkpoint watermark) so recovery can replay without re-reading the
-// file. Any bytes past the last valid frame — a torn tail or a corrupt
-// frame — are physically cut off before the first append, so stale
-// garbage can never sit under (and re-corrupt) future frames.
+// after the last valid record. It returns the scan so recovery can replay
+// without re-reading the file. Any bytes past the last valid frame — a
+// torn tail or a corrupt frame — are physically cut off before the first
+// append, so stale garbage can never sit under (and re-corrupt) future
+// frames.
 func OpenWAL(path string) (*WAL, *walScan, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &WAL{f: f, path: path, SyncOnCommit: true}
+	w := &WAL{f: f, SyncOnCommit: true}
 	w.cond = sync.NewCond(&w.mu)
 	scan, err := scanWAL(f)
 	if err != nil {
@@ -197,17 +190,17 @@ func encodeWALFrame(rec *walRecord) []byte {
 // append encodes and writes one committed transaction's frame without
 // syncing — the convenience path (tests, tools). The server's commit path
 // calls encodeWALFrame off-lock and appendFrame under its lock.
-func (w *WAL) append(rec *walRecord) (ticket, gen int64, err error) {
+func (w *WAL) append(rec *walRecord) (ticket int64, err error) {
 	return w.appendFrame(encodeWALFrame(rec))
 }
 
 // appendFrame writes a pre-encoded frame without syncing. The returned
-// (ticket, gen) identify the durability point to wait on. Appends from
-// different sessions serialize on w.mu (the sharded server no longer
-// wraps them in one global lock); the log stays a single sequencer.
-func (w *WAL) appendFrame(frame []byte) (ticket, gen int64, err error) {
+// ticket is the durability point to wait on. Appends from different
+// sessions serialize on w.mu (the sharded server no longer wraps them in
+// one global lock); the log stays a single sequencer.
+func (w *WAL) appendFrame(frame []byte) (ticket int64, err error) {
 	if err := cpWALPreFrame.Check(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	start := time.Now()
 
@@ -218,7 +211,7 @@ func (w *WAL) appendFrame(frame []byte) (ticket, gen int64, err error) {
 	// and get its commit acknowledged, while recovery — correctly —
 	// stops at the tear and never replays it.
 	if w.syncErr != nil {
-		return 0, 0, w.syncErr
+		return 0, w.syncErr
 	}
 	if err := cpWALTornTail.Check(); err != nil {
 		// Simulate a torn write: half the frame reaches the file before
@@ -226,12 +219,12 @@ func (w *WAL) appendFrame(frame []byte) (ticket, gen int64, err error) {
 		w.f.WriteAt(frame[:len(frame)/2], w.off-w.base)
 		w.syncErr = err
 		w.cond.Broadcast()
-		return 0, 0, err
+		return 0, err
 	}
 	if _, err := w.f.WriteAt(frame, w.off-w.base); err != nil {
 		w.syncErr = err
 		w.cond.Broadcast()
-		return 0, 0, err
+		return 0, err
 	}
 	w.off += int64(len(frame))
 	w.recsSinceSync++
@@ -240,15 +233,15 @@ func (w *WAL) appendFrame(frame []byte) (ticket, gen int64, err error) {
 		w.metrics.walBytes.Add(int64(len(frame)))
 		w.metrics.walRecords.Inc()
 	}
-	return w.off, w.gen, nil
+	return w.off, nil
 }
 
 // WaitDurable blocks until the record ending at ticket (from append) is
-// durable: fsynced, covered by a newer generation (truncated after a
-// store flush), or — with SyncOnCommit off — immediately. The first
-// waiter leads the fsync; arrivals during an in-flight fsync ride the
-// next one as a batch. Must NOT be called with the server lock held.
-func (w *WAL) WaitDurable(ticket, gen int64) error {
+// durable: fsynced, covered by a truncation (which follows a store flush),
+// or — with SyncOnCommit off — immediately. The first waiter leads the
+// fsync; arrivals during an in-flight fsync ride the next one as a batch.
+// Must NOT be called with the server lock held.
+func (w *WAL) WaitDurable(ticket int64) error {
 	// The pre-sync crash point models dying between the frame write and
 	// its fsync; checked per commit (as the old inline path did), whether
 	// or not this commit ends up leading the sync.
@@ -258,25 +251,9 @@ func (w *WAL) WaitDurable(ticket, gen int64) error {
 	if !w.SyncOnCommit {
 		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if w.syncErr != nil {
-			return w.syncErr
-		}
-		if w.gen != gen || w.synced >= ticket {
-			return nil
-		}
-		if w.syncing {
-			w.cond.Wait()
-			continue
-		}
-		w.leadSync()
-	}
+	return w.ForceTo(ticket)
 }
 
-// leadSync runs one group fsync as the leader. Called with w.mu held;
-// releases it around the sleep/fsync and reacquires before returning.
 // shouldLinger reports whether the sync leader should wait for followers
 // before fsyncing (mu held). Lingering is a trade: it grows the batch but
 // stalls the disk, collapsing the append/fsync pipeline into lockstep —
@@ -292,6 +269,8 @@ func (w *WAL) shouldLinger() bool {
 	return d > 1 && w.batchEMA < d*16/4
 }
 
+// leadSync runs one group fsync as the leader. Called with w.mu held;
+// releases it around the sleep/fsync and reacquires before returning.
 func (w *WAL) leadSync() {
 	w.syncing = true
 	if w.shouldLinger() {
@@ -300,11 +279,7 @@ func (w *WAL) leadSync() {
 		time.Sleep(adaptiveLinger)
 		w.mu.Lock()
 	}
-	target, batch, tgen := w.off, w.recsSinceSync, w.gen
-	// Capture the handle under mu: TruncatePrefix swaps w.f (it waits for
-	// syncing to clear first, so the swap never races this sync — but the
-	// pointer read must still happen before mu is released).
-	f := w.f
+	target, batch := w.off, w.recsSinceSync
 	w.recsSinceSync = 0
 	if w.batchEMA == 0 {
 		w.batchEMA = batch * 16
@@ -314,7 +289,7 @@ func (w *WAL) leadSync() {
 	w.mu.Unlock()
 
 	start := time.Now()
-	err := f.Sync()
+	err := w.f.Sync()
 	dur := time.Since(start)
 
 	w.mu.Lock()
@@ -324,7 +299,7 @@ func (w *WAL) leadSync() {
 			w.syncErr = err
 		}
 	} else {
-		if w.gen == tgen && target > w.synced {
+		if target > w.synced {
 			w.synced = target
 		}
 		if w.metrics != nil {
@@ -341,21 +316,18 @@ func (w *WAL) leadSync() {
 // ForceTo makes the log durable through the logical offset limit — the
 // write-ahead half of the checkpoint's WAL rule: no page image may reach
 // the store file before the log records covering its installs are on
-// disk. Unlike WaitDurable it ignores SyncOnCommit (commit acking policy
-// and the WAL rule are separate contracts: a checkpoint that persists
-// pages must persist their covering records even when commits do not
-// wait for fsyncs) and takes no ticket generation: a full truncation
-// only follows a store flush covering every install, so a limit from an
-// older generation is already covered.
+// disk. Unlike WaitDurable it ignores SyncOnCommit: commit acking policy
+// and the WAL rule are separate contracts, and a checkpoint that persists
+// pages must persist their covering records even when commits do not wait
+// for fsyncs.
 func (w *WAL) ForceTo(limit int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	gen := w.gen
 	for {
 		if w.syncErr != nil {
 			return w.syncErr
 		}
-		if w.gen != gen || w.synced >= limit {
+		if w.synced >= limit {
 			return nil
 		}
 		if w.syncing {
@@ -371,177 +343,40 @@ func (w *WAL) ForceTo(limit int64) error {
 // by tests and tools; the server's commit path calls append/WaitDurable
 // separately so the fsync wait happens outside the server lock.
 func (w *WAL) Append(rec *walRecord) error {
-	ticket, gen, err := w.append(rec)
+	ticket, err := w.append(rec)
 	if err != nil {
 		return err
 	}
-	return w.WaitDurable(ticket, gen)
+	return w.WaitDurable(ticket)
 }
 
-// appendCheckpoint logs a checkpoint watermark frame: every record frame
-// ending at or below covered (a logical offset from tail()) has been
-// flushed to the store, so recovery may skip it. The body encodes the
-// DISTANCE from this frame's start back to covered, not an absolute
-// offset — a later prefix truncation shifts the frame and the region it
-// covers by the same amount, so a scan recomputes the same boundary in
-// file offsets no matter how much prefix has been cut. The returned
-// (ticket, gen) feed WaitDurable like any append.
-func (w *WAL) appendCheckpoint(covered int64) (ticket, gen int64, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.syncErr != nil {
-		return 0, 0, w.syncErr
-	}
-	if covered < w.base {
-		covered = w.base
-	}
-	if covered > w.off {
-		covered = w.off
-	}
-	body := appendCheckpointBody(nil, w.off-covered)
-	frame := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
-	if _, err := w.f.WriteAt(frame, w.off-w.base); err != nil {
-		w.syncErr = err
-		w.cond.Broadcast()
-		return 0, 0, err
-	}
-	w.off += int64(len(frame))
-	if w.metrics != nil {
-		w.metrics.walBytes.Add(int64(len(frame)))
-	}
-	return w.off, w.gen, nil
-}
-
-// waitNotSyncing parks until no group fsync is in flight (mu held). The
-// truncation paths replace or shrink w.f; doing that under a concurrent
-// leader's fsync would either race the handle or feed the leader an error
-// that poisons the log.
-func (w *WAL) waitNotSyncing() {
-	for w.syncing {
-		w.cond.Wait()
-	}
-}
-
-// Truncate discards the whole log (after a checkpoint or clean shutdown
-// made it redundant). Every in-flight committer from the old generation
-// is released as durable: truncation only happens after a store flush
-// that covers all installed updates. The file shrinks in place — no
-// rename, so no directory fsync is needed (contrast TruncatePrefix).
+// Truncate discards the whole log (after a checkpoint, recovery or clean
+// shutdown made it redundant). The file shrinks in place; base and synced
+// move up to off, so logical offsets stay monotone and every ticket issued
+// so far reads as durable: truncation only happens after a store flush
+// that covers all installed updates.
 func (w *WAL) Truncate() error {
 	if err := cpWALTruncate.Check(); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.waitNotSyncing()
+	// Shrinking the file under a leader's fsync would feed it an error
+	// that poisons the log.
+	for w.syncing {
+		w.cond.Wait()
+	}
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
-	w.off = 0
-	w.base = 0
+	w.base = w.off
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.synced = 0
-	w.gen++
+	w.synced = w.off
 	w.recsSinceSync = 0
 	w.cond.Broadcast()
 	return nil
-}
-
-// TruncatePrefix discards the log prefix below the logical offset limit —
-// the watermark a completed checkpoint flushed. The surviving tail is
-// copied into a fresh file that replaces the log by rename; the new file
-// is fsynced before the rename and the directory after it, so a crash at
-// any step leaves either the old complete log or the new complete one on
-// disk, never a half-cut file. Logical offsets are untouched (base moves
-// instead), so group-commit tickets issued before the truncation stay
-// valid, and since everything in the new file is fsynced the whole log
-// comes out durable (synced catches up to off).
-func (w *WAL) TruncatePrefix(limit int64) error {
-	if err := cpWALTruncate.Check(); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.waitNotSyncing()
-	if w.syncErr != nil {
-		return w.syncErr
-	}
-	if limit > w.off {
-		limit = w.off
-	}
-	if limit <= w.base {
-		return nil // nothing below the watermark survives in this file
-	}
-	tail := make([]byte, w.off-limit)
-	if _, err := w.f.ReadAt(tail, limit-w.base); err != nil && !(errors.Is(err, io.EOF) && len(tail) == 0) {
-		return err
-	}
-	tmpPath := w.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-	if len(tail) > 0 {
-		if _, err := tmp.WriteAt(tail, 0); err != nil {
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		return fail(err)
-	}
-	w.f.Close()
-	w.f = tmp
-	w.base = limit
-	// The rename is not durable until its directory entry is fsynced:
-	// until then a crash can resurrect the old inode, and any commit acked
-	// against the new one would be silently lost with it. So the durability
-	// bookkeeping (synced catching up to off — everything in the new file
-	// was fsynced before the rename) waits for the directory fsync, and a
-	// failure there is fatal to the log — the same fail-stop policy as an
-	// append or fsync error — not a returnable hiccup the server could
-	// keep committing past.
-	derr := cpWALDirSync.Check()
-	if derr == nil {
-		derr = syncDir(filepath.Dir(w.path))
-	}
-	if derr != nil {
-		if w.syncErr == nil {
-			w.syncErr = derr
-		}
-		w.cond.Broadcast()
-		return derr
-	}
-	if w.off > w.synced {
-		w.synced = w.off
-	}
-	w.cond.Broadcast()
-	return nil
-}
-
-// syncDir fsyncs a directory, making a rename inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Close fsyncs and closes the log. Without the sync, a clean shutdown
@@ -565,13 +400,9 @@ func (w *WAL) Close() error {
 func (w *WAL) crash() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// A prefix truncation that failed its directory fsync leaves base past
-	// synced (the catch-up waits for the fsync). The new file's content was
-	// fsynced before the rename, so none of it is losable — truncate only
-	// when synced still points inside this file.
-	if keep := w.synced - w.base; keep >= 0 {
-		w.f.Truncate(keep)
-	}
+	// A truncation whose fsync failed leaves synced below base: nothing in
+	// the file is durable then.
+	w.f.Truncate(max(w.synced-w.base, 0))
 	w.f.Close()
 	if w.syncErr == nil {
 		w.syncErr = errWALCrashed
@@ -579,15 +410,11 @@ func (w *WAL) crash() {
 	w.cond.Broadcast()
 }
 
-// walScan is the result of one pass over the log: the committed records,
-// where each one's frame ends, and the checkpoint watermark — the file
-// prefix whose effects a completed checkpoint already flushed to the
-// store (0 when no watermark frame survived).
+// walScan is the result of one pass over the log: the committed records
+// and where the next frame goes.
 type walScan struct {
-	recs    []*walRecord
-	ends    []int64 // ends[i]: file offset one past recs[i]'s frame
-	covered int64   // records ending at or below this offset are in the store
-	off     int64   // append offset: end of the last valid frame
+	recs []*walRecord
+	off  int64 // append offset: end of the last valid frame
 }
 
 // scanWAL reads every valid frame from the start of the file, stopping at
@@ -595,8 +422,10 @@ type walScan struct {
 // a CRC mismatch all end the scan without poisoning the valid prefix —
 // a flipped bit in frame k yields exactly frames 0..k-1. Record bodies
 // are binary (walFormatBinary, codec.go); a body that does not decode
-// ends the scan like any other invalid frame. Checkpoint watermark frames
-// (walFormatCheckpoint) advance covered instead of yielding a record.
+// ends the scan like any other invalid frame. A CRC-valid checkpoint
+// watermark frame (walFormatCheckpoint), which older servers wrote, is
+// skipped: replay is idempotent, so the records it covered replay again
+// harmlessly, and stopping there would drop the acked records behind it.
 func scanWAL(f *os.File) (*walScan, error) {
 	scan := &walScan{}
 	hdr := make([]byte, 8)
@@ -619,46 +448,30 @@ func scanWAL(f *os.File) (*walScan, error) {
 		if crc32.ChecksumIEEE(body) != want {
 			return scan, nil
 		}
-		if body[0] == walFormatCheckpoint {
-			delta, ok := decodeCheckpointBody(body)
-			if !ok {
+		if body[0] != walFormatCheckpoint {
+			rec, err := decodeWALRecord(body)
+			if err != nil {
 				return scan, nil
 			}
-			if c := scan.off - delta; c > scan.covered {
-				scan.covered = c
-			}
-			scan.off += int64(8 + n)
-			continue
+			scan.recs = append(scan.recs, rec)
 		}
-		rec, err := decodeWALRecord(body)
-		if err != nil {
-			return scan, nil
-		}
-		scan.recs = append(scan.recs, rec)
 		scan.off += int64(8 + n)
-		scan.ends = append(scan.ends, scan.off)
 	}
 }
 
 // RecoveryStats reports what one recovery replay did.
 type RecoveryStats struct {
-	Records        int   // committed records replayed
-	RecordsSkipped int   // records below the checkpoint watermark (already in the store)
-	PagesReplayed  int   // distinct pages that received at least one replayed image
-	PagesSkipped   int   // distinct pages whose logged images were all below the watermark
-	Jobs           int   // replay workers used
-	ApplyNs        int64 // wall time of the image-apply + page-write phase (the part that parallelizes)
-	DurationNs     int64 // total replay wall time including the final fsync
+	Records       int   // committed records replayed
+	PagesReplayed int   // distinct pages that received at least one replayed image
+	Jobs          int   // replay workers used
+	ApplyNs       int64 // wall time of the image-apply + page-write phase (the part that parallelizes)
+	DurationNs    int64 // total replay wall time including the final fsync
 }
 
 // replayRecords applies committed records to the store in log order and
 // flushes it. Replay is idempotent: records are object afterimages, so
 // applying them over an already-(partially-)recovered store rewrites the
 // same bytes — which is what makes a crash DURING recovery harmless.
-// Records wholly below the scan's checkpoint watermark are skipped: a
-// completed checkpoint already flushed their effects (skipping is an
-// optimization, not a correctness requirement, so a conservative
-// watermark only costs time).
 //
 // With jobs > 1 and the fixed-slot store, the apply phase is partitioned
 // by page hash across workers. Partitions own disjoint page sets and each
@@ -673,38 +486,25 @@ func replayRecords(store objectStore, scan *walScan, jobs int) (RecoveryStats, e
 	start := time.Now()
 	var st RecoveryStats
 
-	// Partition the scan into skipped and live records up front — counts
-	// must not depend on how far a failed replay got, and a malformed
-	// record should abort before any write, not after half of them.
-	appliedPages := make(map[core.PageID]struct{})
-	skippedPages := make(map[core.PageID]struct{})
+	// Validate and count up front — counts must not depend on how far a
+	// failed replay got, and a malformed record should abort before any
+	// write, not after half of them.
+	pages := make(map[core.PageID]struct{})
 	var live []*walRecord
-	for i, rec := range scan.recs {
+	for _, rec := range scan.recs {
 		if !rec.Commit {
 			continue
 		}
 		if len(rec.Objs) != len(rec.Images) {
 			return st, fmt.Errorf("live: malformed WAL record for txn %d", rec.Txn)
 		}
-		if scan.ends[i] <= scan.covered {
-			st.RecordsSkipped++
-			for _, o := range rec.Objs {
-				skippedPages[o.Page] = struct{}{}
-			}
-			continue
-		}
-		st.Records++
 		live = append(live, rec)
 		for _, o := range rec.Objs {
-			appliedPages[o.Page] = struct{}{}
+			pages[o.Page] = struct{}{}
 		}
 	}
-	st.PagesReplayed = len(appliedPages)
-	for p := range skippedPages {
-		if _, ok := appliedPages[p]; !ok {
-			st.PagesSkipped++
-		}
-	}
+	st.Records = len(live)
+	st.PagesReplayed = len(pages)
 
 	fs, fixed := store.(*Store)
 	if jobs < 1 || !fixed {
@@ -811,21 +611,4 @@ func replayParallel(store *Store, live []*walRecord, jobs int) error {
 		}
 	}
 	return nil
-}
-
-// Recover replays the committed records in the log at walPath against the
-// store with jobs parallel workers (1 = serial). It shares one scan with
-// the WAL it returns open (positioned for appending); callers own closing
-// it. Missing log: fresh empty WAL.
-func Recover(store objectStore, walPath string, jobs int) (*WAL, RecoveryStats, error) {
-	w, scan, err := OpenWAL(walPath)
-	if err != nil {
-		return nil, RecoveryStats{}, err
-	}
-	st, err := replayRecords(store, scan, jobs)
-	if err != nil {
-		w.Close()
-		return nil, st, err
-	}
-	return w, st, nil
 }

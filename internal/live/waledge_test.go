@@ -3,13 +3,13 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 // walWithRecords writes n committed records and returns the log path plus
@@ -181,133 +181,87 @@ func TestScanWALBitFlipFuzz(t *testing.T) {
 	}
 }
 
-// TestScanWALCheckpointWatermark exercises the watermark frame end to
-// end: scan picks the covered offset back up, prefix truncation shifts
-// frame and coverage together (the delta encoding is what makes the
-// watermark survive the very truncation it authorizes), and a corrupted
-// watermark degrades to covered=0 — replay everything, conservatively.
-func TestScanWALCheckpointWatermark(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, err := OpenWAL(path)
+// TestScanWALSkipsLegacyWatermark: a checkpoint by an older server left a
+// CRC-valid checkpoint watermark frame (walFormatCheckpoint) in its log,
+// with acked records behind it. The scan must step over the frame, not
+// stop there: stopping would drop those records on upgrade. Replay is
+// idempotent, so replaying the records a watermark covered is harmless.
+func TestScanWALSkipsLegacyWatermark(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := openServer(dir, ServerOptions{
+		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs := make([]int64, 3)
-	appendRec := func(i int) {
-		t.Helper()
-		if err := w.Append(&walRecord{Txn: core.TxnID(100 + i), Client: 1,
-			Objs: []core.ObjID{o(core.PageID(i), 0)}, Images: [][]byte{{byte(i), 1}},
-			Commit: true}); err != nil {
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The watermark body as older servers encoded it: the format byte,
+	// then the uvarint distance from the frame back to the covered offset.
+	watermark := func(delta int) []byte {
+		body := binary.AppendUvarint([]byte{walFormatCheckpoint}, uint64(delta))
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+		return append(frame, body...)
+	}
+	record := func(i int) []byte {
+		return encodeWALFrame(&walRecord{Txn: core.TxnID(100 + i), Client: 1,
+			Objs: []core.ObjID{o(core.PageID(i), 0)}, Images: [][]byte{seqVal(uint32(i))}, Commit: true})
+	}
+	// A log that begins with a watermark (its prefix truncated), then two
+	// records, a second watermark covering the first of them, two more.
+	log := watermark(0)
+	log = append(log, record(0)...)
+	r1 := record(1)
+	log = append(log, r1...)
+	log = append(log, watermark(len(r1))...)
+	log = append(log, record(2)...)
+	log = append(log, record(3)...)
+	path := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, off := scanFile(t, path)
+	if len(recs) != 4 || off != int64(len(log)) {
+		t.Fatalf("scanned %d records to offset %d, want 4 records to the file size %d",
+			len(recs), off, len(log))
+	}
+	for i, rec := range recs {
+		if rec.Txn != core.TxnID(100+i) {
+			t.Fatalf("record %d has Txn %d, want %d", i, rec.Txn, 100+i)
+		}
+	}
+
+	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := srv2.RecoveryStats(); got.Records != 4 || got.PagesReplayed != 4 {
+		t.Fatalf("recovery stats %+v, want 4 records over 4 pages", got)
+	}
+	if v := srv2.Metrics().CounterValue("oodb_live_recovery_pages_replayed_total"); v != 4 {
+		t.Fatalf("oodb_live_recovery_pages_replayed_total = %d, want 4", v)
+	}
+	cl := attachClient(t, srv2)
+	defer cl.Close()
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		got, err := tx.Read(o(core.PageID(i), 0))
+		if err != nil {
 			t.Fatal(err)
 		}
-		offs[i] = w.off
+		if !bytes.HasPrefix(got, seqVal(uint32(i))) {
+			t.Fatalf("record %d's object lost: %x", i, got[:4])
+		}
 	}
-	appendRec(0)
-	appendRec(1)
-	ticket, gen, err := w.appendCheckpoint(offs[0]) // watermark covering record 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WaitDurable(ticket, gen); err != nil {
-		t.Fatal(err)
-	}
-	wmStart := offs[1] // the watermark frame begins where record 1 ended
-	appendRec(2)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := scanWAL(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.recs) != 3 || scan.covered != offs[0] {
-		t.Fatalf("scan: %d records, covered=%d; want 3 records, covered=%d",
-			len(scan.recs), scan.covered, offs[0])
-	}
-
-	// Truncate the covered prefix; the watermark must still decode — now to
-	// covered=0, since nothing below it survives in the new file.
-	w2, _, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.TruncatePrefix(offs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := scanFile(t, path)
-	if len(recs) != 2 || recs[0].Txn != 101 || recs[1].Txn != 102 {
-		t.Fatalf("post-truncation scan: %d records (first Txn %d), want records 101,102",
-			len(recs), recs[0].Txn)
-	}
-	f2, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan2, err := scanWAL(f2)
-	f2.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan2.covered != 0 {
-		t.Fatalf("post-truncation covered=%d, want 0", scan2.covered)
-	}
-
-	// A flipped bit inside the watermark body stops the scan at the frame:
-	// earlier records survive, coverage resets to zero. Rebuild the
-	// pre-truncation image in a second file and damage its watermark.
-	path2 := filepath.Join(t.TempDir(), "wal2.log")
-	w3, _, err := OpenWAL(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w = w3
-	appendRec(0)
-	appendRec(1)
-	ticket, gen, err = w3.appendCheckpoint(offs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w3.WaitDurable(ticket, gen); err != nil {
-		t.Fatal(err)
-	}
-	appendRec(2)
-	if err := w3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fw, err := os.OpenFile(path2, os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.WriteAt([]byte{0xff}, wmStart+9); err != nil { // inside the watermark body
-		t.Fatal(err)
-	}
-	fw.Close()
-	recs, off := scanFile(t, path2)
-	if len(recs) != 2 || off != wmStart {
-		t.Fatalf("corrupt watermark: %d records to offset %d, want 2 records stopping at %d",
-			len(recs), off, wmStart)
-	}
-	f3, err := os.Open(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan3, err := scanWAL(f3)
-	f3.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan3.covered != 0 {
-		t.Fatalf("corrupt watermark left covered=%d, want 0 (replay everything)", scan3.covered)
-	}
+	tx.Commit()
 }
 
 // A zero-length frame (all-zero header, e.g. preallocated or zero-filled
@@ -354,46 +308,5 @@ func TestForceToMakesUnsyncedTailDurable(t *testing.T) {
 	recs, _ := scanFile(t, path)
 	if len(recs) != 3 {
 		t.Fatalf("crash after ForceTo kept %d records, want 3", len(recs))
-	}
-}
-
-// A directory-fsync failure inside TruncatePrefix must fail-stop the log:
-// the rename's durability is unknown (a crash could resurrect the old
-// inode), so acking any later commit against the new file would break
-// acked-implies-durable. The injected failure must poison the log so no
-// append after it can be acknowledged.
-func TestTruncatePrefixDirSyncFailureFailsStop(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append(&walRecord{Txn: core.TxnID(i + 1), Commit: true,
-			Objs: []core.ObjID{o(core.PageID(i), 0)}, Images: [][]byte{{byte(i)}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	limit := w.tail()
-	if err := w.Append(&walRecord{Txn: 99, Commit: true,
-		Objs: []core.ObjID{o(9, 0)}, Images: [][]byte{{9}}}); err != nil {
-		t.Fatal(err)
-	}
-	defer fault.DisarmAll()
-	fault.Get("wal.truncate.pre-dirsync").Arm(1)
-	err = w.TruncatePrefix(limit)
-	if err == nil || !fault.IsCrash(err) {
-		t.Fatalf("TruncatePrefix returned %v, want injected dir-fsync crash", err)
-	}
-	if err := w.Append(&walRecord{Txn: 100, Commit: true,
-		Objs: []core.ObjID{o(1, 0)}, Images: [][]byte{{1}}}); err == nil {
-		t.Fatal("append acknowledged on a log whose truncation rename has unknown durability")
-	}
-	w.crash()
-	// The renamed file holds the surviving tail record; recovery still
-	// replays it (the fail-stop protects future acks, not past ones).
-	recs, _ := scanFile(t, path)
-	if len(recs) != 1 || recs[0].Txn != 99 {
-		t.Fatalf("post-crash scan found %d records, want the surviving tail record", len(recs))
 	}
 }
