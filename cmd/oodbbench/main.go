@@ -25,7 +25,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/live"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func main() {
 	pages := flag.Int("pages", 256, "database pages (in-process)")
 	hot := flag.Bool("hot", false, "give each client a private hot region (HOTCOLD-like)")
 	shards := flag.Int("shards", 0,
-		"engine shards for the in-process server (0 = min(8, GOMAXPROCS), honoring OODB_SHARDS)")
+		"engine shards for the in-process server (0 = min(8, GOMAXPROCS))")
 	transport := flag.String("transport", "",
 		"serve the in-process benchmark over loopback TCP with this connection "+
 			"transport (goroutine | reactor) instead of in-memory pipes; "+
@@ -79,7 +78,6 @@ func main() {
 			Proto: p, NumPages: *pages, Shards: *shards, Metrics: reg,
 			Heat: *heat, Recluster: *recluster, Transport: *transport,
 		}}
-		live.ApplyEnv(&copts.ServerOptions)
 		cluster, err := repro.NewCluster(dir, copts)
 		if err != nil {
 			fatal(err)

@@ -18,17 +18,15 @@
 //	                   reader+pump goroutine pair per session) or
 //	                   reactor (epoll event loops, O(loops) goroutines
 //	                   for any session count; Linux only, falls back to
-//	                   goroutine elsewhere); honors OODB_TRANSPORT
+//	                   goroutine elsewhere)
 //	-reactor-loops     reactor event loops (0 = min(8, GOMAXPROCS))
 //	-reactor-drain-cap depose a session whose pending outbound bytes
 //	                   exceed this cap — a reader too slow to drain its
 //	                   socket (0 = default 8 MiB)
 //	-shards            engine shards by page hash (power of two, max 64;
-//	                   0 = min(8, GOMAXPROCS), honoring OODB_SHARDS;
-//	                   1 = the unsharded engine)
+//	                   0 = min(8, GOMAXPROCS); 1 = the unsharded engine)
 //	-recovery-jobs     parallel WAL replay workers during startup recovery
-//	                   (0 = min(shards, GOMAXPROCS), honoring
-//	                   OODB_RECOVERY_JOBS; 1 = serial replay)
+//	                   (0 = min(shards, GOMAXPROCS); 1 = serial replay)
 //	-callback-timeout  depose clients that leave a cache-consistency
 //	                   callback unanswered for this long (0 disables);
 //	                   bounds how long one silent client can stall writers
@@ -39,9 +37,9 @@
 //	                   admin endpoint can toggle it at runtime)
 //	-trace-size        trace ring capacity in events (0 = default)
 //	-heat              start with heat/contention collection enabled
-//	                   (honoring OODB_HEAT; /heatz can toggle at runtime)
+//	                   (/heatz can toggle at runtime)
 //	-heat-epoch        heat sketch decay interval
-//	-recluster         enable online reclustering (honoring OODB_RECLUSTER):
+//	-recluster         enable online reclustering:
 //	                   reserve spare pages at creation and migrate objects
 //	                   off false-sharing suspect pages in the background
 //	                   (implies -heat; see /reclusterz)
@@ -52,10 +50,6 @@
 //	-blackbox-max      retain at most this many blackbox dumps
 //	-stats-every       print a one-line stats summary at this interval
 //	                   (0 = off)
-//
-// A flag left at its zero value falls back to the matching environment
-// variable (live.ApplyEnv): OODB_SHARDS, OODB_RECOVERY_JOBS, OODB_HEAT,
-// OODB_RECLUSTER, OODB_TRANSPORT.
 //
 // Clients connect with repro.Dial (or cmd/oodbbench).
 //
@@ -88,17 +82,17 @@ func main() {
 	noSync := flag.Bool("nosync", false, "do not fsync the WAL per commit (unsafe)")
 	transport := flag.String("transport", "",
 		"connection transport: goroutine | reactor "+
-			"(empty = goroutine, honoring OODB_TRANSPORT)")
+			"(empty = goroutine)")
 	reactorLoops := flag.Int("reactor-loops", 0,
 		"reactor event loops (0 = min(8, GOMAXPROCS))")
 	reactorDrainCap := flag.Int("reactor-drain-cap", 0,
 		"depose sessions whose pending outbound bytes exceed this (0 = 8 MiB)")
 	shards := flag.Int("shards", 0,
 		"engine shards by page hash (rounded down to a power of two; "+
-			"0 = min(8, GOMAXPROCS), honoring OODB_SHARDS; 1 = unsharded)")
+			"0 = min(8, GOMAXPROCS); 1 = unsharded)")
 	recoveryJobs := flag.Int("recovery-jobs", 0,
 		"parallel WAL replay workers during startup recovery "+
-			"(0 = min(shards, GOMAXPROCS), honoring OODB_RECOVERY_JOBS; 1 = serial)")
+			"(0 = min(shards, GOMAXPROCS); 1 = serial)")
 	cbTimeout := flag.Duration("callback-timeout", 0,
 		"depose clients with callbacks unanswered this long (0 = wait forever)")
 	admin := flag.String("admin", "",
@@ -107,13 +101,13 @@ func main() {
 	traceSize := flag.Int("trace-size", 0,
 		"trace ring capacity in events (0 = default)")
 	recluster := flag.Bool("recluster", false,
-		"enable online reclustering (or OODB_RECLUSTER=1): reserve spare pages at "+
+		"enable online reclustering: reserve spare pages at "+
 			"creation and migrate objects off false-sharing suspect pages in the "+
 			"background (implies -heat; see /reclusterz)")
 	reclusterEvery := flag.Duration("recluster-every", 0,
 		"reclustering round period (0 = the 2s default)")
 	heat := flag.Bool("heat", false,
-		"start with heat/contention collection enabled (honoring OODB_HEAT)")
+		"start with heat/contention collection enabled")
 	heatEpoch := flag.Duration("heat-epoch", 0,
 		"heat sketch decay interval (0 = default 10s)")
 	blackboxDir := flag.String("blackbox-dir", "",
@@ -137,7 +131,6 @@ func main() {
 		Recluster: *recluster, ReclusterEvery: *reclusterEvery,
 		BlackboxDir: *blackboxDir, BlackboxMax: *blackboxMax,
 	}
-	live.ApplyEnv(&opts)
 	srv, err := live.OpenServer(*dir, opts)
 	if err != nil {
 		fatal(err)

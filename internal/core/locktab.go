@@ -306,13 +306,6 @@ func (lt *LockTab) LockCount(t TxnID) int {
 	return len(tl.PageX) + len(tl.ObjX)
 }
 
-// LockedPages returns the number of pages with tracked lock state
-// (diagnostics: lock-table size for /statusz and gauges).
-func (lt *LockTab) LockedPages() int { return len(lt.pages) }
-
-// LockingTxns returns the number of transactions currently holding locks.
-func (lt *LockTab) LockingTxns() int { return len(lt.txns) }
-
 // Empty reports whether no locks are held at all (quiescence checks).
 func (lt *LockTab) Empty() bool { return len(lt.pages) == 0 }
 

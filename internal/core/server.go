@@ -259,9 +259,6 @@ func (se *ServerEngine) ConfigureRoundIDs(first, stride int64) {
 	se.roundStride = stride
 }
 
-// ActiveTxns returns the number of transactions the server is tracking.
-func (se *ServerEngine) ActiveTxns() int { return len(se.txns) }
-
 // BlockedRequests returns the number of queued requests (diagnostics).
 func (se *ServerEngine) BlockedRequests() int {
 	n := 0
@@ -270,9 +267,6 @@ func (se *ServerEngine) BlockedRequests() int {
 	}
 	return n
 }
-
-// OpenRounds returns the number of callback rounds in flight.
-func (se *ServerEngine) OpenRounds() int { return len(se.rounds) }
 
 // RoundLive reports whether callback round id is still open (not yet
 // completed or cancelled). Hosts use it to decide whether a busy reply

@@ -27,8 +27,8 @@ import (
 //	                      the relocation table; ?run=1 triggers one round
 //	/debug/pprof/*        the standard Go profiling endpoints
 //
-// The handlers collect metrics without the server lock (the gauges take
-// it themselves), so serving traffic never stalls the data path.
+// The handlers collect metrics without the server lock, so serving
+// traffic never stalls the data path.
 func AdminHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -58,20 +58,27 @@ func AdminHandler(s *Server) http.Handler {
 		s.registry.WriteHuman(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		n := 0
-		if v := r.URL.Query().Get("n"); v != "" {
-			n, _ = strconv.Atoi(v)
+		// A malformed number is refused, not read as 0: a 0 page is a real
+		// page, and a 0 txn or n means "no filter".
+		q := r.URL.Query()
+		var bad string
+		num := func(key string, bits int) int64 {
+			v := q.Get(key)
+			if v == "" {
+				return 0
+			}
+			x, err := strconv.ParseInt(v, 10, bits)
+			if err != nil || (key == "n" && x < 0) {
+				bad = fmt.Sprintf("/trace: bad %s=%q", key, v)
+			}
+			return x
 		}
-		var txn int64
-		if v := r.URL.Query().Get("txn"); v != "" {
-			txn, _ = strconv.ParseInt(v, 10, 64)
+		n, txn, page := int(num("n", 32)), num("txn", 64), num("page", 32)
+		if bad != "" {
+			http.Error(w, bad, http.StatusBadRequest)
+			return
 		}
-		hasPage := false
-		var page int64
-		if v := r.URL.Query().Get("page"); v != "" {
-			page, _ = strconv.ParseInt(v, 10, 32)
-			hasPage = true
-		}
+		hasPage := q.Get("page") != ""
 		var filter func(*obs.Event) bool
 		if txn != 0 || hasPage {
 			filter = func(e *obs.Event) bool {

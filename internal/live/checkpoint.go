@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -43,7 +42,6 @@ func (s *Server) Checkpoint() error {
 		return fmt.Errorf("live: server closed")
 	}
 	s.mu.Unlock()
-	start := time.Now()
 
 	s.installMu.Lock()
 	err := s.checkpointLocked()
@@ -51,7 +49,6 @@ func (s *Server) Checkpoint() error {
 	if err != nil {
 		return s.failStop(err)
 	}
-	s.metrics.checkpointNs.Observe(time.Since(start).Nanoseconds())
 	s.metrics.checkpoints.Inc()
 	return nil
 }

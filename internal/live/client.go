@@ -337,7 +337,6 @@ func (c *Client) deliver(m *core.Msg, err error) {
 			c.mu.Unlock() // verdict on a transaction that already ended
 			return
 		}
-		c.met.abort()
 		// Roll the transaction back right here so subsequent messages
 		// see consistent state; the waiter just learns the outcome.
 		c.abort()
@@ -391,19 +390,15 @@ func (c *Client) reconnect(cause error) Conn {
 	c.mu.Unlock()
 	old.Close()
 
-	policy := c.opts.Retry.withDefaults()
-	delay := policy.BaseDelay
-	rng := newJitterRand() // private source: reconnect storms must not share a lock
-	for attempt := 1; policy.MaxAttempts <= 0 || attempt <= policy.MaxAttempts; attempt++ {
-		t := time.NewTimer(policy.jittered(rng, delay))
+	attempts := c.opts.Retry.MaxAttempts
+	next := c.opts.Retry.delays()
+	for attempt := 1; attempts <= 0 || attempt <= attempts; attempt++ {
+		t := time.NewTimer(next())
 		select {
 		case <-c.closeCh:
 			t.Stop()
 			return nil
 		case <-t.C:
-		}
-		if delay *= 2; delay > policy.MaxDelay {
-			delay = policy.MaxDelay
 		}
 		conn, err := c.opts.Redial()
 		if err != nil {
@@ -420,7 +415,6 @@ func (c *Client) reconnect(cause error) Conn {
 			conn.Close()
 			return nil
 		}
-		c.met.reconnect()
 		// Fresh session: new id, cold cache, clean protocol state.
 		c.conn = conn
 		c.id = hello.HelloID
@@ -849,7 +843,6 @@ func (t *Txn) Commit() error {
 		c.failPending()
 	}
 	if c.closed {
-		c.met.abort()
 		t.done = true
 		c.txn = nil
 		return ErrClosed
@@ -869,7 +862,6 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	c.abort()
-	c.met.abort()
 	t.done = true
 	c.txn = nil
 	return nil

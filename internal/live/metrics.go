@@ -65,34 +65,24 @@ type serverMetrics struct {
 	walSyncs     *obs.Counter
 	walGroupSize *obs.Histogram
 
-	checkpointNs *obs.Histogram
-	checkpoints  *obs.Counter
-	flushPages   *obs.Counter
+	checkpoints *obs.Counter
+	flushPages  *obs.Counter
 
-	// Recovery counters are bumped once per OpenServer from the opening
-	// replay's RecoveryStats (with a shared registry they accumulate
-	// across restarts, which is the point: restarts are countable events).
+	// recoveryPagesReplayed is bumped once per OpenServer from the opening
+	// replay's RecoveryStats (with a shared registry it accumulates across
+	// restarts, which is the point: restarts are countable events).
 	recoveryPagesReplayed *obs.Counter
-	recoveryDurationNs    *obs.Counter
 
 	// Online reclustering: objects migrated (relocation entries applied by
-	// committed migration txns), suspect pages the planner chose to split,
-	// and redirects served for retired addresses (at the front door, or to
-	// requests queued behind the move when it installed).
-	reclusterMoves      *obs.Counter
-	reclusterPagesSplit *obs.Counter
-	reclusterRedirects  *obs.Counter
+	// committed migration txns), and redirects served for retired
+	// addresses (at the front door, or to requests queued behind the move
+	// when it installed).
+	reclusterMoves     *obs.Counter
+	reclusterRedirects *obs.Counter
 
-	// Reactor transport: epoll_wait returns that carried at least one
-	// event (batches), events delivered across those batches, latency from
-	// a cross-thread wakeup request (Kick, close) to the loop picking it
-	// up, and sessions deposed because their pending write queue exceeded
-	// the drain cap (a slow reader under the reactor's per-connection
-	// byte-queue analogue of the outbox limit). The registered-fd count is
-	// a FuncGauge (registerServerGauges).
-	reactorBatches *obs.Counter
-	reactorEvents  *obs.Counter
-	reactorWakeNs  *obs.Histogram
+	// reactorDeposes counts sessions deposed because their pending write
+	// queue exceeded the drain cap (a slow reader under the reactor's
+	// per-connection byte-queue analogue of the outbox limit).
 	reactorDeposes *obs.Counter
 }
 
@@ -137,92 +127,18 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"WAL fsyncs issued (group commit: one sync can cover many records)")
 	m.walGroupSize = reg.Histogram("oodb_live_wal_group_size",
 		"commit records made durable per WAL fsync (group-commit batch size)")
-	m.checkpointNs = reg.Histogram("oodb_checkpoint_ns",
-		"checkpoint duration (store flush + log truncate), ns")
 	m.checkpoints = reg.Counter("oodb_checkpoints_total", "checkpoints completed")
 	m.flushPages = reg.Counter("oodb_store_flush_pages_total",
 		"dirty pages written by store flushes")
 	m.recoveryPagesReplayed = reg.Counter("oodb_live_recovery_pages_replayed_total",
 		"distinct pages receiving at least one replayed WAL image at recovery")
-	m.recoveryDurationNs = reg.Counter("oodb_live_recovery_duration_ns",
-		"total wall time spent replaying the WAL at recovery, ns")
 	m.reclusterMoves = reg.Counter("oodb_recluster_moves_total",
 		"objects migrated to new placements by committed reclustering txns")
-	m.reclusterPagesSplit = reg.Counter("oodb_recluster_pages_split_total",
-		"false-sharing suspect pages the reclusterer split writers off of")
 	m.reclusterRedirects = reg.Counter("oodb_recluster_redirects_total",
 		"requests for retired addresses answered with an MRelocated redirect")
-	m.reactorBatches = reg.Counter("oodb_live_reactor_event_batches_total",
-		"epoll_wait returns that delivered at least one event")
-	m.reactorEvents = reg.Counter("oodb_live_reactor_events_total",
-		"epoll events delivered to reactor loops")
-	m.reactorWakeNs = reg.Histogram("oodb_live_reactor_wake_ns",
-		"latency from a cross-thread loop wakeup request to the loop running it, ns")
 	m.reactorDeposes = reg.Counter("oodb_live_reactor_deposes_total",
 		"sessions deposed for a pending write queue over the drain cap (slow reader)")
 	return m
-}
-
-// registerServerGauges exposes the server's instantaneous state. Engine
-// gauges sum across shards taking ONE shard lock at a time, so a scrape
-// may briefly contend with one shard but can never serialize the whole
-// engine (the pre-shard gauges held the single engine lock, which meant
-// a slow scrape stalled every commit; with shards that would have
-// amplified to all-locks-at-once).
-func (s *Server) registerServerGauges(reg *obs.Registry) {
-	shardSum := func(read func(*core.ServerEngine) int64) func() int64 {
-		return func() int64 {
-			if s.closedFlag.Load() {
-				return 0
-			}
-			var sum int64
-			for _, sh := range s.shards {
-				sh.mu.Lock()
-				sum += read(sh.eng)
-				sh.mu.Unlock()
-			}
-			return sum
-		}
-	}
-	reg.FuncGauge("oodb_server_sessions", "attached client sessions",
-		func() int64 { return int64(len(s.sessionMap())) })
-	reg.FuncGauge("oodb_live_shards", "engine shards (page-hash partitions)",
-		func() int64 { return int64(len(s.shards)) })
-	reg.FuncGauge("oodb_live_reactor_fds", "sockets registered with the reactor's event loops",
-		func() int64 {
-			if r := s.reactor.Load(); r != nil {
-				return r.fds.Load()
-			}
-			return 0
-		})
-	reg.FuncGauge("oodb_server_active_txns", "transactions the engine is tracking (multi-shard txns count once per shard)",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.ActiveTxns()) }))
-	reg.FuncGauge("oodb_server_blocked_requests", "requests queued behind locks",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.BlockedRequests()) }))
-	reg.FuncGauge("oodb_server_open_rounds", "callback rounds in flight",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.OpenRounds()) }))
-	reg.FuncGauge("oodb_server_locked_pages", "pages with tracked lock state",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.Locks.LockedPages()) }))
-	reg.FuncGauge("oodb_server_locking_txns", "transactions holding locks (multi-shard txns count once per shard)",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.Locks.LockingTxns()) }))
-	reg.FuncGauge("oodb_server_copy_entries", "cached-copy registrations at the server",
-		shardSum(func(e *core.ServerEngine) int64 { return int64(e.Copies.CopyCount()) }))
-	reg.FuncGauge("oodb_wal_size_bytes", "current WAL length",
-		func() int64 {
-			if s.closedFlag.Load() {
-				return 0
-			}
-			return s.wal.Len()
-		})
-	reg.FuncCounter("oodb_trace_dropped_total",
-		"trace events dropped by the lossy ring", s.tracer.Dropped)
-	reg.FuncGauge("oodb_recluster_table_size", "live relocation-table entries",
-		func() int64 {
-			if s.relocs == nil {
-				return 0
-			}
-			return int64(len(s.relocs.view().m))
-		})
 }
 
 // onEngineTrace receives every protocol event from one engine shard
@@ -309,8 +225,6 @@ type clientMetrics struct {
 	cacheMisses *obs.Counter
 	fetches     *obs.Counter
 	commits     *obs.Counter
-	aborts      *obs.Counter
-	reconnects  *obs.Counter
 	rttNs       *obs.Histogram
 }
 
@@ -333,10 +247,6 @@ func newClientMetrics(reg *obs.Registry, proto core.Protocol) *clientMetrics {
 		fetches: reg.Counter("oodb_client_fetches_total",
 			"data/permission fetches sent to the server"),
 		commits: reg.Counter("oodb_client_commits_total", "transactions committed"),
-		aborts: reg.Counter("oodb_client_aborts_total",
-			"transactions aborted (victim notices and voluntary aborts)"),
-		reconnects: reg.Counter("oodb_client_reconnects_total",
-			"successful session re-registrations after a transport error"),
 		rttNs: reg.Histogram("oodb_client_request_rtt_ns",
 			"request round-trip time incl. blocking at the server, ns"),
 	}
@@ -364,17 +274,5 @@ func (m *clientMetrics) rtt(d time.Duration) {
 func (m *clientMetrics) commit() {
 	if m != nil {
 		m.commits.Inc()
-	}
-}
-
-func (m *clientMetrics) abort() {
-	if m != nil {
-		m.aborts.Inc()
-	}
-}
-
-func (m *clientMetrics) reconnect() {
-	if m != nil {
-		m.reconnects.Inc()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,34 @@ func TestAdminEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || len(prof) == 0 {
 		t.Errorf("pprof profile: status %d, %d bytes", resp.StatusCode, len(prof))
+	}
+}
+
+// TestAdminTraceQueryValidated: /trace answers 400 to a number it cannot
+// parse instead of reading it as 0 (page 0 is a real page; txn 0 and n 0
+// mean no filter, which would return the unfiltered ring).
+func TestAdminTraceQueryValidated(t *testing.T) {
+	srv, _ := testServer(t, core.PSAA)
+	defer srv.Close()
+	h := AdminHandler(srv)
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"", http.StatusOK},
+		{"?n=5&txn=7&page=1", http.StatusOK},
+		{"?page=x", http.StatusBadRequest},
+		{"?page=4294967296", http.StatusBadRequest},
+		{"?txn=1e3", http.StatusBadRequest},
+		{"?n=ten", http.StatusBadRequest},
+		{"?n=-1", http.StatusBadRequest},
+		{"?n=5&page=", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/trace"+tc.query, nil))
+		if rec.Code != tc.want {
+			t.Errorf("GET /trace%s: status %d, want %d (%s)", tc.query, rec.Code, tc.want, rec.Body)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package live
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -35,13 +33,13 @@ type ServerOptions struct {
 	// fixed slots. Requires the OS protocol (object transfer), since
 	// clients no longer interpret raw page images.
 	VariableObjects bool
-	// OutboxLimit caps a session's staged outbound messages. A client
+	// outboxLimit caps a session's staged outbound messages. A client
 	// that stops draining its connection while callbacks and grants keep
 	// arriving would otherwise grow server memory without bound; at the
 	// cap the server deposes the session (disconnects it through the
 	// normal departure path). 0 means the default (4096); negative
-	// disables the cap.
-	OutboxLimit int
+	// disables the cap. Only this package's tests override it.
+	outboxLimit int
 	// CallbackTimeout bounds how long a client may sit on an outstanding
 	// callback (including the deferred ack after a busy reply), or leave
 	// the server parked in one write to it, before the server declares it
@@ -72,19 +70,16 @@ type ServerOptions struct {
 	// BlackboxMax bounds retained blackbox dumps (default 8).
 	BlackboxMax int
 	// Recluster enables online reclustering: the store is created with a
-	// spare-page region past the user-visible geometry, and a background
-	// planner consumes heat snapshots and migrates objects off
-	// false-sharing pages into (near-)private spare pages via system
-	// transactions. Implies Heat. Fixed-slot stores only (the variable
-	// store relocates on its own terms). On a
-	// pre-existing store created without reclustering there is no spare
-	// region, so the planner stays inert.
+	// spare-page region past the user-visible geometry (NumPages/8
+	// pages, clamped to [4, 256]), and a background planner consumes heat
+	// snapshots and migrates objects off false-sharing pages into
+	// (near-)private spare pages via system transactions. Implies Heat.
+	// Fixed-slot stores only (the variable store relocates on its own
+	// terms). On a pre-existing store created without reclustering there
+	// is no spare region, so the planner stays inert.
 	Recluster bool
 	// ReclusterEvery is the planner's polling period (default 2s).
 	ReclusterEvery time.Duration
-	// ReclusterSpare overrides the spare-page count reserved at store
-	// creation (default NumPages/8, clamped to [4, 256]).
-	ReclusterSpare int
 	// Transport selects what drives the session machine behind each
 	// accepted TCP socket: TransportGoroutine (the default) parks two
 	// goroutines per session on the blocking connection (reader + pump);
@@ -103,8 +98,8 @@ type ServerOptions struct {
 	// ReactorDrainCap caps one reactor connection's pending outbound
 	// bytes. A client that stops reading while grants and callbacks keep
 	// coalescing into its queue is deposed at the cap instead of growing
-	// server memory without bound — the byte-level analogue of
-	// OutboxLimit. 0 means the default (8 MiB); negative disables the
+	// server memory without bound — the byte-level analogue of the
+	// session outbox limit. 0 means the default (8 MiB); negative disables the
 	// cap.
 	ReactorDrainCap int
 }
@@ -125,8 +120,8 @@ func (o *ServerOptions) defaults() {
 	if o.NumPages == 0 {
 		o.NumPages = 1250
 	}
-	if o.OutboxLimit == 0 {
-		o.OutboxLimit = 4096
+	if o.outboxLimit == 0 {
+		o.outboxLimit = 4096
 	}
 	if o.Shards == 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
@@ -172,50 +167,6 @@ func (o *ServerOptions) defaults() {
 		o.Heat = true // the planner is blind without the collector
 		if o.ReclusterEvery <= 0 {
 			o.ReclusterEvery = 2 * time.Second
-		}
-		if o.ReclusterSpare <= 0 {
-			o.ReclusterSpare = o.NumPages / 8
-			if o.ReclusterSpare < 4 {
-				o.ReclusterSpare = 4
-			}
-			if o.ReclusterSpare > 256 {
-				o.ReclusterSpare = 256
-			}
-		}
-	}
-}
-
-// ApplyEnv fills the fields of o that are still unset from the
-// deployment environment — the five variables the CI matrix selects its
-// configurations with. It is the only place the process environment is
-// consulted, and no library path calls it: the oodbserver and oodbbench
-// commands do (after flag parsing, so a flag wins), as does this
-// package's test set-up. A server opened through OpenServer alone behaves
-// the same under any environment. Unparsable numbers are ignored.
-func ApplyEnv(o *ServerOptions) {
-	for _, e := range []struct {
-		name string
-		num  *int
-		flag *bool
-		str  *string
-	}{
-		{name: "OODB_SHARDS", num: &o.Shards},
-		{name: "OODB_RECOVERY_JOBS", num: &o.RecoveryJobs},
-		{name: "OODB_HEAT", flag: &o.Heat},
-		{name: "OODB_RECLUSTER", flag: &o.Recluster},
-		{name: "OODB_TRANSPORT", str: &o.Transport},
-	} {
-		v := os.Getenv(e.name)
-		switch {
-		case v == "":
-		case e.num != nil && *e.num == 0:
-			if n, err := strconv.Atoi(v); err == nil {
-				*e.num = n
-			}
-		case e.flag != nil:
-			*e.flag = *e.flag || v == "1" || v == "true"
-		case e.str != nil && *e.str == "":
-			*e.str = v
 		}
 	}
 }

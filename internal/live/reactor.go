@@ -51,7 +51,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 )
@@ -98,7 +97,6 @@ type reactor struct {
 	drainCap int
 	m        *serverMetrics
 
-	fds     atomic.Int64 // sockets registered across loops (gauge)
 	stopped atomic.Bool
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
@@ -200,7 +198,6 @@ const (
 type rop struct {
 	kind ropKind
 	c    *rconn
-	at   int64 // UnixNano at enqueue, for the wake-latency histogram
 }
 
 type rloop struct {
@@ -279,10 +276,6 @@ func (l *rloop) run() {
 			l.teardownAll()
 			return
 		}
-		if n > 0 {
-			l.r.m.reactorBatches.Inc()
-			l.r.m.reactorEvents.Add(int64(n))
-		}
 		// Wake/ops first: closes queued for fds in this very batch must
 		// win, so their stale events miss the map below.
 		for i := 0; i < n; i++ {
@@ -340,11 +333,7 @@ func (l *rloop) runOps() {
 	ops := l.ops
 	l.ops = nil
 	l.mu.Unlock()
-	now := time.Now().UnixNano()
 	for _, op := range ops {
-		if op.at > 0 {
-			l.r.m.reactorWakeNs.Observe(now - op.at)
-		}
 		switch op.kind {
 		case opKick:
 			op.c.kicked.Store(false)
@@ -411,7 +400,6 @@ func (l *rloop) teardown(rc *rconn) {
 	if rc.registered {
 		epollDel(l.ep, rc.fd)
 		rc.registered = false
-		l.r.fds.Add(-1)
 	}
 	rc.pending = nil
 	rc.wmu.Unlock()
@@ -472,7 +460,7 @@ func (rc *rconn) Kick() {
 		return
 	}
 	if rc.kicked.CompareAndSwap(false, true) {
-		rc.loop.enqueue(rop{kind: opKick, c: rc, at: time.Now().UnixNano()})
+		rc.loop.enqueue(rop{kind: opKick, c: rc})
 	}
 }
 
@@ -508,7 +496,6 @@ func (rc *rconn) register() error {
 		l.mu.Unlock()
 		return err
 	}
-	rc.loop.r.fds.Add(1)
 	return nil
 }
 
@@ -635,8 +622,7 @@ func (rc *rconn) readPass(l *rloop) {
 			return
 		}
 		if reads >= reactorMaxReads {
-			// Fairness: let the loop's other connections run; resume via
-			// an op (at=0: a self-requeue is not a cross-thread wake).
+			// Fairness: let the loop's other connections run; resume via an op.
 			l.enqueue(rop{kind: opRead, c: rc})
 			return
 		}
@@ -694,7 +680,7 @@ func (rc *rconn) Close() error {
 // with or without wmu held.
 func (rc *rconn) fail() {
 	if rc.closed.CompareAndSwap(false, true) {
-		rc.loop.enqueue(rop{kind: opClose, c: rc, at: time.Now().UnixNano()})
+		rc.loop.enqueue(rop{kind: opClose, c: rc})
 	}
 }
 

@@ -5,18 +5,15 @@ package live
 // Reactor stub for platforms without epoll. ListenAndServe asks for a
 // reactor, newReactor declines, and the server falls back cleanly to the
 // goroutine-per-connection transport — same Conn semantics, just a
-// per-session goroutine cost. The type exists so the Server struct and
-// the registered-fds gauge compile unchanged.
+// per-session goroutine cost. The type exists so the Server struct
+// compiles unchanged.
 
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 )
 
-type reactor struct {
-	fds atomic.Int64 // always 0: nothing ever registers
-}
+type reactor struct{}
 
 func newReactor(s *Server) (*reactor, error) {
 	return nil, fmt.Errorf("live: reactor transport requires epoll (linux)")

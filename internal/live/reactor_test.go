@@ -220,10 +220,10 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 		transport, counter string
 		opts               ServerOptions
 	}{
-		{TransportGoroutine, "oodb_live_outbox_deposes_total", ServerOptions{OutboxLimit: 2048}},
-		// OutboxLimit -1: the reactor's byte cap must be the depose path
+		{TransportGoroutine, "oodb_live_outbox_deposes_total", ServerOptions{outboxLimit: 2048}},
+		// outboxLimit -1: the reactor's byte cap must be the depose path
 		// under test.
-		{TransportReactor, "oodb_live_reactor_deposes_total", ServerOptions{OutboxLimit: -1, ReactorDrainCap: 32 << 10}},
+		{TransportReactor, "oodb_live_reactor_deposes_total", ServerOptions{outboxLimit: -1, ReactorDrainCap: 32 << 10}},
 	} {
 		t.Run(tc.transport, func(t *testing.T) {
 			opts := tc.opts
@@ -268,7 +268,7 @@ func TestTCPLoneRequesterNeverReadsDeposed(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	srv, addr := startTransportServer(t, ServerOptions{
 		Proto: core.PSAA, PageSize: 4096, ObjsPerPage: 4, NumPages: nPages, SyncWAL: false,
-		Transport: TransportGoroutine, CallbackTimeout: timeout, OutboxLimit: -1,
+		Transport: TransportGoroutine, CallbackTimeout: timeout, outboxLimit: -1,
 	})
 	defer srv.Close()
 	conn := dialNarrow(t, addr)

@@ -162,19 +162,13 @@ func (r *recluster) runRound() (int, error) {
 	}
 
 	moved := 0
-	split := make(map[int32]bool)
 	for _, g := range groups {
 		n, err := r.migrateGroup(g)
 		moved += n
-		if n > 0 {
-			split[g.Page] = true
-		}
 		if terminal(err) {
-			s.metrics.reclusterPagesSplit.Add(int64(len(split)))
 			return moved, err
 		}
 	}
-	s.metrics.reclusterPagesSplit.Add(int64(len(split)))
 	return moved, nil
 }
 

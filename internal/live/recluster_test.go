@@ -27,8 +27,7 @@ func reclusterServerProto(t *testing.T, dir string, proto core.Protocol, shards 
 	srv, err := openServer(dir, ServerOptions{
 		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
 		Shards: shards, SyncWAL: true,
-		Recluster: true, ReclusterEvery: time.Hour, ReclusterSpare: 4,
-		HeatEpoch: time.Hour,
+		Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("OpenServer: %v", err)
@@ -686,9 +685,6 @@ func TestReclusterEndToEndHeatPlan(t *testing.T) {
 		sn := srv.heat.Snapshot()
 		t.Fatalf("planner moved nothing; suspects=%d threshold=%.2f", len(sn.Suspects()), sn.Threshold)
 	}
-	if srv.metrics.reclusterPagesSplit.Value() == 0 {
-		t.Fatal("pages-split counter never moved")
-	}
 
 	// Every object — moved or not — still reads its last committed value.
 	fresh := attachClient(t, srv)
@@ -722,8 +718,9 @@ func TestReclusterRemovesFalseSharingMessages(t *testing.T) {
 	for _, proto := range []core.Protocol{core.PS, core.PSOA, core.PSAA} {
 		t.Run(proto.String(), func(t *testing.T) {
 			srv, err := openServer(t.TempDir(), ServerOptions{
-				Proto: proto, PageSize: 4096, ObjsPerPage: objsPP, NumPages: 32,
-				Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour, ReclusterSpare: 8,
+				// 64 pages reserve 8 spare ones (NumPages/8).
+				Proto: proto, PageSize: 4096, ObjsPerPage: objsPP, NumPages: 64,
+				Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -102,8 +102,8 @@ type Server struct {
 	recovery RecoveryStats
 
 	// sessions is copy-on-write: readers (stage, routing, the watchdog,
-	// gauges) load the map lock-free; Attach/detach/close replace it
-	// under s.mu.
+	// the sessions gauge) load the map lock-free; Attach/detach/close
+	// replace it under s.mu.
 	sessions atomic.Pointer[map[core.ClientID]*session]
 
 	// closedFlag mirrors closed for lock-free checks on hot/failure
@@ -218,12 +218,14 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		store, err = OpenStore(dataPath)
 	} else if opts.Recluster {
 		// Reclustering reserves a spare region past the user-visible
-		// geometry: migrations allocate destination slots there. The spare
-		// count persists in relocs.db (written before the store can take a
-		// commit), and clients are told only the user page count.
-		store, err = CreateStore(dataPath, opts.PageSize, opts.ObjsPerPage, opts.NumPages+opts.ReclusterSpare)
+		// geometry (NumPages/8 pages, clamped to [4, 256]): migrations
+		// allocate destination slots there. The spare count persists in
+		// relocs.db (written before the store can take a commit), and
+		// clients are told only the user page count.
+		spare := min(max(opts.NumPages/8, 4), 256)
+		store, err = CreateStore(dataPath, opts.PageSize, opts.ObjsPerPage, opts.NumPages+spare)
 		if err == nil {
-			relocs = newRelocTable(int32(opts.ReclusterSpare))
+			relocs = newRelocTable(int32(spare))
 			if err = relocs.save(dir); err != nil {
 				store.Close()
 			}
@@ -328,7 +330,6 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	s.heat.SetEnabled(opts.Heat)
 	s.heat.RegisterMetrics(reg)
 	s.metrics.recoveryPagesReplayed.Add(int64(recov.PagesReplayed))
-	s.metrics.recoveryDurationNs.Add(recov.DurationNs)
 	empty := make(map[core.ClientID]*session)
 	s.sessions.Store(&empty)
 
@@ -356,7 +357,8 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 			"time one engine shard's lock was held per acquisition, ns, by shard")
 		s.shards[i] = sh
 	}
-	s.registerServerGauges(reg)
+	reg.FuncGauge("oodb_server_sessions", "attached client sessions",
+		func() int64 { return int64(len(s.sessionMap())) })
 	wal.metrics = s.metrics
 	if opts.CallbackTimeout > 0 {
 		interval := opts.CallbackTimeout / 4
@@ -657,9 +659,8 @@ func (s *Server) crashLocked(cause error) {
 	}
 	s.wal.crash()
 	s.store.closeRaw()
-	// Blackbox last, with closedFlag set: the shard-summing gauges
-	// short-circuit to 0, so the dump reads only atomics and the trace
-	// ring and cannot deadlock on engine state the crash interrupted.
+	// Blackbox last: the dump reads atomics, the trace ring and the heat
+	// and span snapshots, never engine state the crash interrupted.
 	s.flight.Dump("fail-stop: "+cause.Error(), s.tracer, s.heat, s.spans, s.registry)
 }
 

@@ -456,10 +456,9 @@ func (s *Server) settle(after []*session) {
 
 // deliver is every session's receiver callback, whichever driver calls
 // it: one inbound message through the engine, or the terminal error that
-// retires the session. A handling-path panic writes the flight-recorder
-// blackbox before the process goes down; poisoning closedFlag makes the
-// registry's shard-summing gauges short-circuit, so the dump cannot
-// deadlock on a lock the panicking goroutine may hold.
+// retires the session. A handling-path panic sets closedFlag, so the
+// lock-free closed checks stop new work, and writes the flight-recorder
+// blackbox before the process goes down.
 func (s *Server) deliver(sess *session, m *core.Msg, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -532,7 +531,7 @@ func (s *Server) stage(self *session, outs []core.Msg, after []*session) []*sess
 				sess.armCB(om.Req, time.Now().Add(s.opts.CallbackTimeout))
 			}
 		}
-		overflow := sess.push(om, sess == self, s.opts.OutboxLimit)
+		overflow := sess.push(om, sess == self, s.opts.outboxLimit)
 		if overflow {
 			s.metrics.outboxDeposes.Inc()
 		}

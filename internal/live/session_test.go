@@ -288,7 +288,7 @@ func sessionGrantFIFO(t *testing.T, transport string) {
 func sessionOutboxOverflow(t *testing.T, transport string) {
 	const limit = 32
 	h := newSessionHarness(t, transport, ServerOptions{
-		PageSize: 4096, ObjsPerPage: 4, NumPages: 64, OutboxLimit: limit, ReactorDrainCap: 64 << 10,
+		PageSize: 4096, ObjsPerPage: 4, NumPages: 64, outboxLimit: limit, ReactorDrainCap: 64 << 10,
 	})
 	defer h.srv.Close()
 	conn, sess := h.rawSession(t)

@@ -43,8 +43,8 @@ func TestShardDefaultsNormalization(t *testing.T) {
 	}
 }
 
-// TestApplyEnv: the environment fills unset fields only, through ApplyEnv
-// only — defaults() (and so OpenServer) never looks at it.
+// TestApplyEnv: the environment fills unset fields only, through the test
+// helper applyEnv only — defaults() (and so OpenServer) never looks at it.
 func TestApplyEnv(t *testing.T) {
 	t.Setenv("OODB_SHARDS", "4")
 	t.Setenv("OODB_RECOVERY_JOBS", "x") // unparsable: ignored
@@ -59,14 +59,14 @@ func TestApplyEnv(t *testing.T) {
 	}
 
 	o := ServerOptions{}
-	ApplyEnv(&o)
+	applyEnv(&o)
 	if o.Shards != 4 || o.RecoveryJobs != 0 || !o.Heat || o.Recluster || o.Transport != TransportReactor {
-		t.Errorf("ApplyEnv on zero options gave %+v", o)
+		t.Errorf("applyEnv on zero options gave %+v", o)
 	}
 	set := ServerOptions{Shards: 2, Transport: TransportGoroutine}
-	ApplyEnv(&set)
+	applyEnv(&set)
 	if set.Shards != 2 || set.Transport != TransportGoroutine {
-		t.Errorf("ApplyEnv overrode explicit fields: %+v", set)
+		t.Errorf("applyEnv overrode explicit fields: %+v", set)
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"os"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -14,8 +15,40 @@ func openFile(path string) (*os.File, error) { return os.Open(path) }
 // with the CI matrix's OODB_* selection (shards, recovery jobs, heat,
 // recluster, transport) filling whatever the test left unset.
 func openServer(dir string, opts ServerOptions) (*Server, error) {
-	ApplyEnv(&opts)
+	applyEnv(&opts)
 	return OpenServer(dir, opts)
+}
+
+// applyEnv fills the fields of o that are still unset from the five
+// variables the CI matrix selects its configurations with. Nothing but
+// this package's tests reads them: the library and the commands take
+// options and flags only. Unparsable numbers are ignored.
+func applyEnv(o *ServerOptions) {
+	for _, e := range []struct {
+		name string
+		num  *int
+		flag *bool
+		str  *string
+	}{
+		{name: "OODB_SHARDS", num: &o.Shards},
+		{name: "OODB_RECOVERY_JOBS", num: &o.RecoveryJobs},
+		{name: "OODB_HEAT", flag: &o.Heat},
+		{name: "OODB_RECLUSTER", flag: &o.Recluster},
+		{name: "OODB_TRANSPORT", str: &o.Transport},
+	} {
+		v := os.Getenv(e.name)
+		switch {
+		case v == "":
+		case e.num != nil && *e.num == 0:
+			if n, err := strconv.Atoi(v); err == nil {
+				*e.num = n
+			}
+		case e.flag != nil:
+			*e.flag = *e.flag || v == "1" || v == "true"
+		case e.str != nil && *e.str == "":
+			*e.str = v
+		}
+	}
 }
 
 func sleepMs(ms int) { time.Sleep(time.Duration(ms) * time.Millisecond) }

@@ -696,24 +696,36 @@ func (p RetryPolicy) jittered(rng *rand.Rand, d time.Duration) time.Duration {
 	return time.Duration(half + rng.Int63n(half))
 }
 
+// delays returns the policy's backoff sequence for one retry loop: each
+// call yields the next wait, jittered over [d/2, d), where d starts at
+// BaseDelay and doubles up to MaxDelay. The loop owns the sequence and its
+// jitter source (newJitterRand).
+func (p RetryPolicy) delays() func() time.Duration {
+	p = p.withDefaults()
+	rng := newJitterRand()
+	d := p.BaseDelay
+	return func() time.Duration {
+		wait := p.jittered(rng, d)
+		if d *= 2; d > p.MaxDelay {
+			d = p.MaxDelay
+		}
+		return wait
+	}
+}
+
 // DialRetry connects to a live server at addr, retrying transient dial
 // failures under the given policy (zero value: 5 attempts, 10ms..1s
 // backoff).
 func DialRetry(addr string, policy RetryPolicy) (Conn, error) {
-	policy = policy.withDefaults()
 	attempts := policy.MaxAttempts
 	if attempts <= 0 {
 		attempts = 5
 	}
-	delay := policy.BaseDelay
-	rng := newJitterRand()
+	next := policy.delays()
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			time.Sleep(policy.jittered(rng, delay))
-			if delay *= 2; delay > policy.MaxDelay {
-				delay = policy.MaxDelay
-			}
+			time.Sleep(next())
 		}
 		conn, err := Dial(addr)
 		if err == nil {

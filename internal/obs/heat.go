@@ -47,7 +47,7 @@ type HeatOptions struct {
 	TopK int
 	// FSPages caps the pages per shard whose writer sets are tracked
 	// within one epoch (default 128); pages beyond the cap are counted in
-	// oodb_heat_fs_skipped_total rather than silently ignored.
+	// the snapshot's FSSkipped rather than silently ignored.
 	FSPages int
 	// FSThreshold is the decayed false-sharing score at or above which a
 	// page is reported as a suspect (default 0.5).
@@ -528,22 +528,6 @@ func (h *Heat) Snapshot() *HeatSnapshot {
 	return sn
 }
 
-// suspectCount counts pages at or above the suspect threshold (decayed
-// scores only — the cheap gauge path skips the live epoch).
-func (h *Heat) suspectCount() int64 {
-	var n int64
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for _, st := range sh.fsScore {
-			if st.score >= h.opts.FSThreshold {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // trackedCounts returns (pages, objects) currently retained in sketches.
 func (h *Heat) trackedCounts() (pages, objects int64) {
 	for _, sh := range h.shards {
@@ -563,10 +547,6 @@ func (h *Heat) RegisterMetrics(reg *Registry) {
 	reg.FuncCounter(`oodb_heat_accesses_total{op="write"}`, "", h.writes.Load)
 	reg.FuncCounter("oodb_heat_blocks_total",
 		"lock conflicts (engine blocks) sampled by the heat collector", h.blocks.Load)
-	reg.FuncCounter("oodb_heat_dropped_total",
-		"heat samples dropped by record-path contention (TryLock miss)", h.dropped.Load)
-	reg.FuncCounter("oodb_heat_fs_skipped_total",
-		"writes whose false-sharing writer set was not tracked (per-epoch page cap)", h.skipped.Load)
 	reg.FuncCounter("oodb_heat_epochs_total",
 		"heat epoch rotations (sketch decay + false-sharing score fold)", h.epochs.Load)
 	reg.FuncGauge("oodb_heat_enabled", "1 when the heat collector is recording",
@@ -580,9 +560,6 @@ func (h *Heat) RegisterMetrics(reg *Registry) {
 		func() int64 { p, _ := h.trackedCounts(); return p })
 	reg.FuncGauge("oodb_heat_tracked_objects", "objects retained in the heat sketches",
 		func() int64 { _, o := h.trackedCounts(); return o })
-	reg.FuncGauge("oodb_heat_false_sharing_suspects",
-		"pages whose decayed false-sharing score is at or above the suspect threshold",
-		h.suspectCount)
 }
 
 // WriteJSON writes the current snapshot as one JSON object.
