@@ -18,12 +18,13 @@ import (
 // Every step costs O(what the transaction touched), never O(cache): the
 // LRU is intrusive, per-slot marks are bitsets on the entry, and the
 // pinned and dirty entries are kept on lists so that commit and abort
-// visit only them (DESIGN.md §18).
+// visit only them (DESIGN.md §18). The page table is dense: pages[p] is
+// page p's entry or nil, grown to the highest page ever installed.
 type ClientCache struct {
 	ObjMode  bool
 	Capacity int // pages (page mode) or objects (object mode)
 
-	pages map[PageID]*CachedPage
+	pages []*CachedPage
 	objs  map[ObjID]*CachedObj
 
 	// lastPage/lastObj remember the latest lookup: one reference asks
@@ -143,8 +144,6 @@ func NewClientCache(objMode bool, capacity int) *ClientCache {
 	c := &ClientCache{ObjMode: objMode, Capacity: capacity}
 	if objMode {
 		c.objs = make(map[ObjID]*CachedObj)
-	} else {
-		c.pages = make(map[PageID]*CachedPage)
 	}
 	return c
 }
@@ -158,6 +157,9 @@ func (c *ClientCache) HasPage(p PageID) bool { return c.Page(p) != nil }
 func (c *ClientCache) Page(p PageID) *CachedPage {
 	if cp := c.lastPage; cp != nil && cp.id.Page == p {
 		return cp
+	}
+	if uint(p) >= uint(len(c.pages)) {
+		return nil
 	}
 	cp := c.pages[p]
 	if cp != nil {
@@ -181,6 +183,7 @@ func (c *ClientCache) Readable(o ObjID) bool {
 func (c *ClientCache) InstallPage(p PageID, unavail []uint16) (merged int) {
 	cp := c.Page(p)
 	if cp == nil {
+		c.pages = growFor(c.pages, p) // first: an invalid page panics before an eviction
 		c.evictFor(1)
 		cp = &CachedPage{}
 		cp.id.Page = p
@@ -271,7 +274,7 @@ func (c *ClientCache) PurgePage(p PageID) {
 
 func (c *ClientCache) dropPage(cp *CachedPage) {
 	c.unlink(&cp.entry)
-	delete(c.pages, cp.id.Page)
+	c.pages[cp.id.Page] = nil
 	if c.lastPage == cp {
 		c.lastPage = nil
 	}
@@ -515,10 +518,11 @@ func (c *ClientCache) Len() int { return c.n }
 // ResidentPages returns all resident page ids (ascending); diagnostics.
 func (c *ClientCache) ResidentPages() []PageID {
 	var out []PageID
-	for p := range c.pages {
-		out = append(out, p)
+	for p, cp := range c.pages {
+		if cp != nil {
+			out = append(out, PageID(p))
+		}
 	}
-	sortPages(out)
 	return out
 }
 

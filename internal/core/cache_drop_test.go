@@ -49,6 +49,9 @@ func TestDropHookSeesEveryDeparture(t *testing.T) {
 				d.invariants()
 				resident := 0
 				for _, cp := range c.pages {
+					if cp == nil {
+						continue // the page table is dense
+					}
 					tag(&cp.entry)
 					resident++
 				}

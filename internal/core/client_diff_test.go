@@ -653,8 +653,12 @@ func (d *diffRun) invariants() {
 			d.fail("LRU links broken at %v", e.id)
 		}
 	}
-	if n != c.n || n != len(c.pages)+len(c.objs) {
-		d.fail("LRU has %d entries, n=%d, maps hold %d", n, c.n, len(c.pages)+len(c.objs))
+	residentPages := 0 // the page table is dense: nil is a non-resident page
+	for _, cp := range c.pages {
+		residentPages += btoi(cp != nil)
+	}
+	if n != c.n || n != residentPages+len(c.objs) {
+		d.fail("LRU has %d entries, n=%d, tables hold %d", n, c.n, residentPages+len(c.objs))
 	}
 	if c.lastPage != nil && c.pages[c.lastPage.id.Page] != c.lastPage ||
 		c.lastObj != nil && c.objs[c.lastObj.id] != c.lastObj {
@@ -662,9 +666,12 @@ func (d *diffRun) invariants() {
 	}
 	pinned, dirty := 0, 0
 	for p, cp := range c.pages {
+		if cp == nil {
+			continue
+		}
 		marks := cp.read.count() + cp.dirtySlots.count()
 		switch {
-		case cp.id.Page != p:
+		case cp.id.Page != PageID(p):
 			d.fail("page %d filed under %d", cp.id.Page, p)
 		case cp.dirty != (cp.dirtySlots.count() > 0):
 			d.fail("page %d: dirty flag %v with %d dirty slots", p, cp.dirty, cp.dirtySlots.count())

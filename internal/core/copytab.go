@@ -5,6 +5,11 @@ package core
 // server consults it to direct callbacks; RegisterCopyInst is charged per
 // register/unregister operation.
 //
+// Page-granularity sets are dense by page: pages[p] is page p's set, the
+// slice grows to the highest page ever registered, and a set emptied by
+// deregistration keeps its array for the next registration. The object
+// table stays a map.
+//
 // Every registration carries an epoch (a global monotonic counter, bumped
 // on every register, including re-registrations). Callbacks quote the
 // epoch of the registration they revoke and deregistration is skipped for
@@ -15,9 +20,10 @@ package core
 // callback (a stale-read serializability violation).
 type CopyTab struct {
 	objGran   bool
-	pages     map[PageID]clientSet
+	pages     []clientSet
 	objs      map[ObjID]clientSet
 	nextEpoch int64
+	holders   []ClientID // PageHolders' and ObjHolders' result, reused
 
 	// Ops counts register/unregister operations for CPU costing.
 	Ops int64
@@ -78,10 +84,16 @@ func NewCopyTab(objGran bool) *CopyTab {
 	ct := &CopyTab{objGran: objGran}
 	if objGran {
 		ct.objs = make(map[ObjID]clientSet)
-	} else {
-		ct.pages = make(map[PageID]clientSet)
 	}
 	return ct
+}
+
+// pageSet returns page p's set (nil if p was never registered).
+func (ct *CopyTab) pageSet(p PageID) clientSet {
+	if uint(p) < uint(len(ct.pages)) {
+		return ct.pages[p]
+	}
+	return nil
 }
 
 // ObjGranularity reports whether copies are tracked per object.
@@ -94,6 +106,7 @@ func (ct *CopyTab) RegisterPage(c ClientID, p PageID) {
 	if ct.objGran {
 		panic("core: RegisterPage on object-granularity copy table")
 	}
+	ct.pages = growFor(ct.pages, p)
 	ct.nextEpoch++
 	ct.pages[p] = ct.pages[p].add(c, ct.nextEpoch)
 	ct.Ops++
@@ -106,16 +119,12 @@ func (ct *CopyTab) UnregisterPage(c ClientID, p PageID, ackEpoch int64) {
 	if ct.objGran {
 		panic("core: UnregisterPage on object-granularity copy table")
 	}
-	s, ok := ct.pages[p].remove(c, ackEpoch)
+	s, ok := ct.pageSet(p).remove(c, ackEpoch)
 	if !ok {
 		return
 	}
 	ct.Ops++
-	if len(s) == 0 {
-		delete(ct.pages, p)
-	} else {
-		ct.pages[p] = s
-	}
+	ct.pages[p] = s
 }
 
 // RegisterObj records that client c caches object o (object granularity).
@@ -152,8 +161,9 @@ const NoEpoch int64 = -1
 // PageEpoch returns the epoch of client c's registration for page p (0 if
 // none).
 func (ct *CopyTab) PageEpoch(c ClientID, p PageID) int64 {
-	if i := ct.pages[p].find(c); i >= 0 {
-		return ct.pages[p][i].epoch
+	s := ct.pageSet(p)
+	if i := s.find(c); i >= 0 {
+		return s[i].epoch
 	}
 	return 0
 }
@@ -168,39 +178,42 @@ func (ct *CopyTab) ObjEpoch(c ClientID, o ObjID) int64 {
 }
 
 // PageHolders returns the clients caching page p, excluding except, in
-// ascending order. Page granularity only.
+// ascending order. Page granularity only. The returned slice is reused by
+// the next PageHolders or ObjHolders.
 func (ct *CopyTab) PageHolders(p PageID, except ClientID) []ClientID {
 	if ct.objGran {
 		panic("core: PageHolders on object-granularity copy table")
 	}
-	return holdersExcept(ct.pages[p], except)
+	return ct.holdersExcept(ct.pageSet(p), except)
 }
 
 // ObjHolders returns the clients caching object o, excluding except, in
-// ascending order. Object granularity only.
+// ascending order. Object granularity only. The returned slice is reused
+// by the next PageHolders or ObjHolders.
 func (ct *CopyTab) ObjHolders(o ObjID, except ClientID) []ClientID {
 	if !ct.objGran {
 		panic("core: ObjHolders on page-granularity copy table")
 	}
-	return holdersExcept(ct.objs[o], except)
+	return ct.holdersExcept(ct.objs[o], except)
 }
 
-func holdersExcept(s clientSet, except ClientID) []ClientID {
+func (ct *CopyTab) holdersExcept(s clientSet, except ClientID) []ClientID {
 	if len(s) == 0 {
 		return nil
 	}
-	out := make([]ClientID, 0, len(s))
+	out := ct.holders[:0]
 	for _, e := range s {
 		if e.c != except {
 			out = append(out, e.c)
 		}
 	}
+	ct.holders = out
 	return out
 }
 
 // HasPageCopy reports whether client c is recorded as caching page p.
 func (ct *CopyTab) HasPageCopy(c ClientID, p PageID) bool {
-	return !ct.objGran && ct.pages[p].has(c)
+	return !ct.objGran && ct.pageSet(p).has(c)
 }
 
 // HasObjCopy reports whether client c is recorded as caching object o.
@@ -242,11 +255,7 @@ func (ct *CopyTab) DropClient(c ClientID) {
 	for p, s := range ct.pages {
 		if s2, ok := s.remove(c, NoEpoch); ok {
 			ct.Ops++
-			if len(s2) == 0 {
-				delete(ct.pages, p)
-			} else {
-				ct.pages[p] = s2
-			}
+			ct.pages[p] = s2
 		}
 	}
 }

@@ -107,3 +107,29 @@ func TestCopyTabClientSetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A warm register / holders / unregister cycle — the bench probe's four
+// copies of one page — allocates nothing: an emptied set keeps its array.
+func TestCopyTabWarmCycleAllocs(t *testing.T) {
+	ct := NewCopyTab(false)
+	i := 0
+	cycle := func() {
+		i++
+		p := PageID(i % 1024)
+		for c := ClientID(1); c <= 4; c++ {
+			ct.RegisterPage(c, p)
+		}
+		if h := ct.PageHolders(p, 1); len(h) != 3 || h[0] != 2 {
+			t.Fatalf("holders of %d = %v", p, h)
+		}
+		for c := ClientID(1); c <= 4; c++ {
+			ct.UnregisterPage(c, p, NoEpoch)
+		}
+	}
+	for i < 1024 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("warm copy-table cycle: %v allocs, want 0", n)
+	}
+}

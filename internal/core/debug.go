@@ -28,8 +28,10 @@ func (se *ServerEngine) DumpState() string {
 		}
 		fmt.Fprintf(&b, " waitsFor=%v\n", se.waitsFor(t))
 	}
-	for p, q := range se.queues {
-		fmt.Fprintf(&b, "queue page %d: %d reqs\n", p, len(q))
+	for p, ps := range se.pages {
+		if len(ps.queue) > 0 {
+			fmt.Fprintf(&b, "queue page %d: %d reqs\n", p, len(ps.queue))
+		}
 	}
 	return b.String()
 }

@@ -8,7 +8,7 @@
 //   - identifiers and the physical database layout (ids.go),
 //   - the client/server message vocabulary with wire sizes (msg.go),
 //   - the server-side lock table with page- and object-granularity X
-//     locks, de-escalation, and FIFO queueing (locktab.go),
+//     locks, de-escalation and re-escalation (locktab.go),
 //   - the cached-copy (replica location) table (copytab.go),
 //   - the client cache state machine: page/object residence, availability
 //     marks, LRU replacement, merge bookkeeping (cache.go),
@@ -31,6 +31,19 @@ type PageID int32
 // InvalidPage is the zero PageID sentinel; valid pages are numbered >= 0
 // and InvalidPage is -1.
 const InvalidPage PageID = -1
+
+// growFor returns s extended with zero entries so that s[p] exists: the
+// engine's and the client cache's page tables are slices indexed by page
+// (DESIGN.md §18). A negative page is a caller's bug.
+func growFor[T any](s []T, p PageID) []T {
+	if p < 0 {
+		panic(fmt.Sprintf("core: invalid page %d", p))
+	}
+	if n := int(p) + 1 - len(s); n > 0 {
+		s = append(s, make([]T, n)...)
+	}
+	return s
+}
 
 // ObjID identifies an object by its home page and slot within the page.
 // Objects are assumed smaller than a page (the paper handles large objects

@@ -758,3 +758,36 @@ func ExampleProtocol_String() {
 	fmt.Println(PS, OS, PSOO, PSOA, PSAA)
 	// Output: PS OS PS-OO PS-OA PS-AA
 }
+
+// A warm engine step allocates nothing: with no conflict, a read request,
+// a write request granted at page level and the commit that releases it
+// reuse the engine's transaction records, page entries and lock lists.
+func TestEngineWarmStepAllocs(t *testing.T) {
+	se := NewServerEngine(PSAA, NewLayout(64, 20))
+	i := 0
+	pages := make([]PageID, 1)
+	cycle := func() {
+		i++
+		tx, p := TxnID(i), PageID(i%64)
+		o := ObjID{Page: p, Slot: uint16(i % 20)}
+		if out := se.Handle(&Msg{Kind: MReadReq, From: 1, Txn: tx, Req: 1, Page: p, Obj: o}); len(out) != 1 || out[0].Kind != MPageData {
+			t.Fatalf("read of %v: %v", o, out)
+		}
+		if out := se.Handle(&Msg{Kind: MWriteReq, From: 1, Txn: tx, Req: 2, Page: p, Obj: o}); len(out) != 1 || out[0].Grant != GrantPage {
+			t.Fatalf("write of %v: %v", o, out)
+		}
+		pages[0] = p
+		if out := se.Handle(&Msg{Kind: MCommitReq, From: 1, Txn: tx, Req: 3, Pages: pages}); len(out) != 1 || out[0].Kind != MCommitAck {
+			t.Fatalf("commit of txn %d: %v", tx, out)
+		}
+	}
+	for i < 64 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("warm engine step: %v allocs, want 0", n)
+	}
+	if !se.Quiesced() {
+		t.Fatalf("engine not quiesced:\n%s", se.DumpState())
+	}
+}

@@ -23,12 +23,12 @@ type ServerEngine struct {
 	Locks  *LockTab
 	Copies *CopyTab
 
-	txns      map[TxnID]*stxn
-	rounds    map[int64]*round
-	pageRound map[PageID][]*round
-	queues    map[PageID][]*blockedReq
-	deesc     map[PageID]bool
-	tokens    map[PageID]*stxn // PS-WT: per-page write token holder
+	txns   map[TxnID]*stxn
+	rounds map[int64]*round
+	// pages is the per-page protocol state, dense by page and grown on
+	// demand (DESIGN.md §18).
+	pages     []pageState
+	freeTxns  []*stxn // forgotten transaction records, for reuse
 	nextRound int64
 	// roundStride is the round-id increment (default 1). Hosts that run
 	// several engines side by side (the live server's page-range shards)
@@ -143,6 +143,32 @@ func (se *ServerEngine) trace(kind obs.EventKind, txn TxnID, client ClientID, ob
 	}
 }
 
+// pageState is the engine's state for one page. rounds and queue fill
+// only on conflicts, so unlike the lock table's entries they are not kept
+// warm: an emptied list is set to nil.
+type pageState struct {
+	rounds []*round      // open callback rounds on the page
+	queue  []*blockedReq // blocked requests, FIFO
+	deesc  bool          // PS-AA: a de-escalation request is outstanding
+	token  *stxn         // PS-WT: the page's write-token holder
+}
+
+// page returns page p's state for reading: the zero state if p has
+// none.
+func (se *ServerEngine) page(p PageID) pageState {
+	if uint(p) < uint(len(se.pages)) {
+		return se.pages[p]
+	}
+	return pageState{}
+}
+
+// pageAt returns page p's state for writing, growing the table to hold
+// it. The pointer is valid until the next pageAt.
+func (se *ServerEngine) pageAt(p PageID) *pageState {
+	se.pages = growFor(se.pages, p)
+	return &se.pages[p]
+}
+
 // stxn is the server's view of an active transaction.
 type stxn struct {
 	id       TxnID
@@ -177,16 +203,12 @@ type round struct {
 // NewServerEngine creates the engine for the given protocol and layout.
 func NewServerEngine(proto Protocol, layout *Layout) *ServerEngine {
 	return &ServerEngine{
-		Proto:     proto,
-		Layout:    layout,
-		Locks:     NewLockTab(),
-		Copies:    NewCopyTab(proto.ObjectCopies()),
-		txns:      make(map[TxnID]*stxn),
-		rounds:    make(map[int64]*round),
-		pageRound: make(map[PageID][]*round),
-		queues:    make(map[PageID][]*blockedReq),
-		deesc:     make(map[PageID]bool),
-		tokens:    make(map[PageID]*stxn),
+		Proto:  proto,
+		Layout: layout,
+		Locks:  NewLockTab(),
+		Copies: NewCopyTab(proto.ObjectCopies()),
+		txns:   make(map[TxnID]*stxn),
+		rounds: make(map[int64]*round),
 
 		roundStride: 1,
 	}
@@ -262,8 +284,8 @@ func (se *ServerEngine) ConfigureRoundIDs(first, stride int64) {
 // BlockedRequests returns the number of queued requests (diagnostics).
 func (se *ServerEngine) BlockedRequests() int {
 	n := 0
-	for _, q := range se.queues {
-		n += len(q)
+	for _, ps := range se.pages {
+		n += len(ps.queue)
 	}
 	return n
 }
@@ -280,8 +302,15 @@ func (se *ServerEngine) RoundLive(id int64) bool {
 // Quiesced reports whether the server holds no locks, rounds, queues, or
 // transactions (integration-test invariant at end of run).
 func (se *ServerEngine) Quiesced() bool {
-	return len(se.txns) == 0 && len(se.rounds) == 0 && se.BlockedRequests() == 0 &&
-		se.Locks.Empty() && len(se.tokens) == 0
+	if len(se.txns) != 0 || len(se.rounds) != 0 || !se.Locks.Empty() {
+		return false
+	}
+	for _, ps := range se.pages {
+		if len(ps.queue) != 0 || ps.token != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func (se *ServerEngine) getTxn(t TxnID, c ClientID) *stxn {
@@ -290,11 +319,28 @@ func (se *ServerEngine) getTxn(t TxnID, c ClientID) *stxn {
 	}
 	st := se.txns[t]
 	if st == nil {
-		st = &stxn{id: t, client: c}
+		if n := len(se.freeTxns); n > 0 {
+			st = se.freeTxns[n-1]
+			se.freeTxns = se.freeTxns[:n-1]
+			*st = stxn{id: t, client: c, tokens: st.tokens[:0]}
+		} else {
+			st = &stxn{id: t, client: c}
+		}
 		se.txns[t] = st
 		se.trace(obs.EvBegin, t, c, ObjID{}, 0)
 	}
 	return st
+}
+
+// forgetTxn drops the record of transaction t, if any, keeping it for
+// reuse. getTxn resets a record only when it hands it out again, so a
+// caller still holding one it collected earlier in the same step
+// (DisconnectDedup) may read its id.
+func (se *ServerEngine) forgetTxn(t TxnID) {
+	if st := se.txns[t]; st != nil {
+		delete(se.txns, t)
+		se.freeTxns = append(se.freeTxns, st)
+	}
 }
 
 // processDropped applies piggybacked cache eviction notices.
@@ -338,7 +384,7 @@ func (se *ServerEngine) replyMsg(req *Msg, kind MsgKind, grant GrantLevel, unava
 // other transactions plus objects targeted by open callback rounds.
 func (se *ServerEngine) unavailSlots(p PageID, t TxnID) []uint16 {
 	slots := se.Locks.ObjXSlots(p, t)
-	for _, rd := range se.pageRound[p] {
+	for _, rd := range se.page(p).rounds {
 		if rd.txn.id == t {
 			continue
 		}
@@ -359,7 +405,7 @@ func (se *ServerEngine) unavailSlots(p PageID, t TxnID) []uint16 {
 
 // roundOnObj returns an open round targeting object o, or nil.
 func (se *ServerEngine) roundOnObj(o ObjID) *round {
-	for _, rd := range se.pageRound[o.Page] {
+	for _, rd := range se.page(o.Page).rounds {
 		if rd.obj == o {
 			return rd
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -18,12 +19,16 @@ func (se *ServerEngine) handleRequest(m *Msg, isWrite bool) {
 		isW = 1
 	}
 	se.trace(obs.EvLockReq, m.Txn, m.From, m.Obj, isW)
-	r := &blockedReq{msg: *m, txn: t, isWrite: isWrite}
-	if se.tryRequest(r) {
+	// r stays on the stack unless the request blocks: only the queue
+	// keeps a request beyond this step.
+	r := blockedReq{msg: *m, txn: t, isWrite: isWrite}
+	if se.tryRequest(&r) {
 		se.maybeForget(t)
 		return
 	}
-	se.enqueue(r)
+	blocked := new(blockedReq)
+	*blocked = r
+	se.enqueue(blocked)
 }
 
 // maybeForget drops the server's record of a transaction that holds no
@@ -32,13 +37,13 @@ func (se *ServerEngine) handleRequest(m *Msg, isWrite bool) {
 // cleaned up.
 func (se *ServerEngine) maybeForget(t *stxn) {
 	if t.blocked == nil && t.round == nil && !t.aborting && se.Locks.LockCount(t.id) == 0 {
-		delete(se.txns, t.id)
+		se.forgetTxn(t.id)
 	}
 }
 
 func (se *ServerEngine) enqueue(r *blockedReq) {
-	p := r.msg.Obj.Page
-	se.queues[p] = append(se.queues[p], r)
+	ps := se.pageAt(r.msg.Obj.Page)
+	ps.queue = append(ps.queue, r)
 	r.txn.blocked = r
 	if !r.blockedOnce {
 		r.blockedOnce = true
@@ -68,7 +73,7 @@ func (se *ServerEngine) tryRead(r *blockedReq) bool {
 		if h := se.Locks.PageXHolder(p); h != NoTxn && h != m.Txn {
 			return false
 		}
-		if len(se.pageRound[p]) > 0 {
+		if len(se.page(p).rounds) > 0 {
 			return false
 		}
 		se.Copies.RegisterPage(m.From, p)
@@ -108,7 +113,7 @@ func (se *ServerEngine) tryRead(r *blockedReq) bool {
 		if h := se.Locks.ObjXHolder(o); h != NoTxn && h != m.Txn {
 			return false
 		}
-		if len(se.pageRound[p]) > 0 {
+		if len(se.page(p).rounds) > 0 {
 			return false
 		}
 		unavail := se.unavailSlots(p, m.Txn)
@@ -127,12 +132,8 @@ func (se *ServerEngine) registerPageCopies(c ClientID, p PageID, unavail []uint1
 		se.Copies.RegisterPage(c, p)
 		return
 	}
-	isUnavail := make(map[uint16]bool, len(unavail))
-	for _, s := range unavail {
-		isUnavail[s] = true
-	}
 	for s := 0; s < se.Layout.ObjsPerPage; s++ {
-		if !isUnavail[uint16(s)] {
+		if !slices.Contains(unavail, uint16(s)) {
 			se.Copies.RegisterObj(c, ObjID{Page: p, Slot: uint16(s)})
 		}
 	}
@@ -151,7 +152,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			}
 			return false
 		}
-		if len(se.pageRound[p]) > 0 {
+		if len(se.page(p).rounds) > 0 {
 			return false
 		}
 		holders := se.Copies.PageHolders(p, m.From)
@@ -209,7 +210,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			return false
 		}
 		// One updater per page at a time: the write token.
-		if tok := se.tokens[p]; tok != nil && tok.id != m.Txn {
+		if tok := se.page(p).token; tok != nil && tok.id != m.Txn {
 			se.Stats.TokenWaits.Add(1)
 			return false
 		}
@@ -235,7 +236,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			}
 			return false
 		}
-		if len(se.pageRound[p]) > 0 {
+		if len(se.page(p).rounds) > 0 {
 			return false
 		}
 		holders := se.Copies.PageHolders(p, m.From)
@@ -294,9 +295,9 @@ func (se *ServerEngine) grantObjX(m *Msg) {
 	se.Stats.ObjGrants.Add(1)
 	se.trace(obs.EvGrant, m.Txn, m.From, m.Obj, int64(GrantObject))
 	if se.Proto == PSWT {
-		if tok := se.tokens[m.Page]; tok == nil {
+		if tok := se.page(m.Page).token; tok == nil {
 			t := se.getTxn(m.Txn, m.From)
-			se.tokens[m.Page] = t
+			se.pageAt(m.Page).token = t
 			t.tokens = append(t.tokens, m.Page)
 		} else if tok.id != m.Txn {
 			panic("core: object grant over a foreign write token")
@@ -331,7 +332,8 @@ func (se *ServerEngine) startRound(r *blockedReq, kind CallbackKind, holders []C
 		busy:    make(map[ClientID]TxnID),
 	}
 	se.rounds[rd.id] = rd
-	se.pageRound[rd.page] = append(se.pageRound[rd.page], rd)
+	ps := se.pageAt(rd.page)
+	ps.rounds = append(ps.rounds, rd)
 	r.txn.round = rd
 	se.Stats.Rounds.Add(1)
 	se.trace(obs.EvRound, rd.txn.id, r.msg.From, rd.obj, int64(len(holders)))
@@ -411,7 +413,7 @@ func (se *ServerEngine) completeRound(rd *round) {
 	case PSWT:
 		// The token may have been taken by a direct grant while our
 		// callbacks were in flight; if so, re-queue behind the holder.
-		if tok := se.tokens[rd.page]; tok != nil && tok.id != m.Txn {
+		if tok := se.page(rd.page).token; tok != nil && tok.id != m.Txn {
 			se.Stats.TokenWaits.Add(1)
 			se.enqueue(&blockedReq{msg: rd.req, txn: rd.txn, isWrite: true, blockedOnce: true})
 			se.retryQueue(rd.page)
@@ -444,17 +446,15 @@ func (se *ServerEngine) dropRound(rd *round) {
 		se.trace(obs.EvRoundCancel, rd.txn.id, c, rd.obj, rd.id)
 	}
 	delete(se.rounds, rd.id)
-	prs := se.pageRound[rd.page]
-	for i, x := range prs {
+	ps := &se.pages[rd.page]
+	for i, x := range ps.rounds {
 		if x == rd {
-			prs = append(prs[:i], prs[i+1:]...)
+			ps.rounds = append(ps.rounds[:i], ps.rounds[i+1:]...)
 			break
 		}
 	}
-	if len(prs) == 0 {
-		delete(se.pageRound, rd.page)
-	} else {
-		se.pageRound[rd.page] = prs
+	if len(ps.rounds) == 0 {
+		ps.rounds = nil
 	}
 	rd.txn.round = nil
 }
@@ -464,14 +464,14 @@ func (se *ServerEngine) dropRound(rd *round) {
 // ensureDeesc asks the page-X holder to de-escalate, once per page at a
 // time.
 func (se *ServerEngine) ensureDeesc(p PageID, holder TxnID) {
-	if se.deesc[p] {
+	if se.page(p).deesc {
 		return
 	}
 	ht := se.txns[holder]
 	if ht == nil {
 		panic(fmt.Sprintf("core: page X held by unknown txn %d", holder))
 	}
-	se.deesc[p] = true
+	se.pageAt(p).deesc = true
 	se.Stats.Deescalations.Add(1)
 	se.trace(obs.EvDeesc, holder, ht.client, ObjID{Page: p}, 0)
 	se.send(Msg{Kind: MDeescReq, To: ht.client, Txn: holder, Page: p})
@@ -481,7 +481,9 @@ func (se *ServerEngine) ensureDeesc(p PageID, holder TxnID) {
 // the objects it reports, then retries the page's queue.
 func (se *ServerEngine) handleDeescReply(m *Msg) {
 	p := m.Page
-	delete(se.deesc, p)
+	if uint(p) < uint(len(se.pages)) {
+		se.pages[p].deesc = false
+	}
 	holder := se.Locks.PageXHolder(p)
 	if holder != NoTxn && holder == m.Txn && len(m.DeescObjs) > 0 {
 		se.Locks.Deescalate(holder, p, m.DeescObjs)
@@ -575,14 +577,14 @@ func (se *ServerEngine) finishTxn(t TxnID) {
 	var tokenPages []PageID
 	if st := se.txns[t]; st != nil {
 		for _, p := range st.tokens {
-			if se.tokens[p] == st {
-				delete(se.tokens, p)
+			if ps := &se.pages[p]; ps.token == st {
+				ps.token = nil
 				tokenPages = append(tokenPages, p)
 			}
 		}
 	}
 	pages := se.Locks.ReleaseAll(t)
-	delete(se.txns, t)
+	se.forgetTxn(t)
 	for _, p := range pages {
 		se.retryQueue(p)
 	}
@@ -595,18 +597,15 @@ func (se *ServerEngine) finishTxn(t TxnID) {
 
 // removeFromQueue deletes a blocked request from its page queue.
 func (se *ServerEngine) removeFromQueue(r *blockedReq) {
-	p := r.msg.Obj.Page
-	q := se.queues[p]
-	for i, x := range q {
+	ps := &se.pages[r.msg.Obj.Page]
+	for i, x := range ps.queue {
 		if x == r {
-			q = append(q[:i], q[i+1:]...)
+			ps.queue = append(ps.queue[:i], ps.queue[i+1:]...)
 			break
 		}
 	}
-	if len(q) == 0 {
-		delete(se.queues, p)
-	} else {
-		se.queues[p] = q
+	if len(ps.queue) == 0 {
+		ps.queue = nil
 	}
 }
 
@@ -616,7 +615,10 @@ func (se *ServerEngine) removeFromQueue(r *blockedReq) {
 // that no request for the retired address is granted after the move (it
 // answers each with a redirect instead); the simulator never moves objects.
 func (se *ServerEngine) TakeQueued(o ObjID) []Msg {
-	q := se.queues[o.Page]
+	q := se.page(o.Page).queue
+	if len(q) == 0 {
+		return nil
+	}
 	var taken []Msg
 	keep := q[:0]
 	for _, r := range q {
@@ -630,10 +632,9 @@ func (se *ServerEngine) TakeQueued(o ObjID) []Msg {
 	}
 	clear(q[len(keep):])
 	if len(keep) == 0 {
-		delete(se.queues, o.Page)
-	} else {
-		se.queues[o.Page] = keep
+		keep = nil
 	}
+	se.pages[o.Page].queue = keep
 	return taken
 }
 
@@ -644,7 +645,7 @@ func (se *ServerEngine) TakeQueued(o ObjID) []Msg {
 // new round owns the page, ...), which can close a waits-for cycle, so
 // each still-blocked request gets a fresh deadlock check.
 func (se *ServerEngine) retryQueue(p PageID) {
-	q := se.queues[p]
+	q := se.page(p).queue
 	if len(q) == 0 {
 		return
 	}
@@ -664,11 +665,7 @@ func (se *ServerEngine) retryQueue(p PageID) {
 		r.txn.blocked = r
 		remaining = append(remaining, r)
 	}
-	if len(remaining) == 0 {
-		delete(se.queues, p)
-	} else {
-		se.queues[p] = remaining
-	}
+	se.pages[p].queue = remaining
 	for _, r := range remaining {
 		if r.txn.blocked == r && !r.txn.aborting {
 			se.deadlockCheck(r.txn)
@@ -864,7 +861,7 @@ func (se *ServerEngine) waitsFor(t *stxn) []TxnID {
 		switch se.Proto {
 		case PS:
 			add(se.Locks.PageXHolder(p))
-			for _, rd := range se.pageRound[p] {
+			for _, rd := range se.page(p).rounds {
 				add(rd.txn.id)
 			}
 		case OS, PSOO, PSOA:
@@ -878,14 +875,14 @@ func (se *ServerEngine) waitsFor(t *stxn) []TxnID {
 				add(rd.txn.id)
 			}
 			if r.isWrite {
-				if tok := se.tokens[p]; tok != nil {
+				if tok := se.page(p).token; tok != nil {
 					add(tok.id)
 				}
 			}
 		case PSAA:
 			add(se.Locks.PageXHolder(p))
 			add(se.Locks.ObjXHolder(o))
-			for _, rd := range se.pageRound[p] {
+			for _, rd := range se.page(p).rounds {
 				add(rd.txn.id)
 			}
 		}

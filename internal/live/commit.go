@@ -1,10 +1,11 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -19,27 +20,34 @@ import (
 // from base + log either way.
 var cpReclusterMidMove = fault.Register("recluster.mid-move")
 
-// lockShard acquires one shard's lock, recording how long the caller
-// waited for it, and returns the acquisition time for unlockShard's
-// hold observation. Together the two histograms make the critical
-// section's width observable: hold should cover only the engine step and
-// staging, never store I/O or fsyncs.
-func (s *Server) lockShard(sh *engineShard) time.Time {
+// shardHold is what lockShard measured, for unlockShard to record.
+type shardHold struct {
+	acquired time.Time
+	waitNs   int64
+}
+
+// lockShard acquires one shard's lock and returns when it got it and how
+// long the caller waited. unlockShard records the wait and the hold time
+// in the four histograms, once the lock is released: observing them is
+// no part of the critical section they measure. Together they make its
+// width observable: hold should cover only the engine step and staging,
+// never store I/O or fsyncs.
+func (s *Server) lockShard(sh *engineShard) shardHold {
 	t0 := time.Now()
 	sh.mu.Lock()
 	t1 := time.Now()
-	w := t1.Sub(t0).Nanoseconds()
-	s.metrics.engineLockWaitNs.Observe(w)
-	sh.lockWaitNs.Observe(w)
-	return t1
+	return shardHold{acquired: t1, waitNs: t1.Sub(t0).Nanoseconds()}
 }
 
-// unlockShard records the hold time since lockShard and releases.
-func (s *Server) unlockShard(sh *engineShard, acquired time.Time) {
-	h := time.Since(acquired).Nanoseconds()
+// unlockShard releases the lock lockShard took, then records the wait
+// and the hold, from acquisition to release.
+func (s *Server) unlockShard(sh *engineShard, held shardHold) {
+	h := time.Since(held.acquired).Nanoseconds()
+	sh.mu.Unlock()
+	s.metrics.engineLockWaitNs.Observe(held.waitNs)
+	sh.lockWaitNs.Observe(held.waitNs)
 	s.metrics.engineLockHoldNs.Observe(h)
 	sh.lockHoldNs.Observe(h)
-	sh.mu.Unlock()
 }
 
 // handle runs one message through the engine shard(s) that own it and
@@ -49,6 +57,10 @@ func (s *Server) unlockShard(sh *engineShard, acquired time.Time) {
 // delivered the message: the handle span and the commit-stage queue span
 // start there.
 func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
+	if int64(m.From) != s.internalID.Load() && !s.idsInRange(m) {
+		s.detach(sess.id)
+		return
+	}
 	kind := int(m.Kind)
 	if kind < len(msgKindLabels) {
 		s.metrics.reqs[kind].Inc()
@@ -138,6 +150,41 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 		sh = s.shards[0]
 	}
 	s.engineStep(sess, sh, m)
+}
+
+// idsInRange reports whether every page and object m names exists in the
+// store: a page in [0, NumPages), a slot below ObjsPerPage. handle closes
+// a session that sends anything else before the engine sees it: the
+// engine's tables are dense by page, so a wild page id would grow them to
+// its size, and a commit would log an update that no install, and so no
+// restart, can apply.
+func (s *Server) idsInRange(m *core.Msg) bool {
+	pages, slots := s.store.NumPages(), s.store.ObjsPerPage()
+	page := func(p core.PageID) bool { return p >= 0 && int(p) < pages }
+	obj := func(o core.ObjID) bool { return page(o.Page) && int(o.Slot) < slots }
+	if !page(m.Page) || !obj(m.Obj) {
+		return false
+	}
+	for _, ps := range [][]core.PageID{m.Pages, m.DroppedPages, m.PurgedPages} {
+		for _, p := range ps {
+			if !page(p) {
+				return false
+			}
+		}
+	}
+	for _, os := range [][]core.ObjID{m.Objs, m.DroppedObjs, m.PurgedObjs, m.DeescObjs} {
+		for _, o := range os {
+			if !obj(o) {
+				return false
+			}
+		}
+	}
+	for o := range m.Updates {
+		if !obj(o) {
+			return false
+		}
+	}
+	return true
 }
 
 // engineStep runs one message through a single shard's engine under its
@@ -343,7 +390,7 @@ func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
 func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket int64, ok bool) {
 	type heldShard struct {
 		sh *engineShard
-		at time.Time
+		at shardHold
 	}
 	lockStart := time.Now()
 	var held []heldShard
@@ -528,9 +575,13 @@ func sortedUpdateKeys(m map[core.ObjID][]byte) []core.ObjID {
 	for o := range m {
 		keys = append(keys, o)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		return a.Page < b.Page || (a.Page == b.Page && a.Slot < b.Slot)
+	// slices.SortFunc, not sort.Slice: the latter allocates a reflection
+	// swapper on every commit.
+	slices.SortFunc(keys, func(a, b core.ObjID) int {
+		if c := cmp.Compare(a.Page, b.Page); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Slot, b.Slot)
 	})
 	return keys
 }

@@ -536,3 +536,100 @@ func sessionCallbackChain(t *testing.T, transport string) {
 	defer h.srv.Close()
 	callbackChain(t, h.srv, func() Conn { return h.dial(t) })
 }
+
+// TestSessionRejectsOutOfRangeIDs: a session that names a page outside
+// the store or a slot past its objects per page is closed before the
+// engine sees the message. Nothing is counted, logged or installed for it,
+// the server keeps serving, and the log it leaves recovers.
+func TestSessionRejectsOutOfRangeIDs(t *testing.T) {
+	const pages, slots = 64, 4
+	bad := []struct {
+		name string
+		obj  core.ObjID
+	}{
+		{"page>=NumPages", o(pages, 0)},
+		{"page<0", o(-1, 0)},
+		{"slot>=ObjsPerPage", o(1, slots)},
+		{"slot=999", o(1, 999)},
+	}
+	for _, b := range bad {
+		for _, kind := range []core.MsgKind{core.MReadReq, core.MWriteReq, core.MCommitReq} {
+			b, kind := b, kind
+			t.Run(b.name+"/"+kind.String(), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: slots, NumPages: pages}
+				srv, err := openServer(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { srv.Close() }()
+				h := &sessionHarness{srv: srv}
+				conn, _ := h.rawSession(t)
+				defer conn.Close()
+
+				const txn = 0x0bad
+				m := &core.Msg{Kind: kind, Txn: txn, Req: 1, Page: b.obj.Page, Obj: b.obj}
+				if kind == core.MCommitReq {
+					// The transaction holds a real page lock; only its
+					// commit names the bad object.
+					if err := conn.Send(&core.Msg{Kind: core.MWriteReq, Txn: txn, Req: 1, Obj: o(1, 0), Page: 1}); err != nil {
+						t.Fatal(err)
+					}
+					if g := recvWithin(t, conn, 5*time.Second); g.Grant != core.GrantPage {
+						t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
+					}
+					m = &core.Msg{Kind: kind, Txn: txn, Req: 2, Pages: []core.PageID{1},
+						Updates: map[core.ObjID][]byte{o(1, 0): []byte("ok"), b.obj: []byte("wild")}}
+					if b.obj.Page != 1 {
+						m.Pages = append(m.Pages, b.obj.Page)
+					}
+				}
+				before := srv.Stats()
+				if err := conn.Send(m); err != nil {
+					t.Fatal(err)
+				}
+				// The session closes: Recv ends in an error, with no
+				// reply to the bad message on the way.
+				for {
+					r := <-recvAsync(conn)
+					if r.err != nil {
+						break
+					}
+					t.Fatalf("reply %v to a message naming %v", r.m.Kind, b.obj)
+				}
+				if err := srv.Failed(); err != nil {
+					t.Fatalf("server failed: %v", err)
+				}
+				after := srv.Stats()
+				if after.ReadReqs != before.ReadReqs || after.WriteReqs != before.WriteReqs || after.Commits != before.Commits {
+					t.Fatalf("engine counted the message: before %+v, after %+v", before, after)
+				}
+
+				// Another client still commits, on the page the deposed
+				// session had locked.
+				cl := h.client(t)
+				tx, err := cl.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Write(o(1, 0), []byte("next")); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				cl.Close()
+				waitFor(t, "engine quiesced", func() bool { return quiesced(srv) })
+
+				// The log recovers.
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				srv, err = openServer(dir, opts)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+			})
+		}
+	}
+}

@@ -10,8 +10,8 @@ import "fmt"
 // primitives (Hold, Park, Cond.Wait, Mailbox.Recv, and the resource
 // methods that take a Proc).
 type Proc struct {
-	e      *Engine
-	name   string
+	e        *Engine
+	name     string
 	resume   chan struct{}
 	runFn    func() // cached p.run closure, reused by every Hold/Unpark
 	unparkFn func() // cached p.Unpark closure for blocking resource calls
