@@ -25,8 +25,6 @@
 //	                   socket (0 = default 8 MiB)
 //	-shards            engine shards by page hash (power of two, max 64;
 //	                   0 = min(8, GOMAXPROCS); 1 = the unsharded engine)
-//	-recovery-jobs     parallel WAL replay workers during startup recovery
-//	                   (0 = min(shards, GOMAXPROCS); 1 = serial replay)
 //	-callback-timeout  depose clients that leave a cache-consistency
 //	                   callback unanswered for this long (0 disables);
 //	                   bounds how long one silent client can stall writers
@@ -90,9 +88,6 @@ func main() {
 	shards := flag.Int("shards", 0,
 		"engine shards by page hash (rounded down to a power of two; "+
 			"0 = min(8, GOMAXPROCS); 1 = unsharded)")
-	recoveryJobs := flag.Int("recovery-jobs", 0,
-		"parallel WAL replay workers during startup recovery "+
-			"(0 = min(shards, GOMAXPROCS); 1 = serial)")
 	cbTimeout := flag.Duration("callback-timeout", 0,
 		"depose clients with callbacks unanswered this long (0 = wait forever)")
 	admin := flag.String("admin", "",
@@ -124,8 +119,7 @@ func main() {
 	}
 	opts := live.ServerOptions{
 		Proto: p, PageSize: *pageSize, ObjsPerPage: *objsPerPage, NumPages: *pages,
-		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout,
-		Shards: *shards, RecoveryJobs: *recoveryJobs,
+		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout, Shards: *shards,
 		Transport: *transport, ReactorLoops: *reactorLoops, ReactorDrainCap: *reactorDrainCap,
 		TraceBuf: *traceSize, Heat: *heat, HeatEpoch: *heatEpoch,
 		Recluster: *recluster, ReclusterEvery: *reclusterEvery,
@@ -148,8 +142,8 @@ func main() {
 	}
 	fmt.Println()
 	rs := srv.RecoveryStats()
-	fmt.Printf("oodbserver: recovery replayed %d records across %d pages with %d jobs in %.1fms\n",
-		rs.Records, rs.PagesReplayed, rs.Jobs, float64(rs.DurationNs)/1e6)
+	fmt.Printf("oodbserver: recovery replayed %d records across %d pages in %.1fms\n",
+		rs.Records, rs.PagesReplayed, float64(rs.DurationNs)/1e6)
 
 	srv.Tracer().SetEnabled(*trace)
 	if *admin != "" {

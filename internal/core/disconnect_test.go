@@ -94,3 +94,85 @@ func TestDisconnectDropsCopies(t *testing.T) {
 		})
 	}
 }
+
+// TestCancelledRoundGrantCarriesData replays DESIGN.md §8 race 7 with no
+// goroutines. Client 2 caches page 7 and is idle. Client 1's write of
+// (7,1) puts a callback to client 2 in flight; client 2's write of (7,2),
+// sent without asking for data, queues behind it. Client 1 disconnects,
+// which cancels its round and grants client 2's request while the
+// callback is still on its way. Client 2 then handles the callback first
+// (it may purge the page) and the grant second, as its one link delivers
+// them: the grant must carry the data the callback may have taken away.
+func TestCancelledRoundGrantCarriesData(t *testing.T) {
+	for _, proto := range AllProtocols {
+		t.Run(proto.String(), func(t *testing.T) {
+			cap := 8
+			if proto == OS {
+				cap = 8 * 20
+			}
+			h := newHarness(t, proto, 2, 10, 20, cap)
+			const owner, c = ClientID(1), ClientID(2)
+			h.begin(c)
+			h.mustDone(c, h.read(c, o(7, 1)))
+			h.mustDone(c, h.read(c, o(7, 2)))
+			h.commit(c)
+
+			// toC is client 2's link: messages the server sent it, not yet
+			// delivered, in order.
+			var toC []Msg
+			send := func(m *Msg) {
+				m.DroppedPages, m.DroppedObjs = h.cs(m.From).Cache.TakeDropped()
+				for _, out := range h.se.Handle(m) {
+					if out.To != c {
+						t.Fatalf("unexpected %v to client %d", out.Kind, out.To)
+					}
+					toC = append(toC, out)
+				}
+			}
+			request := func(from ClientID, obj ObjID) {
+				cs := h.cs(from)
+				cs.StartWrite(obj)
+				m := cs.NeedForWrite(obj)
+				h.nextReq++
+				m.Req = h.nextReq
+				send(m)
+			}
+
+			h.begin(owner)
+			request(owner, o(7, 1))
+			h.begin(c)
+			request(c, o(7, 2))
+			for _, out := range h.se.Disconnect(owner) {
+				if out.To != c {
+					t.Fatalf("unexpected %v to client %d", out.Kind, out.To)
+				}
+				toC = append(toC, out)
+			}
+
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("client 2 panicked: %v", r)
+				}
+			}()
+			for len(toC) > 0 {
+				m := toC[0]
+				toC = toC[1:]
+				if m.Kind == MCallback {
+					reply, _ := h.cs(c).HandleCallback(&m)
+					send(reply)
+					continue
+				}
+				h.replies[c] = &m
+				h.op[c] = &pendingOp{obj: o(7, 2), isWrite: true}
+				h.mustDone(c, h.applyReply(c))
+			}
+			if h.cs(c).NeedForRead(o(7, 2)) != nil {
+				t.Fatal("client 2 wrote (7,2) without its data")
+			}
+			h.commit(c)
+			if !h.se.Quiesced() {
+				t.Fatalf("server not quiesced:\n%s", h.se.DumpState())
+			}
+		})
+	}
+}

@@ -25,6 +25,13 @@ type ServerEngine struct {
 
 	txns   map[TxnID]*stxn
 	rounds map[int64]*round
+	// unconfirmed holds the callbacks of cancelled rounds that the client
+	// had not answered at all (DESIGN.md §8 race 7), by client and round,
+	// with the item each revokes. The callback may still purge the
+	// client's copy when it lands, after any grant sent meanwhile, so
+	// needData does not trust that copy until the answer arrives. Nil
+	// until such a round is cancelled.
+	unconfirmed map[callbackKey]ObjID
 	// pages is the per-page protocol state, dense by page and grown on
 	// demand (DESIGN.md §18).
 	pages     []pageState
@@ -187,6 +194,12 @@ type blockedReq struct {
 	blockedOnce bool
 }
 
+// callbackKey names one callback: its recipient and its round.
+type callbackKey struct {
+	c     ClientID
+	round int64
+}
+
 // round is one callback round: a write request whose grant awaits acks.
 type round struct {
 	id      int64
@@ -299,10 +312,11 @@ func (se *ServerEngine) RoundLive(id int64) bool {
 	return ok
 }
 
-// Quiesced reports whether the server holds no locks, rounds, queues, or
-// transactions (integration-test invariant at end of run).
+// Quiesced reports whether the server holds no locks, rounds, queues,
+// unanswered callbacks of cancelled rounds, or transactions
+// (integration-test invariant at end of run).
 func (se *ServerEngine) Quiesced() bool {
-	if len(se.txns) != 0 || len(se.rounds) != 0 || !se.Locks.Empty() {
+	if len(se.txns) != 0 || len(se.rounds) != 0 || len(se.unconfirmed) != 0 || !se.Locks.Empty() {
 		return false
 	}
 	for _, ps := range se.pages {

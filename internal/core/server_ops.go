@@ -257,10 +257,16 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 // needData decides whether a grant must carry the data item. The client
 // asks for data when it knows it lacks the item (WantData); the server
 // additionally ships data when its copy table shows the client's copy was
-// revoked after the request was sent (callback races).
+// revoked after the request was sent (callback races), or when a
+// cancelled round's callback may still revoke it (race 7).
 func (se *ServerEngine) needData(m *Msg) bool {
 	if m.WantData {
 		return true
+	}
+	for k, o := range se.unconfirmed {
+		if k.c == m.From && o.Page == m.Obj.Page && (o == m.Obj || !se.Copies.ObjGranularity()) {
+			return true
+		}
 	}
 	if se.Copies.ObjGranularity() {
 		return !se.Copies.HasObjCopy(m.From, m.Obj)
@@ -374,7 +380,12 @@ func (se *ServerEngine) handleAck(m *Msg) {
 	}
 	rd := se.rounds[m.Req]
 	if rd == nil {
-		return // round cancelled (victim aborted); effects already applied
+		// Round cancelled (victim aborted, requester gone); effects
+		// already applied. A final answer confirms the copy again.
+		if !m.Busy {
+			delete(se.unconfirmed, callbackKey{c: m.From, round: m.Req})
+		}
+		return
 	}
 	var busy int64
 	if m.Busy {
@@ -439,11 +450,20 @@ func (se *ServerEngine) completeRound(rd *round) {
 // still outstanding (a cancellation: victim abort, requester disconnect)
 // are announced via EvRoundCancel so the host can retire any callback
 // deadline it armed for them — they owe nothing to a dead round, and a
-// stale deadline would let a watchdog depose a healthy client. Normal
-// completion emits nothing: pending is empty by then.
+// stale deadline would let a watchdog depose a healthy client. Their
+// copies stay unconfirmed until that answer arrives: the callback is
+// still on its way and may purge them. Normal completion does neither:
+// pending is empty by then.
 func (se *ServerEngine) dropRound(rd *round) {
 	for c := range rd.pending {
 		se.trace(obs.EvRoundCancel, rd.txn.id, c, rd.obj, rd.id)
+		if _, busy := rd.busy[c]; busy {
+			continue // it keeps the copy until its transaction ends
+		}
+		if se.unconfirmed == nil {
+			se.unconfirmed = make(map[callbackKey]ObjID)
+		}
+		se.unconfirmed[callbackKey{c: c, round: rd.id}] = rd.obj
 	}
 	delete(se.rounds, rd.id)
 	ps := &se.pages[rd.page]
@@ -776,6 +796,11 @@ func (se *ServerEngine) DisconnectDedup(c ClientID, seen map[TxnID]bool) []Msg {
 	}
 
 	se.Copies.DropClient(c)
+	for k := range se.unconfirmed {
+		if k.c == c {
+			delete(se.unconfirmed, k)
+		}
+	}
 	return se.out
 }
 

@@ -211,12 +211,8 @@ func recoverOnce(t *testing.T, dir string) []byte {
 	if err != nil {
 		t.Fatalf("recoverOnce: open store: %v", err)
 	}
-	wal, scan, err := OpenWAL(filepath.Join(dir, "wal.log"))
+	wal, _, err := replay(filepath.Join(dir, "wal.log"), st, nil)
 	if err != nil {
-		st.Close()
-		t.Fatalf("recoverOnce: open wal: %v", err)
-	}
-	if _, err := replayRecords(st, scan, 1); err != nil {
 		t.Fatalf("recoverOnce: replay: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -262,13 +258,14 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 	fault.DisarmAll()
 
 	// The WAL must still hold the committed record (truncation never ran)…
-	w, scan, err := OpenWAL(filepath.Join(dir, "wal.log"))
+	var recs []*walRecord
+	w, err := OpenWAL(filepath.Join(dir, "wal.log"), collectInto(&recs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if len(scan.recs) != 1 {
-		t.Fatalf("WAL has %d records after mid-checkpoint crash, want 1", len(scan.recs))
+	if len(recs) != 1 {
+		t.Fatalf("WAL has %d records after mid-checkpoint crash, want 1", len(recs))
 	}
 
 	// …and recovery (which replays it over the already-flushed store) must

@@ -507,7 +507,7 @@ func TestServerStatsExposed(t *testing.T) {
 func TestWALTornTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	w, _, err := OpenWAL(path)
+	w, err := OpenWAL(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,13 +524,14 @@ func TestWALTornTailIgnored(t *testing.T) {
 	w.Close()
 
 	f, _ := openFile(path)
-	scan, err := scanWAL(f)
+	var recs []*walRecord
+	_, err = scanWAL(f, collectInto(&recs))
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scan.recs) != 1 || scan.recs[0].Txn != 1 {
-		t.Fatalf("recovered %d records", len(scan.recs))
+	if len(recs) != 1 || recs[0].Txn != 1 {
+		t.Fatalf("recovered %d records", len(recs))
 	}
 }
 

@@ -20,11 +20,6 @@ type ServerOptions struct {
 	// stays a single sequencer. 0 selects the default, min(8, GOMAXPROCS).
 	// 1 disables sharding (the pre-shard single-engine behavior).
 	Shards int
-	// RecoveryJobs is the number of parallel WAL replay workers used when
-	// opening the database (fixed-slot stores only; the variable store
-	// replays serially — see replayRecords). 0 selects the default,
-	// min(Shards, GOMAXPROCS).
-	RecoveryJobs int
 	// SyncWAL forces commits to wait for a WAL fsync before acking
 	// (default true; tests disable it).
 	SyncWAL bool
@@ -138,15 +133,6 @@ func (o *ServerOptions) defaults() {
 	// Round down to a power of two so shardOf is a mask, not a modulo.
 	for o.Shards&(o.Shards-1) != 0 {
 		o.Shards &= o.Shards - 1
-	}
-	if o.RecoveryJobs == 0 {
-		o.RecoveryJobs = runtime.GOMAXPROCS(0)
-		if o.RecoveryJobs > o.Shards {
-			o.RecoveryJobs = o.Shards
-		}
-	}
-	if o.RecoveryJobs < 1 {
-		o.RecoveryJobs = 1
 	}
 	if o.HeatEpoch <= 0 {
 		o.HeatEpoch = 10 * time.Second

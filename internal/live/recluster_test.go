@@ -393,9 +393,12 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 		t.Fatal("OpenServer succeeded with relocation records but no relocs.db")
 	}
 
-	verify := func(t *testing.T, dir string) {
-		srv2 := reclusterServer(t, dir, 1)
+	verify := func(t *testing.T, dir string, shards int) {
+		srv2 := reclusterServer(t, dir, shards)
 		defer srv2.Close()
+		if n := srv2.NumShards(); n != shards {
+			t.Fatalf("recovered server runs %d engine shards, want %d", n, shards)
+		}
 		if got := srv2.ReclusterStatus(false).Relocated; got != 2 {
 			t.Fatalf("recovered relocation table has %d entries, want 2", got)
 		}
@@ -412,7 +415,9 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 	}
 
 	// Double-crash matrix: re-crash recovery at every point that can fire
-	// while relocation records are in the log, then recover for real.
+	// while relocation records are in the log, then recover for real, with
+	// the recovering server at one and at four engine shards (jobs1,
+	// jobs4) so the rebuilt redirects are served across shards too.
 	points := []struct {
 		name string
 		hit  int64
@@ -428,7 +433,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 				cp := reclusterCopyDir(t, dir)
 				fault.Get(pt.name).Arm(pt.hit)
 				_, err := openServer(cp, ServerOptions{
-					Proto: core.PSAA, SyncWAL: true, Recluster: true, RecoveryJobs: jobs,
+					Proto: core.PSAA, SyncWAL: true, Recluster: true, Shards: jobs,
 					ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 				})
 				fault.DisarmAll()
@@ -438,13 +443,13 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 				if !fault.IsCrash(err) {
 					t.Fatalf("OpenServer failed with %v, want injected crash", err)
 				}
-				verify(t, cp)
+				verify(t, cp, jobs)
 			})
 		}
 	}
 
 	// Real recovery on the original state: table rebuilt, redirects live.
-	t.Run("clean-recovery", func(t *testing.T) { verify(t, dir) })
+	t.Run("clean-recovery", func(t *testing.T) { verify(t, dir, 1) })
 
 	// Recovery saved relocs.db before truncating the log (the records are
 	// gone now), so a crash right after reopening — before any checkpoint
@@ -452,7 +457,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 	// redirects from the side file alone.
 	srv3 := reclusterServer(t, dir, 1)
 	srv3.Crash()
-	t.Run("post-truncation-crash", func(t *testing.T) { verify(t, dir) })
+	t.Run("post-truncation-crash", func(t *testing.T) { verify(t, dir, 1) })
 }
 
 // TestReclusterMidMoveCrash arms the recluster.mid-move crash point: the

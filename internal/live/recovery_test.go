@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,27 +37,26 @@ func copyDBDir(t *testing.T, src string) string {
 	return dst
 }
 
-// TestParallelReplayMatchesSerial is the determinism contract behind
-// -recovery-jobs: partitioned replay must leave the store byte-identical
-// to a serial replay, for any worker count, including non-powers of two.
-// The log deliberately rewrites the same objects many times so that any
-// ordering mistake between workers would surface as a stale afterimage.
-func TestParallelReplayMatchesSerial(t *testing.T) {
+// TestReplayServesLastImages: a log that rewrites the same objects many
+// times replays in log order, so a recovered server serves exactly the
+// last committed image of every object — any ordering mistake would
+// surface as a stale afterimage.
+func TestReplayServesLastImages(t *testing.T) {
 	const (
 		numPages = 32
 		objsPP   = 4
 		records  = 300
 		fanout   = 4
 	)
-	tpl := t.TempDir()
-	st, err := CreateStore(filepath.Join(tpl, "data.db"), 256, objsPP, numPages)
+	dir := t.TempDir()
+	st, err := CreateStore(filepath.Join(dir, "data.db"), 256, objsPP, numPages)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := OpenWAL(filepath.Join(tpl, "wal.log"))
+	w, err := OpenWAL(filepath.Join(dir, "wal.log"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,49 +87,13 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var serial []byte
-	for _, jobs := range []int{1, 2, 3, 4} {
-		dir := copyDBDir(t, tpl)
-		st, err := OpenStore(filepath.Join(dir, "data.db"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wal, scan, err := OpenWAL(filepath.Join(dir, "wal.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := replayRecords(st, scan, jobs)
-		if err != nil {
-			t.Fatalf("jobs=%d: replay: %v", jobs, err)
-		}
-		if stats.Jobs != jobs || stats.Records != records {
-			t.Fatalf("jobs=%d: stats %+v", jobs, stats)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		wal.Close()
-		raw, err := os.ReadFile(filepath.Join(dir, "data.db"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jobs == 1 {
-			serial = raw
-		} else if !bytes.Equal(raw, serial) {
-			t.Fatalf("jobs=%d: store bytes differ from serial replay", jobs)
-		}
-	}
-
-	// End to end: a server opened with parallel recovery serves exactly the
-	// last committed image of every object.
-	dir := copyDBDir(t, tpl)
-	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, RecoveryJobs: 4})
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if got := srv.RecoveryStats(); got.Jobs != 4 || got.Records != records {
-		t.Fatalf("server recovery stats %+v, want Jobs=4 Records=%d", got, records)
+	if got := srv.RecoveryStats(); got.Records != records {
+		t.Fatalf("server recovery stats %+v, want Records=%d", got, records)
 	}
 	cl := attachClient(t, srv)
 	defer cl.Close()
@@ -148,12 +113,182 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 	tx.Commit()
 }
 
+// TestReplayMalformedRecordFailsOpen: a CRC-valid record whose Objs and
+// Images differ in length is not a torn tail. It fails the open, and
+// replay applies in the same pass it reads, so the valid record before it
+// has already been applied in memory by then — the failed open must not
+// flush that prefix: the store file and the log stay exactly as they were.
+func TestReplayMalformedRecordFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	dataPath, walPath := filepath.Join(dir, "data.db"), filepath.Join(dir, "wal.log")
+	st, err := CreateStore(dataPath, 256, 4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(walPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*walRecord{
+		{Txn: 1, Client: 1, Commit: true, Objs: []core.ObjID{o(2, 1)}, Images: [][]byte{[]byte("valid")}},
+		{Txn: 2, Client: 1, Commit: true, Objs: []core.ObjID{o(3, 0), o(3, 1)}, Images: [][]byte{[]byte("one")}},
+	} {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logLen := w.Len()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA})
+	if err == nil {
+		srv.Close()
+		t.Fatal("OpenServer accepted a malformed WAL record")
+	}
+	if !strings.Contains(err.Error(), "malformed WAL record") {
+		t.Fatalf("OpenServer failed with %v, want a malformed WAL record", err)
+	}
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != logLen {
+		t.Fatalf("log is %d bytes after the failed open, want %d", fi.Size(), logLen)
+	}
+	after, err := os.ReadFile(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("the failed open changed data.db")
+	}
+}
+
+// replayChildEnv names the directory TestReplayMemoryBounded's child
+// process reopens; it is set only in that child's environment.
+const replayChildEnv = "LIVE_REPLAY_CHILD_DIR"
+
+// TestReplayMemoryBounded: replay holds one record at a time, so reopening
+// a database whose log is large peaks below the log's size. The reopen
+// runs in a child process (this test binary again), whose peak resident
+// set (VmHWM) counts only the reopen.
+func TestReplayMemoryBounded(t *testing.T) {
+	if dir := os.Getenv(replayChildEnv); dir != "" {
+		srv, err := OpenServer(dir, ServerOptions{Proto: core.PSAA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("replayed %d records, VmHWM %d\n", srv.RecoveryStats().Records, vmHWM(t))
+		srv.Close()
+		return
+	}
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory dwarfs the replay's")
+	}
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc/self/status to read a peak resident set from")
+	}
+
+	// A crashed default-geometry database: the store is empty and the log
+	// holds every commit, written the way BenchmarkRecovery writes its own.
+	const (
+		records = 40000
+		fanout  = 8
+	)
+	dir := t.TempDir()
+	opts := ServerOptions{Proto: core.PSAA}
+	opts.defaults()
+	st, err := CreateStore(filepath.Join(dir, "data.db"), opts.PageSize, opts.ObjsPerPage, opts.NumPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(filepath.Join(dir, "wal.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SyncOnCommit = false
+	rng := rand.New(rand.NewSource(7))
+	objSize := (opts.PageSize - 4) / opts.ObjsPerPage
+	img := make([]byte, objSize)
+	for i := 0; i < records; i++ {
+		rec := &walRecord{Txn: core.TxnID(i + 1), Client: 1, Commit: true,
+			Objs: make([]core.ObjID, fanout), Images: make([][]byte, fanout)}
+		for j := range rec.Objs {
+			rec.Objs[j] = o(core.PageID(rng.Intn(opts.NumPages)), uint16(rng.Intn(opts.ObjsPerPage)))
+			rng.Read(img)
+			rec.Images[j] = img
+		}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logLen := w.Len()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logLen < 64<<20 {
+		t.Fatalf("log is %d bytes, want at least 64 MiB", logLen)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestReplayMemoryBounded$", "-test.count=1")
+	// The child runs the collector at its default pace, whatever this
+	// process's environment says.
+	cmd.Env = append(os.Environ(), replayChildEnv+"="+dir, "GOGC=100", "GOMEMLIMIT=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child reopen: %v\n%s", err, out)
+	}
+	var recs, peak int64
+	for _, line := range strings.Split(string(out), "\n") {
+		if _, err := fmt.Sscanf(line, "replayed %d records, VmHWM %d", &recs, &peak); err == nil {
+			break
+		}
+	}
+	if recs != records || peak == 0 {
+		t.Fatalf("child did not report a full replay:\n%s", out)
+	}
+	t.Logf("reopening a %.1f MB log peaked at %.1f MB resident", float64(logLen)/1e6, float64(peak)/1e6)
+	if peak > logLen {
+		t.Fatalf("reopen peaked at %d bytes resident, more than the %d-byte log", peak, logLen)
+	}
+}
+
+// vmHWM returns this process's peak resident set size in bytes.
+func vmHWM(t *testing.T) int64 {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		var kb int64
+		if _, err := fmt.Sscanf(line, "VmHWM: %d kB", &kb); err == nil {
+			return kb << 10
+		}
+	}
+	t.Fatal("no VmHWM line in /proc/self/status")
+	return 0
+}
+
 // TestCrashDuringRecovery proves recovery itself is crash-safe: a second
 // crash while replaying, while flushing replayed pages, or just before
 // the post-recovery log truncation must leave the log intact, and the
 // next recovery must land on exactly the same store bytes as a recovery
-// that never crashed. Each crash point runs under both serial and
-// parallel replay.
+// that never crashed. Each crash point runs with the recovering and the
+// reopened server at one and at four engine shards (jobs1, jobs4): replay
+// is one serial pass whatever the shard count, and the recovered store
+// must serve every acked write through either partitioning.
 func TestCrashDuringRecovery(t *testing.T) {
 	const (
 		numPages = 16
@@ -217,9 +352,7 @@ func TestCrashDuringRecovery(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/hit%d/jobs%d", pt.name, pt.hit, jobs), func(t *testing.T) {
 				dir := copyDBDir(t, tpl)
 				fault.Get(pt.name).Arm(pt.hit)
-				_, err := openServer(dir, ServerOptions{
-					Proto: core.PSAA, SyncWAL: true, RecoveryJobs: jobs,
-				})
+				_, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true, Shards: jobs})
 				fault.DisarmAll()
 				if err == nil {
 					t.Fatalf("OpenServer survived armed crash point %s", pt.name)
@@ -238,13 +371,14 @@ func TestCrashDuringRecovery(t *testing.T) {
 				}
 
 				// And a real reopen must serve every acked write.
-				srv2, err := openServer(dir, ServerOptions{
-					Proto: core.PSAA, SyncWAL: true, RecoveryJobs: jobs,
-				})
+				srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true, Shards: jobs})
 				if err != nil {
 					t.Fatalf("reopen after mid-recovery crash: %v", err)
 				}
 				defer srv2.Close()
+				if n := srv2.NumShards(); n != jobs {
+					t.Fatalf("reopened server runs %d engine shards, want %d", n, jobs)
+				}
 				auditor := attachClient(t, srv2)
 				defer auditor.Close()
 				tx, err := auditor.Begin()

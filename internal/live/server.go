@@ -256,38 +256,19 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		}
 	}
 
-	// Redo recovery: one scan finds the append offset and the records to
-	// replay; the flushed store then makes the log redundant. A crash
-	// anywhere in here (the recover.mid-replay and store.flush.* crash
-	// points) leaves the log intact for the next attempt — replay is
-	// idempotent, so recovering a half-recovered store lands on the same
-	// bytes.
-	wal, scan, err := OpenWAL(walPath)
+	// Redo recovery, in one pass over the log: each committed record's
+	// images go to the store and its relocations into the table as the
+	// record is read, so replay holds one record at a time. The flushed
+	// store and the saved table then make the log redundant. A failed
+	// replay closes the store without flushing, so data.db and the log
+	// stay as they were; a crash anywhere in here (the recover.mid-replay
+	// and store.flush.* crash points) leaves the log intact for the next
+	// attempt — replay is idempotent, so recovering a half-recovered store
+	// lands on the same bytes.
+	wal, recov, err := replay(walPath, store, relocs)
 	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	recov, err := replayRecords(store, scan, opts.RecoveryJobs)
-	if err != nil {
-		store.Close()
-		wal.Close()
+		store.closeRaw()
 		return nil, fmt.Errorf("live: recovery failed: %w", err)
-	}
-	// Relocation replay: fold every logged migration into the table, in
-	// log order, and make the result durable BEFORE the log is truncated.
-	// A log written by an older server may still hold records a
-	// checkpoint already saved into the relocs.db base; re-applying them
-	// is idempotent over that base.
-	for _, rec := range scan.recs {
-		if len(rec.Relocs) == 0 {
-			continue
-		}
-		if relocs == nil {
-			store.Close()
-			wal.Close()
-			return nil, fmt.Errorf("live: WAL holds relocation records but %s is missing", relocFile)
-		}
-		relocs.applyAll(rec.Relocs)
 	}
 	if relocs != nil && relocs.size() > 0 {
 		if err := relocs.save(dir); err != nil {
@@ -584,8 +565,62 @@ func (s *Server) Addr() string {
 }
 
 // RecoveryStats reports what the opening replay did: records and pages
-// replayed, worker count, and wall time.
+// replayed, and wall time.
 func (s *Server) RecoveryStats() RecoveryStats { return s.recovery }
+
+// replay opens the log at walPath and applies every committed record to
+// store and relocs (nil: the store keeps no relocation table) in log
+// order, then flushes the store. Records are object afterimages, so
+// applying them over an already (partially) recovered store rewrites the
+// same bytes; relocation records a checkpoint already saved into the
+// relocs.db base (logs of older servers hold such) re-apply as
+// idempotently. The log is closed on error.
+func replay(walPath string, store objectStore, relocs *relocTable) (*WAL, RecoveryStats, error) {
+	var st RecoveryStats
+	pages := make(map[core.PageID]struct{})
+	apply := func(rec *walRecord) error {
+		if !rec.Commit {
+			return nil
+		}
+		if len(rec.Objs) != len(rec.Images) {
+			return fmt.Errorf("live: malformed WAL record for txn %d", rec.Txn)
+		}
+		for i, o := range rec.Objs {
+			if err := cpRecoverMidReplay.Check(); err != nil {
+				return err
+			}
+			if err := store.WriteObj(o, rec.Images[i]); err != nil {
+				return err
+			}
+			pages[o.Page] = struct{}{}
+		}
+		if len(rec.Relocs) > 0 {
+			if relocs == nil {
+				return fmt.Errorf("live: WAL holds relocation records but %s is missing", relocFile)
+			}
+			relocs.applyAll(rec.Relocs)
+		}
+		st.Records++
+		return nil
+	}
+	wal, err := OpenWAL(walPath, func(rec *walRecord) error {
+		start := time.Now()
+		err := apply(rec)
+		st.DurationNs += time.Since(start).Nanoseconds()
+		return err
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	start := time.Now()
+	if err := store.Flush(); err != nil {
+		wal.Close()
+		return nil, st, err
+	}
+	st.PagesReplayed = len(pages)
+	st.DurationNs += time.Since(start).Nanoseconds()
+	return wal, st, nil
+}
 
 // stopLocked is the one teardown Close and Crash share: mark the server
 // stopped (recording cause, nil for a clean Close), signal the background

@@ -47,7 +47,6 @@ func TestShardDefaultsNormalization(t *testing.T) {
 // helper applyEnv only — defaults() (and so OpenServer) never looks at it.
 func TestApplyEnv(t *testing.T) {
 	t.Setenv("OODB_SHARDS", "4")
-	t.Setenv("OODB_RECOVERY_JOBS", "x") // unparsable: ignored
 	t.Setenv("OODB_HEAT", "1")
 	t.Setenv("OODB_RECLUSTER", "0")
 	t.Setenv("OODB_TRANSPORT", TransportReactor)
@@ -60,13 +59,20 @@ func TestApplyEnv(t *testing.T) {
 
 	o := ServerOptions{}
 	applyEnv(&o)
-	if o.Shards != 4 || o.RecoveryJobs != 0 || !o.Heat || o.Recluster || o.Transport != TransportReactor {
+	if o.Shards != 4 || !o.Heat || o.Recluster || o.Transport != TransportReactor {
 		t.Errorf("applyEnv on zero options gave %+v", o)
 	}
 	set := ServerOptions{Shards: 2, Transport: TransportGoroutine}
 	applyEnv(&set)
 	if set.Shards != 2 || set.Transport != TransportGoroutine {
 		t.Errorf("applyEnv overrode explicit fields: %+v", set)
+	}
+
+	t.Setenv("OODB_SHARDS", "x") // unparsable: ignored
+	bad := ServerOptions{}
+	applyEnv(&bad)
+	if bad.Shards != 0 {
+		t.Errorf("applyEnv parsed OODB_SHARDS=x as %d", bad.Shards)
 	}
 }
 

@@ -62,11 +62,9 @@ type Store struct {
 	dirty  []bool
 
 	// latches synchronizes off-lock payload reads with commit installs
-	// (see pageLatches). flushPages also takes each page's latch for the
-	// copy + dirty-clear pair, so recovery's partitioned replay can flush
-	// one partition while other workers install; a checkpoint needs no
-	// more, since it excludes installs (installMu). The open/create paths
-	// alone skip it (nothing else can hold the store yet).
+	// (see pageLatches). Flush also takes each page's latch for the
+	// copy + dirty-clear pair. The open/create paths alone skip it
+	// (nothing else can hold the store yet).
 	latches pageLatches
 }
 
@@ -273,32 +271,28 @@ func (s *Store) WriteObj(o core.ObjID, data []byte) error {
 	return nil
 }
 
-// flushPages writes dirty pages selected by owned (nil = all) back to the
-// file with fresh checksums, without fsyncing. Each page's frame copy and
-// dirty-flag clear happen together under its exclusive latch, so an
-// install racing the flush either lands before the copy (flushed now) or
-// after it (re-dirtying the page for the next flush). On a write error the page is re-marked dirty before
-// returning — the flag may only go clean once the bytes are actually in
-// the file, or a later checkpoint would truncate the WAL record that
-// still covers them.
-func (s *Store) flushPages(owned func(core.PageID) bool) (int, error) {
+// Flush writes all dirty pages (with checksums) to the file and syncs.
+// Each page's frame copy and dirty-flag clear happen together under its
+// exclusive latch, so an install racing the flush either lands before the
+// copy (flushed now) or after it (re-dirtying the page for the next
+// flush). On a write error the page is re-marked dirty before returning —
+// the flag may only go clean once the bytes are actually in the file, or
+// a later checkpoint would truncate the WAL record that still covers
+// them.
+func (s *Store) Flush() error {
 	buf := make([]byte, s.pageSize)
-	wrote := 0
+	wrote := false
 	for p := 0; p < s.numPages; p++ {
-		pid := core.PageID(p)
-		if owned != nil && !owned(pid) {
-			continue
-		}
-		l := s.latches.shard(pid)
+		l := s.latches.shard(core.PageID(p))
 		l.Lock()
 		if !s.dirty[p] {
 			l.Unlock()
 			continue
 		}
-		if wrote > 0 {
+		if wrote {
 			if err := cpFlushPartial.Check(); err != nil {
 				l.Unlock()
-				return wrote, err
+				return err
 			}
 		}
 		copy(buf, s.frames[p])
@@ -309,26 +303,15 @@ func (s *Store) flushPages(owned func(core.PageID) bool) (int, error) {
 			l.Lock()
 			s.dirty[p] = true
 			l.Unlock()
-			return wrote, err
+			return err
 		}
-		wrote++
-	}
-	return wrote, nil
-}
-
-// Flush writes all dirty pages (with checksums) to the file and syncs.
-func (s *Store) Flush() error {
-	if _, err := s.flushPages(nil); err != nil {
-		return err
+		wrote = true
 	}
 	if err := cpFlushPreSync.Check(); err != nil {
 		return err
 	}
 	return s.f.Sync()
 }
-
-// syncFile fsyncs the store file (pairs with flushPages).
-func (s *Store) syncFile() error { return s.f.Sync() }
 
 // DirtyPages returns how many pages are dirty in memory (unflushed).
 func (s *Store) DirtyPages() int {

@@ -12,14 +12,14 @@ func writeFile(path string, b []byte) error  { return os.WriteFile(path, b, 0o64
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
 // openServer is OpenServer the way every test in this package opens one:
-// with the CI matrix's OODB_* selection (shards, recovery jobs, heat,
-// recluster, transport) filling whatever the test left unset.
+// with the CI matrix's OODB_* selection (shards, heat, recluster,
+// transport) filling whatever the test left unset.
 func openServer(dir string, opts ServerOptions) (*Server, error) {
 	applyEnv(&opts)
 	return OpenServer(dir, opts)
 }
 
-// applyEnv fills the fields of o that are still unset from the five
+// applyEnv fills the fields of o that are still unset from the four
 // variables the CI matrix selects its configurations with. Nothing but
 // this package's tests reads them: the library and the commands take
 // options and flags only. Unparsable numbers are ignored.
@@ -31,7 +31,6 @@ func applyEnv(o *ServerOptions) {
 		str  *string
 	}{
 		{name: "OODB_SHARDS", num: &o.Shards},
-		{name: "OODB_RECOVERY_JOBS", num: &o.RecoveryJobs},
 		{name: "OODB_HEAT", flag: &o.Heat},
 		{name: "OODB_RECLUSTER", flag: &o.Recluster},
 		{name: "OODB_TRANSPORT", str: &o.Transport},

@@ -1,11 +1,12 @@
 package live
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -68,9 +69,9 @@ type walRecord struct {
 	Images [][]byte
 	Commit bool // always true today; reserved for future undo records
 	// Relocs, on a reclustering migration commit, records the old->new
-	// placements this transaction installs. Recovery replays them into the
-	// relocation table serially in log order (chain compression makes the
-	// apply order significant), after the image replay.
+	// placements this transaction installs. Recovery folds them into the
+	// relocation table in log order (chain compression makes the apply
+	// order significant), right after the record's images.
 	Relocs []core.RelocEntry
 }
 
@@ -139,36 +140,38 @@ func (w *WAL) tail() int64 {
 }
 
 // OpenWAL opens (or creates) the log at path, positioned for appending
-// after the last valid record. It returns the scan so recovery can replay
-// without re-reading the file. Any bytes past the last valid frame — a
-// torn tail or a corrupt frame — are physically cut off before the first
-// append, so stale garbage can never sit under (and re-corrupt) future
-// frames.
-func OpenWAL(path string) (*WAL, *walScan, error) {
+// after the last valid record. On the way it hands apply each record of
+// the valid prefix, in log order, as it reads it (see scanWAL); nothing
+// keeps a record after apply returns. A nil apply skips them. An error
+// from apply fails the open and leaves the file as it found it.
+// Otherwise any bytes past the last valid frame — a torn tail or a
+// corrupt frame — are physically cut off before the first append, so
+// stale garbage can never sit under (and re-corrupt) future frames.
+func OpenWAL(path string, apply func(*walRecord) error) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w := &WAL{f: f, SyncOnCommit: true}
 	w.cond = sync.NewCond(&w.mu)
-	scan, err := scanWAL(f)
+	end, err := scanWAL(f, apply)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > scan.off {
-		if err := f.Truncate(scan.off); err != nil {
+	if fi, err := f.Stat(); err == nil && fi.Size() > end {
+		if err := f.Truncate(end); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	w.off = scan.off
-	w.synced = scan.off // on-disk bytes are durable by definition
-	return w, scan, nil
+	w.off = end
+	w.synced = end // on-disk bytes are durable by definition
+	return w, nil
 }
 
 // encodeWALFrame encodes rec into a complete length+CRC frame. It takes
@@ -410,52 +413,60 @@ func (w *WAL) crash() {
 	w.cond.Broadcast()
 }
 
-// walScan is the result of one pass over the log: the committed records
-// and where the next frame goes.
-type walScan struct {
-	recs []*walRecord
-	off  int64 // append offset: end of the last valid frame
-}
-
-// scanWAL reads every valid frame from the start of the file, stopping at
-// the first torn/invalid one (crash tail): a bad length, a short body, or
-// a CRC mismatch all end the scan without poisoning the valid prefix —
-// a flipped bit in frame k yields exactly frames 0..k-1. Record bodies
-// are binary (walFormatBinary, codec.go); a body that does not decode
-// ends the scan like any other invalid frame. A CRC-valid checkpoint
-// watermark frame (walFormatCheckpoint), which older servers wrote, is
-// skipped: replay is idempotent, so the records it covered replay again
-// harmlessly, and stopping there would drop the acked records behind it.
-func scanWAL(f *os.File) (*walScan, error) {
-	scan := &walScan{}
-	hdr := make([]byte, 8)
+// scanWAL reads the log from the start, one frame at a time into one
+// reused buffer, and hands each decoded record to apply (if not nil). It
+// returns the append offset: the end of the last valid frame. The scan
+// stops at the first torn/invalid frame (crash tail): a bad length, a
+// short body, or a CRC mismatch all end it without poisoning the valid
+// prefix — a flipped bit in frame k yields exactly frames 0..k-1. Record
+// bodies are binary (walFormatBinary, codec.go); a body that does not
+// decode ends the scan like any other invalid frame. A CRC-valid
+// checkpoint watermark frame (walFormatCheckpoint), which older servers
+// wrote, is skipped: replay is idempotent, so the records it covered
+// replay again harmlessly, and stopping there would drop the acked
+// records behind it.
+func scanWAL(f *os.File, apply func(*walRecord) error) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, math.MaxInt64), 64<<10)
+	var off int64
+	var hdr [8]byte
+	var body []byte
 	for {
-		if _, err := f.ReadAt(hdr, scan.off); err != nil {
-			if errors.Is(err, io.EOF) {
-				return scan, nil
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return off, nil // end of log, or a torn header
 			}
-			return nil, err
+			return 0, err
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:])
 		want := binary.LittleEndian.Uint32(hdr[4:])
 		if n == 0 || n > 1<<28 {
-			return scan, nil // torn or garbage tail
+			return off, nil // torn or garbage tail
 		}
-		body := make([]byte, n)
-		if _, err := f.ReadAt(body, scan.off+8); err != nil {
-			return scan, nil // torn tail
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				return off, nil // torn tail
+			}
+			return 0, err
 		}
 		if crc32.ChecksumIEEE(body) != want {
-			return scan, nil
+			return off, nil
 		}
 		if body[0] != walFormatCheckpoint {
 			rec, err := decodeWALRecord(body)
 			if err != nil {
-				return scan, nil
+				return off, nil
 			}
-			scan.recs = append(scan.recs, rec)
+			if apply != nil {
+				if err := apply(rec); err != nil {
+					return 0, err
+				}
+			}
 		}
-		scan.off += int64(8 + n)
+		off += int64(8 + n)
 	}
 }
 
@@ -463,152 +474,5 @@ func scanWAL(f *os.File) (*walScan, error) {
 type RecoveryStats struct {
 	Records       int   // committed records replayed
 	PagesReplayed int   // distinct pages that received at least one replayed image
-	Jobs          int   // replay workers used
-	ApplyNs       int64 // wall time of the image-apply + page-write phase (the part that parallelizes)
-	DurationNs    int64 // total replay wall time including the final fsync
-}
-
-// replayRecords applies committed records to the store in log order and
-// flushes it. Replay is idempotent: records are object afterimages, so
-// applying them over an already-(partially-)recovered store rewrites the
-// same bytes — which is what makes a crash DURING recovery harmless.
-//
-// With jobs > 1 and the fixed-slot store, the apply phase is partitioned
-// by page hash across workers. Partitions own disjoint page sets and each
-// worker applies its writes in log order, so the result is byte-identical
-// to a serial replay: writes to different pages land in disjoint bytes,
-// and writes to the same page are ordered by the one worker that owns it.
-// The page write-back (checksum + pwrite) is partitioned the same way,
-// leaving only the final fsync serial. The variable store always replays
-// serially: its installs relocate objects across overflow frames, so the
-// resulting layout depends on global apply order.
-func replayRecords(store objectStore, scan *walScan, jobs int) (RecoveryStats, error) {
-	start := time.Now()
-	var st RecoveryStats
-
-	// Validate and count up front — counts must not depend on how far a
-	// failed replay got, and a malformed record should abort before any
-	// write, not after half of them.
-	pages := make(map[core.PageID]struct{})
-	var live []*walRecord
-	for _, rec := range scan.recs {
-		if !rec.Commit {
-			continue
-		}
-		if len(rec.Objs) != len(rec.Images) {
-			return st, fmt.Errorf("live: malformed WAL record for txn %d", rec.Txn)
-		}
-		live = append(live, rec)
-		for _, o := range rec.Objs {
-			pages[o.Page] = struct{}{}
-		}
-	}
-	st.Records = len(live)
-	st.PagesReplayed = len(pages)
-
-	fs, fixed := store.(*Store)
-	if jobs < 1 || !fixed {
-		jobs = 1
-	}
-	st.Jobs = jobs
-
-	applyStart := time.Now()
-	var err error
-	if fixed {
-		if jobs == 1 {
-			err = replaySerial(store, live)
-			if err == nil {
-				_, err = fs.flushPages(nil)
-			}
-		} else {
-			err = replayParallel(fs, live, jobs)
-		}
-		st.ApplyNs = time.Since(applyStart).Nanoseconds()
-		if err == nil {
-			if err = cpFlushPreSync.Check(); err == nil {
-				err = fs.syncFile()
-			}
-		}
-	} else {
-		err = replaySerial(store, live)
-		st.ApplyNs = time.Since(applyStart).Nanoseconds()
-		if err == nil {
-			err = store.Flush()
-		}
-	}
-	if err != nil {
-		return st, err
-	}
-	st.DurationNs = time.Since(start).Nanoseconds()
-	return st, nil
-}
-
-// replaySerial applies live records' images in log order.
-func replaySerial(store objectStore, live []*walRecord) error {
-	for _, rec := range live {
-		for i, o := range rec.Objs {
-			if err := cpRecoverMidReplay.Check(); err != nil {
-				return err
-			}
-			if err := store.WriteObj(o, rec.Images[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// replayPart maps a page to its replay partition — the same multiplicative
-// hash the engine shards use, reduced mod jobs (which need not be a power
-// of two).
-func replayPart(p core.PageID, jobs int) int {
-	h := uint32(p) * 2654435761
-	return int((h >> 16) % uint32(jobs))
-}
-
-// replayParallel runs the partitioned apply + page write-back (no fsync;
-// the caller owns that). Each worker finishes applying its partition's
-// images before writing that partition's dirty pages back, and no other
-// worker touches those pages, so per-partition ordering is exactly the
-// serial order.
-func replayParallel(store *Store, live []*walRecord, jobs int) error {
-	type write struct {
-		o   core.ObjID
-		img []byte
-	}
-	parts := make([][]write, jobs)
-	for _, rec := range live {
-		for i, o := range rec.Objs {
-			j := replayPart(o.Page, jobs)
-			parts[j] = append(parts[j], write{o, rec.Images[i]})
-		}
-	}
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for j := range parts {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			for _, wr := range parts[j] {
-				if err := cpRecoverMidReplay.Check(); err != nil {
-					errs[j] = err
-					return
-				}
-				if err := store.WriteObj(wr.o, wr.img); err != nil {
-					errs[j] = err
-					return
-				}
-			}
-			_, errs[j] = store.flushPages(func(p core.PageID) bool {
-				return replayPart(p, jobs) == j
-			})
-		}(j)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	DurationNs    int64 // wall time applying records and flushing the store, fsync included; reading the log is not counted
 }

@@ -17,12 +17,13 @@ import (
 func walWithRecords(t *testing.T, n int) (string, []int64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, scan, err := OpenWAL(path)
+	var recs []*walRecord
+	w, err := OpenWAL(path, collectInto(&recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scan.recs) != 0 {
-		t.Fatalf("fresh WAL scanned %d records", len(scan.recs))
+	if len(recs) != 0 {
+		t.Fatalf("fresh WAL scanned %d records", len(recs))
 	}
 	offs := make([]int64, n)
 	for i := 0; i < n; i++ {
@@ -51,11 +52,21 @@ func scanFile(t *testing.T, path string) ([]*walRecord, int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	scan, err := scanWAL(f)
+	var recs []*walRecord
+	off, err := scanWAL(f, collectInto(&recs))
 	if err != nil {
 		t.Fatalf("scanWAL returned a hard error: %v", err)
 	}
-	return scan.recs, scan.off
+	return recs, off
+}
+
+// collectInto returns an apply callback for OpenWAL and scanWAL that
+// appends every record it is handed to *recs.
+func collectInto(recs *[]*walRecord) func(*walRecord) error {
+	return func(rec *walRecord) error {
+		*recs = append(*recs, rec)
+		return nil
+	}
 }
 
 func appendRaw(t *testing.T, path string, b []byte) {
@@ -84,7 +95,7 @@ func TestScanWALTruncatedHeaderTail(t *testing.T) {
 	}
 	// Reopen-and-append recovers the torn tail: the next frame lands at
 	// the clean offset and the garbage is overwritten or left past EOF.
-	w, _, err := OpenWAL(path)
+	w, err := OpenWAL(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +295,7 @@ func TestScanWALZeroLengthFrame(t *testing.T) {
 // crash after a force loses nothing below it.
 func TestForceToMakesUnsyncedTailDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	w, _, err := OpenWAL(path)
+	w, err := OpenWAL(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
