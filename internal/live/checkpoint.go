@@ -22,15 +22,16 @@ var cpCheckpointMid = fault.Register("checkpoint.mid")
 //     unsynced tail — and no page image may reach the store file before
 //     the records covering it are on disk, or a crash would durably keep
 //     partial effects of a transaction whose record died with that tail.
-//  2. Flush the store (every dirty page, then fsync).
+//  2. Flush the store: a new file with every page, fsynced and renamed
+//     over the old one (see pageFile.Flush).
 //  3. Write relocs.db: the relocation table's base must cover the
 //     relocations whose records the truncation retires.
 //  4. Truncate the whole log.
 //
-// A crash before 4 leaves the log intact and forced at least as far as
-// any flushed page's records, and replay over the flushed store is
-// idempotent; the truncation shrinks the file in place, so no crash
-// leaves a half-cut log.
+// A crash in 2 leaves the old store file; a crash after it and before 4
+// leaves the new one, with the log intact and forced past every record
+// it covers, so replay rewrites the same bytes. The truncation shrinks
+// the file in place, so no crash leaves a half-cut log.
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
 	if s.closed {
@@ -59,8 +60,8 @@ func (s *Server) checkpointLocked() error {
 	if err := s.wal.ForceTo(s.wal.tail()); err != nil {
 		return err
 	}
-	flushed := s.store.DirtyPages()
-	if err := s.store.Flush(); err != nil {
+	flushed, err := s.store.flush()
+	if err != nil {
 		return err
 	}
 	s.metrics.flushPages.Add(int64(flushed))

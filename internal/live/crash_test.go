@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -294,15 +295,29 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 
 // TestCheckpointForcesWALBeforeFlush pins the checkpoint's write-ahead
 // rule. Commits fsync only after installing, so with SyncOnCommit off
-// nothing here is durable in the log when the checkpoint starts — yet
-// the flush is about to make page images durable in the store. If the
-// checkpoint wrote pages without first forcing the WAL, a crash mid-flush
-// would durably keep SOME pages of a transaction while the crash discards
-// the log's unsynced tail: recovery then has no record to replay and the
-// store shows a torn transaction. The checkpoint forces the log through
-// its tail before any page write, so recovery must always see every pair
-// whole.
+// the log's tail is not durable when the checkpoint starts — yet the
+// flush is about to make page images durable in the store. If the
+// checkpoint wrote pages without first forcing the WAL, a crash would
+// discard the tail's records while the store keeps their images. One row
+// crashes inside the flush. The other crashes after it (checkpoint.mid),
+// with an older record of page 0 already forced: recovery replays that
+// record over the flushed store, and without the force nothing newer
+// follows it, so page 0 rolls back while page 1 keeps its pair's value.
+// The checkpoint forces the log through its tail before any page write,
+// so recovery must always see every pair whole.
 func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
+	for _, row := range []struct {
+		point  string
+		olderX bool // commit and force an older value of page 0 first
+	}{
+		{"store.flush.partial", false},
+		{"checkpoint.mid", true},
+	} {
+		t.Run(row.point, func(t *testing.T) { runCheckpointForcesWAL(t, row.point, row.olderX) })
+	}
+}
+
+func runCheckpointForcesWAL(t *testing.T, point string, olderX bool) {
 	const pairs = 8
 	dir := t.TempDir()
 	srv, err := openServer(dir, ServerOptions{
@@ -313,6 +328,21 @@ func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := attachClient(t, srv)
+	if olderX {
+		old, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Write(o(0, 0), seqVal(pairs)); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.wal.ForceTo(srv.wal.tail()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Each transaction writes the same sequence value to both pages of its
 	// pair; atomicity means the two sides can never disagree.
 	for k := 0; k < pairs; k++ {
@@ -331,10 +361,10 @@ func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 	}
 
 	defer fault.DisarmAll()
-	fault.Get("store.flush.partial").Arm(1)
+	fault.Get(point).Arm(1)
 	err = srv.Checkpoint()
 	if err == nil || !fault.IsCrash(err) {
-		t.Fatalf("checkpoint returned %v, want injected mid-flush crash", err)
+		t.Fatalf("checkpoint returned %v, want injected crash at %s", err, point)
 	}
 	cl.Close()
 	srv.Crash()
@@ -368,4 +398,140 @@ func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 		}
 	}
 	tx.Commit()
+}
+
+// TestVariableObjectsCheckpointCrash crashes a variable-object server's
+// checkpoint inside its store flush, after a history of resizing commits
+// that compact pages and forward objects to the overflow region and back,
+// and requires the reopened server to serve every object's last committed
+// value. The flush must never leave a half-written set of pages behind:
+// the pages point at each other, so replaying afterimages over a torn set
+// cannot rebuild it.
+func TestVariableObjectsCheckpointCrash(t *testing.T) {
+	type crashAt struct {
+		point string
+		hit   int64
+	}
+	var cases []crashAt
+	for hit := int64(1); hit <= 12; hit++ {
+		cases = append(cases, crashAt{"store.flush.partial", hit})
+	}
+	cases = append(cases, crashAt{"store.flush.pre-sync", 1})
+	defer fault.DisarmAll()
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("seed%d/%s/hit%d", seed, c.point, c.hit), func(t *testing.T) {
+				runVariableCheckpointCrash(t, seed, c.point, c.hit)
+			})
+		}
+	}
+}
+
+func runVariableCheckpointCrash(t *testing.T, seed int64, point string, hit int64) {
+	const (
+		pages   = 6
+		slots   = 8
+		commits = 12 // before the completed checkpoint, and again after it
+	)
+	opts := ServerOptions{
+		Proto: core.OS, VariableObjects: true, PageSize: 512, ObjsPerPage: slots,
+		NumPages: pages, SyncWAL: true,
+	}
+	dir := t.TempDir()
+	srv, err := openServer(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := attachClient(t, srv)
+	rng := rand.New(rand.NewSource(seed))
+	last := make(map[core.ObjID][]byte)
+	commit := func(n int) {
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := make(map[core.ObjID][]byte)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			obj := o(core.PageID(rng.Intn(pages)), uint16(rng.Intn(slots)))
+			val := bytes.Repeat([]byte{byte('a' + n%26)}, 4+rng.Intn(397))
+			binary.LittleEndian.PutUint32(val, uint32(n))
+			if err := tx.Write(obj, val); err != nil {
+				t.Fatal(err)
+			}
+			writes[obj] = val
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for obj, val := range writes {
+			last[obj] = val
+		}
+	}
+	for n := 0; n < commits; n++ {
+		commit(n)
+	}
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for n := commits; n < 2*commits; n++ {
+		commit(n)
+	}
+	fault.Get(point).Arm(hit)
+	err = srv.Checkpoint()
+	fault.DisarmAll()
+	if err != nil && !fault.IsCrash(err) {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	cl.Close()
+	srv.Crash()
+
+	srv2, err := openServer(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer srv2.Close()
+	auditor := attachClient(t, srv2)
+	defer auditor.Close()
+	tx, err := auditor.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for obj, want := range last {
+		got, err := tx.Read(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("object %v: %d bytes, want the %d of its last committed value", obj, len(got), len(want))
+		}
+	}
+	tx.Commit()
+}
+
+// TestCrashDuringCreateReopens crashes the flush that writes a brand-new
+// database file. The failed OpenServer must leave nothing a second one
+// cannot open.
+func TestCrashDuringCreateReopens(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		opts ServerOptions
+	}{
+		{"fixed", ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 16}},
+		{"variable", ServerOptions{Proto: core.OS, VariableObjects: true, PageSize: 512, ObjsPerPage: 8, NumPages: 16}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			defer fault.DisarmAll()
+			fault.Get("store.flush.partial").Arm(3)
+			if _, err := openServer(dir, row.opts); !fault.IsCrash(err) {
+				t.Fatalf("OpenServer returned %v, want injected crash", err)
+			}
+			fault.DisarmAll()
+			srv, err := openServer(dir, row.opts)
+			if err != nil {
+				t.Fatalf("reopen after a crash during creation: %v", err)
+			}
+			srv.Close()
+		})
+	}
 }

@@ -256,7 +256,7 @@ func TestRecoveryReplaysCommitted(t *testing.T) {
 	c.Close()
 	srv.mu.Lock()
 	srv.wal.f.Sync()
-	srv.store.(*Store).f.Close() // drop in-memory state without flushing
+	srv.store.closeRaw() // drop in-memory state without flushing
 	srv.wal.f.Close()
 	srv.closed = true
 	srv.mu.Unlock()

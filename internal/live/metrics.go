@@ -129,7 +129,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"commit records made durable per WAL fsync (group-commit batch size)")
 	m.checkpoints = reg.Counter("oodb_checkpoints_total", "checkpoints completed")
 	m.flushPages = reg.Counter("oodb_store_flush_pages_total",
-		"dirty pages written by store flushes")
+		"pages written by store flushes")
 	m.recoveryPagesReplayed = reg.Counter("oodb_live_recovery_pages_replayed_total",
 		"distinct pages receiving at least one replayed WAL image at recovery")
 	m.reclusterMoves = reg.Counter("oodb_recluster_moves_total",

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -182,7 +183,7 @@ func (t *relocTable) maxSpareSlot(userPages core.PageID) (core.ObjID, bool) {
 	return best, found
 }
 
-// encode serializes the table (CRC-framed) for writeRelocFile.
+// encode serializes the table (CRC-framed) for save.
 func (t *relocTable) encode() []byte {
 	t.mu.Lock()
 	buf := make([]byte, 0, 20+12*len(t.m))
@@ -214,50 +215,14 @@ func (t *relocTable) encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// save writes the table's current contents atomically to dir/relocs.db.
+// save writes the table's current contents atomically to dir/relocs.db
+// (see writeFileAtomic).
 func (t *relocTable) save(dir string) error {
-	return writeRelocFile(dir, t.encode())
-}
-
-// writeRelocFile atomically replaces dir/relocs.db with buf (tmp + rename
-// + directory fsync).
-func writeRelocFile(dir string, buf []byte) error {
-	path := filepath.Join(dir, relocFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	buf := t.encode()
+	return writeFileAtomic(filepath.Join(dir, relocFile), func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Make the rename itself durable: without the directory fsync a crash
-	// can resurrect the old file.
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	syncErr := d.Sync()
-	closeErr := d.Close()
-	if syncErr != nil {
-		return syncErr
-	}
-	return closeErr
+	})
 }
 
 // loadRelocTable reads dir/relocs.db. A missing file yields (nil, 0, nil):

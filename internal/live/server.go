@@ -29,13 +29,13 @@ type objectStore interface {
 	appendPage(dst []byte, p core.PageID) ([]byte, error)
 	appendObj(dst []byte, o core.ObjID) ([]byte, error)
 	WriteObj(o core.ObjID, data []byte) error
-	Flush() error
+	// flush, Close and closeRaw are the page file's (see pageFile).
+	flush() (pages int, err error)
 	Close() error
-	closeRaw() error
+	closeRaw()
 	NumPages() int
 	ObjsPerPage() int
 	ObjSize() int
-	DirtyPages() int
 }
 
 // engineShard is one slice of the partitioned engine: a full protocol
@@ -260,11 +260,10 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	// images go to the store and its relocations into the table as the
 	// record is read, so replay holds one record at a time. The flushed
 	// store and the saved table then make the log redundant. A failed
-	// replay closes the store without flushing, so data.db and the log
-	// stay as they were; a crash anywhere in here (the recover.mid-replay
-	// and store.flush.* crash points) leaves the log intact for the next
-	// attempt — replay is idempotent, so recovering a half-recovered store
-	// lands on the same bytes.
+	// replay closes the store without flushing, and a flush replaces
+	// data.db only whole, so a crash anywhere in here (the
+	// recover.mid-replay and store.flush.* crash points) leaves data.db
+	// and the log as they were for the next attempt.
 	wal, recov, err := replay(walPath, store, relocs)
 	if err != nil {
 		store.closeRaw()
@@ -570,10 +569,10 @@ func (s *Server) RecoveryStats() RecoveryStats { return s.recovery }
 
 // replay opens the log at walPath and applies every committed record to
 // store and relocs (nil: the store keeps no relocation table) in log
-// order, then flushes the store. Records are object afterimages, so
-// applying them over an already (partially) recovered store rewrites the
-// same bytes; relocation records a checkpoint already saved into the
-// relocs.db base (logs of older servers hold such) re-apply as
+// order, then flushes the store if it applied any. Records are object
+// afterimages, so applying them over a store that already holds them
+// rewrites the same bytes; relocation records a checkpoint already saved
+// into the relocs.db base (logs of older servers hold such) re-apply as
 // idempotently. The log is closed on error.
 func replay(walPath string, store objectStore, relocs *relocTable) (*WAL, RecoveryStats, error) {
 	var st RecoveryStats
@@ -613,9 +612,11 @@ func replay(walPath string, store objectStore, relocs *relocTable) (*WAL, Recove
 		return nil, st, err
 	}
 	start := time.Now()
-	if err := store.Flush(); err != nil {
-		wal.Close()
-		return nil, st, err
+	if st.Records > 0 {
+		if _, err := store.flush(); err != nil {
+			wal.Close()
+			return nil, st, err
+		}
 	}
 	st.PagesReplayed = len(pages)
 	st.DurationNs += time.Since(start).Nanoseconds()

@@ -184,7 +184,7 @@ func TestRecoveryUnderLoad(t *testing.T) {
 	// Crash: sync the WAL, drop everything else on the floor.
 	srv.mu.Lock()
 	srv.wal.f.Sync()
-	srv.store.(*Store).f.Close()
+	srv.store.closeRaw()
 	srv.wal.f.Close()
 	srv.closed = true
 	srv.mu.Unlock()

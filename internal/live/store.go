@@ -8,79 +8,25 @@
 package live
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 )
-
-// latchShards is the page-latch shard count: pages hash onto a fixed set
-// of RWMutexes, trading a little false sharing for a bounded footprint.
-const latchShards = 64
-
-// pageLatches synchronizes the off-lock payload path with commit
-// installs: the server reads page/object payloads for staged grants
-// without holding its engine lock, while commit processing (still under
-// the engine lock) installs afterimages. Readers take the page's latch
-// shared, installs take it exclusive — so a payload is never torn, and
-// because installs also still run under the engine lock, a payload read
-// under the latch is exactly the store state some engine step exposed.
-type pageLatches [latchShards]sync.RWMutex
-
-func (l *pageLatches) shard(p core.PageID) *sync.RWMutex {
-	return &l[uint64(p)%latchShards]
-}
 
 // storeMagic identifies a store file.
 const storeMagic = 0x0DB5_94AA
 
-// Crash points on the store's flush path (see internal/fault): a crash
-// with some pages written, and a crash after all writes but before the
-// fsync. Both leave the WAL un-truncated, so replay must repair them.
-var (
-	cpFlushPartial = fault.Register("store.flush.partial")
-	cpFlushPreSync = fault.Register("store.flush.pre-sync")
-)
-
-// Store is a fixed-page database file: a header page followed by DBPages
-// pages of PageSize bytes, each page carrying ObjsPerPage fixed-size
-// object slots and a trailing CRC. The whole database is mapped into an
-// in-memory frame table (databases at the paper's scale are megabytes);
-// Flush writes dirty frames back.
+// Store is a fixed-page database: DBPages pages of PageSize bytes (see
+// pageFile), each page carrying ObjsPerPage fixed-size object slots ahead
+// of its CRC. Reads take the page's latch shared, installs exclusive.
 type Store struct {
-	f           *os.File
-	pageSize    int
-	objsPerPage int
-	numPages    int
-
-	frames [][]byte
-	dirty  []bool
-
-	// latches synchronizes off-lock payload reads with commit installs
-	// (see pageLatches). Flush also takes each page's latch for the
-	// copy + dirty-clear pair. The open/create paths alone skip it
-	// (nothing else can hold the store yet).
-	latches pageLatches
+	*pageFile
 }
-
-// payload returns the per-page payload size (page minus CRC trailer).
-func (s *Store) payload() int { return s.pageSize - 4 }
 
 // ObjSize returns the fixed object slot size.
 func (s *Store) ObjSize() int { return s.payload() / s.objsPerPage }
 
-// NumPages returns the database size in pages.
-func (s *Store) NumPages() int { return s.numPages }
-
-// ObjsPerPage returns the page fan-out.
-func (s *Store) ObjsPerPage() int { return s.objsPerPage }
-
-// CreateStore creates (truncating) a store file with zeroed pages.
+// CreateStore creates (replacing) a store file with zeroed pages.
 func CreateStore(path string, pageSize, objsPerPage, numPages int) (*Store, error) {
 	if pageSize < 64 || objsPerPage <= 0 || numPages <= 0 {
 		return nil, fmt.Errorf("live: bad store geometry %d/%d/%d", pageSize, objsPerPage, numPages)
@@ -88,23 +34,8 @@ func CreateStore(path string, pageSize, objsPerPage, numPages int) (*Store, erro
 	if (pageSize-4)/objsPerPage == 0 {
 		return nil, fmt.Errorf("live: page too small for %d objects", objsPerPage)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{f: f, pageSize: pageSize, objsPerPage: objsPerPage, numPages: numPages}
-	s.frames = make([][]byte, numPages)
-	s.dirty = make([]bool, numPages)
-	for i := range s.frames {
-		s.frames[i] = make([]byte, s.payload())
-		s.dirty[i] = true
-	}
-	if err := s.writeHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := s.Flush(); err != nil {
-		f.Close()
+	s := &Store{newPageFile(path, storeMagic, pageSize, objsPerPage, numPages)}
+	if err := s.create(func() []byte { return make([]byte, s.payload()) }); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -113,51 +44,11 @@ func CreateStore(path string, pageSize, objsPerPage, numPages int) (*Store, erro
 // OpenStore opens an existing store file, verifying geometry and page
 // checksums.
 func OpenStore(path string) (*Store, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := openPageFile(path, storeMagic)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 20)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("live: reading store header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != storeMagic {
-		f.Close()
-		return nil, fmt.Errorf("live: %s is not a store file", path)
-	}
-	s := &Store{
-		f:           f,
-		pageSize:    int(binary.LittleEndian.Uint32(hdr[4:])),
-		objsPerPage: int(binary.LittleEndian.Uint32(hdr[8:])),
-		numPages:    int(binary.LittleEndian.Uint32(hdr[12:])),
-	}
-	s.frames = make([][]byte, s.numPages)
-	s.dirty = make([]bool, s.numPages)
-	buf := make([]byte, s.pageSize)
-	for p := 0; p < s.numPages; p++ {
-		if _, err := f.ReadAt(buf, int64(s.pageSize)*int64(p+1)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("live: reading page %d: %w", p, err)
-		}
-		want := binary.LittleEndian.Uint32(buf[s.payload():])
-		if got := crc32.ChecksumIEEE(buf[:s.payload()]); got != want {
-			f.Close()
-			return nil, fmt.Errorf("live: page %d checksum mismatch (%08x != %08x)", p, got, want)
-		}
-		s.frames[p] = append([]byte(nil), buf[:s.payload()]...)
-	}
-	return s, nil
-}
-
-func (s *Store) writeHeader() error {
-	hdr := make([]byte, 20)
-	binary.LittleEndian.PutUint32(hdr[0:], storeMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.pageSize))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.objsPerPage))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(s.numPages))
-	_, err := s.f.WriteAt(hdr, 0)
-	return err
+	return &Store{f}, nil
 }
 
 // checkPage validates a page id.
@@ -266,76 +157,6 @@ func (s *Store) WriteObj(o core.ObjID, data []byte) error {
 	for i := n; i < sz; i++ {
 		slot[i] = 0
 	}
-	s.dirty[o.Page] = true
 	l.Unlock()
 	return nil
 }
-
-// Flush writes all dirty pages (with checksums) to the file and syncs.
-// Each page's frame copy and dirty-flag clear happen together under its
-// exclusive latch, so an install racing the flush either lands before the
-// copy (flushed now) or after it (re-dirtying the page for the next
-// flush). On a write error the page is re-marked dirty before returning —
-// the flag may only go clean once the bytes are actually in the file, or
-// a later checkpoint would truncate the WAL record that still covers
-// them.
-func (s *Store) Flush() error {
-	buf := make([]byte, s.pageSize)
-	wrote := false
-	for p := 0; p < s.numPages; p++ {
-		l := s.latches.shard(core.PageID(p))
-		l.Lock()
-		if !s.dirty[p] {
-			l.Unlock()
-			continue
-		}
-		if wrote {
-			if err := cpFlushPartial.Check(); err != nil {
-				l.Unlock()
-				return err
-			}
-		}
-		copy(buf, s.frames[p])
-		s.dirty[p] = false
-		l.Unlock()
-		binary.LittleEndian.PutUint32(buf[s.payload():], crc32.ChecksumIEEE(buf[:s.payload()]))
-		if _, err := s.f.WriteAt(buf, int64(s.pageSize)*int64(p+1)); err != nil {
-			l.Lock()
-			s.dirty[p] = true
-			l.Unlock()
-			return err
-		}
-		wrote = true
-	}
-	if err := cpFlushPreSync.Check(); err != nil {
-		return err
-	}
-	return s.f.Sync()
-}
-
-// DirtyPages returns how many pages are dirty in memory (unflushed).
-func (s *Store) DirtyPages() int {
-	n := 0
-	for _, d := range s.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
-// Close flushes and closes the store.
-func (s *Store) Close() error {
-	if err := s.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
-
-// closeRaw closes the file without flushing — a dying process's view: the
-// in-memory frame table is lost, disk keeps whatever the last completed
-// flush (plus any partial one) left there.
-func (s *Store) closeRaw() error { return s.f.Close() }
-
-var _ io.Closer = (*Store)(nil)

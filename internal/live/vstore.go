@@ -3,8 +3,6 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"sync"
 
 	"repro/internal/core"
@@ -30,28 +28,21 @@ import (
 // overflow page uses the same layout. Forwarded objects occupy exactly one
 // overflow slot and never forward twice (a grown-again object is relocated
 // within the overflow region).
+//
+// The page file (see pageFile) holds the home pages, then the overflow
+// region. Page latching is hash-sharded like the fixed-slot Store's. The
+// common operations are page-local — a payload read, an in-place rewrite,
+// a home-page compaction — and take only the home page's latch (shared
+// for readers, exclusive for installs), so traffic on disjoint pages never
+// serializes. A write that must touch more than its home page (forwarding
+// to the overflow region, freeing or relocating an overflow placement,
+// growing the frames slice) instead acquires all latch shards in index
+// order, which excludes every page-local operation at once; overflow
+// pages therefore mutate only under the full sweep, and a reader chasing
+// a forward pointer needs no second latch — its shared home latch already
+// excludes any writer that could reach the target.
 type VStore struct {
-	f           *os.File
-	pageSize    int
-	objsPerPage int
-	numPages    int // home pages; overflow pages live beyond
-
-	// Page latching, hash-sharded like the fixed-slot Store's. The common
-	// operations are page-local — a payload read, an in-place rewrite, a
-	// home-page compaction — and take only the home page's latch (shared
-	// for readers, exclusive for installs), so traffic on disjoint pages
-	// never serializes. A write that must touch more than its home page
-	// (forwarding to the overflow region, freeing or relocating an
-	// overflow placement, growing the frames slice) instead acquires all
-	// latch shards in index order, which excludes every page-local
-	// operation at once; overflow pages therefore mutate only under the
-	// full sweep, and a reader chasing a forward pointer needs no second
-	// latch — its shared home latch already excludes any writer that
-	// could reach the target.
-	latches pageLatches
-
-	frames [][]byte // encoded page payloads, including overflow pages
-	dirty  []bool
+	*pageFile
 }
 
 func (s *VStore) latch(page int) *sync.RWMutex {
@@ -80,7 +71,6 @@ const (
 	vMagic    = 0x0DB5_94AB
 )
 
-func (s *VStore) payload() int { return s.pageSize - 4 }
 func (s *VStore) dirSize() int { return 2 + 4*s.objsPerPage }
 
 // MaxObjSize is the largest storable object: the page heap minus the
@@ -91,35 +81,13 @@ func (s *VStore) MaxObjSize() int {
 	return s.payload() - s.dirSize() - fwdBytes*(s.objsPerPage-1)
 }
 
-// NumPages returns the number of home pages.
-func (s *VStore) NumPages() int { return s.numPages }
-
-// ObjsPerPage returns the per-page slot count.
-func (s *VStore) ObjsPerPage() int { return s.objsPerPage }
-
-// CreateVStore creates (truncating) a variable-object store.
+// CreateVStore creates (replacing) a variable-object store.
 func CreateVStore(path string, pageSize, objsPerPage, numPages int) (*VStore, error) {
-	s := &VStore{pageSize: pageSize, objsPerPage: objsPerPage, numPages: numPages}
+	s := &VStore{newPageFile(path, vMagic, pageSize, objsPerPage, numPages)}
 	if pageSize < 64 || objsPerPage <= 0 || numPages <= 0 || s.MaxObjSize() < 16 {
 		return nil, fmt.Errorf("live: bad vstore geometry %d/%d/%d", pageSize, objsPerPage, numPages)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s.f = f
-	s.frames = make([][]byte, numPages)
-	s.dirty = make([]bool, numPages)
-	for i := range s.frames {
-		s.frames[i] = s.emptyPage()
-		s.dirty[i] = true
-	}
-	if err := s.writeHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := s.Flush(); err != nil {
-		f.Close()
+	if err := s.create(s.emptyPage); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -127,53 +95,11 @@ func CreateVStore(path string, pageSize, objsPerPage, numPages int) (*VStore, er
 
 // OpenVStore opens an existing variable-object store, verifying checksums.
 func OpenVStore(path string) (*VStore, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := openPageFile(path, vMagic)
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 24)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("live: reading vstore header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != vMagic {
-		f.Close()
-		return nil, fmt.Errorf("live: %s is not a vstore file", path)
-	}
-	s := &VStore{
-		f:           f,
-		pageSize:    int(binary.LittleEndian.Uint32(hdr[4:])),
-		objsPerPage: int(binary.LittleEndian.Uint32(hdr[8:])),
-		numPages:    int(binary.LittleEndian.Uint32(hdr[12:])),
-	}
-	totalPages := int(binary.LittleEndian.Uint32(hdr[16:]))
-	s.frames = make([][]byte, totalPages)
-	s.dirty = make([]bool, totalPages)
-	buf := make([]byte, s.pageSize)
-	for p := 0; p < totalPages; p++ {
-		if _, err := f.ReadAt(buf, int64(s.pageSize)*int64(p+1)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("live: reading vstore page %d: %w", p, err)
-		}
-		want := binary.LittleEndian.Uint32(buf[s.payload():])
-		if got := crc32.ChecksumIEEE(buf[:s.payload()]); got != want {
-			f.Close()
-			return nil, fmt.Errorf("live: vstore page %d checksum mismatch", p)
-		}
-		s.frames[p] = append([]byte(nil), buf[:s.payload()]...)
-	}
-	return s, nil
-}
-
-func (s *VStore) writeHeader() error {
-	hdr := make([]byte, 24)
-	binary.LittleEndian.PutUint32(hdr[0:], vMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.pageSize))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(s.objsPerPage))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(s.numPages))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(s.frames)))
-	_, err := s.f.WriteAt(hdr, 0)
-	return err
+	return &VStore{f}, nil
 }
 
 // emptyPage builds a fresh payload: empty directory, heap at the end.
@@ -241,7 +167,6 @@ func (s *VStore) compact(p int) {
 	}
 	s.setHeapStart(fresh, heap)
 	s.frames[p] = fresh
-	s.dirty[p] = true
 }
 
 // freeSpace returns contiguous free bytes; afterCompact also counts holes.
@@ -404,7 +329,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 		if off != slotEmpty && len(data) <= ln {
 			copy(frame[off:], data)
 			s.setSlot(frame, home.slot, off, len(data))
-			s.dirty[home.page] = true
 			l.Unlock()
 			return nil
 		}
@@ -422,7 +346,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 			frame = s.frames[home.page] // compaction may have replaced it
 			copy(frame[newOff:], data)
 			s.setSlot(frame, home.slot, newOff, len(data))
-			s.dirty[home.page] = true
 			l.Unlock()
 			return nil
 		}
@@ -448,7 +371,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 	if off != slotEmpty && ln != fwdLen && len(data) <= ln {
 		copy(frame[off:], data)
 		s.setSlot(frame, home.slot, off, len(data))
-		s.dirty[home.page] = true
 		if oldFwd != nil {
 			s.freeSlot(*oldFwd)
 		}
@@ -465,7 +387,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 		frame = s.frames[home.page] // compaction may have replaced it
 		copy(frame[newOff:], data)
 		s.setSlot(frame, home.slot, newOff, len(data))
-		s.dirty[home.page] = true
 		if oldFwd != nil {
 			s.freeSlot(*oldFwd)
 		}
@@ -484,7 +405,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 	tFrame := s.frames[tgt.page]
 	tOff, _ := s.slotAt(tFrame, tgt.slot)
 	copy(tFrame[tOff:], data)
-	s.dirty[tgt.page] = true
 
 	frame = s.frames[home.page]
 	fOff := s.allocInPage(home.page, fwdBytes)
@@ -494,7 +414,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 	frame = s.frames[home.page]
 	s.writeFwd(frame, fOff, tgt)
 	s.setSlot(frame, home.slot, fOff, fwdLen)
-	s.dirty[home.page] = true
 	return nil
 }
 
@@ -502,7 +421,6 @@ func (s *VStore) WriteVObj(page, slot int, data []byte) error {
 func (s *VStore) freeSlot(a objAddr) {
 	frame := s.frames[a.page]
 	s.setSlot(frame, a.slot, slotEmpty, 0)
-	s.dirty[a.page] = true
 }
 
 // allocOverflow finds (or creates) an overflow page with a free slot and
@@ -515,7 +433,6 @@ func (s *VStore) allocOverflow(n int) (objAddr, error) {
 		}
 		if off := s.allocInPage(p, n); off >= 0 {
 			s.setSlot(s.frames[p], slot, off, n)
-			s.dirty[p] = true
 			return objAddr{p, slot}, nil
 		}
 	}
@@ -525,7 +442,6 @@ func (s *VStore) allocOverflow(n int) (objAddr, error) {
 		return objAddr{}, fmt.Errorf("live: overflow region exhausted")
 	}
 	s.frames = append(s.frames, s.emptyPage())
-	s.dirty = append(s.dirty, true)
 	off := s.allocInPage(p, n)
 	s.setSlot(s.frames[p], 0, off, n)
 	return objAddr{p, 0}, nil
@@ -548,44 +464,6 @@ func (s *VStore) OverflowPages() int {
 	s.latches[0].RLock()
 	defer s.latches[0].RUnlock()
 	return len(s.frames) - s.numPages
-}
-
-// Flush writes dirty pages with checksums and syncs. It traverses the
-// same crash points as Store.Flush (see internal/fault). Unlike the
-// fixed-slot store there is no per-page incremental flush and no parallel
-// replay: installs can compact a page, relocate an object to an overflow
-// frame, or grow the file, so page contents depend on global apply order
-// and only a stop-world flush (the checkpoint holds installMu exclusive)
-// sees a consistent layout. Dirty flags clear only after the page's bytes
-// are in the file — a write error must leave the page dirty, or a later
-// checkpoint would truncate WAL records that still cover it.
-func (s *VStore) Flush() error {
-	if err := s.writeHeader(); err != nil {
-		return err
-	}
-	buf := make([]byte, s.pageSize)
-	wrote := false
-	for p := range s.frames {
-		if !s.dirty[p] {
-			continue
-		}
-		if wrote {
-			if err := cpFlushPartial.Check(); err != nil {
-				return err
-			}
-		}
-		copy(buf, s.frames[p])
-		binary.LittleEndian.PutUint32(buf[s.payload():], crc32.ChecksumIEEE(s.frames[p]))
-		if _, err := s.f.WriteAt(buf, int64(s.pageSize)*int64(p+1)); err != nil {
-			return err
-		}
-		s.dirty[p] = false
-		wrote = true
-	}
-	if err := cpFlushPreSync.Check(); err != nil {
-		return err
-	}
-	return s.f.Sync()
 }
 
 // ---- objectStore adapter (live server integration) ----
@@ -650,26 +528,3 @@ func (s *VStore) WriteObj(o core.ObjID, data []byte) error {
 
 // ObjSize reports the maximum object size (the advertised write limit).
 func (s *VStore) ObjSize() int { return s.MaxObjSize() }
-
-// DirtyPages returns how many pages are dirty in memory (unflushed).
-func (s *VStore) DirtyPages() int {
-	n := 0
-	for _, d := range s.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
-// Close flushes and closes.
-func (s *VStore) Close() error {
-	if err := s.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
-	return s.f.Close()
-}
-
-// closeRaw closes without flushing (simulated process death).
-func (s *VStore) closeRaw() error { return s.f.Close() }
