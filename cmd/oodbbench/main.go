@@ -36,8 +36,6 @@ func main() {
 	writes := flag.Int("writes", 2, "object updates per transaction")
 	pages := flag.Int("pages", 256, "database pages (in-process)")
 	hot := flag.Bool("hot", false, "give each client a private hot region (HOTCOLD-like)")
-	shards := flag.Int("shards", 0,
-		"engine shards for the in-process server (0 = min(8, GOMAXPROCS))")
 	transport := flag.String("transport", "",
 		"serve the in-process benchmark over loopback TCP with this connection "+
 			"transport (goroutine | reactor) instead of in-memory pipes; "+
@@ -75,7 +73,7 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		copts := repro.ClusterOptions{ServerOptions: repro.ServerOptions{
-			Proto: p, NumPages: *pages, Shards: *shards, Metrics: reg,
+			Proto: p, NumPages: *pages, Metrics: reg,
 			Heat: *heat, Recluster: *recluster, Transport: *transport,
 		}}
 		cluster, err := repro.NewCluster(dir, copts)
@@ -105,8 +103,8 @@ func main() {
 		statsFn = cluster.Server().Stats
 		heatFn = cluster.Server().Heat
 		numPages, objsPerPage, _ = cluster.Server().Geometry()
-		fmt.Printf("oodbbench: in-process server with %d engine shards over %s (GOMAXPROCS=%d, NumCPU=%d)\n",
-			cluster.Server().NumShards(), how, runtime.GOMAXPROCS(0), runtime.NumCPU())
+		fmt.Printf("oodbbench: in-process server over %s (GOMAXPROCS=%d, NumCPU=%d)\n",
+			how, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	} else {
 		opts := repro.ClientOptions{RequestTimeout: *rto, Metrics: reg}
 		if *reconnect {

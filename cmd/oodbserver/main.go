@@ -23,8 +23,6 @@
 //	-reactor-drain-cap depose a session whose pending outbound bytes
 //	                   exceed this cap — a reader too slow to drain its
 //	                   socket (0 = default 8 MiB)
-//	-shards            engine shards by page hash (power of two, max 64;
-//	                   0 = min(8, GOMAXPROCS); 1 = the unsharded engine)
 //	-callback-timeout  depose clients that leave a cache-consistency
 //	                   callback unanswered for this long (0 disables);
 //	                   bounds how long one silent client can stall writers
@@ -85,9 +83,6 @@ func main() {
 		"reactor event loops (0 = min(8, GOMAXPROCS))")
 	reactorDrainCap := flag.Int("reactor-drain-cap", 0,
 		"depose sessions whose pending outbound bytes exceed this (0 = 8 MiB)")
-	shards := flag.Int("shards", 0,
-		"engine shards by page hash (rounded down to a power of two; "+
-			"0 = min(8, GOMAXPROCS); 1 = unsharded)")
 	cbTimeout := flag.Duration("callback-timeout", 0,
 		"depose clients with callbacks unanswered this long (0 = wait forever)")
 	admin := flag.String("admin", "",
@@ -119,7 +114,7 @@ func main() {
 	}
 	opts := live.ServerOptions{
 		Proto: p, PageSize: *pageSize, ObjsPerPage: *objsPerPage, NumPages: *pages,
-		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout, Shards: *shards,
+		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout,
 		Transport: *transport, ReactorLoops: *reactorLoops, ReactorDrainCap: *reactorDrainCap,
 		TraceBuf: *traceSize, Heat: *heat, HeatEpoch: *heatEpoch,
 		Recluster: *recluster, ReclusterEvery: *reclusterEvery,
@@ -130,8 +125,8 @@ func main() {
 		fatal(err)
 	}
 	np, opp, osz := srv.Geometry()
-	fmt.Printf("oodbserver: %s on %s — %d pages x %d objects (%d B each), %d engine shards, %s transport (GOMAXPROCS=%d, NumCPU=%d)\n",
-		p, *addr, np, opp, osz, srv.NumShards(), srv.Transport(), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	fmt.Printf("oodbserver: %s on %s — %d pages x %d objects (%d B each), %s transport (GOMAXPROCS=%d, NumCPU=%d)\n",
+		p, *addr, np, opp, osz, srv.Transport(), runtime.GOMAXPROCS(0), runtime.NumCPU())
 	fmt.Printf("oodbserver: telemetry — trace ring %d events, heat=%v", srv.TraceBufSize(), srv.Heat().Enabled())
 	if *blackboxDir != "" {
 		max := *blackboxMax

@@ -103,13 +103,6 @@ func (l *Layout) Obj(index int) ObjID {
 	return ObjID{Page: PageID(index / l.ObjsPerPage), Slot: uint16(index % l.ObjsPerPage)}
 }
 
-// PageObjects returns the logical indexes that live on page p under the
-// identity mapping (before any remap); used by workload generators that
-// pick a page and then objects within it.
-func (l *Layout) PageObjects(p PageID) (first, count int) {
-	return int(p) * l.ObjsPerPage, l.ObjsPerPage
-}
-
 // SetRemap installs a remap table; len(remap) must equal NumObjects.
 func (l *Layout) SetRemap(remap []ObjID) {
 	if len(remap) != l.NumObjects() {

@@ -70,9 +70,6 @@ func (p Protocol) ObjectLocks() bool { return p != PS }
 // AdaptiveLocks reports whether lock granularity is chosen dynamically.
 func (p Protocol) AdaptiveLocks() bool { return p == PSAA }
 
-// WriteToken reports whether per-page write tokens serialize updaters.
-func (p Protocol) WriteToken() bool { return p == PSWT }
-
 // ObjectCopies reports whether the server tracks cached copies at object
 // granularity (OS, PS-OO, PS-WT) rather than page granularity.
 func (p Protocol) ObjectCopies() bool { return p == OS || p == PSOO || p == PSWT }

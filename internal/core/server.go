@@ -37,11 +37,6 @@ type ServerEngine struct {
 	pages     []pageState
 	freeTxns  []*stxn // forgotten transaction records, for reuse
 	nextRound int64
-	// roundStride is the round-id increment (default 1). Hosts that run
-	// several engines side by side (the live server's page-range shards)
-	// stripe the id space so round ids stay globally unique — they key
-	// callback-deadline maps and client acks across engine boundaries.
-	roundStride int64
 
 	out []Msg
 
@@ -125,24 +120,6 @@ func (c *ServerCounters) Snapshot() ServerStats {
 	}
 }
 
-// Add accumulates another snapshot into s (summing across engine
-// shards).
-func (s *ServerStats) Add(o ServerStats) {
-	s.Deadlocks += o.Deadlocks
-	s.Rounds += o.Rounds
-	s.Callbacks += o.Callbacks
-	s.BusyReplies += o.BusyReplies
-	s.Deescalations += o.Deescalations
-	s.PageGrants += o.PageGrants
-	s.ObjGrants += o.ObjGrants
-	s.Blocks += o.Blocks
-	s.TokenWaits += o.TokenWaits
-	s.ReadReqs += o.ReadReqs
-	s.WriteReqs += o.WriteReqs
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-}
-
 // trace emits a protocol event to the Trace hook, if any.
 func (se *ServerEngine) trace(kind obs.EventKind, txn TxnID, client ClientID, obj ObjID, extra int64) {
 	if se.Trace != nil {
@@ -222,15 +199,13 @@ func NewServerEngine(proto Protocol, layout *Layout) *ServerEngine {
 		Copies: NewCopyTab(proto.ObjectCopies()),
 		txns:   make(map[TxnID]*stxn),
 		rounds: make(map[int64]*round),
-
-		roundStride: 1,
 	}
 }
 
 // SetSystemClient marks (or unmarks) c as a system client: its commits
 // and aborts stop counting in Stats, and its transactions lose every
-// deadlock they are on. The host must call this on every
-// engine shard the client can reach, before the client issues requests.
+// deadlock they are on. The host must call this before the client issues
+// requests.
 func (se *ServerEngine) SetSystemClient(c ClientID, on bool) {
 	if se.system == nil {
 		se.system = make(map[ClientID]bool)
@@ -247,7 +222,7 @@ func (se *ServerEngine) SetSystemClient(c ClientID, on bool) {
 // must consume it before the next Handle.
 func (se *ServerEngine) Handle(m *Msg) []Msg {
 	se.out = se.out[:0]
-	se.processDropped(m)
+	se.applyDropped(m.From, m.DroppedPages, m.DroppedObjs)
 	switch m.Kind {
 	case MReadReq:
 		se.Stats.ReadReqs.Add(1)
@@ -275,23 +250,6 @@ func (se *ServerEngine) TakeMergeObjs() int64 {
 	n := se.mergeObjs
 	se.mergeObjs = 0
 	return n
-}
-
-// ConfigureRoundIDs stripes the callback-round id space: the engine's
-// rounds get ids first, first+stride, first+2*stride, ... Hosts running
-// several engines side by side (page-range shards) give shard i
-// (first=i+1, stride=n) so round ids stay globally unique — clients key
-// callback deadlines and acks by round id with no notion of shards.
-// Must be called before the first Handle. The default is (1, 1).
-func (se *ServerEngine) ConfigureRoundIDs(first, stride int64) {
-	if first < 1 || stride < 1 {
-		panic("core: ConfigureRoundIDs wants first >= 1, stride >= 1")
-	}
-	if len(se.rounds) > 0 || se.nextRound != 0 {
-		panic("core: ConfigureRoundIDs after rounds started")
-	}
-	se.nextRound = first - stride
-	se.roundStride = stride
 }
 
 // BlockedRequests returns the number of queued requests (diagnostics).
@@ -349,7 +307,7 @@ func (se *ServerEngine) getTxn(t TxnID, c ClientID) *stxn {
 // forgetTxn drops the record of transaction t, if any, keeping it for
 // reuse. getTxn resets a record only when it hands it out again, so a
 // caller still holding one it collected earlier in the same step
-// (DisconnectDedup) may read its id.
+// (Disconnect) may read its id.
 func (se *ServerEngine) forgetTxn(t TxnID) {
 	if st := se.txns[t]; st != nil {
 		delete(se.txns, t)
@@ -357,16 +315,10 @@ func (se *ServerEngine) forgetTxn(t TxnID) {
 	}
 }
 
-// processDropped applies piggybacked cache eviction notices.
-func (se *ServerEngine) processDropped(m *Msg) {
-	se.ApplyDropped(m.From, m.DroppedPages, m.DroppedObjs)
-}
-
-// ApplyDropped applies cache eviction notices from client c: the client
+// applyDropped applies cache eviction notices from client c: the client
 // no longer caches the listed pages/objects, so the copy table forgets
-// them. Sharded hosts call this directly, routing each page to the
-// engine that owns it, before dispatching the stripped message.
-func (se *ServerEngine) ApplyDropped(c ClientID, pages []PageID, objs []ObjID) {
+// them.
+func (se *ServerEngine) applyDropped(c ClientID, pages []PageID, objs []ObjID) {
 	if se.Copies.ObjGranularity() {
 		for _, o := range objs {
 			se.Copies.UnregisterObj(c, o, NoEpoch)

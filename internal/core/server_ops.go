@@ -326,7 +326,7 @@ func (se *ServerEngine) grantObjX(m *Msg) {
 // ---- Callback rounds ----
 
 func (se *ServerEngine) startRound(r *blockedReq, kind CallbackKind, holders []ClientID) {
-	se.nextRound += se.roundStride
+	se.nextRound++
 	rd := &round{
 		id:      se.nextRound,
 		req:     r.msg,
@@ -516,21 +516,11 @@ func (se *ServerEngine) handleDeescReply(m *Msg) {
 
 // ---- Commit / abort ----
 
-func (se *ServerEngine) handleCommit(m *Msg) { se.commitShard(m, true) }
-
-// commitShard is handleCommit parameterized for sharded hosts: each
-// engine owning part of the write set releases its locks and does its
-// merge accounting, but exactly one shard — the owner — counts the
-// commit, traces it, and emits the MCommitAck (so the client sees one
-// ack and monitors count one commit). owner=true is the whole-engine
-// case.
-func (se *ServerEngine) commitShard(m *Msg, owner bool) {
-	if owner {
-		if !se.system[m.From] {
-			se.Stats.Commits.Add(1)
-		}
-		se.trace(obs.EvCommit, m.Txn, m.From, ObjID{}, int64(len(m.Objs)))
+func (se *ServerEngine) handleCommit(m *Msg) {
+	if !se.system[m.From] {
+		se.Stats.Commits.Add(1)
 	}
+	se.trace(obs.EvCommit, m.Txn, m.From, ObjID{}, int64(len(m.Objs)))
 	t := se.txns[m.Txn]
 	if t != nil && (t.blocked != nil || t.round != nil) {
 		panic("core: commit from a blocked transaction")
@@ -552,23 +542,14 @@ func (se *ServerEngine) commitShard(m *Msg, owner bool) {
 		}
 	}
 	se.finishTxn(m.Txn)
-	if owner {
-		se.send(Msg{Kind: MCommitAck, To: m.From, Txn: m.Txn, Req: m.Req})
-	}
+	se.send(Msg{Kind: MCommitAck, To: m.From, Txn: m.Txn, Req: m.Req})
 }
 
-func (se *ServerEngine) handleAbort(m *Msg) { se.abortShard(m, true) }
-
-// abortShard is handleAbort parameterized for sharded hosts; see
-// commitShard. The caller subsets PurgedPages/PurgedObjs to this
-// engine's pages; only the owner counts and traces the abort.
-func (se *ServerEngine) abortShard(m *Msg, owner bool) {
-	if owner {
-		if !se.system[m.From] {
-			se.Stats.Aborts.Add(1)
-		}
-		se.trace(obs.EvAbort, m.Txn, m.From, ObjID{}, 0)
+func (se *ServerEngine) handleAbort(m *Msg) {
+	if !se.system[m.From] {
+		se.Stats.Aborts.Add(1)
 	}
+	se.trace(obs.EvAbort, m.Txn, m.From, ObjID{}, 0)
 	t := se.txns[m.Txn]
 	roundPage := InvalidPage
 	if t != nil {
@@ -582,7 +563,7 @@ func (se *ServerEngine) abortShard(m *Msg, owner bool) {
 		}
 	}
 	// Deregister the copies the client purged while aborting.
-	se.ApplyDropped(m.From, m.PurgedPages, m.PurgedObjs)
+	se.applyDropped(m.From, m.PurgedPages, m.PurgedObjs)
 	se.finishTxn(m.Txn)
 	// The cancelled round may have been blocking requests on its page
 	// (which the victim held no locks on, so finishTxn did not retry it).
@@ -693,28 +674,6 @@ func (se *ServerEngine) retryQueue(p PageID) {
 	}
 }
 
-// ---- Sharded hosts (live system) ----
-
-// HandleCommitShard processes a commit on one engine of a sharded host.
-// The caller routes the message to every shard owning part of the write
-// set (with Objs subset to this shard's pages; Pages may be passed whole
-// — foreign pages hold no locks here and contribute nothing) and marks
-// exactly one shard as owner; see commitShard. The returned slice is
-// reused across calls, like Handle's.
-func (se *ServerEngine) HandleCommitShard(m *Msg, owner bool) []Msg {
-	se.out = se.out[:0]
-	se.commitShard(m, owner)
-	return se.out
-}
-
-// HandleAbortShard is HandleCommitShard's abort counterpart; the caller
-// subsets PurgedPages/PurgedObjs to this shard's pages.
-func (se *ServerEngine) HandleAbortShard(m *Msg, owner bool) []Msg {
-	se.out = se.out[:0]
-	se.abortShard(m, owner)
-	return se.out
-}
-
 // ---- Client disconnect (live system) ----
 
 // Disconnect cleans up after a departed client: its transactions are
@@ -723,14 +682,6 @@ func (se *ServerEngine) HandleAbortShard(m *Msg, owner bool) []Msg {
 // cache is gone), and all its registered copies are dropped. The returned
 // messages (grants unblocked by the cleanup) must be dispatched.
 func (se *ServerEngine) Disconnect(c ClientID) []Msg {
-	return se.DisconnectDedup(c, nil)
-}
-
-// DisconnectDedup is Disconnect for sharded hosts sweeping every shard:
-// seen (shared across the sweep) records transactions already counted so
-// a transaction holding locks on several shards is counted and traced as
-// one abort, not one per shard. seen == nil counts every transaction.
-func (se *ServerEngine) DisconnectDedup(c ClientID, seen map[TxnID]bool) []Msg {
 	se.out = se.out[:0]
 
 	var mine []*stxn
@@ -755,15 +706,10 @@ func (se *ServerEngine) DisconnectDedup(c ClientID, seen map[TxnID]bool) []Msg {
 			se.dropRound(t.round)
 		}
 		t.aborting = true // suppress victim selection against a ghost
-		if seen == nil || !seen[t.id] {
-			if seen != nil {
-				seen[t.id] = true
-			}
-			if !se.system[c] {
-				se.Stats.Aborts.Add(1)
-			}
-			se.trace(obs.EvAbort, t.id, c, ObjID{}, 1)
+		if !se.system[c] {
+			se.Stats.Aborts.Add(1)
 		}
+		se.trace(obs.EvAbort, t.id, c, ObjID{}, 1)
 		se.finishTxn(t.id)
 		if roundPage != InvalidPage {
 			se.retryQueue(roundPage)
@@ -954,66 +900,4 @@ func (se *ServerEngine) abortVictim(v *stxn) {
 	if roundPage != InvalidPage {
 		se.retryQueue(roundPage)
 	}
-}
-
-// ---- Cross-shard deadlock support (sharded hosts) ----
-
-// waitingReq returns the id of the request t is parked on — queued
-// behind a lock or driving a callback round — or 0 if it is not waiting.
-// abortVictim answers exactly this request.
-func waitingReq(t *stxn) int64 {
-	if t.round != nil {
-		return t.round.req.Req
-	}
-	if t.blocked != nil {
-		return t.blocked.msg.Req
-	}
-	return 0
-}
-
-// WaitGraph visits this engine's local waits-for edges: for each
-// non-aborting transaction with outstanding dependencies, its client, the
-// request it is parked on and its direct waits in deterministic order. A
-// sharded host merges the per-shard graphs (a transaction may wait here
-// while holding locks on another shard) and hunts cycles the per-shard
-// detector cannot see, picking victims by findCycle's rule.
-func (se *ServerEngine) WaitGraph(visit func(t TxnID, c ClientID, req int64, deps []TxnID)) {
-	ids := make([]TxnID, 0, len(se.txns))
-	for id := range se.txns {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		t := se.txns[id]
-		if t.aborting {
-			continue
-		}
-		if deps := se.waitsFor(t); len(deps) > 0 {
-			visit(id, t.client, waitingReq(t), deps)
-		}
-	}
-}
-
-// AbortDeadlockVictim aborts transaction t as the victim of a cycle a
-// cross-shard detector found in the merged wait graph, through an edge t
-// had while parked on request req. It reports false (no messages, no
-// counter) unless t is still parked on that very request: merged-graph
-// cycles are detected without locks held across shards, so the victim
-// may have been granted, aborted or moved on to a later request in the
-// meantime — and a transaction that is not waiting has no in-flight
-// request for MAbortYou to answer. The returned messages must be
-// dispatched, like Handle's.
-func (se *ServerEngine) AbortDeadlockVictim(t TxnID, req int64) ([]Msg, bool) {
-	v := se.txns[t]
-	if v == nil || v.aborting || req == 0 || waitingReq(v) != req {
-		return nil, false
-	}
-	se.out = se.out[:0]
-	se.Stats.Deadlocks.Add(1)
-	se.abortVictim(v)
-	return se.out, true
 }

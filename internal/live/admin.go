@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -42,7 +41,6 @@ func AdminHandler(s *Server) http.Handler {
 		fmt.Fprintf(w, "oodbserver status @ %s\n\n", time.Now().Format(time.RFC3339))
 		fmt.Fprintf(w, "protocol:  %v\n", s.Proto())
 		fmt.Fprintf(w, "geometry:  %d pages x %d objs x %d B\n", pages, opp, objSize)
-		fmt.Fprintf(w, "shards:    %d engine shards on GOMAXPROCS=%d\n", s.NumShards(), runtime.GOMAXPROCS(0))
 		fmt.Fprintf(w, "sessions:  %d\n", s.Sessions())
 		fmt.Fprintf(w, "tracing:   enabled=%v dropped=%d ring=%d\n", s.tracer.Enabled(), s.tracer.Dropped(), s.TraceBufSize())
 		fmt.Fprintf(w, "heat:      enabled=%v epochs=%d dropped=%d\n", s.heat.Enabled(), s.heat.Epochs(), s.heat.Dropped())

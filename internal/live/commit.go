@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -20,42 +19,39 @@ import (
 // from base + log either way.
 var cpReclusterMidMove = fault.Register("recluster.mid-move")
 
-// shardHold is what lockShard measured, for unlockShard to record.
-type shardHold struct {
+// engineHold is what lockEngine measured, for unlockEngine to record.
+type engineHold struct {
 	acquired time.Time
 	waitNs   int64
 }
 
-// lockShard acquires one shard's lock and returns when it got it and how
-// long the caller waited. unlockShard records the wait and the hold time
-// in the four histograms, once the lock is released: observing them is
-// no part of the critical section they measure. Together they make its
-// width observable: hold should cover only the engine step and staging,
-// never store I/O or fsyncs.
-func (s *Server) lockShard(sh *engineShard) shardHold {
+// lockEngine acquires the engine lock and returns when it got it and how
+// long the caller waited. unlockEngine records the wait and the hold time
+// once the lock is released: observing them is no part of the critical
+// section they measure. Together they make its width observable: hold
+// should cover only the engine step and staging (and, for a commit, the
+// WAL frame write and installs), never store flushes or fsyncs.
+func (s *Server) lockEngine() engineHold {
 	t0 := time.Now()
-	sh.mu.Lock()
+	s.engMu.Lock()
 	t1 := time.Now()
-	return shardHold{acquired: t1, waitNs: t1.Sub(t0).Nanoseconds()}
+	return engineHold{acquired: t1, waitNs: t1.Sub(t0).Nanoseconds()}
 }
 
-// unlockShard releases the lock lockShard took, then records the wait
+// unlockEngine releases the lock lockEngine took, then records the wait
 // and the hold, from acquisition to release.
-func (s *Server) unlockShard(sh *engineShard, held shardHold) {
+func (s *Server) unlockEngine(held engineHold) {
 	h := time.Since(held.acquired).Nanoseconds()
-	sh.mu.Unlock()
+	s.engMu.Unlock()
 	s.metrics.engineLockWaitNs.Observe(held.waitNs)
-	sh.lockWaitNs.Observe(held.waitNs)
 	s.metrics.engineLockHoldNs.Observe(h)
-	sh.lockHoldNs.Observe(h)
 }
 
-// handle runs one message through the engine shard(s) that own it and
-// dispatches the responses. Everything that does not need engine state —
-// WAL body encoding, the commit fsync wait, store payload reads —
-// happens outside the shard locks. recvAt is when the session's driver
-// delivered the message: the handle span and the commit-stage queue span
-// start there.
+// handle runs one message through the engine and dispatches the
+// responses. Everything that does not need engine state — WAL body
+// encoding, the commit fsync wait, store payload reads — happens outside
+// the engine lock. recvAt is when the session's driver delivered the
+// message: the handle span and the commit-stage queue span start there.
 func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 	if int64(m.From) != s.internalID.Load() && !s.idsInRange(m) {
 		s.detach(sess.id)
@@ -74,15 +70,6 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 			s.metrics.handleNs[kind].Observe((time.Since(recvAt) - syncWait).Nanoseconds())
 		}
 	}()
-
-	nsh := len(s.shards)
-
-	// Piggybacked cache evictions touch arbitrary pages; with several
-	// shards, strip them off the message and apply each to its owning
-	// shard first (the single engine applies them inside Handle).
-	if nsh > 1 && (len(m.DroppedPages) > 0 || len(m.DroppedObjs) > 0) {
-		s.applyDroppedSharded(m)
-	}
 
 	// Encode the commit's WAL frame before taking any lock: the record
 	// body is a pure function of the request, and encoding is the
@@ -124,32 +111,7 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 		return
 	}
 
-	var sh *engineShard
-	switch m.Kind {
-	case core.MReadReq, core.MWriteReq:
-		sh = s.shardOf(m.Obj.Page)
-		if nsh > 1 {
-			// Record the routing so the transaction's commit/abort visits
-			// exactly the shards holding its state: write grants pin their
-			// shard for good; the last request marks where a cancelled
-			// request's residue (an aborted victim's record) may live.
-			if m.Kind == core.MWriteReq {
-				if sess.txnShards == nil {
-					sess.txnShards = make(map[core.TxnID]uint64)
-				}
-				sess.txnShards[m.Txn] |= 1 << uint(sh.idx)
-			}
-			if sess.txnLastReq == nil {
-				sess.txnLastReq = make(map[core.TxnID]uint64)
-			}
-			sess.txnLastReq[m.Txn] = 1 << uint(sh.idx)
-		}
-	case core.MCallbackAck, core.MDeescReply:
-		sh = s.shardOf(m.Page)
-	default:
-		sh = s.shards[0]
-	}
-	s.engineStep(sess, sh, m)
+	s.engineStep(sess, m)
 }
 
 // idsInRange reports whether every page and object m names exists in the
@@ -187,25 +149,25 @@ func (s *Server) idsInRange(m *core.Msg) bool {
 	return true
 }
 
-// engineStep runs one message through a single shard's engine under its
-// lock: alive check, engine dispatch, staging, callback-deadline
-// bookkeeping; then, off-lock, other pipe sessions' output ships and
-// overflowed sessions are deposed (settle).
-func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
-	held := s.lockShard(sh)
+// engineStep runs one message through the engine under its lock: alive
+// check, engine dispatch, staging, callback-deadline bookkeeping; then,
+// off-lock, other pipe sessions' output ships and overflowed sessions are
+// deposed (settle).
+func (s *Server) engineStep(sess *session, m *core.Msg) {
+	held := s.lockEngine()
 	if s.sessionOf(sess.id) != sess {
 		// The session was detached (watchdog, overflow, close) and its
-		// shard sweep serializes on this lock: processing a straggler
+		// engine sweep serializes on this lock: processing a straggler
 		// message now would recreate engine state nothing will ever
 		// clean up.
-		s.unlockShard(sh, held)
+		s.unlockEngine(held)
 		return
 	}
 
 	// Relocation front door: a user read/write of a retired address
 	// answers with a redirect to its current placement. The check runs
-	// under the object's shard lock, which a migration commit holds while
-	// it publishes its relocations (see appendAndInstall). The planner's own
+	// under the engine lock, which a migration commit holds while it
+	// publishes its relocations (see appendAndInstall). The planner's own
 	// session bypasses the door (it addresses spare slots directly), and
 	// disabled reclustering costs one nil check.
 	var outs []core.Msg
@@ -217,7 +179,7 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 		}
 	}
 	if outs == nil {
-		outs = sh.eng.Handle(m)
+		outs = s.eng.Handle(m)
 	}
 	var buf [4]*session
 	after := s.stage(sess, outs, buf[:0])
@@ -230,38 +192,36 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 	// can never discharge.
 	if m.Kind == core.MCallbackAck && s.opts.CallbackTimeout > 0 {
 		sess.clearCB(m.Req)
-		if m.Busy && sh.eng.RoundLive(m.Req) {
+		if m.Busy && s.eng.RoundLive(m.Req) {
 			sess.armCB(m.Req, time.Now().Add(s.opts.CallbackTimeout))
 		}
 	}
 
-	s.unlockShard(sh, held)
+	s.unlockEngine(held)
 	s.settle(after)
 }
 
-// finishTxnMsg handles MCommitReq/MAbortReq: compute which shards hold
-// the transaction's state, make the commit durable, then run the finish
-// step on each shard.
+// finishTxnMsg handles MCommitReq/MAbortReq: make the commit durable,
+// then run the finish step.
 //
-// Durability and ordering (the invariants the old single-lock commit
-// path guaranteed, restated for shards):
+// Durability and ordering:
 //
-//   - acked => durable: the owner shard only produces MCommitAck after
-//     WaitDurable returns, and a fail-stop during the sync kills the
-//     server before any ack escapes. A failed or torn append poisons
-//     the WAL (see appendFrame), so no later append can pave over a
-//     tear and get acknowledged ahead of recovery's stopping point.
-//   - the append + installs happen under ALL the write set's shard
-//     locks (ascending order — canonical, so two multi-shard commits
-//     cannot deadlock), with the transaction's engine write locks still
-//     held. Two commits racing on the same object are therefore
-//     serialized: the second cannot append/install until the first's
-//     engine release — which happens after the first's install — so
-//     WAL order matches install order per object.
+//   - acked => durable: the engine only produces MCommitAck in the
+//     finish step, after WaitDurable returns, and a fail-stop during the
+//     sync kills the server before any ack escapes. A failed or torn
+//     append poisons the WAL (see appendFrame), so no later append can
+//     pave over a tear and get acknowledged ahead of recovery's
+//     stopping point.
+//   - the append + installs happen under the engine lock, with the
+//     transaction's engine write locks still held. Two commits racing
+//     on the same object are therefore serialized: the second cannot
+//     append/install until the first's engine release — which happens
+//     after the first's install — so WAL order matches install order
+//     per object.
 //   - messages processed during our fsync window see the new store
 //     bytes but the OLD lock state — our updated objects stay
-//     write-locked (so unreadable/unwritable) until each shard
-//     processes its slice of the commit after the sync.
+//     write-locked (so unreadable/unwritable) until the finish step
+//     runs after the sync.
 //   - a reader that does observe committed-but-unacked bytes (other
 //     objects on an updated page) can never commit "ahead" of us: the
 //     WAL is sequential and synced is a prefix offset, so its record
@@ -274,21 +234,10 @@ func (s *Server) engineStep(sess *session, sh *engineShard, m *core.Msg) {
 // It returns the group-commit durability wait so handle can keep the
 // commit's handleNs honest (processing time, not fsync scheduling).
 func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame []byte, queueDur, encodeDur time.Duration) (syncWait time.Duration) {
-	mask := s.txnMask(sess, m)
-	if rec != nil && len(s.shards) > 1 {
-		// Relocation-aware installs may land on pages the request never
-		// named (a translated blind write, or a migration's destination):
-		// their shards' locks must be part of the append+install's
-		// canonical set too.
-		for _, o := range rec.Objs {
-			mask |= 1 << uint(s.shardIdx(o.Page))
-		}
-	}
-
 	if frame != nil {
 		s.observeStage(obs.StageQueue, m.Txn, m.From, queueDur)
 		s.observeStage(obs.StageEncode, m.Txn, m.From, encodeDur)
-		ticket, ok := s.appendAndInstall(sess, mask, rec, frame)
+		ticket, ok := s.appendAndInstall(sess, rec, frame)
 		if !ok {
 			return
 		}
@@ -314,66 +263,17 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 	}
 
 	ackStart := time.Now()
-	if bits.OnesCount64(mask) == 1 {
-		// Single-shard finish (the overwhelming common case, and the
-		// only case with one shard): the full engine dispatch on the
-		// owning shard — identical to the unsharded path.
-		s.engineStep(sess, s.shards[bits.TrailingZeros64(mask)], m)
-	} else {
-		s.multiShardFinish(sess, m, mask)
-	}
+	s.engineStep(sess, m)
 	if frame != nil {
 		s.observeStage(obs.StageAck, m.Txn, m.From, time.Since(ackStart))
 	}
 	return
 }
 
-// txnMask computes the set of shards a commit/abort must visit, as a
-// bitmask: the recorded write-grant footprint, the shard of the last
-// outstanding request (aborts: a cancelled victim's record lives
-// there), and the shards of every page the message itself names. Zero
-// (read-only finish with nothing recorded) falls back to shard 0.
-func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
-	if len(s.shards) == 1 {
-		return 1
-	}
-	var mask uint64
-	if sess.txnShards != nil {
-		mask = sess.txnShards[m.Txn]
-		delete(sess.txnShards, m.Txn)
-	}
-	if sess.txnLastReq != nil {
-		if m.Kind == core.MAbortReq {
-			mask |= sess.txnLastReq[m.Txn]
-		}
-		delete(sess.txnLastReq, m.Txn)
-	}
-	for _, p := range m.Pages {
-		mask |= 1 << uint(s.shardIdx(p))
-	}
-	for o := range m.Updates {
-		mask |= 1 << uint(s.shardIdx(o.Page))
-	}
-	for _, o := range m.Objs {
-		mask |= 1 << uint(s.shardIdx(o.Page))
-	}
-	for _, p := range m.PurgedPages {
-		mask |= 1 << uint(s.shardIdx(p))
-	}
-	for _, o := range m.PurgedObjs {
-		mask |= 1 << uint(s.shardIdx(o.Page))
-	}
-	if mask == 0 {
-		mask = 1
-	}
-	return mask
-}
-
 // appendAndInstall makes one commit's WAL append and store installs
-// atomic with respect to the write set's shards: all of mask's shard
-// locks are taken in ascending (canonical) order, the session's
+// atomic with respect to the engine: under the engine lock the session's
 // liveness is checked, and the frame write + object installs happen
-// under them plus installMu (shared). ok=false means the commit was
+// under it plus installMu (shared). ok=false means the commit was
 // dropped (session detached — nothing was logged or installed) or the
 // server crashed underneath it.
 //
@@ -385,31 +285,18 @@ func (s *Server) txnMask(sess *session, m *core.Msg) uint64 {
 // callback round now — in the engine, where the deadlock detector sees it
 // — or reaches the front door after this publish and is redirected there.
 // The queued ones are taken out of the engine and redirected here, under
-// the same shard locks and before the finish step releases the migration's
+// the engine lock and before the finish step releases the migration's
 // locks, so no user request for a moved address is granted after the move.
-func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, frame []byte) (ticket int64, ok bool) {
-	type heldShard struct {
-		sh *engineShard
-		at shardHold
-	}
+func (s *Server) appendAndInstall(sess *session, rec *walRecord, frame []byte) (ticket int64, ok bool) {
 	lockStart := time.Now()
-	var held []heldShard
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		sh := s.shards[bits.TrailingZeros64(rest)]
-		held = append(held, heldShard{sh, s.lockShard(sh)})
-	}
-	unlockAll := func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			s.unlockShard(held[i].sh, held[i].at)
-		}
-	}
+	held := s.lockEngine()
 
 	if s.sessionOf(sess.id) != sess {
 		// Detached while the request was in flight. Drop before logging
 		// anything: the disconnect sweep has (or will have) released the
 		// transaction's locks, and a stale install racing a successor
 		// writer would reorder committed bytes.
-		unlockAll()
+		s.unlockEngine(held)
 		return 0, false
 	}
 
@@ -419,7 +306,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 	ticket, err := s.wal.appendFrame(frame)
 	if err != nil {
 		s.installMu.RUnlock()
-		unlockAll()
+		s.unlockEngine(held)
 		if fault.IsCrash(err) || errors.Is(err, errWALCrashed) {
 			s.crash(err)
 			return 0, false
@@ -431,7 +318,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 	if len(rec.Relocs) > 0 {
 		if err := cpReclusterMidMove.Check(); err != nil {
 			s.installMu.RUnlock()
-			unlockAll()
+			s.unlockEngine(held)
 			s.crash(err)
 			return 0, false
 		}
@@ -442,7 +329,7 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 				// A concurrent commit's injected crash closed the store
 				// under us; the server is already fail-stopped.
 				s.installMu.RUnlock()
-				unlockAll()
+				s.unlockEngine(held)
 				return 0, false
 			}
 			panic(fmt.Sprintf("live: commit install failed: %v", err))
@@ -454,120 +341,19 @@ func (s *Server) appendAndInstall(sess *session, mask uint64, rec *walRecord, fr
 		// table never runs ahead of the log.
 		s.relocs.applyAll(rec.Relocs)
 		for _, r := range rec.Relocs {
-			for _, q := range s.shardOf(r.From.Page).eng.TakeQueued(r.From) {
+			for _, q := range s.eng.TakeQueued(r.From) {
 				s.metrics.reclusterRedirects.Inc()
 				after = s.stage(nil, []core.Msg{relocated(&q, r.To)}, after)
-				s.bsMu.Lock()
 				delete(s.blockStart, q.Txn)
-				s.bsMu.Unlock()
 			}
 		}
 		s.metrics.reclusterMoves.Add(int64(len(rec.Relocs)))
 	}
 	s.observeStage(obs.StageInstall, rec.Txn, rec.Client, time.Since(appended))
 	s.installMu.RUnlock()
-	unlockAll()
+	s.unlockEngine(held)
 	s.settle(after)
 	return ticket, true
-}
-
-// multiShardFinish runs a commit/abort's engine step on every shard in
-// mask, ascending, one lock at a time. The highest shard is the owner:
-// it counts the transaction's outcome, emits the trace event, and (for
-// commits) sends the MCommitAck — last, so every other shard has
-// already released the transaction's locks when the client learns the
-// outcome. Per-shard message slices are subset to that shard's pages.
-func (s *Server) multiShardFinish(sess *session, m *core.Msg, mask uint64) {
-	isCommit := m.Kind == core.MCommitReq
-	if isCommit {
-		s.metrics.multiShardCommits.Inc()
-	}
-	owner := 63 - bits.LeadingZeros64(mask)
-	var after []*session
-	for rest := mask; rest != 0; rest &= rest - 1 {
-		i := bits.TrailingZeros64(rest)
-		sh := s.shards[i]
-		sub := s.subsetFinishMsg(m, i, isCommit)
-		held := s.lockShard(sh)
-		var outs []core.Msg
-		if isCommit {
-			outs = sh.eng.HandleCommitShard(sub, i == owner)
-		} else {
-			outs = sh.eng.HandleAbortShard(sub, i == owner)
-		}
-		after = s.stage(sess, outs, after)
-		s.unlockShard(sh, held)
-	}
-	s.bsMu.Lock()
-	delete(s.blockStart, m.Txn)
-	s.bsMu.Unlock()
-	s.settle(after)
-}
-
-// subsetFinishMsg copies m with its page-keyed slices filtered to shard
-// idx. Pages is passed whole for commits (a foreign page holds no locks
-// on this shard and contributes nothing to merge accounting); Objs and
-// the Purged lists must be subset because their lengths feed counters
-// and their pages feed copy-table dereg.
-func (s *Server) subsetFinishMsg(m *core.Msg, idx int, isCommit bool) *core.Msg {
-	sub := *m
-	if isCommit {
-		if len(m.Objs) > 0 {
-			sub.Objs = nil
-			for _, o := range m.Objs {
-				if s.shardIdx(o.Page) == idx {
-					sub.Objs = append(sub.Objs, o)
-				}
-			}
-		}
-		return &sub
-	}
-	if len(m.PurgedPages) > 0 {
-		sub.PurgedPages = nil
-		for _, p := range m.PurgedPages {
-			if s.shardIdx(p) == idx {
-				sub.PurgedPages = append(sub.PurgedPages, p)
-			}
-		}
-	}
-	if len(m.PurgedObjs) > 0 {
-		sub.PurgedObjs = nil
-		for _, o := range m.PurgedObjs {
-			if s.shardIdx(o.Page) == idx {
-				sub.PurgedObjs = append(sub.PurgedObjs, o)
-			}
-		}
-	}
-	return &sub
-}
-
-// applyDroppedSharded strips m's piggybacked cache evictions and applies
-// each to the shard owning its page.
-func (s *Server) applyDroppedSharded(m *core.Msg) {
-	type group struct {
-		pages []core.PageID
-		objs  []core.ObjID
-	}
-	groups := make([]group, len(s.shards))
-	for _, p := range m.DroppedPages {
-		i := s.shardIdx(p)
-		groups[i].pages = append(groups[i].pages, p)
-	}
-	for _, o := range m.DroppedObjs {
-		i := s.shardIdx(o.Page)
-		groups[i].objs = append(groups[i].objs, o)
-	}
-	for i := range groups {
-		g := &groups[i]
-		if len(g.pages) == 0 && len(g.objs) == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		held := s.lockShard(sh)
-		sh.eng.ApplyDropped(m.From, g.pages, g.objs)
-		s.unlockShard(sh, held)
-	}
-	m.DroppedPages, m.DroppedObjs = nil, nil
 }
 
 func sortedUpdateKeys(m map[core.ObjID][]byte) []core.ObjID {

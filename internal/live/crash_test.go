@@ -304,20 +304,27 @@ func TestCheckpointCrashBetweenFlushAndTruncate(t *testing.T) {
 // record over the flushed store, and without the force nothing newer
 // follows it, so page 0 rolls back while page 1 keeps its pair's value.
 // The checkpoint forces the log through its tail before any page write,
-// so recovery must always see every pair whole.
+// so recovery must always see every pair whole. The last row crashes the
+// same window inside Close, which is a checkpoint too.
 func TestCheckpointForcesWALBeforeFlush(t *testing.T) {
 	for _, row := range []struct {
 		point  string
 		olderX bool // commit and force an older value of page 0 first
+		close  bool // crash in Close rather than in Checkpoint
 	}{
-		{"store.flush.partial", false},
-		{"checkpoint.mid", true},
+		{"store.flush.partial", false, false},
+		{"checkpoint.mid", true, false},
+		{"checkpoint.mid", true, true},
 	} {
-		t.Run(row.point, func(t *testing.T) { runCheckpointForcesWAL(t, row.point, row.olderX) })
+		name := row.point
+		if row.close {
+			name = "close-" + name
+		}
+		t.Run(name, func(t *testing.T) { runCheckpointForcesWAL(t, row.point, row.olderX, row.close) })
 	}
 }
 
-func runCheckpointForcesWAL(t *testing.T, point string, olderX bool) {
+func runCheckpointForcesWAL(t *testing.T, point string, olderX, viaClose bool) {
 	const pairs = 8
 	dir := t.TempDir()
 	srv, err := openServer(dir, ServerOptions{
@@ -362,9 +369,13 @@ func runCheckpointForcesWAL(t *testing.T, point string, olderX bool) {
 
 	defer fault.DisarmAll()
 	fault.Get(point).Arm(1)
-	err = srv.Checkpoint()
+	if viaClose {
+		err = srv.Close()
+	} else {
+		err = srv.Checkpoint()
+	}
 	if err == nil || !fault.IsCrash(err) {
-		t.Fatalf("checkpoint returned %v, want injected crash at %s", err, point)
+		t.Fatalf("checkpoint (close=%v) returned %v, want injected crash at %s", viaClose, err, point)
 	}
 	cl.Close()
 	srv.Crash()

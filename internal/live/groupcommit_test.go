@@ -165,9 +165,14 @@ func runConcurrentCrash(t *testing.T, point string, hit int64) {
 	// slices are race-free (joined by wg.Wait before reading).
 	acked := make([]uint32, nClients)     // seq+1 of the last acknowledged commit
 	submitted := make([]uint32, nClients) // seq+1 of the last submitted commit
+	// Every client attaches before any commits: the armed point can fire
+	// on the first few commits, and a crashed server refuses attaches.
+	clients := make([]*Client, nClients)
+	for i := range clients {
+		clients[i] = attachClient(t, srv)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < nClients; i++ {
-		cl := attachClient(t, srv)
+	for i, cl := range clients {
 		wg.Add(1)
 		go func(i int, cl *Client) {
 			defer wg.Done()

@@ -31,23 +31,13 @@ type serverMetrics struct {
 	lockWaitPageNs *obs.Histogram
 	lockWaitObjNs  *obs.Histogram
 
-	// Engine-lock width, aggregated across shards: how long requests
-	// wait for a shard's mutex and how long holders keep it. Hold covers
-	// only the engine step, staging, and (for commits) the WAL frame
-	// write — store reads and fsyncs show up in wait for other requests
-	// if they ever creep back in. Per-shard views of the same
-	// observations live on each engineShard under
-	// oodb_live_shard_lock_{wait,hold}_ns{shard="i"}.
+	// Engine-lock width: how long requests wait for the engine lock and
+	// how long holders keep it. Hold covers only the engine step,
+	// staging, and (for commits) the WAL frame write and installs —
+	// store reads and fsyncs show up in wait for other requests if they
+	// ever creep back in.
 	engineLockWaitNs *obs.Histogram
 	engineLockHoldNs *obs.Histogram
-
-	// multiShardCommits counts commits whose write set spanned more than
-	// one engine shard (they take several shard locks in canonical
-	// order); crossShardDeadlocks counts victims aborted by the
-	// cross-shard waits-for merge rather than a single shard's local
-	// detector.
-	multiShardCommits   *obs.Counter
-	crossShardDeadlocks *obs.Counter
 
 	// commitSyncWaitNs is the group-commit durability wait, kept out of
 	// handleNs so commit handling latency reflects processing, not fsync
@@ -102,10 +92,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"time the engine lock was held per acquisition, ns")
 	m.commitSyncWaitNs = reg.Histogram("oodb_live_commit_sync_wait_ns",
 		"commit durability (group-commit fsync) wait, off-lock, ns")
-	m.multiShardCommits = reg.Counter("oodb_live_multi_shard_commits_total",
-		"commits whose write set spanned more than one engine shard")
-	m.crossShardDeadlocks = reg.Counter("oodb_live_cross_shard_deadlocks_total",
-		"deadlock victims aborted by the cross-shard waits-for merge")
 	m.lockWaitPageNs = reg.Histogram(`oodb_server_lock_wait_ns{granularity="page"}`,
 		"time blocked requests waited before a grant, ns, by granted granularity")
 	m.lockWaitObjNs = reg.Histogram(`oodb_server_lock_wait_ns{granularity="object"}`, "")
@@ -141,13 +127,10 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return m
 }
 
-// onEngineTrace receives every protocol event from one engine shard
-// (under that shard's lock). It feeds the tracer and turns
-// EvBlock->EvGrant pairs into lock-wait latency observations, keyed by
-// the granted granularity. blockStart is global under bsMu: a
-// transaction blocks on one shard but its terminal event (commit/abort
-// owner step, or a dedup'd disconnect abort) may fire on another.
-func (s *Server) onEngineTrace(sh *engineShard, kind obs.EventKind, txn core.TxnID, client core.ClientID, obj core.ObjID, extra int64) {
+// onEngineTrace receives every protocol event from the engine, under the
+// engine lock. It feeds the tracer and turns EvBlock->EvGrant pairs into
+// lock-wait latency observations, keyed by the granted granularity.
+func (s *Server) onEngineTrace(kind obs.EventKind, txn core.TxnID, client core.ClientID, obj core.ObjID, extra int64) {
 	switch kind {
 	case obs.EvLockReq:
 		// Heat sample: every read/write request that reached the engine,
@@ -161,20 +144,12 @@ func (s *Server) onEngineTrace(sh *engineShard, kind obs.EventKind, txn core.Txn
 		if int64(client) != s.internalID.Load() {
 			s.heat.RecordBlock(int32(obj.Page))
 		}
-		s.bsMu.Lock()
 		if _, ok := s.blockStart[txn]; !ok {
 			s.blockStart[txn] = time.Now()
 		}
-		s.bsMu.Unlock()
-		s.pokeDetector()
 	case obs.EvGrant:
-		s.bsMu.Lock()
-		start, ok := s.blockStart[txn]
-		if ok {
+		if start, ok := s.blockStart[txn]; ok {
 			delete(s.blockStart, txn)
-		}
-		s.bsMu.Unlock()
-		if ok {
 			wait := time.Since(start).Nanoseconds()
 			if core.GrantLevel(extra) == core.GrantPage {
 				s.metrics.lockWaitPageNs.Observe(wait)
@@ -191,17 +166,8 @@ func (s *Server) onEngineTrace(sh *engineShard, kind obs.EventKind, txn core.Txn
 		if sess := s.sessionOf(client); sess != nil {
 			sess.clearCB(extra)
 		}
-	case obs.EvCallbackAck:
-		if extra == 1 {
-			// A busy reply defers the conflict to the holder's commit —
-			// with several shards that wait can be part of a cross-shard
-			// cycle only the merged waits-for graph sees.
-			s.pokeDetector()
-		}
 	case obs.EvCommit, obs.EvAbort, obs.EvDeadlock:
-		s.bsMu.Lock()
 		delete(s.blockStart, txn)
-		s.bsMu.Unlock()
 	}
 	s.tracer.Emit(kind, int64(txn), int32(client), int32(obj.Page), int32(obj.Slot), extra)
 }

@@ -22,7 +22,6 @@ import (
 // RegisterMetrics publishes under it.
 var coveredElsewhere = map[string]struct{ file, test, reads string }{
 	"oodb_engine_token_waits_total":           {"../core/pswt_test.go", "TestPSWTSerializesPageUpdaters", "Stats.TokenWaits"},
-	"oodb_live_cross_shard_deadlocks_total":   {"shard_test.go", "TestCrossShardDeadlock", "oodb_live_cross_shard_deadlocks_total"},
 	"oodb_server_lease_expiries_total":        {"reactor_test.go", "TestTCPLoneRequesterNeverReadsDeposed", "oodb_server_lease_expiries_total"},
 	"oodb_live_outbox_deposes_total":          {"session_test.go", "sessionOutboxOverflow", "oodb_live_outbox_deposes_total"},
 	"oodb_live_reactor_deposes_total":         {"session_test.go", "sessionOutboxOverflow", "oodb_live_reactor_deposes_total"},
@@ -31,7 +30,7 @@ var coveredElsewhere = map[string]struct{ file, test, reads string }{
 
 // TestMetricsTableMatchesRegistry holds README's "Metrics" table and the
 // registry to each other. After a scripted run that touches every layer
-// (two shards, heat and reclustering on, one pipe and one TCP client,
+// (heat and reclustering on, one pipe and one TCP client,
 // conflicts, a deadlock, an abort, a migration, a checkpoint) the
 // registry must hold exactly the table's families, with the table's type
 // and label keys, and each family must have moved, or coveredElsewhere
@@ -87,7 +86,7 @@ func scriptedRun(t *testing.T, reg *obs.Registry) *Server {
 	t.Helper()
 	const numPages = 32
 	srv, err := OpenServer(t.TempDir(), ServerOptions{
-		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: numPages, Shards: 2,
+		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: numPages,
 		SyncWAL: true, Metrics: reg, Heat: true, HeatEpoch: time.Hour,
 		Recluster: true, ReclusterEvery: time.Hour,
 	})
@@ -155,8 +154,8 @@ func scriptedRun(t *testing.T, reg *obs.Registry) *Server {
 	}
 	blocked := func(n int64) func() bool { return func() bool { return srv.Stats().Blocks >= n } }
 
-	// A miss, a hit, and one commit across both shards.
-	p, q := twoShardPages(t, srv, numPages)
+	// A miss, a hit, and one commit across two pages.
+	p, q := core.PageID(0), core.PageID(1)
 	tx := begin(a)
 	if _, err := tx.Read(o(p, 0)); err != nil {
 		t.Fatal(err)
@@ -206,9 +205,8 @@ func scriptedRun(t *testing.T, reg *obs.Registry) *Server {
 	}
 	commit(txB)
 
-	// A deadlock inside one shard: each client holds a page the other
-	// then asks for.
-	u, v := sameShardPages(t, srv, numPages, 13)
+	// A deadlock: each client holds a page the other then asks for.
+	u, v := core.PageID(13), core.PageID(14)
 	txA, txB = begin(a), begin(b)
 	write(txA, o(u, 0))
 	write(txB, o(v, 0))
@@ -238,20 +236,6 @@ func scriptedRun(t *testing.T, reg *obs.Registry) *Server {
 		t.Fatal(err)
 	}
 	return srv
-}
-
-// sameShardPages returns two pages in [from, numPages) of one shard.
-func sameShardPages(t *testing.T, srv *Server, numPages, from int) (core.PageID, core.PageID) {
-	t.Helper()
-	for a := from; a < numPages; a++ {
-		for b := a + 1; b < numPages; b++ {
-			if srv.shardIdx(core.PageID(a)) == srv.shardIdx(core.PageID(b)) {
-				return core.PageID(a), core.PageID(b)
-			}
-		}
-	}
-	t.Fatalf("no two pages in [%d,%d) share a shard", from, numPages)
-	return 0, 0
 }
 
 // metricsRow is one row of README's metrics table.

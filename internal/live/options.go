@@ -14,11 +14,9 @@ type ServerOptions struct {
 	PageSize    int // default 4096
 	ObjsPerPage int // default 20
 	NumPages    int // default 1250
-	// Shards is the number of page-hash engine shards (rounded down to a
-	// power of two, max 64). Commits whose write sets land on different
-	// shards run the engine step concurrently on separate cores; the WAL
-	// stays a single sequencer. 0 selects the default, min(8, GOMAXPROCS).
-	// 1 disables sharding (the pre-shard single-engine behavior).
+	// Deprecated: ignored. The server runs one engine under one lock
+	// (DESIGN.md §13); the field stays only until the benchmark driver
+	// stops setting it.
 	Shards int
 	// SyncWAL forces commits to wait for a WAL fsync before acking
 	// (default true; tests disable it).
@@ -117,22 +115,6 @@ func (o *ServerOptions) defaults() {
 	}
 	if o.outboxLimit == 0 {
 		o.outboxLimit = 4096
-	}
-	if o.Shards == 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards > 8 {
-			o.Shards = 8
-		}
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Shards > 64 {
-		o.Shards = 64
-	}
-	// Round down to a power of two so shardOf is a mask, not a modulo.
-	for o.Shards&(o.Shards-1) != 0 {
-		o.Shards &= o.Shards - 1
 	}
 	if o.HeatEpoch <= 0 {
 		o.HeatEpoch = 10 * time.Second

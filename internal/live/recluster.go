@@ -103,7 +103,7 @@ func (s *Server) startRecluster() error {
 	// the next tick — the backoff IS the pacing period. A terminal one
 	// means the session is already gone (the server closed the pipe, or a
 	// timed-out request tore it down), so there is nothing left to close.
-	s.background(s.opts.ReclusterEvery, nil, func() bool {
+	s.background(s.opts.ReclusterEvery, func() bool {
 		_, err := r.runRound()
 		return terminal(err)
 	})
@@ -180,7 +180,7 @@ func (r *recluster) runRound() (int, error) {
 //     requests for a source wait behind that lock like behind any writer's,
 //  2. commit with the relocation entries attached: the server installs
 //     the images, publishes the relocations, and redirects the requests
-//     queued for the sources — all under the write set's shard locks (see
+//     queued for the sources — all under the engine lock (see
 //     appendAndInstall).
 //
 // Any failure aborts the transaction; the objects stay where they were and
@@ -222,8 +222,8 @@ func (r *recluster) migrateGroup(g obs.MoveGroup) (int, error) {
 	for _, mv := range moves {
 		// Rewriting the source in place takes its write lock (calling back
 		// every cached copy) and puts the source address in the commit's
-		// write set, so the relocation installs under the source's shard
-		// lock; the destination write carries the bytes to their new home.
+		// write set; the destination write carries the bytes to their new
+		// home.
 		val, err := tx.Read(mv.from)
 		if err != nil {
 			return abort(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,16 +18,15 @@ import (
 // reclusterServer opens a server with online reclustering enabled but
 // fully quiescent: the planner ticker and heat rotation are parked on
 // hour-long periods, so tests drive rounds (and epochs) explicitly.
-func reclusterServer(t *testing.T, dir string, shards int) *Server {
+func reclusterServer(t *testing.T, dir string) *Server {
 	t.Helper()
-	return reclusterServerProto(t, dir, core.PSAA, shards)
+	return reclusterServerProto(t, dir, core.PSAA)
 }
 
-func reclusterServerProto(t *testing.T, dir string, proto core.Protocol, shards int) *Server {
+func reclusterServerProto(t *testing.T, dir string, proto core.Protocol) *Server {
 	t.Helper()
 	srv, err := openServer(dir, ServerOptions{
-		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32,
-		Shards: shards, SyncWAL: true,
+		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: true,
 		Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 	})
 	if err != nil {
@@ -109,7 +109,7 @@ func writeOne(t *testing.T, cl *Client, obj core.ObjID, val []byte) {
 // value, writes update it — and the migration's system transactions never
 // pollute the user-facing commit statistics.
 func TestReclusterMigrateRedirectsClients(t *testing.T) {
-	srv := reclusterServer(t, t.TempDir(), 1)
+	srv := reclusterServer(t, t.TempDir())
 	defer srv.Close()
 	c1 := attachClient(t, srv)
 	defer c1.Close()
@@ -167,15 +167,11 @@ func TestReclusterMigrateRedirectsClients(t *testing.T) {
 	}
 }
 
-// blockedRequests counts the requests queued in the engine, all shards.
+// blockedRequests counts the requests queued in the engine.
 func blockedRequests(srv *Server) int {
-	n := 0
-	for _, sh := range srv.shards {
-		sh.mu.Lock()
-		n += sh.eng.BlockedRequests()
-		sh.mu.Unlock()
-	}
-	return n
+	srv.engMu.Lock()
+	defer srv.engMu.Unlock()
+	return srv.eng.BlockedRequests()
 }
 
 // TestReclusterNoHiddenWait: a user transaction holds one object of a
@@ -185,7 +181,7 @@ func blockedRequests(srv *Server) int {
 // the migration out of the detector's sight: the second access finishes,
 // or is aborted, at once.
 func TestReclusterNoHiddenWait(t *testing.T) {
-	srv := reclusterServer(t, t.TempDir(), 0)
+	srv := reclusterServer(t, t.TempDir())
 	defer srv.Close()
 	seeder := attachClient(t, srv)
 	defer seeder.Close()
@@ -251,7 +247,7 @@ func TestReclusterNoHiddenWait(t *testing.T) {
 func TestReclusterQueuedRequestRedirected(t *testing.T) {
 	for _, proto := range []core.Protocol{core.PS, core.PSAA, core.OS} {
 		t.Run(proto.String(), func(t *testing.T) {
-			srv := reclusterServerProto(t, t.TempDir(), proto, 0)
+			srv := reclusterServerProto(t, t.TempDir(), proto)
 			defer srv.Close()
 			seeder := attachClient(t, srv)
 			defer seeder.Close()
@@ -373,7 +369,7 @@ func reclusterCopyDir(t *testing.T, src string) string {
 // truncation retires the records.
 func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 	dir := t.TempDir()
-	srv := reclusterServer(t, dir, 1)
+	srv := reclusterServer(t, dir)
 	c1 := attachClient(t, srv)
 	vals := seedPage(t, c1, 3)
 	if n := migrate(t, srv, obs.MoveGroup{Page: 3, Writer: 1, Slots: []uint16{0, 1}}); n != 2 {
@@ -393,12 +389,9 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 		t.Fatal("OpenServer succeeded with relocation records but no relocs.db")
 	}
 
-	verify := func(t *testing.T, dir string, shards int) {
-		srv2 := reclusterServer(t, dir, shards)
+	verify := func(t *testing.T, dir string) {
+		srv2 := reclusterServer(t, dir)
 		defer srv2.Close()
-		if n := srv2.NumShards(); n != shards {
-			t.Fatalf("recovered server runs %d engine shards, want %d", n, shards)
-		}
 		if got := srv2.ReclusterStatus(false).Relocated; got != 2 {
 			t.Fatalf("recovered relocation table has %d entries, want 2", got)
 		}
@@ -416,8 +409,8 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 
 	// Double-crash matrix: re-crash recovery at every point that can fire
 	// while relocation records are in the log, then recover for real, with
-	// the recovering server at one and at four engine shards (jobs1,
-	// jobs4) so the rebuilt redirects are served across shards too.
+	// the recovering and the recovered server at GOMAXPROCS 1 and 4 (jobs1,
+	// jobs4), so the rebuilt redirects are served under both schedulers.
 	points := []struct {
 		name string
 		hit  int64
@@ -430,10 +423,11 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 	for _, pt := range points {
 		for _, jobs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/hit%d/jobs%d", pt.name, pt.hit, jobs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(jobs))
 				cp := reclusterCopyDir(t, dir)
 				fault.Get(pt.name).Arm(pt.hit)
 				_, err := openServer(cp, ServerOptions{
-					Proto: core.PSAA, SyncWAL: true, Recluster: true, Shards: jobs,
+					Proto: core.PSAA, SyncWAL: true, Recluster: true,
 					ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
 				})
 				fault.DisarmAll()
@@ -443,21 +437,21 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 				if !fault.IsCrash(err) {
 					t.Fatalf("OpenServer failed with %v, want injected crash", err)
 				}
-				verify(t, cp, jobs)
+				verify(t, cp)
 			})
 		}
 	}
 
 	// Real recovery on the original state: table rebuilt, redirects live.
-	t.Run("clean-recovery", func(t *testing.T) { verify(t, dir, 1) })
+	t.Run("clean-recovery", func(t *testing.T) { verify(t, dir) })
 
 	// Recovery saved relocs.db before truncating the log (the records are
 	// gone now), so a crash right after reopening — before any checkpoint
 	// or clean shutdown could save the table — must still know the
 	// redirects from the side file alone.
-	srv3 := reclusterServer(t, dir, 1)
+	srv3 := reclusterServer(t, dir)
 	srv3.Crash()
-	t.Run("post-truncation-crash", func(t *testing.T) { verify(t, dir, 1) })
+	t.Run("post-truncation-crash", func(t *testing.T) { verify(t, dir) })
 }
 
 // TestReclusterMidMoveCrash arms the recluster.mid-move crash point: the
@@ -469,7 +463,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 // by a post-recovery migration. No half-moved state is acceptable.
 func TestReclusterMidMoveCrash(t *testing.T) {
 	dir := t.TempDir()
-	srv := reclusterServer(t, dir, 1)
+	srv := reclusterServer(t, dir)
 	c1 := attachClient(t, srv)
 	vals := seedPage(t, c1, 3)
 
@@ -485,7 +479,7 @@ func TestReclusterMidMoveCrash(t *testing.T) {
 	srv.Crash()
 	fault.DisarmAll()
 
-	srv2 := reclusterServer(t, dir, 1)
+	srv2 := reclusterServer(t, dir)
 	defer srv2.Close()
 	if got := srv2.ReclusterStatus(false).Relocated; got != 0 {
 		t.Fatalf("mid-move crash leaked %d relocation entries, want 0 (atomic abort)", got)
@@ -512,10 +506,10 @@ func TestReclusterMidMoveCrash(t *testing.T) {
 // runReclusterWorkload executes a fixed script — user commits and aborts,
 // two fabricated migrations, post-migration redirected traffic — and
 // returns the resulting database bytes, relocation file bytes and stats.
-func runReclusterWorkload(t *testing.T, shards int) (data, relocs []byte, st core.ServerStats) {
+func runReclusterWorkload(t *testing.T) (data, relocs []byte, st core.ServerStats) {
 	t.Helper()
 	dir := t.TempDir()
-	srv := reclusterServer(t, dir, shards)
+	srv := reclusterServer(t, dir)
 	cl := attachClient(t, srv)
 
 	for i := 0; i < 12; i++ {
@@ -571,21 +565,21 @@ func runReclusterWorkload(t *testing.T, shards int) (data, relocs []byte, st cor
 	return data, relocs, st
 }
 
-// TestReclusterShardsEquivalence is the sharding anchor extended to the
-// reclustering paths: the same script (including migrations and
-// redirected writes) on 1 and 8 shards must produce byte-identical store
-// and relocation files and identical protocol statistics.
-func TestReclusterShardsEquivalence(t *testing.T) {
-	d1, r1, s1 := runReclusterWorkload(t, 1)
-	d8, r8, s8 := runReclusterWorkload(t, 8)
-	if !bytes.Equal(d1, d8) {
-		t.Fatalf("data.db differs between 1 and 8 shards (%d vs %d bytes)", len(d1), len(d8))
+// TestReclusterDeterministic runs the same script (including migrations
+// and redirected writes) twice: the reclustering paths must produce
+// byte-identical store and relocation files and identical protocol
+// statistics, so a placement is a function of the history alone.
+func TestReclusterDeterministic(t *testing.T) {
+	d1, r1, s1 := runReclusterWorkload(t)
+	d2, r2, s2 := runReclusterWorkload(t)
+	if !bytes.Equal(d1, d2) {
+		t.Fatalf("data.db differs between two runs (%d vs %d bytes)", len(d1), len(d2))
 	}
-	if !bytes.Equal(r1, r8) {
-		t.Fatalf("relocs.db differs between 1 and 8 shards (%d vs %d bytes)", len(r1), len(r8))
+	if !bytes.Equal(r1, r2) {
+		t.Fatalf("relocs.db differs between two runs (%d vs %d bytes)", len(r1), len(r2))
 	}
-	if s1 != s8 {
-		t.Fatalf("engine stats differ:\n 1 shard: %+v\n 8 shards: %+v", s1, s8)
+	if s1 != s2 {
+		t.Fatalf("engine stats differ:\n run 1: %+v\n run 2: %+v", s1, s2)
 	}
 	if s1.Commits == 0 || s1.Aborts == 0 {
 		t.Fatalf("workload exercised nothing: %+v", s1)
@@ -596,7 +590,7 @@ func TestReclusterShardsEquivalence(t *testing.T) {
 // slots) and verifies the planner degrades gracefully: it moves what fits
 // and a further group moves nothing, without error.
 func TestReclusterSpareExhaustion(t *testing.T) {
-	srv := reclusterServer(t, t.TempDir(), 1)
+	srv := reclusterServer(t, t.TempDir())
 	defer srv.Close()
 	cl := attachClient(t, srv)
 	defer cl.Close()
@@ -646,7 +640,7 @@ func TestReclusterVariableObjectsRejected(t *testing.T) {
 // pages, one epoch rotation folds the evidence, and ReclusterNow plans
 // and executes real migrations that a fresh client then reads through.
 func TestReclusterEndToEndHeatPlan(t *testing.T) {
-	srv := reclusterServer(t, t.TempDir(), 1)
+	srv := reclusterServer(t, t.TempDir())
 	defer srv.Close()
 	cA := attachClient(t, srv)
 	defer cA.Close()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -286,9 +287,9 @@ func vmHWM(t *testing.T) int64 {
 // the post-recovery log truncation must leave the log intact, and the
 // next recovery must land on exactly the same store bytes as a recovery
 // that never crashed. Each crash point runs with the recovering and the
-// reopened server at one and at four engine shards (jobs1, jobs4): replay
-// is one serial pass whatever the shard count, and the recovered store
-// must serve every acked write through either partitioning.
+// reopened server at GOMAXPROCS 1 and 4 (jobs1, jobs4): replay is one
+// serial pass either way, and the recovered store must serve every acked
+// write under both schedulers.
 func TestCrashDuringRecovery(t *testing.T) {
 	const (
 		numPages = 16
@@ -350,9 +351,10 @@ func TestCrashDuringRecovery(t *testing.T) {
 	for _, pt := range points {
 		for _, jobs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/hit%d/jobs%d", pt.name, pt.hit, jobs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(jobs))
 				dir := copyDBDir(t, tpl)
 				fault.Get(pt.name).Arm(pt.hit)
-				_, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true, Shards: jobs})
+				_, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 				fault.DisarmAll()
 				if err == nil {
 					t.Fatalf("OpenServer survived armed crash point %s", pt.name)
@@ -371,14 +373,11 @@ func TestCrashDuringRecovery(t *testing.T) {
 				}
 
 				// And a real reopen must serve every acked write.
-				srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true, Shards: jobs})
+				srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 				if err != nil {
 					t.Fatalf("reopen after mid-recovery crash: %v", err)
 				}
 				defer srv2.Close()
-				if n := srv2.NumShards(); n != jobs {
-					t.Fatalf("reopened server runs %d engine shards, want %d", n, jobs)
-				}
 				auditor := attachClient(t, srv2)
 				defer auditor.Close()
 				tx, err := auditor.Begin()

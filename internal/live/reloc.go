@@ -192,7 +192,7 @@ func (t *relocTable) encode() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.spare))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.m)))
 	// Entries are sorted by source address so identical tables encode to
-	// identical bytes — the shard-equivalence tests diff relocs.db
+	// identical bytes — TestReclusterDeterministic diffs relocs.db
 	// directly, and deterministic output costs nothing at this size.
 	keys := make([]core.ObjID, 0, len(t.m))
 	for k := range t.m {

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,24 +37,9 @@ type objectStore interface {
 	ObjSize() int
 }
 
-// engineShard is one slice of the partitioned engine: a full protocol
-// engine (lock table, copy table, queues, rounds) owning the pages that
-// hash to it, under its own mutex. Commits whose write sets touch
-// disjoint shards hold disjoint locks and run concurrently.
-type engineShard struct {
-	idx int
-	mu  sync.Mutex
-	eng *core.ServerEngine
-
-	// Per-shard views of the engine-lock histograms (the aggregate pair
-	// is also fed) — a hot shard shows up as one skewed series.
-	lockWaitNs *obs.Histogram
-	lockHoldNs *obs.Histogram
-}
-
 // Server is the live page-server DBMS process: it owns the store and log,
-// runs the protocol engine (sharded by page hash), and serves client
-// sessions over transports.
+// runs the protocol engine under one lock, and serves client sessions
+// over transports.
 type Server struct {
 	opts   ServerOptions
 	layout *core.Layout
@@ -67,11 +51,11 @@ type Server struct {
 	spans    *obs.Spans
 	flight   *obs.FlightRecorder // nil unless BlackboxDir is set
 
-	// shards partitions the engine by page hash; shardMask is
-	// len(shards)-1 (power of two). With one shard the system behaves
-	// exactly like the pre-shard single-engine server.
-	shards    []*engineShard
-	shardMask uint32
+	// engMu is the engine lock. It guards eng, blockStart and every
+	// engine step's staging (DESIGN.md §13); lockEngine and unlockEngine
+	// take and release it, measuring both sides.
+	engMu sync.Mutex
+	eng   *core.ServerEngine
 
 	store objectStore
 	wal   *WAL
@@ -88,14 +72,14 @@ type Server struct {
 	internalID atomic.Int64
 	recl       *recluster // background planner; nil unless opts.Recluster
 
-	// installMu orders commit installs against checkpoints, replacing
-	// what the single engine lock used to guarantee: a commit holds it
-	// shared around its WAL append + store installs; Checkpoint holds it
-	// exclusive from its WAL force to its truncation, which also
-	// serializes checkpoints. So a WAL record is only ever truncated
-	// after a store flush that covers its installs, and a flush/truncate
-	// pair never splits an append/install pair.
-	// Lock order: shard locks -> installMu -> s.mu.
+	// installMu orders commit installs against checkpoints without
+	// holding the engine lock across a store flush: a commit holds it
+	// shared around its WAL append + store installs; Checkpoint (and
+	// Close) hold it exclusive from the WAL force to the truncation,
+	// which also serializes checkpoints. So a WAL record is only ever
+	// truncated after a store flush that covers its installs, and a
+	// flush/truncate pair never splits an append/install pair.
+	// Lock order: engMu -> installMu -> s.mu.
 	installMu sync.RWMutex
 
 	// recovery is what the opening replay did (see RecoveryStats).
@@ -116,16 +100,8 @@ type Server struct {
 	failed error // injected crash that fail-stopped the server
 
 	// blockStart records when each blocked transaction's queued request
-	// first blocked (feeds the lock-wait histograms). Global across
-	// shards — a transaction blocks on one shard but may finish via an
-	// owner step on another — under its own small mutex.
-	bsMu       sync.Mutex
+	// first blocked (feeds the lock-wait histograms). Under engMu.
 	blockStart map[core.TxnID]time.Time
-
-	// dlPoke nudges the cross-shard deadlock detector (nil when
-	// len(shards) == 1; local per-shard detection is complete then). See
-	// deadlock.go.
-	dlPoke chan struct{}
 
 	// stop is closed (once, by stopLocked) to end every background loop;
 	// wg counts those loops and the socket sessions' driver goroutines,
@@ -152,24 +128,6 @@ type Server struct {
 	reactor   atomic.Pointer[reactor]
 	transport string
 }
-
-// shardIdx maps a page to its owning shard index. The multiplicative
-// hash decorrelates the low page bits (clients allocate contiguous
-// regions) before masking.
-func (s *Server) shardIdx(p core.PageID) int {
-	if s.shardMask == 0 {
-		return 0
-	}
-	h := uint32(p) * 2654435761
-	return int((h >> 16) & s.shardMask)
-}
-
-func (s *Server) shardOf(p core.PageID) *engineShard {
-	return s.shards[s.shardIdx(p)]
-}
-
-// NumShards returns the number of engine shards.
-func (s *Server) NumShards() int { return len(s.shards) }
 
 // sessionMap returns the current copy-on-write session map (never nil).
 func (s *Server) sessionMap() map[core.ClientID]*session {
@@ -313,30 +271,9 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	empty := make(map[core.ClientID]*session)
 	s.sessions.Store(&empty)
 
-	nsh := opts.Shards
-	s.shards = make([]*engineShard, nsh)
-	s.shardMask = uint32(nsh - 1)
-	for i := 0; i < nsh; i++ {
-		sh := &engineShard{idx: i, eng: core.NewServerEngine(opts.Proto, layout)}
-		if nsh > 1 {
-			// Stripe round ids (shard i issues i+1, i+1+n, ...): clients
-			// key callback acks and deadlines by round id with no notion
-			// of shards, so ids must be globally unique.
-			sh.eng.ConfigureRoundIDs(int64(i+1), int64(nsh))
-		}
-		sh.eng.Trace = func(kind obs.EventKind, txn core.TxnID, client core.ClientID, obj core.ObjID, extra int64) {
-			s.onEngineTrace(sh, kind, txn, client, obj, extra)
-		}
-		// FuncCounters registered by every shard under the same names sum
-		// at collection time.
-		sh.eng.RegisterMetrics(reg)
-		label := strconv.Itoa(i)
-		sh.lockWaitNs = reg.Histogram(obs.Labeled("oodb_live_shard_lock_wait_ns", "shard", label),
-			"time spent waiting for one engine shard's lock, ns, by shard")
-		sh.lockHoldNs = reg.Histogram(obs.Labeled("oodb_live_shard_lock_hold_ns", "shard", label),
-			"time one engine shard's lock was held per acquisition, ns, by shard")
-		s.shards[i] = sh
-	}
+	s.eng = core.NewServerEngine(opts.Proto, layout)
+	s.eng.Trace = s.onEngineTrace
+	s.eng.RegisterMetrics(reg)
 	reg.FuncGauge("oodb_server_sessions", "attached client sessions",
 		func() int64 { return int64(len(s.sessionMap())) })
 	wal.metrics = s.metrics
@@ -345,19 +282,12 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		if interval < time.Millisecond {
 			interval = time.Millisecond
 		}
-		s.background(interval, nil, s.sweepLeases)
+		s.background(interval, s.sweepLeases)
 	}
 	// Rotating the heat epoch makes sketches decay and false-sharing
 	// scores fold while the collector is on; on a disabled (empty)
 	// collector it is a few empty-map walks.
-	s.background(opts.HeatEpoch, nil, func() bool { s.heat.Rotate(); return false })
-	if nsh > 1 {
-		s.dlPoke = make(chan struct{}, 1)
-		// Pokes from EvBlock and busy callback acks make real cycles
-		// resolve fast; the ticker is the backstop for pokes lost to a
-		// full channel.
-		s.background(dlInterval, s.dlPoke, func() bool { s.CheckDeadlocks(); return false })
-	}
+	s.background(opts.HeatEpoch, func() bool { s.heat.Rotate(); return false })
 	if opts.Recluster && s.relocs != nil && s.relocs.spare > 0 {
 		if err := s.startRecluster(); err != nil {
 			s.Close()
@@ -367,12 +297,11 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// background runs fn on every tick of period — and on every poke, when
-// poke is non-nil — until the server stops or fn reports it is done. The
-// callback watchdog, heat rotation, cross-shard deadlock detector and
-// recluster planner all run on it, so they share the one stop channel
-// stopLocked closes and the one WaitGroup join waits on.
-func (s *Server) background(period time.Duration, poke <-chan struct{}, fn func() (done bool)) {
+// background runs fn on every tick of period until the server stops or fn
+// reports it is done. The callback watchdog, heat rotation and recluster
+// planner all run on it, so they share the one stop channel stopLocked
+// closes and the one WaitGroup join waits on.
+func (s *Server) background(period time.Duration, fn func() (done bool)) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -382,7 +311,6 @@ func (s *Server) background(period time.Duration, poke <-chan struct{}, fn func(
 			select {
 			case <-s.stop:
 				return
-			case <-poke:
 			case <-tick.C:
 			}
 			if s.closedFlag.Load() || fn() {
@@ -428,19 +356,13 @@ func (s *Server) Sessions() int {
 	return len(s.sessionMap())
 }
 
-// Stats returns a snapshot of the protocol engine statistics, summed
-// across shards.
-func (s *Server) Stats() core.ServerStats {
-	var sum core.ServerStats
-	for _, sh := range s.shards {
-		sum.Add(sh.eng.Stats.Snapshot())
-	}
-	return sum
-}
+// Stats returns a snapshot of the protocol engine statistics. The
+// counters are atomics, so this never takes the engine lock.
+func (s *Server) Stats() core.ServerStats { return s.eng.Stats.Snapshot() }
 
-// Metrics returns the server's metrics registry. Collection takes the
-// shard locks one at a time (never all at once), so a scrape can stall
-// one shard briefly but cannot serialize the engine.
+// Metrics returns the server's metrics registry. Collection reads
+// atomics and copy-on-write state only and never takes the engine lock,
+// so a scrape cannot stall the engine, nor a long engine step a scrape.
 func (s *Server) Metrics() *obs.Registry { return s.registry }
 
 // Tracer returns the server's event tracer (disabled until SetEnabled).
@@ -690,9 +612,14 @@ func (s *Server) failStop(err error) error {
 // directory is left exactly as a real crash would, ready for recovery by a
 // fresh OpenServer. Caller holds s.mu.
 func (s *Server) crashLocked(cause error) {
-	if !s.stopLocked(cause) {
-		return
+	if s.stopLocked(cause) {
+		s.crashFiles(cause)
 	}
+}
+
+// crashFiles leaves the store and the log as a crash would: unsynced WAL
+// bytes are discarded and the store dies without a flush.
+func (s *Server) crashFiles(cause error) {
 	s.wal.crash()
 	s.store.closeRaw()
 	// Blackbox last: the dump reads atomics, the trace ring and the heat
@@ -720,8 +647,10 @@ func (s *Server) Failed() error {
 	return s.failed
 }
 
-// Close shuts the server down: sessions are closed, the store is flushed
-// (making the log redundant), and files are closed.
+// Close shuts the server down: sessions are closed, a checkpoint makes
+// the store cover the whole log and empties it, and the files are closed.
+// An injected crash inside that checkpoint fail-stops the server instead,
+// leaving the files as the crash found them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	stopped := s.stopLocked(nil)
@@ -731,27 +660,19 @@ func (s *Server) Close() error {
 		return nil
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	if s.relocs != nil {
-		// The clean-shutdown contract makes the log redundant; that now
-		// includes its relocation records, so the side file must be
-		// current before the truncate below.
-		if err := s.relocs.save(s.dir); err != nil {
-			firstErr = err
-		}
+	s.installMu.Lock()
+	err := s.checkpointLocked()
+	s.installMu.Unlock()
+	if fault.IsCrash(err) {
+		s.mu.Lock()
+		s.failed = err
+		s.mu.Unlock()
+		s.crashFiles(err)
+		return err
 	}
-	if err := s.store.Close(); err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-	} else if err := s.wal.Truncate(); err != nil && firstErr == nil {
-		// Only truncate once the store is durably flushed.
-		firstErr = err
+	s.store.closeRaw()
+	if cerr := s.wal.Close(); err == nil {
+		err = cerr
 	}
-	if err := s.wal.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return err
 }

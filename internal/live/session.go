@@ -14,11 +14,10 @@ import (
 // pump ships the outbox — when the driver is kicked, or, on a pipe, by
 // whoever staged the output (Server.settle); nothing else reads or writes
 // the connection. Outgoing messages are staged on the outbox while the
-// owning shard's lock is held (fixing their order to match the engine's
+// engine lock is held (fixing their order to match the engine's
 // processing order) and shipped by pump; per-session FIFO delivery is a
 // correctness requirement of callback locking (a callback must never
-// overtake the data reply it concerns). All messages about one page are produced under that page's
-// shard lock, so per-page wire order still matches engine order.
+// overtake the data reply it concerns).
 //
 // Every staged entry is complete as staged. A data grant carries only its
 // page or object id; ship reads the payload out of the store as the grant
@@ -40,18 +39,11 @@ type session struct {
 	payloadBuf func(n int) []byte
 
 	// cbDue maps an outstanding callback round id to its answer deadline.
-	// cbMu guards the map itself (rounds from different shards share it,
-	// and the watchdog scans it); arm-vs-cancel ordering for any one
-	// round is already serialized by that round's shard lock.
+	// cbMu guards the map itself (the watchdog scans it off the engine
+	// lock); arm-vs-cancel ordering for any one round is already
+	// serialized by the engine lock.
 	cbMu  sync.Mutex
 	cbDue map[int64]time.Time
-
-	// txnShards (write-grant footprint) and txnLastReq (shard of the most
-	// recent read/write request) route commits and aborts to the shards
-	// holding the transaction's state. Touched only inside receiver
-	// callbacks, which the driver never runs concurrently, so unguarded.
-	txnShards  map[core.TxnID]uint64
-	txnLastReq map[core.TxnID]uint64
 
 	mu      sync.Mutex
 	outbox  []*core.Msg
@@ -145,7 +137,7 @@ func (s *session) push(m *core.Msg, quiet bool, limit int) (overflow bool) {
 	}
 	s.mu.Unlock()
 	if !quiet {
-		s.conn.Kick() // non-blocking, so callers may hold shard locks
+		s.conn.Kick() // non-blocking, so callers may hold the engine lock
 	}
 	return overflow
 }
@@ -230,14 +222,14 @@ func (s *session) pump() {
 }
 
 // ship sends one batch in order, reading each data grant's payload out of
-// the store as the grant leaves. It runs WITHOUT any shard lock; the
+// the store as the grant leaves. It runs WITHOUT the engine lock; the
 // store's page latches (shared here, exclusive in commit installs) keep
 // each copy untorn.
 //
 // The payload still matches the lock state at grant time: a conflicting
 // writer can install new bytes for a granted object only after calling
 // back every registered copy — and the copy was registered under the
-// page's shard lock when this grant was staged. The recipient answers
+// engine lock when this grant was staged. The recipient answers
 // that callback only after its client-side receiver has consumed
 // this very message, which the FIFO outbox orders behind nothing that
 // hasn't been sent — so the install strictly follows this read, whenever
@@ -311,7 +303,7 @@ func (s *Server) Attach(conn Conn) (core.ClientID, error) {
 // attachInternal registers the reclustering planner's session: its hello
 // advertises the PHYSICAL page count (the spare region included, since
 // migrations write there directly), it bypasses the relocation front
-// door, and every shard engine marks it a system client so its commits
+// door, and the engine marks it a system client so its commits
 // and aborts stay out of user-facing stats. One at a time.
 func (s *Server) attachInternal(conn Conn) (core.ClientID, error) {
 	return s.attachConn(conn, true)
@@ -370,11 +362,9 @@ func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 	pages, opp, objSize := s.Geometry()
 	if internal {
 		pages = s.store.NumPages()
-		for _, sh := range s.shards {
-			held := s.lockShard(sh)
-			sh.eng.SetSystemClient(id, true)
-			s.unlockShard(sh, held)
-		}
+		held := s.lockEngine()
+		s.eng.SetSystemClient(id, true)
+		s.unlockEngine(held)
 		s.internalID.Store(int64(id))
 	}
 
@@ -390,11 +380,11 @@ func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 	return id, nil
 }
 
-// detach removes a session and sweeps every shard for its protocol
-// state. The session leaves the map before the sweep, so its receiver's
-// alive checks (under shard locks) fail from then on — no message it
-// already received can recreate engine state after the sweep passed its
-// shard (ghost resurrection).
+// detach removes a session and sweeps the engine for its protocol state.
+// The session leaves the map before the sweep, so its receiver's alive
+// checks (under the engine lock) fail from then on — no message it
+// already received can recreate engine state after the sweep (ghost
+// resurrection).
 func (s *Server) detach(id core.ClientID) {
 	s.mu.Lock()
 	if s.closed {
@@ -419,25 +409,16 @@ func (s *Server) detach(id core.ClientID) {
 
 	sess.close()
 
-	// Clean up the ghost's protocol state on every shard; stage any
-	// grants this unblocks. The shared seen set counts a transaction
-	// holding locks on several shards as ONE abort.
-	seen := make(map[core.TxnID]bool)
-	var after []*session
-	for _, sh := range s.shards {
-		held := s.lockShard(sh)
-		after = s.stage(nil, sh.eng.DisconnectDedup(id, seen), after)
-		s.unlockShard(sh, held)
-	}
-	s.bsMu.Lock()
-	for t := range seen {
-		delete(s.blockStart, t)
-	}
-	s.bsMu.Unlock()
+	// Clean up the ghost's protocol state; stage any grants this
+	// unblocks. The engine traces an abort for each of the ghost's
+	// transactions, which retires its blockStart entry.
+	held := s.lockEngine()
+	after := s.stage(nil, s.eng.Disconnect(id), nil)
+	s.unlockEngine(held)
 	s.settle(after) // bounded: each recursion removes a session
 }
 
-// settle does what stage left for its caller once the shard lock it ran
+// settle does what stage left for its caller once the engine lock it ran
 // under is released: it ships the output staged for pipe sessions, which
 // have no driver to kick, on this goroutine, and deposes the sessions whose
 // outbox overflowed.
@@ -498,7 +479,7 @@ func (s *Server) deliverPipe(sess *session, m *core.Msg, err error) {
 }
 
 // stage pushes the engine's outputs onto their sessions' outboxes, in
-// engine order (the wire order), under the emitting shard's lock. A data
+// engine order (the wire order), under the engine lock. A data
 // grant is staged as the engine made it, without its payload: ship reads
 // that as the grant leaves. self is the session whose request produced
 // outs, when its own receiver is the caller, which ships its own output
@@ -520,7 +501,7 @@ func (s *Server) stage(self *session, outs []core.Msg, after []*session) []*sess
 				// A granted page may carry retired (moved-away-from) slots:
 				// mark them unavailable so the client's cached copy routes
 				// their reads back to the server, which redirects. Staged
-				// under the emitting shard's lock, so the marks match the
+				// under the engine lock, so the marks match the
 				// relocation state the grant was decided under.
 				if ret := s.relocs.view().retiredSlots(om.Page); len(ret) > 0 {
 					om.Unavail = append(append([]uint16(nil), om.Unavail...), ret...)

@@ -137,18 +137,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// quiesced reports whether no shard engine holds any transaction, lock,
-// queue or callback round.
+// quiesced reports whether the engine holds no transaction, lock, queue
+// or callback round.
 func quiesced(srv *Server) bool {
-	for _, sh := range srv.shards {
-		sh.mu.Lock()
-		q := sh.eng.Quiesced()
-		sh.mu.Unlock()
-		if !q {
-			return false
-		}
-	}
-	return true
+	srv.engMu.Lock()
+	defer srv.engMu.Unlock()
+	return srv.eng.Quiesced()
 }
 
 func readReq(page int, req int64) *core.Msg {
@@ -306,7 +300,6 @@ func sessionOutboxOverflow(t *testing.T, transport string) {
 	}
 
 	// From here on the peer reads nothing.
-	sh := h.srv.shards[0]
 	outboxLen := func() int {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
@@ -316,9 +309,9 @@ func sessionOutboxOverflow(t *testing.T, transport string) {
 		if i > 1<<16 {
 			t.Fatal("64k unread page grants and the session is still attached")
 		}
-		held := h.srv.lockShard(sh)
+		held := h.srv.lockEngine()
 		after := h.srv.stage(nil, []core.Msg{{Kind: core.MPageData, To: sess.id, Page: core.PageID(i % 64)}}, nil)
-		h.srv.unlockShard(sh, held)
+		h.srv.unlockEngine(held)
 		go h.srv.settle(after)
 		for wait := time.Now(); outboxLen() > 0 && time.Since(wait) < 20*time.Millisecond; {
 			runtime.Gosched()
@@ -349,10 +342,10 @@ func sessionOutboxOverflow(t *testing.T, transport string) {
 }
 
 // A detach racing an in-flight multi-page commit leaves no engine state
-// behind on any shard, whichever side wins, and an acknowledged commit is
-// there for the next session to read.
+// behind, whichever side wins, and an acknowledged commit is there for
+// the next session to read.
 func sessionDetachRacingCommit(t *testing.T, transport string) {
-	h := newSessionHarness(t, transport, ServerOptions{Shards: 4})
+	h := newSessionHarness(t, transport, ServerOptions{})
 	defer h.srv.Close()
 	rounds := 40
 	if testing.Short() {
@@ -365,7 +358,7 @@ func sessionDetachRacingCommit(t *testing.T, transport string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p := 0; p < 8; p++ { // spread over the shards
+		for p := 0; p < 8; p++ {
 			if err := tx.Write(o(core.PageID(p), 0), val); err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +371,7 @@ func sessionDetachRacingCommit(t *testing.T, transport string) {
 		wg.Wait()
 		cl.Close()
 
-		waitFor(t, "every shard to quiesce after the detach", func() bool {
+		waitFor(t, "the engine to quiesce after the detach", func() bool {
 			return h.srv.Sessions() == 0 && quiesced(h.srv)
 		})
 		if commitErr != nil {
@@ -408,7 +401,7 @@ func sessionDetachRacingCommit(t *testing.T, transport string) {
 // sessions (and its background loops) has exited.
 func sessionCloseJoinsDrivers(t *testing.T, transport string) {
 	before := countGoroutines()
-	h := newSessionHarness(t, transport, ServerOptions{CallbackTimeout: time.Minute, Shards: 2})
+	h := newSessionHarness(t, transport, ServerOptions{CallbackTimeout: time.Minute})
 	const n = 8
 	conns := make([]Conn, n)
 	for i := range conns {
@@ -437,7 +430,7 @@ func sessionCloseJoinsDrivers(t *testing.T, transport string) {
 func sessionCloseWaitsForHandling(t *testing.T, transport string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for round := 0; round < 30; round++ {
-		h := newSessionHarness(t, transport, ServerOptions{Shards: 2})
+		h := newSessionHarness(t, transport, ServerOptions{})
 		const n = 8
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {

@@ -142,7 +142,7 @@ func benchConnStorm(b *testing.B, sessions int) {
 	b.ReportMetric(float64(gmax), "max-goroutines")
 	if srv.Transport() == TransportReactor && sessions >= 1000 {
 		// The whole point: server-side cost per parked session is zero
-		// goroutines. Allow generous slack for shards, WAL, watchdogs,
+		// goroutines. Allow generous slack for the WAL, watchdogs,
 		// accept machinery, and test plumbing — but nothing resembling
 		// one-per-session.
 		if limit := int64(200 + sessions/10); gmax >= limit {

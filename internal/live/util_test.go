@@ -2,7 +2,6 @@ package live
 
 import (
 	"os"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -12,25 +11,23 @@ func writeFile(path string, b []byte) error  { return os.WriteFile(path, b, 0o64
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
 // openServer is OpenServer the way every test in this package opens one:
-// with the CI matrix's OODB_* selection (shards, heat, recluster,
-// transport) filling whatever the test left unset.
+// with the CI matrix's OODB_* selection (heat, recluster, transport)
+// filling whatever the test left unset.
 func openServer(dir string, opts ServerOptions) (*Server, error) {
 	applyEnv(&opts)
 	return OpenServer(dir, opts)
 }
 
-// applyEnv fills the fields of o that are still unset from the four
+// applyEnv fills the fields of o that are still unset from the three
 // variables the CI matrix selects its configurations with. Nothing but
 // this package's tests reads them: the library and the commands take
-// options and flags only. Unparsable numbers are ignored.
+// options and flags only.
 func applyEnv(o *ServerOptions) {
 	for _, e := range []struct {
 		name string
-		num  *int
 		flag *bool
 		str  *string
 	}{
-		{name: "OODB_SHARDS", num: &o.Shards},
 		{name: "OODB_HEAT", flag: &o.Heat},
 		{name: "OODB_RECLUSTER", flag: &o.Recluster},
 		{name: "OODB_TRANSPORT", str: &o.Transport},
@@ -38,10 +35,6 @@ func applyEnv(o *ServerOptions) {
 		v := os.Getenv(e.name)
 		switch {
 		case v == "":
-		case e.num != nil && *e.num == 0:
-			if n, err := strconv.Atoi(v); err == nil {
-				*e.num = n
-			}
 		case e.flag != nil:
 			*e.flag = *e.flag || v == "1" || v == "true"
 		case e.str != nil && *e.str == "":

@@ -198,9 +198,8 @@ func (w *WAL) append(rec *walRecord) (ticket int64, err error) {
 }
 
 // appendFrame writes a pre-encoded frame without syncing. The returned
-// ticket is the durability point to wait on. Appends from different
-// sessions serialize on w.mu (the sharded server no longer wraps them in
-// one global lock); the log stays a single sequencer.
+// ticket is the durability point to wait on. Appends serialize on w.mu;
+// the log is a single sequencer.
 func (w *WAL) appendFrame(frame []byte) (ticket int64, err error) {
 	if err := cpWALPreFrame.Check(); err != nil {
 		return 0, err

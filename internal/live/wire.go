@@ -148,7 +148,7 @@ func (b *blockingConn) Close() error {
 // pipeSession drives a session over the server's end of an in-process pipe
 // and owns no goroutine: the session's receiver is the end's, called by
 // whoever sends to it (chanConn.send), and the session's output is shipped
-// by whoever staged it, once out of the shard lock (Server.settle) — so
+// by whoever staged it, once out of the engine lock (Server.settle) — so
 // there is no pump to kick.
 type pipeSession struct {
 	*chanConn

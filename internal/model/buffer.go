@@ -122,6 +122,3 @@ func (b *serverBuf) evictOne() {
 		}
 	}
 }
-
-// Resident returns the number of resident pages (diagnostics).
-func (b *serverBuf) Resident() int { return b.lru.Len() }

@@ -192,10 +192,6 @@ func (c *CPU) userFire() {
 // Busy reports whether any request (system or user) is in progress.
 func (c *CPU) Busy() bool { return c.sysActive || len(c.userJobs) > 0 }
 
-// QueueLen returns the number of pending system requests plus active user
-// jobs (diagnostics).
-func (c *CPU) QueueLen() int { return len(c.sysQ) + len(c.userJobs) }
-
 // Utilization returns the fraction of the elapsed time the CPU has spent
 // busy, given the total elapsed virtual time.
 func (c *CPU) Utilization(elapsed float64) float64 {

@@ -71,9 +71,6 @@ func (d *Disk) fire() {
 	}
 }
 
-// QueueLen returns the number of requests pending or in service.
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
 // Utilization returns the busy fraction over the elapsed virtual time.
 func (d *Disk) Utilization(elapsed float64) float64 {
 	if elapsed <= 0 {

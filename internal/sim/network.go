@@ -76,9 +76,6 @@ func (n *Network) fire() {
 	}
 }
 
-// QueueLen returns the number of messages pending or in service.
-func (n *Network) QueueLen() int { return len(n.queue) }
-
 // Utilization returns the busy fraction over the elapsed virtual time.
 func (n *Network) Utilization(elapsed float64) float64 {
 	if elapsed <= 0 {

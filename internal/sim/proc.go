@@ -90,9 +90,6 @@ func (p *Proc) Unpark() {
 	p.e.At(0, p.runFn)
 }
 
-// Parked reports whether the process is currently parked.
-func (p *Proc) Parked() bool { return p.parked }
-
 // Cond is a virtual-time condition variable: a FIFO queue of parked
 // processes.
 type Cond struct {

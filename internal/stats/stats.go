@@ -110,9 +110,6 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Var()) }
-
 // Min returns the smallest observation (NaN if empty).
 func (w *Welford) Min() float64 {
 	if w.n == 0 {
