@@ -19,10 +19,6 @@
 //	                   reactor (epoll event loops, O(loops) goroutines
 //	                   for any session count; Linux only, falls back to
 //	                   goroutine elsewhere)
-//	-reactor-loops     reactor event loops (0 = min(8, GOMAXPROCS))
-//	-reactor-drain-cap depose a session whose pending outbound bytes
-//	                   exceed this cap — a reader too slow to drain its
-//	                   socket (0 = default 8 MiB)
 //	-callback-timeout  depose clients that leave a cache-consistency
 //	                   callback unanswered for this long (0 disables);
 //	                   bounds how long one silent client can stall writers
@@ -31,19 +27,15 @@
 //	                   /debug/pprof/*)
 //	-trace             start with protocol event tracing enabled (the
 //	                   admin endpoint can toggle it at runtime)
-//	-trace-size        trace ring capacity in events (0 = default)
 //	-heat              start with heat/contention collection enabled
 //	                   (/heatz can toggle at runtime)
-//	-heat-epoch        heat sketch decay interval
 //	-recluster         enable online reclustering:
 //	                   reserve spare pages at creation and migrate objects
 //	                   off false-sharing suspect pages in the background
 //	                   (implies -heat; see /reclusterz)
-//	-recluster-every   reclustering round period (0 = the 2s default)
 //	-blackbox-dir      write crash blackboxes (trace ring + heat snapshot
 //	                   + spans + metrics as JSONL) into this directory on
 //	                   panic or fail-stop (empty = disabled)
-//	-blackbox-max      retain at most this many blackbox dumps
 //	-stats-every       print a one-line stats summary at this interval
 //	                   (0 = off)
 //
@@ -79,31 +71,19 @@ func main() {
 	transport := flag.String("transport", "",
 		"connection transport: goroutine | reactor "+
 			"(empty = goroutine)")
-	reactorLoops := flag.Int("reactor-loops", 0,
-		"reactor event loops (0 = min(8, GOMAXPROCS))")
-	reactorDrainCap := flag.Int("reactor-drain-cap", 0,
-		"depose sessions whose pending outbound bytes exceed this (0 = 8 MiB)")
 	cbTimeout := flag.Duration("callback-timeout", 0,
 		"depose clients with callbacks unanswered this long (0 = wait forever)")
 	admin := flag.String("admin", "",
 		"observability HTTP address, e.g. :6060 (empty = disabled)")
 	trace := flag.Bool("trace", false, "start with protocol event tracing enabled")
-	traceSize := flag.Int("trace-size", 0,
-		"trace ring capacity in events (0 = default)")
 	recluster := flag.Bool("recluster", false,
 		"enable online reclustering: reserve spare pages at "+
 			"creation and migrate objects off false-sharing suspect pages in the "+
 			"background (implies -heat; see /reclusterz)")
-	reclusterEvery := flag.Duration("recluster-every", 0,
-		"reclustering round period (0 = the 2s default)")
 	heat := flag.Bool("heat", false,
 		"start with heat/contention collection enabled")
-	heatEpoch := flag.Duration("heat-epoch", 0,
-		"heat sketch decay interval (0 = default 10s)")
 	blackboxDir := flag.String("blackbox-dir", "",
 		"write crash blackboxes into this directory on panic or fail-stop (empty = disabled)")
-	blackboxMax := flag.Int("blackbox-max", 0,
-		fmt.Sprintf("retain at most this many blackbox dumps (0 = %d)", obs.DefaultBlackboxMax))
 	statsEvery := flag.Duration("stats-every", 0,
 		"print a one-line stats summary at this interval (0 = off)")
 	flag.Parse()
@@ -115,10 +95,8 @@ func main() {
 	opts := live.ServerOptions{
 		Proto: p, PageSize: *pageSize, ObjsPerPage: *objsPerPage, NumPages: *pages,
 		SyncWAL: !*noSync, CallbackTimeout: *cbTimeout,
-		Transport: *transport, ReactorLoops: *reactorLoops, ReactorDrainCap: *reactorDrainCap,
-		TraceBuf: *traceSize, Heat: *heat, HeatEpoch: *heatEpoch,
-		Recluster: *recluster, ReclusterEvery: *reclusterEvery,
-		BlackboxDir: *blackboxDir, BlackboxMax: *blackboxMax,
+		Transport: *transport, Heat: *heat, Recluster: *recluster,
+		BlackboxDir: *blackboxDir,
 	}
 	srv, err := live.OpenServer(*dir, opts)
 	if err != nil {
@@ -127,13 +105,9 @@ func main() {
 	np, opp, osz := srv.Geometry()
 	fmt.Printf("oodbserver: %s on %s — %d pages x %d objects (%d B each), %s transport (GOMAXPROCS=%d, NumCPU=%d)\n",
 		p, *addr, np, opp, osz, srv.Transport(), runtime.GOMAXPROCS(0), runtime.NumCPU())
-	fmt.Printf("oodbserver: telemetry — trace ring %d events, heat=%v", srv.TraceBufSize(), srv.Heat().Enabled())
+	fmt.Printf("oodbserver: telemetry — trace ring %d events, heat=%v", obs.DefaultTraceBuf, srv.Heat().Enabled())
 	if *blackboxDir != "" {
-		max := *blackboxMax
-		if max <= 0 {
-			max = obs.DefaultBlackboxMax
-		}
-		fmt.Printf(", blackbox %s (max %d dumps)", *blackboxDir, max)
+		fmt.Printf(", blackbox %s (max %d dumps)", *blackboxDir, obs.DefaultBlackboxMax)
 	}
 	fmt.Println()
 	rs := srv.RecoveryStats()

@@ -13,10 +13,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -77,33 +76,27 @@ func main() {
 	fmt.Printf("%-6s %10s %8s %9s %8s %8s %9s %8s %8s %8s\n",
 		"proto", "tput(t/s)", "±90%CI", "resp(ms)", "commits", "aborts", "msgs/c", "srvCPU", "disk", "net")
 
-	// Each protocol's run is an independent deterministic simulation;
-	// fan them out and print in protocol order.
-	nJobs := *jobs
-	if nJobs <= 0 {
-		nJobs = runtime.GOMAXPROCS(0)
+	// One sweep row, one cell per protocol, on the experiments runner.
+	sweep := &experiments.Sweep{
+		ID:         "oodbsim",
+		Spec:       func(float64) workload.Spec { return spec },
+		WriteProbs: []float64{*writeProb},
+		Protocols:  protos,
+		Configure:  func(cfg *model.Config) { cfg.NetworkMbps = *netMbps },
 	}
-	results := make([]*model.Results, len(protos))
-	sem := make(chan struct{}, nJobs)
-	var wg sync.WaitGroup
-	for i, p := range protos {
-		cfg := model.DefaultConfig(p, spec)
-		cfg.Seed = *seed
-		cfg.Warmup = *warmup
-		cfg.Measure = *measure
-		cfg.NetworkMbps = *netMbps
-		wg.Add(1)
-		go func(i int, cfg model.Config) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = model.Run(cfg)
-		}(i, cfg)
+	out, errs := sweep.RunParallel(experiments.Opts{
+		Seed: *seed, Warmup: *warmup, Measure: *measure,
+		Batches: model.DefaultConfig(protos[0], spec).Batches, Jobs: *jobs,
+	}, nil)
+	for _, e := range errs {
+		fmt.Fprintf(os.Stderr, "oodbsim: %v\n%s", e, e.Stack)
 	}
-	wg.Wait()
+	if len(errs) > 0 {
+		os.Exit(1)
+	}
 
-	for i, p := range protos {
-		res := results[i]
+	for _, p := range protos {
+		res := out.Rows[0].Res[p]
 		fmt.Printf("%-6s %10.2f %8.2f %9.1f %8d %8d %9.1f %8.2f %8.2f %8.2f\n",
 			p, res.Throughput, res.ThroughputCI, res.RespTime.Mean()*1000,
 			res.Commits, res.Aborts, res.MsgsPerCommit,

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -30,7 +31,11 @@ var docsHistory = map[string]string{
 	"session.async":                   "deleted: the switch between two session lifecycles (DESIGN §17)",
 	"ServerOptions.HeatTopK":          "deleted: an option no caller set (DESIGN §14)",
 	"ReclusterMaxMoves":               "deleted: an option no caller set, now reclusterMaxMoves (DESIGN §14)",
+	"-group-commit-window":            "deleted: the fixed group-commit window flag (DESIGN §12)",
 }
+
+// goTestFlags are `go test` flags the docs name; no command registers them.
+var goTestFlags = map[string]bool{"race": true, "count": true, "run": true, "bench": true}
 
 // fileExts are the dotted names the docs use for files, not Go.
 var fileExts = map[string]bool{"go": true, "md": true, "db": true, "log": true, "json": true, "yml": true, "sh": true, "txt": true}
@@ -61,6 +66,78 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocsNameLiveFlags keeps README.md and DESIGN.md honest about the
+// commands: every `-flag` inside a back-quoted span must be registered
+// with a flag.* call in some cmd/*/main.go, unless it is a `go test` flag
+// or docsHistory lists it.
+func TestDocsNameLiveFlags(t *testing.T) {
+	live := registeredFlags(t)
+	span := regexp.MustCompile("`([^`\n]+)`")
+	flagTok := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range proseLines(string(text)) {
+			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				for _, f := range flagTok.FindAllStringSubmatch(m[1], -1) {
+					if !live[f[1]] && !goTestFlags[f[1]] && docsHistory["-"+f[1]] == "" {
+						t.Errorf("%s:%d names `-%s`, which no command registers", doc, i+1, f[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// registeredFlags returns the name of every flag the commands register:
+// the string literal among the first two arguments of a flag.* call
+// (flag.Int("name", ...), flag.IntVar(&v, "name", ...)).
+func registeredFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			for _, a := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names[name] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		t.Fatal("found no flag registrations under cmd/")
+	}
+	return names
 }
 
 // proseLines returns text's lines with fenced code blocks blanked, so line

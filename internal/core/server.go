@@ -304,6 +304,16 @@ func (se *ServerEngine) getTxn(t TxnID, c ClientID) *stxn {
 	return st
 }
 
+// ForeignTxn reports whether t is a live transaction that a client other
+// than c began. The engine takes a message's sender to own every
+// transaction it names, so a host closes a session that names a foreign
+// one. A transaction the engine does not know (never begun here, or
+// already finished, such as an aborted deadlock victim) is not foreign.
+func (se *ServerEngine) ForeignTxn(c ClientID, t TxnID) bool {
+	st := se.txns[t]
+	return st != nil && st.client != c
+}
+
 // forgetTxn drops the record of transaction t, if any, keeping it for
 // reuse. getTxn resets a record only when it hands it out again, so a
 // caller still holding one it collected earlier in the same step

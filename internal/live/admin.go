@@ -42,7 +42,7 @@ func AdminHandler(s *Server) http.Handler {
 		fmt.Fprintf(w, "protocol:  %v\n", s.Proto())
 		fmt.Fprintf(w, "geometry:  %d pages x %d objs x %d B\n", pages, opp, objSize)
 		fmt.Fprintf(w, "sessions:  %d\n", s.Sessions())
-		fmt.Fprintf(w, "tracing:   enabled=%v dropped=%d ring=%d\n", s.tracer.Enabled(), s.tracer.Dropped(), s.TraceBufSize())
+		fmt.Fprintf(w, "tracing:   enabled=%v dropped=%d ring=%d\n", s.tracer.Enabled(), s.tracer.Dropped(), obs.DefaultTraceBuf)
 		fmt.Fprintf(w, "heat:      enabled=%v epochs=%d dropped=%d\n", s.heat.Enabled(), s.heat.Epochs(), s.heat.Dropped())
 		if s.flight != nil {
 			fmt.Fprintf(w, "blackbox:  %s\n", s.flight.Dir())

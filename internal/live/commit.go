@@ -163,6 +163,13 @@ func (s *Server) engineStep(sess *session, m *core.Msg) {
 		s.unlockEngine(held)
 		return
 	}
+	if s.eng.ForeignTxn(m.From, m.Txn) {
+		// Only the session that began a transaction may request for it,
+		// commit it or abort it.
+		s.unlockEngine(held)
+		s.detach(sess.id)
+		return
+	}
 
 	// Relocation front door: a user read/write of a retired address
 	// answers with a redirect to its current placement. The check runs
@@ -274,8 +281,9 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 // atomic with respect to the engine: under the engine lock the session's
 // liveness is checked, and the frame write + object installs happen
 // under it plus installMu (shared). ok=false means the commit was
-// dropped (session detached — nothing was logged or installed) or the
-// server crashed underneath it.
+// dropped (session detached, or detached here for naming another
+// session's transaction — nothing was logged or installed) or the server
+// crashed underneath it.
 //
 // A migration's commit publishes its relocations here too, and this is
 // what fences the move. The migration has held the write lock on every
@@ -297,6 +305,13 @@ func (s *Server) appendAndInstall(sess *session, rec *walRecord, frame []byte) (
 		// transaction's locks, and a stale install racing a successor
 		// writer would reorder committed bytes.
 		s.unlockEngine(held)
+		return 0, false
+	}
+	if s.eng.ForeignTxn(rec.Client, rec.Txn) {
+		// Close the session before its commit of another session's
+		// transaction reaches the log.
+		s.unlockEngine(held)
+		s.detach(sess.id)
 		return 0, false
 	}
 

@@ -87,8 +87,8 @@ func scriptedRun(t *testing.T, reg *obs.Registry) *Server {
 	const numPages = 32
 	srv, err := OpenServer(t.TempDir(), ServerOptions{
 		Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: numPages,
-		SyncWAL: true, Metrics: reg, Heat: true, HeatEpoch: time.Hour,
-		Recluster: true, ReclusterEvery: time.Hour,
+		SyncWAL: true, Metrics: reg, Heat: true, heatEpoch: time.Hour,
+		Recluster: true, reclusterEvery: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

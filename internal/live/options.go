@@ -44,24 +44,17 @@ type ServerOptions struct {
 	// server and clients in one registry). Nil: the server makes its own,
 	// reachable via Server.Metrics().
 	Metrics *obs.Registry
-	// TraceBuf sizes the event-trace ring (obs.DefaultTraceBuf if 0).
-	// Tracing starts disabled; switch it on via Server.Tracer().
-	TraceBuf int
 	// Heat starts the access-heat/contention collector enabled (it can
 	// also be switched at runtime via Server.Heat() or the admin
 	// /heatz/on|/heatz/off endpoints). Disabled, the collector costs one
 	// atomic load per engine event.
 	Heat bool
-	// HeatEpoch is the heat collector's rotation period (sketch decay +
-	// false-sharing score fold); default 10s.
-	HeatEpoch time.Duration
 	// BlackboxDir, when set, enables the flight recorder: on a serve-path
 	// panic or an injected fail-stop the server dumps its trace ring, heat
 	// snapshot, commit-stage spans, and metrics to a timestamped JSONL
-	// file in this directory (see obs.FlightRecorder).
+	// file in this directory (see obs.FlightRecorder), keeping the newest
+	// obs.DefaultBlackboxMax.
 	BlackboxDir string
-	// BlackboxMax bounds retained blackbox dumps (default 8).
-	BlackboxMax int
 	// Recluster enables online reclustering: the store is created with a
 	// spare-page region past the user-visible geometry (NumPages/8
 	// pages, clamped to [4, 256]), and a background planner consumes heat
@@ -71,8 +64,6 @@ type ServerOptions struct {
 	// terms). On a pre-existing store created without reclustering there
 	// is no spare region, so the planner stays inert.
 	Recluster bool
-	// ReclusterEvery is the planner's polling period (default 2s).
-	ReclusterEvery time.Duration
 	// Transport selects what drives the session machine behind each
 	// accepted TCP socket: TransportGoroutine (the default) parks two
 	// goroutines per session on the blocking connection (reader + pump);
@@ -85,16 +76,24 @@ type ServerOptions struct {
 	// goroutine transport at listen time. In-process (Pipe) sessions use
 	// the goroutine driver either way.
 	Transport string
-	// ReactorLoops is the reactor's event-loop worker count
-	// (0: min(8, GOMAXPROCS)).
-	ReactorLoops int
-	// ReactorDrainCap caps one reactor connection's pending outbound
+	// Test-only knobs: the package's tests shorten or lengthen these;
+	// defaults() gives every other caller the one value in use.
+	//
+	// heatEpoch is the heat collector's rotation period (sketch decay +
+	// false-sharing score fold); default 10s.
+	heatEpoch time.Duration
+	// reclusterEvery is the planner's polling period (default 2s).
+	reclusterEvery time.Duration
+	// reactorLoops is the reactor's event-loop worker count
+	// (default min(8, GOMAXPROCS)).
+	reactorLoops int
+	// reactorDrainCap caps one reactor connection's pending outbound
 	// bytes. A client that stops reading while grants and callbacks keep
 	// coalescing into its queue is deposed at the cap instead of growing
 	// server memory without bound — the byte-level analogue of the
-	// session outbox limit. 0 means the default (8 MiB); negative disables the
-	// cap.
-	ReactorDrainCap int
+	// session outbox limit. 0 means the default (8 MiB); negative disables
+	// the cap.
+	reactorDrainCap int
 }
 
 // Transport values for ServerOptions.Transport.
@@ -116,25 +115,25 @@ func (o *ServerOptions) defaults() {
 	if o.outboxLimit == 0 {
 		o.outboxLimit = 4096
 	}
-	if o.HeatEpoch <= 0 {
-		o.HeatEpoch = 10 * time.Second
+	if o.heatEpoch <= 0 {
+		o.heatEpoch = 10 * time.Second
 	}
 	if o.Transport == "" {
 		o.Transport = TransportGoroutine
 	}
-	if o.ReactorLoops <= 0 {
-		o.ReactorLoops = runtime.GOMAXPROCS(0)
-		if o.ReactorLoops > 8 {
-			o.ReactorLoops = 8
+	if o.reactorLoops <= 0 {
+		o.reactorLoops = runtime.GOMAXPROCS(0)
+		if o.reactorLoops > 8 {
+			o.reactorLoops = 8
 		}
 	}
-	if o.ReactorDrainCap == 0 {
-		o.ReactorDrainCap = 8 << 20
+	if o.reactorDrainCap == 0 {
+		o.reactorDrainCap = 8 << 20
 	}
 	if o.Recluster {
 		o.Heat = true // the planner is blind without the collector
-		if o.ReclusterEvery <= 0 {
-			o.ReclusterEvery = 2 * time.Second
+		if o.reclusterEvery <= 0 {
+			o.reclusterEvery = 2 * time.Second
 		}
 	}
 }

@@ -108,11 +108,11 @@ type reactor struct {
 // caller then falls back to the goroutine transport.
 func newReactor(s *Server) (*reactor, error) {
 	r := &reactor{
-		drainCap: s.opts.ReactorDrainCap,
+		drainCap: s.opts.reactorDrainCap,
 		m:        s.metrics,
 		stopCh:   make(chan struct{}),
 	}
-	for i := 0; i < s.opts.ReactorLoops; i++ { // defaults() made it positive
+	for i := 0; i < s.opts.reactorLoops; i++ { // defaults() made it positive
 		l, err := newRloop(r)
 		if err != nil {
 			r.stop()

@@ -209,7 +209,7 @@ func closePromptly(t *testing.T, srv *Server) {
 
 // TestTCPSlowReaderDeposed: a session that requests pages but never
 // drains its socket must be deposed — by the outbox cap once the blocking
-// transport's pump stalls on the full socket, by ReactorDrainCap once the
+// transport's pump stalls on the full socket, by reactorDrainCap once the
 // reactor's pending-write queue passes it — and deposed means the server
 // lets go of the socket: Close must not wait on the silent peer. (On the
 // blocking transport the depose used to wedge forever in tcpConn.Close,
@@ -223,7 +223,7 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 		{TransportGoroutine, "oodb_live_outbox_deposes_total", ServerOptions{outboxLimit: 2048}},
 		// outboxLimit -1: the reactor's byte cap must be the depose path
 		// under test.
-		{TransportReactor, "oodb_live_reactor_deposes_total", ServerOptions{outboxLimit: -1, ReactorDrainCap: 32 << 10}},
+		{TransportReactor, "oodb_live_reactor_deposes_total", ServerOptions{outboxLimit: -1, reactorDrainCap: 32 << 10}},
 	} {
 		t.Run(tc.transport, func(t *testing.T) {
 			opts := tc.opts
@@ -383,7 +383,7 @@ func TestSlowlorisAccept(t *testing.T) {
 func TestReactorKickNeverStranded(t *testing.T) {
 	srv, _ := testServer(t, core.PSAA)
 	defer srv.Close()
-	srv.opts.ReactorLoops = 1
+	srv.opts.reactorLoops = 1
 	r, err := newReactor(srv)
 	if err != nil {
 		t.Skipf("no reactor on this platform: %v", err)

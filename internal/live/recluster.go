@@ -103,7 +103,7 @@ func (s *Server) startRecluster() error {
 	// the next tick — the backoff IS the pacing period. A terminal one
 	// means the session is already gone (the server closed the pipe, or a
 	// timed-out request tore it down), so there is nothing left to close.
-	s.background(s.opts.ReclusterEvery, func() bool {
+	s.background(s.opts.reclusterEvery, func() bool {
 		_, err := r.runRound()
 		return terminal(err)
 	})

@@ -27,7 +27,7 @@ func reclusterServerProto(t *testing.T, dir string, proto core.Protocol) *Server
 	t.Helper()
 	srv, err := openServer(dir, ServerOptions{
 		Proto: proto, PageSize: 256, ObjsPerPage: 4, NumPages: 32, SyncWAL: true,
-		Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
+		Recluster: true, reclusterEvery: time.Hour, heatEpoch: time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("OpenServer: %v", err)
@@ -428,7 +428,7 @@ func TestReclusterRecoveryReplaysRelocations(t *testing.T) {
 				fault.Get(pt.name).Arm(pt.hit)
 				_, err := openServer(cp, ServerOptions{
 					Proto: core.PSAA, SyncWAL: true, Recluster: true,
-					ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
+					reclusterEvery: time.Hour, heatEpoch: time.Hour,
 				})
 				fault.DisarmAll()
 				if err == nil {
@@ -719,7 +719,7 @@ func TestReclusterRemovesFalseSharingMessages(t *testing.T) {
 			srv, err := openServer(t.TempDir(), ServerOptions{
 				// 64 pages reserve 8 spare ones (NumPages/8).
 				Proto: proto, PageSize: 4096, ObjsPerPage: objsPP, NumPages: 64,
-				Recluster: true, ReclusterEvery: time.Hour, HeatEpoch: time.Hour,
+				Recluster: true, reclusterEvery: time.Hour, heatEpoch: time.Hour,
 			})
 			if err != nil {
 				t.Fatal(err)

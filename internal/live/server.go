@@ -251,10 +251,10 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		layout:     layout,
 		registry:   reg,
 		metrics:    newServerMetrics(reg),
-		tracer:     obs.NewTracer(opts.TraceBuf),
+		tracer:     obs.NewTracer(obs.DefaultTraceBuf),
 		heat:       obs.NewHeat(obs.HeatOptions{}),
 		spans:      obs.NewSpans(reg),
-		flight:     obs.NewFlightRecorder(opts.BlackboxDir, opts.BlackboxMax),
+		flight:     obs.NewFlightRecorder(opts.BlackboxDir, obs.DefaultBlackboxMax),
 		store:      store,
 		wal:        wal,
 		dir:        dir,
@@ -287,7 +287,7 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	// Rotating the heat epoch makes sketches decay and false-sharing
 	// scores fold while the collector is on; on a disabled (empty)
 	// collector it is a few empty-map walks.
-	s.background(opts.HeatEpoch, func() bool { s.heat.Rotate(); return false })
+	s.background(opts.heatEpoch, func() bool { s.heat.Rotate(); return false })
 	if opts.Recluster && s.relocs != nil && s.relocs.spare > 0 {
 		if err := s.startRecluster(); err != nil {
 			s.Close()
@@ -367,14 +367,6 @@ func (s *Server) Metrics() *obs.Registry { return s.registry }
 
 // Tracer returns the server's event tracer (disabled until SetEnabled).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// TraceBufSize returns the trace ring's configured capacity.
-func (s *Server) TraceBufSize() int {
-	if s.opts.TraceBuf > 0 {
-		return s.opts.TraceBuf
-	}
-	return obs.DefaultTraceBuf
-}
 
 // Heat returns the server's access-heat collector (disabled until
 // SetEnabled or ServerOptions.Heat/OODB_HEAT).

@@ -282,7 +282,7 @@ func sessionGrantFIFO(t *testing.T, transport string) {
 func sessionOutboxOverflow(t *testing.T, transport string) {
 	const limit = 32
 	h := newSessionHarness(t, transport, ServerOptions{
-		PageSize: 4096, ObjsPerPage: 4, NumPages: 64, outboxLimit: limit, ReactorDrainCap: 64 << 10,
+		PageSize: 4096, ObjsPerPage: 4, NumPages: 64, outboxLimit: limit, reactorDrainCap: 64 << 10,
 	})
 	defer h.srv.Close()
 	conn, sess := h.rawSession(t)
@@ -624,5 +624,118 @@ func TestSessionRejectsOutOfRangeIDs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSessionFinishesOnlyItsOwnTxns: a session that names another
+// session's live transaction — to abort it, or to commit it with updates —
+// is closed before the engine or the log sees the message. The owner's
+// write lock still blocks a reader, and the owner then commits.
+func TestSessionFinishesOnlyItsOwnTxns(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := &sessionHarness{srv: srv}
+	x := o(1, 0)
+
+	const txnA, txnC = 0xa001, 0xc001
+	a, _ := h.rawSession(t)
+	defer a.Close()
+	if err := a.Send(&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 1, Obj: x, Page: x.Page}); err != nil {
+		t.Fatal(err)
+	}
+	if g := recvWithin(t, a, 5*time.Second); g.Grant != core.GrantPage {
+		t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
+	}
+
+	foreign := map[core.ClientID]bool{}
+	for _, m := range []*core.Msg{
+		{Kind: core.MAbortReq, Txn: txnA, Req: 1},
+		{Kind: core.MCommitReq, Txn: txnA, Req: 2, Pages: []core.PageID{x.Page},
+			Updates: map[core.ObjID][]byte{x: []byte("forged")}},
+	} {
+		b, sessB := h.rawSession(t)
+		foreign[sessB.id] = true
+		if err := b.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case r := <-recvAsync(b):
+			if r.err == nil {
+				t.Fatalf("reply %v to a %v naming another session's transaction", r.m.Kind, m.Kind)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("session that sent a %v for another session's transaction was not closed", m.Kind)
+		}
+		b.Close()
+	}
+	if err := srv.Failed(); err != nil {
+		t.Fatalf("server failed: %v", err)
+	}
+
+	// A's write lock still blocks a reader of x, through PS-AA's
+	// de-escalation to an object lock.
+	c, _ := h.rawSession(t)
+	defer c.Close()
+	if err := c.Send(&core.Msg{Kind: core.MReadReq, Txn: txnC, Req: 1, Obj: x, Page: x.Page}); err != nil {
+		t.Fatal(err)
+	}
+	if d := recvWithin(t, a, 5*time.Second); d.Kind != core.MDeescReq {
+		t.Fatalf("A got %v, want %v", d.Kind, core.MDeescReq)
+	}
+	if err := a.Send(&core.Msg{Kind: core.MDeescReply, Txn: txnA, Page: x.Page, DeescObjs: []core.ObjID{x}}); err != nil {
+		t.Fatal(err)
+	}
+	read := recvAsync(c)
+	select {
+	case r := <-read:
+		t.Fatalf("reader got %v, err %v while A holds x", r.m, r.err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	if err := a.Send(&core.Msg{Kind: core.MCommitReq, Txn: txnA, Req: 2, Pages: []core.PageID{x.Page},
+		Updates: map[core.ObjID][]byte{x: []byte("A")}}); err != nil {
+		t.Fatal(err)
+	}
+	if ack := recvWithin(t, a, 5*time.Second); ack.Kind != core.MCommitAck {
+		t.Fatalf("A's commit: got %v", ack.Kind)
+	}
+	select {
+	case r := <-read:
+		if r.err != nil || r.m.Kind != core.MPageData {
+			t.Fatalf("reader after A's commit: %v, err %v", r.m, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader still blocked after A committed")
+	}
+	if err := c.Send(&core.Msg{Kind: core.MAbortReq, Txn: txnC, Req: 2}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "engine quiesced", func() bool { return quiesced(srv) })
+
+	f, err := openFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []*walRecord
+	_, err = scanWAL(f, collectInto(&recs))
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := 0
+	for _, r := range recs {
+		if foreign[r.Client] {
+			t.Fatalf("log holds a record from a closed session: %+v", r)
+		}
+		if r.Txn == txnA {
+			commits++
+		}
+	}
+	if commits != 1 {
+		t.Fatalf("log holds %d records for A's transaction, want 1", commits)
 	}
 }

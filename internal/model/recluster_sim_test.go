@@ -23,14 +23,37 @@ func interleavedWithSpare() workload.Spec {
 }
 
 // TestSimReclusterRecoversInterleavedThroughput is the deterministic
-// reproduction of the tentpole effect: under PS, the Interleaved PRIVATE
-// placement makes the client pair ping-pong page write locks they never
-// truly conflict on; splitting the pages along the heat collector's
-// writer evidence must recover most of that throughput. The sim's version
-// of a migration is a layout rewrite between two same-seed runs
-// (Config.Layout + RemapWithMoves), so the measured delta is purely the
-// placement change.
+// reproduction of the tentpole effect: under the page-locking protocols,
+// the Interleaved PRIVATE placement makes the client pair ping-pong page
+// write locks they never truly conflict on; splitting the pages along the
+// heat collector's writer evidence must recover most of that throughput.
+// PS and PS-AA pay for false sharing in page-lock blocks and callbacks,
+// PS-OA in callbacks alone (its write locks are per object). OS and PS-OO
+// keep object-grained copies, so they have none to remove and must merely
+// not lose. The sim's version of a migration is a layout
+// rewrite between two same-seed runs (Config.Layout + RemapWithMoves), so
+// the measured delta is purely the placement change.
 func TestSimReclusterRecoversInterleavedThroughput(t *testing.T) {
+	for _, tc := range []struct {
+		proto   core.Protocol
+		minGain float64 // after/before throughput; above 1, callbacks must drop
+		blocks  bool    // page write locks queue the pair: blocks must drop
+	}{
+		{core.PS, 1.5, true},
+		{core.PSOA, 1.5, false},
+		{core.PSAA, 1.5, true},
+		{core.OS, 0.9, false},
+		{core.PSOO, 0.9, false},
+	} {
+		tc := tc
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			t.Parallel()
+			simRecluster(t, tc.proto, tc.minGain, tc.blocks)
+		})
+	}
+}
+
+func simRecluster(t *testing.T, proto core.Protocol, minGain float64, blocks bool) {
 	spec := interleavedWithSpare()
 	userPages := 2 * spec.HotPages // suspects live here; the rest is spare
 
@@ -39,7 +62,7 @@ func TestSimReclusterRecoversInterleavedThroughput(t *testing.T) {
 	// regime the reclusterer exists for — and the run commits enough
 	// transactions for the write evidence to cover the hot slots.
 	mkcfg := func() Config {
-		cfg := shortConfig(core.PS, spec)
+		cfg := shortConfig(proto, spec)
 		cfg.ClientBufPages = spec.DBPages
 		cfg.ServerBufPages = spec.DBPages
 		cfg.Warmup = 5
@@ -80,19 +103,20 @@ func TestSimReclusterRecoversInterleavedThroughput(t *testing.T) {
 	cfg2.Layout = RemapWithMoves(spec.Layout(), groups, userPages)
 	after := Run(cfg2)
 
-	t.Logf("PS interleaved: %.1f -> %.1f txn/s after splitting %d pages (%d objects moved)",
-		before.Throughput, after.Throughput, len(groups), moved)
-	if after.Throughput < 1.5*before.Throughput {
-		t.Fatalf("reclustered layout recovered only %.2fx (%.1f -> %.1f txn/s), want >= 1.5x",
-			after.Throughput/before.Throughput, before.Throughput, after.Throughput)
+	gain := after.Throughput / before.Throughput
+	t.Logf("%v interleaved: %.1f -> %.1f txn/s (%.2fx) after splitting %d pages (%d objects moved)",
+		proto, before.Throughput, after.Throughput, gain, len(groups), moved)
+	if gain < minGain {
+		t.Fatalf("reclustered layout gave %.2fx (%.1f -> %.1f txn/s), want >= %.2fx",
+			gain, before.Throughput, after.Throughput, minGain)
 	}
-	// The split removes page-lock ping-pong, it does not add work: blocks
-	// and callbacks must drop, not merely shift.
-	if after.Blocks >= before.Blocks {
+	// The split removes ping-pong, it does not add work: blocks and
+	// callbacks must drop, not merely shift.
+	if blocks && after.Blocks >= before.Blocks {
 		t.Errorf("blocks did not drop: %d -> %d", before.Blocks, after.Blocks)
 	}
-	if after.Callbacks > before.Callbacks {
-		t.Errorf("callbacks grew: %d -> %d", before.Callbacks, after.Callbacks)
+	if minGain > 1 && after.Callbacks >= before.Callbacks {
+		t.Errorf("callbacks did not drop: %d -> %d", before.Callbacks, after.Callbacks)
 	}
 }
 

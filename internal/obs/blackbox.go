@@ -31,17 +31,14 @@ type FlightRecorder struct {
 	seq int
 }
 
-// DefaultBlackboxMax is the default bound on retained dumps.
+// DefaultBlackboxMax is the live server's bound on retained dumps.
 const DefaultBlackboxMax = 8
 
 // NewFlightRecorder returns a recorder writing into dir, keeping at most
-// max dumps (DefaultBlackboxMax if max <= 0). Empty dir returns nil.
+// max (> 0) dumps. Empty dir returns nil.
 func NewFlightRecorder(dir string, max int) *FlightRecorder {
 	if dir == "" {
 		return nil
-	}
-	if max <= 0 {
-		max = DefaultBlackboxMax
 	}
 	return &FlightRecorder{dir: dir, max: max}
 }

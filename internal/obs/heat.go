@@ -31,44 +31,35 @@ type Heat struct {
 	epochs  atomic.Int64
 
 	opts   HeatOptions
-	shards []*heatShard
-	mask   uint32
+	shards [heatShards]*heatShard
 }
+
+// Collector geometry (DESIGN.md §15).
+const (
+	// heatShards is the number of independently locked collector shards
+	// (a power of two: shardOf masks with heatShards-1).
+	heatShards = 8
+	// heatFSPages caps the pages per shard whose writer sets are tracked
+	// within one epoch; pages beyond the cap are counted in the snapshot's
+	// FSSkipped rather than silently ignored.
+	heatFSPages = 128
+	// heatFSThreshold is the decayed false-sharing score at or above which
+	// a page is reported as a suspect (HeatSnapshot.Threshold).
+	heatFSThreshold = 0.5
+)
 
 // HeatOptions sizes the collector. Zero values select defaults.
 type HeatOptions struct {
-	// Shards is the number of independently locked collector shards
-	// (rounded down to a power of two; default 8).
-	Shards int
 	// TopK is how many entries Snapshot reports per category. Each shard's
 	// sketch keeps 4*TopK candidates, so a key is guaranteed to be
 	// retained once its count exceeds N/(4*TopK) of its shard's stream
 	// (the space-saving bound). Default 32.
 	TopK int
-	// FSPages caps the pages per shard whose writer sets are tracked
-	// within one epoch (default 128); pages beyond the cap are counted in
-	// the snapshot's FSSkipped rather than silently ignored.
-	FSPages int
-	// FSThreshold is the decayed false-sharing score at or above which a
-	// page is reported as a suspect (default 0.5).
-	FSThreshold float64
 }
 
 func (o *HeatOptions) defaults() {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
-	for o.Shards&(o.Shards-1) != 0 {
-		o.Shards &= o.Shards - 1
-	}
 	if o.TopK <= 0 {
 		o.TopK = 32
-	}
-	if o.FSPages <= 0 {
-		o.FSPages = 128
-	}
-	if o.FSThreshold <= 0 {
-		o.FSThreshold = 0.5
 	}
 }
 
@@ -183,8 +174,7 @@ func (s *sketch) decay() {
 // NewHeat returns a disabled collector.
 func NewHeat(opts HeatOptions) *Heat {
 	opts.defaults()
-	h := &Heat{opts: opts, mask: uint32(opts.Shards - 1)}
-	h.shards = make([]*heatShard, opts.Shards)
+	h := &Heat{opts: opts}
 	scap := 4 * opts.TopK
 	for i := range h.shards {
 		h.shards[i] = &heatShard{
@@ -225,7 +215,7 @@ func (h *Heat) Epochs() int64 {
 }
 
 func (h *Heat) shardOf(page int32) *heatShard {
-	return h.shards[(uint32(page)*2654435761>>16)&h.mask]
+	return h.shards[(uint32(page)*2654435761>>16)&(heatShards-1)]
 }
 
 func objKey(page, slot int32) int64 {
@@ -257,7 +247,7 @@ func (h *Heat) RecordAccess(client, page, slot int32, write bool) {
 	if write {
 		wm := sh.fs[page]
 		if wm == nil {
-			if len(sh.fs) >= h.opts.FSPages {
+			if len(sh.fs) >= heatFSPages {
 				h.skipped.Add(1)
 				sh.mu.Unlock()
 				return
@@ -451,7 +441,7 @@ func (h *Heat) Snapshot() *HeatSnapshot {
 	sn.Blocks = h.blocks.Load()
 	sn.Dropped = h.dropped.Load()
 	sn.FSSkipped = h.skipped.Load()
-	sn.Threshold = h.opts.FSThreshold
+	sn.Threshold = heatFSThreshold
 	var pages, objs, blocked []HeatEntry
 	for _, sh := range h.shards {
 		sh.mu.Lock()

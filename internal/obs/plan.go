@@ -25,9 +25,6 @@ type MoveGroup struct {
 
 // PlanOptions bounds a planning round. Zero values select defaults.
 type PlanOptions struct {
-	// Threshold is the minimum decayed false-sharing score for a page to
-	// be planned (0: use the snapshot's own suspect threshold).
-	Threshold float64
 	// MaxMoves caps the total objects moved per round (default 64) — the
 	// pacing knob that keeps migration traffic a background trickle.
 	MaxMoves int
@@ -48,17 +45,14 @@ type PlanOptions struct {
 	Exclude func(page int32, slot uint16) bool
 }
 
-func (o *PlanOptions) defaults(sn *HeatSnapshot) {
-	if o.Threshold <= 0 {
-		o.Threshold = sn.Threshold
-	}
+func (o *PlanOptions) defaults() {
 	if o.MaxMoves <= 0 {
 		o.MaxMoves = 64
 	}
 }
 
 // PlanMoves derives migration groups from a snapshot's false-sharing
-// suspects. Policy, per suspect page at or above the threshold with
+// suspects. Policy, per suspect page at or above sn.Threshold with
 // concrete writer evidence:
 //
 //   - the writer with the most exclusively-written slots keeps the page
@@ -76,11 +70,11 @@ func PlanMoves(sn *HeatSnapshot, opts PlanOptions) []MoveGroup {
 	if sn == nil {
 		return nil
 	}
-	opts.defaults(sn)
+	opts.defaults()
 
 	suspects := make([]FSSuspect, 0, len(sn.FalseSharing))
 	for _, s := range sn.FalseSharing {
-		if s.Score < opts.Threshold || len(s.WriterSlots) < 2 {
+		if s.Score < sn.Threshold || len(s.WriterSlots) < 2 {
 			continue
 		}
 		if opts.UserPages > 0 && s.Page >= opts.UserPages {

@@ -103,15 +103,11 @@ type Tracer struct {
 	next uint64 // total events written; buf[(next-1) % len] is newest
 }
 
-// DefaultTraceBuf is the default ring capacity.
+// DefaultTraceBuf is the live server's ring capacity in events.
 const DefaultTraceBuf = 4096
 
-// NewTracer returns a disabled tracer with the given ring capacity
-// (DefaultTraceBuf if size <= 0).
+// NewTracer returns a disabled tracer with the given ring capacity (> 0).
 func NewTracer(size int) *Tracer {
-	if size <= 0 {
-		size = DefaultTraceBuf
-	}
 	return &Tracer{start: time.Now(), buf: make([]Event, size)}
 }
 
