@@ -318,3 +318,44 @@ func (g *goTree) hasMember(typ, name string, depth int) bool {
 	}
 	return false
 }
+
+// TestChangesEntriesBounded keeps CHANGES.md a log one can scan: from PR
+// 32 on, each entry is one paragraph of at most 1536 bytes, with no
+// "- PR N," sub-bullets under it.
+func TestChangesEntriesBounded(t *testing.T) {
+	const firstBounded, maxBytes = 32, 1536
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^(- )?PR (\d+)[:,]`)
+	pr, at, size := 0, 0, 0 // the paragraph being measured: its PR, first line, bytes
+	end := func() {
+		if pr >= firstBounded && size > maxBytes {
+			t.Errorf("CHANGES.md:%d: the PR %d entry is %d bytes, over %d", at, pr, size, maxBytes)
+		}
+		pr, size = 0, 0
+	}
+	for i, line := range strings.Split(string(text), "\n") {
+		m := entry.FindStringSubmatch(line)
+		switch {
+		case m == nil && line == "":
+			end()
+		case m == nil:
+			if pr > 0 {
+				size += 1 + len(line)
+			}
+		default:
+			end()
+			n, _ := strconv.Atoi(m[2])
+			if m[1] != "" {
+				if n >= firstBounded {
+					t.Errorf("CHANGES.md:%d: a \"- PR %d,\" sub-bullet; fold it into the entry", i+1, n)
+				}
+				continue
+			}
+			pr, at, size = n, i+1, len(line)
+		}
+	}
+	end()
+}

@@ -217,12 +217,11 @@ type Msg struct {
 	Updates map[ObjID][]byte
 
 	// Live-system handshake payload (MHello).
-	HelloID       ClientID
-	HelloPages    int32
-	HelloObjsPP   int32
-	HelloObjSize  int32
-	HelloProto    Protocol
-	HelloVariable bool
+	HelloID      ClientID
+	HelloPages   int32
+	HelloObjsPP  int32
+	HelloObjSize int32
+	HelloProto   Protocol
 
 	// Relocs, on an MCommitReq from the reclusterer's in-process system
 	// client, lists the old->new placements this commit installs. It never

@@ -469,96 +469,6 @@ func benchReadMiss(b *testing.B, conn Conn) {
 	b.StopTimer() // before the deferred Closes
 }
 
-// BenchmarkVStoreWriteParallel measures the variable-object store's
-// install path under multi-core load: each goroutine rewrites same-size
-// objects on its own page, so every write fits in place and never touches
-// another page. This is the case the per-page write latch targets — with
-// a store-wide exclusive latch the writers serialize even though their
-// pages are disjoint. Recorded before/after in DESIGN.md §16.
-func BenchmarkVStoreWriteParallel(b *testing.B) {
-	const (
-		pageSize = 4096
-		objsPP   = 8
-		numPages = 256
-	)
-	s, err := CreateVStore(b.TempDir()+"/v.db", pageSize, objsPP, numPages)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := make([]byte, 100)
-	// Pre-place every object so the steady state is the in-place rewrite.
-	for p := 0; p < numPages; p++ {
-		for sl := 0; sl < objsPP; sl++ {
-			if err := s.WriteVObj(p, sl, val); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var pageCtr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		page := int(pageCtr.Add(1)-1) % numPages
-		slot := 0
-		for pb.Next() {
-			if err := s.WriteVObj(page, slot, val); err != nil {
-				b.Error(err)
-				return
-			}
-			slot = (slot + 1) % objsPP
-		}
-	})
-}
-
-// BenchmarkVStoreMixedParallel is the contention shape the live server
-// produces: most goroutines read (off the server lock, as route() does)
-// while a minority installs. Reads on disjoint pages must not stall
-// behind in-place installs.
-func BenchmarkVStoreMixedParallel(b *testing.B) {
-	const (
-		pageSize = 4096
-		objsPP   = 8
-		numPages = 256
-	)
-	s, err := CreateVStore(b.TempDir()+"/v.db", pageSize, objsPP, numPages)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	val := make([]byte, 100)
-	for p := 0; p < numPages; p++ {
-		for sl := 0; sl < objsPP; sl++ {
-			if err := s.WriteVObj(p, sl, val); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var ctr atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := int(ctr.Add(1) - 1)
-		page := id % numPages
-		writer := id%4 == 0
-		slot := 0
-		for pb.Next() {
-			if writer {
-				if err := s.WriteVObj(page, slot, val); err != nil {
-					b.Error(err)
-					return
-				}
-			} else {
-				if _, err := s.ReadVObj(page, slot); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			slot = (slot + 1) % objsPP
-		}
-	})
-}
-
 // BenchmarkRecovery measures instant restart on a crashed database: a
 // store whose log still holds every commit (no checkpoint retired any of
 // it). Each iteration clones that state, opens a server over it, and runs

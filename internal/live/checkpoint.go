@@ -12,9 +12,9 @@ import (
 var cpCheckpointMid = fault.Register("checkpoint.mid")
 
 // Checkpoint makes the store cover the whole log, then empties the log.
-// It is one path for both store kinds and holds installMu exclusively
-// throughout, so no commit appends or installs while it runs; commits
-// wait on installMu until it returns. In order:
+// It holds installMu exclusively throughout, so no commit appends or
+// installs while it runs; commits wait on installMu until it returns. In
+// order:
 //
 //  1. Force the WAL durable through its tail (ForceTo). This is the
 //     write-ahead rule: commits fsync only in WaitDurable, AFTER
@@ -23,7 +23,7 @@ var cpCheckpointMid = fault.Register("checkpoint.mid")
 //     the records covering it are on disk, or a crash would durably keep
 //     partial effects of a transaction whose record died with that tail.
 //  2. Flush the store: a new file with every page, fsynced and renamed
-//     over the old one (see pageFile.Flush).
+//     over the old one (see Store.Flush).
 //  3. Write relocs.db: the relocation table's base must cover the
 //     relocations whose records the truncation retires.
 //  4. Truncate the whole log.
@@ -60,11 +60,10 @@ func (s *Server) checkpointLocked() error {
 	if err := s.wal.ForceTo(s.wal.tail()); err != nil {
 		return err
 	}
-	flushed, err := s.store.flush()
-	if err != nil {
+	if err := s.store.Flush(); err != nil {
 		return err
 	}
-	s.metrics.flushPages.Add(int64(flushed))
+	s.metrics.flushPages.Add(int64(s.store.NumPages()))
 	if s.relocs != nil {
 		if err := s.relocs.save(s.dir); err != nil {
 			return err

@@ -46,8 +46,7 @@ type Client struct {
 	numPages    int
 	objsPerPage int
 	objSize     int
-	cacheCap    int  // protocol-units cache capacity (survives reconnects)
-	variable    bool // variable-size objects (OS protocol + VStore server)
+	cacheCap    int // protocol-units cache capacity (survives reconnects)
 
 	mu           sync.Mutex
 	cond         *sync.Cond        // signals reconnect completion / closure
@@ -158,7 +157,6 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 		numPages:    int(hello.HelloPages),
 		objsPerPage: int(hello.HelloObjsPP),
 		objSize:     int(hello.HelloObjSize),
-		variable:    hello.HelloVariable,
 		req:         request{done: make(chan reqOutcome, 1)},
 		closeCh:     make(chan struct{}),
 	}
@@ -997,11 +995,7 @@ func cloneBytes(b []byte) []byte {
 // setObjBytes installs new object bytes in the cache (zero-padded).
 func (c *Client) setObjBytes(o core.ObjID, data []byte) {
 	if c.proto == core.OS {
-		n := c.objSize
-		if c.variable {
-			n = len(data) // size-changing updates: store the exact value
-		}
-		buf := make([]byte, n)
+		buf := make([]byte, c.objSize)
 		copy(buf, data)
 		c.cs.Cache.Obj(o).Payload = buf
 		return

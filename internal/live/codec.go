@@ -123,7 +123,7 @@ func appendMsg(b []byte, m *core.Msg) []byte {
 // (Server.stage): the Data field is copied straight out of the store's frame
 // under the page latch, and the frame is byte for byte what m with Data
 // filled in would encode to.
-func appendMsgFrame(dst []byte, m *core.Msg, store objectStore) ([]byte, error) {
+func appendMsgFrame(dst []byte, m *core.Msg, store *Store) ([]byte, error) {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	if store == nil || (m.Kind != core.MPageData && m.Kind != core.MObjData) {
@@ -170,9 +170,8 @@ func appendMsgHead(b []byte, m *core.Msg) []byte {
 	if m.Busy {
 		flags |= 1 << 2
 	}
-	if m.HelloVariable {
-		flags |= 1 << 3
-	}
+	// Bit 3 is reserved: only servers with a variable-size store, since
+	// deleted, set it, and decoders ignore it.
 	b = append(b, flags)
 
 	b = appendInt(b, int64(m.Grant))
@@ -389,7 +388,6 @@ func decodeFrame(b []byte) (*core.Msg, error) {
 	m.WantData = flags&(1<<0) != 0
 	m.Purged = flags&(1<<1) != 0
 	m.Busy = flags&(1<<2) != 0
-	m.HelloVariable = flags&(1<<3) != 0
 
 	m.Grant = core.GrantLevel(d.int())
 	m.CB = core.CallbackKind(d.int())

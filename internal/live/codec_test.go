@@ -50,7 +50,7 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 			CB: core.CBAdaptive, BusyTxn: 3, Epoch: 99},
 		{Kind: core.MDeescReq, To: 7, Txn: 22, Req: 12, Page: -1},
 		{Kind: core.MHello, HelloID: 42, HelloPages: 1 << 20, HelloObjsPP: 20,
-			HelloObjSize: 100, HelloProto: core.PSWT, HelloVariable: true},
+			HelloObjSize: 100, HelloProto: core.PSWT},
 		{}, // the zero message
 	}
 	seen := map[core.MsgKind]bool{}
@@ -62,6 +62,33 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 		if !seen[k] {
 			t.Errorf("no round-trip case for kind %v", k)
 		}
+	}
+}
+
+// TestMsgCodecIgnoresReservedFlag: bit 3 of the flags byte is reserved.
+// Only servers with the since-deleted variable-size store set it, in their
+// handshake; a decoder ignores it, so wireVersion stays 1.
+func TestMsgCodecIgnoresReservedFlag(t *testing.T) {
+	m := &core.Msg{Kind: core.MHello, To: 3, HelloID: 3, HelloPages: 8,
+		HelloObjsPP: 4, HelloObjSize: 63, HelloProto: core.OS}
+	enc := appendMsg(nil, m)
+	head := appendInt(nil, int64(m.Kind))
+	head = appendInt(head, int64(m.From))
+	head = appendInt(head, int64(m.To))
+	head = appendInt(head, int64(m.Txn))
+	head = appendInt(head, m.Req)
+	head = appendInt(head, int64(m.Page))
+	head = appendObjID(head, m.Obj)
+	if enc[len(head)] != 0 {
+		t.Fatalf("flags byte %#x, want 0", enc[len(head)])
+	}
+	enc[len(head)] |= 1 << 3
+	got, err := decodeMsg(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("reserved bit changed the decode:\n got %+v\nwant %+v", got, m)
 	}
 }
 
@@ -138,10 +165,9 @@ func buildFuzzMsg(kind uint8, from, to int32, txn, req, epoch int64, page int32,
 		Page:     core.PageID(page),
 		Obj:      core.ObjID{Page: core.PageID(page ^ 7), Slot: slot},
 		WantData: flags&1 != 0, Purged: flags&2 != 0, Busy: flags&4 != 0,
-		HelloVariable: flags&8 != 0,
-		Grant:         core.GrantLevel(int(flags>>4) % 3),
-		CB:            core.CallbackKind(int(flags>>6) % 3),
-		BusyTxn:       core.TxnID(txn ^ req), Epoch: epoch,
+		Grant:   core.GrantLevel(int(flags>>4) % 3),
+		CB:      core.CallbackKind(int(flags>>6) % 3),
+		BusyTxn: core.TxnID(txn ^ req), Epoch: epoch,
 		HelloID:      core.ClientID(to ^ 1),
 		HelloPages:   page&0x7fffffff + 1,
 		HelloObjsPP:  int32(slot) + 1,

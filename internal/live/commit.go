@@ -53,7 +53,7 @@ func (s *Server) unlockEngine(held engineHold) {
 // the engine lock. recvAt is when the session's driver delivered the
 // message: the handle span and the commit-stage queue span start there.
 func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
-	if int64(m.From) != s.internalID.Load() && !s.idsInRange(m) {
+	if int64(m.From) != s.internalID.Load() && !s.fitsStore(m) {
 		s.detach(sess.id)
 		return
 	}
@@ -114,14 +114,14 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 	s.engineStep(sess, m)
 }
 
-// idsInRange reports whether every page and object m names exists in the
-// store: a page in [0, NumPages), a slot below ObjsPerPage. handle closes
-// a session that sends anything else before the engine sees it: the
-// engine's tables are dense by page, so a wild page id would grow them to
-// its size, and a commit would log an update that no install, and so no
-// restart, can apply.
-func (s *Server) idsInRange(m *core.Msg) bool {
-	pages, slots := s.store.NumPages(), s.store.ObjsPerPage()
+// fitsStore reports whether every page and object m names exists in the
+// store — a page in [0, NumPages), a slot below ObjsPerPage — and every
+// update image fits its slot. handle closes a session that sends anything
+// else before the engine sees it: the engine's tables are dense by page,
+// so a wild page id would grow them to its size, and a commit would log an
+// update that no install, and so no restart, can apply.
+func (s *Server) fitsStore(m *core.Msg) bool {
+	pages, slots, size := s.store.NumPages(), s.store.ObjsPerPage(), s.store.ObjSize()
 	page := func(p core.PageID) bool { return p >= 0 && int(p) < pages }
 	obj := func(o core.ObjID) bool { return page(o.Page) && int(o.Slot) < slots }
 	if !page(m.Page) || !obj(m.Obj) {
@@ -141,8 +141,8 @@ func (s *Server) idsInRange(m *core.Msg) bool {
 			}
 		}
 	}
-	for o := range m.Updates {
-		if !obj(o) {
+	for o, img := range m.Updates {
+		if !obj(o) || len(img) > size {
 			return false
 		}
 	}

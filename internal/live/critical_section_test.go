@@ -153,72 +153,6 @@ func TestStoreLatchTornReadSoak(t *testing.T) {
 	}
 }
 
-// TestVStoreLatchTornReadSoak is the variable-object twin: WriteVObj can
-// compact a page, relocate overflow chains, and grow the frame table, so
-// the VStore serializes with a store-wide lock rather than page latches.
-// Writers vary object sizes to force those structural paths while readers
-// check for torn payloads.
-func TestVStoreLatchTornReadSoak(t *testing.T) {
-	const (
-		pages   = 16
-		writers = 4
-		readers = 4
-		iters   = 1500
-	)
-	s, err := CreateVStore(filepath.Join(t.TempDir(), "v.db"), 256, 4, pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for p := 0; p < pages; p++ {
-		for sl := 0; sl < 4; sl++ {
-			if err := s.WriteVObj(p, sl, bytes.Repeat([]byte{1}, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, writers+readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				n := 4 + (w*iters+i)%40 // size churn drives compaction
-				val := bytes.Repeat([]byte{byte(1 + (w*iters+i)%250)}, n)
-				if err := s.WriteVObj(i%pages, (w+i)%4, val); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				got, err := s.ReadVObj((r+i)%pages, i%4)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if !uniform(got) {
-					errc <- fmt.Errorf("torn variable-object read: %v", got)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-}
-
 // uniform reports whether every byte of b equals the first.
 func uniform(b []byte) bool {
 	for _, c := range b {

@@ -32,41 +32,27 @@ func TestFrameDirectEncodingMatchesAppendMsg(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs, err := CreateVStore(filepath.Join(t.TempDir(), "vdata.db"), 256, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vs.Close()
-	if err := vs.WriteVObj(2, 1, []byte("a variable-size value")); err != nil {
-		t.Fatal(err)
-	}
-	if err := vs.WriteVObj(2, 2, []byte{}); err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
-		name  string
-		store objectStore
-		m     core.Msg
+		name string
+		m    core.Msg
 	}{
-		{"page", st, core.Msg{Kind: core.MPageData, To: 3, Txn: 77, Req: 12, Page: 3, Obj: o(3, 1),
+		{"page", core.Msg{Kind: core.MPageData, To: 3, Txn: 77, Req: 12, Page: 3, Obj: o(3, 1),
 			Grant: core.GrantPage, Unavail: []uint16{1, 3}, Epoch: 9}},
-		{"untouched page", st, core.Msg{Kind: core.MPageData, To: 1, Req: 1, Page: 7}},
-		{"object", st, core.Msg{Kind: core.MObjData, To: 2, Txn: 5, Req: 8, Page: 3, Obj: o(3, 2), Grant: core.GrantObject}},
-		{"variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 9, Page: 2, Obj: o(2, 1)}},
-		{"empty variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 10, Page: 2, Obj: o(2, 2)}},
-		{"unwritten variable object", vs, core.Msg{Kind: core.MObjData, To: 2, Req: 11, Page: 2, Obj: o(2, 3)}},
+		{"untouched page", core.Msg{Kind: core.MPageData, To: 1, Req: 1, Page: 7}},
+		{"object", core.Msg{Kind: core.MObjData, To: 2, Txn: 5, Req: 8, Page: 3, Obj: o(3, 2), Grant: core.GrantObject}},
+		{"untouched object", core.Msg{Kind: core.MObjData, To: 2, Req: 9, Page: 2, Obj: o(2, 3)}},
 	}
 	for _, tc := range cases {
-		direct, err := appendMsgFrame(nil, &tc.m, tc.store)
+		direct, err := appendMsgFrame(nil, &tc.m, st)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		filled := tc.m
 		if tc.m.Kind == core.MPageData {
-			filled.Data, err = tc.store.ReadPage(tc.m.Page)
+			filled.Data, err = st.ReadPage(tc.m.Page)
 		} else {
-			filled.Data, err = tc.store.ReadObj(tc.m.Obj)
+			filled.Data, err = st.ReadObj(tc.m.Obj)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -77,7 +63,7 @@ func TestFrameDirectEncodingMatchesAppendMsg(t *testing.T) {
 			t.Errorf("%s: frame-direct encoding differs from appendMsg's:\n got %x\nwant %x", tc.name, direct, want)
 		}
 		// A second frame lands behind the first without disturbing it.
-		two, err := appendMsgFrame(direct, &tc.m, tc.store)
+		two, err := appendMsgFrame(direct, &tc.m, st)
 		if err != nil || !bytes.Equal(two[:len(want)], want) || !bytes.Equal(two[len(want):], want) {
 			t.Errorf("%s: appending a second frame: err %v", tc.name, err)
 		}

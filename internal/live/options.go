@@ -21,11 +21,6 @@ type ServerOptions struct {
 	// SyncWAL forces commits to wait for a WAL fsync before acking
 	// (default true; tests disable it).
 	SyncWAL bool
-	// VariableObjects enables size-changing updates (Section 6.1): the
-	// database uses slotted pages with overflow forwarding instead of
-	// fixed slots. Requires the OS protocol (object transfer), since
-	// clients no longer interpret raw page images.
-	VariableObjects bool
 	// outboxLimit caps a session's staged outbound messages. A client
 	// that stops draining its connection while callbacks and grants keep
 	// arriving would otherwise grow server memory without bound; at the
@@ -60,9 +55,8 @@ type ServerOptions struct {
 	// pages, clamped to [4, 256]), and a background planner consumes heat
 	// snapshots and migrates objects off false-sharing pages into
 	// (near-)private spare pages via system transactions. Implies Heat.
-	// Fixed-slot stores only (the variable store relocates on its own
-	// terms). On a pre-existing store created without reclustering there
-	// is no spare region, so the planner stays inert.
+	// On a pre-existing store created without reclustering there is no
+	// spare region, so the planner stays inert.
 	Recluster bool
 	// Transport selects what drives the session machine behind each
 	// accepted TCP socket: TransportGoroutine (the default) parks two

@@ -621,19 +621,6 @@ func TestReclusterSpareExhaustion(t *testing.T) {
 	}
 }
 
-// TestReclusterVariableObjectsRejected: the spare-region design assumes
-// the fixed-slot store; combining it with variable-size objects must be a
-// refused configuration, not a corrupted one.
-func TestReclusterVariableObjectsRejected(t *testing.T) {
-	_, err := openServer(t.TempDir(), ServerOptions{
-		Proto: core.OS, PageSize: 256, ObjsPerPage: 4, NumPages: 16,
-		VariableObjects: true, Recluster: true,
-	})
-	if err == nil {
-		t.Fatal("OpenServer accepted Recluster together with VariableObjects")
-	}
-}
-
 // TestReclusterEndToEndHeatPlan drives the full pipeline with nothing
 // fabricated: two clients interleave writes to disjoint slot halves of
 // shared pages (textbook false sharing), the heat collector scores the

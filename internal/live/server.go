@@ -15,28 +15,6 @@ import (
 	"repro/internal/obs"
 )
 
-// objectStore abstracts the fixed-slot Store and the variable-size VStore.
-type objectStore interface {
-	ReadPage(p core.PageID) ([]byte, error)
-	ReadObj(o core.ObjID) ([]byte, error)
-	// readPage and readObj are ReadPage and ReadObj into alloc(n): n bytes
-	// of the caller's choosing that nobody else holds.
-	readPage(p core.PageID, alloc func(n int) []byte) ([]byte, error)
-	readObj(o core.ObjID, alloc func(n int) []byte) ([]byte, error)
-	// appendPage and appendObj encode what ReadPage and ReadObj return as
-	// a wire byte field, straight from the store's frame.
-	appendPage(dst []byte, p core.PageID) ([]byte, error)
-	appendObj(dst []byte, o core.ObjID) ([]byte, error)
-	WriteObj(o core.ObjID, data []byte) error
-	// flush, Close and closeRaw are the page file's (see pageFile).
-	flush() (pages int, err error)
-	Close() error
-	closeRaw()
-	NumPages() int
-	ObjsPerPage() int
-	ObjSize() int
-}
-
 // Server is the live page-server DBMS process: it owns the store and log,
 // runs the protocol engine under one lock, and serves client sessions
 // over transports.
@@ -57,7 +35,7 @@ type Server struct {
 	engMu sync.Mutex
 	eng   *core.ServerEngine
 
-	store objectStore
+	store *Store
 	wal   *WAL
 	dir   string // database directory (relocs.db lives beside data.db)
 
@@ -153,26 +131,10 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	dataPath := filepath.Join(dir, "data.db")
 	walPath := filepath.Join(dir, "wal.log")
 
-	var store objectStore
-	var err error
-	exists := true
-	if _, statErr := os.Stat(dataPath); errors.Is(statErr, os.ErrNotExist) {
-		exists = false
-	}
-	if opts.Recluster && opts.VariableObjects {
-		return nil, fmt.Errorf("live: reclustering requires the fixed-slot store (the variable store relocates objects on its own terms)")
-	}
+	var store *Store
 	var relocs *relocTable
-	if opts.VariableObjects {
-		if opts.Proto != core.OS {
-			return nil, fmt.Errorf("live: variable-size objects require the OS protocol (got %v): page images are not client-interpretable", opts.Proto)
-		}
-		if exists {
-			store, err = OpenVStore(dataPath)
-		} else {
-			store, err = CreateVStore(dataPath, opts.PageSize, opts.ObjsPerPage, opts.NumPages)
-		}
-	} else if exists {
+	var err error
+	if _, statErr := os.Stat(dataPath); !errors.Is(statErr, os.ErrNotExist) {
 		store, err = OpenStore(dataPath)
 	} else if opts.Recluster {
 		// Reclustering reserves a spare region past the user-visible
@@ -194,17 +156,14 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if relocs == nil && !opts.VariableObjects {
+	if relocs == nil {
 		relocs, err = loadRelocTable(dir)
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
 	}
-	if store.ObjsPerPage() != opts.ObjsPerPage || store.NumPages() != opts.NumPages {
-		opts.ObjsPerPage = store.ObjsPerPage()
-		opts.NumPages = store.NumPages()
-	}
+	opts.ObjsPerPage, opts.NumPages = store.ObjsPerPage(), store.NumPages()
 	userPages := opts.NumPages
 	if relocs != nil {
 		userPages -= int(relocs.spare)
@@ -488,7 +447,7 @@ func (s *Server) RecoveryStats() RecoveryStats { return s.recovery }
 // rewrites the same bytes; relocation records a checkpoint already saved
 // into the relocs.db base (logs of older servers hold such) re-apply as
 // idempotently. The log is closed on error.
-func replay(walPath string, store objectStore, relocs *relocTable) (*WAL, RecoveryStats, error) {
+func replay(walPath string, store *Store, relocs *relocTable) (*WAL, RecoveryStats, error) {
 	var st RecoveryStats
 	pages := make(map[core.PageID]struct{})
 	apply := func(rec *walRecord) error {
@@ -527,7 +486,7 @@ func replay(walPath string, store objectStore, relocs *relocTable) (*WAL, Recove
 	}
 	start := time.Now()
 	if st.Records > 0 {
-		if _, err := store.flush(); err != nil {
+		if err := store.Flush(); err != nil {
 			wal.Close()
 			return nil, st, err
 		}

@@ -35,7 +35,7 @@ type session struct {
 	// recycled, or a fresh one.
 	wire       frameSink
 	send       func(m *core.Msg) (lent bool, err error)
-	store      objectStore
+	store      *Store
 	payloadBuf func(n int) []byte
 
 	// cbDue maps an outstanding callback round id to its answer deadline.
@@ -63,7 +63,7 @@ type session struct {
 // lent them to. One queued for a peer's Recv is that peer's for good.
 var outMsgPool = sync.Pool{New: func() any { return new(core.Msg) }}
 
-func newSession(conn asyncConn, store objectStore) *session {
+func newSession(conn asyncConn, store *Store) *session {
 	return &session{conn: conn, store: store, cbDue: make(map[int64]time.Time)}
 }
 
@@ -371,7 +371,7 @@ func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 	// Handshake: tell the client its id, the geometry, and the protocol.
 	hello := &core.Msg{Kind: core.MHello, To: id, HelloID: id,
 		HelloPages: int32(pages), HelloObjsPP: int32(opp), HelloObjSize: int32(objSize),
-		HelloProto: s.opts.Proto, HelloVariable: s.opts.VariableObjects}
+		HelloProto: s.opts.Proto}
 	sess.push(hello, false, 0) // first message on the session, ahead of any grant
 	sess.conn.Start()
 	if sess.onPipe() {

@@ -531,22 +531,27 @@ func sessionCallbackChain(t *testing.T, transport string) {
 }
 
 // TestSessionRejectsOutOfRangeIDs: a session that names a page outside
-// the store or a slot past its objects per page is closed before the
-// engine sees the message. Nothing is counted, logged or installed for it,
-// the server keeps serving, and the log it leaves recovers.
+// the store or a slot past its objects per page, or commits an image
+// longer than the slot, is closed before the engine sees the message.
+// Nothing is counted, logged or installed for it, the server keeps
+// serving, and the log it leaves recovers.
 func TestSessionRejectsOutOfRangeIDs(t *testing.T) {
-	const pages, slots = 64, 4
+	const pages, slots = 64, 4 // 63-byte slots
+	allKinds := []core.MsgKind{core.MReadReq, core.MWriteReq, core.MCommitReq}
 	bad := []struct {
-		name string
-		obj  core.ObjID
+		name  string
+		obj   core.ObjID
+		img   []byte // the commit's image for obj
+		kinds []core.MsgKind
 	}{
-		{"page>=NumPages", o(pages, 0)},
-		{"page<0", o(-1, 0)},
-		{"slot>=ObjsPerPage", o(1, slots)},
-		{"slot=999", o(1, 999)},
+		{"page>=NumPages", o(pages, 0), []byte("wild"), allKinds},
+		{"page<0", o(-1, 0), []byte("wild"), allKinds},
+		{"slot>=ObjsPerPage", o(1, slots), []byte("wild"), allKinds},
+		{"slot=999", o(1, 999), []byte("wild"), allKinds},
+		{"image>ObjSize", o(1, 1), make([]byte, 1000), []core.MsgKind{core.MCommitReq}},
 	}
 	for _, b := range bad {
-		for _, kind := range []core.MsgKind{core.MReadReq, core.MWriteReq, core.MCommitReq} {
+		for _, kind := range b.kinds {
 			b, kind := b, kind
 			t.Run(b.name+"/"+kind.String(), func(t *testing.T) {
 				dir := t.TempDir()
@@ -572,7 +577,7 @@ func TestSessionRejectsOutOfRangeIDs(t *testing.T) {
 						t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
 					}
 					m = &core.Msg{Kind: kind, Txn: txn, Req: 2, Pages: []core.PageID{1},
-						Updates: map[core.ObjID][]byte{o(1, 0): []byte("ok"), b.obj: []byte("wild")}}
+						Updates: map[core.ObjID][]byte{o(1, 0): []byte("ok"), b.obj: b.img}}
 					if b.obj.Page != 1 {
 						m.Pages = append(m.Pages, b.obj.Page)
 					}

@@ -526,9 +526,9 @@ var handshakeTimeout = 5 * time.Second
 // readBufKeep caps how much frame buffer a connection keeps pinned
 // between messages: the size of a tcpConn's read buffer, and of the
 // reassembly buffer a reactor connection returns to its pool. Frames
-// above the cap (a large VStore fetch) use a transient buffer the GC
-// reclaims, so one big message does not bloat an otherwise idle session
-// forever — at 100k sessions a pinned megabyte each is the whole machine.
+// above the cap (a commit with many updates, or a page over 64 KiB) use a
+// transient buffer the GC reclaims, so one big message does not bloat an
+// otherwise idle session forever — at 100k sessions a pinned megabyte each is the whole machine.
 const readBufKeep = 64 << 10
 
 // tcpConn frames messages with the binary codec (codec.go) over a
