@@ -314,6 +314,30 @@ func (se *ServerEngine) ForeignTxn(c ClientID, t TxnID) bool {
 	return st != nil && st.client != c
 }
 
+// OutOfTurn reports whether m asks for what its own transaction's state
+// rules out: a read, write or commit while the transaction's previous
+// request is still blocked or waiting for a callback round, a read or write
+// with no transaction id, or a write of an object the transaction already
+// holds write-locked, by itself or under a page lock. A correct client
+// never sends one and Handle panics on each, so a host closes a session
+// that sends one instead of passing it on.
+func (se *ServerEngine) OutOfTurn(m *Msg) bool {
+	switch m.Kind {
+	case MReadReq, MWriteReq:
+		if m.Txn == NoTxn {
+			return true
+		}
+	case MCommitReq:
+	default:
+		return false
+	}
+	if st := se.txns[m.Txn]; st != nil && (st.blocked != nil || st.round != nil) {
+		return true
+	}
+	return m.Kind == MWriteReq &&
+		(se.Locks.HoldsPageX(m.Txn, m.Obj.Page) || se.Locks.HoldsObjX(m.Txn, m.Obj))
+}
+
 // forgetTxn drops the record of transaction t, if any, keeping it for
 // reuse. getTxn resets a record only when it hands it out again, so a
 // caller still holding one it collected earlier in the same step

@@ -1,10 +1,12 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -422,6 +424,62 @@ func BenchmarkReadMissPipe(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchReadMiss(b, cEnd)
+}
+
+// BenchmarkPipeCallbackRTT times the transactions of two in-process
+// clients that each rewrite their own object of one page the other
+// caches, so nearly every write calls the other's copy back (callbacks/op
+// says how nearly). Replies and the engine lock are often released by the
+// other client's goroutine here, which is where the spin-then-park wait
+// (spin.go) acts; run it at -cpu 1,2.
+func BenchmarkPipeCallbackRTT(b *testing.B) {
+	srv, _ := testServer(b, core.PSAA)
+	defer srv.Close()
+	clients := [2]*Client{attachClient(b, srv), attachClient(b, srv)}
+	before := srv.Stats().Callbacks
+	b.ResetTimer()
+	errs := make(chan error, 2)
+	for i, cl := range clients {
+		defer cl.Close()
+		n := b.N / 2
+		if i == 0 {
+			n += b.N % 2
+		}
+		go func(cl *Client, mine core.ObjID, n int) { errs <- rewriteOwn(cl, mine, n) }(cl, o(5, uint16(i)), n)
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(srv.Stats().Callbacks-before)/float64(b.N), "callbacks/op")
+}
+
+// rewriteOwn runs n transactions on cl that each read and rewrite mine,
+// retrying aborted ones. It yields after each, so that at one P a second
+// client's transactions interleave with these rather than follow them.
+func rewriteOwn(cl *Client, mine core.ObjID, n int) error {
+	for k := 0; k < n; {
+		tx, err := cl.Begin()
+		if err == nil {
+			_, err = tx.Read(mine)
+		}
+		if err == nil {
+			err = tx.Write(mine, []byte{byte(k)})
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		switch {
+		case err == nil:
+			k++
+		case !errors.Is(err, ErrAborted):
+			return err
+		}
+		runtime.Gosched()
+	}
+	return nil
 }
 
 const readMissPages, readMissCache = 64, 16

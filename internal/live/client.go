@@ -42,6 +42,7 @@ type Client struct {
 	proto core.Protocol
 	opts  ClientOptions
 	met   *clientMetrics // nil when no registry configured
+	spin  spinWait       // spins only if connected over a pipe (Connect)
 
 	numPages    int
 	objsPerPage int
@@ -159,6 +160,16 @@ func Connect(conn Conn, opts ClientOptions) (*Client, error) {
 		objSize:     int(hello.HelloObjSize),
 		req:         request{done: make(chan reqOutcome, 1)},
 		closeCh:     make(chan struct{}),
+	}
+	if _, pipe := conn.(*chanConn); pipe {
+		// Over a pipe the reply to a request, and the client lock after
+		// it, are often released by another client's goroutine within
+		// microseconds (its commit or callback answer, its delivery to
+		// this client), so those waits spin before they park, as
+		// lockEngine does. Not over TCP: there the reply arrives through
+		// this client's poller goroutine, which needs the P a caller
+		// would spin on.
+		c.spin = newSpinWait()
 	}
 	c.cond = sync.NewCond(&c.mu)
 	cap := opts.CachePages
@@ -321,7 +332,7 @@ func (c *Client) deliver(m *core.Msg, err error) {
 		}
 		return
 	}
-	c.mu.Lock()
+	c.lock()
 	switch m.Kind {
 	case core.MCallback:
 		reply, _ := c.cs.HandleCallback(m)
@@ -452,6 +463,15 @@ func (c *Client) send(m *core.Msg) error {
 	return nil
 }
 
+// lock takes c.mu where its holder is often another client's goroutine
+// delivering to this client: in deliver, and as a request's reply is taken
+// up. Over a pipe it spins before it parks (Connect).
+func (c *Client) lock() {
+	if !c.spin.spin(c.mu.TryLock) {
+		c.mu.Lock()
+	}
+}
+
 // unlock releases c.mu and then delivers what send queued under it — on a
 // pipe, very often the whole round trip, on this goroutine.
 func (c *Client) unlock() {
@@ -557,9 +577,11 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 		return ErrDisconnected
 	}
 	c.unlock()
-	var out reqOutcome
+	out, spun := spinRecv(c.spin, r.done)
 	timedOut := false
-	if c.opts.RequestTimeout > 0 {
+	switch {
+	case spun:
+	case c.opts.RequestTimeout > 0:
 		t := time.NewTimer(c.opts.RequestTimeout)
 		select {
 		case out = <-r.done:
@@ -571,13 +593,13 @@ func (c *Client) roundTrip(m *core.Msg, kind reqKind, obj core.ObjID, data []byt
 			conn.Close()
 			out = <-r.done
 		}
-	} else {
+	default:
 		out = <-r.done
 	}
 	if c.met != nil {
 		c.met.rtt(time.Since(start))
 	}
-	c.mu.Lock()
+	c.lock()
 	switch {
 	case timedOut:
 		// We tore the connection down, but the reply may have raced in

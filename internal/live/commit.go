@@ -30,10 +30,14 @@ type engineHold struct {
 // once the lock is released: observing them is no part of the critical
 // section they measure. Together they make its width observable: hold
 // should cover only the engine step and staging (and, for a commit, the
-// WAL frame write and installs), never store flushes or fsyncs.
+// WAL frame write and installs), never store flushes or fsyncs. Since a
+// hold is that short, a waiter spins on the lock for up to spinBound
+// before it parks (DESIGN §13).
 func (s *Server) lockEngine() engineHold {
 	t0 := time.Now()
-	s.engMu.Lock()
+	if !s.spin.spin(s.engMu.TryLock) {
+		s.engMu.Lock()
+	}
 	t1 := time.Now()
 	return engineHold{acquired: t1, waitNs: t1.Sub(t0).Nanoseconds()}
 }
@@ -163,9 +167,7 @@ func (s *Server) engineStep(sess *session, m *core.Msg) {
 		s.unlockEngine(held)
 		return
 	}
-	if s.eng.ForeignTxn(m.From, m.Txn) {
-		// Only the session that began a transaction may request for it,
-		// commit it or abort it.
+	if s.refuses(m) {
 		s.unlockEngine(held)
 		s.detach(sess.id)
 		return
@@ -208,6 +210,14 @@ func (s *Server) engineStep(sess *session, m *core.Msg) {
 	s.settle(after)
 }
 
+// refuses reports whether the engine must not see m, and its session is to
+// be closed instead: only the session that began a transaction may request
+// for it, commit it or abort it, and only in turn (core.OutOfTurn). Under
+// the engine lock.
+func (s *Server) refuses(m *core.Msg) bool {
+	return s.eng.ForeignTxn(m.From, m.Txn) || s.eng.OutOfTurn(m)
+}
+
 // finishTxnMsg handles MCommitReq/MAbortReq: make the commit durable,
 // then run the finish step.
 //
@@ -244,7 +254,7 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 	if frame != nil {
 		s.observeStage(obs.StageQueue, m.Txn, m.From, queueDur)
 		s.observeStage(obs.StageEncode, m.Txn, m.From, encodeDur)
-		ticket, ok := s.appendAndInstall(sess, rec, frame)
+		ticket, ok := s.appendAndInstall(sess, m, rec, frame)
 		if !ok {
 			return
 		}
@@ -281,8 +291,8 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 // atomic with respect to the engine: under the engine lock the session's
 // liveness is checked, and the frame write + object installs happen
 // under it plus installMu (shared). ok=false means the commit was
-// dropped (session detached, or detached here for naming another
-// session's transaction — nothing was logged or installed) or the server
+// dropped (session detached, or detached here because the engine must not
+// see m — nothing was logged or installed) or the server
 // crashed underneath it.
 //
 // A migration's commit publishes its relocations here too, and this is
@@ -295,7 +305,7 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 // The queued ones are taken out of the engine and redirected here, under
 // the engine lock and before the finish step releases the migration's
 // locks, so no user request for a moved address is granted after the move.
-func (s *Server) appendAndInstall(sess *session, rec *walRecord, frame []byte) (ticket int64, ok bool) {
+func (s *Server) appendAndInstall(sess *session, m *core.Msg, rec *walRecord, frame []byte) (ticket int64, ok bool) {
 	lockStart := time.Now()
 	held := s.lockEngine()
 
@@ -307,9 +317,8 @@ func (s *Server) appendAndInstall(sess *session, rec *walRecord, frame []byte) (
 		s.unlockEngine(held)
 		return 0, false
 	}
-	if s.eng.ForeignTxn(rec.Client, rec.Txn) {
-		// Close the session before its commit of another session's
-		// transaction reaches the log.
+	if s.refuses(m) {
+		// Close the session before the commit reaches the log.
 		s.unlockEngine(held)
 		s.detach(sess.id)
 		return 0, false

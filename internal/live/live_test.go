@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 )
 
-func testServer(t *testing.T, proto core.Protocol) (*Server, string) {
+func testServer(t testing.TB, proto core.Protocol) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
 	srv, err := openServer(dir, ServerOptions{
@@ -23,7 +23,7 @@ func testServer(t *testing.T, proto core.Protocol) (*Server, string) {
 	return srv, dir
 }
 
-func attachClient(t *testing.T, srv *Server) *Client {
+func attachClient(t testing.TB, srv *Server) *Client {
 	t.Helper()
 	cEnd, sEnd := Pipe()
 	if _, err := srv.Attach(sEnd); err != nil {

@@ -31,9 +31,11 @@ type Server struct {
 
 	// engMu is the engine lock. It guards eng, blockStart and every
 	// engine step's staging (DESIGN.md §13); lockEngine and unlockEngine
-	// take and release it, measuring both sides.
+	// take and release it, measuring both sides. A waiter spins on it
+	// briefly before it parks (spin).
 	engMu sync.Mutex
 	eng   *core.ServerEngine
+	spin  spinWait
 
 	store *Store
 	wal   *WAL
@@ -217,6 +219,7 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		store:      store,
 		wal:        wal,
 		dir:        dir,
+		spin:       newSpinWait(),
 		relocs:     relocs,
 		userPages:  userPages,
 		recovery:   recov,

@@ -744,3 +744,117 @@ func TestSessionFinishesOnlyItsOwnTxns(t *testing.T) {
 		t.Fatalf("log holds %d records for A's transaction, want 1", commits)
 	}
 }
+
+// TestSessionRejectsOutOfTurnRequests: a session that sends what its own
+// transaction's state rules out (core.OutOfTurn) — a second write of an
+// object under a page write lock it already holds, a request with no
+// transaction, or a request or commit while its previous request is still
+// blocked — is closed before the engine
+// sees the message, which would otherwise panic the server. Nothing reaches
+// the log, and another client then commits on the page involved.
+func TestSessionRejectsOutOfTurnRequests(t *testing.T) {
+	const txnA, txnB = 0xa002, 0xb002
+	x := o(1, 0)
+	rows := []struct {
+		name string
+		// byA: bad comes from A, which holds page X on x's page; else from
+		// B, whose read of x is blocked behind A.
+		byA bool
+		bad *core.Msg
+	}{
+		{"write-under-own-page-X", true,
+			&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 2, Obj: o(1, 1), Page: 1}},
+		{"read-with-no-txn", true,
+			&core.Msg{Kind: core.MReadReq, Txn: core.NoTxn, Req: 2, Obj: o(2, 0), Page: 2}},
+		{"read-while-blocked", false,
+			&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 2, Obj: o(2, 0), Page: 2}},
+		{"commit-while-blocked", false,
+			&core.Msg{Kind: core.MCommitReq, Txn: txnB, Req: 2, Pages: []core.PageID{2},
+				Updates: map[core.ObjID][]byte{o(2, 0): []byte("forged")}}},
+	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { srv.Close() }()
+			h := &sessionHarness{srv: srv}
+
+			a, _ := h.rawSession(t)
+			defer a.Close()
+			if err := a.Send(&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 1, Obj: x, Page: x.Page}); err != nil {
+				t.Fatal(err)
+			}
+			if g := recvWithin(t, a, 5*time.Second); g.Grant != core.GrantPage {
+				t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
+			}
+			offender := a
+			if !row.byA {
+				b, _ := h.rawSession(t)
+				defer b.Close()
+				if err := b.Send(&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 1, Obj: x, Page: x.Page}); err != nil {
+					t.Fatal(err)
+				}
+				if d := recvWithin(t, a, 5*time.Second); d.Kind != core.MDeescReq {
+					t.Fatalf("A got %v, want %v", d.Kind, core.MDeescReq)
+				}
+				offender = b
+			}
+
+			before := srv.Stats()
+			if err := offender.Send(row.bad); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case r := <-recvAsync(offender):
+				if r.err == nil {
+					t.Fatalf("reply %v to an out-of-turn %v", r.m.Kind, row.bad.Kind)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("session that sent an out-of-turn %v was not closed", row.bad.Kind)
+			}
+			if err := srv.Failed(); err != nil {
+				t.Fatalf("server failed: %v", err)
+			}
+			after := srv.Stats()
+			if after.ReadReqs != before.ReadReqs || after.WriteReqs != before.WriteReqs || after.Commits != before.Commits {
+				t.Fatalf("engine counted the message: before %+v, after %+v", before, after)
+			}
+
+			// With A gone too, another client commits on x's page.
+			a.Close()
+			cl := h.client(t)
+			defer cl.Close()
+			tx, err := cl.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(x, []byte("next")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(o(2, 0), []byte("next")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			f, err := openFile(filepath.Join(dir, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs []*walRecord
+			_, err = scanWAL(f, collectInto(&recs))
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 1 || recs[0].Txn == txnA || recs[0].Txn == txnB {
+				t.Fatalf("log holds %d records, want only the other client's commit", len(recs))
+			}
+		})
+	}
+}
