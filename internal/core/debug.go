@@ -23,8 +23,8 @@ func (se *ServerEngine) DumpState() string {
 			fmt.Fprintf(&b, " BLOCKED %v on obj %v (write=%v)", t.blocked.msg.Kind, t.blocked.msg.Obj, t.blocked.isWrite)
 		}
 		if t.round != nil {
-			fmt.Fprintf(&b, " ROUND %d page %d obj %v kind %v pending=%v busy=%v",
-				t.round.id, t.round.page, t.round.obj, t.round.kind, keysOf(t.round.pending), t.round.busy)
+			fmt.Fprintf(&b, " ROUND %d page %d obj %v pending=%v busy=%v",
+				t.round.id, t.round.page, t.round.obj, keysOf(t.round.pending), t.round.busy)
 		}
 		fmt.Fprintf(&b, " waitsFor=%v\n", se.waitsFor(t))
 	}

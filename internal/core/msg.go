@@ -78,6 +78,17 @@ func (p Protocol) ObjectCopies() bool { return p == OS || p == PSOO || p == PSWT
 // (purge the page if unused, else call back just the object).
 func (p Protocol) AdaptiveCallbacks() bool { return p == PSOA || p == PSAA }
 
+// callbackKind is the kind of every callback the protocol sends.
+func (p Protocol) callbackKind() CallbackKind {
+	switch {
+	case p.AdaptiveCallbacks():
+		return CBAdaptive
+	case p.ObjectCopies():
+		return CBObject
+	}
+	return CBPage
+}
+
 // MsgKind enumerates the client/server message vocabulary.
 type MsgKind int
 
@@ -225,9 +236,8 @@ type Msg struct {
 
 	// Relocs, on an MCommitReq from the reclusterer's in-process system
 	// client, lists the old->new placements this commit installs. It never
-	// crosses the wire codec: the live server accepts it only from its
-	// internal session (in-process transport, pointer-passing) and strips
-	// it from everything else.
+	// crosses the wire codec, and the engine admits it only from a system
+	// client (ServerEngine.Admit).
 	Relocs []RelocEntry
 }
 

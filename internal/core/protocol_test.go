@@ -362,7 +362,7 @@ func TestPSDeadlockAbortsYoungest(t *testing.T) {
 // even the older one — housekeeping yields to the workload.
 func TestSystemClientLosesDeadlock(t *testing.T) {
 	h := newHarness(t, PS, 2, 10, 20, 8)
-	h.se.SetSystemClient(1, true)
+	h.se.SetSystemClient(1)
 	h.begin(1)
 	h.begin(2)
 	h.mustDone(1, h.read(1, o(0, 0)))
@@ -760,24 +760,38 @@ func ExampleProtocol_String() {
 }
 
 // A warm engine step allocates nothing: with no conflict, a read request,
-// a write request granted at page level and the commit that releases it
-// reuse the engine's transaction records, page entries and lock lists.
+// a write request granted at page level and the commit that releases it,
+// each checked by Fits and Admit first, reuse the engine's transaction
+// records, page entries and lock lists.
 func TestEngineWarmStepAllocs(t *testing.T) {
 	se := NewServerEngine(PSAA, NewLayout(64, 20))
 	i := 0
-	pages := make([]PageID, 1)
+	pages, objs := make([]PageID, 1), make([]ObjID, 1)
+	updates := map[ObjID][]byte{}
+	img := []byte("image")
+	step := func(m *Msg) []Msg {
+		if !se.Fits(m, len(img)) || !se.Admit(m) {
+			t.Fatalf("engine refuses a %v", m.Kind)
+		}
+		return se.Handle(m)
+	}
 	cycle := func() {
 		i++
 		tx, p := TxnID(i), PageID(i%64)
 		o := ObjID{Page: p, Slot: uint16(i % 20)}
-		if out := se.Handle(&Msg{Kind: MReadReq, From: 1, Txn: tx, Req: 1, Page: p, Obj: o}); len(out) != 1 || out[0].Kind != MPageData {
+		if out := step(&Msg{Kind: MReadReq, From: 1, Txn: tx, Req: 1, Page: p, Obj: o}); len(out) != 1 || out[0].Kind != MPageData {
 			t.Fatalf("read of %v: %v", o, out)
 		}
-		if out := se.Handle(&Msg{Kind: MWriteReq, From: 1, Txn: tx, Req: 2, Page: p, Obj: o}); len(out) != 1 || out[0].Grant != GrantPage {
+		if out := step(&Msg{Kind: MWriteReq, From: 1, Txn: tx, Req: 2, Page: p, Obj: o}); len(out) != 1 || out[0].Grant != GrantPage {
 			t.Fatalf("write of %v: %v", o, out)
 		}
-		pages[0] = p
-		if out := se.Handle(&Msg{Kind: MCommitReq, From: 1, Txn: tx, Req: 3, Pages: pages}); len(out) != 1 || out[0].Kind != MCommitAck {
+		pages[0], objs[0] = p, o
+		if !se.Admit(&Msg{Kind: MDeescReply, From: 1, Txn: tx, Page: p, DeescObjs: objs}) {
+			t.Fatalf("engine refuses a de-escalation reply about %v", o)
+		}
+		clear(updates)
+		updates[o] = img
+		if out := step(&Msg{Kind: MCommitReq, From: 1, Txn: tx, Req: 3, Pages: pages, Objs: objs, Updates: updates}); len(out) != 1 || out[0].Kind != MCommitAck {
 			t.Fatalf("commit of txn %d: %v", tx, out)
 		}
 	}

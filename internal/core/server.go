@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -184,7 +185,6 @@ type round struct {
 	txn     *stxn
 	page    PageID
 	obj     ObjID
-	kind    CallbackKind
 	pending map[ClientID]bool  // clients whose final ack is outstanding
 	busy    map[ClientID]TxnID // clients that replied busy (still pending)
 	anyKept bool               // some client kept its page (adaptive rounds)
@@ -199,22 +199,16 @@ func NewServerEngine(proto Protocol, layout *Layout) *ServerEngine {
 		Copies: NewCopyTab(proto.ObjectCopies()),
 		txns:   make(map[TxnID]*stxn),
 		rounds: make(map[int64]*round),
+		system: make(map[ClientID]bool),
 	}
 }
 
-// SetSystemClient marks (or unmarks) c as a system client: its commits
-// and aborts stop counting in Stats, and its transactions lose every
-// deadlock they are on. The host must call this before the client issues
-// requests.
-func (se *ServerEngine) SetSystemClient(c ClientID, on bool) {
-	if se.system == nil {
-		se.system = make(map[ClientID]bool)
-	}
-	if on {
-		se.system[c] = true
-	} else {
-		delete(se.system, c)
-	}
+// SetSystemClient marks c as a system client: its commits and aborts stop
+// counting in Stats, its transactions lose every deadlock they are on, and
+// its commits may carry Relocs. The host must call this before the client
+// issues requests.
+func (se *ServerEngine) SetSystemClient(c ClientID) {
+	se.system[c] = true
 }
 
 // Handle processes one incoming client message and returns the outgoing
@@ -304,38 +298,71 @@ func (se *ServerEngine) getTxn(t TxnID, c ClientID) *stxn {
 	return st
 }
 
-// ForeignTxn reports whether t is a live transaction that a client other
-// than c began. The engine takes a message's sender to own every
-// transaction it names, so a host closes a session that names a foreign
-// one. A transaction the engine does not know (never begun here, or
-// already finished, such as an aborted deadlock victim) is not foreign.
-func (se *ServerEngine) ForeignTxn(c ClientID, t TxnID) bool {
-	st := se.txns[t]
-	return st != nil && st.client != c
+// Fits and Admit are the one rule for what a remote client may send
+// (DESIGN.md §18): the engine takes m only if both hold. A host calls Fits,
+// which reads only the layout, before it takes Handle's lock, Admit under
+// it, and closes the session of a sender either refuses, before m has any
+// effect; Handle's panics assert the rule for trusted callers.
+//
+// Fits reports whether m is one of the six client-to-server kinds and names
+// only pages and objects in the layout, with update images of at most
+// objSize bytes, so that no restart fails to apply it.
+func (se *ServerEngine) Fits(m *Msg, objSize int) bool {
+	page := func(p PageID) bool { return uint(p) < uint(se.Layout.NumPages) }
+	obj := func(o ObjID) bool { return page(o.Page) && int(o.Slot) < se.Layout.ObjsPerPage }
+	ok := MReadReq <= m.Kind && m.Kind <= MDeescReply && page(m.Page) && obj(m.Obj)
+	for _, ps := range [...][]PageID{m.Pages, m.DroppedPages, m.PurgedPages} {
+		for _, p := range ps {
+			ok = ok && page(p)
+		}
+	}
+	for _, os := range [...][]ObjID{m.Objs, m.DroppedObjs, m.PurgedObjs, m.DeescObjs} {
+		for _, o := range os {
+			ok = ok && obj(o)
+		}
+	}
+	for o, img := range m.Updates {
+		ok = ok && obj(o) && len(img) <= objSize
+	}
+	return ok
 }
 
-// OutOfTurn reports whether m asks for what its own transaction's state
-// rules out: a read, write or commit while the transaction's previous
-// request is still blocked or waiting for a callback round, a read or write
-// with no transaction id, or a write of an object the transaction already
-// holds write-locked, by itself or under a page lock. A correct client
-// never sends one and Handle panics on each, so a host closes a session
-// that sends one instead of passing it on.
-func (se *ServerEngine) OutOfTurn(m *Msg) bool {
-	switch m.Kind {
-	case MReadReq, MWriteReq:
-		if m.Txn == NoTxn {
-			return true
-		}
-	case MCommitReq:
-	default:
+// Admit reports whether the engine's state lets it take m, which Fits:
+// every live transaction m names is its sender's (one the engine does not
+// know, such as an aborted deadlock victim, is no one's), and m comes in
+// turn.
+func (se *ServerEngine) Admit(m *Msg) bool {
+	st := se.txns[m.Txn]
+	if st != nil && st.client != m.From {
 		return false
 	}
-	if st := se.txns[m.Txn]; st != nil && (st.blocked != nil || st.round != nil) {
-		return true
+	waiting := st != nil && (st.blocked != nil || st.round != nil)
+	switch m.Kind {
+	case MReadReq, MWriteReq: // in turn, and no write of what it holds
+		return m.Txn != NoTxn && !waiting && (m.Kind == MReadReq || !se.locked(m.Txn, m.Obj))
+	case MCommitReq: // known, in turn, every write locked, no relocation from a user
+		ok := st != nil && !waiting && (len(m.Relocs) == 0 || se.system[m.From])
+		for _, o := range m.Objs {
+			ok = ok && se.locked(m.Txn, o)
+		}
+		for o := range m.Updates {
+			ok = ok && se.locked(m.Txn, o)
+		}
+		return ok
+	case MCallbackAck: // the protocol's kind, from a client a live round awaits
+		rd, busy := se.rounds[m.Req], se.txns[m.BusyTxn]
+		return m.CB == se.Proto.callbackKind() && (rd == nil || rd.pending[m.From]) &&
+			(!m.Busy || busy == nil || busy.client == m.From)
+	case MDeescReply: // only objects on its page
+		return !slices.ContainsFunc(m.DeescObjs, func(o ObjID) bool { return o.Page != m.Page })
 	}
-	return m.Kind == MWriteReq &&
-		(se.Locks.HoldsPageX(m.Txn, m.Obj.Page) || se.Locks.HoldsObjX(m.Txn, m.Obj))
+	return true
+}
+
+// locked reports whether t holds o write-locked, by itself or under a page
+// lock: checked at the address the client named, where the locks live.
+func (se *ServerEngine) locked(t TxnID, o ObjID) bool {
+	return se.Locks.HoldsPageX(t, o.Page) || se.Locks.HoldsObjX(t, o)
 }
 
 // forgetTxn drops the record of transaction t, if any, keeping it for

@@ -160,7 +160,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			se.grantPageX(m)
 			return true
 		}
-		se.startRound(r, CBPage, holders)
+		se.startRound(r, holders)
 		return true
 
 	case OS, PSOO:
@@ -178,7 +178,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			se.grantObjX(m)
 			return true
 		}
-		se.startRound(r, CBObject, holders)
+		se.startRound(r, holders)
 		return true
 
 	case PSOA:
@@ -196,7 +196,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			se.grantObjX(m)
 			return true
 		}
-		se.startRound(r, CBAdaptive, holders)
+		se.startRound(r, holders)
 		return true
 
 	case PSWT:
@@ -219,7 +219,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			se.grantObjX(m)
 			return true
 		}
-		se.startRound(r, CBObject, holders)
+		se.startRound(r, holders)
 		return true
 
 	case PSAA:
@@ -248,7 +248,7 @@ func (se *ServerEngine) tryWrite(r *blockedReq) bool {
 			}
 			return true
 		}
-		se.startRound(r, CBAdaptive, holders)
+		se.startRound(r, holders)
 		return true
 	}
 	panic("core: unknown protocol")
@@ -325,7 +325,8 @@ func (se *ServerEngine) grantObjX(m *Msg) {
 
 // ---- Callback rounds ----
 
-func (se *ServerEngine) startRound(r *blockedReq, kind CallbackKind, holders []ClientID) {
+func (se *ServerEngine) startRound(r *blockedReq, holders []ClientID) {
+	kind := se.Proto.callbackKind()
 	se.nextRound++
 	rd := &round{
 		id:      se.nextRound,
@@ -333,7 +334,6 @@ func (se *ServerEngine) startRound(r *blockedReq, kind CallbackKind, holders []C
 		txn:     r.txn,
 		page:    r.msg.Obj.Page,
 		obj:     r.msg.Obj,
-		kind:    kind,
 		pending: make(map[ClientID]bool, len(holders)),
 		busy:    make(map[ClientID]TxnID),
 	}
@@ -731,13 +731,13 @@ func (se *ServerEngine) Disconnect(c ClientID) []Msg {
 	}
 	for _, rd := range open {
 		var epoch int64
-		if rd.kind == CBObject {
+		if se.Proto.callbackKind() == CBObject {
 			epoch = se.Copies.ObjEpoch(c, rd.obj)
 		} else if !se.Copies.ObjGranularity() {
 			epoch = se.Copies.PageEpoch(c, rd.page)
 		}
 		ack := Msg{Kind: MCallbackAck, From: c, Req: rd.id, Page: rd.page, Obj: rd.obj,
-			CB: rd.kind, Purged: true, Epoch: epoch}
+			CB: se.Proto.callbackKind(), Purged: true, Epoch: epoch}
 		se.handleAck(&ack)
 	}
 

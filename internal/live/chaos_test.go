@@ -239,9 +239,9 @@ func TestClientReconnectAfterKill(t *testing.T) {
 	}
 	// The dead session is eventually swept server-side.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Sessions() != 1 {
+	for srv.sessionOf(firstID) != nil {
 		if time.Now().After(deadline) {
-			t.Fatalf("server still holds %d sessions after reconnect", srv.Sessions())
+			t.Fatalf("server still holds the dead session %d after reconnect", firstID)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -305,7 +305,7 @@ func TestCallbackDeadlineUnsticksCluster(t *testing.T) {
 	}
 	// The silent holder was deposed.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Sessions() != 1 {
+	for srv.sessionOf(holder.ID()) != nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("partitioned holder still attached (%d sessions)", srv.Sessions())
 		}

@@ -57,34 +57,23 @@ func (s *Server) unlockEngine(held engineHold) {
 // the engine lock. recvAt is when the session's driver delivered the
 // message: the handle span and the commit-stage queue span start there.
 func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
-	if int64(m.From) != s.internalID.Load() && !s.fitsStore(m) {
+	// The half of the engine's rule that needs no lock (core.ServerEngine.Fits).
+	if !s.eng.Fits(m, s.store.ObjSize()) {
 		s.detach(sess.id)
 		return
 	}
-	kind := int(m.Kind)
-	if kind < len(msgKindLabels) {
-		s.metrics.reqs[kind].Inc()
-	}
+	s.metrics.reqs[m.Kind].Inc()
 	var syncWait time.Duration
 	defer func() {
-		if kind < len(msgKindLabels) {
-			// The group-commit durability wait is fsync scheduling, not
-			// processing; it is recorded separately (commitSyncWaitNs) so
-			// handle latency stays honest.
-			s.metrics.handleNs[kind].Observe((time.Since(recvAt) - syncWait).Nanoseconds())
-		}
+		// The group-commit durability wait is fsync scheduling, not
+		// processing; it is recorded separately (commitSyncWaitNs) so
+		// handle latency stays honest.
+		s.metrics.handleNs[m.Kind].Observe((time.Since(recvAt) - syncWait).Nanoseconds())
 	}()
 
 	// Encode the commit's WAL frame before taking any lock: the record
 	// body is a pure function of the request, and encoding is the
 	// expensive half of an append.
-	// Relocations on a commit are the planner's privilege: they arrive
-	// only over the in-process internal session (the wire codec does not
-	// carry them), and anything else claiming some is stripped.
-	if len(m.Relocs) > 0 && int64(m.From) != s.internalID.Load() {
-		m.Relocs = nil
-	}
-
 	var rec *walRecord
 	var frame []byte
 	var queueDur, encodeDur time.Duration
@@ -115,49 +104,14 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 		return
 	}
 
-	s.engineStep(sess, m)
-}
-
-// fitsStore reports whether every page and object m names exists in the
-// store — a page in [0, NumPages), a slot below ObjsPerPage — and every
-// update image fits its slot. handle closes a session that sends anything
-// else before the engine sees it: the engine's tables are dense by page,
-// so a wild page id would grow them to its size, and a commit would log an
-// update that no install, and so no restart, can apply.
-func (s *Server) fitsStore(m *core.Msg) bool {
-	pages, slots, size := s.store.NumPages(), s.store.ObjsPerPage(), s.store.ObjSize()
-	page := func(p core.PageID) bool { return p >= 0 && int(p) < pages }
-	obj := func(o core.ObjID) bool { return page(o.Page) && int(o.Slot) < slots }
-	if !page(m.Page) || !obj(m.Obj) {
-		return false
-	}
-	for _, ps := range [][]core.PageID{m.Pages, m.DroppedPages, m.PurgedPages} {
-		for _, p := range ps {
-			if !page(p) {
-				return false
-			}
-		}
-	}
-	for _, os := range [][]core.ObjID{m.Objs, m.DroppedObjs, m.PurgedObjs, m.DeescObjs} {
-		for _, o := range os {
-			if !obj(o) {
-				return false
-			}
-		}
-	}
-	for o, img := range m.Updates {
-		if !obj(o) || len(img) > size {
-			return false
-		}
-	}
-	return true
+	s.engineStep(sess, m, false)
 }
 
 // engineStep runs one message through the engine under its lock: alive
-// check, engine dispatch, staging, callback-deadline bookkeeping; then,
-// off-lock, other pipe sessions' output ships and overflowed sessions are
-// deposed (settle).
-func (s *Server) engineStep(sess *session, m *core.Msg) {
+// check, admission (unless appendAndInstall admitted it already),
+// engine dispatch, staging, callback deadlines; then, off-lock, other pipe
+// sessions' output ships and overflowed sessions are deposed (settle).
+func (s *Server) engineStep(sess *session, m *core.Msg, admitted bool) {
 	held := s.lockEngine()
 	if s.sessionOf(sess.id) != sess {
 		// The session was detached (watchdog, overflow, close) and its
@@ -167,7 +121,7 @@ func (s *Server) engineStep(sess *session, m *core.Msg) {
 		s.unlockEngine(held)
 		return
 	}
-	if s.refuses(m) {
+	if !admitted && !s.admits(m) {
 		s.unlockEngine(held)
 		s.detach(sess.id)
 		return
@@ -210,12 +164,25 @@ func (s *Server) engineStep(sess *session, m *core.Msg) {
 	s.settle(after)
 }
 
-// refuses reports whether the engine must not see m, and its session is to
-// be closed instead: only the session that began a transaction may request
-// for it, commit it or abort it, and only in turn (core.OutOfTurn). Under
-// the engine lock.
-func (s *Server) refuses(m *core.Msg) bool {
-	return s.eng.ForeignTxn(m.From, m.Txn) || s.eng.OutOfTurn(m)
+// admits reports whether the engine takes m (core.ServerEngine.Admit) and,
+// if a user session's request or commit names an object on the spare
+// region, the relocation table has given it out, as a placement or a
+// retired address, which redirects; the rest is the planner's to fill.
+// Under the engine lock, which every publish holds.
+func (s *Server) admits(m *core.Msg) bool {
+	ok := s.eng.Admit(m)
+	if s.relocs == nil || int64(m.From) == s.internalID.Load() || m.Kind > core.MCommitReq {
+		return ok
+	}
+	given := s.relocs.view().given
+	ok = ok && (int(m.Obj.Page) < s.userPages || given[m.Obj])
+	for _, o := range m.Objs {
+		ok = ok && (int(o.Page) < s.userPages || given[o])
+	}
+	for o := range m.Updates {
+		ok = ok && (int(o.Page) < s.userPages || given[o])
+	}
+	return ok
 }
 
 // finishTxnMsg handles MCommitReq/MAbortReq: make the commit durable,
@@ -280,7 +247,7 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 	}
 
 	ackStart := time.Now()
-	s.engineStep(sess, m)
+	s.engineStep(sess, m, frame != nil)
 	if frame != nil {
 		s.observeStage(obs.StageAck, m.Txn, m.From, time.Since(ackStart))
 	}
@@ -317,7 +284,7 @@ func (s *Server) appendAndInstall(sess *session, m *core.Msg, rec *walRecord, fr
 		s.unlockEngine(held)
 		return 0, false
 	}
-	if s.refuses(m) {
+	if !s.admits(m) {
 		// Close the session before the commit reaches the log.
 		s.unlockEngine(held)
 		s.detach(sess.id)

@@ -62,8 +62,8 @@ func TestBusyLeaseClearedOnRoundCancel(t *testing.T) {
 	// is no outstanding callback, so the watchdog must leave the holder
 	// alone.
 	time.Sleep(600 * time.Millisecond)
-	if n := srv.Sessions(); n != 1 {
-		t.Fatalf("sessions = %d after lease window; holder was deposed despite the cancelled round", n)
+	if srv.sessionOf(holder.ID()) == nil || srv.sessionOf(writer.ID()) != nil {
+		t.Fatalf("sessions = %d after lease window; holder was deposed despite the cancelled round", srv.Sessions())
 	}
 	if err := htx.Commit(); err != nil {
 		t.Fatalf("holder commit: %v", err)

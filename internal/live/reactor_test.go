@@ -146,7 +146,7 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 				t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
 			}
 
-			before := countGoroutines()
+			before, attached := countGoroutines(), srv.Sessions() // the planner's, if any
 			conns := make([]Conn, 0, nConns)
 			defer func() {
 				for _, c := range conns {
@@ -160,7 +160,7 @@ func TestReactorGoroutineCountIdleSessions(t *testing.T) {
 				}
 				conns = append(conns, c)
 			}
-			waitFor(t, "every dialed session to attach", func() bool { return srv.Sessions() == nConns })
+			waitFor(t, "every dialed session to attach", func() bool { return srv.Sessions() == attached+nConns })
 
 			after := countGoroutines()
 			if after-before > tc.max {
@@ -235,6 +235,7 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 				t.Skipf("reactor unavailable on this platform (fell back to %q)", srv.Transport())
 			}
 
+			attached := srv.Sessions() // the planner's, if any
 			conn := dialNarrow(t, addr)
 			defer conn.Close()
 			// The hello read, go silent on the receive side while
@@ -242,7 +243,7 @@ func TestTCPSlowReaderDeposed(t *testing.T) {
 			// ~4 KiB of data; once the kernel socket buffers fill, replies
 			// back up on the server side and blow past the cap.
 			deposed := func() bool {
-				return srv.Sessions() == 0 && srv.Metrics().CounterValue(tc.counter) >= 1
+				return srv.Sessions() == attached && srv.Metrics().CounterValue(tc.counter) >= 1
 			}
 			for i := 0; i < nPages && !deposed(); i++ {
 				if err := conn.Send(readReq(i, int64(i+1))); err != nil {
@@ -271,11 +272,12 @@ func TestTCPLoneRequesterNeverReadsDeposed(t *testing.T) {
 		Transport: TransportGoroutine, CallbackTimeout: timeout, outboxLimit: -1,
 	})
 	defer srv.Close()
+	attached := srv.Sessions() // the planner's, if any
 	conn := dialNarrow(t, addr)
 	defer conn.Close()
 
 	reg := srv.Metrics()
-	deposed := func() bool { return srv.Sessions() == 0 }
+	deposed := func() bool { return srv.Sessions() == attached }
 	for i := 0; i < nPages && !deposed(); i++ {
 		if err := conn.Send(readReq(i, int64(i+1))); err != nil {
 			break // server already cut us off
@@ -333,6 +335,7 @@ func TestSlowlorisAccept(t *testing.T) {
 			// Honest clients must get through while the silent conns dangle.
 			start := time.Now()
 			const nGood = 3
+			attached := srv.Sessions() // the planner's, if any
 			for i := 0; i < nGood; i++ {
 				conn, err := Dial(addr)
 				if err != nil {
@@ -369,8 +372,8 @@ func TestSlowlorisAccept(t *testing.T) {
 					t.Fatalf("silent conn %d still open %v after handshake timeout", i, 10*handshakeTimeout)
 				}
 			}
-			if n := srv.Sessions(); n != nGood {
-				t.Fatalf("sessions = %d, want %d (silent conns must not become sessions)", n, nGood)
+			if n := srv.Sessions(); n != attached+nGood {
+				t.Fatalf("sessions = %d, want %d (silent conns must not become sessions)", n, attached+nGood)
 			}
 		})
 	}

@@ -167,6 +167,76 @@ func TestReclusterMigrateRedirectsClients(t *testing.T) {
 	}
 }
 
+// TestReclusterSpareSlotsNotUserAddressable: a user session may name a
+// spare-region object only once the relocation table has given it out. A
+// raw session writes a migrated object at its placement and commits; one
+// that asks for a free slot of the same spare page, or logs one under that
+// page's write lock, is closed with no reply, so no acknowledged write
+// lands where a later migration would put an object.
+func TestReclusterSpareSlotsNotUserAddressable(t *testing.T) {
+	srv := reclusterServer(t, t.TempDir())
+	defer srv.Close()
+	c1 := attachClient(t, srv)
+	defer c1.Close()
+	seedPage(t, c1, 3)
+	migrate(t, srv, obs.MoveGroup{Page: 3, Writer: 7, Slots: []uint16{0}})
+	placed := srv.ReclusterStatus(true).Entries[0].To
+	free := core.ObjID{Page: placed.Page, Slot: placed.Slot + 1}
+	h := &sessionHarness{srv: srv}
+
+	// writeReq opens a raw session whose transaction txn asks to write o.
+	writeReq := func(txn core.TxnID, o core.ObjID) Conn {
+		conn, _ := h.rawSession(t)
+		if err := conn.Send(&core.Msg{Kind: core.MWriteReq, Txn: txn, Req: 1, Obj: o, Page: o.Page}); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	closed := func(conn Conn, what string) {
+		t.Helper()
+		if r := <-recvAsync(conn); r.err == nil {
+			t.Fatalf("%s: got %v, want the session closed", what, r.m.Kind)
+		}
+	}
+	before := srv.Stats()
+	a := writeReq(0xa004, free)
+	defer a.Close()
+	closed(a, "a write request for a free spare slot")
+
+	b := writeReq(0xb004, placed)
+	defer b.Close()
+	if g := recvWithin(t, b, 5*time.Second); g.Grant != core.GrantPage {
+		t.Fatalf("write of the placement %v: %v grant %v", placed, g.Kind, g.Grant)
+	}
+	if err := b.Send(&core.Msg{Kind: core.MCommitReq, Txn: 0xb004, Req: 2, Pages: []core.PageID{placed.Page},
+		Updates: map[core.ObjID][]byte{placed: []byte("ok"), free: []byte("forged")}}); err != nil {
+		t.Fatal(err)
+	}
+	closed(b, "a commit logging a free spare slot")
+	if after := srv.Stats(); after.WriteReqs != before.WriteReqs+1 || after.Commits != before.Commits {
+		t.Fatalf("engine counted the refused messages: before %+v, after %+v", before, after)
+	}
+
+	d := writeReq(0xd004, placed)
+	defer d.Close()
+	if g := recvWithin(t, d, 5*time.Second); g.Grant != core.GrantPage {
+		t.Fatalf("write of the placement %v after the refusals: %v grant %v", placed, g.Kind, g.Grant)
+	}
+	if err := d.Send(&core.Msg{Kind: core.MCommitReq, Txn: 0xd004, Req: 2, Pages: []core.PageID{placed.Page},
+		Updates: map[core.ObjID][]byte{placed: []byte("placed")}}); err != nil {
+		t.Fatal(err)
+	}
+	if ack := recvWithin(t, d, 5*time.Second); ack.Kind != core.MCommitAck {
+		t.Fatalf("commit at the placement: got %v", ack.Kind)
+	}
+	if got := readOne(t, c1, o(3, 0)); !bytes.HasPrefix(got, []byte("placed")) {
+		t.Fatalf("o(3,0) reads %q, want the write at its placement", got[:8])
+	}
+	if err := srv.Failed(); err != nil {
+		t.Fatalf("server failed: %v", err)
+	}
+}
+
 // blockedRequests counts the requests queued in the engine.
 func blockedRequests(srv *Server) int {
 	srv.engMu.Lock()

@@ -42,6 +42,7 @@ const (
 type relocView struct {
 	m       map[core.ObjID]core.ObjID
 	retired map[core.PageID][]uint16
+	given   map[core.ObjID]bool // every address in m, as a key or a value
 }
 
 // relocTable maps retired object addresses to their current placement,
@@ -68,10 +69,12 @@ func (t *relocTable) publish() {
 	v := &relocView{
 		m:       make(map[core.ObjID]core.ObjID, len(t.m)),
 		retired: make(map[core.PageID][]uint16),
+		given:   make(map[core.ObjID]bool, 2*len(t.m)),
 	}
 	for k, to := range t.m {
 		v.m[k] = to
 		v.retired[k.Page] = append(v.retired[k.Page], k.Slot)
+		v.given[k], v.given[to] = true, true
 	}
 	t.snap.Store(v)
 }

@@ -363,7 +363,7 @@ func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 	if internal {
 		pages = s.store.NumPages()
 		held := s.lockEngine()
-		s.eng.SetSystemClient(id, true)
+		s.eng.SetSystemClient(id)
 		s.unlockEngine(held)
 		s.internalID.Store(int64(id))
 	}

@@ -305,7 +305,7 @@ func sessionOutboxOverflow(t *testing.T, transport string) {
 		defer sess.mu.Unlock()
 		return len(sess.outbox)
 	}
-	for i := 0; h.srv.Sessions() > 0; i++ {
+	for i := 0; h.srv.sessionOf(sess.id) == sess; i++ {
 		if i > 1<<16 {
 			t.Fatal("64k unread page grants and the session is still attached")
 		}
@@ -372,7 +372,7 @@ func sessionDetachRacingCommit(t *testing.T, transport string) {
 		cl.Close()
 
 		waitFor(t, "the engine to quiesce after the detach", func() bool {
-			return h.srv.Sessions() == 0 && quiesced(h.srv)
+			return h.srv.sessionOf(cl.ID()) == nil && quiesced(h.srv)
 		})
 		if commitErr != nil {
 			continue // the detach won; nothing was promised
@@ -393,7 +393,7 @@ func sessionDetachRacingCommit(t *testing.T, transport string) {
 		}
 		tx2.Commit()
 		check.Close()
-		waitFor(t, "the checking session to leave", func() bool { return h.srv.Sessions() == 0 })
+		waitFor(t, "the checking session to leave", func() bool { return h.srv.sessionOf(check.ID()) == nil })
 	}
 }
 
@@ -530,9 +530,11 @@ func sessionCallbackChain(t *testing.T, transport string) {
 	callbackChain(t, h.srv, func() Conn { return h.dial(t) })
 }
 
-// TestSessionRejectsOutOfRangeIDs: a session that names a page outside
-// the store or a slot past its objects per page, or commits an image
-// longer than the slot, is closed before the engine sees the message.
+// TestSessionRejectsOutOfRangeIDs: a session that names a page past the
+// pages it was told of (under OODB_RECLUSTER=1, page 64 is the first of
+// the spare region, none of it given out) or a slot past its objects per
+// page, or commits an image longer than the slot, is closed before the
+// engine sees the message.
 // Nothing is counted, logged or installed for it, the server keeps
 // serving, and the log it leaves recovers.
 func TestSessionRejectsOutOfRangeIDs(t *testing.T) {
@@ -745,116 +747,205 @@ func TestSessionFinishesOnlyItsOwnTxns(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsOutOfTurnRequests: a session that sends what its own
-// transaction's state rules out (core.OutOfTurn) — a second write of an
-// object under a page write lock it already holds, a request with no
-// transaction, or a request or commit while its previous request is still
-// blocked — is closed before the engine
-// sees the message, which would otherwise panic the server. Nothing reaches
-// the log, and another client then commits on the page involved.
+// TestSessionRejectsOutOfTurnRequests: each row is a message that
+// core.ServerEngine.Fits or Admit refuses and that the engine, handed it,
+// would panic on or acknowledge — a server-to-client or unknown kind; a
+// write of an object under a page write lock its transaction already
+// holds, a request with no transaction, a request or commit while the
+// transaction's previous request is blocked; a commit of a transaction the
+// server never saw or one that logs an object its transaction never
+// locked; a callback ack from a client the round is not waiting on or of a
+// kind the protocol never sends; a de-escalation reply about another page.
+// The sender's session closes with no reply and the server stays up; the
+// engine counts nothing, another client commits on the pages involved, the
+// log holds only that commit, and the directory reopens with its values.
 func TestSessionRejectsOutOfTurnRequests(t *testing.T) {
 	const txnA, txnB = 0xa002, 0xb002
-	x := o(1, 0)
+	x, y := o(1, 0), o(2, 0)
+	// callbackOnB opens B, which caches y's page, so that A's write there
+	// waits on B's callback ack, and returns B with its callback.
+	callbackOnB := func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg) {
+		b, _ := h.rawSession(t)
+		if err := b.Send(&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 1, Obj: y, Page: y.Page}); err != nil {
+			t.Fatal(err)
+		}
+		if d := recvWithin(t, b, 5*time.Second); d.Kind != core.MPageData {
+			t.Fatalf("B's read: got %v", d.Kind)
+		}
+		if err := a.Send(&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 2, Obj: o(2, 1), Page: y.Page}); err != nil {
+			t.Fatal(err)
+		}
+		cb := recvWithin(t, b, 5*time.Second)
+		if cb.Kind != core.MCallback {
+			t.Fatalf("B got %v, want %v", cb.Kind, core.MCallback)
+		}
+		return b, cb
+	}
+	// blockedB opens B, whose read of x waits for A to de-escalate.
+	blockedB := func(t *testing.T, h *sessionHarness, a Conn) Conn {
+		b, _ := h.rawSession(t)
+		if err := b.Send(&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 1, Obj: x, Page: x.Page}); err != nil {
+			t.Fatal(err)
+		}
+		if d := recvWithin(t, a, 5*time.Second); d.Kind != core.MDeescReq {
+			t.Fatalf("A got %v, want %v", d.Kind, core.MDeescReq)
+		}
+		return b
+	}
+	// Every row starts with A holding page X on x's page. setup returns the
+	// sender of bad, and the other sessions it opened. A tcp row also runs
+	// over TCP.
 	rows := []struct {
-		name string
-		// byA: bad comes from A, which holds page X on x's page; else from
-		// B, whose read of x is blocked behind A.
-		byA bool
-		bad *core.Msg
+		name  string
+		tcp   bool
+		setup func(t *testing.T, h *sessionHarness, a Conn) (from Conn, bad *core.Msg, others []Conn)
 	}{
-		{"write-under-own-page-X", true,
-			&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 2, Obj: o(1, 1), Page: 1}},
-		{"read-with-no-txn", true,
-			&core.Msg{Kind: core.MReadReq, Txn: core.NoTxn, Req: 2, Obj: o(2, 0), Page: 2}},
-		{"read-while-blocked", false,
-			&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 2, Obj: o(2, 0), Page: 2}},
-		{"commit-while-blocked", false,
-			&core.Msg{Kind: core.MCommitReq, Txn: txnB, Req: 2, Pages: []core.PageID{2},
-				Updates: map[core.ObjID][]byte{o(2, 0): []byte("forged")}}},
+		{"kind=Grant", true, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: core.MGrant, Txn: txnA, Req: 2, Obj: x, Page: x.Page, Grant: core.GrantPage}, nil
+		}},
+		{"kind=-1", true, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: -1, Txn: txnA, Req: 2, Obj: x, Page: x.Page}, nil
+		}},
+		{"write-under-own-page-X", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 2, Obj: o(1, 1), Page: 1}, nil
+		}},
+		{"read-with-no-txn", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: core.MReadReq, Txn: core.NoTxn, Req: 2, Obj: y, Page: y.Page}, nil
+		}},
+		{"read-while-blocked", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return blockedB(t, h, a), &core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 2, Obj: y, Page: y.Page}, nil
+		}},
+		{"commit-while-blocked", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return blockedB(t, h, a), &core.Msg{Kind: core.MCommitReq, Txn: txnB, Req: 2, Pages: []core.PageID{y.Page},
+				Updates: map[core.ObjID][]byte{y: []byte("forged")}}, nil
+		}},
+		{"commit-unknown-txn", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: core.MCommitReq, Txn: txnB, Req: 2}, nil
+		}},
+		{"commit-unlocked", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			return a, &core.Msg{Kind: core.MCommitReq, Txn: txnA, Req: 2, Pages: []core.PageID{x.Page, y.Page},
+				Updates: map[core.ObjID][]byte{x: []byte("A"), y: []byte("forged")}}, nil
+		}},
+		{"ack-from-bystander", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			b, cb := callbackOnB(t, h, a)
+			c, _ := h.rawSession(t)
+			return c, &core.Msg{Kind: core.MCallbackAck, Req: cb.Req, Page: cb.Page, Obj: cb.Obj,
+				CB: cb.CB, Purged: true, Epoch: cb.Epoch}, []Conn{b}
+		}},
+		{"ack-of-another-kind", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			b, cb := callbackOnB(t, h, a)
+			return b, &core.Msg{Kind: core.MCallbackAck, Req: cb.Req, Page: cb.Page, Obj: cb.Obj,
+				CB: core.CBObject, Purged: true, Epoch: cb.Epoch}, nil
+		}},
+		{"deesc-reply-off-page", false, func(t *testing.T, h *sessionHarness, a Conn) (Conn, *core.Msg, []Conn) {
+			b := blockedB(t, h, a)
+			return a, &core.Msg{Kind: core.MDeescReply, Txn: txnA, Page: x.Page, DeescObjs: []core.ObjID{o(5, 0)}}, []Conn{b}
+		}},
 	}
 	for _, row := range rows {
-		row := row
-		t.Run(row.name, func(t *testing.T) {
-			dir := t.TempDir()
-			srv, err := openServer(dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { srv.Close() }()
-			h := &sessionHarness{srv: srv}
-
-			a, _ := h.rawSession(t)
-			defer a.Close()
-			if err := a.Send(&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 1, Obj: x, Page: x.Page}); err != nil {
-				t.Fatal(err)
-			}
-			if g := recvWithin(t, a, 5*time.Second); g.Grant != core.GrantPage {
-				t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
-			}
-			offender := a
-			if !row.byA {
-				b, _ := h.rawSession(t)
-				defer b.Close()
-				if err := b.Send(&core.Msg{Kind: core.MReadReq, Txn: txnB, Req: 1, Obj: x, Page: x.Page}); err != nil {
+		runs := [][2]string{{row.name, ""}}
+		if row.tcp {
+			runs = [][2]string{{row.name + "/pipe", ""}, {row.name + "/tcp", TransportGoroutine}}
+		}
+		for _, run := range runs {
+			row, transport := row, run[1]
+			t.Run(run[0], func(t *testing.T) {
+				h := newSessionHarness(t, transport, ServerOptions{})
+				srv := h.srv
+				defer func() { srv.Close() }()
+				a, _ := h.rawSession(t)
+				defer a.Close()
+				if err := a.Send(&core.Msg{Kind: core.MWriteReq, Txn: txnA, Req: 1, Obj: x, Page: x.Page}); err != nil {
 					t.Fatal(err)
 				}
-				if d := recvWithin(t, a, 5*time.Second); d.Kind != core.MDeescReq {
-					t.Fatalf("A got %v, want %v", d.Kind, core.MDeescReq)
+				if g := recvWithin(t, a, 5*time.Second); g.Grant != core.GrantPage {
+					t.Fatalf("write grant: %v grant %v", g.Kind, g.Grant)
 				}
-				offender = b
-			}
-
-			before := srv.Stats()
-			if err := offender.Send(row.bad); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case r := <-recvAsync(offender):
-				if r.err == nil {
-					t.Fatalf("reply %v to an out-of-turn %v", r.m.Kind, row.bad.Kind)
+				from, bad, others := row.setup(t, h, a)
+				for _, c := range others {
+					defer c.Close()
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("session that sent an out-of-turn %v was not closed", row.bad.Kind)
-			}
-			if err := srv.Failed(); err != nil {
-				t.Fatalf("server failed: %v", err)
-			}
-			after := srv.Stats()
-			if after.ReadReqs != before.ReadReqs || after.WriteReqs != before.WriteReqs || after.Commits != before.Commits {
-				t.Fatalf("engine counted the message: before %+v, after %+v", before, after)
-			}
 
-			// With A gone too, another client commits on x's page.
-			a.Close()
-			cl := h.client(t)
-			defer cl.Close()
-			tx, err := cl.Begin()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Write(x, []byte("next")); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Write(o(2, 0), []byte("next")); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
+				before := srv.Stats()
+				if err := from.Send(bad); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case r := <-recvAsync(from):
+					if r.err == nil {
+						t.Fatalf("reply %v to %+v", r.m.Kind, bad)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("session that sent %+v was not closed", bad)
+				}
+				if err := srv.Failed(); err != nil {
+					t.Fatalf("server failed: %v", err)
+				}
+				after := srv.Stats()
+				if after.ReadReqs != before.ReadReqs || after.WriteReqs != before.WriteReqs ||
+					after.Commits != before.Commits || after.BusyReplies != before.BusyReplies {
+					t.Fatalf("engine counted the message: before %+v, after %+v", before, after)
+				}
 
-			f, err := openFile(filepath.Join(dir, "wal.log"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var recs []*walRecord
-			_, err = scanWAL(f, collectInto(&recs))
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != 1 || recs[0].Txn == txnA || recs[0].Txn == txnB {
-				t.Fatalf("log holds %d records, want only the other client's commit", len(recs))
-			}
-		})
+				// With every raw session gone, another client commits on the
+				// pages involved.
+				a.Close()
+				for _, c := range append(others, from) {
+					c.Close()
+				}
+				cl := h.client(t)
+				tx, err := cl.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, obj := range []core.ObjID{x, y} {
+					if err := tx.Write(obj, []byte("next")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				cl.Close()
+				waitFor(t, "engine quiesced", func() bool { return quiesced(srv) })
+
+				f, err := openFile(filepath.Join(srv.dir, "wal.log"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var recs []*walRecord
+				_, err = scanWAL(f, collectInto(&recs))
+				f.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != 1 || recs[0].Txn == txnA || recs[0].Txn == txnB {
+					t.Fatalf("log holds %d records, want only the other client's commit", len(recs))
+				}
+
+				// The directory reopens with the commit's values.
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				srv, err = openServer(srv.dir, ServerOptions{Proto: core.PSAA, PageSize: 256, ObjsPerPage: 4, NumPages: 64})
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				cl = attachClient(t, srv)
+				defer cl.Close()
+				tx, err = cl.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, obj := range []core.ObjID{x, y} {
+					if got, err := tx.Read(obj); err != nil || !bytes.HasPrefix(got, []byte("next")) {
+						t.Fatalf("after reopen, %v reads %q, %v", obj, got, err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

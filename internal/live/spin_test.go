@@ -28,9 +28,12 @@ func TestSpinWait(t *testing.T) {
 			return
 		}
 		// A value sent from another running goroutine while the receiver
-		// spins. Both spin up first, so neither waits to be scheduled; a
-		// few attempts absorb a vCPU the host takes away mid-spin.
-		for attempt := 0; ; attempt++ {
+		// spins. Both spin up first, so neither waits to be scheduled. An
+		// attempt still misses when the host takes a vCPU away for longer
+		// than spinBound, so attempts repeat until one receives or ten
+		// seconds have passed: a spinRecv that never receives fails.
+		deadline := time.Now().Add(10 * time.Second)
+		for attempt := 1; ; attempt++ {
 			ch := make(chan int, 1)
 			var ready, fire atomic.Bool
 			sent := make(chan struct{})
@@ -49,8 +52,8 @@ func TestSpinWait(t *testing.T) {
 			if ok && v == 7 {
 				break
 			}
-			if attempt == 4 {
-				t.Fatalf("spinRecv missed a value sent while it spun, 5 times (got %d, %v)", v, ok)
+			if time.Now().After(deadline) {
+				t.Fatalf("spinRecv missed a value sent while it spun, %d times in a row (got %d, %v)", attempt, v, ok)
 			}
 		}
 	})

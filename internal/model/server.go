@@ -39,6 +39,9 @@ func (s *server) handle(m core.Msg) {
 		}
 	}
 
+	if !s.eng.Fits(&m, s.sys.cfg.ObjSize()) || !s.eng.Admit(&m) { // the clients are correct
+		panic("model: the engine refuses a simulated client's " + m.Kind.String())
+	}
 	outs := s.eng.Handle(&m)
 	msgs := make([]core.Msg, len(outs))
 	copy(msgs, outs)
