@@ -1,14 +1,16 @@
 // Command oodbbench drives a live server (local in-process by default, or
-// a remote TCP server with -addr) with a configurable multi-client
-// workload and reports end-to-end transaction throughput — the live-system
+// a remote TCP server with -addr) with one of the paper's workloads
+// (internal/workload's presets, named as in oodbsim) from several clients
+// and reports end-to-end transaction throughput — the live-system
 // analogue of the simulation study.
 //
 // Examples:
 //
-//	oodbbench -proto PS-AA -clients 8 -txns 500 -hot            # in-process
-//	oodbbench -proto PS-AA -clients 8 -txns 500 -hot -heat      # + heat summary
-//	oodbbench -addr 127.0.0.1:7090 -clients 8 -txns 500         # remote
-//	oodbbench -transport reactor -clients 32 -txns 200          # loopback TCP, epoll reactor
+//	oodbbench -proto PS-AA -clients 8 -txns 500                  # HOTCOLD, in-process
+//	oodbbench -workload UNIFORM -locality high -writeprob 0.2    # another preset
+//	oodbbench -clients 8 -txns 500 -heat                         # + heat summary
+//	oodbbench -addr 127.0.0.1:7090 -clients 8 -txns 500          # remote
+//	oodbbench -transport reactor -clients 10 -txns 200           # loopback TCP, epoll reactor
 package main
 
 import (
@@ -18,13 +20,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -32,10 +35,9 @@ func main() {
 	proto := flag.String("proto", "PS-AA", "protocol for the in-process server")
 	clients := flag.Int("clients", 4, "concurrent clients")
 	txns := flag.Int("txns", 200, "transactions per client")
-	reads := flag.Int("reads", 8, "object reads per transaction")
-	writes := flag.Int("writes", 2, "object updates per transaction")
-	pages := flag.Int("pages", 256, "database pages (in-process)")
-	hot := flag.Bool("hot", false, "give each client a private hot region (HOTCOLD-like)")
+	wl := flag.String("workload", "HOTCOLD", "HOTCOLD | UNIFORM | HICON | PRIVATE | INTERLEAVED-PRIVATE")
+	locality := flag.String("locality", "low", "low (30 pages, 1-7 obj) | high (10 pages, 8-16 obj)")
+	writeProb := flag.Float64("writeprob", 0.1, "per-object write probability")
 	transport := flag.String("transport", "",
 		"serve the in-process benchmark over loopback TCP with this connection "+
 			"transport (goroutine | reactor) instead of in-memory pipes; "+
@@ -53,8 +55,12 @@ func main() {
 	recluster := flag.Bool("recluster", false, "enable online reclustering on the in-process server")
 	flag.Parse()
 
+	spec, err := workload.ParseSpec(*wl, *locality, *writeProb, *clients)
+	if err != nil {
+		fatal(err)
+	}
+
 	var connect func() (*repro.Client, error)
-	var numPages, objsPerPage int
 	var statsFn func() core.ServerStats
 	var heatFn func() *repro.Heat
 
@@ -73,7 +79,7 @@ func main() {
 		}
 		defer os.RemoveAll(dir)
 		copts := repro.ClusterOptions{ServerOptions: repro.ServerOptions{
-			Proto: p, NumPages: *pages, Metrics: reg,
+			Proto: p, NumPages: spec.DBPages, ObjsPerPage: spec.ObjsPerPage, Metrics: reg,
 			Heat: *heat, Recluster: *recluster, Transport: *transport,
 		}}
 		cluster, err := repro.NewCluster(dir, copts)
@@ -102,7 +108,6 @@ func main() {
 		}
 		statsFn = cluster.Server().Stats
 		heatFn = cluster.Server().Heat
-		numPages, objsPerPage, _ = cluster.Server().Geometry()
 		fmt.Printf("oodbbench: in-process server over %s (GOMAXPROCS=%d, NumCPU=%d)\n",
 			how, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	} else {
@@ -116,12 +121,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		numPages, objsPerPage = probe.Geometry()
+		numPages, objsPerPage := probe.Geometry()
 		probe.Close()
+		if numPages < spec.DBPages || objsPerPage < spec.ObjsPerPage {
+			fatal(fmt.Errorf("server has %d pages x %d objects; %s needs %d x %d",
+				numPages, objsPerPage, spec.Kind, spec.DBPages, spec.ObjsPerPage))
+		}
 	}
 
-	fmt.Printf("oodbbench: %d clients x %d txns (%dr+%dw objects), db=%d pages\n",
-		*clients, *txns, *reads, *writes, numPages)
+	fmt.Printf("oodbbench: %d clients x %d txns of %s (%s locality, writeprob %.2f, ~%.0f objects), db=%d pages\n",
+		*clients, *txns, spec.Kind, *locality, *writeProb, spec.AvgObjectsPerTxn(), spec.DBPages)
 
 	if *metricsEvery > 0 {
 		stop := make(chan struct{})
@@ -141,6 +150,7 @@ func main() {
 		}()
 	}
 
+	layout := spec.Layout()
 	var committed, aborted int64
 	commitLats := make([][]int64, *clients) // per-client: no shared append
 	start := time.Now()
@@ -154,37 +164,20 @@ func main() {
 		wg.Add(1)
 		go func(i int, cl *repro.Client) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(i)*7919))
-			pick := func() repro.ObjID {
-				var p int
-				if *hot && rng.Float64() < 0.8 {
-					region := numPages / (*clients)
-					p = i*region + rng.Intn(region)
-				} else {
-					p = rng.Intn(numPages)
-				}
-				return repro.Obj(repro.PageID(p), uint16(rng.Intn(objsPerPage)))
-			}
-			for n := 0; n < *txns; {
-				tx, err := cl.Begin()
-				if err != nil {
-					fatal(err)
-				}
-				err = runTxn(tx, rng, pick, *reads, *writes)
-				var commitStart time.Time
-				if err == nil {
-					commitStart = time.Now()
-					err = tx.Commit()
-				}
-				switch {
-				case err == nil:
-					n++
-					atomic.AddInt64(&committed, 1)
-					commitLats[i] = append(commitLats[i], time.Since(commitStart).Nanoseconds())
-				case errors.Is(err, repro.ErrAborted):
-					atomic.AddInt64(&aborted, 1)
-				default:
-					fatal(err)
+			gen := workload.NewGenerator(spec, layout, i+1, rand.New(rand.NewSource(*seed+int64(i)*7919)))
+			for n := 0; n < *txns; n++ {
+				refs := gen.NextTxn()
+				for {
+					commitStart, err := runTxn(cl, refs)
+					if err == nil {
+						atomic.AddInt64(&committed, 1)
+						commitLats[i] = append(commitLats[i], time.Since(commitStart).Nanoseconds())
+						break
+					}
+					if !errors.Is(err, repro.ErrAborted) {
+						fatal(err)
+					}
+					atomic.AddInt64(&aborted, 1) // a deadlock victim retries the same refs
 				}
 			}
 		}(i, cl)
@@ -213,33 +206,35 @@ func main() {
 	reg.WriteHuman(os.Stdout)
 }
 
-func runTxn(tx *repro.Txn, rng *rand.Rand, pick func() repro.ObjID, reads, writes int) error {
-	for r := 0; r < reads; r++ {
-		if _, err := tx.Read(pick()); err != nil {
-			return err
+// runTxn runs refs as one transaction — Update for a write, Read for a
+// read — and returns when its commit started.
+func runTxn(cl *repro.Client, refs []workload.Ref) (commitStart time.Time, err error) {
+	tx, err := cl.Begin()
+	if err != nil {
+		return commitStart, err
+	}
+	for _, r := range refs {
+		if r.Write {
+			err = tx.Update(r.Obj, func(old []byte) []byte { return []byte{old[0] + 1} })
+		} else {
+			_, err = tx.Read(r.Obj)
+		}
+		if err != nil {
+			return commitStart, err
 		}
 	}
-	for w := 0; w < writes; w++ {
-		if err := tx.Update(pick(), func(old []byte) []byte {
-			return []byte{old[0] + 1}
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	commitStart = time.Now()
+	return commitStart, tx.Commit()
 }
 
 // percentileNs merges the per-client latency slices and returns the p-th
 // percentile in nanoseconds (0 if nothing was recorded).
 func percentileNs(lats [][]int64, p int) int64 {
-	var all []int64
-	for _, l := range lats {
-		all = append(all, l...)
-	}
+	all := slices.Concat(lats...)
 	if len(all) == 0 {
 		return 0
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	return all[(len(all)-1)*p/100]
 }
 

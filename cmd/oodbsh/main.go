@@ -20,6 +20,7 @@ package main
 import (
 	"bufio"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -37,56 +38,39 @@ func main() {
 }
 
 func run(args []string) error {
-	var (
-		addr  string
-		dir   = "oodbsh-data"
-		proto = "PS-AA"
-		pages = 256
-	)
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-addr":
-			i++
-			addr = args[i]
-		case "-dir":
-			i++
-			dir = args[i]
-		case "-proto":
-			i++
-			proto = args[i]
-		case "-pages":
-			i++
-			n, err := strconv.Atoi(args[i])
-			if err != nil {
-				return fmt.Errorf("bad -pages: %w", err)
-			}
-			pages = n
-		case "-h", "-help", "--help":
-			fmt.Println("usage: oodbsh [-addr host:port | -dir path -proto P -pages N]")
+	fs := flag.NewFlagSet("oodbsh", flag.ContinueOnError)
+	addr := fs.String("addr", "", "TCP address of a running server (empty: embedded server)")
+	dir := fs.String("dir", "oodbsh-data", "database directory of the embedded server")
+	proto := fs.String("proto", "PS-AA", "protocol of the embedded server")
+	pages := fs.Int("pages", 256, "page count of the embedded server")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
 			return nil
-		default:
-			return fmt.Errorf("unknown flag %q", args[i])
 		}
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
 	var client *repro.Client
 	var statsFn func() core.ServerStats
 	var metrics *repro.MetricsRegistry
-	if addr != "" {
-		c, err := repro.Dial(addr)
+	if *addr != "" {
+		c, err := repro.Dial(*addr)
 		if err != nil {
 			return err
 		}
 		client = c
-		fmt.Printf("connected to %s (protocol %v)\n", addr, c.Proto())
+		fmt.Printf("connected to %s (protocol %v)\n", *addr, c.Proto())
 	} else {
-		p, ok := core.ParseProtocol(proto)
+		p, ok := core.ParseProtocol(*proto)
 		if !ok {
-			return fmt.Errorf("unknown protocol %q", proto)
+			return fmt.Errorf("unknown protocol %q", *proto)
 		}
 		metrics = repro.NewMetricsRegistry()
-		cluster, err := repro.NewCluster(dir, repro.ClusterOptions{Clients: 1, ServerOptions: repro.ServerOptions{
-			Proto: p, NumPages: pages, Metrics: metrics,
+		cluster, err := repro.NewCluster(*dir, repro.ClusterOptions{Clients: 1, ServerOptions: repro.ServerOptions{
+			Proto: p, NumPages: *pages, Metrics: metrics,
 		}})
 		if err != nil {
 			return err
@@ -96,7 +80,7 @@ func run(args []string) error {
 		statsFn = cluster.Server().Stats
 		np, opp := client.Geometry()
 		fmt.Printf("opened %s: %v, %d pages x %d objects (%d B each)\n",
-			dir, p, np, opp, client.ObjSize())
+			*dir, p, np, opp, client.ObjSize())
 	}
 	defer client.Close()
 	return repl(os.Stdin, os.Stdout, client, statsFn, metrics)

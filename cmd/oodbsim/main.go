@@ -36,26 +36,10 @@ func main() {
 	verbose := flag.Bool("v", false, "print detailed metrics")
 	flag.Parse()
 
-	loc := workload.LowLocality
-	if *locality == "high" {
-		loc = workload.HighLocality
+	spec, err := workload.ParseSpec(*wl, *locality, *writeProb, *clients)
+	if err != nil {
+		fatal(err)
 	}
-	var spec workload.Spec
-	switch *wl {
-	case "HOTCOLD":
-		spec = workload.HotColdSpec(loc, *writeProb)
-	case "UNIFORM":
-		spec = workload.UniformSpec(loc, *writeProb)
-	case "HICON":
-		spec = workload.HiConSpec(loc, *writeProb)
-	case "PRIVATE":
-		spec = workload.PrivateSpec(loc, *writeProb)
-	case "INTERLEAVED-PRIVATE":
-		spec = workload.InterleavedPrivateSpec(*writeProb)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
-	}
-	spec.NumClients = *clients
 	if *scale == 9 {
 		spec = workload.Scale(spec, 9, 3)
 	} else if *scale != 1 {
@@ -72,7 +56,7 @@ func main() {
 	}
 
 	fmt.Printf("workload=%s locality=%s writeProb=%.3f clients=%d db=%d pages seed=%d\n\n",
-		spec.Kind, loc, *writeProb, spec.NumClients, spec.DBPages, *seed)
+		spec.Kind, *locality, *writeProb, spec.NumClients, spec.DBPages, *seed)
 	fmt.Printf("%-6s %10s %8s %9s %8s %8s %9s %8s %8s %8s\n",
 		"proto", "tput(t/s)", "±90%CI", "resp(ms)", "commits", "aborts", "msgs/c", "srvCPU", "disk", "net")
 

@@ -43,13 +43,13 @@ type ServerEngine struct {
 
 	mergeObjs int64 // CopyMergeInst accumulator (commit installs)
 
-	// system marks clients whose transactions are infrastructure, not
-	// workload — the live server's reclustering migrations. Their commits
-	// and aborts are excluded from Stats (user-facing throughput must not
-	// be inflated by the system's own housekeeping), and they are the
-	// victim of any deadlock they are on; locking, callbacks, and traces
-	// are unaffected.
-	system map[ClientID]bool
+	// system is the client whose transactions are infrastructure, not
+	// workload — the live server's reclustering planner (NoClient: none).
+	// Its commits and aborts are excluded from Stats (user-facing
+	// throughput must not be inflated by the system's own housekeeping),
+	// and it is the victim of any deadlock it is on; locking, callbacks,
+	// and traces are unaffected.
+	system ClientID
 
 	Stats ServerCounters
 
@@ -199,16 +199,20 @@ func NewServerEngine(proto Protocol, layout *Layout) *ServerEngine {
 		Copies: NewCopyTab(proto.ObjectCopies()),
 		txns:   make(map[TxnID]*stxn),
 		rounds: make(map[int64]*round),
-		system: make(map[ClientID]bool),
 	}
 }
 
-// SetSystemClient marks c as a system client: its commits and aborts stop
+// SetSystemClient makes c the system client: its commits and aborts stop
 // counting in Stats, its transactions lose every deadlock they are on, and
 // its commits may carry Relocs. The host must call this before the client
 // issues requests.
 func (se *ServerEngine) SetSystemClient(c ClientID) {
-	se.system[c] = true
+	se.system = c
+}
+
+// IsSystem reports whether c is the system client.
+func (se *ServerEngine) IsSystem(c ClientID) bool {
+	return c != NoClient && c == se.system
 }
 
 // Handle processes one incoming client message and returns the outgoing
@@ -341,7 +345,7 @@ func (se *ServerEngine) Admit(m *Msg) bool {
 	case MReadReq, MWriteReq: // in turn, and no write of what it holds
 		return m.Txn != NoTxn && !waiting && (m.Kind == MReadReq || !se.locked(m.Txn, m.Obj))
 	case MCommitReq: // known, in turn, every write locked, no relocation from a user
-		ok := st != nil && !waiting && (len(m.Relocs) == 0 || se.system[m.From])
+		ok := st != nil && !waiting && (len(m.Relocs) == 0 || se.IsSystem(m.From))
 		for _, o := range m.Objs {
 			ok = ok && se.locked(m.Txn, o)
 		}

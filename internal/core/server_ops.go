@@ -517,7 +517,7 @@ func (se *ServerEngine) handleDeescReply(m *Msg) {
 // ---- Commit / abort ----
 
 func (se *ServerEngine) handleCommit(m *Msg) {
-	if !se.system[m.From] {
+	if !se.IsSystem(m.From) {
 		se.Stats.Commits.Add(1)
 	}
 	se.trace(obs.EvCommit, m.Txn, m.From, ObjID{}, int64(len(m.Objs)))
@@ -546,7 +546,7 @@ func (se *ServerEngine) handleCommit(m *Msg) {
 }
 
 func (se *ServerEngine) handleAbort(m *Msg) {
-	if !se.system[m.From] {
+	if !se.IsSystem(m.From) {
 		se.Stats.Aborts.Add(1)
 	}
 	se.trace(obs.EvAbort, m.Txn, m.From, ObjID{}, 0)
@@ -706,7 +706,7 @@ func (se *ServerEngine) Disconnect(c ClientID) []Msg {
 			se.dropRound(t.round)
 		}
 		t.aborting = true // suppress victim selection against a ghost
-		if !se.system[c] {
+		if !se.IsSystem(c) {
 			se.Stats.Aborts.Add(1)
 		}
 		se.trace(obs.EvAbort, t.id, c, ObjID{}, 1)
@@ -790,7 +790,7 @@ func (se *ServerEngine) findCycle(start, cur *stxn, path []*stxn, onPath map[Txn
 		if nt == start {
 			victim := path[0]
 			for _, s := range path[1:] {
-				if sys, vsys := se.system[s.client], se.system[victim.client]; sys != vsys {
+				if sys, vsys := se.IsSystem(s.client), se.IsSystem(victim.client); sys != vsys {
 					if sys {
 						victim = s
 					}

@@ -12,9 +12,8 @@ import (
 var cpCheckpointMid = fault.Register("checkpoint.mid")
 
 // Checkpoint makes the store cover the whole log, then empties the log.
-// It holds installMu exclusively throughout, so no commit appends or
-// installs while it runs; commits wait on installMu until it returns. In
-// order:
+// It holds the engine lock throughout, so no commit appends or installs
+// while it runs, and every request waits until it returns. In order:
 //
 //  1. Force the WAL durable through its tail (ForceTo). This is the
 //     write-ahead rule: commits fsync only in WaitDurable, AFTER
@@ -33,30 +32,26 @@ var cpCheckpointMid = fault.Register("checkpoint.mid")
 // it covers, so replay rewrites the same bytes. The truncation shrinks
 // the file in place, so no crash leaves a half-cut log.
 func (s *Server) Checkpoint() error {
-	s.mu.Lock()
-	if s.closed {
-		failed := s.failed
-		s.mu.Unlock()
-		if failed != nil {
-			return failed
-		}
-		return fmt.Errorf("live: server closed")
-	}
-	s.mu.Unlock()
-
-	s.installMu.Lock()
-	err := s.checkpointLocked()
-	s.installMu.Unlock()
-	if err != nil {
+	if err := s.checkpoint(true); err != nil {
 		return s.failStop(err)
 	}
 	s.metrics.checkpoints.Inc()
 	return nil
 }
 
-// checkpointLocked is Checkpoint's body; the caller holds installMu
-// exclusively.
-func (s *Server) checkpointLocked() error {
+// checkpoint runs Checkpoint's four steps under the engine lock. With
+// open set it refuses a closed server: Close checkpoints under this lock
+// too, once it has marked the server closed, so a checkpoint that sees it
+// open runs before Close's.
+func (s *Server) checkpoint(open bool) error {
+	held := s.lockEngine()
+	defer s.unlockEngine(held)
+	if open && s.closedFlag.Load() {
+		if failed := s.Failed(); failed != nil {
+			return failed
+		}
+		return fmt.Errorf("live: server closed")
+	}
 	if err := s.wal.ForceTo(s.wal.tail()); err != nil {
 		return err
 	}

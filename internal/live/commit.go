@@ -30,9 +30,9 @@ type engineHold struct {
 // once the lock is released: observing them is no part of the critical
 // section they measure. Together they make its width observable: hold
 // should cover only the engine step and staging (and, for a commit, the
-// WAL frame write and installs), never store flushes or fsyncs. Since a
-// hold is that short, a waiter spins on the lock for up to spinBound
-// before it parks (DESIGN §13).
+// WAL frame write and installs), never store flushes or fsyncs outside a
+// checkpoint. Since a hold is that short, a waiter spins on the lock for
+// up to spinBound before it parks (DESIGN §13).
 func (s *Server) lockEngine() engineHold {
 	t0 := time.Now()
 	if !s.spin.spin(s.engMu.TryLock) {
@@ -107,23 +107,13 @@ func (s *Server) handle(sess *session, m *core.Msg, recvAt time.Time) {
 	s.engineStep(sess, m, false)
 }
 
-// engineStep runs one message through the engine under its lock: alive
-// check, admission (unless appendAndInstall admitted it already),
-// engine dispatch, staging, callback deadlines; then, off-lock, other pipe
-// sessions' output ships and overflowed sessions are deposed (settle).
+// engineStep runs one message through the engine under its lock: the
+// guarded entry (enterEngine), engine dispatch, staging, callback
+// deadlines; then, off-lock, other pipe sessions' output ships and
+// overflowed sessions are deposed (settle).
 func (s *Server) engineStep(sess *session, m *core.Msg, admitted bool) {
-	held := s.lockEngine()
-	if s.sessionOf(sess.id) != sess {
-		// The session was detached (watchdog, overflow, close) and its
-		// engine sweep serializes on this lock: processing a straggler
-		// message now would recreate engine state nothing will ever
-		// clean up.
-		s.unlockEngine(held)
-		return
-	}
-	if !admitted && !s.admits(m) {
-		s.unlockEngine(held)
-		s.detach(sess.id)
+	held, ok := s.enterEngine(sess, m, admitted)
+	if !ok {
 		return
 	}
 
@@ -135,7 +125,7 @@ func (s *Server) engineStep(sess *session, m *core.Msg, admitted bool) {
 	// disabled reclustering costs one nil check.
 	var outs []core.Msg
 	if s.relocs != nil && (m.Kind == core.MReadReq || m.Kind == core.MWriteReq) &&
-		int64(m.From) != s.internalID.Load() {
+		!s.eng.IsSystem(m.From) {
 		if to, ok := s.relocs.view().lookup(m.Obj); ok {
 			s.metrics.reclusterRedirects.Inc()
 			outs = []core.Msg{relocated(m, to)}
@@ -164,6 +154,27 @@ func (s *Server) engineStep(sess *session, m *core.Msg, admitted bool) {
 	s.settle(after)
 }
 
+// enterEngine takes the engine lock for sess's message m. It reports
+// false, with the lock released, when the session was detached while m was
+// in flight (its disconnect sweep serializes on this lock, so processing a
+// straggler now would recreate engine state nothing will ever clean up),
+// or when the engine refuses m (unless admitted says an earlier entry took
+// it), in which case the session is closed before m reaches the engine or
+// the log.
+func (s *Server) enterEngine(sess *session, m *core.Msg, admitted bool) (engineHold, bool) {
+	held := s.lockEngine()
+	if s.sessionOf(sess.id) != sess {
+		s.unlockEngine(held)
+		return held, false
+	}
+	if !admitted && !s.admits(m) {
+		s.unlockEngine(held)
+		s.detach(sess.id)
+		return held, false
+	}
+	return held, true
+}
+
 // admits reports whether the engine takes m (core.ServerEngine.Admit) and,
 // if a user session's request or commit names an object on the spare
 // region, the relocation table has given it out, as a placement or a
@@ -171,7 +182,7 @@ func (s *Server) engineStep(sess *session, m *core.Msg, admitted bool) {
 // Under the engine lock, which every publish holds.
 func (s *Server) admits(m *core.Msg) bool {
 	ok := s.eng.Admit(m)
-	if s.relocs == nil || int64(m.From) == s.internalID.Load() || m.Kind > core.MCommitReq {
+	if s.relocs == nil || s.eng.IsSystem(m.From) || m.Kind > core.MCommitReq {
 		return ok
 	}
 	given := s.relocs.view().given
@@ -210,8 +221,8 @@ func (s *Server) admits(m *core.Msg) bool {
 //     objects on an updated page) can never commit "ahead" of us: the
 //     WAL is sequential and synced is a prefix offset, so its record
 //     durable implies ours durable.
-//   - installs happen under installMu (shared) so Checkpoint's
-//     flush-then-truncate (exclusive) cannot interleave with an
+//   - Checkpoint holds the engine lock from its log force to its
+//     truncation, so its flush-then-truncate cannot interleave with an
 //     append/install pair: a WAL record is only ever truncated after a
 //     store flush that covers its installs.
 //
@@ -255,12 +266,11 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 }
 
 // appendAndInstall makes one commit's WAL append and store installs
-// atomic with respect to the engine: under the engine lock the session's
-// liveness is checked, and the frame write + object installs happen
-// under it plus installMu (shared). ok=false means the commit was
-// dropped (session detached, or detached here because the engine must not
-// see m — nothing was logged or installed) or the server
-// crashed underneath it.
+// atomic with respect to the engine and to checkpoints: after the guarded
+// entry (enterEngine), the frame write and object installs happen under
+// the engine lock. ok=false means the commit was dropped (session
+// detached, or detached because the engine must not see m — nothing was
+// logged or installed) or the server crashed underneath it.
 //
 // A migration's commit publishes its relocations here too, and this is
 // what fences the move. The migration has held the write lock on every
@@ -274,62 +284,50 @@ func (s *Server) finishTxnMsg(sess *session, m *core.Msg, rec *walRecord, frame 
 // locks, so no user request for a moved address is granted after the move.
 func (s *Server) appendAndInstall(sess *session, m *core.Msg, rec *walRecord, frame []byte) (ticket int64, ok bool) {
 	lockStart := time.Now()
-	held := s.lockEngine()
-
-	if s.sessionOf(sess.id) != sess {
-		// Detached while the request was in flight. Drop before logging
-		// anything: the disconnect sweep has (or will have) released the
-		// transaction's locks, and a stale install racing a successor
-		// writer would reorder committed bytes.
-		s.unlockEngine(held)
+	held, ok := s.enterEngine(sess, m, false)
+	if !ok {
 		return 0, false
 	}
-	if !s.admits(m) {
-		// Close the session before the commit reaches the log.
-		s.unlockEngine(held)
-		s.detach(sess.id)
-		return 0, false
-	}
-
-	s.installMu.RLock()
 	locked := time.Now()
 	s.observeStage(obs.StageLockWait, rec.Txn, rec.Client, locked.Sub(lockStart))
-	ticket, err := s.wal.appendFrame(frame)
-	if err != nil {
-		s.installMu.RUnlock()
-		s.unlockEngine(held)
-		if fault.IsCrash(err) || errors.Is(err, errWALCrashed) {
-			s.crash(err)
-			return 0, false
-		}
-		panic(fmt.Sprintf("live: WAL append failed: %v", err))
+	ticket, after, err := s.installLocked(rec, frame, locked)
+	s.unlockEngine(held)
+	switch {
+	case err == nil:
+		s.settle(after)
+		return ticket, true
+	case fault.IsCrash(err) || errors.Is(err, errWALCrashed):
+		s.crash(err)
+	case !s.closedFlag.Load():
+		panic(fmt.Sprintf("live: commit append or install failed: %v", err))
+	}
+	// else a concurrent commit's injected crash closed the files under us;
+	// the server is already fail-stopped.
+	return 0, false
+}
+
+// installLocked is appendAndInstall's body under the engine lock: the WAL
+// frame write, the store installs, and a migration's relocations. It
+// returns the sessions the redirects it staged left for settle.
+func (s *Server) installLocked(rec *walRecord, frame []byte, locked time.Time) (ticket int64, after []*session, err error) {
+	if ticket, err = s.wal.appendFrame(frame); err != nil {
+		return 0, nil, err
 	}
 	appended := time.Now()
 	s.observeStage(obs.StageAppend, rec.Txn, rec.Client, appended.Sub(locked))
 	if len(rec.Relocs) > 0 {
 		if err := cpReclusterMidMove.Check(); err != nil {
-			s.installMu.RUnlock()
-			s.unlockEngine(held)
-			s.crash(err)
-			return 0, false
+			return 0, nil, err
 		}
 	}
 	for i, o := range rec.Objs {
 		if err := s.store.WriteObj(o, rec.Images[i]); err != nil {
-			if s.closedFlag.Load() {
-				// A concurrent commit's injected crash closed the store
-				// under us; the server is already fail-stopped.
-				s.installMu.RUnlock()
-				s.unlockEngine(held)
-				return 0, false
-			}
-			panic(fmt.Sprintf("live: commit install failed: %v", err))
+			return 0, nil, err
 		}
 	}
-	var after []*session
 	if len(rec.Relocs) > 0 {
-		// A checkpoint's relocs.db snapshot serializes on installMu, so the
-		// table never runs ahead of the log.
+		// A checkpoint's relocs.db snapshot holds the engine lock too, so
+		// the table never runs ahead of the log.
 		s.relocs.applyAll(rec.Relocs)
 		for _, r := range rec.Relocs {
 			for _, q := range s.eng.TakeQueued(r.From) {
@@ -341,10 +339,7 @@ func (s *Server) appendAndInstall(sess *session, m *core.Msg, rec *walRecord, fr
 		s.metrics.reclusterMoves.Add(int64(len(rec.Relocs)))
 	}
 	s.observeStage(obs.StageInstall, rec.Txn, rec.Client, time.Since(appended))
-	s.installMu.RUnlock()
-	s.unlockEngine(held)
-	s.settle(after)
-	return ticket, true
+	return ticket, after, nil
 }
 
 func sortedUpdateKeys(m map[core.ObjID][]byte) []core.ObjID {

@@ -137,11 +137,11 @@ func (s *Server) onEngineTrace(kind obs.EventKind, txn core.TxnID, client core.C
 		// by object. Disabled, this is one atomic load. The reclustering
 		// planner's own traffic is excluded — its migrations touching a
 		// page must not feed the very evidence that plans migrations.
-		if int64(client) != s.internalID.Load() {
+		if !s.eng.IsSystem(client) {
 			s.heat.RecordAccess(int32(client), int32(obj.Page), int32(obj.Slot), extra == 1)
 		}
 	case obs.EvBlock:
-		if int64(client) != s.internalID.Load() {
+		if !s.eng.IsSystem(client) {
 			s.heat.RecordBlock(int32(obj.Page))
 		}
 		if _, ok := s.blockStart[txn]; !ok {

@@ -95,7 +95,7 @@ func (s *Server) startRecluster() error {
 	// incarnation already moved an object into. Partially-filled open
 	// pages are abandoned (their writers are forgotten across restarts
 	// anyway); only never-used pages are handed out.
-	if top, ok := s.relocs.maxSpareSlot(core.PageID(s.userPages)); ok && top.Page >= r.cur.next {
+	if top, ok := s.relocs.view().maxSpareSlot(core.PageID(s.userPages)); ok && top.Page >= r.cur.next {
 		r.cur.next = top.Page + 1
 	}
 	s.recl = r
@@ -262,10 +262,11 @@ func (s *Server) ReclusterStatus(withEntries bool) ReclusterStatus {
 		return st
 	}
 	st.Enabled = s.recl != nil
+	view := s.relocs.view()
 	st.SparePages = int(s.relocs.spare)
-	st.Relocated = s.relocs.size()
+	st.Relocated = len(view.m)
 	if withEntries {
-		st.Entries = s.relocs.entries()
+		st.Entries = view.entries()
 	}
 	return st
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -835,5 +837,162 @@ func TestReclusterRemovesFalseSharingMessages(t *testing.T) {
 			run(2 * sharedPages * half) // the clients learn their aliases
 			expect("after reclustering", 0, 1, 0)
 		})
+	}
+}
+
+// TestReclusterRacesCheckpoint races migrations against checkpoints while
+// two clients write disjoint slots of shared pages. A checkpoint saves
+// relocs.db and truncates the log under the engine lock, the lock a
+// migration's commit publishes its relocations under, so every saved
+// table covers exactly the relocations whose records the truncation
+// retires. After a crash, every acknowledged value reads back at its
+// original address, and every acknowledged relocation is still in the
+// recovered table.
+func TestReclusterRacesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv := reclusterServer(t, dir)
+	cA := attachClient(t, srv)
+	cB := attachClient(t, srv)
+
+	const sharedPages, rounds = 4, 60
+	var mu sync.Mutex
+	want := make(map[core.ObjID][]byte)
+	writers := []struct {
+		cl    *Client
+		slots []uint16
+	}{{cA, []uint16{0, 1}}, {cB, []uint16{2, 3}}}
+	write := func(i, round int, p core.PageID) error {
+		vals := make(map[core.ObjID][]byte)
+		for _, s := range writers[i].slots {
+			vals[o(p, s)] = []byte(fmt.Sprintf("c%d-r%d-p%d-s%d", i, round, p, s))
+		}
+		if err := commitRetrying(writers[i].cl, vals); err != nil {
+			return fmt.Errorf("client %d: %w", i, err)
+		}
+		mu.Lock()
+		maps.Copy(want, vals)
+		mu.Unlock()
+		return nil
+	}
+	// One interleaved round first, so the planner's first epoch already
+	// holds false-sharing evidence on every shared page.
+	for p := core.PageID(0); p < sharedPages; p++ {
+		for i := range writers {
+			if err := write(i, 0, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	errs := make(chan error, 4) // one send at most from each writer and loop
+	var writing sync.WaitGroup
+	for i := range writers {
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for round := 1; round < rounds; round++ {
+				for p := core.PageID(0); p < sharedPages; p++ {
+					if err := write(i, round, p); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	stop := make(chan struct{})
+	var loops sync.WaitGroup
+	var moved, checkpoints int
+	loops.Add(2)
+	go func() {
+		defer loops.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// An epoch long enough for both writers to leave evidence.
+			time.Sleep(2 * time.Millisecond)
+			srv.heat.Rotate()
+			n, err := srv.ReclusterNow()
+			if err != nil {
+				errs <- fmt.Errorf("ReclusterNow: %w", err)
+				return
+			}
+			moved += n
+		}
+	}()
+	go func() {
+		defer loops.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := srv.Checkpoint(); err != nil {
+				errs <- fmt.Errorf("Checkpoint: %w", err)
+				return
+			}
+			checkpoints++
+		}
+	}()
+	writing.Wait()
+	close(stop)
+	loops.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("moved %d objects over %d checkpoints", moved, checkpoints)
+	if moved == 0 || checkpoints == 0 {
+		t.Fatal("the race needs both migrations and checkpoints")
+	}
+	acked := srv.ReclusterStatus(true).Entries
+	cA.Close()
+	cB.Close()
+	srv.Crash()
+
+	srv2 := reclusterServer(t, dir)
+	defer srv2.Close()
+	table := make(map[core.ObjID]core.ObjID)
+	for _, e := range srv2.ReclusterStatus(true).Entries {
+		table[e.From] = e.To
+	}
+	for _, e := range acked {
+		if to, ok := table[e.From]; !ok || to != e.To {
+			t.Errorf("relocation %v -> %v lost in recovery (table has %v, %v)", e.From, e.To, to, ok)
+		}
+	}
+	fresh := attachClient(t, srv2)
+	defer fresh.Close()
+	for obj, val := range want {
+		if got := readOne(t, fresh, obj); !bytes.HasPrefix(got, val) {
+			t.Fatalf("object %v = %q after recovery, want %q", obj, got[:len(val)], val)
+		}
+	}
+}
+
+// commitRetrying writes vals in one transaction, retrying the same writes
+// after a deadlock abort.
+func commitRetrying(cl *Client, vals map[core.ObjID][]byte) error {
+	for {
+		tx, err := cl.Begin()
+		if err != nil {
+			return err
+		}
+		for obj, val := range vals {
+			if err = tx.Write(obj, val); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = tx.Commit()
+		}
+		if !errors.Is(err, ErrAborted) {
+			return err
+		}
 	}
 }

@@ -399,10 +399,12 @@ func TestCrashDuringRecovery(t *testing.T) {
 	}
 }
 
-// TestCheckpointConcurrentCommits checkpoints while committers are
-// running full tilt: commits wait on installMu while a checkpoint runs,
-// and none may fail or lose an acked write; once the writers drain, a
-// final checkpoint must leave the log empty.
+// TestCheckpointConcurrentCommits checkpoints while committers and a
+// reader are running full tilt: every request waits on the engine lock
+// while a checkpoint holds it, no commit may fail or lose an acked write,
+// and every read returns a value some commit had acknowledged (or the
+// initial zero); once the writers drain, a final checkpoint must leave the
+// log empty.
 func TestCheckpointConcurrentCommits(t *testing.T) {
 	const (
 		nClients       = 3
@@ -454,6 +456,41 @@ func TestCheckpointConcurrentCommits(t *testing.T) {
 			}
 		}(c)
 	}
+	// The reader scans the writers' objects until they drain, and keeps
+	// what it read for checking against the acked values then.
+	reader := attachClient(t, srv)
+	type readVal struct {
+		obj core.ObjID
+		val []byte
+	}
+	var reads []readVal
+	var readErr error
+	readerDone := make(chan struct{})
+	stopReader := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for i := 0; ; i++ {
+			obj := o(core.PageID(i%(nClients*pagesPerClient)), uint16(i/(nClients*pagesPerClient)%objsPP))
+			tx, err := reader.Begin()
+			if err == nil {
+				var got []byte
+				if got, err = tx.Read(obj); err == nil {
+					reads = append(reads, readVal{obj, bytes.Clone(got[:4])})
+					err = tx.Commit()
+				}
+			}
+			if err != nil {
+				readErr = err
+				return
+			}
+			select {
+			case <-stopReader:
+				return
+			default:
+			}
+		}
+	}()
+
 	// Checkpoint repeatedly while the committers run; it must never fail.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -470,9 +507,30 @@ func TestCheckpointConcurrentCommits(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	close(stopReader)
+	<-readerDone
 	for c, err := range errs {
 		if err != nil {
 			t.Fatalf("client %d: %v", c, err)
+		}
+	}
+	if readErr != nil {
+		t.Fatalf("reader: %v", readErr)
+	}
+	ackedVals := make(map[core.ObjID][][]byte)
+	for c := 0; c < nClients; c++ {
+		for j := 0; j < commitsPerClnt; j++ {
+			obj := o(core.PageID(c*pagesPerClient+j%pagesPerClient), uint16(j%objsPP))
+			ackedVals[obj] = append(ackedVals[obj], seqVal(uint32(c*commitsPerClnt+j)))
+		}
+	}
+	for _, r := range reads {
+		ok := bytes.Equal(r.val, make([]byte, 4))
+		for _, v := range ackedVals[r.obj] {
+			ok = ok || bytes.Equal(r.val, v)
+		}
+		if !ok {
+			t.Fatalf("reader saw %x at %v, which no commit acknowledged", r.val, r.obj)
 		}
 	}
 
@@ -488,6 +546,7 @@ func TestCheckpointConcurrentCommits(t *testing.T) {
 	for _, cl := range clients {
 		cl.Close()
 	}
+	reader.Close()
 	srv.Crash()
 	srv2, err := openServer(dir, ServerOptions{Proto: core.PSAA, SyncWAL: true})
 	if err != nil {

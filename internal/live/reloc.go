@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -47,32 +47,24 @@ type relocView struct {
 
 // relocTable maps retired object addresses to their current placement,
 // with chain compression: every stored mapping is terminal (from ->
-// final), so lookups never walk. Writers hold mu; the request hot path
-// reads the published snapshot instead.
+// final), so lookups never walk. The table is its published view: writers
+// (a migration's commit, under the engine lock, and replay, before the
+// server serves) build the next view and publish it; every reader, on the
+// lock or off it, loads the current one.
 type relocTable struct {
-	mu    sync.Mutex
-	m     map[core.ObjID]core.ObjID
 	spare int32 // spare (non-user-addressable) pages in the store
 
 	snap atomic.Pointer[relocView]
 }
 
-func newRelocTable(spare int32) *relocTable {
-	t := &relocTable{m: make(map[core.ObjID]core.ObjID), spare: spare}
-	t.publish()
-	return t
-}
-
-// publish installs a fresh copy-on-write snapshot of the table. Callers
-// batch applies and publish once per commit install.
-func (t *relocTable) publish() {
+// publish installs m, which no one may write after, as the table's view.
+func (t *relocTable) publish(m map[core.ObjID]core.ObjID) {
 	v := &relocView{
-		m:       make(map[core.ObjID]core.ObjID, len(t.m)),
+		m:       m,
 		retired: make(map[core.PageID][]uint16),
-		given:   make(map[core.ObjID]bool, 2*len(t.m)),
+		given:   make(map[core.ObjID]bool, 2*len(m)),
 	}
-	for k, to := range t.m {
-		v.m[k] = to
+	for k, to := range m {
 		v.retired[k.Page] = append(v.retired[k.Page], k.Slot)
 		v.given[k], v.given[to] = true, true
 	}
@@ -111,57 +103,46 @@ func relocated(m *core.Msg, to core.ObjID) core.Msg {
 		Obj: m.Obj, Objs: []core.ObjID{to}}
 }
 
-// apply records from -> to under mu WITHOUT publishing (the caller
-// publishes after its batch, while still holding whatever makes the batch
-// atomic to readers). Chains compress eagerly: if to is itself relocated
-// the terminal address is stored, and every mapping ending at from is
-// rewritten to to — so the invariant "stored mappings are terminal" holds
-// and apply order only matters between entries that chain.
-func (t *relocTable) apply(from, to core.ObjID) {
-	if final, ok := t.m[to]; ok {
+// apply records from -> to in m. Chains compress eagerly: if to is itself
+// relocated the terminal address is stored, and every mapping ending at
+// from is rewritten to to — so the invariant "stored mappings are
+// terminal" holds and apply order only matters between entries that chain.
+func apply(m map[core.ObjID]core.ObjID, from, to core.ObjID) {
+	if final, ok := m[to]; ok {
 		to = final
 	}
 	if from == to {
-		delete(t.m, from)
+		delete(m, from)
 		return
 	}
-	t.m[from] = to
-	for k, v := range t.m {
+	m[from] = to
+	for k, v := range m {
 		if v == from {
-			t.m[k] = to
+			m[k] = to
 		}
 	}
 }
 
-// applyAll batches apply + publish under mu (recovery and tests; the
-// commit path holds mu across apply and publish itself for install-order
-// control).
+// applyAll applies relocs to a copy of the current view and publishes it,
+// so readers see the whole batch or none of it. Its callers are ordered:
+// a migration's commit holds the engine lock, and replay runs before the
+// server serves.
 func (t *relocTable) applyAll(relocs []core.RelocEntry) {
 	if len(relocs) == 0 {
 		return
 	}
-	t.mu.Lock()
+	m := maps.Clone(t.view().m)
 	for _, r := range relocs {
-		t.apply(r.From, r.To)
+		apply(m, r.From, r.To)
 	}
-	t.publish()
-	t.mu.Unlock()
+	t.publish(m)
 }
 
-// len returns the number of live relocations.
-func (t *relocTable) size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-// entries returns a copy of the table (admin view / persistence).
-func (t *relocTable) entries() []core.RelocEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]core.RelocEntry, 0, len(t.m))
-	for k, v := range t.m {
-		out = append(out, core.RelocEntry{From: k, To: v})
+// entries returns a copy of the view's table (admin view).
+func (v *relocView) entries() []core.RelocEntry {
+	out := make([]core.RelocEntry, 0, len(v.m))
+	for k, to := range v.m {
+		out = append(out, core.RelocEntry{From: k, To: to})
 	}
 	return out
 }
@@ -169,18 +150,12 @@ func (t *relocTable) entries() []core.RelocEntry {
 // maxSpareSlot returns the highest destination (page, slot) at or above
 // userPages, or (0, false) if none — the restart cursor for the spare
 // allocator.
-func (t *relocTable) maxSpareSlot(userPages core.PageID) (core.ObjID, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (v *relocView) maxSpareSlot(userPages core.PageID) (core.ObjID, bool) {
 	var best core.ObjID
 	found := false
-	for _, v := range t.m {
-		if v.Page < userPages {
-			continue
-		}
-		if !found || v.Page > best.Page || (v.Page == best.Page && v.Slot > best.Slot) {
-			best = v
-			found = true
+	for _, to := range v.m {
+		if to.Page >= userPages && (!found || to.Page > best.Page || (to.Page == best.Page && to.Slot > best.Slot)) {
+			best, found = to, true
 		}
 	}
 	return best, found
@@ -188,17 +163,17 @@ func (t *relocTable) maxSpareSlot(userPages core.PageID) (core.ObjID, bool) {
 
 // encode serializes the table (CRC-framed) for save.
 func (t *relocTable) encode() []byte {
-	t.mu.Lock()
-	buf := make([]byte, 0, 20+12*len(t.m))
+	m := t.view().m
+	buf := make([]byte, 0, 20+12*len(m))
 	buf = binary.LittleEndian.AppendUint32(buf, relocMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, relocVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.spare))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.m)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m)))
 	// Entries are sorted by source address so identical tables encode to
 	// identical bytes — TestReclusterDeterministic diffs relocs.db
 	// directly, and deterministic output costs nothing at this size.
-	keys := make([]core.ObjID, 0, len(t.m))
-	for k := range t.m {
+	keys := make([]core.ObjID, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -208,13 +183,12 @@ func (t *relocTable) encode() []byte {
 		return keys[i].Slot < keys[j].Slot
 	})
 	for _, k := range keys {
-		v := t.m[k]
+		v := m[k]
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(k.Page))
 		buf = binary.LittleEndian.AppendUint16(buf, k.Slot)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Page))
 		buf = binary.LittleEndian.AppendUint16(buf, v.Slot)
 	}
-	t.mu.Unlock()
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
@@ -259,7 +233,7 @@ func loadRelocTable(dir string) (*relocTable, error) {
 	if int(count)*12 != len(body)-16 {
 		return nil, fmt.Errorf("live: %s: entry count %d does not match size", relocFile, count)
 	}
-	t := newRelocTable(spare)
+	m := make(map[core.ObjID]core.ObjID, count)
 	off := 16
 	for i := uint32(0); i < count; i++ {
 		from := core.ObjID{
@@ -270,9 +244,10 @@ func loadRelocTable(dir string) (*relocTable, error) {
 			Page: core.PageID(binary.LittleEndian.Uint32(body[off+6:])),
 			Slot: binary.LittleEndian.Uint16(body[off+10:]),
 		}
-		t.m[from] = to
+		m[from] = to
 		off += 12
 	}
-	t.publish()
+	t := &relocTable{spare: spare}
+	t.publish(m)
 	return t, nil
 }

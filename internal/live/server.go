@@ -29,10 +29,12 @@ type Server struct {
 	spans    *obs.Spans
 	flight   *obs.FlightRecorder // nil unless BlackboxDir is set
 
-	// engMu is the engine lock. It guards eng, blockStart and every
-	// engine step's staging (DESIGN.md §13); lockEngine and unlockEngine
-	// take and release it, measuring both sides. A waiter spins on it
-	// briefly before it parks (spin).
+	// engMu is the engine lock. It guards eng, blockStart, every engine
+	// step's staging, each commit's WAL append and store installs, the
+	// relocation table's writes and every checkpoint (DESIGN.md §13);
+	// lockEngine and unlockEngine take and release it, measuring both
+	// sides. A waiter spins on it briefly before it parks (spin). Lock
+	// order: engMu -> s.mu.
 	engMu sync.Mutex
 	eng   *core.ServerEngine
 	spin  spinWait
@@ -44,23 +46,12 @@ type Server struct {
 	// Online-reclustering state. relocs is the authoritative redirect
 	// table (nil when the store has no spare region and no relocations —
 	// reclustering inert); userPages is the client-visible page count
-	// (physical minus the spare region); internalID is the planner's
-	// session (0: none), exempt from the front door and excluded from heat
-	// and user stats.
-	relocs     *relocTable
-	userPages  int
-	internalID atomic.Int64
-	recl       *recluster // background planner; nil unless opts.Recluster
-
-	// installMu orders commit installs against checkpoints without
-	// holding the engine lock across a store flush: a commit holds it
-	// shared around its WAL append + store installs; Checkpoint (and
-	// Close) hold it exclusive from the WAL force to the truncation,
-	// which also serializes checkpoints. So a WAL record is only ever
-	// truncated after a store flush that covers its installs, and a
-	// flush/truncate pair never splits an append/install pair.
-	// Lock order: engMu -> installMu -> s.mu.
-	installMu sync.RWMutex
+	// (physical minus the spare region). The planner's session is the
+	// engine's system client (core.ServerEngine.IsSystem), exempt from the
+	// front door and excluded from heat and user stats.
+	relocs    *relocTable
+	userPages int
+	recl      *recluster // background planner; nil unless opts.Recluster
 
 	// recovery is what the opening replay did (see RecoveryStats).
 	recovery RecoveryStats
@@ -147,7 +138,8 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		spare := min(max(opts.NumPages/8, 4), 256)
 		store, err = CreateStore(dataPath, opts.PageSize, opts.ObjsPerPage, opts.NumPages+spare)
 		if err == nil {
-			relocs = newRelocTable(int32(spare))
+			relocs = &relocTable{spare: int32(spare)}
+			relocs.publish(make(map[core.ObjID]core.ObjID))
 			if err = relocs.save(dir); err != nil {
 				store.Close()
 			}
@@ -188,7 +180,7 @@ func OpenServer(dir string, opts ServerOptions) (*Server, error) {
 		store.closeRaw()
 		return nil, fmt.Errorf("live: recovery failed: %w", err)
 	}
-	if relocs != nil && relocs.size() > 0 {
+	if relocs != nil && len(relocs.view().m) > 0 {
 		if err := relocs.save(dir); err != nil {
 			store.Close()
 			wal.Close()
@@ -614,9 +606,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 
-	s.installMu.Lock()
-	err := s.checkpointLocked()
-	s.installMu.Unlock()
+	err := s.checkpoint(false) // after any Checkpoint call in flight, which join does not wait for
 	if fault.IsCrash(err) {
 		s.mu.Lock()
 		s.failed = err

@@ -365,7 +365,6 @@ func (s *Server) attach(sess *session, internal bool) (core.ClientID, error) {
 		held := s.lockEngine()
 		s.eng.SetSystemClient(id)
 		s.unlockEngine(held)
-		s.internalID.Store(int64(id))
 	}
 
 	// Handshake: tell the client its id, the geometry, and the protocol.

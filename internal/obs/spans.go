@@ -9,9 +9,10 @@ import (
 
 // CommitStage names one stage of the live commit path. The stages tile a
 // commit's server-side life: queue (receive to commit processing), WAL
-// encode (off-lock), lock wait (the engine lock + installMu), WAL append,
-// install (payload copies into the store), fsync wait (group-commit
-// durability), and ack (post-durability engine finish).
+// encode (off-lock), lock wait (the engine lock, which a checkpoint holds
+// from its log force to its truncation), WAL append, install (payload
+// copies into the store), fsync wait (group-commit durability), and ack
+// (post-durability engine finish).
 type CommitStage uint8
 
 const (

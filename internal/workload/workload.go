@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -58,20 +59,27 @@ type Spec struct {
 
 // Validate panics on inconsistent specs (fail fast at experiment setup).
 func (s *Spec) Validate() {
+	if err := s.Check(); err != nil {
+		panic(err)
+	}
+}
+
+// Check reports why the spec is inconsistent, or nil.
+func (s *Spec) Check() error {
 	switch {
 	case s.DBPages <= 0 || s.ObjsPerPage <= 0 || s.NumClients <= 0:
-		panic("workload: sizes must be positive")
+		return errors.New("workload: sizes must be positive")
 	case s.TransPages <= 0 || s.LocMin <= 0 || s.LocMax < s.LocMin || s.LocMax > s.ObjsPerPage:
-		panic("workload: bad transaction shape")
+		return errors.New("workload: bad transaction shape")
 	case s.Kind != Uniform && s.HotPages <= 0:
-		panic("workload: hot region required")
+		return errors.New("workload: hot region required")
 	case (s.Kind == HotCold || s.Kind == HiCon) && s.HotPages >= s.DBPages:
-		panic("workload: hot region exceeds database")
+		return errors.New("workload: hot region exceeds database")
 	}
 	if s.Kind == HotCold || s.Kind == Private || s.Kind == InterleavedPrivate {
 		if s.HotPages*s.NumClients > s.DBPages {
-			panic(fmt.Sprintf("workload: %d clients x %d hot pages exceed %d DB pages",
-				s.NumClients, s.HotPages, s.DBPages))
+			return fmt.Errorf("workload: %d clients x %d hot pages exceed %d DB pages",
+				s.NumClients, s.HotPages, s.DBPages)
 		}
 	}
 	if s.Kind == Private || s.Kind == InterleavedPrivate {
@@ -79,9 +87,10 @@ func (s *Spec) Validate() {
 			// The paper's footnote: 30-page transactions are incompatible
 			// with 25-page PRIVATE hot regions (pages are drawn without
 			// replacement).
-			panic("workload: transaction larger than PRIVATE hot region")
+			return errors.New("workload: transaction larger than PRIVATE hot region")
 		}
 	}
+	return nil
 }
 
 // AvgObjectsPerTxn returns the expected transaction length in objects.
@@ -336,6 +345,28 @@ func InterleavedPrivateSpec(writeProb float64) Spec {
 	s := PrivateSpec(HighLocality, writeProb)
 	s.Kind = InterleavedPrivate
 	return s
+}
+
+// ParseSpec returns the preset named by a Kind's String (HOTCOLD, UNIFORM,
+// HICON, PRIVATE, INTERLEAVED-PRIVATE) at locality "low" or "high" (the
+// Interleaved PRIVATE preset has its own), per-object write probability
+// writeProb and the given number of clients, or why that spec does not
+// fit (Check).
+func ParseSpec(kind, locality string, writeProb float64, clients int) (Spec, error) {
+	loc, ok := map[string]Locality{"low": LowLocality, "high": HighLocality}[locality]
+	if !ok {
+		return Spec{}, fmt.Errorf("workload: unknown locality %q (want low or high)", locality)
+	}
+	preset, ok := map[string]func(Locality, float64) Spec{
+		"HOTCOLD": HotColdSpec, "UNIFORM": UniformSpec, "HICON": HiConSpec, "PRIVATE": PrivateSpec,
+		"INTERLEAVED-PRIVATE": func(_ Locality, wp float64) Spec { return InterleavedPrivateSpec(wp) },
+	}[kind]
+	if !ok {
+		return Spec{}, fmt.Errorf("workload: unknown workload %q", kind)
+	}
+	s := preset(loc, writeProb)
+	s.NumClients = clients
+	return s, s.Check()
 }
 
 // Scale multiplies the database and hot-region sizes by dbFactor and the

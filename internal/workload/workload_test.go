@@ -312,3 +312,23 @@ func TestDeterministicGeneration(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSpec(t *testing.T) {
+	for k, name := range kindNames {
+		s, err := ParseSpec(name, "high", 0.2, DefaultNumClients)
+		if err != nil || s.Kind != Kind(k) || s.WriteProbHot != 0.2 {
+			t.Fatalf("ParseSpec(%q) = kind %v, writeprob %v, %v", name, s.Kind, s.WriteProbHot, err)
+		}
+	}
+	if s, _ := ParseSpec("HOTCOLD", "low", 0.1, 1); s.TransPages != 30 || s.NumClients != 1 {
+		t.Fatalf("low locality: %d pages per txn, want 30", s.TransPages)
+	}
+	for _, bad := range []struct {
+		kind, locality string
+		clients        int
+	}{{"HOTCLOD", "low", 1}, {"HOTCOLD", "mid", 1}, {"HOTCOLD", "low", 30}} {
+		if _, err := ParseSpec(bad.kind, bad.locality, 0.1, bad.clients); err == nil {
+			t.Errorf("ParseSpec(%q, %q, %d clients) = nil error", bad.kind, bad.locality, bad.clients)
+		}
+	}
+}
