@@ -8,7 +8,7 @@
 //
 // fails if any benchmark's allocs/op exceeds its baseline by more than
 // -max-regress percent; a baseline of 0 fails on any allocation. The
-// baseline is the latest run in the benchjson file that recorded the
+// baseline is the latest run in the baseline file that recorded the
 // benchmark at this process's GOMAXPROCS (how often a sync.Pool misses,
 // and so allocs/op, depends on the P count); benchmarks with no baseline
 // are reported and skipped.
@@ -23,7 +23,7 @@
 // in the same CI job, so the ratio is noise-resistant in a way absolute
 // numbers are not.
 //
-// -record FILE appends stdin's parsed measurements to a benchjson file
+// -record FILE appends stdin's parsed measurements to a baseline file
 // (stamped with this process's GOMAXPROCS/NumCPU and -note) once the check
 // passes; that is how a new baseline enters BENCH_figures.json.
 package main
@@ -37,8 +37,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-
-	"repro/internal/benchjson"
 )
 
 // measurement is one parsed benchmark result line.
@@ -58,7 +56,7 @@ func main() {
 	minScale := flag.Float64("min-scale", 0,
 		"with -scale-base: fail if current txn/s / base txn/s < this for any shared benchmark")
 	record := flag.String("record", "",
-		"append stdin's parsed measurements to this benchjson file after the checks pass")
+		"append stdin's parsed measurements to this baseline file after the checks pass")
 	note := flag.String("note", "", "label recorded with -record (what changed)")
 	flag.Parse()
 
@@ -86,7 +84,7 @@ func main() {
 			fatal(fmt.Errorf("%w in %s", err, *scaleBase))
 		}
 	} else {
-		runs, err := benchjson.Load(*baselinePath)
+		runs, err := loadRuns(*baselinePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -108,7 +106,7 @@ func main() {
 // checkBaseline compares current's allocs/op against the latest run
 // recorded at procs GOMAXPROCS that holds each benchmark; returns true on
 // regression.
-func checkBaseline(w io.Writer, runs []benchjson.Run, current map[string]measurement, maxRegress float64, procs int) (bool, error) {
+func checkBaseline(w io.Writer, runs []recordedRun, current map[string]measurement, maxRegress float64, procs int) (bool, error) {
 	// Later runs overwrite earlier ones. Runs recorded before the
 	// gomaxprocs field existed (0) match any P count.
 	baseAllocs := map[string]float64{}
@@ -181,20 +179,20 @@ func checkScaling(w io.Writer, base, current map[string]measurement, minScale fl
 	return failed, nil
 }
 
-// recordRuns appends the parsed measurements as one benchjson run.
+// recordRuns appends the parsed measurements as one run.
 func recordRuns(path string, current map[string]measurement, note string) error {
-	run := benchjson.NewRun()
+	run := newRun()
 	run.Note = note
-	run.Benchmarks = make(map[string]benchjson.Benchmark, len(current))
+	run.Benchmarks = make(map[string]benchmark, len(current))
 	for name, m := range current {
-		b := benchjson.Benchmark{NsPerOp: m.nsPerOp}
+		b := benchmark{NsPerOp: m.nsPerOp}
 		if m.allocs >= 0 {
 			b.AllocsPerOp = m.allocs
 			b.BytesPerOp = m.bytesOp
 		}
 		run.Benchmarks[name] = b
 	}
-	if err := benchjson.Append(path, run); err != nil {
+	if err := appendRun(path, run); err != nil {
 		return err
 	}
 	fmt.Printf("benchguard: recorded %d benchmarks to %s (gomaxprocs=%d)\n",

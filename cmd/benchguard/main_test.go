@@ -1,10 +1,10 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/benchjson"
 )
 
 const benchOutput = `goos: linux
@@ -52,16 +52,16 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
-func run(procs int, allocs map[string]float64) benchjson.Run {
-	r := benchjson.Run{GOMAXPROCS: procs, Benchmarks: map[string]benchjson.Benchmark{}}
+func run(procs int, allocs map[string]float64) recordedRun {
+	r := recordedRun{GOMAXPROCS: procs, Benchmarks: map[string]benchmark{}}
 	for name, a := range allocs {
-		r.Benchmarks[name] = benchjson.Benchmark{AllocsPerOp: a}
+		r.Benchmarks[name] = benchmark{AllocsPerOp: a}
 	}
 	return r
 }
 
 func TestCheckBaseline(t *testing.T) {
-	runs := []benchjson.Run{
+	runs := []recordedRun{
 		run(1, map[string]float64{"BenchmarkA": 50, "BenchmarkB": 100, "BenchmarkZero": 0}),
 		run(4, map[string]float64{"BenchmarkA": 1}),   // another P count: ignored
 		run(1, map[string]float64{"BenchmarkA": 100}), // latest wins
@@ -115,5 +115,42 @@ func TestCheckScaling(t *testing.T) {
 	}
 	if _, err := checkScaling(&strings.Builder{}, base, map[string]measurement{"BenchmarkD": {opsPerSec: 1}}, 1.8); err == nil {
 		t.Error("no shared benchmark, yet no error")
+	}
+}
+
+// TestAppendLoad: runs come back in the order they were appended, with
+// their metadata and measurements, and a run recorded with fields this
+// command no longer writes (the harness timings of older runs) still loads.
+func TestAppendLoad(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if runs, err := loadRuns(path); err != nil || runs != nil {
+		t.Fatalf("missing file: runs=%v err=%v", runs, err)
+	}
+
+	old := `{"runs": [{"timestamp": "2026-08-06T00:00:00Z", "gomaxprocs": 1, "jobs": 1, "quick": true,
+	  "cells": 664, "wall_seconds": 120, "sweeps": [{"id": "fig3", "cells": 40}],
+	  "benchmarks": {"BenchmarkFig03HotColdLowLocality": {"ns_per_op": 2.1e9, "allocs_per_op": 399165}}}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	next := newRun()
+	next.Note = "next"
+	next.Benchmarks = map[string]benchmark{"BenchmarkHeat": {NsPerOp: 12}}
+	if err := appendRun(path, next); err != nil {
+		t.Fatal(err)
+	}
+
+	runs, err := loadRuns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 || runs[1].Note != "next" {
+		t.Fatalf("runs = %+v, want the old run then the appended one", runs)
+	}
+	if b := runs[0].Benchmarks["BenchmarkFig03HotColdLowLocality"]; b.AllocsPerOp != 399165 || runs[0].GOMAXPROCS != 1 {
+		t.Fatalf("old run read as %+v", runs[0])
+	}
+	if runs[1].GoVersion == "" || runs[1].Timestamp == "" || runs[1].NumCPU < 1 || runs[1].Benchmarks["BenchmarkHeat"].NsPerOp != 12 {
+		t.Fatalf("appended run read as %+v", runs[1])
 	}
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	figures [-out figures] [-only fig3,fig9] [-quick] [-seed N] [-clients]
-//	        [-jobs N] [-benchjson BENCH_figures.json]
+//	        [-jobs N]
 //
 // Full mode uses the recorded experiment durations (30s warmup + 120s
 // measured virtual time per run); -quick cuts both for a fast smoke pass.
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/experiments"
 )
 
@@ -37,7 +36,6 @@ func main() {
 	clients := flag.Bool("clients", false, "also run the client-scaling experiment")
 	detail := flag.Bool("detail", true, "write per-run detail files")
 	jobs := flag.Int("jobs", 0, "simulation worker count (0 = GOMAXPROCS)")
-	benchPath := flag.String("benchjson", "", "append wall-clock/speedup record to this JSON file")
 	flag.Parse()
 
 	opts := experiments.DefaultOpts()
@@ -124,12 +122,6 @@ func main() {
 		report.Cells, report.Jobs, report.Wall.Round(time.Second),
 		cellsPerSec(report.Cells, report.Wall), *outDir)
 
-	if *benchPath != "" {
-		if err := recordBench(*benchPath, report, *quick, *seed, *only); err != nil {
-			fatal(err)
-		}
-	}
-
 	// Table 1 / Table 2 are parameter tables; emit them for completeness.
 	if want("tab1") || len(selected) == 0 {
 		write(*outDir, "tab1.txt", table1())
@@ -178,36 +170,6 @@ func cellsPerSec(cells int, wall time.Duration) float64 {
 		return 0
 	}
 	return float64(cells) / wall.Seconds()
-}
-
-// recordBench appends this run to the perf-trajectory file, computing
-// speedup against the most recent recorded -jobs 1 run of the same mode.
-func recordBench(path string, report *experiments.Report, quick bool, seed int64, only string) error {
-	run := benchjson.NewRun()
-	run.Jobs = report.Jobs
-	run.Quick = quick
-	run.Seed = seed
-	run.Only = only
-	run.Cells = report.Cells
-	run.WallSeconds = report.Wall.Seconds()
-	run.CellsPerSec = cellsPerSec(report.Cells, report.Wall)
-	for _, t := range report.Timings {
-		run.Sweeps = append(run.Sweeps, benchjson.SweepBench{
-			ID:          t.ID,
-			Cells:       t.Cells,
-			WallSeconds: t.Wall.Seconds(),
-			CellsPerSec: cellsPerSec(t.Cells, t.Wall),
-		})
-	}
-	history, err := benchjson.Load(path)
-	if err != nil {
-		return err
-	}
-	if base := benchjson.Baseline(history, quick, seed, only); base != nil && run.WallSeconds > 0 {
-		run.SpeedupVsJobs1 = base.WallSeconds / run.WallSeconds
-		fmt.Fprintf(os.Stderr, "speedup vs recorded -jobs 1 run: %.2fx\n", run.SpeedupVsJobs1)
-	}
-	return benchjson.Append(path, run)
 }
 
 func table1() string {

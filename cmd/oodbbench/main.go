@@ -1,141 +1,100 @@
-// Command oodbbench drives a live server (local in-process by default, or
-// a remote TCP server with -addr) with one of the paper's workloads
-// (internal/workload's presets, named as in oodbsim) from several clients
-// and reports end-to-end transaction throughput — the live-system
-// analogue of the simulation study.
+// Command oodbbench drives a remote live server (started with oodbserver)
+// with one of the paper's workloads (internal/workload's presets, named as
+// in oodbsim) from several TCP clients and reports end-to-end transaction
+// throughput — the live-system analogue of the simulation study. The
+// server chooses protocol, transport, heat telemetry and reclustering
+// (oodbserver -proto, -transport, -heat, -recluster).
 //
 // Examples:
 //
-//	oodbbench -proto PS-AA -clients 8 -txns 500                  # HOTCOLD, in-process
-//	oodbbench -workload UNIFORM -locality high -writeprob 0.2    # another preset
-//	oodbbench -clients 8 -txns 500 -heat                         # + heat summary
-//	oodbbench -addr 127.0.0.1:7090 -clients 8 -txns 500          # remote
-//	oodbbench -transport reactor -clients 10 -txns 200           # loopback TCP, epoll reactor
+//	oodbbench -addr 127.0.0.1:7090 -clients 8 -txns 500                 # HOTCOLD
+//	oodbbench -addr 127.0.0.1:7090 -workload UNIFORM -locality high -writeprob 0.2
+//	oodbbench -addr 127.0.0.1:7090 -reconnect -request-timeout 2s       # survives restarts
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
 func main() {
-	addr := flag.String("addr", "", "TCP server address (empty: run in-process)")
-	proto := flag.String("proto", "PS-AA", "protocol for the in-process server")
-	clients := flag.Int("clients", 4, "concurrent clients")
-	txns := flag.Int("txns", 200, "transactions per client")
-	wl := flag.String("workload", "HOTCOLD", "HOTCOLD | UNIFORM | HICON | PRIVATE | INTERLEAVED-PRIVATE")
-	locality := flag.String("locality", "low", "low (30 pages, 1-7 obj) | high (10 pages, 8-16 obj)")
-	writeProb := flag.Float64("writeprob", 0.1, "per-object write probability")
-	transport := flag.String("transport", "",
-		"serve the in-process benchmark over loopback TCP with this connection "+
-			"transport (goroutine | reactor) instead of in-memory pipes; "+
-			"ignored with -addr (the remote server chose its own)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	rto := flag.Duration("request-timeout", 0,
-		"per-request deadline for remote clients (0 = wait forever)")
-	reconnect := flag.Bool("reconnect", false,
-		"redial remote servers with backoff after transport failures")
-	heat := flag.Bool("heat", false,
-		"collect heat telemetry on the in-process server and print the final "+
-			"top-K hot/contended page summary")
-	metricsEvery := flag.Duration("metrics-every", 0,
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "oodbbench:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("oodbbench", flag.ContinueOnError)
+	addr := fs.String("addr", "", "TCP address of the server to drive (required)")
+	clients := fs.Int("clients", 4, "concurrent clients")
+	txns := fs.Int("txns", 200, "transactions per client")
+	wl := fs.String("workload", "HOTCOLD", "HOTCOLD | UNIFORM | HICON | PRIVATE | INTERLEAVED-PRIVATE")
+	locality := fs.String("locality", "low", "low (30 pages, 1-7 obj) | high (10 pages, 8-16 obj)")
+	writeProb := fs.Float64("writeprob", 0.1, "per-object write probability")
+	seed := fs.Int64("seed", 1, "workload seed")
+	rto := fs.Duration("request-timeout", 0, "per-request deadline (0 = wait forever)")
+	reconnect := fs.Bool("reconnect", false,
+		"redial with backoff after transport failures and retry the transaction")
+	metricsEvery := fs.Duration("metrics-every", 0,
 		"dump the metrics snapshot at this interval while running (0 = off)")
-	recluster := flag.Bool("recluster", false, "enable online reclustering on the in-process server")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if *addr == "" {
+		return errors.New("-addr is required: start a server with oodbserver and pass its address")
+	}
 
 	spec, err := workload.ParseSpec(*wl, *locality, *writeProb, *clients)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	var connect func() (*repro.Client, error)
-	var statsFn func() core.ServerStats
-	var heatFn func() *repro.Heat
-
-	// One registry aggregates the (in-process) server and every client, so
-	// the final dump shows both sides of each protocol action.
+	// One registry aggregates every client, so the final dump shows the
+	// client side of each protocol action.
 	reg := repro.NewMetricsRegistry()
-
-	if *addr == "" {
-		p, ok := core.ParseProtocol(*proto)
-		if !ok {
-			fatal(fmt.Errorf("unknown protocol %q", *proto))
-		}
-		dir, err := os.MkdirTemp("", "oodbbench")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		copts := repro.ClusterOptions{ServerOptions: repro.ServerOptions{
-			Proto: p, NumPages: spec.DBPages, ObjsPerPage: spec.ObjsPerPage, Metrics: reg,
-			Heat: *heat, Recluster: *recluster, Transport: *transport,
-		}}
-		cluster, err := repro.NewCluster(dir, copts)
-		if err != nil {
-			fatal(err)
-		}
-		defer cluster.Close()
-		connect = cluster.AttachClient
-		how := "in-memory pipes"
-		if *transport != "" {
-			// Serve a loopback listener with the requested transport and
-			// dial the benchmark clients through it, so the wire layer
-			// under test (reactor or goroutine-per-conn) is on the path.
-			go cluster.Server().ListenAndServe("127.0.0.1:0")
-			deadline := time.Now().Add(5 * time.Second)
-			for cluster.Server().Addr() == "" {
-				if time.Now().After(deadline) {
-					fatal(fmt.Errorf("in-process server never started listening"))
-				}
-				time.Sleep(time.Millisecond)
-			}
-			tcpAddr := cluster.Server().Addr()
-			copts2 := repro.ClientOptions{RequestTimeout: *rto, Metrics: reg}
-			connect = func() (*repro.Client, error) { return repro.DialOpts(tcpAddr, copts2) }
-			how = fmt.Sprintf("loopback TCP, %s transport", cluster.Server().Transport())
-		}
-		statsFn = cluster.Server().Stats
-		heatFn = cluster.Server().Heat
-		fmt.Printf("oodbbench: in-process server over %s (GOMAXPROCS=%d, NumCPU=%d)\n",
-			how, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	} else {
-		opts := repro.ClientOptions{RequestTimeout: *rto, Metrics: reg}
-		if *reconnect {
-			a := *addr
-			opts.Redial = func() (repro.Conn, error) { return repro.DialConn(a) }
-		}
-		connect = func() (*repro.Client, error) { return repro.DialOpts(*addr, opts) }
-		probe, err := connect()
-		if err != nil {
-			fatal(err)
-		}
-		numPages, objsPerPage := probe.Geometry()
-		probe.Close()
-		if numPages < spec.DBPages || objsPerPage < spec.ObjsPerPage {
-			fatal(fmt.Errorf("server has %d pages x %d objects; %s needs %d x %d",
-				numPages, objsPerPage, spec.Kind, spec.DBPages, spec.ObjsPerPage))
-		}
+	opts := repro.ClientOptions{RequestTimeout: *rto, Metrics: reg}
+	if *reconnect {
+		a := *addr
+		opts.Redial = func() (repro.Conn, error) { return repro.DialConn(a) }
+	}
+	connect := func() (*repro.Client, error) { return repro.DialOpts(*addr, opts) }
+	probe, err := connect()
+	if err != nil {
+		return err
+	}
+	numPages, objsPerPage := probe.Geometry()
+	probe.Close()
+	if numPages < spec.DBPages || objsPerPage < spec.ObjsPerPage {
+		return fmt.Errorf("server has %d pages x %d objects; %s needs %d x %d",
+			numPages, objsPerPage, spec.Kind, spec.DBPages, spec.ObjsPerPage)
 	}
 
-	fmt.Printf("oodbbench: %d clients x %d txns of %s (%s locality, writeprob %.2f, ~%.0f objects), db=%d pages\n",
+	fmt.Fprintf(stdout, "oodbbench: %d clients x %d txns of %s (%s locality, writeprob %.2f, ~%.0f objects), db=%d pages\n",
 		*clients, *txns, spec.Kind, *locality, *writeProb, spec.AvgObjectsPerTxn(), spec.DBPages)
 
 	if *metricsEvery > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
+		stop, stopped := make(chan struct{}), make(chan struct{})
+		defer func() { close(stop); <-stopped }()
 		go func() {
+			defer close(stopped)
 			tick := time.NewTicker(*metricsEvery)
 			defer tick.Stop()
 			for {
@@ -144,70 +103,81 @@ func main() {
 					return
 				case <-tick.C:
 				}
-				fmt.Println("--- metrics snapshot ---")
-				reg.WriteHuman(os.Stdout)
+				fmt.Fprintln(stdout, "--- metrics snapshot ---")
+				reg.WriteHuman(stdout)
 			}
 		}()
 	}
 
 	layout := spec.Layout()
-	var committed, aborted int64
+	var committed, aborted, retried, unknown atomic.Int64
+	var failed atomic.Bool // a worker failed: the others stop at their next transaction
+	errs := make([]error, *clients)
 	commitLats := make([][]int64, *clients) // per-client: no shared append
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
 		cl, err := connect()
 		if err != nil {
-			fatal(err)
+			failed.Store(true)
+			wg.Wait()
+			return err
 		}
 		defer cl.Close()
 		wg.Add(1)
 		go func(i int, cl *repro.Client) {
 			defer wg.Done()
 			gen := workload.NewGenerator(spec, layout, i+1, rand.New(rand.NewSource(*seed+int64(i)*7919)))
-			for n := 0; n < *txns; n++ {
+			for n := 0; n < *txns && !failed.Load(); n++ {
 				refs := gen.NextTxn()
 				for {
 					commitStart, err := runTxn(cl, refs)
 					if err == nil {
-						atomic.AddInt64(&committed, 1)
+						committed.Add(1)
 						commitLats[i] = append(commitLats[i], time.Since(commitStart).Nanoseconds())
 						break
 					}
-					if !errors.Is(err, repro.ErrAborted) {
-						fatal(err)
+					switch {
+					case errors.Is(err, repro.ErrAborted):
+						aborted.Add(1) // a deadlock victim retries the same refs
+					case *reconnect && (errors.Is(err, repro.ErrDisconnected) || errors.Is(err, repro.ErrTimeout)):
+						// The client redials; a commit in flight may
+						// have landed before the connection went.
+						retried.Add(1)
+						if !commitStart.IsZero() {
+							unknown.Add(1)
+						}
+					default:
+						errs[i] = fmt.Errorf("client %d: %w", i+1, err)
+						failed.Store(true)
+						return
 					}
-					atomic.AddInt64(&aborted, 1) // a deadlock victim retries the same refs
 				}
 			}
 		}(i, cl)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 
-	txnPerSec := float64(committed) / elapsed.Seconds()
+	txnPerSec := float64(committed.Load()) / elapsed.Seconds()
 	p99 := percentileNs(commitLats, 99)
-	fmt.Printf("committed %d txns in %v — %.0f txn/s, p99 commit %v (%d deadlock retries)\n",
-		committed, elapsed.Round(time.Millisecond), txnPerSec,
-		time.Duration(p99).Round(time.Microsecond), aborted)
-	if statsFn != nil {
-		st := statsFn()
-		fmt.Printf("server: reads=%d writes=%d callbacks=%d busy=%d deesc=%d pageX=%d objX=%d deadlocks=%d\n",
-			st.ReadReqs, st.WriteReqs, st.Callbacks, st.BusyReplies,
-			st.Deescalations, st.PageGrants, st.ObjGrants, st.Deadlocks)
+	fmt.Fprintf(stdout, "committed %d txns in %v — %.0f txn/s, p99 commit %v (%d deadlock retries",
+		committed.Load(), elapsed.Round(time.Millisecond), txnPerSec,
+		time.Duration(p99).Round(time.Microsecond), aborted.Load())
+	if *reconnect {
+		fmt.Fprintf(stdout, ", %d reconnect retries, %d commits of unknown outcome", retried.Load(), unknown.Load())
 	}
-	if *heat && heatFn != nil {
-		fmt.Println("--- heat summary (top-K hot/contended pages) ---")
-		heatFn().WriteHuman(os.Stdout)
-	} else if *heat {
-		fmt.Fprintln(os.Stderr, "oodbbench: -heat requires the in-process server (no -addr)")
-	}
-	fmt.Println("--- final metrics ---")
-	reg.WriteHuman(os.Stdout)
+	fmt.Fprintln(stdout, ")")
+	fmt.Fprintln(stdout, "--- final metrics ---")
+	reg.WriteHuman(stdout)
+	return nil
 }
 
 // runTxn runs refs as one transaction — Update for a write, Read for a
-// read — and returns when its commit started.
+// read — and returns when its commit started (zero if it never did).
 func runTxn(cl *repro.Client, refs []workload.Ref) (commitStart time.Time, err error) {
 	tx, err := cl.Begin()
 	if err != nil {
@@ -236,9 +206,4 @@ func percentileNs(lats [][]int64, p int) int64 {
 	}
 	slices.Sort(all)
 	return all[(len(all)-1)*p/100]
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "oodbbench:", err)
-	os.Exit(1)
 }

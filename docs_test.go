@@ -69,12 +69,21 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 }
 
 // TestDocsNameLiveFlags keeps README.md and DESIGN.md honest about the
-// commands: every `-flag` inside a back-quoted span must be registered
-// with a flag.* call in some cmd/*/main.go, unless it is a `go test` flag
-// or docsHistory lists it.
+// commands: every `-flag` inside a back-quoted span must be registered in
+// some cmd/*/main.go, unless it is a `go test` flag or docsHistory lists
+// it. A span, or a piped or chained part of one, that starts with a
+// command's name (`oodbbench -addr ...`, `go run ./cmd/figures -quick`,
+// after any VAR=value prefix) may name only that command's flags.
 func TestDocsNameLiveFlags(t *testing.T) {
-	live := registeredFlags(t)
+	byCmd := registeredFlags(t)
+	anyCmd := map[string]bool{}
+	for _, flags := range byCmd {
+		for f := range flags {
+			anyCmd[f] = true
+		}
+	}
 	span := regexp.MustCompile("`([^`\n]+)`")
+	part := regexp.MustCompile(`\||&&|;`)
 	flagTok := regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		text, err := os.ReadFile(doc)
@@ -83,9 +92,15 @@ func TestDocsNameLiveFlags(t *testing.T) {
 		}
 		for i, line := range proseLines(string(text)) {
 			for _, m := range span.FindAllStringSubmatch(line, -1) {
-				for _, f := range flagTok.FindAllStringSubmatch(m[1], -1) {
-					if !live[f[1]] && !goTestFlags[f[1]] && docsHistory["-"+f[1]] == "" {
-						t.Errorf("%s:%d names `-%s`, which no command registers", doc, i+1, f[1])
+				for _, p := range part.Split(m[1], -1) {
+					known, where := anyCmd, "no command registers"
+					if cmd := commandOf(p); byCmd[cmd] != nil {
+						known, where = byCmd[cmd], cmd+" does not register"
+					}
+					for _, f := range flagTok.FindAllStringSubmatch(p, -1) {
+						if !known[f[1]] && !goTestFlags[f[1]] && docsHistory["-"+f[1]] == "" {
+							t.Errorf("%s:%d names `-%s`, which %s", doc, i+1, f[1], where)
+						}
 					}
 				}
 			}
@@ -93,51 +108,93 @@ func TestDocsNameLiveFlags(t *testing.T) {
 	}
 }
 
-// registeredFlags returns the name of every flag the commands register:
-// the string literal among the first two arguments of a flag.* call
-// (flag.Int("name", ...), flag.IntVar(&v, "name", ...)).
-func registeredFlags(t *testing.T) map[string]bool {
+// commandOf returns the command a shell fragment runs: its first word
+// after any VAR=value assignments, or X for `go run ./cmd/X`.
+func commandOf(fragment string) string {
+	words := strings.Fields(fragment)
+	for len(words) > 0 && strings.Contains(words[0], "=") {
+		words = words[1:]
+	}
+	if len(words) >= 3 && words[0] == "go" && words[1] == "run" {
+		return strings.TrimPrefix(strings.TrimSuffix(words[2], "/"), "./cmd/")
+	}
+	if len(words) == 0 {
+		return ""
+	}
+	return words[0]
+}
+
+// registeredFlags returns, per command, the name of every flag it
+// registers: the string literal among the first two arguments of a call
+// on the flag package or on a FlagSet the file makes with flag.NewFlagSet
+// (flag.Int("name", ...), fs.IntVar(&v, "name", ...)).
+func registeredFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	byCmd := map[string]map[string]bool{}
 	fset := token.NewFileSet()
 	for _, path := range mains {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Source order: a FlagSet's assignment comes before its calls.
+		recvs := map[string]bool{"flag": true}
+		names := map[string]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-				return true
-			}
-			for _, a := range call.Args[:min(2, len(call.Args))] {
-				if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					name, err := strconv.Unquote(lit.Value)
-					if err != nil {
-						t.Fatal(err)
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+					if method, _ := flagCall(n.Rhs[0], recvs); method == "NewFlagSet" {
+						if id, ok := n.Lhs[0].(*ast.Ident); ok {
+							recvs[id.Name] = true
+						}
 					}
-					names[name] = true
-					break
+				}
+			case *ast.CallExpr:
+				method, args := flagCall(n, recvs)
+				if method == "" || method == "NewFlagSet" {
+					return true
+				}
+				for _, a := range args[:min(2, len(args))] {
+					if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						name, err := strconv.Unquote(lit.Value)
+						if err != nil {
+							t.Fatal(err)
+						}
+						names[name] = true
+						break
+					}
 				}
 			}
 			return true
 		})
+		if len(names) == 0 {
+			t.Fatalf("found no flag registrations in %s", path)
+		}
+		byCmd[filepath.Base(filepath.Dir(path))] = names
 	}
-	if len(names) == 0 {
-		t.Fatal("found no flag registrations under cmd/")
+	return byCmd
+}
+
+// flagCall returns the method name and arguments of e if it is a call on
+// one of recvs, or "".
+func flagCall(e ast.Node, recvs map[string]bool) (string, []ast.Expr) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return "", nil
 	}
-	return names
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	if recv, ok := sel.X.(*ast.Ident); !ok || !recvs[recv.Name] {
+		return "", nil
+	}
+	return sel.Sel.Name, call.Args
 }
 
 // proseLines returns text's lines with fenced code blocks blanked, so line

@@ -157,16 +157,3 @@ func (f *FaultConn) Close() error {
 	f.killed.Store(true)
 	return f.inner.Close()
 }
-
-// Flush forwards batch-boundary flush hints to transports that buffer
-// writes (the live TCP framing coalesces sends); fault injection must not
-// strand frames in the wrapped transport's buffer.
-func (f *FaultConn) Flush() error {
-	if f.killed.Load() {
-		return ErrKilled
-	}
-	if fl, ok := f.inner.(interface{ Flush() error }); ok {
-		return fl.Flush()
-	}
-	return nil
-}

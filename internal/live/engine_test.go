@@ -17,19 +17,18 @@ import (
 // TestApplyEnv: the environment fills unset fields only, through the test
 // helper applyEnv only — defaults() (and so OpenServer) never looks at it.
 func TestApplyEnv(t *testing.T) {
-	t.Setenv("OODB_HEAT", "1")
-	t.Setenv("OODB_RECLUSTER", "0")
+	t.Setenv("OODB_RECLUSTER", "1")
 	t.Setenv("OODB_TRANSPORT", TransportReactor)
 
 	lib := ServerOptions{}
 	lib.defaults()
-	if lib.Heat || lib.Transport != TransportGoroutine {
+	if lib.Recluster || lib.Transport != TransportGoroutine {
 		t.Errorf("defaults() read the environment: %+v", lib)
 	}
 
 	o := ServerOptions{}
 	applyEnv(&o)
-	if !o.Heat || o.Recluster || o.Transport != TransportReactor {
+	if !o.Recluster || o.Transport != TransportReactor {
 		t.Errorf("applyEnv on zero options gave %+v", o)
 	}
 	set := ServerOptions{Transport: TransportGoroutine}

@@ -323,7 +323,7 @@ func (s *Server) Metrics() *obs.Registry { return s.registry }
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Heat returns the server's access-heat collector (disabled until
-// SetEnabled or ServerOptions.Heat/OODB_HEAT).
+// SetEnabled or ServerOptions.Heat).
 func (s *Server) Heat() *obs.Heat { return s.heat }
 
 // Spans returns the commit-stage span recorder.

@@ -11,35 +11,23 @@ func writeFile(path string, b []byte) error  { return os.WriteFile(path, b, 0o64
 func openFile(path string) (*os.File, error) { return os.Open(path) }
 
 // openServer is OpenServer the way every test in this package opens one:
-// with the CI matrix's OODB_* selection (heat, recluster, transport)
+// with the CI matrix's OODB_* selection (recluster, transport)
 // filling whatever the test left unset.
 func openServer(dir string, opts ServerOptions) (*Server, error) {
 	applyEnv(&opts)
 	return OpenServer(dir, opts)
 }
 
-// applyEnv fills the fields of o that are still unset from the three
+// applyEnv fills the fields of o that are still unset from the two
 // variables the CI matrix selects its configurations with. Nothing but
 // this package's tests reads them: the library and the commands take
 // options and flags only.
 func applyEnv(o *ServerOptions) {
-	for _, e := range []struct {
-		name string
-		flag *bool
-		str  *string
-	}{
-		{name: "OODB_HEAT", flag: &o.Heat},
-		{name: "OODB_RECLUSTER", flag: &o.Recluster},
-		{name: "OODB_TRANSPORT", str: &o.Transport},
-	} {
-		v := os.Getenv(e.name)
-		switch {
-		case v == "":
-		case e.flag != nil:
-			*e.flag = *e.flag || v == "1" || v == "true"
-		case e.str != nil && *e.str == "":
-			*e.str = v
-		}
+	if v := os.Getenv("OODB_RECLUSTER"); v == "1" || v == "true" {
+		o.Recluster = true
+	}
+	if o.Transport == "" {
+		o.Transport = os.Getenv("OODB_TRANSPORT")
 	}
 }
 
